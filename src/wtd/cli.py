@@ -25,14 +25,29 @@ EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_BAND = 3
 
+#: Integer problem fields that flags may override: (name, default, minimum).
+_COUNTS = (("samples", 10000, 1), ("seed", 0, 0))
+
 
 class InputError(Exception):
     """Problem-file parse or validation failure; names the offending field."""
 
 
+def _is_number(value):
+    # JSON true/false load as bool, which is a subclass of int.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _count(value, label, minimum):
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        kind = "positive" if minimum > 0 else "nonnegative"
+        raise InputError(f"{label} must be a {kind} integer")
+    return value
+
+
 def _complex_pair(value, where):
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(p, (int, float)) for p in value)):
+            or not all(_is_number(p) for p in value)):
         raise InputError(f"{where}: complex entries must be [re, im] pairs")
     return complex(value[0], value[1])
 
@@ -102,23 +117,20 @@ def load_problem(path):
         raise InputError(f"field 'kbar' must be Hermitian PSD: {exc}") from exc
 
     if "power" in raw and raw["power"] is not None:
-        if not isinstance(raw["power"], (int, float)) or raw["power"] <= 0:
+        if not _is_number(raw["power"]) or raw["power"] <= 0:
             raise InputError("field 'power' must be a positive number")
         problem["power"] = float(raw["power"])
     if "t" in raw:
         target = raw["t"]
         if (not isinstance(target, list)
-                or not all(isinstance(v, (int, float)) and v > 0 for v in target)):
+                or not all(_is_number(v) and v > 0 for v in target)):
             raise InputError("field 't' must be an array of positive numbers")
         problem["t"] = np.asarray(target, dtype=float)
     problem["mode"] = raw.get("mode", "gsvd")
     if problem["mode"] not in scheme.PRECODER_MODES:
         raise InputError(f"field 'mode' must be one of {scheme.PRECODER_MODES}")
-    for name, default in (("samples", 10000), ("seed", 0)):
-        value = raw.get(name, default)
-        if not isinstance(value, int) or value < 0:
-            raise InputError(f"field '{name}' must be a nonnegative integer")
-        problem[name] = value
+    for name, default, minimum in _COUNTS:
+        problem[name] = _count(raw.get(name, default), f"field '{name}'", minimum)
     problem["digest"] = hashlib.sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     return problem
@@ -383,10 +395,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         problem = load_problem(args.input)
-        for name in ("samples", "seed", "mode"):
-            value = getattr(args, name, None)
+        for name, _, minimum in _COUNTS:
+            value = getattr(args, name)
             if value is not None:
-                problem[name] = value
+                problem[name] = _count(value, f"flag '--{name}'", minimum)
+        if args.mode is not None:
+            problem["mode"] = args.mode
         if getattr(args, "power", None) is not None:
             problem["power"] = args.power
         # Paths are excluded from the echo so reports stay byte-identical

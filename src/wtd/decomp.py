@@ -18,7 +18,6 @@ Conventions used throughout:
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, MajorizationError, NumericalFailure, RankDeficient
 
@@ -321,24 +320,6 @@ def gmd(a):
     return gtd(a, np.full(a.shape[1], mean))
 
 
-def _whitened_pair_matrix(a1, a2):
-    """Return (chol, m) with ``m = L^-1 (a1'a1) L^-dagger`` for ``a2'a2 = L L'``."""
-    k1 = a1.conj().T @ a1
-    k2 = a2.conj().T @ a2
-    # Rank is checked on a2 itself: forming the Gram matrix squares the
-    # conditioning, which would hide exact rank loss from the Cholesky.
-    r2 = np.linalg.qr(a2, mode="r")
-    _check_full_rank(np.abs(np.diag(r2)), np.linalg.norm(a2, 2),
-                     "second matrix of the pair")
-    try:
-        chol = np.linalg.cholesky(k2)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient("second matrix of the pair is rank deficient") from exc
-    half = scipy.linalg.solve_triangular(chol, k1, lower=True)
-    m = scipy.linalg.solve_triangular(chol, half.conj().T, lower=True)
-    return chol, (m + m.conj().T) / 2.0
-
-
 def _check_pair(a1, a2):
     a1 = _as_matrix(a1, "first matrix")
     a2 = _as_matrix(a2, "second matrix")
@@ -349,60 +330,62 @@ def _check_pair(a1, a2):
     return a1, a2
 
 
+def _gsvd_kernel(a1, a2):
+    """Paige-Saunders GSVD core: a QR of ``a2``, then an SVD of ``a1 R2^-1``.
+
+    With ``a2 = Q2 [R2; 0]`` and ``a1 R2^-1 = U diag(mu) W'``, the pair is
+    ``a1 = U diag(mu) W' R2`` and ``a2 = Q2[:, :n] W W' R2``.  No Gram matrix
+    is formed, so the error grows with cond(R2), not its square.  Returns
+    ``(mu, U, Q2, W', R2)`` with ``mu`` non-increasing.
+    """
+    n = a2.shape[1]
+    q2, r2 = np.linalg.qr(a2, mode="complete")
+    r2 = r2[:n]
+    _check_full_rank(np.abs(np.diag(r2)), np.linalg.norm(a2, 2),
+                     "second matrix of the pair")
+    c = np.linalg.solve(r2.T, a1.T).T
+    u, mu, wh = np.linalg.svd(c)
+    return mu, u, q2, wh, r2
+
+
 def gsv_values(a1, a2):
     """Generalized singular values of the pair, non-increasing.
 
-    Computed through the equivalent Hermitian generalized eigenvalue
-    problem ``a1'a1 y = mu^2 a2'a2 y`` after a Cholesky whitening by
-    ``a2'a2``.
+    They are the singular values of ``a1 R2^-1``, where ``R2`` is the
+    triangular QR factor of ``a2``; :class:`RankDeficient` is raised when
+    ``a2`` does not have full column rank.
     """
     a1, a2 = _check_pair(a1, a2)
-    _, m = _whitened_pair_matrix(a1, a2)
-    vals = np.clip(np.linalg.eigvalsh(m), 0.0, None)
-    return np.sqrt(vals)[::-1]
+    return _gsvd_kernel(a1, a2)[0]
 
 
 def gsvd_diagonal(a1, a2):
     """Diagonal-form GSVD of a full-column-rank pair."""
     a1, a2 = _check_pair(a1, a2)
-    # The construction divides by the GSVs, so a rank-deficient first matrix
-    # must be rejected as well.
+    # Factors here carry strictly positive diagonals, so a rank-deficient
+    # first matrix (a zero GSV) is rejected as well.
     r1 = np.linalg.qr(a1, mode="r")
     _check_full_rank(np.abs(np.diag(r1)), np.linalg.norm(a1, 2),
                      "first matrix of the pair")
-    chol, m = _whitened_pair_matrix(a1, a2)
-    lam, z = np.linalg.eigh(m)
-    lam = np.clip(lam[::-1], 0.0, None)
-    z = z[:, ::-1]
-    mu = np.sqrt(lam)
-    y = scipy.linalg.solve_triangular(chol.conj().T, z, lower=False)
-    scale = np.sqrt(1.0 + lam)
-    x = (chol @ z) * scale[None, :]
-
+    mu, u, q2, wh, r2 = _gsvd_kernel(a1, a2)
     n = a1.shape[1]
-    u1 = _complete_unitary((a1 @ y) / mu[None, :])
-    u2 = _complete_unitary(a2 @ y)
+    scale = np.sqrt(1.0 + mu * mu)
+    x = (wh @ r2).conj().T * scale[None, :]
+    u2 = np.concatenate([q2[:, :n] @ wh.conj().T, q2[:, n:]], axis=1)
     l1 = np.zeros((a1.shape[0], n), dtype=complex)
     l2 = np.zeros((a2.shape[0], n), dtype=complex)
     l1[np.arange(n), np.arange(n)] = mu / scale
     l2[np.arange(n), np.arange(n)] = 1.0 / scale
-    return GsvdDiagonalFactors(u1=u1, u2=u2, x=x, l1=l1, l2=l2)
-
-
-def _complete_unitary(q):
-    """Extend orthonormal columns to a full unitary basis."""
-    m, n = q.shape
-    if m == n:
-        return q
-    full, _ = np.linalg.qr(q, mode="complete")
-    return np.concatenate([q, full[:, n:]], axis=1)
+    return GsvdDiagonalFactors(u1=u, u2=u2, x=x, l1=l1, l2=l2)
 
 
 def gsvd_triangular(a1, a2):
     """Triangular-form GSVD: shared right unitary, diagonal ratios = GSVs.
 
-    Obtained from the diagonal form by a QL decomposition of its invertible
-    right factor.
+    A QL decomposition ``x = va @ l`` of the right factor of
+    :func:`gsvd_diagonal` gives ``a_k = u_k @ (l_k @ l') @ va'``; both
+    ``l_k @ l'`` are upper triangular, and their diagonal ratios are the
+    diagonal ratios of ``l1`` over ``l2``.
     """
     diag_form = gsvd_diagonal(a1, a2)
     qlf = ql(diag_form.x)

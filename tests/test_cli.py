@@ -54,6 +54,29 @@ class TestProblemFile:
     def test_missing_file(self, tmp_path, capsys):
         assert run_cli(["capacity", "--input", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("field, fields", [
+        ("h_b", {"h_b": [[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}),
+        ("power", {"power": True}),
+        ("t", {"t": [True, 1.0]}),
+        ("samples", {"samples": True}),
+        ("seed", {"seed": False}),
+    ])
+    def test_json_boolean_is_not_a_number(self, tmp_path, capsys, field, fields):
+        path = write_problem(tmp_path, **{"h_b": GOLDEN_H_B, "h_e": GOLDEN_H_E, **fields})
+        assert run_cli(["capacity", "--input", path]) == 1
+        assert f"'{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, args", [
+        ("seed", ["simulate", "--scheme", "sic", "--seed", "-1"]),
+        ("seed", ["capacity", "--power", "2", "--seed", "-1"]),
+        ("samples", ["simulate", "--scheme", "sic", "--samples", "0"]),
+        ("samples", ["simulate", "--scheme", "wiretap", "--samples", "-5"]),
+    ])
+    def test_bad_count_flag(self, tmp_path, capsys, field, args):
+        path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E)
+        assert run_cli(args + ["--input", path]) == 1
+        assert field in capsys.readouterr().err
+
 
 class TestDecompose:
     def test_gmd_constant_diagonal(self, tmp_path):

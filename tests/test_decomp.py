@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -280,6 +285,45 @@ class TestGsvdTriangular:
         assert_exact_upper_triangular(jt.t2)
         assert np.all(jt.diag1 > 0)
         assert np.all(jt.diag2 > 0)
+
+
+KNOWN_GSV = np.array([1e3, 10.0, 1.0, 1e-3])
+
+
+def known_gsv_pair(rng, condition):
+    """Pair ``a_k = u_k @ c_k @ x`` with GSVs ``KNOWN_GSV`` and cond(x) = condition."""
+    n = KNOWN_GSV.size
+    c = KNOWN_GSV / np.sqrt(1.0 + KNOWN_GSV ** 2)
+    s = 1.0 / np.sqrt(1.0 + KNOWN_GSV ** 2)
+    x = (decomp.haar_unitary(n, rng) * np.geomspace(1.0, 1.0 / condition, n)[None, :]
+         @ decomp.haar_unitary(n, rng))
+    a1 = decomp.haar_unitary(n + 2, rng)[:, :n] * c[None, :] @ x
+    a2 = decomp.haar_unitary(n + 1, rng)[:, :n] * s[None, :] @ x
+    return a1, a2
+
+
+class TestIllConditionedPairs:
+    # Forming a'a squares cond(x) and loses the small GSVs; the QR + SVD
+    # route keeps the relative error within a modest multiple of
+    # eps * cond(x).
+    @pytest.mark.parametrize("condition", [1e2, 1e5, 1e7])
+    def test_known_gsvs_recovered(self, rng, condition):
+        tol = 1e-11 * condition
+        for _ in range(10):
+            a1, a2 = known_gsv_pair(rng, condition)
+            mu = decomp.gsv_values(a1, a2)
+            ratios = decomp.gsvd_triangular(a1, a2).diag_ratios
+            assert np.max(np.abs(mu - KNOWN_GSV) / KNOWN_GSV) <= tol
+            assert np.max(np.abs(ratios - KNOWN_GSV) / KNOWN_GSV) <= tol
+
+
+def test_import_leaves_scipy_unloaded():
+    src = Path(decomp.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, wtd; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout.strip() == "False"
 
 
 class TestJointTriangularize:
