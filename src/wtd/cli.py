@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 input error, 2 infeasibility (majorization),
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -43,6 +44,13 @@ def _count(value, label, minimum):
         kind = "positive" if minimum > 0 else "nonnegative"
         raise InputError(f"{label} must be a {kind} integer")
     return value
+
+
+def _power(value, label):
+    # JSON NaN/Infinity load as floats, and NaN passes a plain ``<= 0`` test.
+    if not _is_number(value) or not math.isfinite(value) or value <= 0:
+        raise InputError(f"{label} must be a positive finite number")
+    return float(value)
 
 
 def _complex_pair(value, where):
@@ -117,9 +125,7 @@ def load_problem(path):
         raise InputError(f"field 'kbar' must be Hermitian PSD: {exc}") from exc
 
     if "power" in raw and raw["power"] is not None:
-        if not _is_number(raw["power"]) or raw["power"] <= 0:
-            raise InputError("field 'power' must be a positive number")
-        problem["power"] = float(raw["power"])
+        problem["power"] = _power(raw["power"], "field 'power'")
     if "t" in raw:
         target = raw["t"]
         if (not isinstance(target, list)
@@ -402,7 +408,7 @@ def main(argv=None):
         if args.mode is not None:
             problem["mode"] = args.mode
         if getattr(args, "power", None) is not None:
-            problem["power"] = args.power
+            problem["power"] = _power(args.power, "flag '--power'")
         # Paths are excluded from the echo so reports stay byte-identical
         # for identical (input content, seed, version).
         volatile = {"command", "input", "out", "csv"}

@@ -104,9 +104,10 @@ class JointTriangularization:
         return self.diag1 / self.diag2
 
 
-def _as_matrix(a, name="matrix"):
+def _as_matrix(a, name="matrix", stacked=False):
+    # ``stacked`` also admits a (..., m, n) stack of matrices.
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+    if a.ndim < 2 or (a.ndim > 2 and not stacked) or a.shape[-2] < 1 or a.shape[-1] < 1:
         raise DomainError(f"{name} must be a 2-D array with positive dimensions")
     if not np.all(np.isfinite(a)):
         raise DomainError(f"{name} entries must be finite")
@@ -114,7 +115,7 @@ def _as_matrix(a, name="matrix"):
 
 
 def _require_tall(a, name="matrix"):
-    if a.shape[0] < a.shape[1]:
+    if a.shape[-2] < a.shape[-1]:
         raise DomainError(f"{name} must have at least as many rows as columns")
 
 
@@ -145,9 +146,15 @@ def _positive_diagonal(u, t):
 
 
 def _check_full_rank(diag, scale, name="matrix"):
-    if scale == 0.0 or np.min(diag) <= RANK_RTOL * scale:
-        raise RankDeficient(f"{name} is rank deficient (diagonal {np.min(diag):.3e} "
-                            f"vs threshold {RANK_RTOL * scale:.3e})")
+    # Per matrix of a stack: ``diag`` is (..., n) and ``scale`` is (...).
+    scale = np.asarray(scale)
+    low = diag.min(axis=-1)
+    threshold = RANK_RTOL * scale
+    deficient = (scale == 0.0) | (low <= threshold)
+    if deficient.any():
+        i = deficient.argmax()
+        raise RankDeficient(f"{name} is rank deficient (diagonal {low.flat[i]:.3e} "
+                            f"vs threshold {threshold.flat[i]:.3e})")
 
 
 def qr(a):
@@ -320,10 +327,12 @@ def gmd(a):
     return gtd(a, np.full(a.shape[1], mean))
 
 
-def _check_pair(a1, a2):
-    a1 = _as_matrix(a1, "first matrix")
-    a2 = _as_matrix(a2, "second matrix")
-    if a1.shape[1] != a2.shape[1]:
+def _check_pair(a1, a2, stacked=False):
+    a1 = _as_matrix(a1, "first matrix", stacked)
+    a2 = _as_matrix(a2, "second matrix", stacked)
+    if a1.shape[:-2] != a2.shape[:-2]:
+        raise DomainError("matrix pair stacks must have the same shape")
+    if a1.shape[-1] != a2.shape[-1]:
         raise DomainError("matrix pair must share the column count")
     _require_tall(a1, "first matrix")
     _require_tall(a2, "second matrix")
@@ -337,13 +346,18 @@ def _gsvd_kernel(a1, a2):
     ``a1 = U diag(mu) W' R2`` and ``a2 = Q2[:, :n] W W' R2``.  No Gram matrix
     is formed, so the error grows with cond(R2), not its square.  Returns
     ``(mu, U, Q2, W', R2)`` with ``mu`` non-increasing.
+
+    Both inputs may be ``(..., m, n)`` stacks of the same shape; every
+    factor then gains the leading axes, and the rank check runs per pair.
+    The full SVD is taken even when only ``mu`` is used: on a stack, the
+    values-only SVD differs from the per-pair call in the last bits.
     """
-    n = a2.shape[1]
+    n = a2.shape[-1]
     q2, r2 = np.linalg.qr(a2, mode="complete")
-    r2 = r2[:n]
-    _check_full_rank(np.abs(np.diag(r2)), np.linalg.norm(a2, 2),
+    r2 = r2[..., :n, :]
+    _check_full_rank(np.abs(r2.diagonal(0, -2, -1)), np.linalg.norm(a2, 2, axis=(-2, -1)),
                      "second matrix of the pair")
-    c = np.linalg.solve(r2.T, a1.T).T
+    c = np.linalg.solve(r2.swapaxes(-1, -2), a1.swapaxes(-1, -2)).swapaxes(-1, -2)
     u, mu, wh = np.linalg.svd(c)
     return mu, u, q2, wh, r2
 
@@ -353,9 +367,11 @@ def gsv_values(a1, a2):
 
     They are the singular values of ``a1 R2^-1``, where ``R2`` is the
     triangular QR factor of ``a2``; :class:`RankDeficient` is raised when
-    ``a2`` does not have full column rank.
+    ``a2`` does not have full column rank.  ``a1`` and ``a2`` may also be
+    ``(..., m, n)`` stacks of the same shape, giving ``(..., n)`` values
+    equal bit for bit to the per-pair calls.
     """
-    a1, a2 = _check_pair(a1, a2)
+    a1, a2 = _check_pair(a1, a2, stacked=True)
     return _gsvd_kernel(a1, a2)[0]
 
 

@@ -22,19 +22,27 @@ LN2 = np.log(2.0)
 PSD_EIG_TOL = 1e-10
 #: A squared GSV must exceed ``1 + LB_GSV_TOL`` to count as an active stream.
 LB_GSV_TOL = 1e-9
+#: Most matrices evaluated as one stack; bounds the memory of long searches
+#: and checks.
+STACK_CHUNK = 1024
 
 
-def _as_square(k, name):
+def _as_square(k, name, stacked=False):
+    # ``stacked`` also admits a (..., n, n) stack of matrices.
     k = np.asarray(k, dtype=complex)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
+    if k.ndim < 2 or (k.ndim > 2 and not stacked) or k.shape[-2] != k.shape[-1]:
         raise DomainError(f"{name} must be a square matrix")
     if not np.all(np.isfinite(k)):
         raise DomainError(f"{name} entries must be finite")
     return k
 
 
+def _adjoint(a):
+    return a.conj().swapaxes(-1, -2)
+
+
 def _hermitize(k):
-    return (k + k.conj().T) / 2.0
+    return (k + _adjoint(k)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -118,16 +126,21 @@ def matrix_sqrt(k):
 
     Uses the eigendecomposition route so singular inputs are fine;
     eigenvalues in ``[-1e-10, 0)`` are clamped to zero, anything lower
-    raises :class:`NotPSD`.
+    raises :class:`NotPSD`.  ``k`` may also be a ``(..., n, n)`` stack: every
+    matrix gets the same finite, Hermitian and PSD checks and the same
+    clamp (one bad matrix fails the call), and each root equals the one of
+    its own call bit for bit.
     """
-    k = _as_square(k, "covariance")
-    if np.max(np.abs(k - k.conj().T)) > 1e-10 * max(1.0, np.linalg.norm(k, np.inf)):
+    k = _as_square(k, "covariance", stacked=True)
+    asymmetry = np.abs(k - _adjoint(k)).max(axis=(-2, -1))
+    inf_norm = np.abs(k).sum(axis=-1).max(axis=-1)
+    if (asymmetry > 1e-10 * np.maximum(1.0, inf_norm)).any():
         raise DomainError("covariance must be Hermitian")
     w, q = np.linalg.eigh(_hermitize(k))
     if w.min() < -PSD_EIG_TOL:
         raise NotPSD(f"covariance has eigenvalue {w.min():.3e} < -{PSD_EIG_TOL:g}")
     w = np.clip(w, 0.0, None)
-    return (q * np.sqrt(w)[None, :]) @ q.conj().T
+    return (q * np.sqrt(w)[..., None, :]) @ _adjoint(q)
 
 
 def effective_mmse_matrix(h, b):
@@ -135,15 +148,19 @@ def effective_mmse_matrix(h, b):
 
     ``b`` is a square root factor of the input covariance, ``h`` the channel
     matrix; the identity block keeps every column alive even for a dead
-    channel.
+    channel.  A ``(..., n, n)`` stack of factors gives a stack of matrices.
     """
     h = np.asarray(h, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if h.ndim != 2 or b.ndim != 2 or b.shape[0] != b.shape[1]:
+    if h.ndim != 2 or b.ndim < 2 or b.shape[-2] != b.shape[-1]:
         raise DomainError("channel must be 2-D and the sqrt factor square")
-    if h.shape[1] != b.shape[0]:
+    if h.shape[1] != b.shape[-1]:
         raise DomainError("channel columns must match the sqrt factor dimension")
-    return np.concatenate([h @ b, np.eye(b.shape[0], dtype=complex)], axis=0)
+    m, n = h.shape
+    g = np.zeros(b.shape[:-2] + (m + n, n), dtype=complex)
+    g[..., :m, :] = h @ b
+    g[..., m:, :] = np.eye(n)
+    return g
 
 
 def gaussian_mi(h, k):
@@ -160,10 +177,20 @@ def secrecy_mi_difference(h_b, h_e, k):
     return gaussian_mi(h_b, k) - gaussian_mi(h_e, k)
 
 
-def channel_gsv(h_b, h_e, k):
-    """Channel-pair GSVs: the GSVs of the two effective MMSE matrices."""
+def _root_and_gsv(h_b, h_e, k):
     b = matrix_sqrt(k)
-    return gsv_values(effective_mmse_matrix(h_b, b), effective_mmse_matrix(h_e, b))
+    return b, gsv_values(effective_mmse_matrix(h_b, b), effective_mmse_matrix(h_e, b))
+
+
+def channel_gsv(h_b, h_e, k):
+    """Channel-pair GSVs: the GSVs of the two effective MMSE matrices.
+
+    ``k`` is one ``(n, n)`` covariance, giving ``n`` values, or a
+    ``(B, n, n)`` stack, giving ``(B, n)`` values; each row equals the call
+    on its own covariance bit for bit, and one stacked call costs far less
+    than ``B`` single ones.
+    """
+    return _root_and_gsv(h_b, h_e, k)[1]
 
 
 def secrecy_capacity_cov(h_b, h_e, kbar):
@@ -229,7 +256,10 @@ def gsv_monotonicity_check(h_b, h_e, kbar, samples, seed):
 
     For every sampled ``k`` in the order interval the i-th sorted
     ``|log gsv|`` under the constraint must dominate the one under ``k``
-    (slack 1e-8); violations are reported with a witness.
+    (slack 1e-8); violations are reported with a witness, the first sample
+    of the largest violation.  Samples are drawn one by one from the seed
+    and evaluated as stacks of up to ``STACK_CHUNK`` through
+    :func:`channel_gsv`, so the report equals the one of a per-sample loop.
     """
     if samples < 1:
         raise DomainError("at least one sample is required")
@@ -239,15 +269,15 @@ def gsv_monotonicity_check(h_b, h_e, kbar, samples, seed):
     violations = 0
     worst = 0.0
     witness = None
-    for _ in range(samples):
-        k = _sample_below(b, rng)
-        current = np.abs(np.log2(channel_gsv(h_b, h_e, k)))
-        slack = float(np.min(reference - current))
-        if slack < -1e-8:
-            violations += 1
-            if -slack > worst:
-                worst = -slack
-                witness = k
+    for start in range(0, samples, STACK_CHUNK):
+        ks = np.stack([_sample_below(b, rng)
+                       for _ in range(min(STACK_CHUNK, samples - start))])
+        slack = np.min(reference - np.abs(np.log2(channel_gsv(h_b, h_e, ks))), axis=-1)
+        violations += int(np.sum(slack < -1e-8))
+        i = np.argmin(slack)
+        if slack[i] < -1e-8 and -slack[i] > worst:
+            worst = float(-slack[i])
+            witness = ks[i]
     return MonotonicityReport(
         ok=violations == 0,
         samples=samples,
@@ -283,42 +313,54 @@ def power_constrained_capacity(h_b, h_e, power, budget=400, seed=0):
 
     Maximizes the covariance-constrained capacity over trace-``power``
     constraints by random restarts plus a local (1+1) evolution search on a
-    factor parameterization.  Every candidate is evaluated exactly, so the
-    returned value is a certified lower bound, non-decreasing in ``budget``
-    for a fixed seed.
+    factor parameterization.  Candidates are ranked by
+    ``sum max(2 log2 gsv, 0)`` over their :func:`channel_gsv` values; the
+    ``budget // 4`` random restarts are drawn in order and evaluated as
+    stacks, then scanned in order.  The returned bound is
+    ``secrecy_capacity_cov(h_b, h_e, kbar).capacity_bits`` of the best
+    candidate, so it re-evaluates bit for bit; this final evaluation is not
+    counted in ``evaluations``, which equals ``budget``.  The bound is
+    certified and non-decreasing in ``budget`` for a fixed seed, up to the
+    rounding (~1e-15) between the ranking and the exact value.
     """
     h_b = np.asarray(h_b, dtype=complex)
     h_e = np.asarray(h_e, dtype=complex)
-    if power <= 0:
-        raise DomainError("total power must be positive")
+    if not np.isfinite(power) or power <= 0:
+        raise DomainError("total power must be a positive finite number")
+    if h_b.ndim != 2 or h_e.ndim != 2 or h_b.shape[1] != h_e.shape[1]:
+        raise DomainError("h_b and h_e must be 2-D with the same number of columns")
     if budget < 1:
         raise DomainError("budget must be at least 1")
     n = h_b.shape[1]
     rng = np.random.default_rng(seed)
 
     def normalized(f):
-        k = f @ f.conj().T
-        trace = np.real(np.trace(k))
-        if trace <= 0.0:
-            return np.eye(n) * (power / n)
-        return _hermitize(k * (power / trace))
+        # Trace-``power`` covariance of a factor or a stack of factors; an
+        # all-zero factor maps to the scaled identity.
+        k = f @ _adjoint(f)
+        trace = np.real(np.trace(k, axis1=-2, axis2=-1))[..., None, None]
+        dead = trace <= 0.0
+        k = _hermitize(k * (power / np.where(dead, 1.0, trace)))
+        return np.where(dead, np.eye(n) * (power / n), k)
 
-    def evaluate(k):
-        return secrecy_capacity_cov(h_b, h_e, k).capacity_bits
+    best_c, best_k, best_f = -np.inf, None, None
+    evaluations = 0
 
-    best_k = np.eye(n, dtype=complex) * (power / n)
-    best_c = evaluate(best_k)
-    best_f = matrix_sqrt(best_k)
-    evaluations = 1
-
-    def consider(k):
+    def consider(ks):
+        # Rank a candidate, or a stack of them taken in order; keep the
+        # square root of the incumbent for the refinement.
         nonlocal best_c, best_k, best_f, evaluations
-        c = evaluate(k)
-        evaluations += 1
-        if c > best_c:
-            best_c, best_k, best_f = c, k, matrix_sqrt(k)
-            return True
-        return False
+        ks = ks.reshape(-1, n, n)
+        roots, mu = _root_and_gsv(h_b, h_e, ks)
+        improved = False
+        for k, c, f in zip(ks, np.sum(np.maximum(2.0 * np.log2(mu), 0.0), axis=-1), roots):
+            evaluations += 1
+            if c > best_c:
+                best_c, best_k, best_f = c, k, f
+                improved = True
+        return improved
+
+    consider(np.eye(n, dtype=complex) * (power / n))
 
     # Beamforming along the strongest generalized eigendirection of the two
     # links is the natural single-stream candidate.
@@ -333,11 +375,12 @@ def power_constrained_capacity(h_b, h_e, power, budget=400, seed=0):
     except np.linalg.LinAlgError:
         pass
 
-    # Exploration: fresh random factors.
+    # Exploration: fresh random factors, each drawn as its real then its
+    # imaginary part, evaluated in stacks.
     explore = max(0, min(budget - evaluations, budget // 4))
-    for _ in range(explore):
-        f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        consider(normalized(f))
+    for start in range(0, explore, STACK_CHUNK):
+        z = rng.standard_normal((min(STACK_CHUNK, explore - start), 2, n, n))
+        consider(normalized(z[:, 0] + 1j * z[:, 1]))
 
     # Refinement: (1+1) evolution search around the incumbent with a
     # multiplicatively adapted step, never restarted.
@@ -350,5 +393,6 @@ def power_constrained_capacity(h_b, h_e, power, budget=400, seed=0):
         else:
             step *= 0.87
         step = min(max(step, 1e-9), 2.0)
-    return PowerSearchResult(capacity_lower_bound=best_c, kbar=best_k,
-                             evaluations=evaluations)
+    return PowerSearchResult(
+        capacity_lower_bound=secrecy_capacity_cov(h_b, h_e, best_k).capacity_bits,
+        kbar=best_k, evaluations=evaluations)

@@ -78,6 +78,19 @@ class TestProblemFile:
         assert field in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("power", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_power_field(self, tmp_path, capsys, power):
+        path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E, power=power)
+        assert run_cli(["capacity", "--input", path]) == 1
+        assert "field 'power'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_bad_power_flag(self, tmp_path, capsys, value):
+        path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E, power=2.0)
+        assert run_cli(["capacity", "--input", path, "--power", value]) == 1
+        assert "flag '--power'" in capsys.readouterr().err
+
+
 class TestDecompose:
     def test_gmd_constant_diagonal(self, tmp_path):
         path = write_problem(tmp_path, h_b=matrix(np.diag([4.0, 1.0])))

@@ -233,6 +233,24 @@ class TestGsvValues:
         with pytest.raises(RankDeficient):
             decomp.gsv_values(complex_gaussian(rng, 4, 2), a2)
 
+    def test_stack_matches_per_pair_calls(self, rng):
+        a1 = np.stack([complex_gaussian(rng, 5, 3) for _ in range(6)]).reshape(2, 3, 5, 3)
+        a2 = np.stack([complex_gaussian(rng, 4, 3) for _ in range(6)]).reshape(2, 3, 4, 3)
+        mu = decomp.gsv_values(a1, a2)
+        assert mu.shape == (2, 3, 3)
+        for i in np.ndindex(2, 3):
+            assert np.array_equal(mu[i], decomp.gsv_values(a1[i], a2[i]))
+
+    def test_one_singular_pair_fails_the_stack(self, rng):
+        a2 = np.stack([complex_gaussian(rng, 4, 2) for _ in range(3)])
+        a2[2, :, 1] = a2[2, :, 0]
+        with pytest.raises(RankDeficient):
+            decomp.gsv_values(complex_gaussian(rng, 4, 2)[None].repeat(3, axis=0), a2)
+
+    def test_stack_shapes_must_match(self, rng):
+        with pytest.raises(DomainError):
+            decomp.gsv_values(np.zeros((2, 4, 2)) + np.eye(4, 2), np.eye(4, 2)[None].repeat(3, 0))
+
 
 class TestGsvdDiagonal:
     def test_identity_pair(self):

@@ -289,6 +289,82 @@ class TestPowerConstrainedCapacity:
         with pytest.raises(DomainError):
             secrecy.power_constrained_capacity(np.eye(2), np.eye(2), power=0.0)
 
+    @pytest.mark.parametrize("power", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_non_finite_power(self, power):
+        with pytest.raises(DomainError, match="power"):
+            secrecy.power_constrained_capacity(np.eye(2), np.eye(2), power=power)
+
+    def test_rejects_column_mismatch(self):
+        with pytest.raises(DomainError, match="h_b and h_e"):
+            secrecy.power_constrained_capacity(np.eye(2), np.eye(3), power=1.0)
+
+    def test_bound_is_exact_capacity_of_kbar(self, rng):
+        h_b = complex_gaussian(rng, 3, 3)
+        h_e = complex_gaussian(rng, 2, 3)
+        for budget in (1, 3, 37, 120):
+            res = secrecy.power_constrained_capacity(h_b, h_e, 1.5, budget=budget, seed=4)
+            assert res.evaluations == budget
+            exact = secrecy.secrecy_capacity_cov(h_b, h_e, res.kbar).capacity_bits
+            assert res.capacity_lower_bound == exact
+
+    # Bounds and constraints recorded from the per-candidate search, which
+    # ranked every candidate by its full triangular GSVD.
+    GOLDEN = [
+        ("2x2", 2.0, 200, 5, 2.9706129686137133, [
+            [1.1334333339272258, -0.2170508606449517 + 0.9669835755015718j],
+            [-0.2170508606449517 - 0.9669835755015718j, 0.8665666660727741]]),
+        ("4x3", 3.0, 300, 7, 2.302542425931467, [
+            [0.16553214263959093, 0.2910957297701495 - 0.29430524836076977j,
+             0.5177212174692162 - 0.14843307121259902j],
+            [0.2910957297701495 + 0.29430524836076977j, 1.0636706673688916,
+             1.1967274022959145 + 0.6623224918588131j],
+            [0.5177212174692162 + 0.14843307121259902j,
+             1.1967274022959145 - 0.6623224918588131j, 1.7707971899915176]]),
+    ]
+
+    @pytest.mark.parametrize("name, power, budget, seed, bound, kbar", GOLDEN,
+                             ids=[g[0] for g in GOLDEN])
+    def test_golden_search(self, name, power, budget, seed, bound, kbar):
+        if name == "2x2":
+            h_b = np.array([[1.0 + 0.5j, -0.25 + 1.0j], [0.5 - 0.75j, 1.25]])
+            h_e = np.array([[0.5 + 0.25j, 0.75 - 0.5j], [-0.25 + 0.5j, 0.25 + 0.25j]])
+        else:
+            problem_rng = np.random.default_rng(31337)
+            h_b = complex_gaussian(problem_rng, 4, 3)
+            h_e = complex_gaussian(problem_rng, 3, 3)
+        res = secrecy.power_constrained_capacity(h_b, h_e, power, budget=budget, seed=seed)
+        assert abs(res.capacity_lower_bound - bound) <= 1e-12
+        assert np.max(np.abs(res.kbar - np.array(kbar))) <= 1e-12
+        assert res.evaluations == budget
+
+
+class TestStackedEvaluation:
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_matches_per_matrix_calls(self, rng, n):
+        h_b = complex_gaussian(rng, n + 1, n)
+        h_e = complex_gaussian(rng, n, n)
+        ks = np.stack([random_psd(rng, n, rank=1 + i % n) for i in range(12)])
+        roots = secrecy.matrix_sqrt(ks)
+        gsv = secrecy.channel_gsv(h_b, h_e, ks)
+        assert roots.shape == (12, n, n) and gsv.shape == (12, n)
+        for i, k in enumerate(ks):
+            assert np.array_equal(roots[i], secrecy.matrix_sqrt(k))
+            assert np.array_equal(gsv[i], secrecy.channel_gsv(h_b, h_e, k))
+
+    def test_one_indefinite_matrix_fails_the_stack(self, rng):
+        ks = np.stack([random_psd(rng, 3) for _ in range(5)])
+        ks[3] = np.diag([1.0, 1.0, -1e-3])
+        with pytest.raises(NotPSD):
+            secrecy.matrix_sqrt(ks)
+        with pytest.raises(NotPSD):
+            secrecy.channel_gsv(complex_gaussian(rng, 3, 3), complex_gaussian(rng, 3, 3), ks)
+
+    def test_one_non_hermitian_matrix_fails_the_stack(self, rng):
+        ks = np.stack([random_psd(rng, 2) for _ in range(4)])
+        ks[1, 0, 1] += 1.0
+        with pytest.raises(DomainError):
+            secrecy.matrix_sqrt(ks)
+
 
 class TestSpectrumProperties:
     def test_gsv_inversion_identity(self, rng):
