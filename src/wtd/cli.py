@@ -57,6 +57,8 @@ def _complex_pair(value, where):
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(_is_number(p) for p in value)):
         raise InputError(f"{where}: complex entries must be [re, im] pairs")
+    if not all(math.isfinite(p) for p in value):
+        raise InputError(f"{where}: complex entries must be finite")
     return complex(value[0], value[1])
 
 
@@ -129,8 +131,8 @@ def load_problem(path):
     if "t" in raw:
         target = raw["t"]
         if (not isinstance(target, list)
-                or not all(_is_number(v) and v > 0 for v in target)):
-            raise InputError("field 't' must be an array of positive numbers")
+                or not all(_is_number(v) and math.isfinite(v) and v > 0 for v in target)):
+            raise InputError("field 't' must be an array of positive finite numbers")
         problem["t"] = np.asarray(target, dtype=float)
     problem["mode"] = raw.get("mode", "gsvd")
     if problem["mode"] not in scheme.PRECODER_MODES:
@@ -409,6 +411,8 @@ def main(argv=None):
             problem["mode"] = args.mode
         if getattr(args, "power", None) is not None:
             problem["power"] = _power(args.power, "flag '--power'")
+        if getattr(args, "budget", None) is not None:
+            _count(args.budget, "flag '--budget'", 1)
         # Paths are excluded from the echo so reports stay byte-identical
         # for identical (input content, seed, version).
         volatile = {"command", "input", "out", "csv"}

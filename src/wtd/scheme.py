@@ -5,6 +5,12 @@ confidential-broadcast stream plans from joint triangularizations of the
 effective MMSE channel matrices, and verifies their analytic SINRs, rates,
 and leakage with a seeded Monte Carlo simulator using Gaussian signaling.
 
+The three SINR checks share one layered receiver: a linear combiner, then
+successive cancellation over the rows of a triangular feedback matrix.
+SIC drives it with (genie or decided) past symbols, DPC is its ideal
+presubtraction mirror with the same SINRs ``b_k^2 - 1``, and the broadcast
+check runs two such receivers on the two blocks of one GSVD.
+
 Random codebooks are modeled by fresh i.i.d. CN(0, 1) symbols per channel
 use (real and imaginary parts N(0, 1/2) each); correctness is checked at
 the SINR/mutual-information level.  All randomness is drawn from
@@ -358,20 +364,84 @@ def _gaussian_rows(seed, kind, streams, chunk_index, size):
     return out
 
 
-def _map_chunks(worker, samples):
-    sizes = _chunks(samples)
+def _sum_chunks(worker, samples):
+    """Run ``worker(chunk_index, size)`` on every chunk; sum each field it returns.
+
+    Chunks may run on ``WTD_THREADS`` threads, but the sums are taken in
+    chunk order, so the result does not depend on the thread count.
+    """
+    jobs = list(enumerate(_chunks(samples)))
     threads = _thread_count()
-    jobs = list(enumerate(sizes))
     if threads == 1:
-        return [worker(c, size) for c, size in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda job: worker(*job), jobs))
+        results = [worker(c, size) for c, size in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(lambda job: worker(*job), jobs))
+    return [np.sum(fields, axis=0) for fields in zip(*results)]
 
 
 def _check_samples(samples):
     if samples < 1:
         raise DomainError("at least one sample is required")
     return int(samples)
+
+
+def _decode(receivers, n, samples, seed, recon=None):
+    """Layered decoding of ``n`` unit-power streams at one or more receivers.
+
+    Each receiver is ``(combiner, front, feedback, first, noise_kind)``: it
+    observes ``combiner' (front x + z)`` with its own CN(0, I) noise ``z``,
+    and row ``j`` of ``feedback`` cancels the later streams from its
+    observation of stream ``first + j``, last stream first.  With
+    ``recon=None`` the true symbols are fed back (genie); otherwise stream
+    ``i`` feeds back ``recon[i]`` times its cancelled observation.
+
+    Returns the per-stream gain ``|t_ii|^2`` and the sums over all samples
+    of ``|x_i|^2``, ``|w_i|^2`` and ``x_i w_i*``, where ``w_i`` is what is
+    left of the cancelled observation after removing ``t_ii x_i``.
+    """
+
+    def worker(chunk_index, size):
+        x = _gaussian_rows(seed, _KIND_SYMBOL, n, chunk_index, size)
+        fed = x if recon is None else np.zeros_like(x)
+        power_x = np.empty(n)
+        power_w = np.empty(n)
+        cross_xw = np.empty(n, dtype=complex)
+        for combiner, front, feedback, first, noise_kind in receivers:
+            z = _gaussian_rows(seed, noise_kind, front.shape[0], chunk_index, size)
+            yt = combiner.conj().T @ (front @ x + z)
+            for j in range(feedback.shape[0] - 1, -1, -1):
+                i = first + j
+                row = feedback[j]
+                y_prime = yt[j] - row[i + 1:] @ fed[i + 1:]
+                if recon is not None:
+                    fed[i] = recon[i] * y_prime
+                w = y_prime - row[i] * x[i]
+                power_x[i] = np.sum(np.abs(x[i]) ** 2)
+                power_w[i] = np.sum(np.abs(w) ** 2)
+                cross_xw[i] = np.sum(x[i] * np.conj(w))
+        return power_x, power_w, cross_xw
+
+    gain = np.concatenate([np.abs(np.diag(feedback[:, first:])) ** 2
+                           for _, _, feedback, first, _ in receivers])
+    return (gain, *_sum_chunks(worker, samples))
+
+
+def _sic_receiver(plan, h_b):
+    return (plan.u_tilde, h_b @ plan.b_sqrt @ plan.va, plan.t_tilde, 0, _KIND_NOISE)
+
+
+def _sinr_report(scheme, samples, seed, genie, gain, sum_x, sum_w, analytic,
+                 extras=None):
+    """Report of the empirical SINRs ``gain * sum_x / sum_w`` against ``analytic``."""
+    sinr_emp = np.where(sum_w > 0.0, gain * sum_x / np.where(sum_w > 0.0, sum_w, 1.0), 0.0)
+    return SimulationReport(
+        scheme=scheme, samples=samples, seed=seed, genie=genie,
+        sinr_empirical=sinr_emp, sinr_analytic=analytic,
+        sinr_rel_error=np.abs(sinr_emp - analytic) / np.maximum(analytic, 1e-12),
+        sinr_stderr=sinr_emp * np.sqrt(2.0 / samples),
+        mi_bits=float(np.sum(np.log2(1.0 + sinr_emp))),
+        extras={} if extras is None else extras)
 
 
 def simulate_sic(plan, h_b, samples, seed, genie=True):
@@ -383,52 +453,14 @@ def simulate_sic(plan, h_b, samples, seed, genie=True):
     """
     samples = _check_samples(samples)
     h_b = np.asarray(h_b, dtype=complex)
-    n = plan.num_streams
-    n_b = h_b.shape[0]
-    f = h_b @ plan.b_sqrt @ plan.va
-    ut_h = plan.u_tilde.conj().T
-    tt = plan.t_tilde
-    diag_tt = np.diag(tt)
-    # MMSE reconstruction gain per stream; zero-rate streams estimate 0.
-    recon = np.where(plan.sinr > 1e-12, diag_tt.conj() / np.maximum(plan.sinr, 1e-12), 0.0)
-
-    def worker(chunk_index, size):
-        x = _gaussian_rows(seed, _KIND_SYMBOL, n, chunk_index, size)
-        z = _gaussian_rows(seed, _KIND_NOISE, n_b, chunk_index, size)
-        yt = ut_h @ (f @ x + z)
-        feedback = x if genie else np.zeros_like(x)
-        power_x = np.empty(n)
-        power_r = np.empty(n)
-        for i in range(n - 1, -1, -1):
-            y_prime = yt[i] - tt[i, i + 1:] @ feedback[i + 1:]
-            if not genie:
-                feedback[i] = recon[i] * y_prime
-            resid = y_prime - diag_tt[i] * x[i]
-            power_x[i] = np.sum(np.abs(x[i]) ** 2)
-            power_r[i] = np.sum(np.abs(resid) ** 2)
-        return power_x, power_r, size
-
-    results = _map_chunks(worker, samples)
-    sum_x = np.sum([r[0] for r in results], axis=0)
-    sum_r = np.sum([r[1] for r in results], axis=0)
-    total = sum(r[2] for r in results)
-    gain = np.abs(diag_tt) ** 2
-    sinr_emp = np.where(sum_r > 0.0, gain * sum_x / np.where(sum_r > 0.0, sum_r, 1.0), 0.0)
-    analytic = plan.sinr
-    rel = np.abs(sinr_emp - analytic) / np.maximum(analytic, 1e-12)
-    stderr = sinr_emp * np.sqrt(2.0 / total)
-    mi = float(np.sum(np.log2(1.0 + sinr_emp)))
-    return SimulationReport(
-        scheme="sic", samples=total, seed=seed, genie=genie,
-        sinr_empirical=sinr_emp, sinr_analytic=analytic,
-        sinr_rel_error=rel, sinr_stderr=stderr, mi_bits=mi)
-
-
-def _blocked_conditional_mi(cov_blocks, idx_a, idx_b, idx_c):
-    values = [_conditional_mi_bits(cov, idx_a, idx_b, idx_c) for cov in cov_blocks]
-    values = np.asarray(values)
-    stderr = values.std(ddof=1) / np.sqrt(len(values)) if len(values) > 1 else 0.0
-    return float(values.mean()), float(stderr)
+    recon = None
+    if not genie:
+        # MMSE reconstruction gain per stream; zero-rate streams estimate 0.
+        recon = np.where(plan.sinr > 1e-12,
+                         np.diag(plan.t_tilde).conj() / np.maximum(plan.sinr, 1e-12), 0.0)
+    gain, sum_x, sum_r, _ = _decode([_sic_receiver(plan, h_b)], plan.num_streams,
+                                    samples, seed, recon)
+    return _sinr_report("sic", samples, seed, genie, gain, sum_x, sum_r, plan.sinr)
 
 
 def simulate_leakage(plan, h_e, samples, seed, blocks=10):
@@ -447,7 +479,8 @@ def simulate_leakage(plan, h_e, samples, seed, blocks=10):
     dim = n + n_e
     if samples < 10 * dim * dim:
         raise InsufficientSamples(
-            f"need at least {10 * dim * dim} samples for a {dim}-dimensional covariance")
+            f"'samples' must be at least {10 * dim * dim} for a {dim}-dimensional "
+            f"covariance, got {samples}")
     f = h_e @ base.b_sqrt @ base.va
     # Each chunk is split into the block grid, so the batch-means standard
     # error exists even when everything fits in a single chunk.
@@ -458,24 +491,19 @@ def simulate_leakage(plan, h_e, samples, seed, blocks=10):
         z = _gaussian_rows(seed, _KIND_NOISE, n_e, chunk_index, size)
         v = np.concatenate([x, f @ x + z], axis=0)
         pieces = np.array_split(v, blocks, axis=1)
-        return [(p @ p.conj().T, p.sum(axis=1), p.shape[1]) for p in pieces]
+        return (np.array([p @ p.conj().T for p in pieces]),
+                np.array([p.sum(axis=1) for p in pieces]),
+                np.array([p.shape[1] for p in pieces]))
 
-    results = _map_chunks(worker, samples)
-    acc = [[np.zeros((dim, dim), dtype=complex), np.zeros(dim, dtype=complex), 0]
-           for _ in range(blocks)]
-    for chunk_pieces in results:
-        for j, (second, first, size) in enumerate(chunk_pieces):
-            acc[j][0] += second
-            acc[j][1] += first
-            acc[j][2] += size
-    used = [slot for slot in acc if slot[2] > 0]
+    second, first, counts = _sum_chunks(worker, samples)
 
     def to_cov(second, first, count):
         mean = first / count
         return second / count - np.outer(mean, mean.conj())
 
-    total_cov = to_cov(sum(s[0] for s in used), sum(s[1] for s in used), samples)
-    block_covs = [to_cov(*slot) for slot in used] if len(used) > 1 else [total_cov]
+    total_cov = to_cov(sum(second), sum(first), samples)
+    # A block stays empty only when there are more blocks than samples in a chunk.
+    block_covs = [to_cov(*block) for block in zip(second, first, counts) if block[2] > 0]
 
     eav = list(range(n, dim))
     leak = np.empty(n)
@@ -483,7 +511,8 @@ def simulate_leakage(plan, h_e, samples, seed, blocks=10):
     for k in range(n):
         tail = list(range(k + 1, n))
         leak[k] = _conditional_mi_bits(total_cov, [k], eav, tail)
-        _, stderr[k] = _blocked_conditional_mi(block_covs, [k], eav, tail)
+        values = [_conditional_mi_bits(cov, [k], eav, tail) for cov in block_covs]
+        stderr[k] = np.std(values, ddof=1) / np.sqrt(len(values))
     expected = 2.0 * np.log2(plan.diag_e)
     rel = np.abs(leak - expected) / np.maximum(np.abs(expected), 1e-12)
     return SimulationReport(
@@ -506,46 +535,16 @@ def simulate_dpc(plan, h_b, samples, seed, alpha_perturbation=0.1):
     samples = _check_samples(samples)
     h_b = np.asarray(h_b, dtype=complex)
     sic = plan.base.base
-    n = sic.num_streams
-    n_b = h_b.shape[0]
-    f = h_b @ sic.b_sqrt @ sic.va
-    ut_h = sic.u_tilde.conj().T
-    tt = sic.t_tilde
-    diag_tt = np.diag(tt)
-
-    def worker(chunk_index, size):
-        x = _gaussian_rows(seed, _KIND_SYMBOL, n, chunk_index, size)
-        z = _gaussian_rows(seed, _KIND_NOISE, n_b, chunk_index, size)
-        yt = ut_h @ (f @ x + z)
-        power_x = np.empty(n)
-        power_w = np.empty(n)
-        cross_xw = np.empty(n, dtype=complex)
-        for k in range(n):
-            interference = tt[k, k + 1:] @ x[k + 1:]
-            w = yt[k] - interference - diag_tt[k] * x[k]
-            power_x[k] = np.sum(np.abs(x[k]) ** 2)
-            power_w[k] = np.sum(np.abs(w) ** 2)
-            cross_xw[k] = np.sum(x[k] * np.conj(w))
-        return power_x, power_w, cross_xw, size
-
-    results = _map_chunks(worker, samples)
-    sum_x = np.sum([r[0] for r in results], axis=0)
-    sum_w = np.sum([r[1] for r in results], axis=0)
-    sum_xw = np.sum([r[2] for r in results], axis=0)
-    total = sum(r[3] for r in results)
-
-    gain = np.abs(diag_tt) ** 2
-    sinr_emp = np.where(sum_w > 0.0, gain * sum_x / np.where(sum_w > 0.0, sum_w, 1.0), 0.0)
-    analytic = sic.diag_b ** 2 - 1.0
-    rel = np.abs(sinr_emp - analytic) / np.maximum(analytic, 1e-12)
-    stderr = sinr_emp * np.sqrt(2.0 / total)
+    gain, sum_x, sum_w, sum_xw = _decode([_sic_receiver(sic, h_b)], sic.num_streams,
+                                         samples, seed)
+    diag_tt = np.diag(sic.t_tilde)
 
     # Residual of the scaled estimate: (1 - a) t_kk x_k - a w_k; its power
     # is a quadratic in a minimized at the MMSE coefficient.
     def residual_power(a):
-        return ((1.0 - a) ** 2 * gain * sum_x / total
-                + a * a * sum_w / total
-                - 2.0 * a * (1.0 - a) * np.real(diag_tt * sum_xw) / total)
+        return ((1.0 - a) ** 2 * gain * sum_x / samples
+                + a * a * sum_w / samples
+                - 2.0 * a * (1.0 - a) * np.real(diag_tt * sum_xw) / samples)
 
     at_alpha = residual_power(plan.alpha)
     below = residual_power(plan.alpha * (1.0 - alpha_perturbation))
@@ -553,11 +552,8 @@ def simulate_dpc(plan, h_b, samples, seed, alpha_perturbation=0.1):
     active = plan.alpha > 1e-9
     bracket_ok = bool(np.all(at_alpha[active] < below[active])
                       and np.all(at_alpha[active] < above[active]))
-    return SimulationReport(
-        scheme="dpc", samples=total, seed=seed, genie=True,
-        sinr_empirical=sinr_emp, sinr_analytic=analytic,
-        sinr_rel_error=rel, sinr_stderr=stderr,
-        mi_bits=float(np.sum(np.log2(1.0 + sinr_emp))),
+    return _sinr_report(
+        "dpc", samples, seed, True, gain, sum_x, sum_w, sic.diag_b ** 2 - 1.0,
         extras={
             "alpha": plan.alpha,
             "alpha_residual": at_alpha,
@@ -577,49 +573,18 @@ def simulate_broadcast(plan, h_b, h_c, samples, seed):
     samples = _check_samples(samples)
     h_b = np.asarray(h_b, dtype=complex)
     h_c = np.asarray(h_c, dtype=complex)
-    n = plan.diag_b.size
-    fb = h_b @ plan.b_sqrt @ plan.va
-    fc = h_c @ plan.b_sqrt @ plan.va
-    users = (
-        (plan.bob_combiner, plan.bob_feedback, fb, h_b.shape[0], 0, plan.lb),
-        (plan.charlie_combiner, plan.charlie_feedback, fc, h_c.shape[0], plan.lb, n),
-    )
-
-    def worker(chunk_index, size):
-        x = _gaussian_rows(seed, _KIND_SYMBOL, n, chunk_index, size)
-        power_x = np.empty(n)
-        power_w = np.empty(n)
-        for combiner, feedback, front, rows, start, stop in users:
-            if stop == start:
-                continue
-            z = _gaussian_rows(seed, _KIND_NOISE + (0 if start == 0 else 1),
-                               rows, chunk_index, size)
-            yt = combiner.conj().T @ (front @ x + z)
-            for i in range(start, stop):
-                row = feedback[i - start]
-                w = yt[i - start] - row[i + 1:] @ x[i + 1:] - row[i] * x[i]
-                power_x[i] = np.sum(np.abs(x[i]) ** 2)
-                power_w[i] = np.sum(np.abs(w) ** 2)
-        return power_x, power_w, size
-
-    results = _map_chunks(worker, samples)
-    sum_x = np.sum([r[0] for r in results], axis=0)
-    sum_w = np.sum([r[1] for r in results], axis=0)
-    total = sum(r[2] for r in results)
-
-    diag_fb = np.concatenate([
-        np.abs(np.diag(plan.bob_feedback[:, :plan.lb])) if plan.lb else np.zeros(0),
-        np.abs(np.diag(plan.charlie_feedback[:, plan.lb:])) if plan.lc else np.zeros(0),
-    ])
-    gain = diag_fb ** 2
-    sinr_emp = np.where(sum_w > 0.0, gain * sum_x / np.where(sum_w > 0.0, sum_w, 1.0), 0.0)
+    receivers = []
+    if plan.lb:
+        receivers.append((plan.bob_combiner, h_b @ plan.b_sqrt @ plan.va,
+                          plan.bob_feedback, 0, _KIND_NOISE))
+    if plan.lc:
+        # The second user's noise takes the next substream kind only when the
+        # first user draws noise too; otherwise it is the only noise drawn.
+        receivers.append((plan.charlie_combiner, h_c @ plan.b_sqrt @ plan.va,
+                          plan.charlie_feedback, plan.lb,
+                          _KIND_NOISE + 1 if plan.lb else _KIND_NOISE))
+    gain, sum_x, sum_w, _ = _decode(receivers, plan.diag_b.size, samples, seed)
     analytic = np.concatenate([plan.diag_b[:plan.lb] ** 2 - 1.0,
                                plan.diag_c[plan.lb:] ** 2 - 1.0])
-    rel = np.abs(sinr_emp - analytic) / np.maximum(analytic, 1e-12)
-    stderr = sinr_emp * np.sqrt(2.0 / total)
-    return SimulationReport(
-        scheme="broadcast", samples=total, seed=seed, genie=True,
-        sinr_empirical=sinr_emp, sinr_analytic=analytic,
-        sinr_rel_error=rel, sinr_stderr=stderr,
-        mi_bits=float(np.sum(np.log2(1.0 + sinr_emp))),
-        extras={"lb": plan.lb, "lc": plan.lc})
+    return _sinr_report("broadcast", samples, seed, True, gain, sum_x, sum_w, analytic,
+                        extras={"lb": plan.lb, "lc": plan.lc})

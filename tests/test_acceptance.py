@@ -290,30 +290,38 @@ def test_criterion_09_monte_carlo(tmp_path):
 
 def grid_search_capacity(h_b, h_e, power, coarse=41, fine=31):
     """Exhaustive eigenvalue-split x rotation-angle grid for 2x2 real
-    instances, with one local refinement pass around the coarse argmax."""
+    instances, with one local refinement pass around the coarse argmax.
 
-    def build(p, th):
+    Each grid is evaluated as one stack with an oracle-side formula: the
+    capacity under the constraint ``K = B B'`` is ``sum max(log2 lam, 0)``
+    over the generalized eigenvalues ``lam`` of ``(I + B'H_b'H_b B,
+    I + B'H_e'H_e B)``.  The refinement is centred on the first coarse
+    maximum in row-major (p, theta) order.
+    """
+
+    def grid(ps, ths):
+        p, th = (a.ravel() for a in np.meshgrid(ps, ths, indexing="ij"))
         c, s = np.cos(th), np.sin(th)
-        u = np.array([[c, -s], [s, c]])
-        return u @ np.diag([p, power - p]) @ u.T
+        u = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+        root = np.sqrt(np.stack([p, power - p], -1))
+        b = (u * root[:, None, :]) @ np.swapaxes(u, 1, 2)
 
-    def cap(p, th):
-        return secrecy.secrecy_capacity_cov(h_b, h_e, build(p, th)).capacity_bits
+        def gram(h):
+            hb = h @ b
+            return np.eye(2) + np.swapaxes(hb, 1, 2) @ hb
 
-    best = (-1.0, 0.0, 0.0)
-    for p in np.linspace(0.0, power, coarse):
-        for th in np.linspace(0.0, np.pi, coarse, endpoint=False):
-            value = cap(p, th)
-            if value > best[0]:
-                best = (value, p, th)
+        lam = np.linalg.eigvals(np.linalg.solve(gram(h_e), gram(h_b))).real
+        values = np.sum(np.maximum(np.log2(lam), 0.0), axis=1)
+        best = int(np.argmax(values))
+        return values[best], p[best], th[best]
+
+    value, p0, th0 = grid(np.linspace(0.0, power, coarse),
+                          np.linspace(0.0, np.pi, coarse, endpoint=False))
     dp = power / (coarse - 1)
     dth = np.pi / coarse
-    for p in np.linspace(max(0.0, best[1] - dp), min(power, best[1] + dp), fine):
-        for th in np.linspace(best[2] - dth, best[2] + dth, fine):
-            value = cap(p, th)
-            if value > best[0]:
-                best = (value, p, th)
-    return best[0]
+    refined, _, _ = grid(np.linspace(max(0.0, p0 - dp), min(power, p0 + dp), fine),
+                         np.linspace(th0 - dth, th0 + dth, fine))
+    return max(value, refined)
 
 
 def test_criterion_10_power_search():

@@ -91,6 +91,32 @@ class TestProblemFile:
         assert "flag '--power'" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("h_b", [[[float("inf"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+        ("h_e", [[[1.0, 0.0], [0.0, float("nan")]], [[0.0, 0.0], [1.0, 0.0]]]),
+        ("kbar", [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [float("-inf"), 0.0]]]),
+        ("t", [1.0, float("inf")]),
+        ("t", [float("nan"), 1.0]),
+    ])
+    @pytest.mark.parametrize("command", [["decompose", "--kind", "qr"], ["capacity"]])
+    def test_non_finite_entry(self, tmp_path, capsys, field, value, command):
+        path = write_problem(tmp_path, **{"h_b": GOLDEN_H_B, "h_e": GOLDEN_H_E,
+                                          field: value})
+        assert run_cli(command + ["--input", path]) == 1
+        assert f"field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bad_budget_flag(self, tmp_path, capsys, value):
+        path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E, power=2.0)
+        assert run_cli(["capacity", "--input", path, "--budget", value]) == 1
+        assert "flag '--budget'" in capsys.readouterr().err
+
+    def test_too_few_leakage_samples(self, tmp_path, capsys):
+        path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E, samples=100)
+        assert run_cli(["simulate", "--input", path, "--scheme", "wiretap"]) == 1
+        assert "'samples'" in capsys.readouterr().err
+
+
 class TestDecompose:
     def test_gmd_constant_diagonal(self, tmp_path):
         path = write_problem(tmp_path, h_b=matrix(np.diag([4.0, 1.0])))

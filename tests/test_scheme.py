@@ -257,6 +257,14 @@ class TestSimulateSic:
         assert not rep.genie
         assert np.all(np.isfinite(rep.sinr_empirical))
 
+    def test_last_non_genie_stream_equals_genie(self, rng):
+        # The last stream is decoded first, before anything is fed back.
+        h_b = 3.0 * complex_gaussian(rng, 3, 3)
+        plan = scheme.build_sic_plan(h_b, np.eye(3), decomp.haar_unitary(3, rng))
+        genie = scheme.simulate_sic(plan, h_b, 20000, seed=4, genie=True)
+        decided = scheme.simulate_sic(plan, h_b, 20000, seed=4, genie=False)
+        assert decided.sinr_empirical[-1] == genie.sinr_empirical[-1]
+
     def test_rejects_zero_samples(self, rng):
         plan = scheme.build_sic_plan(np.eye(2), np.eye(2), np.eye(2))
         with pytest.raises(DomainError):
@@ -306,6 +314,12 @@ class TestSimulateLeakage:
         with pytest.raises(InsufficientSamples):
             scheme.simulate_leakage(plan, h_e, 10, seed=0)
 
+    def test_insufficient_samples_names_samples(self, rng):
+        h_b, h_e, kbar = wiretap_instance(rng)
+        plan = scheme.build_wiretap_plan(h_b, h_e, kbar, "gsvd")
+        with pytest.raises(InsufficientSamples, match="'samples' must be at least 250"):
+            scheme.simulate_leakage(plan, h_e, 249, seed=0)
+
     def test_scalar_unit_eavesdropper_gain(self):
         # d = 1 on the single stream, so the leakage is one bit.
         h_b = np.array([[3.0]])
@@ -323,6 +337,16 @@ class TestSimulateDpc:
         dpc = scheme.simulate_dpc(plan, h_b, 50000, seed=7)
         sic = scheme.simulate_sic(plan.base.base, h_b, 50000, seed=7, genie=True)
         assert np.allclose(dpc.sinr_empirical, sic.sinr_empirical, rtol=1e-9)
+
+    @pytest.mark.parametrize("mode", scheme.PRECODER_MODES)
+    def test_equals_genie_sic(self, rng, mode):
+        # Ideal presubtraction and genie cancellation see the same residuals.
+        h_b, h_e, kbar = wiretap_instance(rng)
+        plan = scheme.build_dpc_plan(h_b, h_e, kbar, mode=mode)
+        dpc = scheme.simulate_dpc(plan, h_b, 40000, seed=7)
+        sic = scheme.simulate_sic(plan.base.base, h_b, 40000, seed=7, genie=True)
+        assert np.array_equal(dpc.sinr_empirical, sic.sinr_empirical)
+        assert np.array_equal(dpc.sinr_analytic, plan.base.base.diag_b ** 2 - 1.0)
 
     def test_alpha_is_mmse_minimizer(self, rng):
         h_b, h_e, kbar = wiretap_instance(rng)
@@ -354,3 +378,24 @@ class TestSimulateBroadcast:
         assert np.all(rep.sinr_rel_error[active] <= 0.02)
         assert rep.within_bands()
         assert rep.extras["lb"] == plan.lb
+
+    @pytest.mark.parametrize("silent, lb", [("bob", 0), ("charlie", 3)])
+    def test_single_user_plan(self, rng, monkeypatch, silent, lb):
+        h_b = complex_gaussian(rng, 3, 3)
+        h_c = complex_gaussian(rng, 2, 3)
+        if silent == "bob":
+            h_b = np.zeros_like(h_b)
+        else:
+            h_c = np.zeros_like(h_c)
+        plan = scheme.build_broadcast_plan(h_b, h_c, np.eye(3))
+        assert (plan.lb, plan.lc) == (lb, 3 - lb)
+        monkeypatch.setenv("WTD_THREADS", "1")
+        rep = scheme.simulate_broadcast(plan, h_b, h_c, 100000, seed=12)
+        diag = plan.diag_b if lb else plan.diag_c
+        assert np.array_equal(rep.sinr_analytic, diag ** 2 - 1.0)
+        active = rep.sinr_analytic > 1e-9
+        assert np.all(rep.sinr_rel_error[active] <= 0.02)
+        assert rep.within_bands()
+        monkeypatch.setenv("WTD_THREADS", "2")
+        threaded = scheme.simulate_broadcast(plan, h_b, h_c, 100000, seed=12)
+        assert np.array_equal(rep.sinr_empirical, threaded.sinr_empirical)
