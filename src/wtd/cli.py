@@ -46,9 +46,18 @@ def _count(value, label, minimum):
     return value
 
 
+def _is_finite(value):
+    # JSON NaN/Infinity load as floats, and an integer too large for a float
+    # makes ``math.isfinite`` raise.
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _power(value, label):
-    # JSON NaN/Infinity load as floats, and NaN passes a plain ``<= 0`` test.
-    if not _is_number(value) or not math.isfinite(value) or value <= 0:
+    # NaN passes a plain ``<= 0`` test.
+    if not _is_finite(value) or value <= 0:
         raise InputError(f"{label} must be a positive finite number")
     return float(value)
 
@@ -57,7 +66,7 @@ def _complex_pair(value, where):
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(_is_number(p) for p in value)):
         raise InputError(f"{where}: complex entries must be [re, im] pairs")
-    if not all(math.isfinite(p) for p in value):
+    if not all(_is_finite(p) for p in value):
         raise InputError(f"{where}: complex entries must be finite")
     return complex(value[0], value[1])
 
@@ -131,7 +140,7 @@ def load_problem(path):
     if "t" in raw:
         target = raw["t"]
         if (not isinstance(target, list)
-                or not all(_is_number(v) and math.isfinite(v) and v > 0 for v in target)):
+                or not all(_is_finite(v) and v > 0 for v in target)):
             raise InputError("field 't' must be an array of positive finite numbers")
         problem["t"] = np.asarray(target, dtype=float)
     problem["mode"] = raw.get("mode", "gsvd")

@@ -437,9 +437,16 @@ def joint_triangularize(a1, a2, va):
         diag1=f1.diagonal, diag2=f2.diagonal)
 
 
-def haar_unitary(n, rng):
-    """Draw an n x n unitary from the Haar distribution."""
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+def haar_unitary(n, rng, count=None):
+    """Draw an n x n unitary from the Haar distribution.
+
+    With ``count``, draw a ``(count, n, n)`` stack: the real then the
+    imaginary Gaussians of each matrix in turn, from one block, then one
+    stacked QR.
+    """
+    shape = () if count is None else (count,)
+    z = rng.standard_normal(shape + (2, n, n))
+    z = (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))[None, :]
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]

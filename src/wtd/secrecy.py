@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import gsv_values, gsvd_triangular, haar_unitary
-from .errors import DomainError, NotPSD
+from .errors import DomainError, NotPSD, NumericalFailure
 
 LN2 = np.log(2.0)
 
@@ -25,6 +25,8 @@ LB_GSV_TOL = 1e-9
 #: Most matrices evaluated as one stack; bounds the memory of long searches
 #: and checks.
 STACK_CHUNK = 1024
+#: Refinement steps of the power search ranked as one speculative stack.
+_REFINE_BATCH = 8
 
 
 def _as_square(k, name, stacked=False):
@@ -236,19 +238,21 @@ def verify_truncation(h_b, h_e, kbar, tol=1e-7):
     )
 
 
-def _sample_below(b, rng):
-    # Random Hermitian contraction (Haar eigenbasis, eigenvalues uniform on
-    # [0, 1]) sandwiched between square-root factors of the constraint.
+def _sample_below(b, rng, count):
+    # ``count`` random Hermitian contractions (Haar eigenbasis, eigenvalues
+    # uniform on [0, 1]) sandwiched between square-root factors of the
+    # constraint: all the Gaussians of the stack are drawn, then all its
+    # uniforms.
     n = b.shape[0]
-    q = haar_unitary(n, rng)
-    w = (q * rng.uniform(0.0, 1.0, n)[None, :]) @ q.conj().T
-    return _hermitize(b @ w @ b.conj().T)
+    q = haar_unitary(n, rng, count)
+    w = (q * rng.uniform(0.0, 1.0, (count, n))[:, None, :]) @ _adjoint(q)
+    return _hermitize(b @ w @ _adjoint(b))
 
 
 def sample_constrained_covariance(kbar, rng):
     """Draw a covariance in the order interval between 0 and ``kbar``."""
     kbar = _as_square(kbar, "constraint")
-    return _sample_below(matrix_sqrt(kbar), rng)
+    return _sample_below(matrix_sqrt(kbar), rng, 1)[0]
 
 
 def gsv_monotonicity_check(h_b, h_e, kbar, samples, seed):
@@ -257,9 +261,9 @@ def gsv_monotonicity_check(h_b, h_e, kbar, samples, seed):
     For every sampled ``k`` in the order interval the i-th sorted
     ``|log gsv|`` under the constraint must dominate the one under ``k``
     (slack 1e-8); violations are reported with a witness, the first sample
-    of the largest violation.  Samples are drawn one by one from the seed
-    and evaluated as stacks of up to ``STACK_CHUNK`` through
-    :func:`channel_gsv`, so the report equals the one of a per-sample loop.
+    of the largest violation.  Samples are drawn and evaluated as stacks of
+    up to ``STACK_CHUNK``: each stack's Haar unitaries come from one block
+    of Gaussians and one stacked QR, then its uniform eigenvalues follow.
     """
     if samples < 1:
         raise DomainError("at least one sample is required")
@@ -270,8 +274,7 @@ def gsv_monotonicity_check(h_b, h_e, kbar, samples, seed):
     worst = 0.0
     witness = None
     for start in range(0, samples, STACK_CHUNK):
-        ks = np.stack([_sample_below(b, rng)
-                       for _ in range(min(STACK_CHUNK, samples - start))])
+        ks = _sample_below(b, rng, min(STACK_CHUNK, samples - start))
         slack = np.min(reference - np.abs(np.log2(channel_gsv(h_b, h_e, ks))), axis=-1)
         violations += int(np.sum(slack < -1e-8))
         i = np.argmin(slack)
@@ -316,12 +319,17 @@ def power_constrained_capacity(h_b, h_e, power, budget=400, seed=0):
     factor parameterization.  Candidates are ranked by
     ``sum max(2 log2 gsv, 0)`` over their :func:`channel_gsv` values; the
     ``budget // 4`` random restarts are drawn in order and evaluated as
-    stacks, then scanned in order.  The returned bound is
+    stacks, then scanned in order.  The refinement is evaluated
+    speculatively: the next steps are built as if each failed and ranked as
+    one stack, and only the steps up to the first improvement count, so
+    ``kbar``, the bound and ``evaluations`` equal those of a one-step-at-a-
+    time search for every input, budget and seed.  The returned bound is
     ``secrecy_capacity_cov(h_b, h_e, kbar).capacity_bits`` of the best
     candidate, so it re-evaluates bit for bit; this final evaluation is not
     counted in ``evaluations``, which equals ``budget``.  The bound is
-    certified and non-decreasing in ``budget`` for a fixed seed, up to the
-    rounding (~1e-15) between the ranking and the exact value.
+    certified, but not monotone in ``budget`` for a fixed seed: the number
+    of restarts grows with ``budget`` and shifts the random stream of the
+    refinement, so a larger budget can end lower.
     """
     h_b = np.asarray(h_b, dtype=complex)
     h_e = np.asarray(h_e, dtype=complex)
@@ -346,19 +354,32 @@ def power_constrained_capacity(h_b, h_e, power, budget=400, seed=0):
     best_c, best_k, best_f = -np.inf, None, None
     evaluations = 0
 
-    def consider(ks):
+    def consider(ks, first=False):
         # Rank a candidate, or a stack of them taken in order; keep the
-        # square root of the incumbent for the refinement.
+        # square root of the incumbent for the refinement.  With ``first``
+        # the candidates after the first improvement are not taken.  Returns
+        # the index of the last improvement, or -1.
         nonlocal best_c, best_k, best_f, evaluations
         ks = ks.reshape(-1, n, n)
-        roots, mu = _root_and_gsv(h_b, h_e, ks)
-        improved = False
-        for k, c, f in zip(ks, np.sum(np.maximum(2.0 * np.log2(mu), 0.0), axis=-1), roots):
+        try:
+            roots, mu = _root_and_gsv(h_b, h_e, ks)
+        except (DomainError, NumericalFailure):
+            # A candidate past the first improvement must not fail the
+            # stack: take the candidates one at a time instead.
+            if not first or len(ks) == 1:
+                raise
+            for i, k in enumerate(ks):
+                if consider(k) >= 0:
+                    return i
+            return -1
+        last = -1
+        for i, c in enumerate(np.sum(np.maximum(2.0 * np.log2(mu), 0.0), axis=-1)):
             evaluations += 1
             if c > best_c:
-                best_c, best_k, best_f = c, k, f
-                improved = True
-        return improved
+                best_c, best_k, best_f, last = c, ks[i], roots[i], i
+                if first:
+                    break
+        return last
 
     consider(np.eye(n, dtype=complex) * (power / n))
 
@@ -383,16 +404,26 @@ def power_constrained_capacity(h_b, h_e, power, budget=400, seed=0):
         consider(normalized(z[:, 0] + 1j * z[:, 1]))
 
     # Refinement: (1+1) evolution search around the incumbent with a
-    # multiplicatively adapted step, never restarted.
+    # multiplicatively adapted step, never restarted.  A step's noise and,
+    # while no step succeeds, its size do not depend on the incumbent, so
+    # the next ``_REFINE_BATCH`` steps are built as if each failed and
+    # ranked as one stack; the first improvement is accepted, and the noise
+    # drawn after it is kept for the next batch.
     step = 0.5
+    scale = np.sqrt(power / (2.0 * n))
+    noise = np.empty((0, n, n), dtype=complex)
     while evaluations < budget:
-        noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        f = best_f + step * np.sqrt(power / (2.0 * n)) * noise
-        if consider(normalized(f)):
-            step *= 1.8
-        else:
-            step *= 0.87
-        step = min(max(step, 1e-9), 2.0)
+        width = min(_REFINE_BATCH, budget - evaluations)
+        z = rng.standard_normal((width - len(noise), 2, n, n))
+        noise = np.concatenate([noise, z[:, 0] + 1j * z[:, 1]])
+        steps = np.empty(width)
+        for j in range(width):
+            steps[j] = step
+            step = min(max(step * 0.87, 1e-9), 2.0)
+        hit = consider(normalized(best_f + (steps * scale)[:, None, None] * noise), first=True)
+        if hit >= 0:
+            step = min(max(steps[hit] * 1.8, 1e-9), 2.0)
+        noise = noise[hit + 1 if hit >= 0 else width:]
     return PowerSearchResult(
         capacity_lower_bound=secrecy_capacity_cov(h_b, h_e, best_k).capacity_bits,
         kbar=best_k, evaluations=evaluations)

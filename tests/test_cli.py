@@ -105,6 +105,17 @@ class TestProblemFile:
         assert run_cli(command + ["--input", path]) == 1
         assert f"field '{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("h_b", [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 10 ** 400], [1.0, 0.0]]]),
+        ("power", 10 ** 400),
+        ("t", [1.0, -10 ** 400]),
+    ], ids=["h_b", "power", "t"])
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys, field, value):
+        path = write_problem(tmp_path, **{"h_b": GOLDEN_H_B, "h_e": GOLDEN_H_E,
+                                          field: value})
+        assert run_cli(["capacity", "--input", path]) == 1
+        assert f"field '{field}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_bad_budget_flag(self, tmp_path, capsys, value):
         path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E, power=2.0)

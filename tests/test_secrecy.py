@@ -338,6 +338,120 @@ class TestPowerConstrainedCapacity:
         assert res.evaluations == budget
 
 
+def sequential_power_search(h_b, h_e, power, budget, seed):
+    """Reference for the power search: every candidate ranked on its own and
+    the (1+1) refinement taken one step at a time.  Returns ``kbar``, the
+    bound, the evaluation count and the largest refinement step."""
+    n = h_b.shape[1]
+    rng = np.random.default_rng(seed)
+    best = [-np.inf, None, None]
+    evaluations = 0
+
+    def normalized(f):
+        k = f @ f.conj().T
+        trace = np.real(np.trace(k))
+        if trace <= 0.0:
+            return np.eye(n, dtype=complex) * (power / n)
+        k = k * (power / trace)
+        return (k + k.conj().T) / 2.0
+
+    def consider(k):
+        nonlocal evaluations
+        evaluations += 1
+        c = np.sum(np.maximum(2.0 * np.log2(secrecy.channel_gsv(h_b, h_e, k)), 0.0))
+        if c > best[0]:
+            best[:] = [c, k, secrecy.matrix_sqrt(k)]
+            return True
+        return False
+
+    consider(np.eye(n, dtype=complex) * (power / n))
+    pencil = np.linalg.solve(np.eye(n) + h_e.conj().T @ h_e, np.eye(n) + h_b.conj().T @ h_b)
+    w, vecs = np.linalg.eig(pencil)
+    v = vecs[:, np.argmax(np.real(w))]
+    if evaluations < budget:
+        consider(normalized(np.sqrt(power) * np.outer(v / np.linalg.norm(v), np.eye(1, n)[0])))
+    for _ in range(max(0, min(budget - evaluations, budget // 4))):
+        z = rng.standard_normal((2, n, n))
+        consider(normalized(z[0] + 1j * z[1]))
+    step, largest = 0.5, 0.0
+    while evaluations < budget:
+        noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        largest = max(largest, step)
+        if consider(normalized(best[2] + step * np.sqrt(power / (2.0 * n)) * noise)):
+            step *= 1.8
+        else:
+            step *= 0.87
+        step = min(max(step, 1e-9), 2.0)
+    bound = secrecy.secrecy_capacity_cov(h_b, h_e, best[1]).capacity_bits
+    return best[1], bound, evaluations, largest
+
+
+def assert_same_search(h_b, h_e, power, budget, seed):
+    kbar, bound, evaluations, largest = sequential_power_search(h_b, h_e, power, budget, seed)
+    res = secrecy.power_constrained_capacity(h_b, h_e, power, budget=budget, seed=seed)
+    assert res.kbar.tobytes() == kbar.tobytes()
+    assert res.capacity_lower_bound == bound
+    assert res.evaluations == evaluations == budget
+    return largest
+
+
+class TestSpeculativeRefinement:
+    BATCH = secrecy._REFINE_BATCH
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_sequential_search(self, rng, n):
+        h_b = complex_gaussian(rng, n + 1, n)
+        h_e = complex_gaussian(rng, n, n)
+        for budget in (1, 2, 3, self.BATCH - 1, self.BATCH, self.BATCH + 1, 137, 500):
+            assert_same_search(h_b, h_e, 0.5 * n, budget, seed=n + budget)
+
+    @pytest.mark.parametrize("budget, seed", [(12, 2), (40, 14)])
+    def test_matches_when_step_reaches_cap(self, budget, seed):
+        # At low power the beamforming direction (largest gain ratio) is not
+        # the best one (largest gain difference), so the refinement keeps
+        # succeeding: three successes in a row take the step from 0.5 to
+        # the 2.0 cap.
+        h_b = np.diag([10.0, 1.0]).astype(complex)
+        h_e = np.diag([9.5, 0.0]).astype(complex)
+        assert assert_same_search(h_b, h_e, 0.01, budget, seed) == 2.0
+
+    def test_failing_stack_is_ranked_one_by_one(self, rng, monkeypatch):
+        # A failure of a candidate the sequential search never ranks must
+        # not end the search: a refinement stack that fails is retaken one
+        # candidate at a time.
+        root_and_gsv = secrecy._root_and_gsv
+
+        def fail_refinement_stacks(h_b, h_e, k):
+            if k.ndim == 3 and 1 < k.shape[0] <= self.BATCH:
+                raise NotPSD("injected")
+            return root_and_gsv(h_b, h_e, k)
+
+        h_b = complex_gaussian(rng, 4, 3)
+        h_e = complex_gaussian(rng, 3, 3)
+        expected = sequential_power_search(h_b, h_e, 2.0, 137, 5)
+        monkeypatch.setattr(secrecy, "_root_and_gsv", fail_refinement_stacks)
+        res = secrecy.power_constrained_capacity(h_b, h_e, 2.0, budget=137, seed=5)
+        assert res.kbar.tobytes() == expected[0].tobytes()
+        assert (res.capacity_lower_bound, res.evaluations) == expected[1:3]
+
+    def test_ranks_refinement_in_stacks(self, rng, monkeypatch):
+        # Call count, not time: one call per refinement step is about 376
+        # calls at budget 500, one stack per batch fewer than 150.
+        calls = []
+        root_and_gsv = secrecy._root_and_gsv
+
+        def counted(h_b, h_e, k):
+            calls.append(k.shape)
+            return root_and_gsv(h_b, h_e, k)
+
+        monkeypatch.setattr(secrecy, "_root_and_gsv", counted)
+        res = secrecy.power_constrained_capacity(complex_gaussian(rng, 5, 4),
+                                                 complex_gaussian(rng, 6, 4), 4.0,
+                                                 budget=500, seed=11)
+        assert res.evaluations == 500
+        assert len(calls) < 150
+
+
 class TestStackedEvaluation:
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_matches_per_matrix_calls(self, rng, n):
