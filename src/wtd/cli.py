@@ -7,7 +7,8 @@ Reports serialize numbers at full double precision and are byte-identical
 for identical (input, seed, version).
 
 Exit codes: 0 success, 1 input error, 2 infeasibility (majorization),
-3 simulation band failure.
+3 simulation band failure.  ``samples`` (field or ``--samples``) must lie
+in ``[1, MAX_SAMPLES]``.
 """
 
 import argparse
@@ -26,8 +27,11 @@ EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_BAND = 3
 
-#: Integer problem fields that flags may override: (name, default, minimum).
-_COUNTS = (("samples", 10000, 1), ("seed", 0, 0))
+#: Most Monte Carlo samples one ``simulate`` run accepts.
+MAX_SAMPLES = 10 ** 9
+#: Integer problem fields that flags may override:
+#: (name, default, minimum, maximum or None).
+_COUNTS = (("samples", 10000, 1, MAX_SAMPLES), ("seed", 0, 0, None))
 
 
 class InputError(Exception):
@@ -39,10 +43,12 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _count(value, label, minimum):
+def _count(value, label, minimum, maximum=None):
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         kind = "positive" if minimum > 0 else "nonnegative"
         raise InputError(f"{label} must be a {kind} integer")
+    if maximum is not None and value > maximum:
+        raise InputError(f"{label} must be at most {maximum}")
     return value
 
 
@@ -146,8 +152,8 @@ def load_problem(path):
     problem["mode"] = raw.get("mode", "gsvd")
     if problem["mode"] not in scheme.PRECODER_MODES:
         raise InputError(f"field 'mode' must be one of {scheme.PRECODER_MODES}")
-    for name, default, minimum in _COUNTS:
-        problem[name] = _count(raw.get(name, default), f"field '{name}'", minimum)
+    for name, default, minimum, maximum in _COUNTS:
+        problem[name] = _count(raw.get(name, default), f"field '{name}'", minimum, maximum)
     problem["digest"] = hashlib.sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     return problem
@@ -383,7 +389,8 @@ def build_parser():
         p.add_argument("--input", required=True, help="problem file (JSON)")
         p.add_argument("--out", default=None, help="report file (default stdout)")
         p.add_argument("--csv", default=None, help="also write the per-stream table as CSV")
-        p.add_argument("--samples", type=int, default=None)
+        p.add_argument("--samples", type=int, default=None,
+                       help=f"Monte Carlo samples, 1 to {MAX_SAMPLES}")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--mode", default=None, choices=scheme.PRECODER_MODES)
 
@@ -412,10 +419,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         problem = load_problem(args.input)
-        for name, _, minimum in _COUNTS:
+        for name, _, minimum, maximum in _COUNTS:
             value = getattr(args, name)
             if value is not None:
-                problem[name] = _count(value, f"flag '--{name}'", minimum)
+                problem[name] = _count(value, f"flag '--{name}'", minimum, maximum)
         if args.mode is not None:
             problem["mode"] = args.mode
         if getattr(args, "power", None) is not None:

@@ -375,24 +375,36 @@ def gsv_values(a1, a2):
     return _gsvd_kernel(a1, a2)[0]
 
 
-def gsvd_diagonal(a1, a2):
-    """Diagonal-form GSVD of a full-column-rank pair."""
+def _gsvd_right_factor(a1, a2):
+    """Kernel ``(mu, U, Q2, W', R2)`` of a checked full-column-rank pair, the
+    scale ``sqrt(1 + mu^2)`` and the diagonal-form right factor ``x``."""
     a1, a2 = _check_pair(a1, a2)
     # Factors here carry strictly positive diagonals, so a rank-deficient
     # first matrix (a zero GSV) is rejected as well.
     r1 = np.linalg.qr(a1, mode="r")
     _check_full_rank(np.abs(np.diag(r1)), np.linalg.norm(a1, 2),
                      "first matrix of the pair")
-    mu, u, q2, wh, r2 = _gsvd_kernel(a1, a2)
-    n = a1.shape[1]
+    kernel = _gsvd_kernel(a1, a2)
+    mu, _, _, wh, r2 = kernel
     scale = np.sqrt(1.0 + mu * mu)
-    x = (wh @ r2).conj().T * scale[None, :]
+    return kernel, scale, (wh @ r2).conj().T * scale[None, :]
+
+
+def gsvd_diagonal(a1, a2):
+    """Diagonal-form GSVD of a full-column-rank pair."""
+    (mu, u, q2, wh, _), scale, x = _gsvd_right_factor(a1, a2)
+    n = mu.size
     u2 = np.concatenate([q2[:, :n] @ wh.conj().T, q2[:, n:]], axis=1)
-    l1 = np.zeros((a1.shape[0], n), dtype=complex)
-    l2 = np.zeros((a2.shape[0], n), dtype=complex)
+    l1 = np.zeros((u.shape[0], n), dtype=complex)
+    l2 = np.zeros((q2.shape[0], n), dtype=complex)
     l1[np.arange(n), np.arange(n)] = mu / scale
     l2[np.arange(n), np.arange(n)] = 1.0 / scale
     return GsvdDiagonalFactors(u1=u, u2=u2, x=x, l1=l1, l2=l2)
+
+
+def _gsvd_va(a1, a2):
+    # ``gsvd_triangular(a1, a2).va`` bit for bit, without the left factors.
+    return ql(_gsvd_right_factor(a1, a2)[2]).u
 
 
 def gsvd_triangular(a1, a2):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomp import gmd, gsvd_triangular, qr, require_unitary, svd
+from .decomp import _gsvd_va, gmd, gsvd_triangular, qr, require_unitary, svd
 from .errors import DomainError, InsufficientSamples
 from .secrecy import (
     LB_GSV_TOL,
@@ -155,13 +155,17 @@ def select_precoder(h_b, h_e, k, mode):
     eavesdropper's factor, ``svd_bob`` the legitimate one (no SIC needed),
     and ``gmd_bob`` equalizes the legitimate diagonal (no bit loading).
     """
+    return _select_precoder(h_b, h_e, matrix_sqrt(k), mode)
+
+
+def _select_precoder(h_b, h_e, b, mode):
+    # :func:`select_precoder` given the square root ``b`` of the covariance.
     if mode not in PRECODER_MODES:
         raise DomainError(f"unknown precoder mode {mode!r}; expected one of {PRECODER_MODES}")
-    b = matrix_sqrt(k)
     g_b = effective_mmse_matrix(h_b, b)
     g_e = effective_mmse_matrix(h_e, b)
     if mode == "gsvd":
-        return gsvd_triangular(g_b, g_e).va
+        return _gsvd_va(g_b, g_e)
     if mode == "svd_eve":
         return svd(g_e).v
     if mode == "svd_bob":
@@ -176,9 +180,13 @@ def build_sic_plan(h_b, k, va):
     per-stream SINRs satisfy ``1 + sinr_i = diag_b_i**2`` and the rates sum
     to the Gaussian mutual information of the link.
     """
+    return _build_sic_plan(h_b, matrix_sqrt(k), va)
+
+
+def _build_sic_plan(h_b, b, va):
+    # :func:`build_sic_plan` given the square root ``b`` of the covariance.
     h_b = np.asarray(h_b, dtype=complex)
     va = require_unitary(va, "precoder")
-    b = matrix_sqrt(k)
     g = effective_mmse_matrix(h_b, b)
     if va.shape[0] != g.shape[1]:
         raise DomainError("precoder dimension must match the transmit dimension")
@@ -205,12 +213,13 @@ def build_wiretap_plan(h_b, h_e, kbar, mode, epsilon=0.0):
     diagonal ratios never fall below 1 and the secret rates sum to the
     secrecy capacity for every mode.  ``epsilon`` is the rate back-off per
     stream (doubled in ``svd_eve`` mode, where the fictitious rate runs
-    above the eavesdropper MI instead of below).
+    above the eavesdropper MI instead of below).  The square root of the
+    optimal covariance is taken once and shared by the precoder and the
+    SIC plan.
     """
-    result = secrecy_capacity_cov(h_b, h_e, kbar)
-    k = result.k_star
-    va = select_precoder(h_b, h_e, k, mode)
-    base = build_sic_plan(h_b, k, va)
+    b = matrix_sqrt(secrecy_capacity_cov(h_b, h_e, kbar).k_star)
+    va = _select_precoder(h_b, h_e, b, mode)
+    base = _build_sic_plan(h_b, b, va)
     g_e = effective_mmse_matrix(np.asarray(h_e, dtype=complex), base.b_sqrt)
     diag_e = qr(g_e @ va).diagonal
     log_ratio = 2.0 * (np.log2(base.diag_b) - np.log2(diag_e))

@@ -13,13 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import gsv_values, gsvd_triangular, haar_unitary
+from .decomp import _check_pair, _gsvd_kernel, gsv_values, haar_unitary
 from .errors import DomainError, NotPSD, NumericalFailure
 
 LN2 = np.log(2.0)
 
-#: Absolute clamp window for slightly negative eigenvalues of a PSD input.
+#: Absolute floor of the clamp window for slightly negative eigenvalues of a
+#: PSD input.
 PSD_EIG_TOL = 1e-10
+#: Clamp window relative to the largest eigenvalue magnitude of the input.
+_PSD_EIG_RTOL = 16.0 * np.finfo(float).eps
 #: A squared GSV must exceed ``1 + LB_GSV_TOL`` to count as an active stream.
 LB_GSV_TOL = 1e-9
 #: Most matrices evaluated as one stack; bounds the memory of long searches
@@ -126,12 +129,15 @@ class PowerSearchResult:
 def matrix_sqrt(k):
     """Hermitian PSD square root ``b`` with ``b @ b.conj().T == k``.
 
-    Uses the eigendecomposition route so singular inputs are fine;
-    eigenvalues in ``[-1e-10, 0)`` are clamped to zero, anything lower
-    raises :class:`NotPSD`.  ``k`` may also be a ``(..., n, n)`` stack: every
-    matrix gets the same finite, Hermitian and PSD checks and the same
-    clamp (one bad matrix fails the call), and each root equals the one of
-    its own call bit for bit.
+    Uses the eigendecomposition route so singular inputs are fine.
+    Eigenvalues in ``[-tol, 0)`` are clamped to zero and anything lower
+    raises :class:`NotPSD`, where ``tol = max(1e-10, 16 eps max|lambda|)``
+    grows with the matrix: the eigenvalues of a large covariance carry
+    rounding of about ``eps max|lambda|``.  ``k`` may also be a
+    ``(..., n, n)`` stack: every matrix gets the same finite, Hermitian and
+    PSD checks and its own clamp (one bad matrix fails the call, and the
+    first one is named), and each root equals the one of its own call bit
+    for bit.
     """
     k = _as_square(k, "covariance", stacked=True)
     asymmetry = np.abs(k - _adjoint(k)).max(axis=(-2, -1))
@@ -139,8 +145,11 @@ def matrix_sqrt(k):
     if (asymmetry > 1e-10 * np.maximum(1.0, inf_norm)).any():
         raise DomainError("covariance must be Hermitian")
     w, q = np.linalg.eigh(_hermitize(k))
-    if w.min() < -PSD_EIG_TOL:
-        raise NotPSD(f"covariance has eigenvalue {w.min():.3e} < -{PSD_EIG_TOL:g}")
+    low = w.min(axis=-1)
+    tol = np.maximum(PSD_EIG_TOL, _PSD_EIG_RTOL * np.abs(w).max(axis=-1))
+    if (low < -tol).any():
+        i = np.argmax(low < -tol)
+        raise NotPSD(f"covariance has eigenvalue {low.flat[i]:.3e} < -{tol.flat[i]:g}")
     w = np.clip(w, 0.0, None)
     return (q * np.sqrt(w)[..., None, :]) @ _adjoint(q)
 
@@ -199,23 +208,22 @@ def secrecy_capacity_cov(h_b, h_e, kbar):
     """Secrecy capacity under the covariance constraint ``kbar``.
 
     The capacity is the positive part of the log of the squared channel-pair
-    GSVs of the constraint itself; the optimal covariance keeps the first
-    ``lb`` coordinates (GSVs above 1) of the GSVD right factor and nullifies
-    the rest.
+    GSVs of the constraint itself, read off the GSVD kernel
+    ``g_b = U diag(mu) W' R2`` of the effective MMSE matrices (so ``gsv``
+    equals :func:`channel_gsv` bit for bit).  The optimal covariance keeps
+    the ``lb`` directions with GSVs above 1: rows ``lb:`` of ``W' R2`` span
+    the others, a complete QR of their adjoint ends in a basis ``P`` of the
+    active ones, and ``k_star = (b P)(b P)'`` with ``b`` the root of ``kbar``.
     """
-    kbar = _as_square(kbar, "constraint")
-    b = matrix_sqrt(kbar)
-    g_b = effective_mmse_matrix(h_b, b)
-    g_e = effective_mmse_matrix(h_e, b)
-    jt = gsvd_triangular(g_b, g_e)
-    mu = jt.diag1 / jt.diag2
-    log_sq = 2.0 * np.log2(mu)
-    capacity = float(np.sum(np.maximum(log_sq, 0.0)))
+    b = matrix_sqrt(_as_square(kbar, "constraint"))
+    mu, _, _, wh, r2 = _gsvd_kernel(*_check_pair(effective_mmse_matrix(h_b, b),
+                                                 effective_mmse_matrix(h_e, b)))
+    capacity = float(np.sum(np.maximum(2.0 * np.log2(mu), 0.0)))
     lb = int(np.sum(mu * mu > 1.0 + LB_GSV_TOL))
-    selector = np.zeros(mu.size)
-    selector[:lb] = 1.0
-    k_star = _hermitize((b @ jt.va) * selector[None, :] @ (b @ jt.va).conj().T)
-    return SecrecyResult(gsv=mu, lb=lb, capacity_bits=capacity, k_star=k_star)
+    basis = np.linalg.qr(_adjoint(wh[lb:] @ r2), mode="complete")[0]
+    active = b @ basis[:, mu.size - lb:]
+    return SecrecyResult(gsv=mu, lb=lb, capacity_bits=capacity,
+                         k_star=_hermitize(active @ _adjoint(active)))
 
 
 def verify_truncation(h_b, h_e, kbar, tol=1e-7):

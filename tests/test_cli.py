@@ -122,6 +122,34 @@ class TestProblemFile:
         assert run_cli(["capacity", "--input", path, "--budget", value]) == 1
         assert "flag '--budget'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scheme_name", ["sic", "wiretap", "dpc", "broadcast"])
+    @pytest.mark.parametrize("label, fields, flags", [
+        ("field 'samples'", {"samples": 10 ** 400}, []),
+        ("field 'samples'", {"samples": cli.MAX_SAMPLES + 1}, []),
+        ("flag '--samples'", {}, ["--samples", str(10 ** 400)]),
+        ("flag '--samples'", {}, ["--samples", str(cli.MAX_SAMPLES + 1)]),
+    ], ids=["field-huge", "field-max+1", "flag-huge", "flag-max+1"])
+    def test_samples_above_maximum(self, tmp_path, capsys, monkeypatch, scheme_name,
+                                   label, fields, flags):
+        # Rejected before any plan is built or simulation started.
+        def never(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        for name in ("simulate_sic", "simulate_leakage", "simulate_dpc",
+                     "simulate_broadcast", "build_sic_plan", "build_wiretap_plan",
+                     "build_dpc_plan", "build_broadcast_plan"):
+            monkeypatch.setattr(cli.scheme, name, never)
+        path = write_problem(tmp_path, **{"h_b": GOLDEN_H_B, "h_e": GOLDEN_H_E,
+                                          "h_c": GOLDEN_H_E, **fields})
+        assert run_cli(["simulate", "--input", path, "--scheme", scheme_name] + flags) == 1
+        err = capsys.readouterr().err
+        assert f"{label} must be at most {cli.MAX_SAMPLES}" in err
+
+    def test_samples_at_maximum_accepted(self, tmp_path):
+        problem = cli.load_problem(write_problem(tmp_path, h_b=GOLDEN_H_B,
+                                                 samples=cli.MAX_SAMPLES))
+        assert problem["samples"] == cli.MAX_SAMPLES
+
     def test_too_few_leakage_samples(self, tmp_path, capsys):
         path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E, samples=100)
         assert run_cli(["simulate", "--input", path, "--scheme", "wiretap"]) == 1
@@ -201,6 +229,20 @@ class TestCapacity:
         search = read_report(out)["power_search"]
         assert search["budget"] == 60
         assert search["capacity_lower_bound"] > 0
+
+
+    @pytest.mark.parametrize("power", ["1e8", "1e12"])
+    def test_large_power_search(self, tmp_path, capsys, power):
+        # The PSD clamp scales with the candidate's largest eigenvalue, so
+        # rounding of a large-power candidate no longer fails the search.
+        path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E)
+        out = str(tmp_path / "report.json")
+        assert run_cli(["capacity", "--input", path, "--out", out,
+                        "--power", power, "--budget", "200"]) == 0, capsys.readouterr().err
+        search = read_report(out)["power_search"]
+        assert search["power"] == float(power)
+        assert np.isfinite(search["capacity_lower_bound"])
+        assert search["capacity_lower_bound"] >= GOLDEN_CAPACITY
 
 
 class TestRegion:

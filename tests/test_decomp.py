@@ -6,13 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wtd import decomp
+from wtd import decomp, scheme, secrecy
 from wtd.errors import DomainError, MajorizationError, RankDeficient
 
 from conftest import (
     assert_exact_upper_triangular,
     assert_unitary,
     complex_gaussian,
+    random_psd,
     rel_residual,
 )
 
@@ -303,6 +304,34 @@ class TestGsvdTriangular:
         assert_exact_upper_triangular(jt.t2)
         assert np.all(jt.diag1 > 0)
         assert np.all(jt.diag2 > 0)
+
+
+class TestGsvdPrecoder:
+    # The gsvd-mode precoder skips the left factors of the triangular GSVD
+    # but must give its right unitary bit for bit.
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+    def test_va_equals_triangular_va(self, rng, n):
+        for rows1, rows2 in [(n, n), (n + 2, n + 1), (2 * n, n + 3)]:
+            a1 = complex_gaussian(rng, rows1, n)
+            a2 = complex_gaussian(rng, rows2, n)
+            assert np.array_equal(decomp._gsvd_va(a1, a2), decomp.gsvd_triangular(a1, a2).va)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_select_precoder_equals_triangular_va(self, rng, n):
+        for _ in range(4):
+            h_b = complex_gaussian(rng, n + 1, n)
+            h_e = complex_gaussian(rng, n + 2, n)
+            k = random_psd(rng, n, rank=1 + int(rng.integers(n)))
+            b = secrecy.matrix_sqrt(k)
+            va = decomp.gsvd_triangular(secrecy.effective_mmse_matrix(h_b, b),
+                                        secrecy.effective_mmse_matrix(h_e, b)).va
+            assert np.array_equal(scheme.select_precoder(h_b, h_e, k, "gsvd"), va)
+
+    def test_rank_deficient_first_matrix_rejected(self, rng):
+        a1 = complex_gaussian(rng, 4, 3)
+        a1[:, 2] = a1[:, 0]
+        with pytest.raises(RankDeficient, match="first matrix"):
+            decomp._gsvd_va(a1, complex_gaussian(rng, 4, 3))
 
 
 KNOWN_GSV = np.array([1e3, 10.0, 1.0, 1e-3])

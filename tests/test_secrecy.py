@@ -522,3 +522,87 @@ class TestSpectrumProperties:
         secrecy.CovarianceSpec(k=k, kbar=kbar).validate()
         with pytest.raises(DomainError):
             secrecy.CovarianceSpec(k=kbar + np.eye(2), kbar=kbar).validate()
+
+
+def triangular_capacity_oracle(h_b, h_e, kbar):
+    """``lb`` and ``k_star`` through the full triangular GSVD: keep the first
+    ``lb`` columns of ``b @ va`` and nullify the rest."""
+    b = secrecy.matrix_sqrt(kbar)
+    jt = decomp.gsvd_triangular(secrecy.effective_mmse_matrix(h_b, b),
+                                secrecy.effective_mmse_matrix(h_e, b))
+    mu = jt.diag1 / jt.diag2
+    lb = int(np.sum(mu * mu > 1.0 + secrecy.LB_GSV_TOL))
+    selector = np.zeros(mu.size)
+    selector[:lb] = 1.0
+    bv = b @ jt.va
+    k_star = bv * selector[None, :] @ bv.conj().T
+    return lb, (k_star + k_star.conj().T) / 2.0
+
+
+class TestKernelCapacityRoute:
+    # (scale of h_b, scale of h_e): no stream active, all active, mixed.
+    SCALES = [(0.05, 5.0), (5.0, 0.05), (1.0, 1.0), (1.0, 1.0), (2.0, 0.5)]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_k_star_matches_triangular_oracle(self, rng, n):
+        seen = set()
+        for scale_b, scale_e in self.SCALES:
+            h_b = scale_b * complex_gaussian(rng, n + 1, n)
+            h_e = scale_e * complex_gaussian(rng, n + 2, n)
+            kbar = random_psd(rng, n)
+            res = secrecy.secrecy_capacity_cov(h_b, h_e, kbar)
+            lb, k_star = triangular_capacity_oracle(h_b, h_e, kbar)
+            assert res.lb == lb
+            seen.add(lb)
+            assert np.linalg.norm(res.k_star - k_star) <= 1e-12 * np.linalg.norm(kbar)
+        assert {0, n} <= seen
+
+    def test_no_active_stream_gives_zero_covariance(self, rng):
+        res = secrecy.secrecy_capacity_cov(0.05 * complex_gaussian(rng, 3, 3),
+                                           5.0 * complex_gaussian(rng, 3, 3), random_psd(rng, 3))
+        assert res.lb == 0
+        assert np.array_equal(res.k_star, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_gsv_is_channel_gsv(self, rng, n):
+        for _ in range(5):
+            h_b = complex_gaussian(rng, n + 1, n)
+            h_e = complex_gaussian(rng, n, n)
+            kbar = random_psd(rng, n, rank=max(1, n - 1))
+            res = secrecy.secrecy_capacity_cov(h_b, h_e, kbar)
+            assert np.array_equal(res.gsv, secrecy.channel_gsv(h_b, h_e, kbar))
+            region = secrecy.broadcast_region(h_b, h_e, kbar)
+            assert region.rb_max == res.capacity_bits
+
+
+class TestLargePower:
+    H_B = np.array([[1.0 + 0.5j, -0.25 + 1.0j], [0.5 - 0.75j, 1.25]])
+    H_E = np.array([[0.5 + 0.25j, 0.75 - 0.5j], [-0.25 + 0.5j, 0.25 + 0.25j]])
+
+    def test_relative_clamp(self):
+        # 16 eps * 1e8 is about 3.6e-7: the rounding-size eigenvalue is
+        # clamped, a real one is not.
+        b = secrecy.matrix_sqrt(np.diag([1e8, -1e-8]))
+        assert np.array_equal(b, np.diag([1e4, 0.0]))
+        with pytest.raises(NotPSD):
+            secrecy.matrix_sqrt(np.diag([1e8, -1e-3]))
+
+    def test_clamp_is_per_matrix_of_a_stack(self):
+        ks = np.stack([np.diag([1e8, -1e-8]), np.diag([1.0, -1e-8])])
+        with pytest.raises(NotPSD, match="-1.000e-08 < -1e-10"):
+            secrecy.matrix_sqrt(ks)
+        assert np.array_equal(secrecy.matrix_sqrt(ks[:1])[0], secrecy.matrix_sqrt(ks[0]))
+
+    @pytest.mark.parametrize("power", [1e8, 1e12])
+    def test_search_succeeds(self, rng, power):
+        problems = [(self.H_B, self.H_E)] + [
+            (complex_gaussian(rng, 4, 4), complex_gaussian(rng, 4, 4)) for _ in range(3)]
+        for h_b, h_e in problems:
+            n = h_b.shape[1]
+            res = secrecy.power_constrained_capacity(h_b, h_e, power, budget=300, seed=1)
+            assert np.isfinite(res.capacity_lower_bound)
+            assert np.isclose(np.real(np.trace(res.kbar)), power, rtol=1e-9)
+            isotropic = secrecy.secrecy_capacity_cov(h_b, h_e, np.eye(n) * (power / n))
+            above = secrecy.secrecy_capacity_cov(h_b, h_e, np.eye(n) * power)
+            assert isotropic.capacity_bits - 1e-9 <= res.capacity_lower_bound
+            assert res.capacity_lower_bound <= above.capacity_bits + 1e-9
