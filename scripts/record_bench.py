@@ -2,19 +2,20 @@
 
 Usage, from the root of a wtd checkout:
 
-    python3 scripts/record_bench.py 6
-    python3 scripts/record_bench.py 5=../wtd-parent 6
+    python3 scripts/record_bench.py N
+    python3 scripts/record_bench.py M=../parent-checkout N
 
-Each target is ``PR`` or ``PR=CHECKOUT``; the checkout defaults to this
-repository.  For each of the seeds 1 to 5 and every workload named in
-``BENCHMARK.json``, the script runs ``bench/run.py --trace 0`` of each
-target's own checkout, one process at a time.  With several targets, the
-order rotates from one run to the next, so a slow spell of the machine does
-not always hit the same target.  It then writes ``BENCH_<pr>.json`` at the
-root of this repository for each target: the git revision of the checkout,
-the machine, the settings, and per workload each end-to-end metric's
-median, quartiles and IQR over the seeds, with the value of every run.  A
-run that exits non-zero or reports a failed check stops the recording.
+Each target is ``PR`` or ``PR=CHECKOUT``: the number of the change the
+file belongs to, and its checkout, which defaults to this repository.  For
+each of the seeds 1 to 5 and every workload named in ``BENCHMARK.json``,
+the script runs ``bench/run.py --trace 0`` of each target's own checkout,
+one process at a time.  With several targets, the order rotates from one
+run to the next, so a slow spell of the machine does not always hit the
+same target.  It then writes ``BENCH_<pr>.json`` at the root of this
+repository for each target: the git revision of the checkout, the
+machine, the settings, and per workload each end-to-end metric's median,
+quartiles and IQR over the seeds, with the value of every run.  A run that
+exits non-zero or reports a failed check stops the recording.
 """
 
 import argparse
