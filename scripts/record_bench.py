@@ -34,17 +34,13 @@ SEEDS = (1, 2, 3, 4, 5)
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("targets", nargs="+", metavar="PR[=CHECKOUT]")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length for a trial of this script (default: "
-                             "run_seconds of BENCHMARK.json, which a recorded file uses)")
-    args = parser.parse_args(argv)
     targets = []
-    for text in args.targets:
+    for text in parser.parse_args(argv).targets:
         pr, _, checkout = text.partition("=")
         if not pr.isdigit():
             parser.error(f"target {text!r} must be PR or PR=CHECKOUT")
         targets.append((int(pr), Path(checkout or ROOT).resolve()))
-    return args, targets
+    return targets
 
 
 def git(checkout, *args):
@@ -87,9 +83,9 @@ def summary(values):
 
 
 def main(argv=None):
-    args, targets = parse_args(argv)
+    targets = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
     runs = {pr: {w: [] for w in workloads} for pr, _ in targets}

@@ -145,11 +145,14 @@ def matrix_sqrt(k):
     if (asymmetry > 1e-10 * np.maximum(1.0, inf_norm)).any():
         raise DomainError("covariance must be Hermitian")
     w, q = np.linalg.eigh(_hermitize(k))
-    low = w.min(axis=-1)
-    tol = np.maximum(PSD_EIG_TOL, _PSD_EIG_RTOL * np.abs(w).max(axis=-1))
-    if (low < -tol).any():
-        i = np.argmax(low < -tol)
-        raise NotPSD(f"covariance has eigenvalue {low.flat[i]:.3e} < -{tol.flat[i]:g}")
+    # ``tol`` is never below the absolute floor, so only an eigenvalue under
+    # the floor needs the per-matrix window.
+    if w.min() < -PSD_EIG_TOL:
+        low = w.min(axis=-1)
+        tol = np.maximum(PSD_EIG_TOL, _PSD_EIG_RTOL * np.abs(w).max(axis=-1))
+        if (low < -tol).any():
+            i = np.argmax(low < -tol)
+            raise NotPSD(f"covariance has eigenvalue {low.flat[i]:.3e} < -{tol.flat[i]:g}")
     w = np.clip(w, 0.0, None)
     return (q * np.sqrt(w)[..., None, :]) @ _adjoint(q)
 
