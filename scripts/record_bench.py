@@ -14,13 +14,17 @@ run to the next, so a slow spell of the machine does not always hit the
 same target.  It then writes ``BENCH_<pr>.json`` at the root of this
 repository for each target: the git revision of the checkout, the
 machine, the settings, and per workload each end-to-end metric's median,
-quartiles and IQR over the seeds, with the value of every run.  A run that
-exits non-zero or reports a failed check stops the recording.
+quartiles and IQR over the seeds, with the value of every run.  The same
+summary is kept of each run's minor page faults (``ru_minflt`` of the run
+and every process it waited for), which move the simulator timings with no
+change in the arithmetic.  A run that exits non-zero or reports a failed
+check stops the recording.
 """
 
 import argparse
 import json
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -50,11 +54,14 @@ def git(checkout, *args):
 
 
 def run_once(checkout, workload, seed, seconds):
-    """One untraced benchmark run; returns its result and details objects."""
+    """One untraced benchmark run; returns its result and details objects and
+    its minor page faults."""
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"{checkout} {workload} seed {seed}: exit {proc.returncode}: "
@@ -64,7 +71,7 @@ def run_once(checkout, workload, seed, seconds):
     if not result["correct"]:
         raise SystemExit(f"{checkout} {workload} seed {seed}: {result['failed']} of "
                          f"{result['attempted']} checks failed")
-    return result, details
+    return result, details, faults
 
 
 def cpu_model():
@@ -99,11 +106,12 @@ def main(argv=None):
     for seed in SEEDS:
         for workload in workloads:
             for pr, checkout in targets[turn:] + targets[:turn]:
-                result, details = run_once(checkout, workload, seed, seconds)
+                result, details, faults = run_once(checkout, workload, seed, seconds)
                 machine.setdefault(pr, details["machine"])
-                runs[pr][workload].append((result, details))
+                runs[pr][workload].append((result, details, faults))
                 print(f"BENCH_{pr} {workload} seed {seed}: "
-                      f"calls_per_s {result['metrics']['calls_per_s']['value']:.4g}",
+                      f"calls_per_s {result['metrics']['calls_per_s']['value']:.4g}, "
+                      f"minor faults {faults}",
                       file=sys.stderr, flush=True)
             turn = (turn + 1) % len(targets)
 
@@ -122,12 +130,13 @@ def main(argv=None):
         }
         for workload, done in runs[pr].items():
             metrics = {name: dict(unit=unit, **summary(
-                [r["metrics"][name]["value"] for r, _ in done]))
+                [r["metrics"][name]["value"] for r, _, _ in done]))
                 for name, unit in units.items()}
             record["workloads"][workload] = {
                 "metrics": metrics,
-                "fail_ratio": max(d["fail_ratio"] for _, d in done),
-                "attempted": sum(r["attempted"] for r, _ in done),
+                "minor_faults": summary([f for _, _, f in done]),
+                "fail_ratio": max(d["fail_ratio"] for _, d, _ in done),
+                "attempted": sum(r["attempted"] for r, _, _ in done),
             }
         path = ROOT / f"BENCH_{pr}.json"
         path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -8,7 +8,7 @@ for identical (input, seed, version).
 
 Exit codes: 0 success, 1 input error, 2 infeasibility (majorization),
 3 simulation band failure.  ``samples`` (field or ``--samples``) must lie
-in ``[1, MAX_SAMPLES]``.
+in ``[1, MAX_SAMPLES]`` and ``--budget`` in ``[1, MAX_BUDGET]``.
 """
 
 import argparse
@@ -29,6 +29,9 @@ EXIT_BAND = 3
 
 #: Most Monte Carlo samples one ``simulate`` run accepts.
 MAX_SAMPLES = 10 ** 9
+#: Largest ``capacity --budget``, the number of candidates a power search
+#: evaluates, at tens of microseconds each.
+MAX_BUDGET = 10 ** 6
 #: Integer problem fields that flags may override:
 #: (name, default, minimum, maximum or None).
 _COUNTS = (("samples", 10000, 1, MAX_SAMPLES), ("seed", 0, 0, None))
@@ -402,7 +405,8 @@ def build_parser():
     p = sub.add_parser("capacity", help="secrecy capacity under the constraint")
     common(p)
     p.add_argument("--power", type=float, default=None)
-    p.add_argument("--budget", type=int, default=400)
+    p.add_argument("--budget", type=int, default=400,
+                   help=f"power-search candidates, 1 to {MAX_BUDGET} (default 400)")
 
     p = sub.add_parser("region", help="confidential broadcast region")
     common(p)
@@ -428,7 +432,7 @@ def main(argv=None):
         if getattr(args, "power", None) is not None:
             problem["power"] = _power(args.power, "flag '--power'")
         if getattr(args, "budget", None) is not None:
-            _count(args.budget, "flag '--budget'", 1)
+            _count(args.budget, "flag '--budget'", 1, MAX_BUDGET)
         # Paths are excluded from the echo so reports stay byte-identical
         # for identical (input content, seed, version).
         volatile = {"command", "input", "out", "csv"}

@@ -363,24 +363,33 @@ def _chunks(samples):
     return sizes
 
 
-def _gaussian_rows(seed, kind, streams, chunk_index, size):
-    """CN(0, 1) rows, one Philox substream per (seed, kind, stream, chunk)."""
-    out = np.empty((streams, size), dtype=complex)
+def _gaussian_rows(seed, kind, streams, chunk_index, size, out=None):
+    """CN(0, 1) rows, one Philox substream per (seed, kind, stream, chunk).
+
+    Each substream gives its row's real parts, then its imaginary parts.
+    """
+    if out is None:
+        out = np.empty((streams, size), dtype=complex)
+    parts = np.empty((2, size))
     for s in range(streams):
         gen = np.random.Generator(
             np.random.Philox(np.random.SeedSequence((seed, kind, s, chunk_index))))
-        out[s] = (gen.standard_normal(size) + 1j * gen.standard_normal(size)) * np.sqrt(0.5)
+        gen.standard_normal(out=parts)
+        out[s].real = parts[0]
+        out[s].imag = parts[1]
+    out *= np.sqrt(0.5)
     return out
 
 
 def _sum_chunks(worker, samples):
     """Run ``worker(chunk_index, size)`` on every chunk; sum each field it returns.
 
-    Chunks may run on ``WTD_THREADS`` threads, but the sums are taken in
-    chunk order, so the result does not depend on the thread count.
+    Chunks may run on ``WTD_THREADS`` threads, at most one per chunk and per
+    CPU, but the sums are taken in chunk order, so the result does not
+    depend on the thread count.
     """
     jobs = list(enumerate(_chunks(samples)))
-    threads = _thread_count()
+    threads = min(_thread_count(), len(jobs), os.cpu_count() or 1)
     if threads == 1:
         results = [worker(c, size) for c, size in jobs]
     else:
@@ -416,18 +425,24 @@ def _decode(receivers, n, samples, seed, recon=None):
         power_x = np.empty(n)
         power_w = np.empty(n)
         cross_xw = np.empty(n, dtype=complex)
+        tmp = np.empty(size, dtype=complex)
+        mag = np.empty(size)
         for combiner, front, feedback, first, noise_kind in receivers:
             z = _gaussian_rows(seed, noise_kind, front.shape[0], chunk_index, size)
-            yt = combiner.conj().T @ (front @ x + z)
+            z += front @ x
+            yt = combiner.conj().T @ z
             for j in range(feedback.shape[0] - 1, -1, -1):
                 i = first + j
                 row = feedback[j]
-                y_prime = yt[j] - row[i + 1:] @ fed[i + 1:]
+                # w is the cancelled observation, then its residual, in place.
+                # Scalars stay first and the cross sum keeps its form: both fix the bits.
+                w = yt[j]
+                w -= np.matmul(row[i + 1:], fed[i + 1:], out=tmp)
                 if recon is not None:
-                    fed[i] = recon[i] * y_prime
-                w = y_prime - row[i] * x[i]
-                power_x[i] = np.sum(np.abs(x[i]) ** 2)
-                power_w[i] = np.sum(np.abs(w) ** 2)
+                    np.multiply(recon[i], w, out=fed[i])
+                w -= np.multiply(row[i], x[i], out=tmp)
+                power_x[i] = np.sum(np.square(np.abs(x[i], out=mag), out=mag))
+                power_w[i] = np.sum(np.square(np.abs(w, out=mag), out=mag))
                 cross_xw[i] = np.sum(x[i] * np.conj(w))
         return power_x, power_w, cross_xw
 
@@ -496,9 +511,10 @@ def simulate_leakage(plan, h_e, samples, seed, blocks=10):
     blocks = max(2, min(blocks, samples // (10 * dim)))
 
     def worker(chunk_index, size):
-        x = _gaussian_rows(seed, _KIND_SYMBOL, n, chunk_index, size)
-        z = _gaussian_rows(seed, _KIND_NOISE, n_e, chunk_index, size)
-        v = np.concatenate([x, f @ x + z], axis=0)
+        v = np.empty((dim, size), dtype=complex)
+        x = _gaussian_rows(seed, _KIND_SYMBOL, n, chunk_index, size, out=v[:n])
+        _gaussian_rows(seed, _KIND_NOISE, n_e, chunk_index, size, out=v[n:])
+        v[n:] += f @ x
         pieces = np.array_split(v, blocks, axis=1)
         return (np.array([p @ p.conj().T for p in pieces]),
                 np.array([p.sum(axis=1) for p in pieces]),

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from wtd import cli
+from wtd import cli, secrecy
 
 GOLDEN_H_B = [[[1.0, 0.5], [-0.25, 1.0]], [[0.5, -0.75], [1.25, 0.0]]]
 GOLDEN_H_E = [[[0.5, 0.25], [0.75, -0.5]], [[-0.25, 0.5], [0.25, 0.25]]]
@@ -121,6 +121,32 @@ class TestProblemFile:
         path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E, power=2.0)
         assert run_cli(["capacity", "--input", path, "--budget", value]) == 1
         assert "flag '--budget'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [cli.MAX_BUDGET + 1, 10 ** 12])
+    def test_budget_above_maximum(self, tmp_path, capsys, monkeypatch, value):
+        # Rejected before any power search starts.
+        def never(*args, **kwargs):
+            raise AssertionError("power search started")
+
+        monkeypatch.setattr(cli.secrecy, "power_constrained_capacity", never)
+        path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E)
+        assert run_cli(["capacity", "--input", path, "--power", "2",
+                        "--budget", str(value)]) == 1
+        assert f"flag '--budget' must be at most {cli.MAX_BUDGET}" in capsys.readouterr().err
+
+    def test_budget_at_maximum_accepted(self, tmp_path, monkeypatch):
+        budgets = []
+
+        def fake_search(h_b, h_e, power, budget, seed):
+            budgets.append(budget)
+            return secrecy.PowerSearchResult(capacity_lower_bound=0.0, kbar=np.eye(2),
+                                             evaluations=budget)
+
+        monkeypatch.setattr(cli.secrecy, "power_constrained_capacity", fake_search)
+        path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E)
+        assert run_cli(["capacity", "--input", path, "--power", "2",
+                        "--budget", str(cli.MAX_BUDGET), "--out", str(tmp_path / "r.json")]) == 0
+        assert budgets == [cli.MAX_BUDGET]
 
     @pytest.mark.parametrize("scheme_name", ["sic", "wiretap", "dpc", "broadcast"])
     @pytest.mark.parametrize("label, fields, flags", [

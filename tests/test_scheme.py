@@ -250,6 +250,40 @@ class TestSimulateSic:
         threaded = scheme.simulate_sic(plan, h_b, 50000, seed=5)
         assert np.array_equal(baseline.sinr_empirical, threaded.sinr_empirical)
 
+    @pytest.mark.parametrize("threads, cpus, samples, workers", [
+        ("1000000", 2, 5 * 16384, [2]),
+        ("1000000", 8, 3 * 16384, [3]),
+        ("2", 8, 5 * 16384, [2]),
+        ("1000000", 8, 100, []),
+        ("1000000", None, 5 * 16384, []),
+    ])
+    def test_thread_pool_is_capped(self, rng, monkeypatch, threads, cpus, samples, workers):
+        # The pool is faked, so no thread starts whatever WTD_THREADS says.
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        h_b = complex_gaussian(rng, 2, 2)
+        plan = scheme.build_sic_plan(h_b, np.eye(2), np.eye(2))
+        baseline = scheme.simulate_sic(plan, h_b, samples, seed=5)
+        monkeypatch.setattr(scheme, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(scheme.os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("WTD_THREADS", threads)
+        capped = scheme.simulate_sic(plan, h_b, samples, seed=5)
+        assert seen == workers
+        assert np.array_equal(baseline.sinr_empirical, capped.sinr_empirical)
+
     def test_non_genie_runs(self, rng):
         h_b = 3.0 * complex_gaussian(rng, 3, 3)
         plan = scheme.build_sic_plan(h_b, np.eye(3), np.eye(3))
@@ -399,3 +433,121 @@ class TestSimulateBroadcast:
         monkeypatch.setenv("WTD_THREADS", "2")
         threaded = scheme.simulate_broadcast(plan, h_b, h_c, 100000, seed=12)
         assert np.array_equal(rep.sinr_empirical, threaded.sinr_empirical)
+
+
+def _golden_reports():
+    """Simulator reports pinned bit for bit by :class:`TestGoldenReports`.
+
+    40,000 samples make two full chunks and a partial last one.  The
+    wiretap problem has ``n_b != n_e``; the broadcast problems cover
+    ``lb = 0``, ``0 < lb < n`` and ``lb = n``.  The plans come from LAPACK,
+    so another numpy or BLAS build may move the last bits of the values.
+    """
+    rng = np.random.default_rng(7001)
+    h_b, h_e = complex_gaussian(rng, 4, 3), complex_gaussian(rng, 2, 3)
+    plan = scheme.build_wiretap_plan(h_b, h_e, np.eye(3), "gsvd")
+    dpc = scheme.build_dpc_plan(h_b, h_e, np.eye(3))
+    # At seed 35, swapping a scalar and an array factor in the decoder moves
+    # the last bits of all three reports.
+    reports = {
+        "sic_genie": scheme.simulate_sic(plan.base, h_b, 40000, seed=35),
+        "sic_decided": scheme.simulate_sic(plan.base, h_b, 40000, seed=35, genie=False),
+        "leakage": scheme.simulate_leakage(plan, h_e, 40000, seed=12),
+        "dpc": scheme.simulate_dpc(dpc, h_b, 40000, seed=35),
+    }
+    h_b, h_c = complex_gaussian(rng, 3, 3), complex_gaussian(rng, 2, 3)
+    for name, pair in [("broadcast_lb0", (np.zeros_like(h_b), h_c)),
+                       ("broadcast_mixed", (h_b, h_c)),
+                       ("broadcast_lbn", (h_b, np.zeros_like(h_c)))]:
+        bc = scheme.build_broadcast_plan(*pair, np.eye(3))
+        reports[name] = scheme.simulate_broadcast(bc, *pair, 40000, seed=14)
+    return reports
+
+
+def _golden_fields(rep):
+    fields = {"sinr_empirical": rep.sinr_empirical, "sinr_stderr": rep.sinr_stderr,
+              "mi_bits": rep.mi_bits}
+    if rep.leakage_bits is not None:
+        fields.update(leakage_bits=rep.leakage_bits, leakage_stderr=rep.leakage_stderr)
+    if rep.scheme == "dpc":
+        # The cross sums reach a report only through the alpha residuals.
+        fields.update({k: rep.extras[k] for k in ("alpha_residual", "alpha_residual_below",
+                                                  "alpha_residual_above")})
+    return {k: [float(v).hex() for v in np.atleast_1d(value)] for k, value in fields.items()}
+
+
+#: ``float.hex`` of the fields, recorded before the decoder ran on reused buffers.
+GOLDEN_REPORTS = {
+    "sic_genie": {
+        "sinr_empirical": [
+            "0x1.b7a5e92a72ff7p+1", "0x1.6cb462d7b7b42p+1", "0x1.a4da473e542c5p-53",
+        ],
+        "sinr_stderr": ["0x1.8dec8cf3b7a32p-6", "0x1.4a17cbbf26614p-6", "0x1.7ce98ed81783cp-60"],
+        "mi_bits": ["0x1.05facb2f8720dp+2"],
+    },
+    "sic_decided": {
+        "sinr_empirical": [
+            "0x1.37c02525dcd1bp+1", "0x1.6cb462d7b416bp+1", "0x1.a4da473e542c5p-53",
+        ],
+        "sinr_stderr": ["0x1.1a2a1650aec62p-6", "0x1.4a17cbbf231bap-6", "0x1.7ce98ed81783cp-60"],
+        "mi_bits": ["0x1.dcd0c29b49351p+1"],
+    },
+    "leakage": {
+        "sinr_empirical": [
+            "0x1.b54d661ec09a6p+1", "0x1.6c348a314cb1fp+1", "0x1.a311eee95d505p-53",
+        ],
+        "sinr_stderr": ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"],
+        "mi_bits": ["0x1.02eceb5262b87p+1"],
+        "leakage_bits": ["0x1.ed9a93d806f30p-2", "0x1.8a6ca767a76c5p+0", "0x1.a291c711f679fp-14"],
+        "leakage_stderr": [
+            "0x1.086d71ba5e3c2p-8", "0x1.b9f6fcf0f219fp-8", "0x1.f80fe0c1d3544p-13",
+        ],
+    },
+    "dpc": {
+        "sinr_empirical": [
+            "0x1.b7a5e92a72ff7p+1", "0x1.6cb462d7b7b42p+1", "0x1.a4da473e542c5p-53",
+        ],
+        "sinr_stderr": ["0x1.8dec8cf3b7a32p-6", "0x1.4a17cbbf26614p-6", "0x1.7ce98ed81783cp-60"],
+        "mi_bits": ["0x1.05facb2f8720dp+2"],
+        "alpha_residual": [
+            "0x1.33af4c8b229a7p-1", "0x1.19137a76f29f3p-1", "0x1.5845917bbfb64p-105",
+        ],
+        "alpha_residual_below": [
+            "0x1.3e96260bbecccp-1", "0x1.213dcca28c42cp-1", "0x1.5845917bbfb64p-105",
+        ],
+        "alpha_residual_above": [
+            "0x1.3dc91f812c28bp-1", "0x1.20d281e7b5974p-1", "0x1.5845917bbfb64p-105",
+        ],
+    },
+    "broadcast_lb0": {
+        "sinr_empirical": [
+            "0x1.10b12459d8fc9p-103", "0x1.54758a0d6546ep+1", "0x1.1dfa4791fceadp+2",
+        ],
+        "sinr_stderr": ["0x1.eda00b9896778p-111", "0x1.3425ffda034cdp-6", "0x1.02d66187a3df9p-5"],
+        "mi_bits": ["0x1.14aa5e0fe1908p+2"],
+    },
+    "broadcast_mixed": {
+        "sinr_empirical": [
+            "0x1.e5f4855ff4f0bp+2", "0x1.17e37d92fb0adp+2", "0x1.07274c34614e1p+2",
+        ],
+        "sinr_stderr": ["0x1.b7d61e7188141p-5", "0x1.faa70d680e10bp-6", "0x1.dc5bd5bd5388dp-6"],
+        "mi_bits": ["0x1.f87fa8e8958b2p+2"],
+    },
+    "broadcast_lbn": {
+        "sinr_empirical": [
+            "0x1.9839b4f213076p+3", "0x1.85bbb2760588ap+1", "0x1.12d02ff4bf7c0p-3",
+        ],
+        "sinr_stderr": ["0x1.717bc4ad9ea40p-4", "0x1.60bf082483c5ap-6", "0x1.f1770ff648cc3p-11"],
+        "mi_bits": ["0x1.7eb56377c998fp+2"],
+    },
+}
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_reports_are_bit_identical(self, monkeypatch, threads):
+        monkeypatch.setenv("WTD_THREADS", threads)
+        reports = _golden_reports()
+        assert (reports["broadcast_lb0"].extras["lb"], reports["broadcast_mixed"].extras["lb"],
+                reports["broadcast_lbn"].extras["lb"]) == (0, 2, 3)
+        assert {name: _golden_fields(rep) for name, rep in reports.items()} == GOLDEN_REPORTS
