@@ -6,9 +6,11 @@ in row-major nested arrays; ``"kbar"`` may be the string ``"identity"``.
 Reports serialize numbers at full double precision and are byte-identical
 for identical (input, seed, version).
 
-Exit codes: 0 success, 1 input error, 2 infeasibility (majorization),
-3 simulation band failure.  ``samples`` (field or ``--samples``) must lie
-in ``[1, MAX_SAMPLES]`` and ``--budget`` in ``[1, MAX_BUDGET]``.
+Each subcommand takes only the flags it reads; a flag named after a field
+overrides it and passes the same check.  Exit codes: 0 success, 1 input
+error (a malformed field or flag), 2 infeasibility (majorization), 3
+simulation band failure.  ``samples`` (field or ``--samples``) must lie in
+``[1, MAX_SAMPLES]`` and ``--budget`` in ``[1, MAX_BUDGET]``.
 """
 
 import argparse
@@ -20,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__, decomp, scheme, secrecy
-from .errors import DomainError, MajorizationError, NotPSD
+from .errors import DomainError, MajorizationError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -32,13 +34,17 @@ MAX_SAMPLES = 10 ** 9
 #: Largest ``capacity --budget``, the number of candidates a power search
 #: evaluates, at tens of microseconds each.
 MAX_BUDGET = 10 ** 6
-#: Integer problem fields that flags may override:
-#: (name, default, minimum, maximum or None).
-_COUNTS = (("samples", 10000, 1, MAX_SAMPLES), ("seed", 0, 0, None))
 
 
 class InputError(Exception):
-    """Problem-file parse or validation failure; names the offending field."""
+    """Problem-file, flag or parse failure; names the offending field or flag."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports argument errors on the CLI's ``error:`` path, exit code 1."""
+
+    def error(self, message):
+        raise InputError(message)
 
 
 def _is_number(value):
@@ -69,6 +75,32 @@ def _power(value, label):
     if not _is_finite(value) or value <= 0:
         raise InputError(f"{label} must be a positive finite number")
     return float(value)
+
+
+def _mode(value, label):
+    if value not in scheme.PRECODER_MODES:
+        raise InputError(f"{label} must be one of {scheme.PRECODER_MODES}")
+    return value
+
+
+#: Problem fields that the flag of the same name overrides: name -> (default,
+#: check).  A null or missing ``power`` (no default) means no power search.
+_FIELDS = {
+    "samples": (10000, lambda value, label: _count(value, label, 1, MAX_SAMPLES)),
+    "seed": (0, lambda value, label: _count(value, label, 0)),
+    "mode": ("gsvd", _mode),
+    "power": (None, _power),
+}
+
+
+def _flag_value(text):
+    """Flag text as the int or float it spells, else as text, for the field's check."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
 def _complex_pair(value, where):
@@ -106,8 +138,9 @@ def vector_to_json(vec):
     return [float(v) for v in np.asarray(vec, dtype=float)]
 
 
-def load_problem(path):
-    """Read and validate a problem file; returns (raw json, parsed dict)."""
+def load_problem(path, flags=None):
+    """Read and validate a problem file, then the overriding ``flags``
+    (field name to flag text or None); returns the parsed problem dict."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -127,7 +160,6 @@ def load_problem(path):
     other = "h_e" if "h_e" in raw else ("h_c" if "h_c" in raw else None)
     if other is not None:
         problem["h_other"] = parse_matrix(raw[other], other)
-        problem["other_name"] = other
         if problem["h_other"].shape[1] != n_a:
             raise InputError(f"field '{other}' must have {n_a} columns like 'h_b'")
     kbar = raw.get("kbar", "identity")
@@ -141,22 +173,22 @@ def load_problem(path):
             raise InputError(f"field 'kbar' must be {n_a}x{n_a}")
     try:
         secrecy.matrix_sqrt(problem["kbar"])
-    except (DomainError, NotPSD) as exc:
+    except DomainError as exc:
         raise InputError(f"field 'kbar' must be Hermitian PSD: {exc}") from exc
 
-    if "power" in raw and raw["power"] is not None:
-        problem["power"] = _power(raw["power"], "field 'power'")
     if "t" in raw:
         target = raw["t"]
-        if (not isinstance(target, list)
+        if (not isinstance(target, list) or len(target) != n_a
                 or not all(_is_finite(v) and v > 0 for v in target)):
-            raise InputError("field 't' must be an array of positive finite numbers")
+            raise InputError(f"field 't' must be an array of {n_a} positive finite "
+                             "numbers, one per column of 'h_b'")
         problem["t"] = np.asarray(target, dtype=float)
-    problem["mode"] = raw.get("mode", "gsvd")
-    if problem["mode"] not in scheme.PRECODER_MODES:
-        raise InputError(f"field 'mode' must be one of {scheme.PRECODER_MODES}")
-    for name, default, minimum, maximum in _COUNTS:
-        problem[name] = _count(raw.get(name, default), f"field '{name}'", minimum, maximum)
+    for name, (default, check) in _FIELDS.items():
+        value = raw.get(name, default)
+        if value is not None or default is not None:
+            problem[name] = check(value, f"field '{name}'")
+        if flags and flags.get(name) is not None:
+            problem[name] = check(_flag_value(flags[name]), f"flag '--{name}'")
     problem["digest"] = hashlib.sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     return problem
@@ -182,54 +214,38 @@ def _residual(actual, target):
     return float(np.linalg.norm(actual - target) / (denom if denom > 0 else 1.0))
 
 
-def cmd_decompose(problem, kind, args_echo):
+def cmd_decompose(problem, args_echo):
+    kind = args_echo["kind"]
     h = problem["h_b"]
     report = _report_skeleton("decompose", problem, args_echo)
     report["kind"] = kind
-    if kind in ("qr", "ql", "svd", "gmd", "gtd"):
-        if kind == "qr":
-            fac = decomp.qr(h)
-        elif kind == "svd":
-            fac = decomp.svd(h)
-        elif kind == "gmd":
-            fac = decomp.gmd(h)
-        elif kind == "gtd":
-            if "t" not in problem:
-                raise InputError("field 't' is required for kind 'gtd'")
-            fac = decomp.gtd(h, problem["t"])
-        else:
-            qlf = decomp.ql(h)
-            report["factors"] = {"u": matrix_to_json(qlf.u), "l": matrix_to_json(qlf.l)}
-            report["diagonal"] = vector_to_json(qlf.diagonal)
-            report["reconstruction_residual"] = _residual(qlf.reconstruct(), h)
-            return report
-        report["factors"] = {"u": matrix_to_json(fac.u), "t": matrix_to_json(fac.t),
-                             "v": matrix_to_json(fac.v)}
+    if kind == "gtd" and "t" not in problem:
+        raise InputError("field 't' is required for kind 'gtd'")
+    if kind != "gsvd":
+        # qr, ql, svd, gmd and gtd: the dataclass fields are the factors.
+        fac = decomp.gtd(h, problem["t"]) if kind == "gtd" else getattr(decomp, kind)(h)
+        report["factors"] = {name: matrix_to_json(m) for name, m in vars(fac).items()}
         report["diagonal"] = vector_to_json(fac.diagonal)
         report["reconstruction_residual"] = _residual(fac.reconstruct(), h)
         return report
-    if kind == "gsvd":
-        other = _require_other(problem, "kind 'gsvd'")
-        jt = decomp.gsvd_triangular(h, other)
-        diag_form = decomp.gsvd_diagonal(h, other)
-        normalization = diag_form.l1.conj().T @ diag_form.l1 + diag_form.l2.conj().T @ diag_form.l2
-        report["factors"] = {
-            "u1": matrix_to_json(jt.u1), "u2": matrix_to_json(jt.u2),
-            "va": matrix_to_json(jt.va),
-            "t1": matrix_to_json(jt.t1), "t2": matrix_to_json(jt.t2),
-        }
-        report["diag_ratios"] = vector_to_json(jt.diag_ratios)
-        report["gsv"] = vector_to_json(decomp.gsv_values(h, other))
-        report["normalization_residual"] = _residual(
-            normalization, np.eye(normalization.shape[0]))
-        report["reconstruction_residual"] = max(
-            _residual(jt.u1 @ jt.t1 @ jt.va.conj().T, h),
-            _residual(jt.u2 @ jt.t2 @ jt.va.conj().T, other))
-        return report
-    raise InputError(f"unknown decomposition kind '{kind}'")
+    other = _require_other(problem, "kind 'gsvd'")
+    jt = decomp.gsvd_triangular(h, other)
+    diag_form = decomp.gsvd_diagonal(h, other)
+    normalization = diag_form.l1.conj().T @ diag_form.l1 + diag_form.l2.conj().T @ diag_form.l2
+    report["factors"] = {name: matrix_to_json(getattr(jt, name))
+                         for name in ("u1", "u2", "va", "t1", "t2")}
+    report["diag_ratios"] = vector_to_json(jt.diag_ratios)
+    report["gsv"] = vector_to_json(decomp.gsv_values(h, other))
+    report["normalization_residual"] = _residual(
+        normalization, np.eye(normalization.shape[0]))
+    report["reconstruction_residual"] = max(
+        _residual(jt.u1 @ jt.t1 @ jt.va.conj().T, h),
+        _residual(jt.u2 @ jt.t2 @ jt.va.conj().T, other))
+    return report
 
 
-def cmd_capacity(problem, args_echo, budget):
+def cmd_capacity(problem, args_echo):
+    budget = args_echo["budget"]
     h_e = _require_other(problem, "capacity")
     result = secrecy.secrecy_capacity_cov(problem["h_b"], h_e, problem["kbar"])
     report = _report_skeleton("capacity", problem, args_echo)
@@ -279,12 +295,12 @@ def _simulation_json(sim):
         out["leakage_expected"] = vector_to_json(sim.leakage_expected)
         out["leakage_stderr"] = vector_to_json(sim.leakage_stderr)
     for key, value in sim.extras.items():
-        out[key] = value if np.isscalar(value) or isinstance(value, (bool, int)) \
-            else vector_to_json(np.asarray(value, dtype=float))
+        out[key] = value if np.isscalar(value) else vector_to_json(np.asarray(value, dtype=float))
     return out
 
 
-def cmd_simulate(problem, which, args_echo):
+def cmd_simulate(problem, args_echo):
+    which = args_echo["scheme"]
     h_b = problem["h_b"]
     kbar = problem["kbar"]
     samples = problem["samples"]
@@ -336,7 +352,7 @@ def cmd_simulate(problem, which, args_echo):
                 "rate_bits": float(plan.rates_bits[i]),
                 "rate_u_bits": float(plan.rates_u_bits[i]),
             })
-    elif which == "broadcast":
+    else:
         h_c = _require_other(problem, "simulate broadcast")
         plan = scheme.build_broadcast_plan(h_b, h_c, kbar)
         sim = scheme.simulate_broadcast(plan, h_b, h_c, samples, seed)
@@ -352,8 +368,6 @@ def cmd_simulate(problem, which, args_echo):
             })
         report["bob_total_bits"] = float(np.sum(plan.bob_rates_bits))
         report["charlie_total_bits"] = float(np.sum(plan.charlie_rates_bits))
-    else:
-        raise InputError(f"unknown simulation scheme '{which}'")
     report["streams"] = streams
     report["simulations"] = {name: _simulation_json(sim) for name, sim in sims}
     report["within_bands"] = all(sim.within_bands() for _, sim in sims)
@@ -370,96 +384,76 @@ def write_report(report, out_path):
 
 
 def write_csv(report, csv_path):
-    rows = report.get("streams", [])
-    if not rows:
-        return
+    rows = report["streams"]
     keys = sorted({key for row in rows for key in row})
     lines = [",".join(keys)]
     for row in rows:
-        lines.append(",".join(repr(row[k]) if isinstance(row[k], float) else str(row.get(k, ""))
+        lines.append(",".join(repr(row[k]) if isinstance(row[k], float) else str(row[k])
                               for k in keys))
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wtd",
         description="Wiretap-channel decompositions, capacities, and simulations.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help, run):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--input", required=True, help="problem file (JSON)")
         p.add_argument("--out", default=None, help="report file (default stdout)")
-        p.add_argument("--csv", default=None, help="also write the per-stream table as CSV")
-        p.add_argument("--samples", type=int, default=None,
-                       help=f"Monte Carlo samples, 1 to {MAX_SAMPLES}")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--mode", default=None, choices=scheme.PRECODER_MODES)
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("decompose", help="run a matrix decomposition")
-    common(p)
+    csv_help = "also write the per-stream table as CSV"
+    p = command("decompose", "run a matrix decomposition", cmd_decompose)
     p.add_argument("--kind", required=True,
                    choices=["qr", "ql", "svd", "gmd", "gtd", "gsvd"])
 
-    p = sub.add_parser("capacity", help="secrecy capacity under the constraint")
-    common(p)
-    p.add_argument("--power", type=float, default=None)
-    p.add_argument("--budget", type=int, default=400,
+    p = command("capacity", "secrecy capacity under the constraint", cmd_capacity)
+    p.add_argument("--csv", help=csv_help)
+    p.add_argument("--seed", help="power-search seed")
+    p.add_argument("--power", help="total power of a power search")
+    p.add_argument("--budget", default=400,
                    help=f"power-search candidates, 1 to {MAX_BUDGET} (default 400)")
 
-    p = sub.add_parser("region", help="confidential broadcast region")
-    common(p)
+    command("region", "confidential broadcast region", cmd_region)
 
-    p = sub.add_parser("simulate", help="Monte Carlo verification of a plan")
-    common(p)
+    p = command("simulate", "Monte Carlo verification of a plan", cmd_simulate)
+    p.add_argument("--csv", help=csv_help)
+    p.add_argument("--samples", help=f"Monte Carlo samples, 1 to {MAX_SAMPLES}")
+    p.add_argument("--seed", help="Monte Carlo seed")
+    p.add_argument("--mode", help=f"precoder: {', '.join(scheme.PRECODER_MODES)}")
     p.add_argument("--scheme", required=True,
                    choices=["sic", "wiretap", "dpc", "broadcast"])
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        problem = load_problem(args.input)
-        for name, _, minimum, maximum in _COUNTS:
-            value = getattr(args, name)
-            if value is not None:
-                problem[name] = _count(value, f"flag '--{name}'", minimum, maximum)
-        if args.mode is not None:
-            problem["mode"] = args.mode
-        if getattr(args, "power", None) is not None:
-            problem["power"] = _power(args.power, "flag '--power'")
-        if getattr(args, "budget", None) is not None:
-            _count(args.budget, "flag '--budget'", 1, MAX_BUDGET)
+        args = vars(build_parser().parse_args(argv))
+        problem = load_problem(args["input"], args)
+        if "budget" in args:
+            args["budget"] = _count(_flag_value(args["budget"]), "flag '--budget'", 1, MAX_BUDGET)
         # Paths are excluded from the echo so reports stay byte-identical
         # for identical (input content, seed, version).
-        volatile = {"command", "input", "out", "csv"}
-        echo = {k: v for k, v in sorted(vars(args).items())
+        volatile = {"command", "run", "input", "out", "csv"}
+        echo = {k: problem[k] if k in _FIELDS else v for k, v in sorted(args.items())
                 if k not in volatile and v is not None}
-        if args.command == "decompose":
-            report = cmd_decompose(problem, args.kind, echo)
-        elif args.command == "capacity":
-            report = cmd_capacity(problem, echo, args.budget)
-        elif args.command == "region":
-            report = cmd_region(problem, echo)
-        else:
-            report = cmd_simulate(problem, args.scheme, echo)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        report = args["run"](problem, echo)
     except MajorizationError as exc:
         print(f"infeasible: {exc} (violating prefix length {exc.prefix_index})",
               file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (DomainError, NotPSD) as exc:
+    except (InputError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    write_report(report, args.out)
-    if args.csv:
-        write_csv(report, args.csv)
+    write_report(report, args["out"])
+    if args.get("csv"):
+        write_csv(report, args["csv"])
     if report.get("within_bands") is False:
         print("simulation: at least one empirical value is outside its "
               "3-standard-error band", file=sys.stderr)

@@ -119,14 +119,14 @@ def _require_tall(a, name="matrix"):
         raise DomainError(f"{name} must have at least as many rows as columns")
 
 
-def require_unitary(q, name="matrix", atol=_UNITARY_ATOL):
-    """Validate that ``q`` is square and unitary within ``atol``."""
+def require_unitary(q, name="matrix"):
+    """Validate that ``q`` is square and unitary within ``_UNITARY_ATOL``."""
     q = _as_matrix(q, name)
     if q.shape[0] != q.shape[1]:
         raise DomainError(f"{name} must be square to be unitary")
     gram = q.conj().T @ q
-    if np.max(np.abs(gram - np.eye(q.shape[0]))) > atol:
-        raise DomainError(f"{name} is not unitary within {atol:g}")
+    if np.max(np.abs(gram - np.eye(q.shape[0]))) > _UNITARY_ATOL:
+        raise DomainError(f"{name} is not unitary within {_UNITARY_ATOL:g}")
     return q
 
 

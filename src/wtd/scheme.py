@@ -40,6 +40,8 @@ PRECODER_MODES = ("gsvd", "svd_eve", "svd_bob", "gmd_bob")
 _CHUNK = 1 << 14
 _KIND_SYMBOL = 0
 _KIND_NOISE = 1
+_LEAKAGE_BLOCKS = 10
+_ALPHA_OFFSET = 0.1
 
 
 @dataclass(frozen=True)
@@ -487,7 +489,7 @@ def simulate_sic(plan, h_b, samples, seed, genie=True):
     return _sinr_report("sic", samples, seed, genie, gain, sum_x, sum_r, plan.sinr)
 
 
-def simulate_leakage(plan, h_e, samples, seed, blocks=10):
+def simulate_leakage(plan, h_e, samples, seed):
     """Estimate the per-stream leakage of a wiretap plan at the eavesdropper.
 
     Computes the Gaussian conditional mutual information between each
@@ -508,7 +510,7 @@ def simulate_leakage(plan, h_e, samples, seed, blocks=10):
     f = h_e @ base.b_sqrt @ base.va
     # Each chunk is split into the block grid, so the batch-means standard
     # error exists even when everything fits in a single chunk.
-    blocks = max(2, min(blocks, samples // (10 * dim)))
+    blocks = max(2, min(_LEAKAGE_BLOCKS, samples // (10 * dim)))
 
     def worker(chunk_index, size):
         v = np.empty((dim, size), dtype=complex)
@@ -549,13 +551,13 @@ def simulate_leakage(plan, h_e, samples, seed, blocks=10):
         extras={"leakage_rel_error": rel})
 
 
-def simulate_dpc(plan, h_b, samples, seed, alpha_perturbation=0.1):
+def simulate_dpc(plan, h_b, samples, seed):
     """Check a DPC plan: presubtraction SINRs and the MMSE property of alpha.
 
     Interference known at the transmitter is ideally presubtracted, which
     must reproduce the genie-SIC SINRs ``b_k^2 - 1``; additionally the
     residual power of the auxiliary-variable estimate must be minimized at
-    ``alpha_k`` (bracket test against ``(1 +/- perturbation) alpha_k``).
+    ``alpha_k`` (bracket test against ``(1 +/- _ALPHA_OFFSET) alpha_k``).
     """
     samples = _check_samples(samples)
     h_b = np.asarray(h_b, dtype=complex)
@@ -572,8 +574,8 @@ def simulate_dpc(plan, h_b, samples, seed, alpha_perturbation=0.1):
                 - 2.0 * a * (1.0 - a) * np.real(diag_tt * sum_xw) / samples)
 
     at_alpha = residual_power(plan.alpha)
-    below = residual_power(plan.alpha * (1.0 - alpha_perturbation))
-    above = residual_power(plan.alpha * (1.0 + alpha_perturbation))
+    below = residual_power(plan.alpha * (1.0 - _ALPHA_OFFSET))
+    above = residual_power(plan.alpha * (1.0 + _ALPHA_OFFSET))
     active = plan.alpha > 1e-9
     bracket_ok = bool(np.all(at_alpha[active] < below[active])
                       and np.all(at_alpha[active] < above[active]))

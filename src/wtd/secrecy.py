@@ -30,6 +30,8 @@ LB_GSV_TOL = 1e-9
 STACK_CHUNK = 1024
 #: Refinement steps of the power search ranked as one speculative stack.
 _REFINE_BATCH = 8
+#: Largest GSV deviation ``verify_truncation`` accepts.
+_TRUNCATION_TOL = 1e-7
 
 
 def _as_square(k, name, stacked=False):
@@ -229,7 +231,7 @@ def secrecy_capacity_cov(h_b, h_e, kbar):
                          k_star=_hermitize(active @ _adjoint(active)))
 
 
-def verify_truncation(h_b, h_e, kbar, tol=1e-7):
+def verify_truncation(h_b, h_e, kbar):
     """Check that the optimal covariance clips the GSVs at 1.
 
     The GSVs under ``k_star`` must match those under the constraint for the
@@ -241,7 +243,7 @@ def verify_truncation(h_b, h_e, kbar, tol=1e-7):
     expected = np.where(np.arange(truncated.size) < res.lb, res.gsv, 1.0)
     deviation = float(np.max(np.abs(truncated - expected)))
     return TruncationReport(
-        ok=deviation <= tol,
+        ok=deviation <= _TRUNCATION_TOL,
         max_deviation=deviation,
         lb=res.lb,
         gsv_constraint=res.gsv,

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wtd import cli, secrecy
 
@@ -366,3 +367,153 @@ class TestSimulate:
         sim = read_report(out)["simulations"]["sic"]
         assert sim["samples"] == 9000
         assert sim["seed"] == 5
+
+
+# --------------------------------------------------------------- input boundary gate
+
+# Valid for every command; ``t`` ends in the product of the singular values of
+# GOLDEN_H_B, so ``gtd`` is feasible.
+GOLDEN_PROBLEM = {"h_b": GOLDEN_H_B, "h_e": GOLDEN_H_E, "kbar": "identity", "power": 2.0,
+                  "t": [1.0, 0.6281172263200553], "mode": "gsvd", "samples": 2000, "seed": 1}
+COMMANDS = [["capacity"], ["region"], ["decompose", "--kind", "gtd"],
+            ["decompose", "--kind", "gsvd"]] + [
+    ["simulate", "--scheme", s] for s in ("sic", "wiretap", "dpc", "broadcast")]
+# Each flag with the subcommands that take it.
+FLAG_COMMANDS = {
+    "samples": [c for c in COMMANDS if c[0] == "simulate"],
+    "mode": [c for c in COMMANDS if c[0] == "simulate"],
+    "seed": [["capacity"]] + [c for c in COMMANDS if c[0] == "simulate"],
+    "power": [["capacity"]],
+    "budget": [["capacity"]],
+}
+
+_NAN_INF = [float("nan"), float("inf"), -float("inf")]
+_NON_FINITE = _NAN_INF + [10 ** 400]
+_WRONG_TYPE = [None, True, False, "2", [], {}, [2], {"re": 1.0}]
+# Flag text with no digits: never an integer, and as a float only NaN or +-inf.
+_WORDS = st.text(alphabet="abcinfINFytxz _-.", max_size=8)
+
+
+def _bad_matrix():
+    """A malformed complex 2x2 matrix: wrong type, one bad entry, or ragged rows."""
+    def with_bad_entry(case):
+        i, j, pair = case
+        rows = [[[1.0, 0.0]] * 2 for _ in range(2)]
+        rows[i] = rows[i][:j] + [pair] + rows[i][j + 1:]
+        return rows
+
+    bad_pairs = [[x, 0.0] for x in _NON_FINITE] + [[True, 0.0], [1.0], [1.0, 2.0, 3.0], "1", None]
+    ragged = [[[1.0, 0.0]] * 2, [[1.0, 0.0]] * 3]
+    return st.one_of(
+        st.sampled_from(_WRONG_TYPE + [[[]], [[1.0, 0.0]], ragged]),
+        st.tuples(st.integers(0, 1), st.integers(0, 1),
+                  st.sampled_from(bad_pairs)).map(with_bad_entry))
+
+
+def _bad_count(minimum, maximum=None):
+    # Without a maximum (the seed) any large integer is valid.
+    above = [] if maximum is None else [st.integers(maximum + 1, 10 ** 20), st.just(10 ** 400)]
+    return st.one_of(st.sampled_from(_WRONG_TYPE + _NAN_INF + [1.5, 100.0]),
+                     st.integers(max_value=minimum - 1), *above)
+
+
+def _bad_count_text(minimum, maximum=None):
+    above = [] if maximum is None else [st.integers(maximum + 1, 10 ** 400).map(str)]
+    return st.one_of(_WORDS, st.floats().map(repr),
+                     st.integers(max_value=minimum - 1).map(str), *above)
+
+
+_BAD_MODES = st.one_of(st.sampled_from(["zf", "GSVD", "", "1"]),
+                       _WORDS.filter(lambda m: m not in cli.scheme.PRECODER_MODES))
+
+FIELD_VALUES = {
+    "h_b": _bad_matrix(),
+    # 'h_b' has two columns, so any other count is the wrong shape.
+    "h_e": st.one_of(_bad_matrix(), st.sampled_from([matrix(np.ones((2, 3))),
+                                                     matrix(np.ones((2, 1)))])),
+    "kbar": st.one_of(_bad_matrix(), st.sampled_from([
+        "eye", "", 1.0, True,
+        matrix(np.diag([1.0, -1.0])),                   # not PSD
+        matrix(np.array([[1.0, 1.0], [0.0, 1.0]])),     # not Hermitian
+        matrix(np.eye(3)), matrix(np.eye(1)), matrix(np.ones((2, 3)))])),
+    # A null power means no power search, so None is not malformed here.
+    "power": st.one_of(st.sampled_from([v for v in _WRONG_TYPE if v is not None]
+                                       + _NON_FINITE + [0, 0.0, -1.0]),
+                       st.floats(max_value=0.0)),
+    "t": st.one_of(st.sampled_from(_WRONG_TYPE),
+                   st.lists(st.floats(0.5, 4.0), max_size=5).filter(lambda t: len(t) != 2),
+                   st.tuples(st.integers(0, 1),
+                             st.sampled_from(_NON_FINITE + [0.0, -1.0, True, "1", None]))
+                   .map(lambda case: [case[1] if i == case[0] else 1.0 for i in range(2)])),
+    "mode": st.one_of(st.sampled_from(_WRONG_TYPE), _BAD_MODES),
+    "samples": _bad_count(1, cli.MAX_SAMPLES),
+    "seed": _bad_count(0),
+}
+FLAG_VALUES = {
+    "samples": _bad_count_text(1, cli.MAX_SAMPLES),
+    "seed": _bad_count_text(0),
+    "budget": _bad_count_text(1, cli.MAX_BUDGET),
+    "power": st.one_of(_WORDS, st.floats(max_value=0.0).map(repr),
+                       st.sampled_from(["1e400", "-1e400", str(10 ** 400), "Infinity"])),
+    "mode": _BAD_MODES,
+}
+
+
+def _field_case(name):
+    return st.tuples(FIELD_VALUES[name], st.sampled_from(COMMANDS)).map(
+        lambda case: (f"field '{name}'", {name: case[0]}, case[1]))
+
+
+def _flag_case(name):
+    # ``--flag=value`` keeps text that starts with '-' a value.
+    return st.tuples(FLAG_VALUES[name], st.sampled_from(FLAG_COMMANDS[name])).map(
+        lambda case: (f"flag '--{name}'", {}, case[1] + [f"--{name}={case[0]}"]))
+
+
+BAD_INPUTS = st.one_of(st.sampled_from(sorted(FIELD_VALUES)).flatmap(_field_case),
+                       st.sampled_from(sorted(FLAG_VALUES)).flatmap(_flag_case))
+
+
+class TestInputBoundary:
+    @settings(derandomize=True, deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=BAD_INPUTS)
+    def test_one_bad_input_exits_1_naming_it(self, tmp_path, capsys, monkeypatch, case):
+        def never(*args, **kwargs):
+            raise AssertionError("a run started on a malformed input")
+
+        for name in ("simulate_sic", "simulate_leakage", "simulate_dpc",
+                     "simulate_broadcast", "build_sic_plan", "build_wiretap_plan",
+                     "build_dpc_plan", "build_broadcast_plan"):
+            monkeypatch.setattr(cli.scheme, name, never)
+        monkeypatch.setattr(cli.secrecy, "power_constrained_capacity", never)
+        label, fields, argv = case
+        path = write_problem(tmp_path, **{**GOLDEN_PROBLEM, **fields})
+        capsys.readouterr()
+        assert run_cli(argv + ["--input", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and label in err, (case, err)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["simulate", "--scheme", "foo"], "--scheme"),
+        (["simulate"], "--scheme"),
+        (["decompose", "--kind", "lu"], "--kind"),
+        (["decompose"], "--kind"),
+        (["capacity", "--budget"], "--budget"),
+    ] + [([*command, flag, "1"], flag) for command, flags in [
+        (["decompose", "--kind", "qr"], ["--samples", "--seed", "--mode", "--csv", "--power"]),
+        (["region"], ["--samples", "--seed", "--mode", "--csv", "--budget"]),
+        (["capacity"], ["--samples", "--mode", "--scheme", "--kind"]),
+        (["simulate", "--scheme", "sic"], ["--power", "--budget", "--kind"]),
+    ] for flag in flags])
+    def test_parser_error_exits_1_naming_the_flag(self, tmp_path, capsys, argv, flag):
+        path = write_problem(tmp_path, **GOLDEN_PROBLEM)
+        assert run_cli(argv + ["--input", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+
+    def test_valid_golden_problem_runs(self, tmp_path):
+        path = write_problem(tmp_path, **GOLDEN_PROBLEM)
+        for command in COMMANDS:
+            out = str(tmp_path / "report.json")
+            assert run_cli(command + ["--input", path, "--out", out]) in (0, 3), command
