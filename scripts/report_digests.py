@@ -1,0 +1,109 @@
+"""Print a digest of every CLI report of a fixed set of invocations.
+
+Usage, from the root of a wtd checkout:
+
+    python3 scripts/report_digests.py ../parent-checkout > parent.txt
+    python3 scripts/report_digests.py . > change.txt
+    diff parent.txt change.txt
+
+The script writes three problem files to a temporary directory: the README
+problem with a feasible ``gtd`` target ``t``, a 4x3 / 2x3 problem with a
+random ``kbar``, and a 4x4 problem whose second receiver is a 5-antenna
+``h_c``.  On each it runs the 25 invocations below with the ``wtd`` package
+of ``CHECKOUT/src``, one process at a time: the six ``decompose`` kinds,
+``capacity`` without and with a power search, ``region``, and ``simulate``
+for every scheme and precoder mode.  It prints one line per invocation
+with its exit code and the sha256 (first 16 hex digits) of its stdout,
+its stderr and the CSV it wrote (``-`` for none).  Two checkouts whose
+outputs are identical give byte-identical reports, errors included, on
+all 75 runs.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+KINDS = ("qr", "ql", "svd", "gmd", "gtd", "gsvd")
+SCHEMES = ("sic", "wiretap", "dpc", "broadcast")
+MODES = ("gsvd", "svd_eve", "svd_bob", "gmd_bob")
+CSV = "streams.csv"
+
+
+def matrix(rows):
+    return [[[float(v.real), float(v.imag)] for v in row] for row in rows]
+
+
+def complex_gaussian(rng, rows, cols):
+    return (rng.standard_normal((rows, cols))
+            + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+
+
+def problems():
+    """The three problem files, by file name."""
+    rng = np.random.default_rng(2015)
+    f = complex_gaussian(rng, 3, 3)
+    return {
+        "readme.json": {
+            "h_b": [[[1.0, 0.5], [-0.25, 1.0]], [[0.5, -0.75], [1.25, 0.0]]],
+            "h_e": [[[0.5, 0.25], [0.75, -0.5]], [[-0.25, 0.5], [0.25, 0.25]]],
+            "kbar": "identity", "mode": "gsvd", "samples": 100000, "seed": 7,
+            "t": [1.0, 0.6281172263200553],
+        },
+        "kbar_4x3.json": {
+            "h_b": matrix(complex_gaussian(rng, 4, 3)),
+            "h_e": matrix(complex_gaussian(rng, 2, 3)),
+            "kbar": matrix(f @ f.conj().T), "samples": 20000, "seed": 3,
+        },
+        "h_c_4x4.json": {
+            "h_b": matrix(complex_gaussian(rng, 4, 4)),
+            "h_c": matrix(complex_gaussian(rng, 5, 4)),
+            "samples": 20000, "seed": 11,
+        },
+    }
+
+
+def invocations():
+    for kind in KINDS:
+        yield ["decompose", "--kind", kind]
+    yield ["capacity", "--csv", CSV]
+    yield ["capacity", "--csv", CSV, "--power", "2", "--budget", "120"]
+    yield ["region"]
+    for scheme in SCHEMES:
+        for mode in MODES:
+            yield ["simulate", "--scheme", scheme, "--mode", mode, "--csv", CSV]
+
+
+def digest(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkout", help="root of the wtd checkout to run")
+    src = Path(parser.parse_args(argv).checkout).resolve() / "src"
+    if not (src / "wtd").is_dir():
+        parser.error(f"no wtd package under {src}")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / CSV
+        for name, problem in problems().items():
+            (Path(tmp) / name).write_text(json.dumps(problem))
+            for args in invocations():
+                csv.unlink(missing_ok=True)
+                proc = subprocess.run([sys.executable, "-m", "wtd", *args, "--input", name],
+                                      cwd=tmp, env=env, capture_output=True)
+                written = digest(csv.read_bytes()) if csv.exists() else "-"
+                print(f"{name} {' '.join(args)}: exit {proc.returncode} "
+                      f"stdout {digest(proc.stdout)} stderr {digest(proc.stderr)} "
+                      f"csv {written}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

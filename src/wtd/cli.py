@@ -189,6 +189,8 @@ def load_problem(path, flags=None):
             problem[name] = check(value, f"field '{name}'")
         if flags and flags.get(name) is not None:
             problem[name] = check(_flag_value(flags[name]), f"flag '--{name}'")
+    if "h_e" in raw and "h_c" in raw:
+        raise InputError("field 'h_e' and field 'h_c' cannot both be given")
     problem["digest"] = hashlib.sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     return problem
@@ -274,7 +276,7 @@ def cmd_region(problem, args_echo):
     report = _report_skeleton("region", problem, args_echo)
     report["rb_max"] = region.rb_max
     report["rc_max"] = region.rc_max
-    report["gsv"] = vector_to_json(secrecy.channel_gsv(problem["h_b"], h_c, problem["kbar"]))
+    report["gsv"] = vector_to_json(region.gsv)
     return report
 
 
@@ -311,8 +313,9 @@ def cmd_simulate(problem, args_echo):
     sims = []
     if which == "sic":
         h_e = problem.get("h_other", np.zeros_like(h_b))
-        va = scheme.select_precoder(h_b, h_e, kbar, problem["mode"])
-        plan = scheme.build_sic_plan(h_b, kbar, va)
+        b = secrecy.matrix_sqrt(kbar)
+        va = scheme.select_precoder(h_b, h_e, b, problem["mode"])
+        plan = scheme.build_sic_plan(h_b, b, va)
         sim = scheme.simulate_sic(plan, h_b, samples, seed, genie=True)
         sims.append(("sic", sim))
         for i in range(plan.num_streams):
@@ -343,11 +346,11 @@ def cmd_simulate(problem, args_echo):
         plan = scheme.build_dpc_plan(h_b, h_e, kbar, mode=problem["mode"])
         sim = scheme.simulate_dpc(plan, h_b, samples, seed)
         sims.append(("dpc", sim))
-        for i in range(plan.base.base.num_streams):
+        for i in range(plan.base.num_streams):
             streams.append({
                 "index": i,
-                "b": float(plan.base.base.diag_b[i]),
-                "e": float(plan.base.diag_e[i]),
+                "b": float(plan.base.diag_b[i]),
+                "e": float(plan.diag_e[i]),
                 "alpha": float(plan.alpha[i]),
                 "rate_bits": float(plan.rates_bits[i]),
                 "rate_u_bits": float(plan.rates_u_bits[i]),

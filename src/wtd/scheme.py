@@ -89,10 +89,12 @@ class DpcPlan:
     ``rates_bits``, ``fictitious_rates_bits`` and ``rates_u_bits`` are the
     per-stream secret, fictitious, and auxiliary-codebook rates, computed
     from the Gaussian mutual informations of the auxiliary variables
-    ``u_k = t_kk x_k + alpha_k * (known interference)``.
+    ``u_k = t_kk x_k + alpha_k * (known interference)``.  ``base`` (the SIC
+    plan) and ``diag_e`` are those of the wiretap plan for the same mode.
     """
 
-    base: WiretapPlan
+    base: SicPlan
+    diag_e: np.ndarray
     alpha: np.ndarray
     rates_bits: np.ndarray
     fictitious_rates_bits: np.ndarray
@@ -101,7 +103,7 @@ class DpcPlan:
     @property
     def presubtraction_rows(self):
         """Strictly upper-triangular known-interference coefficients."""
-        return np.triu(self.base.base.t_tilde, 1)
+        return np.triu(self.base.t_tilde, 1)
 
 
 @dataclass(frozen=True)
@@ -150,18 +152,14 @@ class SimulationReport:
         return bool(ok)
 
 
-def select_precoder(h_b, h_e, k, mode):
+def select_precoder(h_b, h_e, b, mode):
     """Choose the right unitary precoder for a joint triangularization.
 
+    ``b`` is any square factor of the input covariance, ``b b' = K``.
     ``gsvd`` maximizes the diagonal ratios, ``svd_eve`` diagonalizes the
     eavesdropper's factor, ``svd_bob`` the legitimate one (no SIC needed),
     and ``gmd_bob`` equalizes the legitimate diagonal (no bit loading).
     """
-    return _select_precoder(h_b, h_e, matrix_sqrt(k), mode)
-
-
-def _select_precoder(h_b, h_e, b, mode):
-    # :func:`select_precoder` given the square root ``b`` of the covariance.
     if mode not in PRECODER_MODES:
         raise DomainError(f"unknown precoder mode {mode!r}; expected one of {PRECODER_MODES}")
     g_b = effective_mmse_matrix(h_b, b)
@@ -175,18 +173,13 @@ def _select_precoder(h_b, h_e, b, mode):
     return gmd(g_b).v
 
 
-def build_sic_plan(h_b, k, va):
-    """Layered-SIC plan for channel ``h_b`` under input covariance ``k``.
+def build_sic_plan(h_b, b, va):
+    """Layered-SIC plan for channel ``h_b`` under any covariance root ``b``, ``b b' = K``.
 
     Triangularizes the effective MMSE matrix with right factor ``va``; the
     per-stream SINRs satisfy ``1 + sinr_i = diag_b_i**2`` and the rates sum
     to the Gaussian mutual information of the link.
     """
-    return _build_sic_plan(h_b, matrix_sqrt(k), va)
-
-
-def _build_sic_plan(h_b, b, va):
-    # :func:`build_sic_plan` given the square root ``b`` of the covariance.
     h_b = np.asarray(h_b, dtype=complex)
     va = require_unitary(va, "precoder")
     g = effective_mmse_matrix(h_b, b)
@@ -220,9 +213,9 @@ def build_wiretap_plan(h_b, h_e, kbar, mode, epsilon=0.0):
     SIC plan.
     """
     b = matrix_sqrt(secrecy_capacity_cov(h_b, h_e, kbar).k_star)
-    va = _select_precoder(h_b, h_e, b, mode)
-    base = _build_sic_plan(h_b, b, va)
-    g_e = effective_mmse_matrix(np.asarray(h_e, dtype=complex), base.b_sqrt)
+    va = select_precoder(h_b, h_e, b, mode)
+    base = build_sic_plan(h_b, b, va)
+    g_e = effective_mmse_matrix(np.asarray(h_e, dtype=complex), b)
     diag_e = qr(g_e @ va).diagonal
     log_ratio = 2.0 * (np.log2(base.diag_b) - np.log2(diag_e))
     if mode == "svd_eve":
@@ -257,7 +250,7 @@ def _conditional_mi_bits(cov, idx_a, idx_b, idx_c):
             - logdet(idx_a + idx_b + idx_c) - logdet(idx_c)) / LN2
 
 
-def build_dpc_plan(h_b, h_e, kbar, mode="gsvd", epsilon=0.0):
+def build_dpc_plan(h_b, h_e, kbar, mode="gsvd"):
     """Layered-DPC plan; rates computed from Gaussian mutual informations.
 
     The auxiliary variable of stream k mixes the desired symbol with the
@@ -307,11 +300,9 @@ def build_dpc_plan(h_b, h_e, kbar, mode="gsvd", epsilon=0.0):
         tail = list(range(k + 1, n))
         fictitious[k] = _conditional_mi_bits(cov, [k], eav, tail)
         rates[k] = rates_u[k] - _conditional_mi_bits(cov, [k], eav + tail, [])
-    rates_u = np.maximum(rates_u - epsilon, 0.0)
-    fictitious = fictitious - epsilon
-    rates = np.maximum(rates - epsilon, 0.0)
-    return DpcPlan(base=wt, alpha=alpha, rates_bits=rates,
-                   fictitious_rates_bits=fictitious, rates_u_bits=rates_u)
+    return DpcPlan(base=base, diag_e=wt.diag_e, alpha=alpha,
+                   rates_bits=np.maximum(rates, 0.0), fictitious_rates_bits=fictitious,
+                   rates_u_bits=np.maximum(rates_u, 0.0))
 
 
 def build_broadcast_plan(h_b, h_c, kbar):
@@ -561,7 +552,7 @@ def simulate_dpc(plan, h_b, samples, seed):
     """
     samples = _check_samples(samples)
     h_b = np.asarray(h_b, dtype=complex)
-    sic = plan.base.base
+    sic = plan.base
     gain, sum_x, sum_w, sum_xw = _decode([_sic_receiver(sic, h_b)], sic.num_streams,
                                          samples, seed)
     diag_tt = np.diag(sic.t_tilde)

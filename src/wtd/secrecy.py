@@ -91,10 +91,11 @@ class SecrecyResult:
 
 @dataclass(frozen=True)
 class BroadcastRegion:
-    """Rectangular confidential-broadcast region ``[0, rb_max] x [0, rc_max]``."""
+    """Rectangular broadcast region ``[0, rb_max] x [0, rc_max]`` from the channel-pair ``gsv``."""
 
     rb_max: float
     rc_max: float
+    gsv: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -315,6 +316,7 @@ def broadcast_region(h_b, h_c, kbar):
     return BroadcastRegion(
         rb_max=float(np.sum(np.maximum(log_sq, 0.0))),
         rc_max=float(np.sum(np.maximum(-log_sq, 0.0))),
+        gsv=mu,
     )
 
 

@@ -175,7 +175,7 @@ def test_criterion_05_rate_identities():
         g_e = secrecy.effective_mmse_matrix(h_e, b)
         for _ in range(50):
             va = decomp.haar_unitary(n, rng)
-            plan = scheme.build_sic_plan(h_b, k, va)
+            plan = scheme.build_sic_plan(h_b, b, va)
             assert abs(np.sum(plan.rates_bits) - mi) <= 1e-8
             diag_e = decomp.qr(g_e @ va).diagonal
             total = 2.0 * np.sum(np.log2(plan.diag_b) - np.log2(diag_e))
@@ -219,10 +219,11 @@ def test_criterion_07_dpc_equivalence():
         h_b = cg(rng, int(rng.integers(n, 5)), n)
         h_e = cg(rng, int(rng.integers(n, 5)), n)
         plan = scheme.build_dpc_plan(h_b, h_e, np.eye(n))
+        wiretap = scheme.build_wiretap_plan(h_b, h_e, np.eye(n), "gsvd")
         assert np.max(np.abs(plan.rates_bits
-                             - plan.base.secret_rates_bits)) <= 1e-9
+                             - wiretap.secret_rates_bits)) <= 1e-9
         expected_alpha = np.maximum(
-            (plan.base.base.diag_b ** 2 - 1.0) / plan.base.base.diag_b ** 2, 0.0)
+            (plan.base.diag_b ** 2 - 1.0) / plan.base.diag_b ** 2, 0.0)
         assert np.max(np.abs(plan.alpha - expected_alpha)) <= 1e-12
         if i < 2:
             rep = scheme.simulate_dpc(plan, h_b, 50000, seed=700 + i)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from wtd import cli, secrecy
+from wtd import cli, scheme, secrecy
 
 GOLDEN_H_B = [[[1.0, 0.5], [-0.25, 1.0]], [[0.5, -0.75], [1.25, 0.0]]]
 GOLDEN_H_E = [[[0.5, 0.25], [0.75, -0.5]], [[-0.25, 0.5], [0.25, 0.25]]]
@@ -358,6 +358,31 @@ class TestSimulate:
         report = read_report(out)
         assert report["within_bands"] is False
 
+    def test_one_root_per_path(self, tmp_path, monkeypatch):
+        roots = []
+        matrix_sqrt = secrecy.matrix_sqrt
+
+        def counting(k):
+            roots.append(np.array(k))
+            return matrix_sqrt(k)
+
+        monkeypatch.setattr(secrecy, "matrix_sqrt", counting)
+        monkeypatch.setattr(scheme, "matrix_sqrt", counting)
+        # The sic path roots kbar twice: the input check and the plan.
+        path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E, samples=2000)
+        out = str(tmp_path / "report.json")
+        assert run_cli(["simulate", "--input", path, "--scheme", "sic", "--out", out]) == 0
+        assert len(roots) == 2
+        assert all(np.array_equal(k, np.eye(2)) for k in roots)
+        # A wiretap plan roots the constraint, then the optimal covariance.
+        h_b = np.array(GOLDEN_H_B) @ [1.0, 1j]
+        h_e = np.array(GOLDEN_H_E) @ [1.0, 1j]
+        k_star = secrecy.secrecy_capacity_cov(h_b, h_e, np.eye(2)).k_star
+        roots.clear()
+        scheme.build_wiretap_plan(h_b, h_e, np.eye(2), "gsvd")
+        assert len(roots) == 2
+        assert np.array_equal(roots[0], np.eye(2)) and np.array_equal(roots[1], k_star)
+
     def test_cli_flags_override_problem(self, tmp_path):
         path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E,
                              samples=100, seed=0)
@@ -431,6 +456,9 @@ FIELD_VALUES = {
     # 'h_b' has two columns, so any other count is the wrong shape.
     "h_e": st.one_of(_bad_matrix(), st.sampled_from([matrix(np.ones((2, 3))),
                                                      matrix(np.ones((2, 1)))])),
+    # Next to the golden 'h_e', any matrix, valid or not, is a bad 'h_c'.
+    "h_c": st.one_of(_bad_matrix(), st.sampled_from([GOLDEN_H_E, GOLDEN_H_B,
+                                                     matrix(np.ones((2, 3)))])),
     "kbar": st.one_of(_bad_matrix(), st.sampled_from([
         "eye", "", 1.0, True,
         matrix(np.diag([1.0, -1.0])),                   # not PSD
@@ -511,6 +539,15 @@ class TestInputBoundary:
         assert run_cli(argv + ["--input", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_h_e_and_h_c_together_rejected(self, tmp_path, capsys, command):
+        # Both name the second receiver, so neither may silently win.
+        path = write_problem(tmp_path, **GOLDEN_PROBLEM, h_c=GOLDEN_H_E)
+        assert run_cli(command + ["--input", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "field 'h_e'" in err and "field 'h_c'" in err
 
     def test_valid_golden_problem_runs(self, tmp_path):
         path = write_problem(tmp_path, **GOLDEN_PROBLEM)

@@ -325,7 +325,7 @@ class TestGsvdPrecoder:
             b = secrecy.matrix_sqrt(k)
             va = decomp.gsvd_triangular(secrecy.effective_mmse_matrix(h_b, b),
                                         secrecy.effective_mmse_matrix(h_e, b)).va
-            assert np.array_equal(scheme.select_precoder(h_b, h_e, k, "gsvd"), va)
+            assert np.array_equal(scheme.select_precoder(h_b, h_e, b, "gsvd"), va)
 
     def test_rank_deficient_first_matrix_rejected(self, rng):
         a1 = complex_gaussian(rng, 4, 3)

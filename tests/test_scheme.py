@@ -22,8 +22,8 @@ class TestSelectPrecoder:
     def test_svd_bob_diagonalizes(self, rng):
         h_b, h_e, kbar = wiretap_instance(rng)
         k = random_psd(rng, 3)
-        va = scheme.select_precoder(h_b, h_e, k, "svd_bob")
-        plan = scheme.build_sic_plan(h_b, k, va)
+        va = scheme.select_precoder(h_b, h_e, secrecy.matrix_sqrt(k), "svd_bob")
+        plan = scheme.build_sic_plan(h_b, secrecy.matrix_sqrt(k), va)
         g = secrecy.effective_mmse_matrix(h_b, plan.b_sqrt)
         t = decomp.qr(g @ va).t
         assert off_diagonal_mass(t) <= 1e-9
@@ -31,8 +31,8 @@ class TestSelectPrecoder:
     def test_gmd_bob_constant_diagonal(self, rng):
         h_b, h_e, _ = wiretap_instance(rng)
         k = random_psd(rng, 3)
-        va = scheme.select_precoder(h_b, h_e, k, "gmd_bob")
-        plan = scheme.build_sic_plan(h_b, k, va)
+        va = scheme.select_precoder(h_b, h_e, secrecy.matrix_sqrt(k), "gmd_bob")
+        plan = scheme.build_sic_plan(h_b, secrecy.matrix_sqrt(k), va)
         d = plan.diag_b
         assert d.max() / d.min() <= 1.0 + 1e-7
 
@@ -40,7 +40,7 @@ class TestSelectPrecoder:
         h_b, h_e, _ = wiretap_instance(rng)
         k = random_psd(rng, 3)
         b = secrecy.matrix_sqrt(k)
-        va = scheme.select_precoder(h_b, h_e, k, "svd_eve")
+        va = scheme.select_precoder(h_b, h_e, b, "svd_eve")
         g_e = secrecy.effective_mmse_matrix(h_e, b)
         t_e = decomp.qr(g_e @ va).t
         assert off_diagonal_mass(t_e) <= 1e-9
@@ -70,7 +70,7 @@ class TestBuildSicPlan:
         h_b = complex_gaussian(rng, 3, 3)
         k = random_psd(rng, 3)
         va = decomp.haar_unitary(3, rng)
-        plan = scheme.build_sic_plan(h_b, k, va)
+        plan = scheme.build_sic_plan(h_b, secrecy.matrix_sqrt(k), va)
         assert np.isclose(np.sum(plan.rates_bits), secrecy.gaussian_mi(h_b, k),
                           atol=1e-8)
 
@@ -79,7 +79,7 @@ class TestBuildSicPlan:
         h_b = complex_gaussian(rng, 4, 3)
         k = random_psd(rng, 3)
         va = decomp.haar_unitary(3, rng)
-        plan = scheme.build_sic_plan(h_b, k, va)
+        plan = scheme.build_sic_plan(h_b, secrecy.matrix_sqrt(k), va)
         g = secrecy.effective_mmse_matrix(h_b, plan.b_sqrt)
         t_top = decomp.qr(g @ va).t[:3, :3]
         expected = t_top - np.linalg.inv(t_top).conj().T
@@ -93,7 +93,7 @@ class TestBuildSicPlan:
         h_b = complex_gaussian(rng, 2, 3)
         k = random_psd(rng, 3)
         va = decomp.haar_unitary(3, rng)
-        plan = scheme.build_sic_plan(h_b, k, va)
+        plan = scheme.build_sic_plan(h_b, secrecy.matrix_sqrt(k), va)
         assert np.allclose(plan.diag_b ** 2, 1.0 + plan.sinr, atol=1e-9)
 
     def test_non_unitary_precoder_rejected(self, rng):
@@ -152,7 +152,7 @@ class TestBuildDpcPlan:
     def test_no_interference_mode(self, rng):
         h_b, h_e, kbar = wiretap_instance(rng)
         plan = scheme.build_dpc_plan(h_b, h_e, kbar, mode="svd_bob")
-        b = plan.base.base.diag_b
+        b = plan.base.diag_b
         assert np.allclose(plan.rates_u_bits, 2 * np.log2(b), atol=1e-9)
         assert np.max(np.abs(plan.presubtraction_rows)) <= 1e-9
 
@@ -160,16 +160,17 @@ class TestBuildDpcPlan:
         for _ in range(5):
             h_b, h_e, kbar = wiretap_instance(rng)
             plan = scheme.build_dpc_plan(h_b, h_e, kbar)
-            assert np.allclose(plan.rates_bits, plan.base.secret_rates_bits,
+            wiretap = scheme.build_wiretap_plan(h_b, h_e, kbar, "gsvd")
+            assert np.allclose(plan.rates_bits, wiretap.secret_rates_bits,
                                atol=1e-9)
             assert np.allclose(plan.fictitious_rates_bits,
-                               2 * np.log2(plan.base.diag_e), atol=1e-9)
+                               2 * np.log2(plan.diag_e), atol=1e-9)
 
     def test_auxiliary_rate_closed_form(self, rng):
         h_b, h_e, kbar = wiretap_instance(rng)
         plan = scheme.build_dpc_plan(h_b, h_e, kbar)
-        tt = plan.base.base.t_tilde
-        b = plan.base.base.diag_b
+        tt = plan.base.t_tilde
+        b = plan.base.diag_b
         q = np.array([np.sum(np.abs(tt[k, k + 1:]) ** 2) for k in range(b.size)])
         assert np.allclose(plan.rates_u_bits, np.log2(b ** 2 + q), atol=1e-9)
 
@@ -229,7 +230,7 @@ class TestSimulateSic:
         h_b = complex_gaussian(rng, 3, 3)
         k = random_psd(rng, 3)
         va = decomp.haar_unitary(3, rng)
-        plan = scheme.build_sic_plan(h_b, k, va)
+        plan = scheme.build_sic_plan(h_b, secrecy.matrix_sqrt(k), va)
         rep = scheme.simulate_sic(plan, h_b, 100000, seed=2, genie=True)
         active = plan.sinr > 1e-9
         assert np.all(rep.sinr_rel_error[active] <= 0.02)
@@ -369,7 +370,7 @@ class TestSimulateDpc:
         h_b, h_e, kbar = wiretap_instance(rng)
         plan = scheme.build_dpc_plan(h_b, h_e, kbar, mode="svd_bob")
         dpc = scheme.simulate_dpc(plan, h_b, 50000, seed=7)
-        sic = scheme.simulate_sic(plan.base.base, h_b, 50000, seed=7, genie=True)
+        sic = scheme.simulate_sic(plan.base, h_b, 50000, seed=7, genie=True)
         assert np.allclose(dpc.sinr_empirical, sic.sinr_empirical, rtol=1e-9)
 
     @pytest.mark.parametrize("mode", scheme.PRECODER_MODES)
@@ -378,9 +379,9 @@ class TestSimulateDpc:
         h_b, h_e, kbar = wiretap_instance(rng)
         plan = scheme.build_dpc_plan(h_b, h_e, kbar, mode=mode)
         dpc = scheme.simulate_dpc(plan, h_b, 40000, seed=7)
-        sic = scheme.simulate_sic(plan.base.base, h_b, 40000, seed=7, genie=True)
+        sic = scheme.simulate_sic(plan.base, h_b, 40000, seed=7, genie=True)
         assert np.array_equal(dpc.sinr_empirical, sic.sinr_empirical)
-        assert np.array_equal(dpc.sinr_analytic, plan.base.base.diag_b ** 2 - 1.0)
+        assert np.array_equal(dpc.sinr_analytic, plan.base.diag_b ** 2 - 1.0)
 
     def test_alpha_is_mmse_minimizer(self, rng):
         h_b, h_e, kbar = wiretap_instance(rng)

@@ -251,6 +251,13 @@ class TestBroadcastRegion:
                           secrecy.secrecy_capacity_cov(h_b, h_c, kbar).capacity_bits,
                           atol=1e-9)
 
+    def test_gsv_is_channel_gsv(self, rng):
+        h_b = complex_gaussian(rng, 3, 2)
+        h_c = complex_gaussian(rng, 2, 2)
+        kbar = random_psd(rng, 2)
+        region = secrecy.broadcast_region(h_b, h_c, kbar)
+        assert np.array_equal(region.gsv, secrecy.channel_gsv(h_b, h_c, kbar))
+
 
 class TestScalarCapacity:
     def test_direct_value(self):
