@@ -160,6 +160,7 @@ def load_problem(path, flags=None):
     other = "h_e" if "h_e" in raw else ("h_c" if "h_c" in raw else None)
     if other is not None:
         problem["h_other"] = parse_matrix(raw[other], other)
+        problem["other_field"] = other
         if problem["h_other"].shape[1] != n_a:
             raise InputError(f"field '{other}' must have {n_a} columns like 'h_b'")
     kbar = raw.get("kbar", "identity")
@@ -216,9 +217,17 @@ def _residual(actual, target):
     return float(np.linalg.norm(actual - target) / (denom if denom > 0 else 1.0))
 
 
+def _require_tall(matrix, field):
+    # Only the decompositions need a tall matrix; capacities and plans take a wide one.
+    if matrix.shape[0] < matrix.shape[1]:
+        raise InputError(f"field '{field}' must have at least as many rows as columns "
+                         "for decompose")
+    return matrix
+
+
 def cmd_decompose(problem, args_echo):
     kind = args_echo["kind"]
-    h = problem["h_b"]
+    h = _require_tall(problem["h_b"], "h_b")
     report = _report_skeleton("decompose", problem, args_echo)
     report["kind"] = kind
     if kind == "gtd" and "t" not in problem:
@@ -230,14 +239,14 @@ def cmd_decompose(problem, args_echo):
         report["diagonal"] = vector_to_json(fac.diagonal)
         report["reconstruction_residual"] = _residual(fac.reconstruct(), h)
         return report
-    other = _require_other(problem, "kind 'gsvd'")
-    jt = decomp.gsvd_triangular(h, other)
-    diag_form = decomp.gsvd_diagonal(h, other)
+    other = _require_tall(_require_other(problem, "kind 'gsvd'"), problem["other_field"])
+    # One GSVD kernel call gives the GSVs and both forms.
+    gsv, diag_form, jt = decomp._gsvd_forms(h, other)
     normalization = diag_form.l1.conj().T @ diag_form.l1 + diag_form.l2.conj().T @ diag_form.l2
     report["factors"] = {name: matrix_to_json(getattr(jt, name))
                          for name in ("u1", "u2", "va", "t1", "t2")}
     report["diag_ratios"] = vector_to_json(jt.diag_ratios)
-    report["gsv"] = vector_to_json(decomp.gsv_values(h, other))
+    report["gsv"] = vector_to_json(gsv)
     report["normalization_residual"] = _residual(
         normalization, np.eye(normalization.shape[0]))
     report["reconstruction_residual"] = max(

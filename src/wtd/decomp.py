@@ -130,19 +130,43 @@ def require_unitary(q, name="matrix"):
     return q
 
 
+def _diagonal_phases(d):
+    """Unit phases of ``d`` (1 where zero) and the diagonal ``|d conj(phases)|``."""
+    mag = np.abs(d)
+    phases = np.where(mag > 0.0, d / np.where(mag > 0.0, mag, 1.0), 1.0)
+    return phases, np.abs(d * phases.conj())
+
+
 def _positive_diagonal(u, t):
     """Rescale so diag(t) is real positive, absorbing phases into u columns."""
     u = u.copy()
     t = t.copy()
     k = min(t.shape)
-    d = np.diag(t)[:k]
-    phases = np.ones(k, dtype=complex)
-    nz = np.abs(d) > 0.0
-    phases[nz] = d[nz] / np.abs(d[nz])
+    # The stored diagonal is |d conj(d/|d|)|, not |d|: it is read off the
+    # diagonal after the phase fix (a view of t), and differs from |d| in the
+    # last bit on some inputs.
+    phases, diag = _diagonal_phases(np.diag(t)[:k])
     t[:k, :] *= phases.conj()[:, None]
     u[:, :k] *= phases[None, :]
-    t[np.arange(k), np.arange(k)] = np.abs(d)
+    t[np.arange(k), np.arange(k)] = diag
     return u, t
+
+
+def _check_rank(a, diag, name="matrix"):
+    # ||a||_2 <= ||a||_F: a diagonal above twice the bound at ||a||_F (inf or 0 never) passes.
+    with np.errstate(over="ignore"):
+        frobenius = np.linalg.norm(a, axis=(-2, -1))
+    if not (diag.min(axis=-1) > 2.0 * RANK_RTOL * frobenius).all():
+        _check_full_rank(diag, np.linalg.norm(a, 2, axis=(-2, -1)), name)
+
+
+def _qr_diagonal(a, complete=False):
+    """``qr(a).diagonal``, the phases ``qr(a).u`` puts on Q's columns, and Q if ``complete``."""
+    a = _as_matrix(a)
+    q, r = np.linalg.qr(a, mode="complete") if complete else (None, np.linalg.qr(a, mode="r"))
+    phases, diag = _diagonal_phases(np.diag(r))
+    _check_rank(a, diag)
+    return diag, phases, q
 
 
 def _check_full_rank(diag, scale, name="matrix"):
@@ -165,10 +189,9 @@ def qr(a):
     """
     a = _as_matrix(a)
     _require_tall(a)
-    u, t = np.linalg.qr(a, mode="complete")
-    u, t = _positive_diagonal(u, t)
+    u, t = _positive_diagonal(*np.linalg.qr(a, mode="complete"))
     t = np.triu(t)
-    _check_full_rank(np.real(np.diag(t)), np.linalg.norm(a, 2))
+    _check_rank(a, np.real(np.diag(t)))
     return GtdFactors(u=u, t=t, v=np.eye(a.shape[1], dtype=complex))
 
 
@@ -186,7 +209,7 @@ def ql(a):
     l[:n, :] = np.tril(r[:n, ::-1][::-1, :])
     u = np.concatenate([q[:, :n][:, ::-1], q[:, n:]], axis=1)
     u, l = _positive_diagonal(u, l)
-    _check_full_rank(np.real(np.diag(l)), np.linalg.norm(a, 2))
+    _check_rank(a, np.real(np.diag(l)))
     return QlFactors(u=u, l=l)
 
 
@@ -339,26 +362,28 @@ def _check_pair(a1, a2, stacked=False):
     return a1, a2
 
 
-def _gsvd_kernel(a1, a2):
+def _gsvd_kernel(a1, a2, left=False):
     """Paige-Saunders GSVD core: a QR of ``a2``, then an SVD of ``a1 R2^-1``.
 
     With ``a2 = Q2 [R2; 0]`` and ``a1 R2^-1 = U diag(mu) W'``, the pair is
     ``a1 = U diag(mu) W' R2`` and ``a2 = Q2[:, :n] W W' R2``.  No Gram matrix
     is formed, so the error grows with cond(R2), not its square.  Returns
-    ``(mu, U, Q2, W', R2)`` with ``mu`` non-increasing.
+    ``(mu, U, Q2, W', R2)`` with ``mu`` non-increasing.  Only ``left`` (the
+    diagonal form) computes the complete ``Q2`` and square ``U``; otherwise
+    ``Q2`` is None and ``U`` the thin one, from the triangular-only QR and the
+    thin SVD, which give the same ``R2``, ``mu`` and ``W'``.
 
     Both inputs may be ``(..., m, n)`` stacks of the same shape; every
     factor then gains the leading axes, and the rank check runs per pair.
-    The full SVD is taken even when only ``mu`` is used: on a stack, the
+    The SVD computes ``U`` even when only ``mu`` is used: on a stack, the
     values-only SVD differs from the per-pair call in the last bits.
     """
     n = a2.shape[-1]
-    q2, r2 = np.linalg.qr(a2, mode="complete")
+    q2, r2 = np.linalg.qr(a2, mode="complete") if left else (None, np.linalg.qr(a2, mode="r"))
     r2 = r2[..., :n, :]
-    _check_full_rank(np.abs(r2.diagonal(0, -2, -1)), np.linalg.norm(a2, 2, axis=(-2, -1)),
-                     "second matrix of the pair")
+    _check_rank(a2, np.abs(r2.diagonal(0, -2, -1)), "second matrix of the pair")
     c = np.linalg.solve(r2.swapaxes(-1, -2), a1.swapaxes(-1, -2)).swapaxes(-1, -2)
-    u, mu, wh = np.linalg.svd(c)
+    u, mu, wh = np.linalg.svd(c, full_matrices=left)
     return mu, u, q2, wh, r2
 
 
@@ -375,16 +400,14 @@ def gsv_values(a1, a2):
     return _gsvd_kernel(a1, a2)[0]
 
 
-def _gsvd_right_factor(a1, a2):
+def _gsvd_right_factor(a1, a2, left=False):
     """Kernel ``(mu, U, Q2, W', R2)`` of a checked full-column-rank pair, the
     scale ``sqrt(1 + mu^2)`` and the diagonal-form right factor ``x``."""
     a1, a2 = _check_pair(a1, a2)
     # Factors here carry strictly positive diagonals, so a rank-deficient
     # first matrix (a zero GSV) is rejected as well.
-    r1 = np.linalg.qr(a1, mode="r")
-    _check_full_rank(np.abs(np.diag(r1)), np.linalg.norm(a1, 2),
-                     "first matrix of the pair")
-    kernel = _gsvd_kernel(a1, a2)
+    _check_rank(a1, np.abs(np.diag(np.linalg.qr(a1, mode="r"))), "first matrix of the pair")
+    kernel = _gsvd_kernel(a1, a2, left)
     mu, _, _, wh, r2 = kernel
     scale = np.sqrt(1.0 + mu * mu)
     return kernel, scale, (wh @ r2).conj().T * scale[None, :]
@@ -392,19 +415,30 @@ def _gsvd_right_factor(a1, a2):
 
 def gsvd_diagonal(a1, a2):
     """Diagonal-form GSVD of a full-column-rank pair."""
-    (mu, u, q2, wh, _), scale, x = _gsvd_right_factor(a1, a2)
+    return _gsvd_forms(a1, a2)[1]
+
+
+def _gsvd_va(a1, a2):
+    # ``gsvd_triangular(a1, a2).va`` bit for bit, without the left factors.
+    return ql(_gsvd_right_factor(a1, a2)[2]).u
+
+
+def _gsvd_forms(a1, a2):
+    # The kernel's ``mu``, the diagonal form and the triangular form, from one
+    # kernel call; ``gsv`` of the diagonal form, ``(mu/s)/(1/s)``, is not ``mu``.
+    (mu, u, q2, wh, _), scale, x = _gsvd_right_factor(a1, a2, left=True)
     n = mu.size
     u2 = np.concatenate([q2[:, :n] @ wh.conj().T, q2[:, n:]], axis=1)
     l1 = np.zeros((u.shape[0], n), dtype=complex)
     l2 = np.zeros((q2.shape[0], n), dtype=complex)
     l1[np.arange(n), np.arange(n)] = mu / scale
     l2[np.arange(n), np.arange(n)] = 1.0 / scale
-    return GsvdDiagonalFactors(u1=u, u2=u2, x=x, l1=l1, l2=l2)
-
-
-def _gsvd_va(a1, a2):
-    # ``gsvd_triangular(a1, a2).va`` bit for bit, without the left factors.
-    return ql(_gsvd_right_factor(a1, a2)[2]).u
+    qlf = ql(x)
+    t_core = qlf.l.conj().T
+    core_diag = np.real(np.diag(t_core))
+    return mu, GsvdDiagonalFactors(u1=u, u2=u2, x=x, l1=l1, l2=l2), JointTriangularization(
+        u1=u, u2=u2, va=qlf.u, t1=l1 @ t_core, t2=l2 @ t_core,
+        diag1=np.real(np.diag(l1)) * core_diag, diag2=np.real(np.diag(l2)) * core_diag)
 
 
 def gsvd_triangular(a1, a2):
@@ -415,21 +449,7 @@ def gsvd_triangular(a1, a2):
     ``l_k @ l'`` are upper triangular, and their diagonal ratios are the
     diagonal ratios of ``l1`` over ``l2``.
     """
-    diag_form = gsvd_diagonal(a1, a2)
-    qlf = ql(diag_form.x)
-    t_core = qlf.l.conj().T
-    t1 = diag_form.l1 @ t_core
-    t2 = diag_form.l2 @ t_core
-    core_diag = np.real(np.diag(t_core))
-    return JointTriangularization(
-        u1=diag_form.u1,
-        u2=diag_form.u2,
-        va=qlf.u,
-        t1=t1,
-        t2=t2,
-        diag1=np.real(np.diag(diag_form.l1)) * core_diag,
-        diag2=np.real(np.diag(diag_form.l2)) * core_diag,
-    )
+    return _gsvd_forms(a1, a2)[2]
 
 
 def joint_triangularize(a1, a2, va):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomp import _gsvd_va, gmd, gsvd_triangular, qr, require_unitary, svd
+from .decomp import _gsvd_va, _qr_diagonal, gmd, gsvd_triangular, require_unitary, svd
 from .errors import DomainError, InsufficientSamples
 from .secrecy import (
     LB_GSV_TOL,
@@ -185,11 +185,11 @@ def build_sic_plan(h_b, b, va):
     g = effective_mmse_matrix(h_b, b)
     if va.shape[0] != g.shape[1]:
         raise DomainError("precoder dimension must match the transmit dimension")
-    fac = qr(g @ va)
+    # Only the diagonal and the top of ``qr(g @ va).u``; a thin Q flips signed zeros.
+    diag_b, phases, q = _qr_diagonal(g @ va, complete=True)
     n = g.shape[1]
     n_b = h_b.shape[0]
-    diag_b = fac.diagonal
-    u_tilde = fac.u[:n_b, :n]
+    u_tilde = q[:n_b, :n] * phases
     t_tilde = u_tilde.conj().T @ h_b @ b @ va
     noise_cov = u_tilde.conj().T @ u_tilde
     diag_tt = np.abs(np.diag(t_tilde))
@@ -216,7 +216,7 @@ def build_wiretap_plan(h_b, h_e, kbar, mode, epsilon=0.0):
     va = select_precoder(h_b, h_e, b, mode)
     base = build_sic_plan(h_b, b, va)
     g_e = effective_mmse_matrix(np.asarray(h_e, dtype=complex), b)
-    diag_e = qr(g_e @ va).diagonal
+    diag_e = _qr_diagonal(g_e @ va)[0]
     log_ratio = 2.0 * (np.log2(base.diag_b) - np.log2(diag_e))
     if mode == "svd_eve":
         secret = np.maximum(log_ratio - 2.0 * epsilon, 0.0)
@@ -228,23 +228,25 @@ def build_wiretap_plan(h_b, h_e, kbar, mode, epsilon=0.0):
                        fictitious_rates_bits=fictitious, mode=mode)
 
 
-def _conditional_mi_bits(cov, idx_a, idx_b, idx_c):
+def _conditional_mi_bits(cov, idx_a, idx_b, idx_c, memo=None):
     """I(a; b | c) in bits for circularly-symmetric Gaussians.
 
     Zero-variance coordinates are dropped (they carry no information but
-    would make the log-determinants singular).
+    would make the log-determinants singular).  A ``memo`` dict shared by
+    the calls on one ``cov`` computes each log-determinant once.
     """
     variances = np.real(np.diag(cov))
     scale = max(variances.max(), 1.0)
     alive = variances > 1e-15 * scale
+    memo = {} if memo is None else memo
 
     def logdet(indices):
-        indices = [i for i in indices if alive[i]]
-        if not indices:
-            return 0.0
-        sub = cov[np.ix_(indices, indices)]
-        _, value = np.linalg.slogdet((sub + sub.conj().T) / 2.0)
-        return value
+        # A tuple of a list: one of a generator grows the heap by megabytes.
+        key = tuple([i for i in indices if alive[i]])
+        if key and key not in memo:
+            sub = cov[np.ix_(key, key)]
+            memo[key] = np.linalg.slogdet((sub + sub.conj().T) / 2.0)[1]
+        return memo[key] if key else 0.0
 
     return (logdet(idx_a + idx_c) + logdet(idx_b + idx_c)
             - logdet(idx_a + idx_b + idx_c) - logdet(idx_c)) / LN2
@@ -286,6 +288,7 @@ def build_dpc_plan(h_b, h_e, kbar, mode="gsvd"):
     cov_uy = m @ tt.conj().T
 
     eav = list(range(n, n + n_e))
+    memo = {}
     rates_u = np.empty(n)
     fictitious = np.empty(n)
     rates = np.empty(n)
@@ -298,8 +301,8 @@ def build_dpc_plan(h_b, h_e, kbar, mode="gsvd"):
         else:
             rates_u[k] = float(np.log2(var_u * var_y / (var_u * var_y - cross)))
         tail = list(range(k + 1, n))
-        fictitious[k] = _conditional_mi_bits(cov, [k], eav, tail)
-        rates[k] = rates_u[k] - _conditional_mi_bits(cov, [k], eav + tail, [])
+        fictitious[k] = _conditional_mi_bits(cov, [k], eav, tail, memo)
+        rates[k] = rates_u[k] - _conditional_mi_bits(cov, [k], eav + tail, [], memo)
     return DpcPlan(base=base, diag_e=wt.diag_e, alpha=alpha,
                    rates_bits=np.maximum(rates, 0.0), fictitious_rates_bits=fictitious,
                    rates_u_bits=np.maximum(rates_u, 0.0))
@@ -428,7 +431,8 @@ def _decode(receivers, n, samples, seed, recon=None):
                 i = first + j
                 row = feedback[j]
                 # w is the cancelled observation, then its residual, in place.
-                # Scalars stay first and the cross sum keeps its form: both fix the bits.
+                # Scalars stay first and the cross sum multiplies conj(w) by x in
+                # ``tmp`` for every chunk length: both fix the bits.
                 w = yt[j]
                 w -= np.matmul(row[i + 1:], fed[i + 1:], out=tmp)
                 if recon is not None:
@@ -436,7 +440,7 @@ def _decode(receivers, n, samples, seed, recon=None):
                 w -= np.multiply(row[i], x[i], out=tmp)
                 power_x[i] = np.sum(np.square(np.abs(x[i], out=mag), out=mag))
                 power_w[i] = np.sum(np.square(np.abs(w, out=mag), out=mag))
-                cross_xw[i] = np.sum(x[i] * np.conj(w))
+                cross_xw[i] = np.sum(np.multiply(np.conj(w, out=tmp), x[i], out=tmp))
         return power_x, power_w, cross_xw
 
     gain = np.concatenate([np.abs(np.diag(feedback[:, first:])) ** 2
@@ -524,12 +528,12 @@ def simulate_leakage(plan, h_e, samples, seed):
     block_covs = [to_cov(*block) for block in zip(second, first, counts) if block[2] > 0]
 
     eav = list(range(n, dim))
+    covs = [(cov, {}) for cov in [total_cov] + block_covs]
     leak = np.empty(n)
     stderr = np.empty(n)
     for k in range(n):
         tail = list(range(k + 1, n))
-        leak[k] = _conditional_mi_bits(total_cov, [k], eav, tail)
-        values = [_conditional_mi_bits(cov, [k], eav, tail) for cov in block_covs]
+        leak[k], *values = [_conditional_mi_bits(cov, [k], eav, tail, memo) for cov, memo in covs]
         stderr[k] = np.std(values, ddof=1) / np.sqrt(len(values))
     expected = 2.0 * np.log2(plan.diag_e)
     rel = np.abs(leak - expected) / np.maximum(np.abs(expected), 1e-12)

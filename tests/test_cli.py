@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from wtd import cli, scheme, secrecy
+from wtd import cli, decomp, scheme, secrecy
 
 GOLDEN_H_B = [[[1.0, 0.5], [-0.25, 1.0]], [[0.5, -0.75], [1.25, 0.0]]]
 GOLDEN_H_E = [[[0.5, 0.25], [0.75, -0.5]], [[-0.25, 0.5], [0.25, 0.25]]]
@@ -215,6 +215,20 @@ class TestDecompose:
         assert report["reconstruction_residual"] <= 1e-9
         ratios = np.asarray(report["diag_ratios"])
         assert np.allclose(ratios, report["gsv"], rtol=1e-8)
+
+    def test_gsvd_report_runs_the_kernel_once(self, tmp_path, monkeypatch):
+        calls = []
+        kernel = decomp._gsvd_kernel
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(decomp, "_gsvd_kernel", counting)
+        path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E)
+        out = str(tmp_path / "report.json")
+        assert run_cli(["decompose", "--input", path, "--kind", "gsvd", "--out", out]) == 0
+        assert len(calls) == 1
 
     def test_qr_ql_svd_kinds(self, tmp_path):
         path = write_problem(tmp_path, h_b=GOLDEN_H_B)
@@ -548,6 +562,28 @@ class TestInputBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "field 'h_e'" in err and "field 'h_c'" in err
+
+    @pytest.mark.parametrize("kind", ["qr", "ql", "svd", "gmd", "gtd", "gsvd"])
+    def test_wide_h_b_under_decompose_names_it(self, tmp_path, capsys, kind):
+        path = write_problem(tmp_path, h_b=matrix(np.ones((2, 3))), h_e=matrix(np.eye(3)),
+                             t=[1.0, 1.0, 1.0])
+        assert run_cli(["decompose", "--kind", kind, "--input", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "field 'h_b'" in err
+
+    @pytest.mark.parametrize("other", ["h_e", "h_c"])
+    def test_wide_second_matrix_under_gsvd_names_it(self, tmp_path, capsys, other):
+        path = write_problem(tmp_path, h_b=GOLDEN_H_B, **{other: matrix(np.ones((1, 2)))})
+        assert run_cli(["decompose", "--kind", "gsvd", "--input", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"field '{other}'" in err
+
+    def test_wide_h_b_accepted_outside_decompose(self, tmp_path):
+        # Only the decompositions need a tall matrix.
+        path = write_problem(tmp_path, **{**GOLDEN_PROBLEM, "h_b": matrix(np.ones((1, 2)))})
+        for command in COMMANDS[:2] + COMMANDS[4:]:
+            out = str(tmp_path / "report.json")
+            assert run_cli(command + ["--input", path, "--out", out]) in (0, 3), command
 
     def test_valid_golden_problem_runs(self, tmp_path):
         path = write_problem(tmp_path, **GOLDEN_PROBLEM)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,75 @@ class TestQl:
         assert rel_residual(f.reconstruct(), a) <= 1e-9
         assert_unitary(f.u)
         assert np.all(f.diagonal > 0)
+
+
+def _two_norm_calls(monkeypatch):
+    """Record the 2-norms taken through ``np.linalg.norm`` from here on."""
+    calls = []
+    norm = np.linalg.norm
+
+    def counting(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            calls.append(np.shape(x))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    return calls
+
+
+def _diag_tall(d, scale=1.0):
+    # 3x2 with singular values ``scale`` and ``scale * d``: ||a||_2 = scale.
+    return scale * np.array([[1.0, 0.0], [0.0, d], [0.0, 0.0]])
+
+
+class TestRankCheck:
+    """The threshold is ``RANK_RTOL * ||a||_2``; the 2-norm is taken only
+    when the diagonal is not above twice the threshold at ``||a||_F``."""
+
+    def test_clear_margin_takes_no_two_norm(self, monkeypatch, rng):
+        calls = _two_norm_calls(monkeypatch)
+        decomp.qr(complex_gaussian(rng, 4, 3))
+        decomp.ql(complex_gaussian(rng, 4, 3))
+        decomp.gsv_values(np.stack([complex_gaussian(rng, 5, 3) for _ in range(6)]),
+                          np.stack([complex_gaussian(rng, 4, 3) for _ in range(6)]))
+        decomp.gsvd_triangular(complex_gaussian(rng, 5, 3), complex_gaussian(rng, 4, 3))
+        assert calls == []
+
+    @pytest.mark.parametrize("fn", [decomp.qr, decomp.ql])
+    def test_between_the_bounds_passes_on_the_two_norm(self, monkeypatch, fn):
+        # 1.5e-12 is above RANK_RTOL * ||a||_2 = 1e-12 but not above
+        # 2 RANK_RTOL ||a||_F, so only the 2-norm can pass it.
+        calls = _two_norm_calls(monkeypatch)
+        assert np.min(fn(_diag_tall(1.5e-12)).diagonal) > decomp.RANK_RTOL
+        assert calls == [(3, 2)]
+
+    @pytest.mark.parametrize("fn", [decomp.qr, decomp.ql])
+    @pytest.mark.parametrize("d", [1e-12, 5e-13])
+    def test_at_or_below_the_threshold_raises(self, fn, d):
+        with pytest.raises(RankDeficient) as info:
+            fn(_diag_tall(d))
+        assert str(info.value) == (f"matrix is rank deficient (diagonal {d:.3e} "
+                                   "vs threshold 1.000e-12)")
+
+    def test_stack_names_its_deficient_member(self, rng):
+        a2 = np.stack([_diag_tall(0.5), _diag_tall(1e-13, 3.0), _diag_tall(0.25, 5.0)])
+        with pytest.raises(RankDeficient) as info:
+            decomp.gsv_values(np.stack([complex_gaussian(rng, 4, 2) for _ in range(3)]), a2)
+        assert str(info.value) == ("second matrix of the pair is rank deficient "
+                                   "(diagonal 3.000e-13 vs threshold 3.000e-12)")
+
+    @pytest.mark.parametrize("d, deficient", [(0.5, False), (1e-13, True)])
+    def test_overflowing_frobenius_norm_takes_the_two_norm(self, monkeypatch, d, deficient):
+        # Entries near 1e200 overflow the Frobenius norm; no warning escapes.
+        calls = _two_norm_calls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if deficient:
+                with pytest.raises(RankDeficient, match="1.000e\\+187 vs threshold 1.000e\\+188"):
+                    decomp.qr(_diag_tall(d, 1e200))
+            else:
+                decomp.qr(_diag_tall(d, 1e200))
+        assert calls == [(3, 2)]
 
 
 class TestSvd:

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -552,3 +555,265 @@ class TestGoldenReports:
         assert (reports["broadcast_lb0"].extras["lb"], reports["broadcast_mixed"].extras["lb"],
                 reports["broadcast_lbn"].extras["lb"]) == (0, 2, 3)
         assert {name: _golden_fields(rep) for name, rep in reports.items()} == GOLDEN_REPORTS
+
+
+def _golden_plans():
+    """Capacity, plan and power-search results pinned by :class:`TestGoldenPlans`.
+
+    The problems are square at n = 2, 4 and 8 with a random ``kbar``, plus a
+    4x4 pair under a rank-1 ``kbar``.  Like the reports, the values come
+    from LAPACK, so another numpy or BLAS build may move their last bits.
+    """
+    rng = np.random.default_rng(9001)
+    results = {}
+    for n, rank in [(2, None), (4, None), (8, None), (4, 1)]:
+        h_b, h_e = complex_gaussian(rng, n, n), complex_gaussian(rng, n, n)
+        kbar = random_psd(rng, n, rank) / n
+        name = f"n{n}" if rank is None else f"n{n}_rank{rank}"
+        results[f"{name}_capacity"] = secrecy.secrecy_capacity_cov(h_b, h_e, kbar)
+        for mode in scheme.PRECODER_MODES:
+            results[f"{name}_wiretap_{mode}"] = scheme.build_wiretap_plan(h_b, h_e, kbar, mode)
+        results[f"{name}_dpc"] = scheme.build_dpc_plan(h_b, h_e, kbar)
+        results[f"{name}_broadcast"] = scheme.build_broadcast_plan(h_b, h_e, kbar)
+    results["n4_power"] = secrecy.power_constrained_capacity(
+        complex_gaussian(rng, 4, 4), complex_gaussian(rng, 3, 4), 2.0, budget=60, seed=5)
+    return results
+
+
+def _golden_digests(result, prefix=""):
+    """sha256 (first 16 hex digits) of the bytes of every field, nested plans flattened."""
+    out = {}
+    for item in dataclasses.fields(result):
+        value = getattr(result, item.name)
+        if dataclasses.is_dataclass(value):
+            out.update(_golden_digests(value, f"{prefix}{item.name}."))
+        else:
+            data = value.encode() if isinstance(value, str) else np.asarray(value).tobytes()
+            out[prefix + item.name] = hashlib.sha256(data).hexdigest()[:16]
+    return out
+
+
+#: Field digests of :func:`_golden_plans`, recorded before the capacity and
+#: plan paths stopped computing the factors they do not read.
+GOLDEN_PLANS = {
+    "n2_capacity": {
+        "gsv": "1439496734e55dc3", "lb": "7c9fa136d4413fa6",
+        "capacity_bits": "4dfaec4a6066d3c7", "k_star": "e00381e5e7bf6859",
+    },
+    "n2_wiretap_gsvd": {
+        "base.va": "1eec575752ce5e3d", "base.b_sqrt": "c18ea7527a88bf80",
+        "base.u_tilde": "ca7ef87c49d91427", "base.t_tilde": "95f841e264a1547a",
+        "base.diag_b": "5f682400af4f9781", "base.sinr": "f29e02edebbc1edb",
+        "base.rates_bits": "8f4f9b20cfa29383", "diag_e": "8d13706c7483c163",
+        "secret_rates_bits": "7d5ab64ccc339c71", "fictitious_rates_bits": "2e19fd48ae414b7f",
+        "mode": "ce714a5f246ce96c",
+    },
+    "n2_wiretap_svd_eve": {
+        "base.va": "d33c774fc887822d", "base.b_sqrt": "c18ea7527a88bf80",
+        "base.u_tilde": "1c9e5212108d810a", "base.t_tilde": "f96068acea36f06a",
+        "base.diag_b": "892dba61a51d5683", "base.sinr": "c2932e387110fd05",
+        "base.rates_bits": "c879ead03d962c86", "diag_e": "0fc071baecf1a712",
+        "secret_rates_bits": "35356b1ec53f2bdb", "fictitious_rates_bits": "b111478e3abfc667",
+        "mode": "c73ddb487405eaa4",
+    },
+    "n2_wiretap_svd_bob": {
+        "base.va": "8141b24303e65105", "base.b_sqrt": "c18ea7527a88bf80",
+        "base.u_tilde": "5ff537afe44ea5bf", "base.t_tilde": "abb112d0404bdaae",
+        "base.diag_b": "5f682400af4f9781", "base.sinr": "b9c569f43051b0ce",
+        "base.rates_bits": "8f4f9b20cfa29383", "diag_e": "8d13706c7483c163",
+        "secret_rates_bits": "7d5ab64ccc339c71", "fictitious_rates_bits": "2e19fd48ae414b7f",
+        "mode": "5d59e8d2fd898c63",
+    },
+    "n2_wiretap_gmd_bob": {
+        "base.va": "dcb934de6d4c9458", "base.b_sqrt": "c18ea7527a88bf80",
+        "base.u_tilde": "3572dbbfa31dd351", "base.t_tilde": "23a9dd8745cd8c1b",
+        "base.diag_b": "30662b9cb5542d21", "base.sinr": "7d41d2fd74a58606",
+        "base.rates_bits": "7ea084ab9e2ca00d", "diag_e": "872f8b006a4bb731",
+        "secret_rates_bits": "e2454d87809e5859", "fictitious_rates_bits": "8d13f0b6618962e5",
+        "mode": "31a090f4630fe02d",
+    },
+    "n2_dpc": {
+        "base.va": "1eec575752ce5e3d", "base.b_sqrt": "c18ea7527a88bf80",
+        "base.u_tilde": "ca7ef87c49d91427", "base.t_tilde": "95f841e264a1547a",
+        "base.diag_b": "5f682400af4f9781", "base.sinr": "f29e02edebbc1edb",
+        "base.rates_bits": "8f4f9b20cfa29383", "diag_e": "8d13706c7483c163",
+        "alpha": "35b01021fecb567a", "rates_bits": "2cad5de13aa1277a",
+        "fictitious_rates_bits": "d2056233ee77e0fc", "rates_u_bits": "c243c5b06efe52c5",
+    },
+    "n2_broadcast": {
+        "lb": "7c9fa136d4413fa6", "lc": "7c9fa136d4413fa6", "va": "f1e42fa886e6f1c2",
+        "b_sqrt": "8068cd47ce6fa401", "diag_b": "3507a7b66becd9f1",
+        "diag_c": "356b5390abf786e3", "bob_combiner": "9511d3510637a235",
+        "charlie_combiner": "e91871c0e46b8f07", "bob_feedback": "3123af147b1d334d",
+        "charlie_feedback": "05570a773da8fef9", "bob_rates_bits": "4dfaec4a6066d3c7",
+        "charlie_rates_bits": "f7195465f31a2a8e",
+    },
+    "n4_capacity": {
+        "gsv": "25a5eaa32f14075d", "lb": "d86e8112f3c4c444",
+        "capacity_bits": "6c2a5a61e9def542", "k_star": "49fbf045f49ca349",
+    },
+    "n4_wiretap_gsvd": {
+        "base.va": "58dc6475017c7a97", "base.b_sqrt": "e54d93374fdd6e01",
+        "base.u_tilde": "59c863e5942f92e7", "base.t_tilde": "621cb0361416a0da",
+        "base.diag_b": "e51d35a952ca3d4d", "base.sinr": "9fc792f86abfdf9f",
+        "base.rates_bits": "4108f0fd15261cad", "diag_e": "94e38a8aa42cb8d5",
+        "secret_rates_bits": "c4d8c759aed22df0", "fictitious_rates_bits": "6c0cb1ef92f06a26",
+        "mode": "ce714a5f246ce96c",
+    },
+    "n4_wiretap_svd_eve": {
+        "base.va": "f50f4486a4e31fb5", "base.b_sqrt": "e54d93374fdd6e01",
+        "base.u_tilde": "b13b1806e567e8ae", "base.t_tilde": "56e137998164cae2",
+        "base.diag_b": "6233361a4d8b089a", "base.sinr": "5f64eb083138388a",
+        "base.rates_bits": "a4b1f710dfccce4f", "diag_e": "037b3b9c0f90e964",
+        "secret_rates_bits": "1d18fb19dacec55b", "fictitious_rates_bits": "7feb0a402b25d974",
+        "mode": "c73ddb487405eaa4",
+    },
+    "n4_wiretap_svd_bob": {
+        "base.va": "745dfc6bd62816ce", "base.b_sqrt": "e54d93374fdd6e01",
+        "base.u_tilde": "229a6a009eb5449d", "base.t_tilde": "0b5e28e5fa823a28",
+        "base.diag_b": "de0376b93e7207e8", "base.sinr": "df1c6c39f6262f77",
+        "base.rates_bits": "98db1331768fe2e3", "diag_e": "3ed554b1efc2f259",
+        "secret_rates_bits": "bc39c4449f34a51f", "fictitious_rates_bits": "60aa4d0f34b0feff",
+        "mode": "5d59e8d2fd898c63",
+    },
+    "n4_wiretap_gmd_bob": {
+        "base.va": "728ae69464ec1c75", "base.b_sqrt": "e54d93374fdd6e01",
+        "base.u_tilde": "e2eda2681153ad6f", "base.t_tilde": "363c356e167f1366",
+        "base.diag_b": "55f459121b51eca4", "base.sinr": "fb4c1bf7a622dfe0",
+        "base.rates_bits": "1a265699af3b3ed4", "diag_e": "6eda3633d08ffae5",
+        "secret_rates_bits": "f4da7168a23b1d5b", "fictitious_rates_bits": "b60a2508025c57fd",
+        "mode": "31a090f4630fe02d",
+    },
+    "n4_dpc": {
+        "base.va": "58dc6475017c7a97", "base.b_sqrt": "e54d93374fdd6e01",
+        "base.u_tilde": "59c863e5942f92e7", "base.t_tilde": "621cb0361416a0da",
+        "base.diag_b": "e51d35a952ca3d4d", "base.sinr": "9fc792f86abfdf9f",
+        "base.rates_bits": "4108f0fd15261cad", "diag_e": "94e38a8aa42cb8d5",
+        "alpha": "5433d1e3b5461d3e", "rates_bits": "cf8299dbb69f1369",
+        "fictitious_rates_bits": "29b83f84d2be0b19", "rates_u_bits": "3066e54575060a61",
+    },
+    "n4_broadcast": {
+        "lb": "d86e8112f3c4c444", "lc": "d86e8112f3c4c444", "va": "e0dd6b07fdf14725",
+        "b_sqrt": "955d50ca6953993e", "diag_b": "6beb0dbcce79e617",
+        "diag_c": "eac078e62bc06e10", "bob_combiner": "9868d321ea80ba18",
+        "charlie_combiner": "3388095f9b791d77", "bob_feedback": "e6c0dbc38738de06",
+        "charlie_feedback": "3c7fc806c3df7e71", "bob_rates_bits": "92e35c1f31387dd0",
+        "charlie_rates_bits": "c1718eea9cfa53f3",
+    },
+    "n8_capacity": {
+        "gsv": "d9261c775f89c8a2", "lb": "35be322d094f9d15",
+        "capacity_bits": "d5ec263322feb780", "k_star": "2a9b73dacc0c6137",
+    },
+    "n8_wiretap_gsvd": {
+        "base.va": "e30e6b90f2a19a65", "base.b_sqrt": "3d38d569ec61bb85",
+        "base.u_tilde": "9ad965ad843de2ce", "base.t_tilde": "6f978e2a6ffb6ec3",
+        "base.diag_b": "89ffa18071d0f0a8", "base.sinr": "ab53613a0b56b3d6",
+        "base.rates_bits": "339c01818dcd7933", "diag_e": "ba2d17f6b64548bb",
+        "secret_rates_bits": "e6088b30fae0e655", "fictitious_rates_bits": "8e3d615872800a7f",
+        "mode": "ce714a5f246ce96c",
+    },
+    "n8_wiretap_svd_eve": {
+        "base.va": "9684aeeeab9e5041", "base.b_sqrt": "3d38d569ec61bb85",
+        "base.u_tilde": "3662428486f67a28", "base.t_tilde": "6691802dd14ccbb3",
+        "base.diag_b": "1deac7d0fd10e4b0", "base.sinr": "3d103d9ed595d9b8",
+        "base.rates_bits": "7e4f8e6a03b74695", "diag_e": "cff593d0a0c46cf8",
+        "secret_rates_bits": "a9769fed6c21fe1d", "fictitious_rates_bits": "3be710129fa686fa",
+        "mode": "c73ddb487405eaa4",
+    },
+    "n8_wiretap_svd_bob": {
+        "base.va": "6f75ed31cdba2085", "base.b_sqrt": "3d38d569ec61bb85",
+        "base.u_tilde": "9d7be69b61bfa6fa", "base.t_tilde": "225dfa0eadbaaa9a",
+        "base.diag_b": "e7c6ecd2c958f273", "base.sinr": "5215110854d6bd27",
+        "base.rates_bits": "30cbd53f4fd481d7", "diag_e": "494aee97da063dcb",
+        "secret_rates_bits": "e4de156939e77a81", "fictitious_rates_bits": "c057f0dcf057b793",
+        "mode": "5d59e8d2fd898c63",
+    },
+    "n8_wiretap_gmd_bob": {
+        "base.va": "113c17d4bd7ec953", "base.b_sqrt": "3d38d569ec61bb85",
+        "base.u_tilde": "c79c0e4ea16537b5", "base.t_tilde": "21777de833f3dcab",
+        "base.diag_b": "b072b95977914307", "base.sinr": "91cb4aec397b8767",
+        "base.rates_bits": "60835823691a758e", "diag_e": "45d740f89f722a6e",
+        "secret_rates_bits": "da814b6f59faad7e", "fictitious_rates_bits": "9c0a6718fdbabc56",
+        "mode": "31a090f4630fe02d",
+    },
+    "n8_dpc": {
+        "base.va": "e30e6b90f2a19a65", "base.b_sqrt": "3d38d569ec61bb85",
+        "base.u_tilde": "9ad965ad843de2ce", "base.t_tilde": "6f978e2a6ffb6ec3",
+        "base.diag_b": "89ffa18071d0f0a8", "base.sinr": "ab53613a0b56b3d6",
+        "base.rates_bits": "339c01818dcd7933", "diag_e": "ba2d17f6b64548bb",
+        "alpha": "93b9a08d84220e88", "rates_bits": "c58006d6d00f05bd",
+        "fictitious_rates_bits": "d3b1c4ea9ad69b4b", "rates_u_bits": "076921d608795a81",
+    },
+    "n8_broadcast": {
+        "lb": "35be322d094f9d15", "lc": "f13ee6ed54ea2aae", "va": "d6e17055533708be",
+        "b_sqrt": "787e32d6c3258428", "diag_b": "e471b888b11219a3",
+        "diag_c": "ff8dae65224432dc", "bob_combiner": "9f5f393a2e7e7039",
+        "charlie_combiner": "6d40a2d61aa9310f", "bob_feedback": "6a0279cf93f234c5",
+        "charlie_feedback": "5a3cb1235e2d8d02", "bob_rates_bits": "11679b65f3e3cc90",
+        "charlie_rates_bits": "845b025e37f33e1c",
+    },
+    "n4_rank1_capacity": {
+        "gsv": "8fe7f98bba311d52", "lb": "7c9fa136d4413fa6",
+        "capacity_bits": "588200f3e3b316dd", "k_star": "1329b537e4f7c3da",
+    },
+    "n4_rank1_wiretap_gsvd": {
+        "base.va": "e36119b966a7489f", "base.b_sqrt": "489c71ab01edbb6e",
+        "base.u_tilde": "b6e7c39b3100213e", "base.t_tilde": "13edf7cafb6b3b23",
+        "base.diag_b": "cd1a1f458098f520", "base.sinr": "fcbd34b92398e4a4",
+        "base.rates_bits": "11950f786f405ca5", "diag_e": "1f57138e49eb9806",
+        "secret_rates_bits": "5a86e07fcccb1d8b", "fictitious_rates_bits": "86b8c908eb891ecc",
+        "mode": "ce714a5f246ce96c",
+    },
+    "n4_rank1_wiretap_svd_eve": {
+        "base.va": "e5f17ddaaa7cbb44", "base.b_sqrt": "489c71ab01edbb6e",
+        "base.u_tilde": "0bf0eaf3bcc7d279", "base.t_tilde": "6881c83039c0dd59",
+        "base.diag_b": "4f74565e65adbb7f", "base.sinr": "8b119d9b0abf2474",
+        "base.rates_bits": "9483883afca03b22", "diag_e": "411a3acccf26e544",
+        "secret_rates_bits": "5a86e07fcccb1d8b", "fictitious_rates_bits": "17c811abe949b30f",
+        "mode": "c73ddb487405eaa4",
+    },
+    "n4_rank1_wiretap_svd_bob": {
+        "base.va": "0db09e47db5f6d6b", "base.b_sqrt": "489c71ab01edbb6e",
+        "base.u_tilde": "1710fd7893ea8f10", "base.t_tilde": "e3f0fdba9dbacf31",
+        "base.diag_b": "0487c1f54fb53d75", "base.sinr": "717b5abe11e7ca83",
+        "base.rates_bits": "f82d71fa3503f1b6", "diag_e": "13a02deab3b76ad7",
+        "secret_rates_bits": "e1079c0954a46ec6", "fictitious_rates_bits": "043a1e6873aea6d6",
+        "mode": "5d59e8d2fd898c63",
+    },
+    "n4_rank1_wiretap_gmd_bob": {
+        "base.va": "e790f094465cba73", "base.b_sqrt": "489c71ab01edbb6e",
+        "base.u_tilde": "7b3d909624119280", "base.t_tilde": "717ff708ade82c59",
+        "base.diag_b": "5738a5c87b7d7827", "base.sinr": "32244a2fa1c0e1b6",
+        "base.rates_bits": "c9febb3ab610f4d9", "diag_e": "22714ffe5f4fc1e9",
+        "secret_rates_bits": "c909fb81675df72a", "fictitious_rates_bits": "e642fbd895718378",
+        "mode": "31a090f4630fe02d",
+    },
+    "n4_rank1_dpc": {
+        "base.va": "e36119b966a7489f", "base.b_sqrt": "489c71ab01edbb6e",
+        "base.u_tilde": "b6e7c39b3100213e", "base.t_tilde": "13edf7cafb6b3b23",
+        "base.diag_b": "cd1a1f458098f520", "base.sinr": "fcbd34b92398e4a4",
+        "base.rates_bits": "11950f786f405ca5", "diag_e": "1f57138e49eb9806",
+        "alpha": "bb2853f1d9ea2c63", "rates_bits": "cb6bfd267993b907",
+        "fictitious_rates_bits": "edce2a9f7caba0d8", "rates_u_bits": "2b6aef91e580aeb2",
+    },
+    "n4_rank1_broadcast": {
+        "lb": "7c9fa136d4413fa6", "lc": "35be322d094f9d15", "va": "04ddefc2da67a3a8",
+        "b_sqrt": "32adeeda2fa124bf", "diag_b": "ea0f1f64d210b230",
+        "diag_c": "aca59f02184bfd54", "bob_combiner": "fd205eb61229bef3",
+        "charlie_combiner": "0aa0a2e8095560e7", "bob_feedback": "2eb942fd09792468",
+        "charlie_feedback": "42f8068c1a8c1543", "bob_rates_bits": "6843716cce0c86f7",
+        "charlie_rates_bits": "a9aad1bc1696afac",
+    },
+    "n4_power": {
+        "capacity_lower_bound": "52cbd6dd1ba32b65", "kbar": "9f36ffc267b5d39b",
+        "evaluations": "3fe8adee83a670dd",
+    },
+}
+
+
+class TestGoldenPlans:
+    def test_results_are_bit_identical(self):
+        results = _golden_plans()
+        assert [results[f"{n}_capacity"].lb for n in ("n2", "n4", "n8", "n4_rank1")] == [
+            1, 2, 3, 1]
+        assert {name: _golden_digests(res) for name, res in results.items()} == GOLDEN_PLANS
