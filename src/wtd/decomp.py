@@ -153,7 +153,7 @@ def _positive_diagonal(u, t):
 
 
 def _check_rank(a, diag, name="matrix"):
-    # ||a||_2 <= ||a||_F: a diagonal above twice the bound at ||a||_F (inf or 0 never) passes.
+    # ||a||_2 <= ||a||_F, so clearing twice the threshold at ||a||_F passes (an inf or 0 never).
     with np.errstate(over="ignore"):
         frobenius = np.linalg.norm(a, axis=(-2, -1))
     if not (diag.min(axis=-1) > 2.0 * RANK_RTOL * frobenius).all():

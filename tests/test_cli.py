@@ -581,7 +581,7 @@ class TestInputBoundary:
     def test_wide_h_b_accepted_outside_decompose(self, tmp_path):
         # Only the decompositions need a tall matrix.
         path = write_problem(tmp_path, **{**GOLDEN_PROBLEM, "h_b": matrix(np.ones((1, 2)))})
-        for command in COMMANDS[:2] + COMMANDS[4:]:
+        for command in [c for c in COMMANDS if c[0] != "decompose"]:
             out = str(tmp_path / "report.json")
             assert run_cli(command + ["--input", path, "--out", out]) in (0, 3), command
 
