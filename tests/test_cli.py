@@ -408,6 +408,46 @@ class TestSimulate:
         assert sim["seed"] == 5
 
 
+class TestStreamTables:
+    """Every report's ``streams`` rows carry exactly their command's columns."""
+
+    COLUMNS = {
+        ("capacity",): {"gsv", "rate_bits"},
+        ("simulate", "--scheme", "sic"): {"b", "sinr", "rate_bits"},
+        ("simulate", "--scheme", "wiretap"): {
+            "b", "e", "mu", "sinr", "secret_rate_bits", "fictitious_rate_bits"},
+        ("simulate", "--scheme", "dpc"): {"b", "e", "alpha", "rate_bits", "rate_u_bits"},
+        ("simulate", "--scheme", "broadcast"): {"user", "b", "c", "rate_bits"},
+    }
+
+    @pytest.mark.parametrize("args", sorted(COLUMNS))
+    def test_columns(self, tmp_path, args):
+        other = "h_c" if "broadcast" in args else "h_e"
+        path = write_problem(tmp_path, h_b=GOLDEN_H_B, **{other: GOLDEN_H_E}, samples=2000)
+        out = str(tmp_path / "report.json")
+        assert run_cli([*args, "--input", path, "--out", out]) == 0
+        rows = read_report(out)["streams"]
+        assert [row["index"] for row in rows] == [0, 1]
+        for row in rows:
+            assert set(row) == {"index"} | self.COLUMNS[args]
+            assert all(type(v) is float for k, v in row.items() if k not in ("index", "user"))
+
+    def test_broadcast_users_in_order(self, tmp_path):
+        # Parallel links: the first two streams favour bob, the third charlie.
+        path = write_problem(tmp_path, h_b=matrix(np.diag([3.0, 2.0, 0.1])),
+                             h_c=matrix(np.diag([0.1, 0.2, 2.0])), samples=2000)
+        out = str(tmp_path / "report.json")
+        assert run_cli(["simulate", "--scheme", "broadcast", "--input", path,
+                        "--out", out]) == 0
+        report = read_report(out)
+        rows = report["streams"]
+        assert [row["user"] for row in rows] == ["bob", "bob", "charlie"]
+        assert [row["index"] for row in rows] == [0, 1, 2]
+        assert np.isclose(sum(row["rate_bits"] for row in rows[:2]),
+                          report["bob_total_bits"], rtol=1e-12)
+        assert np.isclose(rows[2]["rate_bits"], report["charlie_total_bits"], rtol=1e-12)
+
+
 # --------------------------------------------------------------- input boundary gate
 
 # Valid for every command; ``t`` ends in the product of the singular values of
