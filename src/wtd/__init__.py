@@ -31,7 +31,6 @@ from .errors import (
 )
 from .secrecy import (
     BroadcastRegion,
-    CovarianceSpec,
     MonotonicityReport,
     PowerSearchResult,
     SecrecyResult,

@@ -255,6 +255,14 @@ def cmd_decompose(problem, args_echo):
     return report
 
 
+def _stream_rows(columns):
+    """Report rows ``{"index": i, name: column[i], ...}`` from equal-length
+    columns: float arrays, whose entries become floats, or lists of labels."""
+    size = len(next(iter(columns.values())))
+    return [{"index": i, **{name: col[i] if isinstance(col, list) else float(col[i])
+                            for name, col in columns.items()}} for i in range(size)]
+
+
 def cmd_capacity(problem, args_echo):
     budget = args_echo["budget"]
     h_e = _require_other(problem, "capacity")
@@ -263,10 +271,8 @@ def cmd_capacity(problem, args_echo):
     report["capacity_bits"] = result.capacity_bits
     report["lb"] = result.lb
     report["k_star"] = matrix_to_json(result.k_star)
-    report["streams"] = [
-        {"index": i, "gsv": float(mu), "rate_bits": float(max(2.0 * np.log2(mu), 0.0))}
-        for i, mu in enumerate(result.gsv)
-    ]
+    report["streams"] = _stream_rows(
+        {"gsv": result.gsv, "rate_bits": np.maximum(2.0 * np.log2(result.gsv), 0.0)})
     if "power" in problem:
         search = secrecy.power_constrained_capacity(
             problem["h_b"], h_e, problem["power"], budget=budget, seed=problem["seed"])
@@ -316,73 +322,41 @@ def cmd_simulate(problem, args_echo):
     kbar = problem["kbar"]
     samples = problem["samples"]
     seed = problem["seed"]
+    other = (problem.get("h_other", np.zeros_like(h_b)) if which == "sic"
+             else _require_other(problem, f"simulate {which}"))
     report = _report_skeleton("simulate", problem, args_echo)
     report["scheme"] = which
-    streams = []
-    sims = []
     if which == "sic":
-        h_e = problem.get("h_other", np.zeros_like(h_b))
         b = secrecy.matrix_sqrt(kbar)
-        va = scheme.select_precoder(h_b, h_e, b, problem["mode"])
-        plan = scheme.build_sic_plan(h_b, b, va)
-        sim = scheme.simulate_sic(plan, h_b, samples, seed, genie=True)
-        sims.append(("sic", sim))
-        for i in range(plan.num_streams):
-            streams.append({
-                "index": i, "b": float(plan.diag_b[i]),
-                "sinr": float(plan.sinr[i]), "rate_bits": float(plan.rates_bits[i]),
-            })
+        plan = scheme.build_sic_plan(h_b, b, scheme.select_precoder(h_b, other, b, problem["mode"]))
+        sims = {"sic": scheme.simulate_sic(plan, h_b, samples, seed, genie=True)}
+        columns = {"b": plan.diag_b, "sinr": plan.sinr, "rate_bits": plan.rates_bits}
     elif which == "wiretap":
-        h_e = _require_other(problem, "simulate wiretap")
-        plan = scheme.build_wiretap_plan(h_b, h_e, kbar, problem["mode"])
-        sim = scheme.simulate_sic(plan.base, h_b, samples, seed, genie=True)
-        leak = scheme.simulate_leakage(plan, h_e, samples, seed)
-        sims.append(("sic", sim))
-        sims.append(("leakage", leak))
-        for i in range(plan.base.num_streams):
-            streams.append({
-                "index": i,
-                "b": float(plan.base.diag_b[i]),
-                "e": float(plan.diag_e[i]),
-                "mu": float(plan.base.diag_b[i] / plan.diag_e[i]),
-                "sinr": float(plan.base.sinr[i]),
-                "secret_rate_bits": float(plan.secret_rates_bits[i]),
-                "fictitious_rate_bits": float(plan.fictitious_rates_bits[i]),
-            })
+        plan = scheme.build_wiretap_plan(h_b, other, kbar, problem["mode"])
+        sims = {"sic": scheme.simulate_sic(plan.base, h_b, samples, seed, genie=True),
+                "leakage": scheme.simulate_leakage(plan, other, samples, seed)}
+        columns = {"mu": plan.base.diag_b / plan.diag_e, "sinr": plan.base.sinr,
+                   "secret_rate_bits": plan.secret_rates_bits,
+                   "fictitious_rate_bits": plan.fictitious_rates_bits}
         report["total_secret_rate_bits"] = float(np.sum(plan.secret_rates_bits))
     elif which == "dpc":
-        h_e = _require_other(problem, "simulate dpc")
-        plan = scheme.build_dpc_plan(h_b, h_e, kbar, mode=problem["mode"])
-        sim = scheme.simulate_dpc(plan, h_b, samples, seed)
-        sims.append(("dpc", sim))
-        for i in range(plan.base.num_streams):
-            streams.append({
-                "index": i,
-                "b": float(plan.base.diag_b[i]),
-                "e": float(plan.diag_e[i]),
-                "alpha": float(plan.alpha[i]),
-                "rate_bits": float(plan.rates_bits[i]),
-                "rate_u_bits": float(plan.rates_u_bits[i]),
-            })
+        plan = scheme.build_dpc_plan(h_b, other, kbar, mode=problem["mode"])
+        sims = {"dpc": scheme.simulate_dpc(plan, h_b, samples, seed)}
+        columns = {"alpha": plan.alpha, "rate_bits": plan.rates_bits,
+                   "rate_u_bits": plan.rates_u_bits}
     else:
-        h_c = _require_other(problem, "simulate broadcast")
-        plan = scheme.build_broadcast_plan(h_b, h_c, kbar)
-        sim = scheme.simulate_broadcast(plan, h_b, h_c, samples, seed)
-        sims.append(("broadcast", sim))
-        for i in range(plan.diag_b.size):
-            streams.append({
-                "index": i,
-                "user": "bob" if i < plan.lb else "charlie",
-                "b": float(plan.diag_b[i]),
-                "c": float(plan.diag_c[i]),
-                "rate_bits": float(plan.bob_rates_bits[i] if i < plan.lb
-                                   else plan.charlie_rates_bits[i - plan.lb]),
-            })
+        plan = scheme.build_broadcast_plan(h_b, other, kbar)
+        sims = {"broadcast": scheme.simulate_broadcast(plan, h_b, other, samples, seed)}
+        columns = {"user": ["bob"] * plan.lb + ["charlie"] * plan.lc,
+                   "b": plan.diag_b, "c": plan.diag_c,
+                   "rate_bits": np.concatenate([plan.bob_rates_bits, plan.charlie_rates_bits])}
         report["bob_total_bits"] = float(np.sum(plan.bob_rates_bits))
         report["charlie_total_bits"] = float(np.sum(plan.charlie_rates_bits))
-    report["streams"] = streams
-    report["simulations"] = {name: _simulation_json(sim) for name, sim in sims}
-    report["within_bands"] = all(sim.within_bands() for _, sim in sims)
+    if which in ("wiretap", "dpc"):
+        columns.update(b=plan.base.diag_b, e=plan.diag_e)
+    report["streams"] = _stream_rows(columns)
+    report["simulations"] = {name: _simulation_json(sim) for name, sim in sims.items()}
+    report["within_bands"] = all(sim.within_bands() for sim in sims.values())
     return report
 
 

@@ -201,31 +201,22 @@ def build_sic_plan(h_b, b, va):
                    diag_b=diag_b, sinr=sinr, rates_bits=rates)
 
 
-def build_wiretap_plan(h_b, h_e, kbar, mode, epsilon=0.0):
+def build_wiretap_plan(h_b, h_e, kbar, mode):
     """Wiretap plan under constraint ``kbar`` with the chosen precoder mode.
 
     Uses the optimal covariance for the constraint, so the per-stream
     diagonal ratios never fall below 1 and the secret rates sum to the
-    secrecy capacity for every mode.  ``epsilon`` is the rate back-off per
-    stream (doubled in ``svd_eve`` mode, where the fictitious rate runs
-    above the eavesdropper MI instead of below).  The square root of the
-    optimal covariance is taken once and shared by the precoder and the
-    SIC plan.
+    secrecy capacity for every mode.  The square root of the optimal
+    covariance is taken once and shared by the precoder and the SIC plan.
     """
     b = matrix_sqrt(secrecy_capacity_cov(h_b, h_e, kbar).k_star)
     va = select_precoder(h_b, h_e, b, mode)
     base = build_sic_plan(h_b, b, va)
     g_e = effective_mmse_matrix(np.asarray(h_e, dtype=complex), b)
     diag_e = _qr_diagonal(g_e @ va)[0]
-    log_ratio = 2.0 * (np.log2(base.diag_b) - np.log2(diag_e))
-    if mode == "svd_eve":
-        secret = np.maximum(log_ratio - 2.0 * epsilon, 0.0)
-        fictitious = 2.0 * np.log2(diag_e) + epsilon
-    else:
-        secret = np.maximum(log_ratio - epsilon, 0.0)
-        fictitious = 2.0 * np.log2(diag_e) - epsilon
+    secret = np.maximum(2.0 * (np.log2(base.diag_b) - np.log2(diag_e)), 0.0)
     return WiretapPlan(base=base, diag_e=diag_e, secret_rates_bits=secret,
-                       fictitious_rates_bits=fictitious, mode=mode)
+                       fictitious_rates_bits=2.0 * np.log2(diag_e), mode=mode)
 
 
 def _conditional_mi_bits(cov, idx_a, idx_b, idx_c, memo=None):

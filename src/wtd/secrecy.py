@@ -53,28 +53,6 @@ def _hermitize(k):
 
 
 @dataclass(frozen=True)
-class CovarianceSpec:
-    """Input covariance ``k`` with an optional constraining matrix ``kbar``.
-
-    Both must be Hermitian PSD; when ``kbar`` is present, ``k`` must sit
-    below it in the semidefinite order (within a small slack).
-    """
-
-    k: np.ndarray
-    kbar: np.ndarray | None = None
-
-    def validate(self):
-        matrix_sqrt(self.k)
-        if self.kbar is not None:
-            matrix_sqrt(self.kbar)
-            gap = np.linalg.eigvalsh(_hermitize(np.asarray(self.kbar) - np.asarray(self.k)))
-            if gap.min() < -1e-8:
-                raise DomainError("covariance exceeds its constraint "
-                                  f"(eigenvalue gap {gap.min():.3e})")
-        return self
-
-
-@dataclass(frozen=True)
 class SecrecyResult:
     """Secrecy capacity under a covariance constraint.
 

@@ -136,16 +136,6 @@ class TestBuildWiretapPlan:
         assert np.allclose(pairs[:, 0], plan.base.diag_b ** 2 - 1.0)
         assert np.allclose(pairs[:, 1], plan.diag_e ** 2 - 1.0)
 
-    def test_epsilon_backoff(self, rng):
-        h_b, h_e, kbar = wiretap_instance(rng)
-        nominal = scheme.build_wiretap_plan(h_b, h_e, kbar, "svd_eve")
-        backed = scheme.build_wiretap_plan(h_b, h_e, kbar, "svd_eve", epsilon=0.01)
-        active = nominal.secret_rates_bits > 0.05
-        assert np.allclose(backed.secret_rates_bits[active],
-                           nominal.secret_rates_bits[active] - 0.02, atol=1e-10)
-        assert np.allclose(backed.fictitious_rates_bits,
-                           nominal.fictitious_rates_bits + 0.01, atol=1e-10)
-
 
 class TestBuildDpcPlan:
     def test_alpha_zero_for_unit_gain(self):
