@@ -114,7 +114,11 @@ def matrix_sqrt(k):
     Eigenvalues in ``[-tol, 0)`` are clamped to zero and anything lower
     raises :class:`NotPSD`, where ``tol = max(1e-10, 16 eps max|lambda|)``
     grows with the matrix: the eigenvalues of a large covariance carry
-    rounding of about ``eps max|lambda|``.  ``k`` may also be a
+    rounding of about ``eps max|lambda|``.  For the same reason eigenvalues
+    in ``(0, 16 eps max|lambda|]`` are zeroed too: they are the rounding of
+    null directions, and their roots would put power where a rank-deficient
+    ``k`` has none.  This positive window is relative only, so a small
+    full-rank ``k`` such as ``1e-12 I`` keeps its root.  ``k`` may also be a
     ``(..., n, n)`` stack: every matrix gets the same finite, Hermitian and
     PSD checks and its own clamp (one bad matrix fails the call, and the
     first one is named), and each root equals the one of its own call bit
@@ -134,7 +138,7 @@ def matrix_sqrt(k):
         if (low < -tol).any():
             i = np.argmax(low < -tol)
             raise NotPSD(f"covariance has eigenvalue {low.flat[i]:.3e} < -{tol.flat[i]:g}")
-    w = np.clip(w, 0.0, None)
+    w = np.where(w <= _PSD_EIG_RTOL * np.abs(w).max(axis=-1, keepdims=True), 0.0, w)
     return (q * np.sqrt(w)[..., None, :]) @ _adjoint(q)
 
 

@@ -471,46 +471,49 @@ def _golden_fields(rep):
 
 
 #: ``float.hex`` of the fields, recorded before the decoder ran on reused buffers.
+#: The wiretap and DPC reports, whose plans root a rank-deficient optimal
+#: covariance, were re-recorded when ``matrix_sqrt`` began zeroing
+#: rounding-level eigenvalues.
 GOLDEN_REPORTS = {
     "sic_genie": {
         "sinr_empirical": [
-            "0x1.b7a5e92a72ff7p+1", "0x1.6cb462d7b7b42p+1", "0x1.a4da473e542c5p-53",
+            "0x1.b7a5e92a73000p+1", "0x1.6cb462d7ba279p+1", "0x1.e5da7e7aa5622p-92",
         ],
-        "sinr_stderr": ["0x1.8dec8cf3b7a32p-6", "0x1.4a17cbbf26614p-6", "0x1.7ce98ed81783cp-60"],
-        "mi_bits": ["0x1.05facb2f8720dp+2"],
+        "sinr_stderr": ["0x1.8dec8cf3b7a3ap-6", "0x1.4a17cbbf28992p-6", "0x1.b7be8fe0f030ep-99"],
+        "mi_bits": ["0x1.05facb2f87968p+2"],
     },
     "sic_decided": {
         "sinr_empirical": [
-            "0x1.37c02525dcd1bp+1", "0x1.6cb462d7b416bp+1", "0x1.a4da473e542c5p-53",
+            "0x1.37c0252601d59p+1", "0x1.6cb462d7ba27bp+1", "0x1.e5da7e7aa5622p-92",
         ],
-        "sinr_stderr": ["0x1.1a2a1650aec62p-6", "0x1.4a17cbbf231bap-6", "0x1.7ce98ed81783cp-60"],
-        "mi_bits": ["0x1.dcd0c29b49351p+1"],
+        "sinr_stderr": ["0x1.1a2a1650d046bp-6", "0x1.4a17cbbf28994p-6", "0x1.b7be8fe0f030ep-99"],
+        "mi_bits": ["0x1.dcd0c29b5b064p+1"],
     },
     "leakage": {
         "sinr_empirical": [
-            "0x1.b54d661ec09a6p+1", "0x1.6c348a314cb1fp+1", "0x1.a311eee95d505p-53",
+            "0x1.b54d661ec09b0p+1", "0x1.6c348a314cb19p+1", "0x1.e2cfa5642d4fbp-92",
         ],
         "sinr_stderr": ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"],
-        "mi_bits": ["0x1.02eceb5262b87p+1"],
-        "leakage_bits": ["0x1.ed9a93d806f30p-2", "0x1.8a6ca767a76c5p+0", "0x1.a291c711f679fp-14"],
+        "mi_bits": ["0x1.02eceb5240072p+1"],
+        "leakage_bits": ["0x1.ed9a93d7fecb6p-2", "0x1.8a6ca767981cep+0", "0x1.a291ba0f9d2f9p-14"],
         "leakage_stderr": [
-            "0x1.086d71ba5e3c2p-8", "0x1.b9f6fcf0f219fp-8", "0x1.f80fe0c1d3544p-13",
+            "0x1.086d71b9cec47p-8", "0x1.b9f6fcfeb55a1p-8", "0x1.f80fce3d2fd63p-13",
         ],
     },
     "dpc": {
         "sinr_empirical": [
-            "0x1.b7a5e92a72ff7p+1", "0x1.6cb462d7b7b42p+1", "0x1.a4da473e542c5p-53",
+            "0x1.b7a5e92a73000p+1", "0x1.6cb462d7ba279p+1", "0x1.e5da7e7aa5622p-92",
         ],
-        "sinr_stderr": ["0x1.8dec8cf3b7a32p-6", "0x1.4a17cbbf26614p-6", "0x1.7ce98ed81783cp-60"],
-        "mi_bits": ["0x1.05facb2f8720dp+2"],
+        "sinr_stderr": ["0x1.8dec8cf3b7a3ap-6", "0x1.4a17cbbf28992p-6", "0x1.b7be8fe0f030ep-99"],
+        "mi_bits": ["0x1.05facb2f87968p+2"],
         "alpha_residual": [
-            "0x1.33af4c8b229a7p-1", "0x1.19137a76f29f3p-1", "0x1.5845917bbfb64p-105",
+            "0x1.33af4c8b24e67p-1", "0x1.19137a76e5f3dp-1", "0x1.c2ce1bfb5b4e9p-183",
         ],
         "alpha_residual_below": [
-            "0x1.3e96260bbecccp-1", "0x1.213dcca28c42cp-1", "0x1.5845917bbfb64p-105",
+            "0x1.3e96260bc192dp-1", "0x1.213dcca27e18ap-1", "0x1.c2ce1bfb5b4e9p-183",
         ],
         "alpha_residual_above": [
-            "0x1.3dc91f812c28bp-1", "0x1.20d281e7b5974p-1", "0x1.5845917bbfb64p-105",
+            "0x1.3dc91f812dd29p-1", "0x1.20d281e7ab07dp-1", "0x1.c2ce1bfb5b4e9p-183",
         ],
     },
     "broadcast_lb0": {
@@ -584,51 +587,54 @@ def _golden_digests(result, prefix=""):
 
 
 #: Field digests of :func:`_golden_plans`, recorded before the capacity and
-#: plan paths stopped computing the factors they do not read.
+#: plan paths stopped computing the factors they do not read.  Every wiretap
+#: and DPC plan (they root a rank-deficient optimal covariance) and every
+#: result of the rank-1 problem were re-recorded when ``matrix_sqrt`` began
+#: zeroing rounding-level eigenvalues.
 GOLDEN_PLANS = {
     "n2_capacity": {
         "gsv": "1439496734e55dc3", "lb": "7c9fa136d4413fa6",
         "capacity_bits": "4dfaec4a6066d3c7", "k_star": "e00381e5e7bf6859",
     },
     "n2_wiretap_gsvd": {
-        "base.va": "1eec575752ce5e3d", "base.b_sqrt": "c18ea7527a88bf80",
-        "base.u_tilde": "ca7ef87c49d91427", "base.t_tilde": "95f841e264a1547a",
-        "base.diag_b": "5f682400af4f9781", "base.sinr": "f29e02edebbc1edb",
-        "base.rates_bits": "8f4f9b20cfa29383", "diag_e": "8d13706c7483c163",
-        "secret_rates_bits": "7d5ab64ccc339c71", "fictitious_rates_bits": "2e19fd48ae414b7f",
+        "base.va": "afedca6d26d5fe81", "base.b_sqrt": "f66257a77d5beddc",
+        "base.u_tilde": "a53f0231c3e7d4cb", "base.t_tilde": "3cdad73e1b722353",
+        "base.diag_b": "5f682400af4f9781", "base.sinr": "812ec53bea05867e",
+        "base.rates_bits": "8f4f9b20cfa29383", "diag_e": "797a145cd8a77f73",
+        "secret_rates_bits": "9601f62437f4e225", "fictitious_rates_bits": "0e133b705a4edea1",
         "mode": "ce714a5f246ce96c",
     },
     "n2_wiretap_svd_eve": {
-        "base.va": "d33c774fc887822d", "base.b_sqrt": "c18ea7527a88bf80",
-        "base.u_tilde": "1c9e5212108d810a", "base.t_tilde": "f96068acea36f06a",
-        "base.diag_b": "892dba61a51d5683", "base.sinr": "c2932e387110fd05",
-        "base.rates_bits": "c879ead03d962c86", "diag_e": "0fc071baecf1a712",
-        "secret_rates_bits": "35356b1ec53f2bdb", "fictitious_rates_bits": "b111478e3abfc667",
+        "base.va": "141fe53bae36fc4a", "base.b_sqrt": "f66257a77d5beddc",
+        "base.u_tilde": "f0edd4ed2fd9823b", "base.t_tilde": "eb1614de1c41c17b",
+        "base.diag_b": "c387dc0b6e17e281", "base.sinr": "2595697693b7f193",
+        "base.rates_bits": "d2979ce72ebd55d6", "diag_e": "0fc071baecf1a712",
+        "secret_rates_bits": "2cad5de13aa1277a", "fictitious_rates_bits": "b111478e3abfc667",
         "mode": "c73ddb487405eaa4",
     },
     "n2_wiretap_svd_bob": {
-        "base.va": "8141b24303e65105", "base.b_sqrt": "c18ea7527a88bf80",
-        "base.u_tilde": "5ff537afe44ea5bf", "base.t_tilde": "abb112d0404bdaae",
-        "base.diag_b": "5f682400af4f9781", "base.sinr": "b9c569f43051b0ce",
-        "base.rates_bits": "8f4f9b20cfa29383", "diag_e": "8d13706c7483c163",
-        "secret_rates_bits": "7d5ab64ccc339c71", "fictitious_rates_bits": "2e19fd48ae414b7f",
+        "base.va": "70a0b2ed16ca00de", "base.b_sqrt": "f66257a77d5beddc",
+        "base.u_tilde": "f6ff3a86b6b2fb53", "base.t_tilde": "6aea58e414bf20ae",
+        "base.diag_b": "c387dc0b6e17e281", "base.sinr": "cd46c0c0c1131757",
+        "base.rates_bits": "d2979ce72ebd55d6", "diag_e": "0fc071baecf1a712",
+        "secret_rates_bits": "2cad5de13aa1277a", "fictitious_rates_bits": "b111478e3abfc667",
         "mode": "5d59e8d2fd898c63",
     },
     "n2_wiretap_gmd_bob": {
-        "base.va": "dcb934de6d4c9458", "base.b_sqrt": "c18ea7527a88bf80",
-        "base.u_tilde": "3572dbbfa31dd351", "base.t_tilde": "23a9dd8745cd8c1b",
-        "base.diag_b": "30662b9cb5542d21", "base.sinr": "7d41d2fd74a58606",
-        "base.rates_bits": "7ea084ab9e2ca00d", "diag_e": "872f8b006a4bb731",
-        "secret_rates_bits": "e2454d87809e5859", "fictitious_rates_bits": "8d13f0b6618962e5",
+        "base.va": "0166dafd2e45ef66", "base.b_sqrt": "f66257a77d5beddc",
+        "base.u_tilde": "8c566617656ace15", "base.t_tilde": "44709fdfa37ae67c",
+        "base.diag_b": "59a47890ee592f4a", "base.sinr": "7c86490650c3427c",
+        "base.rates_bits": "7c397cb7165ac99b", "diag_e": "9649240443f93ca8",
+        "secret_rates_bits": "abd81cb4def4dfbf", "fictitious_rates_bits": "a768192b0c11bcad",
         "mode": "31a090f4630fe02d",
     },
     "n2_dpc": {
-        "base.va": "1eec575752ce5e3d", "base.b_sqrt": "c18ea7527a88bf80",
-        "base.u_tilde": "ca7ef87c49d91427", "base.t_tilde": "95f841e264a1547a",
-        "base.diag_b": "5f682400af4f9781", "base.sinr": "f29e02edebbc1edb",
-        "base.rates_bits": "8f4f9b20cfa29383", "diag_e": "8d13706c7483c163",
-        "alpha": "35b01021fecb567a", "rates_bits": "2cad5de13aa1277a",
-        "fictitious_rates_bits": "d2056233ee77e0fc", "rates_u_bits": "c243c5b06efe52c5",
+        "base.va": "afedca6d26d5fe81", "base.b_sqrt": "f66257a77d5beddc",
+        "base.u_tilde": "a53f0231c3e7d4cb", "base.t_tilde": "3cdad73e1b722353",
+        "base.diag_b": "5f682400af4f9781", "base.sinr": "812ec53bea05867e",
+        "base.rates_bits": "8f4f9b20cfa29383", "diag_e": "797a145cd8a77f73",
+        "alpha": "35b01021fecb567a", "rates_bits": "ca8a43efa1942080",
+        "fictitious_rates_bits": "d2056233ee77e0fc", "rates_u_bits": "38cd73c1737536db",
     },
     "n2_broadcast": {
         "lb": "7c9fa136d4413fa6", "lc": "7c9fa136d4413fa6", "va": "f1e42fa886e6f1c2",
@@ -643,44 +649,44 @@ GOLDEN_PLANS = {
         "capacity_bits": "6c2a5a61e9def542", "k_star": "49fbf045f49ca349",
     },
     "n4_wiretap_gsvd": {
-        "base.va": "58dc6475017c7a97", "base.b_sqrt": "e54d93374fdd6e01",
-        "base.u_tilde": "59c863e5942f92e7", "base.t_tilde": "621cb0361416a0da",
-        "base.diag_b": "e51d35a952ca3d4d", "base.sinr": "9fc792f86abfdf9f",
-        "base.rates_bits": "4108f0fd15261cad", "diag_e": "94e38a8aa42cb8d5",
-        "secret_rates_bits": "c4d8c759aed22df0", "fictitious_rates_bits": "6c0cb1ef92f06a26",
+        "base.va": "1ed300a8e39087bf", "base.b_sqrt": "025d91df7f5cb053",
+        "base.u_tilde": "4a077a3a06863606", "base.t_tilde": "a60e432ef49cac4f",
+        "base.diag_b": "065ff6bddeafa9a9", "base.sinr": "cae3dd56109d49ec",
+        "base.rates_bits": "01b5d2221b54ae86", "diag_e": "86b1e82353154679",
+        "secret_rates_bits": "8cc8d165fdc97881", "fictitious_rates_bits": "810a1b2d36b19546",
         "mode": "ce714a5f246ce96c",
     },
     "n4_wiretap_svd_eve": {
-        "base.va": "f50f4486a4e31fb5", "base.b_sqrt": "e54d93374fdd6e01",
-        "base.u_tilde": "b13b1806e567e8ae", "base.t_tilde": "56e137998164cae2",
-        "base.diag_b": "6233361a4d8b089a", "base.sinr": "5f64eb083138388a",
-        "base.rates_bits": "a4b1f710dfccce4f", "diag_e": "037b3b9c0f90e964",
-        "secret_rates_bits": "1d18fb19dacec55b", "fictitious_rates_bits": "7feb0a402b25d974",
+        "base.va": "ab54255f7a770331", "base.b_sqrt": "025d91df7f5cb053",
+        "base.u_tilde": "bf94f55804441ee1", "base.t_tilde": "4db299c7e828b543",
+        "base.diag_b": "d7e95acd3f3a783d", "base.sinr": "3f32735e4d16ffc0",
+        "base.rates_bits": "aa949bf9cce9f100", "diag_e": "bf8f6b208f6885c4",
+        "secret_rates_bits": "f0cecd4fa25c449b", "fictitious_rates_bits": "40618832f8bb8480",
         "mode": "c73ddb487405eaa4",
     },
     "n4_wiretap_svd_bob": {
-        "base.va": "745dfc6bd62816ce", "base.b_sqrt": "e54d93374fdd6e01",
-        "base.u_tilde": "229a6a009eb5449d", "base.t_tilde": "0b5e28e5fa823a28",
-        "base.diag_b": "de0376b93e7207e8", "base.sinr": "df1c6c39f6262f77",
-        "base.rates_bits": "98db1331768fe2e3", "diag_e": "3ed554b1efc2f259",
-        "secret_rates_bits": "bc39c4449f34a51f", "fictitious_rates_bits": "60aa4d0f34b0feff",
+        "base.va": "456bbf787f2370e6", "base.b_sqrt": "025d91df7f5cb053",
+        "base.u_tilde": "b8b1761df4206d02", "base.t_tilde": "9f064e94cde6180c",
+        "base.diag_b": "a2adc4fe8fe7f541", "base.sinr": "15c8202ce1d9b416",
+        "base.rates_bits": "fb92c99377047452", "diag_e": "3ede42f711e55fe2",
+        "secret_rates_bits": "f7010bc240ceca1d", "fictitious_rates_bits": "c8712a6d5fd94d39",
         "mode": "5d59e8d2fd898c63",
     },
     "n4_wiretap_gmd_bob": {
-        "base.va": "728ae69464ec1c75", "base.b_sqrt": "e54d93374fdd6e01",
-        "base.u_tilde": "e2eda2681153ad6f", "base.t_tilde": "363c356e167f1366",
-        "base.diag_b": "55f459121b51eca4", "base.sinr": "fb4c1bf7a622dfe0",
-        "base.rates_bits": "1a265699af3b3ed4", "diag_e": "6eda3633d08ffae5",
-        "secret_rates_bits": "f4da7168a23b1d5b", "fictitious_rates_bits": "b60a2508025c57fd",
+        "base.va": "4a02ca3da15ae5ee", "base.b_sqrt": "025d91df7f5cb053",
+        "base.u_tilde": "f30035cad9b77e38", "base.t_tilde": "869e59268550e8f4",
+        "base.diag_b": "6feaab1d8449267a", "base.sinr": "b9c7c93294950355",
+        "base.rates_bits": "067c01b75f96d786", "diag_e": "58f9789aa590c98a",
+        "secret_rates_bits": "01210ee3dac4db26", "fictitious_rates_bits": "7ccb9b865bfe7ba9",
         "mode": "31a090f4630fe02d",
     },
     "n4_dpc": {
-        "base.va": "58dc6475017c7a97", "base.b_sqrt": "e54d93374fdd6e01",
-        "base.u_tilde": "59c863e5942f92e7", "base.t_tilde": "621cb0361416a0da",
-        "base.diag_b": "e51d35a952ca3d4d", "base.sinr": "9fc792f86abfdf9f",
-        "base.rates_bits": "4108f0fd15261cad", "diag_e": "94e38a8aa42cb8d5",
-        "alpha": "5433d1e3b5461d3e", "rates_bits": "cf8299dbb69f1369",
-        "fictitious_rates_bits": "29b83f84d2be0b19", "rates_u_bits": "3066e54575060a61",
+        "base.va": "1ed300a8e39087bf", "base.b_sqrt": "025d91df7f5cb053",
+        "base.u_tilde": "4a077a3a06863606", "base.t_tilde": "a60e432ef49cac4f",
+        "base.diag_b": "065ff6bddeafa9a9", "base.sinr": "cae3dd56109d49ec",
+        "base.rates_bits": "01b5d2221b54ae86", "diag_e": "86b1e82353154679",
+        "alpha": "9240eea70cbff3bb", "rates_bits": "160b54a03eaa168d",
+        "fictitious_rates_bits": "4e4de2c5a6c36ca5", "rates_u_bits": "55240e7225dbb42b",
     },
     "n4_broadcast": {
         "lb": "d86e8112f3c4c444", "lc": "d86e8112f3c4c444", "va": "e0dd6b07fdf14725",
@@ -695,44 +701,44 @@ GOLDEN_PLANS = {
         "capacity_bits": "d5ec263322feb780", "k_star": "2a9b73dacc0c6137",
     },
     "n8_wiretap_gsvd": {
-        "base.va": "e30e6b90f2a19a65", "base.b_sqrt": "3d38d569ec61bb85",
-        "base.u_tilde": "9ad965ad843de2ce", "base.t_tilde": "6f978e2a6ffb6ec3",
-        "base.diag_b": "89ffa18071d0f0a8", "base.sinr": "ab53613a0b56b3d6",
-        "base.rates_bits": "339c01818dcd7933", "diag_e": "ba2d17f6b64548bb",
-        "secret_rates_bits": "e6088b30fae0e655", "fictitious_rates_bits": "8e3d615872800a7f",
+        "base.va": "3898d61000894fd1", "base.b_sqrt": "e8789d07a27c12d0",
+        "base.u_tilde": "ef5e37570e84be84", "base.t_tilde": "acbec141a911bf0e",
+        "base.diag_b": "23cde9398ed09f32", "base.sinr": "5498d95e016ba627",
+        "base.rates_bits": "9e5a778f15ebebf6", "diag_e": "42ffc79bf945709c",
+        "secret_rates_bits": "1e3f81eac854d101", "fictitious_rates_bits": "8931990b6f2060a1",
         "mode": "ce714a5f246ce96c",
     },
     "n8_wiretap_svd_eve": {
-        "base.va": "9684aeeeab9e5041", "base.b_sqrt": "3d38d569ec61bb85",
-        "base.u_tilde": "3662428486f67a28", "base.t_tilde": "6691802dd14ccbb3",
-        "base.diag_b": "1deac7d0fd10e4b0", "base.sinr": "3d103d9ed595d9b8",
-        "base.rates_bits": "7e4f8e6a03b74695", "diag_e": "cff593d0a0c46cf8",
-        "secret_rates_bits": "a9769fed6c21fe1d", "fictitious_rates_bits": "3be710129fa686fa",
+        "base.va": "bc5d394ab4ab4cde", "base.b_sqrt": "e8789d07a27c12d0",
+        "base.u_tilde": "9dfc5fcc5e8ed11f", "base.t_tilde": "a390b1fb66450755",
+        "base.diag_b": "99151cc549dfa671", "base.sinr": "94431a0d4d000915",
+        "base.rates_bits": "16cb324bbca30c02", "diag_e": "75cb85ff403838e7",
+        "secret_rates_bits": "8ca679bc7120a2fd", "fictitious_rates_bits": "a69e03acec33cf7d",
         "mode": "c73ddb487405eaa4",
     },
     "n8_wiretap_svd_bob": {
-        "base.va": "6f75ed31cdba2085", "base.b_sqrt": "3d38d569ec61bb85",
-        "base.u_tilde": "9d7be69b61bfa6fa", "base.t_tilde": "225dfa0eadbaaa9a",
-        "base.diag_b": "e7c6ecd2c958f273", "base.sinr": "5215110854d6bd27",
-        "base.rates_bits": "30cbd53f4fd481d7", "diag_e": "494aee97da063dcb",
-        "secret_rates_bits": "e4de156939e77a81", "fictitious_rates_bits": "c057f0dcf057b793",
+        "base.va": "39ea6ec58b7e619e", "base.b_sqrt": "e8789d07a27c12d0",
+        "base.u_tilde": "40e37d43b7bb8972", "base.t_tilde": "e92f2648637418b8",
+        "base.diag_b": "dece19287e86eb12", "base.sinr": "dbc568fc3f7386fe",
+        "base.rates_bits": "336777ff62e2b1ba", "diag_e": "e628732b897bcd88",
+        "secret_rates_bits": "0ed6c735fa92feda", "fictitious_rates_bits": "315a326e7ba0ca19",
         "mode": "5d59e8d2fd898c63",
     },
     "n8_wiretap_gmd_bob": {
-        "base.va": "113c17d4bd7ec953", "base.b_sqrt": "3d38d569ec61bb85",
-        "base.u_tilde": "c79c0e4ea16537b5", "base.t_tilde": "21777de833f3dcab",
-        "base.diag_b": "b072b95977914307", "base.sinr": "91cb4aec397b8767",
-        "base.rates_bits": "60835823691a758e", "diag_e": "45d740f89f722a6e",
-        "secret_rates_bits": "da814b6f59faad7e", "fictitious_rates_bits": "9c0a6718fdbabc56",
+        "base.va": "3373ebf76dfefc9b", "base.b_sqrt": "e8789d07a27c12d0",
+        "base.u_tilde": "e9b1118c9d819834", "base.t_tilde": "ec9d9cfbd67d6214",
+        "base.diag_b": "0f8b35b357333fd5", "base.sinr": "4e020ad6fe0abe78",
+        "base.rates_bits": "917c59cdc145984b", "diag_e": "77ba08d44c4c2fed",
+        "secret_rates_bits": "2c90c050c510b1de", "fictitious_rates_bits": "625a75b470f6bf23",
         "mode": "31a090f4630fe02d",
     },
     "n8_dpc": {
-        "base.va": "e30e6b90f2a19a65", "base.b_sqrt": "3d38d569ec61bb85",
-        "base.u_tilde": "9ad965ad843de2ce", "base.t_tilde": "6f978e2a6ffb6ec3",
-        "base.diag_b": "89ffa18071d0f0a8", "base.sinr": "ab53613a0b56b3d6",
-        "base.rates_bits": "339c01818dcd7933", "diag_e": "ba2d17f6b64548bb",
-        "alpha": "93b9a08d84220e88", "rates_bits": "c58006d6d00f05bd",
-        "fictitious_rates_bits": "d3b1c4ea9ad69b4b", "rates_u_bits": "076921d608795a81",
+        "base.va": "3898d61000894fd1", "base.b_sqrt": "e8789d07a27c12d0",
+        "base.u_tilde": "ef5e37570e84be84", "base.t_tilde": "acbec141a911bf0e",
+        "base.diag_b": "23cde9398ed09f32", "base.sinr": "5498d95e016ba627",
+        "base.rates_bits": "9e5a778f15ebebf6", "diag_e": "42ffc79bf945709c",
+        "alpha": "51e53d85d12ef7a8", "rates_bits": "e977aac4edafdc01",
+        "fictitious_rates_bits": "e3caf69bc594faee", "rates_u_bits": "ba8f5dd2e0cd2848",
     },
     "n8_broadcast": {
         "lb": "35be322d094f9d15", "lc": "f13ee6ed54ea2aae", "va": "d6e17055533708be",
@@ -743,56 +749,56 @@ GOLDEN_PLANS = {
         "charlie_rates_bits": "845b025e37f33e1c",
     },
     "n4_rank1_capacity": {
-        "gsv": "8fe7f98bba311d52", "lb": "7c9fa136d4413fa6",
-        "capacity_bits": "588200f3e3b316dd", "k_star": "1329b537e4f7c3da",
+        "gsv": "b9164819e91b5e5d", "lb": "7c9fa136d4413fa6",
+        "capacity_bits": "02f53c0f98940728", "k_star": "73248eb556cccd27",
     },
     "n4_rank1_wiretap_gsvd": {
-        "base.va": "e36119b966a7489f", "base.b_sqrt": "489c71ab01edbb6e",
-        "base.u_tilde": "b6e7c39b3100213e", "base.t_tilde": "13edf7cafb6b3b23",
-        "base.diag_b": "cd1a1f458098f520", "base.sinr": "fcbd34b92398e4a4",
-        "base.rates_bits": "11950f786f405ca5", "diag_e": "1f57138e49eb9806",
-        "secret_rates_bits": "5a86e07fcccb1d8b", "fictitious_rates_bits": "86b8c908eb891ecc",
+        "base.va": "8896a401df68ba88", "base.b_sqrt": "8846c67f4a6316f8",
+        "base.u_tilde": "0db413b5e3fc25c9", "base.t_tilde": "eb09c0eb655654f5",
+        "base.diag_b": "5056e59d39e65e41", "base.sinr": "b3ebc6d6c1487e78",
+        "base.rates_bits": "45f76ee141dffcd5", "diag_e": "042816abba3a09b6",
+        "secret_rates_bits": "eee9b32830cbee36", "fictitious_rates_bits": "a9b8d2a3742c7e4c",
         "mode": "ce714a5f246ce96c",
     },
     "n4_rank1_wiretap_svd_eve": {
-        "base.va": "e5f17ddaaa7cbb44", "base.b_sqrt": "489c71ab01edbb6e",
-        "base.u_tilde": "0bf0eaf3bcc7d279", "base.t_tilde": "6881c83039c0dd59",
-        "base.diag_b": "4f74565e65adbb7f", "base.sinr": "8b119d9b0abf2474",
-        "base.rates_bits": "9483883afca03b22", "diag_e": "411a3acccf26e544",
-        "secret_rates_bits": "5a86e07fcccb1d8b", "fictitious_rates_bits": "17c811abe949b30f",
+        "base.va": "43af730c204968f5", "base.b_sqrt": "8846c67f4a6316f8",
+        "base.u_tilde": "82d7e57883854124", "base.t_tilde": "1c4961602f4151f2",
+        "base.diag_b": "7fb784e0821aebb0", "base.sinr": "8b2b6b3d8b9c4ec6",
+        "base.rates_bits": "a73b39f35794e8a3", "diag_e": "a97864aa69329a5d",
+        "secret_rates_bits": "57c854a4b6bc9788", "fictitious_rates_bits": "64dd04e3151860a7",
         "mode": "c73ddb487405eaa4",
     },
     "n4_rank1_wiretap_svd_bob": {
-        "base.va": "0db09e47db5f6d6b", "base.b_sqrt": "489c71ab01edbb6e",
-        "base.u_tilde": "1710fd7893ea8f10", "base.t_tilde": "e3f0fdba9dbacf31",
-        "base.diag_b": "0487c1f54fb53d75", "base.sinr": "717b5abe11e7ca83",
-        "base.rates_bits": "f82d71fa3503f1b6", "diag_e": "13a02deab3b76ad7",
-        "secret_rates_bits": "e1079c0954a46ec6", "fictitious_rates_bits": "043a1e6873aea6d6",
+        "base.va": "3c3a3ab27fb7c494", "base.b_sqrt": "8846c67f4a6316f8",
+        "base.u_tilde": "dd69bc5b863b364f", "base.t_tilde": "6304cf550570d3a9",
+        "base.diag_b": "4c7cf5132bda6e3a", "base.sinr": "f0710b20b7f4c5e1",
+        "base.rates_bits": "13914ec6767cdc6d", "diag_e": "6fb824ea328ef67e",
+        "secret_rates_bits": "81642093e8e19785", "fictitious_rates_bits": "74b9e59d3d3a6a60",
         "mode": "5d59e8d2fd898c63",
     },
     "n4_rank1_wiretap_gmd_bob": {
-        "base.va": "e790f094465cba73", "base.b_sqrt": "489c71ab01edbb6e",
-        "base.u_tilde": "7b3d909624119280", "base.t_tilde": "717ff708ade82c59",
-        "base.diag_b": "5738a5c87b7d7827", "base.sinr": "32244a2fa1c0e1b6",
-        "base.rates_bits": "c9febb3ab610f4d9", "diag_e": "22714ffe5f4fc1e9",
-        "secret_rates_bits": "c909fb81675df72a", "fictitious_rates_bits": "e642fbd895718378",
+        "base.va": "db7172d50139f821", "base.b_sqrt": "8846c67f4a6316f8",
+        "base.u_tilde": "381af9c03062e592", "base.t_tilde": "89e70725ca1b3780",
+        "base.diag_b": "a8583e6cd197a8e1", "base.sinr": "a3fa9470c3b17a24",
+        "base.rates_bits": "2d3ebe490f19e411", "diag_e": "b7895e6d11cf061d",
+        "secret_rates_bits": "f162c13074dfc123", "fictitious_rates_bits": "f828baf7bc1a3724",
         "mode": "31a090f4630fe02d",
     },
     "n4_rank1_dpc": {
-        "base.va": "e36119b966a7489f", "base.b_sqrt": "489c71ab01edbb6e",
-        "base.u_tilde": "b6e7c39b3100213e", "base.t_tilde": "13edf7cafb6b3b23",
-        "base.diag_b": "cd1a1f458098f520", "base.sinr": "fcbd34b92398e4a4",
-        "base.rates_bits": "11950f786f405ca5", "diag_e": "1f57138e49eb9806",
-        "alpha": "bb2853f1d9ea2c63", "rates_bits": "cb6bfd267993b907",
-        "fictitious_rates_bits": "edce2a9f7caba0d8", "rates_u_bits": "2b6aef91e580aeb2",
+        "base.va": "8896a401df68ba88", "base.b_sqrt": "8846c67f4a6316f8",
+        "base.u_tilde": "0db413b5e3fc25c9", "base.t_tilde": "eb09c0eb655654f5",
+        "base.diag_b": "5056e59d39e65e41", "base.sinr": "b3ebc6d6c1487e78",
+        "base.rates_bits": "45f76ee141dffcd5", "diag_e": "042816abba3a09b6",
+        "alpha": "ee8ea16033cca1a6", "rates_bits": "b2cb86c4cd5b02c9",
+        "fictitious_rates_bits": "135dced0c1f1c769", "rates_u_bits": "b232e5faf1c89b8e",
     },
     "n4_rank1_broadcast": {
-        "lb": "7c9fa136d4413fa6", "lc": "35be322d094f9d15", "va": "04ddefc2da67a3a8",
-        "b_sqrt": "32adeeda2fa124bf", "diag_b": "ea0f1f64d210b230",
-        "diag_c": "aca59f02184bfd54", "bob_combiner": "fd205eb61229bef3",
-        "charlie_combiner": "0aa0a2e8095560e7", "bob_feedback": "2eb942fd09792468",
-        "charlie_feedback": "42f8068c1a8c1543", "bob_rates_bits": "6843716cce0c86f7",
-        "charlie_rates_bits": "a9aad1bc1696afac",
+        "lb": "7c9fa136d4413fa6", "lc": "35be322d094f9d15", "va": "de7c6ba3b5c54e0d",
+        "b_sqrt": "82266aa35e18d857", "diag_b": "767051de09d23731",
+        "diag_c": "89cf22ee9d4cdc04", "bob_combiner": "9f7c5c3c7e4f65a0",
+        "charlie_combiner": "3ca8bf678af1b8a2", "bob_feedback": "6176ea4837ebd56e",
+        "charlie_feedback": "03d48643c7a5ff1e", "bob_rates_bits": "6843716cce0c86f7",
+        "charlie_rates_bits": "25ef4d723daf9acc",
     },
     "n4_power": {
         "capacity_lower_bound": "52cbd6dd1ba32b65", "kbar": "9f36ffc267b5d39b",

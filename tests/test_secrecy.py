@@ -315,18 +315,20 @@ class TestPowerConstrainedCapacity:
             assert res.capacity_lower_bound == exact
 
     # Bounds and constraints recorded from the per-candidate search, which
-    # ranked every candidate by its full triangular GSVD.
+    # ranked every candidate by its full triangular GSVD.  The 4x3 search
+    # refines around its rank-1 beamforming candidate, so it was re-recorded
+    # when matrix_sqrt began zeroing rounding-level eigenvalues.
     GOLDEN = [
         ("2x2", 2.0, 200, 5, 2.9706129686137133, [
             [1.1334333339272258, -0.2170508606449517 + 0.9669835755015718j],
             [-0.2170508606449517 - 0.9669835755015718j, 0.8665666660727741]]),
-        ("4x3", 3.0, 300, 7, 2.302542425931467, [
-            [0.16553214263959093, 0.2910957297701495 - 0.29430524836076977j,
-             0.5177212174692162 - 0.14843307121259902j],
-            [0.2910957297701495 + 0.29430524836076977j, 1.0636706673688916,
-             1.1967274022959145 + 0.6623224918588131j],
-            [0.5177212174692162 + 0.14843307121259902j,
-             1.1967274022959145 - 0.6623224918588131j, 1.7707971899915176]]),
+        ("4x3", 3.0, 300, 7, 2.3025424260145555, [
+            [0.1655321428516006, 0.2910957299641389 - 0.2943052489741409j,
+             0.5177212179533082 - 0.1484330719094171j],
+            [0.2910957299641389 + 0.2943052489741409j, 1.0636706668666966,
+             1.1967274021538266 + 0.6623224920558658j],
+            [0.5177212179533082 + 0.1484330719094171j,
+             1.1967274021538266 - 0.6623224920558658j, 1.7707971902817028]]),
     ]
 
     @pytest.mark.parametrize("name, power, budget, seed, bound, kbar", GOLDEN,
@@ -615,3 +617,31 @@ class TestLargePower:
             above = secrecy.secrecy_capacity_cov(h_b, h_e, np.eye(n) * power)
             assert isotropic.capacity_bits - 1e-9 <= res.capacity_lower_bound
             assert res.capacity_lower_bound <= above.capacity_bits + 1e-9
+
+
+class TestRankDeficientConstraint:
+    """Rounding-level eigenvalues of a rank-deficient constraint carry no power."""
+
+    @pytest.mark.parametrize("power", [1.0, 1e6, 1e12])
+    def test_capacity_matches_the_range_problem(self, power):
+        # kbar = P q q' with q two Haar columns; the reference is the same
+        # problem on the range of kbar.
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            h_b, h_e = complex_gaussian(rng, 5, 4), complex_gaussian(rng, 5, 4)
+            q = decomp.haar_unitary(4, rng)[:, :2]
+            res = secrecy.secrecy_capacity_cov(h_b, h_e, power * q @ q.conj().T)
+            ref = secrecy.secrecy_capacity_cov(h_b @ q, h_e @ q, power * np.eye(2))
+            assert res.lb == ref.lb
+            assert abs(res.capacity_bits - ref.capacity_bits) <= 1e-12
+
+    def test_small_identity_keeps_its_root(self):
+        b = secrecy.matrix_sqrt(1e-12 * np.eye(3))
+        assert np.allclose(b, 1e-6 * np.eye(3), rtol=1e-12, atol=1e-20)
+
+    def test_full_rank_root_is_unchanged(self, rng):
+        # Every eigenvalue lies far above the window: the plain root, bit for bit.
+        k = random_psd(rng, 4) + np.eye(4)
+        w, q = np.linalg.eigh((k + k.conj().T) / 2.0)
+        assert w.min() > 1e6 * secrecy._PSD_EIG_RTOL * w.max()
+        assert np.array_equal(secrecy.matrix_sqrt(k), (q * np.sqrt(w)) @ q.conj().T)
