@@ -420,7 +420,7 @@ class TestStreamTables:
         ("simulate", "--scheme", "broadcast"): {"user", "b", "c", "rate_bits"},
     }
 
-    @pytest.mark.parametrize("args", sorted(COLUMNS))
+    @pytest.mark.parametrize("args", sorted(COLUMNS), ids=lambda args: args[-1])
     def test_columns(self, tmp_path, args):
         other = "h_c" if "broadcast" in args else "h_e"
         path = write_problem(tmp_path, h_b=GOLDEN_H_B, **{other: GOLDEN_H_E}, samples=2000)
