@@ -24,14 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomp import _gsvd_va, _qr_diagonal, gmd, gsvd_triangular, require_unitary, svd
+from .decomp import _as_matrix, _gsvd_va, _qr_diagonal, gmd, require_unitary
 from .errors import DomainError, InsufficientSamples
-from .secrecy import (
-    LB_GSV_TOL,
-    effective_mmse_matrix,
-    matrix_sqrt,
-    secrecy_capacity_cov,
-)
+from .secrecy import LB_GSV_TOL, _secrecy, effective_mmse_matrix, matrix_sqrt
 
 LN2 = np.log(2.0)
 
@@ -166,11 +161,22 @@ def select_precoder(h_b, h_e, b, mode):
     g_e = effective_mmse_matrix(h_e, b)
     if mode == "gsvd":
         return _gsvd_va(g_b, g_e)
-    if mode == "svd_eve":
-        return svd(g_e).v
-    if mode == "svd_bob":
-        return svd(g_b).v
-    return gmd(g_b).v
+    if mode == "gmd_bob":
+        return gmd(g_b).v
+    # ``svd(g).v`` bit for bit, with its finite check, from the thin SVD.
+    g = _as_matrix(g_e if mode == "svd_eve" else g_b)
+    return np.linalg.svd(g, full_matrices=False)[2].conj().T
+
+
+def _receiver(h, b, va):
+    """Diagonal, combiner ``u`` and feedback ``u' h b va`` of the QR of ``[h b; I] va``."""
+    g = effective_mmse_matrix(h, b)
+    if va.shape[0] != g.shape[1]:
+        raise DomainError("precoder dimension must match the transmit dimension")
+    # Only the diagonal and the top of ``qr(g @ va).u``; a thin Q flips signed zeros.
+    diag, phases, q = _qr_diagonal(g @ va, complete=True)
+    u = q[:h.shape[0], :g.shape[1]] * phases
+    return diag, u, u.conj().T @ h @ b @ va
 
 
 def build_sic_plan(h_b, b, va):
@@ -182,15 +188,8 @@ def build_sic_plan(h_b, b, va):
     """
     h_b = np.asarray(h_b, dtype=complex)
     va = require_unitary(va, "precoder")
-    g = effective_mmse_matrix(h_b, b)
-    if va.shape[0] != g.shape[1]:
-        raise DomainError("precoder dimension must match the transmit dimension")
-    # Only the diagonal and the top of ``qr(g @ va).u``; a thin Q flips signed zeros.
-    diag_b, phases, q = _qr_diagonal(g @ va, complete=True)
-    n = g.shape[1]
-    n_b = h_b.shape[0]
-    u_tilde = q[:n_b, :n] * phases
-    t_tilde = u_tilde.conj().T @ h_b @ b @ va
+    diag_b, u_tilde, t_tilde = _receiver(h_b, b, va)
+    n = diag_b.size
     noise_cov = u_tilde.conj().T @ u_tilde
     diag_tt = np.abs(np.diag(t_tilde))
     lower_power = np.array([np.sum(np.abs(t_tilde[i, :i]) ** 2) for i in range(n)])
@@ -206,14 +205,15 @@ def build_wiretap_plan(h_b, h_e, kbar, mode):
 
     Uses the optimal covariance for the constraint, so the per-stream
     diagonal ratios never fall below 1 and the secret rates sum to the
-    secrecy capacity for every mode.  The square root of the optimal
-    covariance is taken once and shared by the precoder and the SIC plan.
+    secrecy capacity for every mode.  The precoder and the SIC plan share
+    the factor ``b_sqrt`` of ``k_star`` that the capacity call forms: the
+    root of ``kbar`` times a unitary, with its first ``n - lb`` (inactive)
+    columns exactly 0.  It is not Hermitian, and only ``kbar`` is rooted.
     """
-    b = matrix_sqrt(secrecy_capacity_cov(h_b, h_e, kbar).k_star)
+    b = _secrecy(h_b, h_e, kbar)[1]
     va = select_precoder(h_b, h_e, b, mode)
     base = build_sic_plan(h_b, b, va)
-    g_e = effective_mmse_matrix(np.asarray(h_e, dtype=complex), b)
-    diag_e = _qr_diagonal(g_e @ va)[0]
+    diag_e = _qr_diagonal(effective_mmse_matrix(h_e, b) @ va)[0]
     secret = np.maximum(2.0 * (np.log2(base.diag_b) - np.log2(diag_e)), 0.0)
     return WiretapPlan(base=base, diag_e=diag_e, secret_rates_bits=secret,
                        fictitious_rates_bits=2.0 * np.log2(diag_e), mode=mode)
@@ -302,32 +302,25 @@ def build_dpc_plan(h_b, h_e, kbar, mode="gsvd"):
 def build_broadcast_plan(h_b, h_c, kbar):
     """Confidential broadcast plan splitting the GSVD streams by ratio.
 
-    Streams with diagonal ratio above 1 carry the first user's messages
-    (combined through the upper-left block of its unitary), the rest carry
-    the second user's (upper-right block); the per-user rate totals hit
-    both corners of the rectangular region simultaneously.
+    Both users triangularize their effective MMSE matrix by a QR under the
+    shared GSVD precoder, so the diagonal ratios are the channel-pair GSVs.
+    Streams with ratio above 1 carry the first user's messages (the first
+    ``lb`` columns of its combiner and rows of its feedback), the rest carry
+    the second user's; the per-user rate totals hit both corners of the
+    rectangular region simultaneously.
     """
     h_b = np.asarray(h_b, dtype=complex)
     h_c = np.asarray(h_c, dtype=complex)
     b = matrix_sqrt(kbar)
-    g_b = effective_mmse_matrix(h_b, b)
-    g_c = effective_mmse_matrix(h_c, b)
-    jt = gsvd_triangular(g_b, g_c)
-    mu = jt.diag1 / jt.diag2
-    n = mu.size
+    va = _gsvd_va(effective_mmse_matrix(h_b, b), effective_mmse_matrix(h_c, b))
+    diag_b, bob_combiner, bob_feedback = _receiver(h_b, b, va)
+    diag_c, charlie_combiner, charlie_feedback = _receiver(h_c, b, va)
+    mu = diag_b / diag_c
     lb = int(np.sum(mu * mu > 1.0 + LB_GSV_TOL))
-    lc = n - lb
-    n_b = h_b.shape[0]
-    n_c = h_c.shape[0]
-    bob_combiner = jt.u1[:n_b, :lb]
-    charlie_combiner = jt.u2[:n_c, lb:n]
-    bob_feedback = bob_combiner.conj().T @ h_b @ b @ jt.va
-    charlie_feedback = charlie_combiner.conj().T @ h_c @ b @ jt.va
     return BroadcastPlan(
-        lb=lb, lc=lc, va=jt.va, b_sqrt=b,
-        diag_b=jt.diag1, diag_c=jt.diag2,
-        bob_combiner=bob_combiner, charlie_combiner=charlie_combiner,
-        bob_feedback=bob_feedback, charlie_feedback=charlie_feedback,
+        lb=lb, lc=mu.size - lb, va=va, b_sqrt=b, diag_b=diag_b, diag_c=diag_c,
+        bob_combiner=bob_combiner[:, :lb], charlie_combiner=charlie_combiner[:, lb:],
+        bob_feedback=bob_feedback[:lb], charlie_feedback=charlie_feedback[lb:],
         bob_rates_bits=np.maximum(2.0 * np.log2(mu[:lb]), 0.0),
         charlie_rates_bits=np.maximum(-2.0 * np.log2(mu[lb:]), 0.0),
     )
@@ -526,15 +519,13 @@ def simulate_leakage(plan, h_e, samples, seed):
         tail = list(range(k + 1, n))
         leak[k], *values = [_conditional_mi_bits(cov, [k], eav, tail, memo) for cov, memo in covs]
         stderr[k] = np.std(values, ddof=1) / np.sqrt(len(values))
-    expected = 2.0 * np.log2(plan.diag_e)
-    rel = np.abs(leak - expected) / np.maximum(np.abs(expected), 1e-12)
     return SimulationReport(
         scheme="leakage", samples=samples, seed=seed, genie=True,
         sinr_empirical=base.sinr, sinr_analytic=base.sinr,
         sinr_rel_error=np.zeros(n), sinr_stderr=np.zeros(n),
         mi_bits=float(np.sum(leak)),
-        leakage_bits=leak, leakage_expected=expected, leakage_stderr=stderr,
-        extras={"leakage_rel_error": rel})
+        leakage_bits=leak, leakage_expected=2.0 * np.log2(plan.diag_e),
+        leakage_stderr=stderr)
 
 
 def simulate_dpc(plan, h_b, samples, seed):

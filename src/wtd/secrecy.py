@@ -203,6 +203,12 @@ def secrecy_capacity_cov(h_b, h_e, kbar):
     the others, a complete QR of their adjoint ends in a basis ``P`` of the
     active ones, and ``k_star = (b P)(b P)'`` with ``b`` the root of ``kbar``.
     """
+    return _secrecy(h_b, h_e, kbar)[0]
+
+
+def _secrecy(h_b, h_e, kbar):
+    # The result and a factor ``f`` of ``k_star``: ``b`` times the complete
+    # basis, with the ``n - lb`` inactive columns exactly 0, so ``f f' = k_star``.
     b = matrix_sqrt(_as_square(kbar, "constraint"))
     mu, _, _, wh, r2 = _gsvd_kernel(*_check_pair(effective_mmse_matrix(h_b, b),
                                                  effective_mmse_matrix(h_e, b)))
@@ -210,8 +216,10 @@ def secrecy_capacity_cov(h_b, h_e, kbar):
     lb = int(np.sum(mu * mu > 1.0 + LB_GSV_TOL))
     basis = np.linalg.qr(_adjoint(wh[lb:] @ r2), mode="complete")[0]
     active = b @ basis[:, mu.size - lb:]
+    f = np.zeros_like(b)
+    f[:, mu.size - lb:] = active
     return SecrecyResult(gsv=mu, lb=lb, capacity_bits=capacity,
-                         k_star=_hermitize(active @ _adjoint(active)))
+                         k_star=_hermitize(active @ _adjoint(active))), f
 
 
 def verify_truncation(h_b, h_e, kbar):

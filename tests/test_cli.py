@@ -333,6 +333,9 @@ class TestSimulate:
             assert code == 0
             outs.append(open(out, "rb").read())
         assert outs[0] == outs[1]
+        leakage = json.loads(outs[0])["simulations"]["leakage"]
+        assert {"leakage_bits", "leakage_expected", "leakage_stderr"} <= set(leakage)
+        assert "leakage_rel_error" not in leakage
 
     def test_dpc_has_alpha_column(self, tmp_path):
         path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E,
@@ -388,14 +391,13 @@ class TestSimulate:
         assert run_cli(["simulate", "--input", path, "--scheme", "sic", "--out", out]) == 0
         assert len(roots) == 2
         assert all(np.array_equal(k, np.eye(2)) for k in roots)
-        # A wiretap plan roots the constraint, then the optimal covariance.
+        # A wiretap plan roots only the constraint: it builds on the factor of
+        # the optimal covariance that the capacity call forms.
         h_b = np.array(GOLDEN_H_B) @ [1.0, 1j]
         h_e = np.array(GOLDEN_H_E) @ [1.0, 1j]
-        k_star = secrecy.secrecy_capacity_cov(h_b, h_e, np.eye(2)).k_star
         roots.clear()
         scheme.build_wiretap_plan(h_b, h_e, np.eye(2), "gsvd")
-        assert len(roots) == 2
-        assert np.array_equal(roots[0], np.eye(2)) and np.array_equal(roots[1], k_star)
+        assert len(roots) == 1 and np.array_equal(roots[0], np.eye(2))
 
     def test_cli_flags_override_problem(self, tmp_path):
         path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E,

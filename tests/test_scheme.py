@@ -137,6 +137,71 @@ class TestBuildWiretapPlan:
         assert np.allclose(pairs[:, 1], plan.diag_e ** 2 - 1.0)
 
 
+def _factor_problems():
+    """Square wiretap problems at n = 2, 4, 8, under a rank-1 ``kbar``, and
+    with ``lb = 0`` (a stronger eavesdropper) and ``lb = n`` (a dead one)."""
+    rng = np.random.default_rng(4242)
+    problems = [(complex_gaussian(rng, n, n), complex_gaussian(rng, n, n), random_psd(rng, n) / n)
+                for n in (2, 4, 8)]
+    problems.append((complex_gaussian(rng, 4, 4), complex_gaussian(rng, 4, 4),
+                     random_psd(rng, 4, 1)))
+    h = complex_gaussian(rng, 3, 3)
+    return problems + [(h, 3.0 * h, np.eye(3)), (h, np.zeros((3, 3)), np.eye(3))]
+
+
+class TestPlanFactor:
+    """Wiretap plans build on the capacity call's factor of ``k_star``."""
+
+    @pytest.mark.parametrize("mode", scheme.PRECODER_MODES)
+    def test_factor_of_optimal_covariance(self, mode):
+        lbs = []
+        for h_b, h_e, kbar in _factor_problems():
+            res = secrecy.secrecy_capacity_cov(h_b, h_e, kbar)
+            plan = scheme.build_wiretap_plan(h_b, h_e, kbar, mode)
+            f, n, lb = plan.base.b_sqrt, kbar.shape[0], res.lb
+            lbs.append(lb)
+            assert np.linalg.norm(f @ f.conj().T - res.k_star) <= 1e-10 * np.linalg.norm(res.k_star)
+            assert np.all(f[:, :n - lb] == 0.0)
+            if mode != "gmd_bob":
+                # gmd_bob spreads the power over every stream.
+                assert np.all(plan.fictitious_rates_bits[lb:] == 0.0)
+        # The rank-1, lb = 0 and lb = n problems.
+        assert lbs[-3:] == [1, 0, 3]
+
+
+def _broadcast_oracle(h_b, h_c, kbar):
+    """Broadcast plan fields read off ``gsvd_triangular``, the former route."""
+    b = secrecy.matrix_sqrt(kbar)
+    jt = decomp.gsvd_triangular(secrecy.effective_mmse_matrix(h_b, b),
+                                secrecy.effective_mmse_matrix(h_c, b))
+    mu = jt.diag1 / jt.diag2
+    lb = int(np.sum(mu * mu > 1.0 + secrecy.LB_GSV_TOL))
+    bob = jt.u1[:h_b.shape[0], :lb]
+    charlie = jt.u2[:h_c.shape[0], lb:mu.size]
+    return {"lb": lb, "diag_b": jt.diag1, "diag_c": jt.diag2,
+            "bob_combiner": bob, "charlie_combiner": charlie,
+            "bob_feedback": bob.conj().T @ h_b @ b @ jt.va,
+            "charlie_feedback": charlie.conj().T @ h_c @ b @ jt.va}
+
+
+class TestBroadcastRoute:
+    def test_matches_triangular_gsvd(self, rng):
+        h = complex_gaussian(rng, 5, 4)
+        cases = [(h, complex_gaussian(rng, 3, 4), random_psd(rng, 4) / 4) for _ in range(10)]
+        cases += [(np.zeros((5, 4)), h[:3], np.eye(4)), (h, np.zeros((3, 4)), np.eye(4))]
+        lbs = []
+        for h_b, h_c, kbar in cases:
+            plan = scheme.build_broadcast_plan(h_b, h_c, kbar)
+            expected = _broadcast_oracle(h_b, h_c, kbar)
+            assert plan.lb == expected.pop("lb")
+            lbs.append(plan.lb)
+            for name, want in expected.items():
+                got = getattr(plan, name)
+                assert got.shape == want.shape
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
+        assert lbs[-2:] == [0, 4]
+
+
 class TestBuildDpcPlan:
     def test_alpha_zero_for_unit_gain(self):
         plan = scheme.build_dpc_plan(np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2))
@@ -471,71 +536,58 @@ def _golden_fields(rep):
 
 
 #: ``float.hex`` of the fields, recorded before the decoder ran on reused buffers.
-#: The wiretap and DPC reports, whose plans root a rank-deficient optimal
-#: covariance, were re-recorded when ``matrix_sqrt`` began zeroing
-#: rounding-level eigenvalues.
+#: All seven were re-recorded when the plans began to build on the capacity
+#: call's factor of ``k_star`` and on one QR per receiver: the wiretap and DPC
+#: draws moved by sampling noise (their ``b_sqrt`` is a different factor of
+#: the same covariance), the broadcast ones in their last bits.
 GOLDEN_REPORTS = {
     "sic_genie": {
-        "sinr_empirical": [
-            "0x1.b7a5e92a73000p+1", "0x1.6cb462d7ba279p+1", "0x1.e5da7e7aa5622p-92",
-        ],
-        "sinr_stderr": ["0x1.8dec8cf3b7a3ap-6", "0x1.4a17cbbf28992p-6", "0x1.b7be8fe0f030ep-99"],
-        "mi_bits": ["0x1.05facb2f87968p+2"],
+        "sinr_empirical": ["0x1.b7a5e92a72ff9p+1", "0x1.6a2e212d92d04p+1", "0x0.0p+0"],
+        "sinr_stderr": ["0x1.8dec8cf3b7a34p-6", "0x1.47cedf0b99383p-6", "0x0.0p+0"],
+        "mi_bits": ["0x1.05815fd7a9accp+2"],
     },
     "sic_decided": {
-        "sinr_empirical": [
-            "0x1.37c0252601d59p+1", "0x1.6cb462d7ba27bp+1", "0x1.e5da7e7aa5622p-92",
-        ],
-        "sinr_stderr": ["0x1.1a2a1650d046bp-6", "0x1.4a17cbbf28994p-6", "0x1.b7be8fe0f030ep-99"],
-        "mi_bits": ["0x1.dcd0c29b5b064p+1"],
+        "sinr_empirical": ["0x1.38ee327e18b27p+1", "0x1.6a2e212d92d04p+1", "0x0.0p+0"],
+        "sinr_stderr": ["0x1.1b3b793a575bfp-6", "0x1.47cedf0b99383p-6", "0x0.0p+0"],
+        "mi_bits": ["0x1.dc5c97c1fd07cp+1"],
     },
     "leakage": {
-        "sinr_empirical": [
-            "0x1.b54d661ec09b0p+1", "0x1.6c348a314cb19p+1", "0x1.e2cfa5642d4fbp-92",
-        ],
+        "sinr_empirical": ["0x1.b54d661ec09a8p+1", "0x1.6c348a314cb1fp+1", "0x0.0p+0"],
         "sinr_stderr": ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"],
-        "mi_bits": ["0x1.02eceb5240072p+1"],
-        "leakage_bits": ["0x1.ed9a93d7fecb6p-2", "0x1.8a6ca767981cep+0", "0x1.a291ba0f9d2f9p-14"],
+        "mi_bits": ["0x1.03e6f05585dc0p+1"],
+        "leakage_bits": ["0x1.f579200183aa9p-2", "0x1.8a69a1f4af976p+0", "0x1.7dad7ecd82008p-14"],
         "leakage_stderr": [
-            "0x1.086d71b9cec47p-8", "0x1.b9f6fcfeb55a1p-8", "0x1.f80fce3d2fd63p-13",
+            "0x1.1ab22a028bb7fp-8", "0x1.0af7bafcf07bcp-8", "0x1.450520aa29b63p-13",
         ],
     },
     "dpc": {
-        "sinr_empirical": [
-            "0x1.b7a5e92a73000p+1", "0x1.6cb462d7ba279p+1", "0x1.e5da7e7aa5622p-92",
-        ],
-        "sinr_stderr": ["0x1.8dec8cf3b7a3ap-6", "0x1.4a17cbbf28992p-6", "0x1.b7be8fe0f030ep-99"],
-        "mi_bits": ["0x1.05facb2f87968p+2"],
-        "alpha_residual": [
-            "0x1.33af4c8b24e67p-1", "0x1.19137a76e5f3dp-1", "0x1.c2ce1bfb5b4e9p-183",
-        ],
-        "alpha_residual_below": [
-            "0x1.3e96260bc192dp-1", "0x1.213dcca27e18ap-1", "0x1.c2ce1bfb5b4e9p-183",
-        ],
-        "alpha_residual_above": [
-            "0x1.3dc91f812dd29p-1", "0x1.20d281e7ab07dp-1", "0x1.c2ce1bfb5b4e9p-183",
-        ],
+        "sinr_empirical": ["0x1.b7a5e92a72ff9p+1", "0x1.6a2e212d92d04p+1", "0x0.0p+0"],
+        "sinr_stderr": ["0x1.8dec8cf3b7a34p-6", "0x1.47cedf0b99383p-6", "0x0.0p+0"],
+        "mi_bits": ["0x1.05815fd7a9accp+2"],
+        "alpha_residual": ["0x1.3198c7de57cbdp-1", "0x1.18d061e266ae2p-1", "0x0.0p+0"],
+        "alpha_residual_below": ["0x1.3c10babe2d0cbp-1", "0x1.20703844fa283p-1", "0x0.0p+0"],
+        "alpha_residual_above": ["0x1.3c46074d14beap-1", "0x1.213a28fc83ef9p-1", "0x0.0p+0"],
     },
     "broadcast_lb0": {
         "sinr_empirical": [
-            "0x1.10b12459d8fc9p-103", "0x1.54758a0d6546ep+1", "0x1.1dfa4791fceadp+2",
+            "0x1.39b0353002570p-102", "0x1.54758a0d6546dp+1", "0x1.1dfa4791fceaap+2",
         ],
-        "sinr_stderr": ["0x1.eda00b9896778p-111", "0x1.3425ffda034cdp-6", "0x1.02d66187a3df9p-5"],
-        "mi_bits": ["0x1.14aa5e0fe1908p+2"],
+        "sinr_stderr": ["0x1.1beb12637c60dp-109", "0x1.3425ffda034ccp-6", "0x1.02d66187a3df7p-5"],
+        "mi_bits": ["0x1.14aa5e0fe1906p+2"],
     },
     "broadcast_mixed": {
         "sinr_empirical": [
-            "0x1.e5f4855ff4f0bp+2", "0x1.17e37d92fb0adp+2", "0x1.07274c34614e1p+2",
+            "0x1.e5f4855ff4f0dp+2", "0x1.17e37d92fb0aep+2", "0x1.07274c34614e0p+2",
         ],
-        "sinr_stderr": ["0x1.b7d61e7188141p-5", "0x1.faa70d680e10bp-6", "0x1.dc5bd5bd5388dp-6"],
-        "mi_bits": ["0x1.f87fa8e8958b2p+2"],
+        "sinr_stderr": ["0x1.b7d61e7188142p-5", "0x1.faa70d680e10dp-6", "0x1.dc5bd5bd5388bp-6"],
+        "mi_bits": ["0x1.f87fa8e8958b3p+2"],
     },
     "broadcast_lbn": {
         "sinr_empirical": [
-            "0x1.9839b4f213076p+3", "0x1.85bbb2760588ap+1", "0x1.12d02ff4bf7c0p-3",
+            "0x1.9839b4f213074p+3", "0x1.85bbb27605889p+1", "0x1.12d02ff4bf7c0p-3",
         ],
-        "sinr_stderr": ["0x1.717bc4ad9ea40p-4", "0x1.60bf082483c5ap-6", "0x1.f1770ff648cc3p-11"],
-        "mi_bits": ["0x1.7eb56377c998fp+2"],
+        "sinr_stderr": ["0x1.717bc4ad9ea3ep-4", "0x1.60bf082483c59p-6", "0x1.f1770ff648cc3p-11"],
+        "mi_bits": ["0x1.7eb56377c998ep+2"],
     },
 }
 
@@ -586,219 +638,218 @@ def _golden_digests(result, prefix=""):
     return out
 
 
-#: Field digests of :func:`_golden_plans`, recorded before the capacity and
-#: plan paths stopped computing the factors they do not read.  Every wiretap
-#: and DPC plan (they root a rank-deficient optimal covariance) and every
-#: result of the rank-1 problem were re-recorded when ``matrix_sqrt`` began
-#: zeroing rounding-level eigenvalues.
+#: Field digests of :func:`_golden_plans`.  Every wiretap, DPC and broadcast
+#: entry was re-recorded when the plans began to build on the capacity call's
+#: factor of ``k_star`` and on one QR per receiver; the capacity entries and
+#: ``n4_power`` kept their bits.
 GOLDEN_PLANS = {
     "n2_capacity": {
         "gsv": "1439496734e55dc3", "lb": "7c9fa136d4413fa6",
         "capacity_bits": "4dfaec4a6066d3c7", "k_star": "e00381e5e7bf6859",
     },
     "n2_wiretap_gsvd": {
-        "base.va": "afedca6d26d5fe81", "base.b_sqrt": "f66257a77d5beddc",
-        "base.u_tilde": "a53f0231c3e7d4cb", "base.t_tilde": "3cdad73e1b722353",
-        "base.diag_b": "5f682400af4f9781", "base.sinr": "812ec53bea05867e",
-        "base.rates_bits": "8f4f9b20cfa29383", "diag_e": "797a145cd8a77f73",
-        "secret_rates_bits": "9601f62437f4e225", "fictitious_rates_bits": "0e133b705a4edea1",
+        "base.va": "282194ea47e31527", "base.b_sqrt": "6eb9836c41efe84a",
+        "base.u_tilde": "72db252a61fa5769", "base.t_tilde": "9ffffd3e942457d0",
+        "base.diag_b": "19062dbd692a1210", "base.sinr": "d3238c8c6d80440c",
+        "base.rates_bits": "38cd73c1737536db", "diag_e": "31c1b66e6f96984f",
+        "secret_rates_bits": "ca8a43efa1942080", "fictitious_rates_bits": "5bd2895c434af85a",
         "mode": "ce714a5f246ce96c",
     },
     "n2_wiretap_svd_eve": {
-        "base.va": "141fe53bae36fc4a", "base.b_sqrt": "f66257a77d5beddc",
-        "base.u_tilde": "f0edd4ed2fd9823b", "base.t_tilde": "eb1614de1c41c17b",
-        "base.diag_b": "c387dc0b6e17e281", "base.sinr": "2595697693b7f193",
-        "base.rates_bits": "d2979ce72ebd55d6", "diag_e": "0fc071baecf1a712",
-        "secret_rates_bits": "2cad5de13aa1277a", "fictitious_rates_bits": "b111478e3abfc667",
+        "base.va": "f063aa5b7fadf303", "base.b_sqrt": "6eb9836c41efe84a",
+        "base.u_tilde": "c6a9dd3e061b675b", "base.t_tilde": "06516b35e103ca37",
+        "base.diag_b": "19062dbd692a1210", "base.sinr": "d3238c8c6d80440c",
+        "base.rates_bits": "38cd73c1737536db", "diag_e": "31c1b66e6f96984f",
+        "secret_rates_bits": "ca8a43efa1942080", "fictitious_rates_bits": "5bd2895c434af85a",
         "mode": "c73ddb487405eaa4",
     },
     "n2_wiretap_svd_bob": {
-        "base.va": "70a0b2ed16ca00de", "base.b_sqrt": "f66257a77d5beddc",
-        "base.u_tilde": "f6ff3a86b6b2fb53", "base.t_tilde": "6aea58e414bf20ae",
-        "base.diag_b": "c387dc0b6e17e281", "base.sinr": "cd46c0c0c1131757",
-        "base.rates_bits": "d2979ce72ebd55d6", "diag_e": "0fc071baecf1a712",
-        "secret_rates_bits": "2cad5de13aa1277a", "fictitious_rates_bits": "b111478e3abfc667",
+        "base.va": "c24935314c7a024a", "base.b_sqrt": "6eb9836c41efe84a",
+        "base.u_tilde": "72db252a61fa5769", "base.t_tilde": "06516b35e103ca37",
+        "base.diag_b": "19062dbd692a1210", "base.sinr": "d3238c8c6d80440c",
+        "base.rates_bits": "38cd73c1737536db", "diag_e": "31c1b66e6f96984f",
+        "secret_rates_bits": "ca8a43efa1942080", "fictitious_rates_bits": "5bd2895c434af85a",
         "mode": "5d59e8d2fd898c63",
     },
     "n2_wiretap_gmd_bob": {
-        "base.va": "0166dafd2e45ef66", "base.b_sqrt": "f66257a77d5beddc",
-        "base.u_tilde": "8c566617656ace15", "base.t_tilde": "44709fdfa37ae67c",
-        "base.diag_b": "59a47890ee592f4a", "base.sinr": "7c86490650c3427c",
-        "base.rates_bits": "7c397cb7165ac99b", "diag_e": "9649240443f93ca8",
-        "secret_rates_bits": "abd81cb4def4dfbf", "fictitious_rates_bits": "a768192b0c11bcad",
+        "base.va": "e83e07180e4abed7", "base.b_sqrt": "6eb9836c41efe84a",
+        "base.u_tilde": "37182e2ccd390c08", "base.t_tilde": "4ad979a0cc8f81ee",
+        "base.diag_b": "0990c54676dd251f", "base.sinr": "d452c8bc51e12a10",
+        "base.rates_bits": "9f3c694ce8622807", "diag_e": "0f48841ab6c71aeb",
+        "secret_rates_bits": "7575b6eb8687bef3", "fictitious_rates_bits": "9bea642871a112f7",
         "mode": "31a090f4630fe02d",
     },
     "n2_dpc": {
-        "base.va": "afedca6d26d5fe81", "base.b_sqrt": "f66257a77d5beddc",
-        "base.u_tilde": "a53f0231c3e7d4cb", "base.t_tilde": "3cdad73e1b722353",
-        "base.diag_b": "5f682400af4f9781", "base.sinr": "812ec53bea05867e",
-        "base.rates_bits": "8f4f9b20cfa29383", "diag_e": "797a145cd8a77f73",
-        "alpha": "35b01021fecb567a", "rates_bits": "ca8a43efa1942080",
-        "fictitious_rates_bits": "d2056233ee77e0fc", "rates_u_bits": "38cd73c1737536db",
+        "base.va": "282194ea47e31527", "base.b_sqrt": "6eb9836c41efe84a",
+        "base.u_tilde": "72db252a61fa5769", "base.t_tilde": "9ffffd3e942457d0",
+        "base.diag_b": "19062dbd692a1210", "base.sinr": "d3238c8c6d80440c",
+        "base.rates_bits": "38cd73c1737536db", "diag_e": "31c1b66e6f96984f",
+        "alpha": "254eb9c80cc21812", "rates_bits": "8981996c13da6b3e",
+        "fictitious_rates_bits": "d2056233ee77e0fc", "rates_u_bits": "a653ede6d52bfa60",
     },
     "n2_broadcast": {
         "lb": "7c9fa136d4413fa6", "lc": "7c9fa136d4413fa6", "va": "f1e42fa886e6f1c2",
-        "b_sqrt": "8068cd47ce6fa401", "diag_b": "3507a7b66becd9f1",
-        "diag_c": "356b5390abf786e3", "bob_combiner": "9511d3510637a235",
-        "charlie_combiner": "e91871c0e46b8f07", "bob_feedback": "3123af147b1d334d",
-        "charlie_feedback": "05570a773da8fef9", "bob_rates_bits": "4dfaec4a6066d3c7",
-        "charlie_rates_bits": "f7195465f31a2a8e",
+        "b_sqrt": "8068cd47ce6fa401", "diag_b": "97431e1f81adf299",
+        "diag_c": "5b2ea182e71693c6", "bob_combiner": "5f06b3a7de54106b",
+        "charlie_combiner": "73b864f06da63bc1", "bob_feedback": "ca0cc8e9162b37e8",
+        "charlie_feedback": "14827bbe746c3869", "bob_rates_bits": "29ea400357ba78e8",
+        "charlie_rates_bits": "1b01b85898107291",
     },
     "n4_capacity": {
         "gsv": "25a5eaa32f14075d", "lb": "d86e8112f3c4c444",
         "capacity_bits": "6c2a5a61e9def542", "k_star": "49fbf045f49ca349",
     },
     "n4_wiretap_gsvd": {
-        "base.va": "1ed300a8e39087bf", "base.b_sqrt": "025d91df7f5cb053",
-        "base.u_tilde": "4a077a3a06863606", "base.t_tilde": "a60e432ef49cac4f",
-        "base.diag_b": "065ff6bddeafa9a9", "base.sinr": "cae3dd56109d49ec",
-        "base.rates_bits": "01b5d2221b54ae86", "diag_e": "86b1e82353154679",
-        "secret_rates_bits": "8cc8d165fdc97881", "fictitious_rates_bits": "810a1b2d36b19546",
+        "base.va": "8e01612501560e80", "base.b_sqrt": "b4dc02daebd78ff9",
+        "base.u_tilde": "fa05ccc089c58a60", "base.t_tilde": "c27ed487d84cb62f",
+        "base.diag_b": "9cd71e44f2704071", "base.sinr": "25e15f0a9227aa4e",
+        "base.rates_bits": "5da90c7e32fd6c21", "diag_e": "ad9281f1275ba25d",
+        "secret_rates_bits": "60c4273151d1938c", "fictitious_rates_bits": "5e554270867e1bf3",
         "mode": "ce714a5f246ce96c",
     },
     "n4_wiretap_svd_eve": {
-        "base.va": "ab54255f7a770331", "base.b_sqrt": "025d91df7f5cb053",
-        "base.u_tilde": "bf94f55804441ee1", "base.t_tilde": "4db299c7e828b543",
-        "base.diag_b": "d7e95acd3f3a783d", "base.sinr": "3f32735e4d16ffc0",
-        "base.rates_bits": "aa949bf9cce9f100", "diag_e": "bf8f6b208f6885c4",
-        "secret_rates_bits": "f0cecd4fa25c449b", "fictitious_rates_bits": "40618832f8bb8480",
+        "base.va": "813c7d92676eb5f3", "base.b_sqrt": "b4dc02daebd78ff9",
+        "base.u_tilde": "d09a80e711b3e3cd", "base.t_tilde": "b47539bdd21605cf",
+        "base.diag_b": "17812008a2ec4fad", "base.sinr": "819c9c24588523f1",
+        "base.rates_bits": "c8053d7fa3915db0", "diag_e": "b0e5d2d4d206c8a8",
+        "secret_rates_bits": "08811696949845b4", "fictitious_rates_bits": "5785b4220272bb63",
         "mode": "c73ddb487405eaa4",
     },
     "n4_wiretap_svd_bob": {
-        "base.va": "456bbf787f2370e6", "base.b_sqrt": "025d91df7f5cb053",
-        "base.u_tilde": "b8b1761df4206d02", "base.t_tilde": "9f064e94cde6180c",
-        "base.diag_b": "a2adc4fe8fe7f541", "base.sinr": "15c8202ce1d9b416",
-        "base.rates_bits": "fb92c99377047452", "diag_e": "3ede42f711e55fe2",
-        "secret_rates_bits": "f7010bc240ceca1d", "fictitious_rates_bits": "c8712a6d5fd94d39",
+        "base.va": "81e43edfaf5f3790", "base.b_sqrt": "b4dc02daebd78ff9",
+        "base.u_tilde": "db7e54260e79fa7a", "base.t_tilde": "c8562a72f0363e75",
+        "base.diag_b": "ebf349ced9d7b3cd", "base.sinr": "ceaa68329e396375",
+        "base.rates_bits": "d45b2e875275f461", "diag_e": "3bc56fc9c7f6f4be",
+        "secret_rates_bits": "1067db05899c1c34", "fictitious_rates_bits": "0c6ddb78373728a2",
         "mode": "5d59e8d2fd898c63",
     },
     "n4_wiretap_gmd_bob": {
-        "base.va": "4a02ca3da15ae5ee", "base.b_sqrt": "025d91df7f5cb053",
-        "base.u_tilde": "f30035cad9b77e38", "base.t_tilde": "869e59268550e8f4",
-        "base.diag_b": "6feaab1d8449267a", "base.sinr": "b9c7c93294950355",
-        "base.rates_bits": "067c01b75f96d786", "diag_e": "58f9789aa590c98a",
-        "secret_rates_bits": "01210ee3dac4db26", "fictitious_rates_bits": "7ccb9b865bfe7ba9",
+        "base.va": "a255a7610f27595c", "base.b_sqrt": "b4dc02daebd78ff9",
+        "base.u_tilde": "046f543cfbe1edf8", "base.t_tilde": "c25d881a6fb9562f",
+        "base.diag_b": "07b828cf9562f4d0", "base.sinr": "be439b40d97eec1c",
+        "base.rates_bits": "28db75059c927254", "diag_e": "7de92319c2114f8c",
+        "secret_rates_bits": "4e6c99983f00e465", "fictitious_rates_bits": "8c3b37aecf47347b",
         "mode": "31a090f4630fe02d",
     },
     "n4_dpc": {
-        "base.va": "1ed300a8e39087bf", "base.b_sqrt": "025d91df7f5cb053",
-        "base.u_tilde": "4a077a3a06863606", "base.t_tilde": "a60e432ef49cac4f",
-        "base.diag_b": "065ff6bddeafa9a9", "base.sinr": "cae3dd56109d49ec",
-        "base.rates_bits": "01b5d2221b54ae86", "diag_e": "86b1e82353154679",
-        "alpha": "9240eea70cbff3bb", "rates_bits": "160b54a03eaa168d",
-        "fictitious_rates_bits": "4e4de2c5a6c36ca5", "rates_u_bits": "55240e7225dbb42b",
+        "base.va": "8e01612501560e80", "base.b_sqrt": "b4dc02daebd78ff9",
+        "base.u_tilde": "fa05ccc089c58a60", "base.t_tilde": "c27ed487d84cb62f",
+        "base.diag_b": "9cd71e44f2704071", "base.sinr": "25e15f0a9227aa4e",
+        "base.rates_bits": "5da90c7e32fd6c21", "diag_e": "ad9281f1275ba25d",
+        "alpha": "414a11460cb1a166", "rates_bits": "db352c401a386c6f",
+        "fictitious_rates_bits": "6a1de3b634902f83", "rates_u_bits": "c7be6ca9e434dec1",
     },
     "n4_broadcast": {
         "lb": "d86e8112f3c4c444", "lc": "d86e8112f3c4c444", "va": "e0dd6b07fdf14725",
-        "b_sqrt": "955d50ca6953993e", "diag_b": "6beb0dbcce79e617",
-        "diag_c": "eac078e62bc06e10", "bob_combiner": "9868d321ea80ba18",
-        "charlie_combiner": "3388095f9b791d77", "bob_feedback": "e6c0dbc38738de06",
-        "charlie_feedback": "3c7fc806c3df7e71", "bob_rates_bits": "92e35c1f31387dd0",
-        "charlie_rates_bits": "c1718eea9cfa53f3",
+        "b_sqrt": "955d50ca6953993e", "diag_b": "a5f0547e042a2ac3",
+        "diag_c": "84d5bc8906f9e08c", "bob_combiner": "174c4b433eea5786",
+        "charlie_combiner": "09530ab1e287aa9f", "bob_feedback": "4a1b6df0cd2e5372",
+        "charlie_feedback": "3f3e2ac14af84353", "bob_rates_bits": "4fea472ef9cd35d1",
+        "charlie_rates_bits": "7f54e300c9d45e46",
     },
     "n8_capacity": {
         "gsv": "d9261c775f89c8a2", "lb": "35be322d094f9d15",
         "capacity_bits": "d5ec263322feb780", "k_star": "2a9b73dacc0c6137",
     },
     "n8_wiretap_gsvd": {
-        "base.va": "3898d61000894fd1", "base.b_sqrt": "e8789d07a27c12d0",
-        "base.u_tilde": "ef5e37570e84be84", "base.t_tilde": "acbec141a911bf0e",
-        "base.diag_b": "23cde9398ed09f32", "base.sinr": "5498d95e016ba627",
-        "base.rates_bits": "9e5a778f15ebebf6", "diag_e": "42ffc79bf945709c",
-        "secret_rates_bits": "1e3f81eac854d101", "fictitious_rates_bits": "8931990b6f2060a1",
+        "base.va": "bd0e125db4fdad94", "base.b_sqrt": "2cd85208db2f7ec9",
+        "base.u_tilde": "876d8fea3d630d98", "base.t_tilde": "4d36ff234bff9081",
+        "base.diag_b": "b969e404a75c0d79", "base.sinr": "291e8111594f7e98",
+        "base.rates_bits": "c50d93a5666029c3", "diag_e": "15373e02a80e2173",
+        "secret_rates_bits": "943389ae5b306811", "fictitious_rates_bits": "e38069131881e81f",
         "mode": "ce714a5f246ce96c",
     },
     "n8_wiretap_svd_eve": {
-        "base.va": "bc5d394ab4ab4cde", "base.b_sqrt": "e8789d07a27c12d0",
-        "base.u_tilde": "9dfc5fcc5e8ed11f", "base.t_tilde": "a390b1fb66450755",
-        "base.diag_b": "99151cc549dfa671", "base.sinr": "94431a0d4d000915",
-        "base.rates_bits": "16cb324bbca30c02", "diag_e": "75cb85ff403838e7",
-        "secret_rates_bits": "8ca679bc7120a2fd", "fictitious_rates_bits": "a69e03acec33cf7d",
+        "base.va": "8fa350c779480090", "base.b_sqrt": "2cd85208db2f7ec9",
+        "base.u_tilde": "8647b57965daec27", "base.t_tilde": "28ec106b27df4791",
+        "base.diag_b": "9420c7eaaac6e874", "base.sinr": "4f1f84df7fc86eb1",
+        "base.rates_bits": "43185ad4bd7192d0", "diag_e": "f6b0fc365f905800",
+        "secret_rates_bits": "d566797b9c7437b8", "fictitious_rates_bits": "3ad85dbe2aa7e13f",
         "mode": "c73ddb487405eaa4",
     },
     "n8_wiretap_svd_bob": {
-        "base.va": "39ea6ec58b7e619e", "base.b_sqrt": "e8789d07a27c12d0",
-        "base.u_tilde": "40e37d43b7bb8972", "base.t_tilde": "e92f2648637418b8",
-        "base.diag_b": "dece19287e86eb12", "base.sinr": "dbc568fc3f7386fe",
-        "base.rates_bits": "336777ff62e2b1ba", "diag_e": "e628732b897bcd88",
-        "secret_rates_bits": "0ed6c735fa92feda", "fictitious_rates_bits": "315a326e7ba0ca19",
+        "base.va": "aedaa36b61434619", "base.b_sqrt": "2cd85208db2f7ec9",
+        "base.u_tilde": "b8e8868985736e54", "base.t_tilde": "ac1fb768bdb99432",
+        "base.diag_b": "3178895cdf748561", "base.sinr": "d132cd4dda3a6be4",
+        "base.rates_bits": "0b455af63ff3fde6", "diag_e": "21e63c9cc523b66d",
+        "secret_rates_bits": "f36585e39c6d8e84", "fictitious_rates_bits": "700544de038a942e",
         "mode": "5d59e8d2fd898c63",
     },
     "n8_wiretap_gmd_bob": {
-        "base.va": "3373ebf76dfefc9b", "base.b_sqrt": "e8789d07a27c12d0",
-        "base.u_tilde": "e9b1118c9d819834", "base.t_tilde": "ec9d9cfbd67d6214",
-        "base.diag_b": "0f8b35b357333fd5", "base.sinr": "4e020ad6fe0abe78",
-        "base.rates_bits": "917c59cdc145984b", "diag_e": "77ba08d44c4c2fed",
-        "secret_rates_bits": "2c90c050c510b1de", "fictitious_rates_bits": "625a75b470f6bf23",
+        "base.va": "781808f76578c202", "base.b_sqrt": "2cd85208db2f7ec9",
+        "base.u_tilde": "a8d1c8d9e27b156c", "base.t_tilde": "a1a7a96b91db91f8",
+        "base.diag_b": "f5f45a8172ba2a4d", "base.sinr": "53924a967dfe6b34",
+        "base.rates_bits": "cb13b786538199d5", "diag_e": "42ffb30685b708ad",
+        "secret_rates_bits": "58c157550aae747d", "fictitious_rates_bits": "79a7872373f3cadf",
         "mode": "31a090f4630fe02d",
     },
     "n8_dpc": {
-        "base.va": "3898d61000894fd1", "base.b_sqrt": "e8789d07a27c12d0",
-        "base.u_tilde": "ef5e37570e84be84", "base.t_tilde": "acbec141a911bf0e",
-        "base.diag_b": "23cde9398ed09f32", "base.sinr": "5498d95e016ba627",
-        "base.rates_bits": "9e5a778f15ebebf6", "diag_e": "42ffc79bf945709c",
-        "alpha": "51e53d85d12ef7a8", "rates_bits": "e977aac4edafdc01",
-        "fictitious_rates_bits": "e3caf69bc594faee", "rates_u_bits": "ba8f5dd2e0cd2848",
+        "base.va": "bd0e125db4fdad94", "base.b_sqrt": "2cd85208db2f7ec9",
+        "base.u_tilde": "876d8fea3d630d98", "base.t_tilde": "4d36ff234bff9081",
+        "base.diag_b": "b969e404a75c0d79", "base.sinr": "291e8111594f7e98",
+        "base.rates_bits": "c50d93a5666029c3", "diag_e": "15373e02a80e2173",
+        "alpha": "2a0f2757ad8a66bc", "rates_bits": "fbcc6de15b272b46",
+        "fictitious_rates_bits": "94d7eb6ef17ef3b1", "rates_u_bits": "681546d51bafd61d",
     },
     "n8_broadcast": {
         "lb": "35be322d094f9d15", "lc": "f13ee6ed54ea2aae", "va": "d6e17055533708be",
-        "b_sqrt": "787e32d6c3258428", "diag_b": "e471b888b11219a3",
-        "diag_c": "ff8dae65224432dc", "bob_combiner": "9f5f393a2e7e7039",
-        "charlie_combiner": "6d40a2d61aa9310f", "bob_feedback": "6a0279cf93f234c5",
-        "charlie_feedback": "5a3cb1235e2d8d02", "bob_rates_bits": "11679b65f3e3cc90",
-        "charlie_rates_bits": "845b025e37f33e1c",
+        "b_sqrt": "787e32d6c3258428", "diag_b": "e90be9baa26b611a",
+        "diag_c": "61eab1c07b4a8562", "bob_combiner": "ce11178a50c88bca",
+        "charlie_combiner": "68401f8897f0face", "bob_feedback": "3dbf664a56ccd908",
+        "charlie_feedback": "5783b9d5555edf46", "bob_rates_bits": "c2e724021f96e6c0",
+        "charlie_rates_bits": "0a2e36ee05d93635",
     },
     "n4_rank1_capacity": {
         "gsv": "b9164819e91b5e5d", "lb": "7c9fa136d4413fa6",
         "capacity_bits": "02f53c0f98940728", "k_star": "73248eb556cccd27",
     },
     "n4_rank1_wiretap_gsvd": {
-        "base.va": "8896a401df68ba88", "base.b_sqrt": "8846c67f4a6316f8",
-        "base.u_tilde": "0db413b5e3fc25c9", "base.t_tilde": "eb09c0eb655654f5",
-        "base.diag_b": "5056e59d39e65e41", "base.sinr": "b3ebc6d6c1487e78",
-        "base.rates_bits": "45f76ee141dffcd5", "diag_e": "042816abba3a09b6",
-        "secret_rates_bits": "eee9b32830cbee36", "fictitious_rates_bits": "a9b8d2a3742c7e4c",
+        "base.va": "c64dc64c03146b64", "base.b_sqrt": "a691cde7a32080dd",
+        "base.u_tilde": "c37d910cff2d518b", "base.t_tilde": "151ec0eed38bb052",
+        "base.diag_b": "305f8ea3f969a2cb", "base.sinr": "9fa4ef134d6d8e7f",
+        "base.rates_bits": "5f60ec2a2e970c8d", "diag_e": "49e63971e0ea58c6",
+        "secret_rates_bits": "d7002b00a18fdf86", "fictitious_rates_bits": "3b6dfc90cb07a32d",
         "mode": "ce714a5f246ce96c",
     },
     "n4_rank1_wiretap_svd_eve": {
-        "base.va": "43af730c204968f5", "base.b_sqrt": "8846c67f4a6316f8",
-        "base.u_tilde": "82d7e57883854124", "base.t_tilde": "1c4961602f4151f2",
-        "base.diag_b": "7fb784e0821aebb0", "base.sinr": "8b2b6b3d8b9c4ec6",
-        "base.rates_bits": "a73b39f35794e8a3", "diag_e": "a97864aa69329a5d",
-        "secret_rates_bits": "57c854a4b6bc9788", "fictitious_rates_bits": "64dd04e3151860a7",
+        "base.va": "008ea5de5ce191b4", "base.b_sqrt": "a691cde7a32080dd",
+        "base.u_tilde": "26df75eccf25a7a3", "base.t_tilde": "151ec0eed38bb052",
+        "base.diag_b": "305f8ea3f969a2cb", "base.sinr": "9fa4ef134d6d8e7f",
+        "base.rates_bits": "5f60ec2a2e970c8d", "diag_e": "49e63971e0ea58c6",
+        "secret_rates_bits": "d7002b00a18fdf86", "fictitious_rates_bits": "3b6dfc90cb07a32d",
         "mode": "c73ddb487405eaa4",
     },
     "n4_rank1_wiretap_svd_bob": {
-        "base.va": "3c3a3ab27fb7c494", "base.b_sqrt": "8846c67f4a6316f8",
-        "base.u_tilde": "dd69bc5b863b364f", "base.t_tilde": "6304cf550570d3a9",
-        "base.diag_b": "4c7cf5132bda6e3a", "base.sinr": "f0710b20b7f4c5e1",
-        "base.rates_bits": "13914ec6767cdc6d", "diag_e": "6fb824ea328ef67e",
-        "secret_rates_bits": "81642093e8e19785", "fictitious_rates_bits": "74b9e59d3d3a6a60",
+        "base.va": "7b339108d5b8b439", "base.b_sqrt": "a691cde7a32080dd",
+        "base.u_tilde": "c37d910cff2d518b", "base.t_tilde": "151ec0eed38bb052",
+        "base.diag_b": "305f8ea3f969a2cb", "base.sinr": "9fa4ef134d6d8e7f",
+        "base.rates_bits": "5f60ec2a2e970c8d", "diag_e": "49e63971e0ea58c6",
+        "secret_rates_bits": "d7002b00a18fdf86", "fictitious_rates_bits": "3b6dfc90cb07a32d",
         "mode": "5d59e8d2fd898c63",
     },
     "n4_rank1_wiretap_gmd_bob": {
-        "base.va": "db7172d50139f821", "base.b_sqrt": "8846c67f4a6316f8",
-        "base.u_tilde": "381af9c03062e592", "base.t_tilde": "89e70725ca1b3780",
-        "base.diag_b": "a8583e6cd197a8e1", "base.sinr": "a3fa9470c3b17a24",
-        "base.rates_bits": "2d3ebe490f19e411", "diag_e": "b7895e6d11cf061d",
-        "secret_rates_bits": "f162c13074dfc123", "fictitious_rates_bits": "f828baf7bc1a3724",
+        "base.va": "ae6230c793f84228", "base.b_sqrt": "a691cde7a32080dd",
+        "base.u_tilde": "15ab447698d2f099", "base.t_tilde": "84174b55ced3c810",
+        "base.diag_b": "b5d25478d17a5d00", "base.sinr": "7bc82621540ee6f8",
+        "base.rates_bits": "a40064fca1e19716", "diag_e": "095abb1386d7ef6e",
+        "secret_rates_bits": "943404eecd7b7b17", "fictitious_rates_bits": "67bad0b8f7ee3b01",
         "mode": "31a090f4630fe02d",
     },
     "n4_rank1_dpc": {
-        "base.va": "8896a401df68ba88", "base.b_sqrt": "8846c67f4a6316f8",
-        "base.u_tilde": "0db413b5e3fc25c9", "base.t_tilde": "eb09c0eb655654f5",
-        "base.diag_b": "5056e59d39e65e41", "base.sinr": "b3ebc6d6c1487e78",
-        "base.rates_bits": "45f76ee141dffcd5", "diag_e": "042816abba3a09b6",
-        "alpha": "ee8ea16033cca1a6", "rates_bits": "b2cb86c4cd5b02c9",
-        "fictitious_rates_bits": "135dced0c1f1c769", "rates_u_bits": "b232e5faf1c89b8e",
+        "base.va": "c64dc64c03146b64", "base.b_sqrt": "a691cde7a32080dd",
+        "base.u_tilde": "c37d910cff2d518b", "base.t_tilde": "151ec0eed38bb052",
+        "base.diag_b": "305f8ea3f969a2cb", "base.sinr": "9fa4ef134d6d8e7f",
+        "base.rates_bits": "5f60ec2a2e970c8d", "diag_e": "49e63971e0ea58c6",
+        "alpha": "cdb066c2b10aa5ec", "rates_bits": "81642093e8e19785",
+        "fictitious_rates_bits": "65e28dc45d74bc30", "rates_u_bits": "f98251a714d0bf7e",
     },
     "n4_rank1_broadcast": {
         "lb": "7c9fa136d4413fa6", "lc": "35be322d094f9d15", "va": "de7c6ba3b5c54e0d",
-        "b_sqrt": "82266aa35e18d857", "diag_b": "767051de09d23731",
-        "diag_c": "89cf22ee9d4cdc04", "bob_combiner": "9f7c5c3c7e4f65a0",
-        "charlie_combiner": "3ca8bf678af1b8a2", "bob_feedback": "6176ea4837ebd56e",
-        "charlie_feedback": "03d48643c7a5ff1e", "bob_rates_bits": "6843716cce0c86f7",
-        "charlie_rates_bits": "25ef4d723daf9acc",
+        "b_sqrt": "82266aa35e18d857", "diag_b": "1b169b49c785f40a",
+        "diag_c": "63fb15f564e66709", "bob_combiner": "cee8602dd4177085",
+        "charlie_combiner": "9fa13dfe41fc4732", "bob_feedback": "c516d3f29ef99c1a",
+        "charlie_feedback": "979bb77c30a5a4fa", "bob_rates_bits": "8f4cf19ecfea4b41",
+        "charlie_rates_bits": "9d908ecfb6b256de",
     },
     "n4_power": {
         "capacity_lower_bound": "52cbd6dd1ba32b65", "kbar": "9f36ffc267b5d39b",
