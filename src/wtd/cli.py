@@ -240,13 +240,14 @@ def cmd_decompose(problem, args_echo):
         report["reconstruction_residual"] = _residual(fac.reconstruct(), h)
         return report
     other = _require_tall(_require_other(problem, "kind 'gsvd'"), problem["other_field"])
-    # One GSVD kernel call gives the GSVs and both forms.
-    gsv, diag_form, jt = decomp._gsvd_forms(h, other)
+    # One GSVD kernel call: the triangular form is the QR pair under the diagonal form's precoder.
+    diag_form = decomp.gsvd_diagonal(h, other)
+    jt = decomp.joint_triangularize(h, other, decomp.ql(diag_form.x).u)
     normalization = diag_form.l1.conj().T @ diag_form.l1 + diag_form.l2.conj().T @ diag_form.l2
     report["factors"] = {name: matrix_to_json(getattr(jt, name))
                          for name in ("u1", "u2", "va", "t1", "t2")}
     report["diag_ratios"] = vector_to_json(jt.diag_ratios)
-    report["gsv"] = vector_to_json(gsv)
+    report["gsv"] = vector_to_json(diag_form.gsv)
     report["normalization_residual"] = _residual(
         normalization, np.eye(normalization.shape[0]))
     report["reconstruction_residual"] = max(

@@ -162,10 +162,10 @@ def _check_rank(a, diag, name="matrix"):
 
 def _qr_diagonal(a, complete=False):
     """``qr(a).diagonal``, the phases ``qr(a).u`` puts on Q's columns, and Q if ``complete``."""
+    # Finite check only: callers pass ``[h b; I] va``, whose singular values are all >= 1.
     a = _as_matrix(a)
     q, r = np.linalg.qr(a, mode="complete") if complete else (None, np.linalg.qr(a, mode="r"))
     phases, diag = _diagonal_phases(np.diag(r))
-    _check_rank(a, diag)
     return diag, phases, q
 
 
@@ -400,56 +400,43 @@ def gsv_values(a1, a2):
     return _gsvd_kernel(a1, a2)[0]
 
 
-def _gsvd_right_factor(a1, a2, left=False):
-    """Kernel ``(mu, U, Q2, W', R2)`` of a checked full-column-rank pair, the
-    scale ``sqrt(1 + mu^2)`` and the diagonal-form right factor ``x``."""
-    a1, a2 = _check_pair(a1, a2)
-    # Factors here carry strictly positive diagonals, so a rank-deficient
-    # first matrix (a zero GSV) is rejected as well.
-    _check_rank(a1, np.abs(np.diag(np.linalg.qr(a1, mode="r"))), "first matrix of the pair")
-    kernel = _gsvd_kernel(a1, a2, left)
-    mu, _, _, wh, r2 = kernel
-    scale = np.sqrt(1.0 + mu * mu)
-    return kernel, scale, (wh @ r2).conj().T * scale[None, :]
-
-
 def gsvd_diagonal(a1, a2):
-    """Diagonal-form GSVD of a full-column-rank pair."""
-    return _gsvd_forms(a1, a2)[1]
+    """Diagonal-form GSVD of a full-column-rank pair, from one kernel call.
 
-
-def _gsvd_va(a1, a2):
-    # ``gsvd_triangular(a1, a2).va`` bit for bit, without the left factors.
-    return ql(_gsvd_right_factor(a1, a2)[2]).u
-
-
-def _gsvd_forms(a1, a2):
-    # The kernel's ``mu``, the diagonal form and the triangular form, from one
-    # kernel call; ``gsv`` of the diagonal form, ``(mu/s)/(1/s)``, is not ``mu``.
-    (mu, u, q2, wh, _), scale, x = _gsvd_right_factor(a1, a2, left=True)
+    With the kernel of :func:`gsv_values` and ``s = sqrt(1 + mu^2)``: ``u1 =
+    U``, ``u2 = Q2 diag(W, I)``, ``l1 = diag(mu / s)``, ``l2 = diag(1 / s)``
+    and ``x = (W' R2)' diag(s)``.  A rank-deficient first matrix (a zero
+    GSV) raises :class:`RankDeficient`.
+    """
+    a1, a2 = _check_pair(a1, a2)
+    _check_rank(a1, np.abs(np.diag(np.linalg.qr(a1, mode="r"))), "first matrix of the pair")
+    mu, u, q2, wh, r2 = _gsvd_kernel(a1, a2, left=True)
+    scale = np.sqrt(1.0 + mu * mu)
+    x = (wh @ r2).conj().T * scale[None, :]
     n = mu.size
     u2 = np.concatenate([q2[:, :n] @ wh.conj().T, q2[:, n:]], axis=1)
     l1 = np.zeros((u.shape[0], n), dtype=complex)
     l2 = np.zeros((q2.shape[0], n), dtype=complex)
     l1[np.arange(n), np.arange(n)] = mu / scale
     l2[np.arange(n), np.arange(n)] = 1.0 / scale
-    qlf = ql(x)
-    t_core = qlf.l.conj().T
-    core_diag = np.real(np.diag(t_core))
-    return mu, GsvdDiagonalFactors(u1=u, u2=u2, x=x, l1=l1, l2=l2), JointTriangularization(
-        u1=u, u2=u2, va=qlf.u, t1=l1 @ t_core, t2=l2 @ t_core,
-        diag1=np.real(np.diag(l1)) * core_diag, diag2=np.real(np.diag(l2)) * core_diag)
+    return GsvdDiagonalFactors(u1=u, u2=u2, x=x, l1=l1, l2=l2)
+
+
+def _gsvd_va(a1, a2):
+    # ``ql(gsvd_diagonal(a1, a2).x).u`` bit for bit, from the thin kernel.
+    mu, _, _, wh, r2 = _gsvd_kernel(*_check_pair(a1, a2))
+    return ql((wh @ r2).conj().T * np.sqrt(1.0 + mu * mu)[None, :]).u
 
 
 def gsvd_triangular(a1, a2):
-    """Triangular-form GSVD: shared right unitary, diagonal ratios = GSVs.
+    """Triangular-form GSVD: the joint triangularization under the GSVD precoder.
 
-    A QL decomposition ``x = va @ l`` of the right factor of
-    :func:`gsvd_diagonal` gives ``a_k = u_k @ (l_k @ l') @ va'``; both
-    ``l_k @ l'`` are upper triangular, and their diagonal ratios are the
-    diagonal ratios of ``l1`` over ``l2``.
+    The precoder ``va`` is the unitary factor of a QL decomposition ``x = va
+    @ l`` of the right factor of :func:`gsvd_diagonal`; then ``a_k @ va =
+    u_k @ (l_k @ l')`` with both ``l_k @ l'`` upper triangular, so the QRs
+    of :func:`joint_triangularize` have diagonal ratios equal to the GSVs.
     """
-    return _gsvd_forms(a1, a2)[2]
+    return joint_triangularize(a1, a2, _gsvd_va(a1, a2))
 
 
 def joint_triangularize(a1, a2, va):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from wtd import decomp
+
 
 def complex_gaussian(rng, rows, cols):
     """Random complex matrix with i.i.d. CN(0, 1) entries."""
@@ -29,6 +31,16 @@ def assert_exact_upper_triangular(t):
     m, n = t.shape
     below = np.tril(np.ones((m, n)), -1).astype(bool)
     assert np.all(t[below] == 0.0)
+
+
+def ql_product_gsvd(a1, a2):
+    """Triangular GSVD by the QL-product route, independent of ``joint_triangularize``:
+    a QL ``x = va @ l`` of the diagonal form's ``x`` gives ``a_k = u_k @ (l_k @ l') @ va'``."""
+    f = decomp.gsvd_diagonal(a1, a2)
+    q = decomp.ql(f.x)
+    t1, t2 = f.l1 @ q.l.conj().T, f.l2 @ q.l.conj().T
+    return decomp.JointTriangularization(u1=f.u1, u2=f.u2, va=q.u, t1=t1, t2=t2,
+                                         diag1=np.real(np.diag(t1)), diag2=np.real(np.diag(t2)))
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,6 +232,12 @@ class TestDecompose:
         assert run_cli(["decompose", "--input", path, "--kind", "gsvd", "--out", out]) == 0
         assert len(calls) == 1
 
+    def test_gsvd_rank_deficient_first_matrix(self, tmp_path, capsys):
+        h_b = np.array([[1.0, 1.0], [0.5, 0.5], [-0.25, -0.25]])
+        path = write_problem(tmp_path, h_b=matrix(h_b), h_e=GOLDEN_H_E)
+        assert run_cli(["decompose", "--input", path, "--kind", "gsvd"]) == 1
+        assert "first matrix of the pair is rank deficient" in capsys.readouterr().err
+
     def test_qr_ql_svd_kinds(self, tmp_path):
         path = write_problem(tmp_path, h_b=GOLDEN_H_B)
         for kind in ("qr", "ql", "svd"):
@@ -237,6 +245,20 @@ class TestDecompose:
             assert run_cli(["decompose", "--input", path, "--kind", kind,
                             "--out", out]) == 0
             assert read_report(out)["reconstruction_residual"] <= 1e-9
+
+
+def test_front_end_names_no_private_library_attribute():
+    # The CLI reads the library through its public API: no ``decomp._x`` and
+    # no ``from .decomp import _x``.
+    modules = ("decomp", "secrecy", "scheme")
+    private = []
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            private.append(f"{node.value.id}.{node.attr}")
+        if isinstance(node, ast.ImportFrom) and node.module in modules:
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 class TestCapacity:

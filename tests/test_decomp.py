@@ -14,6 +14,7 @@ from conftest import (
     assert_exact_upper_triangular,
     assert_unitary,
     complex_gaussian,
+    ql_product_gsvd,
     random_psd,
     rel_residual,
 )
@@ -375,16 +376,31 @@ class TestGsvdTriangular:
         assert np.all(jt.diag1 > 0)
         assert np.all(jt.diag2 > 0)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_ql_product_route(self, rng, n):
+        for rows1, rows2 in [(n + 2, n + 1), (n, 2 * n + 1)]:
+            a1 = complex_gaussian(rng, rows1, n)
+            a2 = complex_gaussian(rng, rows2, n)
+            jt = decomp.gsvd_triangular(a1, a2)
+            want = ql_product_gsvd(a1, a2)
+            # The complement columns of u_k are any orthonormal completion.
+            for name in ("t1", "t2", "diag1", "diag2", "u1", "u2"):
+                got, ref = getattr(jt, name), getattr(want, name)
+                if name.startswith("u"):
+                    got, ref = got[:, :n], ref[:, :n]
+                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), (n, name)
+
 
 class TestGsvdPrecoder:
-    # The gsvd-mode precoder skips the left factors of the triangular GSVD
-    # but must give its right unitary bit for bit.
+    # The precoder is the unitary factor of a QL of the diagonal form's right
+    # factor, bit for bit: the CLI's gsvd report builds it that way.
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
     def test_va_equals_triangular_va(self, rng, n):
         for rows1, rows2 in [(n, n), (n + 2, n + 1), (2 * n, n + 3)]:
             a1 = complex_gaussian(rng, rows1, n)
             a2 = complex_gaussian(rng, rows2, n)
-            assert np.array_equal(decomp._gsvd_va(a1, a2), decomp.gsvd_triangular(a1, a2).va)
+            va = decomp.ql(decomp.gsvd_diagonal(a1, a2).x).u
+            assert np.array_equal(decomp.gsvd_triangular(a1, a2).va, va)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_select_precoder_equals_triangular_va(self, rng, n):
@@ -400,8 +416,11 @@ class TestGsvdPrecoder:
     def test_rank_deficient_first_matrix_rejected(self, rng):
         a1 = complex_gaussian(rng, 4, 3)
         a1[:, 2] = a1[:, 0]
+        a2 = complex_gaussian(rng, 4, 3)
         with pytest.raises(RankDeficient, match="first matrix"):
-            decomp._gsvd_va(a1, complex_gaussian(rng, 4, 3))
+            decomp.gsvd_diagonal(a1, a2)
+        with pytest.raises(RankDeficient):
+            decomp.gsvd_triangular(a1, a2)
 
 
 KNOWN_GSV = np.array([1e3, 10.0, 1.0, 1e-3])
@@ -422,16 +441,19 @@ def known_gsv_pair(rng, condition):
 class TestIllConditionedPairs:
     # Forming a'a squares cond(x) and loses the small GSVs; the QR + SVD
     # route keeps the relative error within a modest multiple of
-    # eps * cond(x).
+    # eps * cond(x).  The triangular form is a QR pair, so it reconstructs
+    # the pair to rounding at any condition.
     @pytest.mark.parametrize("condition", [1e2, 1e5, 1e7])
     def test_known_gsvs_recovered(self, rng, condition):
         tol = 1e-11 * condition
         for _ in range(10):
             a1, a2 = known_gsv_pair(rng, condition)
             mu = decomp.gsv_values(a1, a2)
-            ratios = decomp.gsvd_triangular(a1, a2).diag_ratios
+            jt = decomp.gsvd_triangular(a1, a2)
             assert np.max(np.abs(mu - KNOWN_GSV) / KNOWN_GSV) <= tol
-            assert np.max(np.abs(ratios - KNOWN_GSV) / KNOWN_GSV) <= tol
+            assert np.max(np.abs(jt.diag_ratios - KNOWN_GSV) / KNOWN_GSV) <= tol
+            assert rel_residual(jt.u1 @ jt.t1 @ jt.va.conj().T, a1) <= 1e-14
+            assert rel_residual(jt.u2 @ jt.t2 @ jt.va.conj().T, a2) <= 1e-14
 
 
 def test_import_leaves_scipy_unloaded():

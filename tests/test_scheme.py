@@ -7,7 +7,7 @@ import pytest
 from wtd import decomp, scheme, secrecy
 from wtd.errors import DomainError, InsufficientSamples
 
-from conftest import complex_gaussian, random_psd
+from conftest import complex_gaussian, ql_product_gsvd, random_psd
 
 
 def wiretap_instance(rng, n=3, n_b=3, n_e=2):
@@ -104,6 +104,23 @@ class TestBuildSicPlan:
             scheme.build_sic_plan(np.eye(2), np.eye(2), 2 * np.eye(2))
 
 
+class TestWideDynamicRange:
+    # ``[h b; I] va`` has singular values >= 1, so a gain of 1e13 beside one
+    # of 1 or 0 is no rank deficiency, though the small diagonal entry of the
+    # QR is below 1e-12 of the norm.
+    def test_sic_plan_builds(self):
+        plan = scheme.build_sic_plan(np.diag([1e13, 0.0]), np.eye(2), np.eye(2))
+        assert np.allclose(plan.diag_b, [1e13, 1.0], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("mode", ["svd_eve", "svd_bob"])
+    def test_wiretap_secret_rates_sum_to_capacity(self, mode):
+        h_b, h_e, kbar = np.diag([1e13, 1.0]), 0.5 * np.eye(2), np.eye(2)
+        plan = scheme.build_wiretap_plan(h_b, h_e, kbar, mode)
+        capacity = secrecy.secrecy_capacity_cov(h_b, h_e, kbar).capacity_bits
+        assert np.isclose(capacity, 86.726, atol=1e-3)
+        assert np.isclose(np.sum(plan.secret_rates_bits), capacity, rtol=1e-12)
+
+
 class TestBuildWiretapPlan:
     def test_equal_channels(self, rng):
         h = complex_gaussian(rng, 2, 2)
@@ -170,10 +187,10 @@ class TestPlanFactor:
 
 
 def _broadcast_oracle(h_b, h_c, kbar):
-    """Broadcast plan fields read off ``gsvd_triangular``, the former route."""
+    """Broadcast plan fields read off the QL-product triangular GSVD."""
     b = secrecy.matrix_sqrt(kbar)
-    jt = decomp.gsvd_triangular(secrecy.effective_mmse_matrix(h_b, b),
-                                secrecy.effective_mmse_matrix(h_c, b))
+    jt = ql_product_gsvd(secrecy.effective_mmse_matrix(h_b, b),
+                         secrecy.effective_mmse_matrix(h_c, b))
     mu = jt.diag1 / jt.diag2
     lb = int(np.sum(mu * mu > 1.0 + secrecy.LB_GSV_TOL))
     bob = jt.u1[:h_b.shape[0], :lb]
