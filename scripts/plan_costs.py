@@ -1,0 +1,98 @@
+"""Compare the per-call cost of the capacity_sweep calls between two checkouts.
+
+Usage, from the root of a wtd checkout:
+
+    python3 scripts/plan_costs.py ../parent-checkout
+    python3 scripts/plan_costs.py ../parent-checkout --problems 90 --rounds 4 --seed 1
+
+The script loads the ``wtd`` package of ``PARENT/src`` as ``wtd_parent``
+and the one of this checkout as ``wtd``, in one process with one BLAS
+thread.  It draws the problems of the ``capacity_sweep`` workload
+(``bench/workloads.py``) and runs its nine calls on each problem with both
+packages, ``--rounds`` times, alternating which package goes first, so a
+slow spell of the machine hits both alike.  It prints the median time of
+each call per package in microseconds, their ratio (parent over change),
+and the ratio of the total times.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import importlib.util  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import wtd  # noqa: E402
+from workloads import CapacitySweep  # noqa: E402
+
+MODES = ("gsvd", "svd_eve", "svd_bob", "gmd_bob")
+
+
+def load_package(src, name):
+    """Import the ``wtd`` package under ``src`` as the top-level module ``name``."""
+    init = src / "wtd" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def calls(pkg, h_b, h_e, kbar):
+    """The nine (label, thunk) calls of one capacity_sweep problem."""
+    out = [("secrecy_capacity_cov", lambda: pkg.secrecy_capacity_cov(h_b, h_e, kbar)),
+           ("channel_gsv", lambda: pkg.channel_gsv(h_b, h_e, kbar)),
+           ("broadcast_region", lambda: pkg.broadcast_region(h_b, h_e, kbar))]
+    for mode in MODES:
+        out.append((f"build_wiretap_plan {mode}",
+                    lambda mode=mode: pkg.build_wiretap_plan(h_b, h_e, kbar, mode)))
+    out.append(("build_dpc_plan", lambda: pkg.build_dpc_plan(h_b, h_e, kbar)))
+    out.append(("build_broadcast_plan", lambda: pkg.build_broadcast_plan(h_b, h_e, kbar)))
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="root of the checkout to compare against")
+    parser.add_argument("--problems", type=int, default=90)
+    parser.add_argument("--rounds", type=int, default=4)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    src = Path(args.parent).resolve() / "src"
+    if not (src / "wtd").is_dir():
+        parser.error(f"no wtd package under {src}")
+    packages = {"parent": load_package(src, "wtd_parent"), "change": wtd}
+    sweep = CapacitySweep(args.seed, None, None, None)
+    times = {name: {} for name in packages}
+    for index in range(args.problems):
+        _, h_b, h_e, kbar = sweep.problem(index)
+        for round_ in range(args.rounds):
+            names = list(packages)
+            if (index + round_) % 2:
+                names.reverse()
+            for name in names:
+                for label, call in calls(packages[name], h_b, h_e, kbar):
+                    start = time.perf_counter()
+                    call()
+                    times[name].setdefault(label, []).append(time.perf_counter() - start)
+    print(f"{'call':32s} {'parent us':>10s} {'change us':>10s} {'ratio':>7s}")
+    for label in times["parent"]:
+        before = statistics.median(times["parent"][label]) * 1e6
+        after = statistics.median(times["change"][label]) * 1e6
+        print(f"{label:32s} {before:10.1f} {after:10.1f} {before / after:7.3f}")
+    total = {name: sum(map(sum, per_call.values())) for name, per_call in times.items()}
+    print(f"total ratio (parent / change): {total['parent'] / total['change']:.3f} "
+          f"({args.problems} problems x {args.rounds} rounds, seed {args.seed})")
+
+
+if __name__ == "__main__":
+    main()

@@ -15,6 +15,7 @@ Conventions used throughout:
   zeros, not left as rounding noise.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,7 +165,8 @@ def _qr_diagonal(a, complete=False):
     """``qr(a).diagonal``, the phases ``qr(a).u`` puts on Q's columns, and Q if ``complete``."""
     # Finite check only: callers pass ``[h b; I] va``, whose singular values are all >= 1.
     a = _as_matrix(a)
-    q, r = np.linalg.qr(a, mode="complete") if complete else (None, np.linalg.qr(a, mode="r"))
+    # Mode ``raw`` holds R's diagonal, transposed, without the copy of its triangle.
+    q, r = np.linalg.qr(a, mode="complete") if complete else (None, np.linalg.qr(a, mode="raw")[0])
     phases, diag = _diagonal_phases(np.diag(r))
     return diag, phases, q
 
@@ -259,15 +261,66 @@ def majorizes(x, y, rel_tol=MAJORIZATION_RTOL):
     return _first_majorization_violation(x, y, rel_tol) is None
 
 
-def _swap_streams(u, v, t, i, j):
-    # Simultaneous row+column permutation of t, mirrored in u and v.  Safe
-    # while the trailing block of t is still diagonal.
-    if i == j:
-        return
-    t[:, [i, j]] = t[:, [j, i]]
-    v[:, [i, j]] = v[:, [j, i]]
-    t[[i, j], :] = t[[j, i], :]
-    u[:, [i, j]] = u[:, [j, i]]
+def _gtd_schedule(sigma, target):
+    """The GTD construction planned on the diagonal ``sigma`` alone.
+
+    Step ``k`` swaps streams so that positions ``k, k + 1`` bracket
+    ``target[k]`` (the smallest entry >= it and the largest below it, larger
+    first), then a 2x2 rotation, ``g2`` on the columns and ``g1`` on the rows,
+    puts ``target[k]`` at ``k`` and ``d1 d2 / teff`` at ``k + 1``.  Returns
+    the steps ``(a, b, g2, g1)``, with ``a, b`` the original indices of the
+    streams at ``k, k + 1``, and the final order of the streams.
+    """
+    d = [float(x) for x in sigma]
+    n = len(d)
+    perm = list(range(n))
+    steps = []
+
+    def swap(i, j):
+        d[i], d[j] = d[j], d[i]
+        perm[i], perm[j] = perm[j], perm[i]
+
+    for k in range(n - 1):
+        tk = float(target[k])
+        rest = range(k, n)
+        above = [i for i in rest if d[i] >= tk]
+        p = min(above, key=d.__getitem__) if above else max(rest, key=d.__getitem__)
+        below = [i for i in rest if d[i] < tk and i != p]
+        q = (max(below, key=d.__getitem__) if below
+             else min((i for i in rest if i != p), key=lambda i: abs(d[i] - tk)))
+        swap(k, p)
+        swap(k + 1, p if q == k else q)
+        if d[k] < d[k + 1]:
+            swap(k, k + 1)
+        d1, d2 = d[k], d[k + 1]
+        if d1 - d2 <= 1e-13 * d1:
+            c, s = 1.0, 0.0
+        else:
+            c2 = (tk * tk - d2 * d2) / (d1 * d1 - d2 * d2)
+            c = math.sqrt(min(max(c2, 0.0), 1.0))
+            s = math.sqrt(max(1.0 - c * c, 0.0))
+        teff = math.hypot(d1 * c, d2 * s)
+        d[k], d[k + 1] = teff, d1 * d2 / teff
+        steps.append((perm[k], perm[k + 1], np.array([[c, -s], [s, c]]),
+                      np.array([[d1 * c, -d2 * s], [d2 * s, d1 * c]]) / teff))
+    return steps, perm
+
+
+def _gtd_factors(f, target):
+    """The GTD of the SVD ``f`` toward ``target``: its schedule applied to ``u``, ``t``, ``v``."""
+    u, tmat, v = f.u, f.t, f.v
+    steps, perm = _gtd_schedule(f.diagonal, target)
+    for a, b, g2, g1 in steps:
+        cols = [a, b]
+        tmat[:, cols] = tmat[:, cols] @ g2
+        v[:, cols] = v[:, cols] @ g2
+        tmat[cols, :] = g1.T @ tmat[cols, :]
+        u[:, cols] = u[:, cols] @ g1
+        tmat[b, a] = 0.0
+        tmat[a, a] = np.real(tmat[a, a])
+    tmat[perm[-1], perm[-1]] = np.real(tmat[perm[-1], perm[-1]])
+    rows = perm + list(range(len(perm), tmat.shape[0]))
+    return GtdFactors(u=u[:, rows], t=tmat[rows][:, perm], v=v[:, perm])
 
 
 def gtd(a, t):
@@ -276,7 +329,7 @@ def gtd(a, t):
     Exists iff the singular values of ``a`` multiplicatively majorize ``t``;
     otherwise :class:`MajorizationError` reports the first violating prefix.
     The construction permutes the SVD and applies a chain of paired 2x2
-    rotations, one per diagonal entry.
+    rotations, one per diagonal entry, planned on the singular values alone.
     """
     a = _as_matrix(a)
     _require_tall(a)
@@ -296,58 +349,29 @@ def gtd(a, t):
             f"singular values do not majorize the target diagonal "
             f"(first violating prefix length {violation})",
             prefix_index=violation)
+    return _gtd_factors(f, target)
 
-    u = f.u.copy()
-    tmat = f.t.copy()
-    v = f.v.copy()
-    for k in range(n - 1):
-        tk = target[k]
-        d = np.real(np.diag(tmat))
-        # Bracket tk between the closest remaining diagonal values: the
-        # smallest one >= tk and the largest one < tk.  The fallbacks only
-        # trigger at the tolerance boundary of the majorization test.
-        rest = np.arange(k, n)
-        above = rest[d[rest] >= tk]
-        below = rest[d[rest] < tk]
-        p = above[np.argmin(d[above])] if above.size else rest[np.argmax(d[rest])]
-        below = below[below != p]
-        others = rest[rest != p]
-        q = below[np.argmax(d[below])] if below.size else others[np.argmin(np.abs(d[others] - tk))]
-        _swap_streams(u, v, tmat, k, p)
-        _swap_streams(u, v, tmat, k + 1, p if q == k else q)
-        if np.real(tmat[k, k]) < np.real(tmat[k + 1, k + 1]):
-            _swap_streams(u, v, tmat, k, k + 1)
 
-        d1 = float(np.real(tmat[k, k]))
-        d2 = float(np.real(tmat[k + 1, k + 1]))
-        if d1 - d2 <= 1e-13 * d1:
-            c, s = 1.0, 0.0
-        else:
-            c2 = (tk * tk - d2 * d2) / (d1 * d1 - d2 * d2)
-            c = np.sqrt(min(max(c2, 0.0), 1.0))
-            s = np.sqrt(max(1.0 - c * c, 0.0))
-        teff = np.hypot(d1 * c, d2 * s)
-        g2 = np.array([[c, -s], [s, c]])
-        g1 = np.array([[d1 * c, -d2 * s], [d2 * s, d1 * c]]) / teff
-        cols = [k, k + 1]
-        tmat[:, cols] = tmat[:, cols] @ g2
-        v[:, cols] = v[:, cols] @ g2
-        tmat[cols, :] = g1.T @ tmat[cols, :]
-        u[:, cols] = u[:, cols] @ g1
-        tmat[k + 1, k] = 0.0
-        tmat[k, k] = np.real(tmat[k, k])
-    tmat[n - 1, n - 1] = np.real(tmat[n - 1, n - 1])
-    return GtdFactors(u=u, t=tmat, v=v)
+def _geometric_mean_target(sigma):
+    return np.full(sigma.size, np.exp(np.mean(np.log(sigma))))
 
 
 def gmd(a):
-    """Geometric mean decomposition: GTD with a constant diagonal."""
+    """Geometric mean decomposition: GTD with a constant diagonal, from one SVD."""
     a = _as_matrix(a)
     _require_tall(a)
-    s = np.linalg.svd(a, compute_uv=False)
-    _check_full_rank(s, s[0] if s.size else 0.0)
-    mean = float(np.exp(np.mean(np.log(s))))
-    return gtd(a, np.full(a.shape[1], mean))
+    f = svd(a)
+    sigma = f.diagonal
+    _check_full_rank(sigma, sigma[0] if sigma.size else 0.0)
+    return _gtd_factors(f, _geometric_mean_target(sigma))
+
+
+def _gmd_right(sigma, v):
+    """``gmd(a).v`` from the singular values and right vectors of ``a``; no ``u`` or ``t``."""
+    steps, perm = _gtd_schedule(sigma, _geometric_mean_target(sigma))
+    for a, b, g2, _ in steps:
+        v[:, [a, b]] = v[:, [a, b]] @ g2
+    return v[:, perm]
 
 
 def _check_pair(a1, a2, stacked=False):
@@ -362,7 +386,7 @@ def _check_pair(a1, a2, stacked=False):
     return a1, a2
 
 
-def _gsvd_kernel(a1, a2, left=False):
+def _gsvd_kernel(a1, a2, left=False, check=True):
     """Paige-Saunders GSVD core: a QR of ``a2``, then an SVD of ``a1 R2^-1``.
 
     With ``a2 = Q2 [R2; 0]`` and ``a1 R2^-1 = U diag(mu) W'``, the pair is
@@ -374,14 +398,16 @@ def _gsvd_kernel(a1, a2, left=False):
     thin SVD, which give the same ``R2``, ``mu`` and ``W'``.
 
     Both inputs may be ``(..., m, n)`` stacks of the same shape; every
-    factor then gains the leading axes, and the rank check runs per pair.
+    factor then gains the leading axes, and the rank check, which
+    ``check=False`` skips, runs per pair.
     The SVD computes ``U`` even when only ``mu`` is used: on a stack, the
     values-only SVD differs from the per-pair call in the last bits.
     """
     n = a2.shape[-1]
     q2, r2 = np.linalg.qr(a2, mode="complete") if left else (None, np.linalg.qr(a2, mode="r"))
     r2 = r2[..., :n, :]
-    _check_rank(a2, np.abs(r2.diagonal(0, -2, -1)), "second matrix of the pair")
+    if check:
+        _check_rank(a2, np.abs(r2.diagonal(0, -2, -1)), "second matrix of the pair")
     c = np.linalg.solve(r2.swapaxes(-1, -2), a1.swapaxes(-1, -2)).swapaxes(-1, -2)
     u, mu, wh = np.linalg.svd(c, full_matrices=left)
     return mu, u, q2, wh, r2
@@ -422,10 +448,17 @@ def gsvd_diagonal(a1, a2):
     return GsvdDiagonalFactors(u1=u, u2=u2, x=x, l1=l1, l2=l2)
 
 
-def _gsvd_va(a1, a2):
-    # ``ql(gsvd_diagonal(a1, a2).x).u`` bit for bit, from the thin kernel.
-    mu, _, _, wh, r2 = _gsvd_kernel(*_check_pair(a1, a2))
-    return ql((wh @ r2).conj().T * np.sqrt(1.0 + mu * mu)[None, :]).u
+def _gsvd_va(a1, a2, check=True):
+    # ``ql(gsvd_diagonal(a1, a2).x).u`` bit for bit, from the thin kernel and
+    # the QR of ``x`` with its columns reversed.  ``check=False`` skips the rank
+    # checks, which on a pair ``[h b; I]`` (singular values >= 1) are spurious.
+    mu, _, _, wh, r2 = _gsvd_kernel(*_check_pair(a1, a2), check=check)
+    x = (wh @ r2).conj().T * np.sqrt(1.0 + mu * mu)[None, :]
+    q, r = np.linalg.qr(x[:, ::-1], mode="complete")
+    phases, diag = _diagonal_phases(np.diag(r)[::-1])
+    if check:
+        _check_rank(x, diag)
+    return q[:, ::-1] * phases
 
 
 def gsvd_triangular(a1, a2):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomp import _as_matrix, _gsvd_va, _qr_diagonal, gmd, require_unitary
+from .decomp import _as_matrix, _gmd_right, _gsvd_va, _qr_diagonal, require_unitary
 from .errors import DomainError, InsufficientSamples
 from .secrecy import LB_GSV_TOL, _secrecy, effective_mmse_matrix, matrix_sqrt
 
@@ -155,24 +155,25 @@ def select_precoder(h_b, h_e, b, mode):
     eavesdropper's factor, ``svd_bob`` the legitimate one (no SIC needed),
     and ``gmd_bob`` equalizes the legitimate diagonal (no bit loading).
     """
+    return _precoder(effective_mmse_matrix(h_b, b), effective_mmse_matrix(h_e, b), mode)
+
+
+def _precoder(g_b, g_e, mode):
+    """The precoder of ``mode`` for the effective MMSE pair ``g_b``, ``g_e``."""
     if mode not in PRECODER_MODES:
         raise DomainError(f"unknown precoder mode {mode!r}; expected one of {PRECODER_MODES}")
-    g_b = effective_mmse_matrix(h_b, b)
-    g_e = effective_mmse_matrix(h_e, b)
     if mode == "gsvd":
-        return _gsvd_va(g_b, g_e)
-    if mode == "gmd_bob":
-        return gmd(g_b).v
-    # ``svd(g).v`` bit for bit, with its finite check, from the thin SVD.
+        return _gsvd_va(g_b, g_e, check=False)
+    # ``svd(g).v`` bit for bit, with its finite check, from the thin SVD;
+    # ``gmd_bob`` rotates it by the GMD schedule of the singular values.
     g = _as_matrix(g_e if mode == "svd_eve" else g_b)
-    return np.linalg.svd(g, full_matrices=False)[2].conj().T
+    _, sigma, vh = np.linalg.svd(g, full_matrices=False)
+    v = vh.conj().T
+    return _gmd_right(sigma, v) if mode == "gmd_bob" else v
 
 
-def _receiver(h, b, va):
-    """Diagonal, combiner ``u`` and feedback ``u' h b va`` of the QR of ``[h b; I] va``."""
-    g = effective_mmse_matrix(h, b)
-    if va.shape[0] != g.shape[1]:
-        raise DomainError("precoder dimension must match the transmit dimension")
+def _receiver(h, b, g, va):
+    """Diagonal, combiner ``u`` and feedback ``u' h b va`` of the QR of ``g va = [h b; I] va``."""
     # Only the diagonal and the top of ``qr(g @ va).u``; a thin Q flips signed zeros.
     diag, phases, q = _qr_diagonal(g @ va, complete=True)
     u = q[:h.shape[0], :g.shape[1]] * phases
@@ -188,7 +189,15 @@ def build_sic_plan(h_b, b, va):
     """
     h_b = np.asarray(h_b, dtype=complex)
     va = require_unitary(va, "precoder")
-    diag_b, u_tilde, t_tilde = _receiver(h_b, b, va)
+    g_b = effective_mmse_matrix(h_b, b)
+    if va.shape[0] != g_b.shape[1]:
+        raise DomainError("precoder dimension must match the transmit dimension")
+    return _sic_plan(h_b, b, g_b, va)
+
+
+def _sic_plan(h_b, b, g_b, va):
+    # The plan of ``build_sic_plan`` on its checked inputs and ``g_b = [h_b b; I]``.
+    diag_b, u_tilde, t_tilde = _receiver(h_b, b, g_b, va)
     n = diag_b.size
     noise_cov = u_tilde.conj().T @ u_tilde
     diag_tt = np.abs(np.diag(t_tilde))
@@ -209,11 +218,17 @@ def build_wiretap_plan(h_b, h_e, kbar, mode):
     the factor ``b_sqrt`` of ``k_star`` that the capacity call forms: the
     root of ``kbar`` times a unitary, with its first ``n - lb`` (inactive)
     columns exactly 0.  It is not Hermitian, and only ``kbar`` is rooted.
+    The pair ``[h_b b; I]``, ``[h_e b; I]`` is formed once for the precoder,
+    the receiver and ``diag_e``, and is not rank checked (its singular values
+    are >= 1), nor is the precoder checked again.
     """
+    h_b = np.asarray(h_b, dtype=complex)
     b = _secrecy(h_b, h_e, kbar)[1]
-    va = select_precoder(h_b, h_e, b, mode)
-    base = build_sic_plan(h_b, b, va)
-    diag_e = _qr_diagonal(effective_mmse_matrix(h_e, b) @ va)[0]
+    g_b = effective_mmse_matrix(h_b, b)
+    g_e = effective_mmse_matrix(h_e, b)
+    va = _precoder(g_b, g_e, mode)
+    base = _sic_plan(h_b, b, g_b, va)
+    diag_e = _qr_diagonal(g_e @ va)[0]
     secret = np.maximum(2.0 * (np.log2(base.diag_b) - np.log2(diag_e)), 0.0)
     return WiretapPlan(base=base, diag_e=diag_e, secret_rates_bits=secret,
                        fictitious_rates_bits=2.0 * np.log2(diag_e), mode=mode)
@@ -243,6 +258,14 @@ def _conditional_mi_bits(cov, idx_a, idx_b, idx_c, memo=None):
             - logdet(idx_a + idx_b + idx_c) - logdet(idx_c)) / LN2
 
 
+def _conditional_sd(rows):
+    # Per row, the standard deviation of its variable given those of the rows
+    # above it: ``|diag R|`` of a QR of ``rows'`` (mode ``raw`` holds it,
+    # transposed, without the copy of R's triangle), on a stack too.
+    h = np.linalg.qr(rows.conj().swapaxes(-1, -2), mode="raw")[0]
+    return np.abs(np.diagonal(h, 0, -2, -1))
+
+
 def build_dpc_plan(h_b, h_e, kbar, mode="gsvd"):
     """Layered-DPC plan; rates computed from Gaussian mutual informations.
 
@@ -250,6 +273,10 @@ def build_dpc_plan(h_b, h_e, kbar, mode="gsvd"):
     known interference scaled by ``alpha_k = (b_k^2 - 1) / b_k^2``.  The
     secret rate subtracts both the auxiliary-codebook overhead and the
     genie-aided leakage, and lands on the SIC-path value stream by stream.
+    Each mutual information is a log ratio of conditional variances, read
+    off the R diagonals of QRs of the factor rows ``[m 0; f_e I]`` of
+    ``(u, y_e)`` (``u = m x``, ``y_e = f_e x + z``), with no Gram matrix.
+    Streams of variance below 1e-15 carry nothing and are left out.
     """
     wt = build_wiretap_plan(h_b, h_e, kbar, mode)
     base = wt.base
@@ -263,40 +290,41 @@ def build_dpc_plan(h_b, h_e, kbar, mode="gsvd"):
     # Mixing matrix of the auxiliary variables: u = m @ x.
     m = np.triu(tt, 1) * alpha[:, None]
     m[np.arange(n), np.arange(n)] = np.diag(tt)
-
     f_e = np.asarray(h_e, dtype=complex) @ base.b_sqrt @ base.va
     n_e = f_e.shape[0]
-    # Joint covariance of (u, y_e) driven by unit-power symbols x.
-    cov_uu = m @ m.conj().T
-    cov_ue = m @ f_e.conj().T
-    cov_ee = f_e @ f_e.conj().T + np.eye(n_e)
-    cov = np.block([[cov_uu, cov_ue], [cov_ue.conj().T, cov_ee]])
 
-    # Per-stream receive scalar at the legitimate user: y_k = row k of
-    # (t_tilde x + noise with covariance u_tilde' u_tilde).
-    noise_cov = base.u_tilde.conj().T @ base.u_tilde
-    cov_yy = tt @ tt.conj().T + noise_cov
-    cov_uy = m @ tt.conj().T
+    # I(u_k; y_k), y_k = row k of (t_tilde x + u_tilde' z), from the variance
+    # of y_k - u_k given u_k: its factor row is an exact difference, so a gain
+    # of 1e13 does not cancel.
+    u_rows = np.concatenate([m, np.zeros_like(base.u_tilde.T)], axis=1)
+    y_rows = np.concatenate([tt, base.u_tilde.conj().T], axis=1)
+    var_u = np.sum(np.abs(m) ** 2, axis=1)
+    var_y = np.sum(np.abs(y_rows) ** 2, axis=1)
+    live = np.flatnonzero((var_u > 1e-15) & (var_y > 1e-15))
+    sd_w = _conditional_sd(np.stack([u_rows, y_rows - u_rows], axis=1)[live])[:, 1]
 
-    eav = list(range(n, n + n_e))
-    memo = {}
-    rates_u = np.empty(n)
-    fictitious = np.empty(n)
-    rates = np.empty(n)
-    for k in range(n):
-        var_u = np.real(cov_uu[k, k])
-        var_y = np.real(cov_yy[k, k])
-        cross = abs(cov_uy[k, k]) ** 2
-        if var_u <= 1e-15 or var_y <= 1e-15:
-            rates_u[k] = 0.0
-        else:
-            rates_u[k] = float(np.log2(var_u * var_y / (var_u * var_y - cross)))
-        tail = list(range(k + 1, n))
-        fictitious[k] = _conditional_mi_bits(cov, [k], eav, tail, memo)
-        rates[k] = rates_u[k] - _conditional_mi_bits(cov, [k], eav + tail, [], memo)
+    # Rows over (x_{n-1}, ..., x_0, z), so that the later streams' rows are
+    # triangular and conditioning on them first is exact, and a zero row that
+    # pads the orders: the live streams last to first, then per live stream
+    # its j later ones, the eavesdropper's outputs and itself.
+    rows = np.zeros((n + n_e + 1, n + n_e), dtype=complex)
+    rows[:n, :n] = m[:, ::-1]
+    rows[n:-1] = np.concatenate([f_e[:, ::-1], np.eye(n_e)], axis=1)
+    j = live.size - 1 - np.arange(live.size)
+    orders = np.full((live.size + 1, n + n_e), n + n_e)
+    orders[0, :live.size] = live[::-1]
+    for i, k in enumerate(live):
+        orders[i + 1, :j[i] + n_e + 1] = [*live[:i:-1], *range(n, n + n_e), k]
+    sd = _conditional_sd(rows[orders])
+    sd_eav = sd[1 + np.arange(live.size), j + n_e]
+    # I(u_k; y_e | later) and I(u_k; y_e, later) in conditional variances of u_k.
+    rates_u, fictitious, leakage = np.zeros((3, n))
+    rates_u[live] = np.log2(var_y[live]) - 2.0 * np.log2(sd_w)
+    fictitious[live] = 2.0 * np.log2(sd[0, j] / sd_eav)
+    leakage[live] = np.log2(var_u[live]) - 2.0 * np.log2(sd_eav)
     return DpcPlan(base=base, diag_e=wt.diag_e, alpha=alpha,
-                   rates_bits=np.maximum(rates, 0.0), fictitious_rates_bits=fictitious,
-                   rates_u_bits=np.maximum(rates_u, 0.0))
+                   rates_bits=np.maximum(rates_u - leakage, 0.0),
+                   fictitious_rates_bits=fictitious, rates_u_bits=np.maximum(rates_u, 0.0))
 
 
 def build_broadcast_plan(h_b, h_c, kbar):
@@ -307,14 +335,17 @@ def build_broadcast_plan(h_b, h_c, kbar):
     Streams with ratio above 1 carry the first user's messages (the first
     ``lb`` columns of its combiner and rows of its feedback), the rest carry
     the second user's; the per-user rate totals hit both corners of the
-    rectangular region simultaneously.
+    rectangular region simultaneously.  Like the wiretap plan, it forms each
+    effective MMSE matrix once and runs no rank check on them.
     """
     h_b = np.asarray(h_b, dtype=complex)
     h_c = np.asarray(h_c, dtype=complex)
     b = matrix_sqrt(kbar)
-    va = _gsvd_va(effective_mmse_matrix(h_b, b), effective_mmse_matrix(h_c, b))
-    diag_b, bob_combiner, bob_feedback = _receiver(h_b, b, va)
-    diag_c, charlie_combiner, charlie_feedback = _receiver(h_c, b, va)
+    g_b = effective_mmse_matrix(h_b, b)
+    g_c = effective_mmse_matrix(h_c, b)
+    va = _gsvd_va(g_b, g_c, check=False)
+    diag_b, bob_combiner, bob_feedback = _receiver(h_b, b, g_b, va)
+    diag_c, charlie_combiner, charlie_feedback = _receiver(h_c, b, g_c, va)
     mu = diag_b / diag_c
     lb = int(np.sum(mu * mu > 1.0 + LB_GSV_TOL))
     return BroadcastPlan(

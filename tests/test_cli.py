@@ -195,6 +195,22 @@ class TestDecompose:
         assert np.allclose(report["diagonal"], [2.0, 2.0], rtol=1e-9)
         assert report["reconstruction_residual"] <= 1e-9
 
+    @pytest.mark.parametrize("kind", ["gmd", "gtd"])
+    def test_gmd_gtd_reconstruct(self, tmp_path, kind):
+        rng = np.random.default_rng(31)
+        for rows, cols in [(4, 4), (6, 4), (8, 8)]:
+            h = (rng.standard_normal((rows, cols))
+                 + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+            sigma = np.linalg.svd(h, compute_uv=False)
+            # The singular values in reverse order are always a feasible target.
+            path = write_problem(tmp_path, h_b=matrix(h), t=list(sigma[::-1]))
+            out = str(tmp_path / "report.json")
+            assert run_cli(["decompose", "--input", path, "--kind", kind, "--out", out]) == 0
+            report = read_report(out)
+            assert report["reconstruction_residual"] <= decomp.RECONSTRUCTION_RTOL
+            want = sigma[::-1] if kind == "gtd" else np.exp(np.mean(np.log(sigma)))
+            assert np.allclose(report["diagonal"], want, rtol=1e-9)
+
     def test_gtd_infeasible_exit_code(self, tmp_path, capsys):
         path = write_problem(tmp_path, h_b=matrix(np.diag([4.0, 1.0])),
                              t=[8.0, 0.5])

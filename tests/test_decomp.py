@@ -474,11 +474,15 @@ class TestJointTriangularize:
         assert np.allclose(jt.t2, decomp.qr(a2).t, atol=1e-12)
 
     def test_gsvd_right_factor_reproduces_ratios(self, rng):
+        # Unit phases on the columns of the GSVD precoder move into the left
+        # factors: both triangular diagonals stay those of gsvd_triangular.
         a1 = complex_gaussian(rng, 4, 3)
         a2 = complex_gaussian(rng, 5, 3)
-        va = decomp.gsvd_triangular(a1, a2).va
-        jt = decomp.joint_triangularize(a1, a2, va)
-        assert np.allclose(jt.diag_ratios, decomp.gsv_values(a1, a2), rtol=1e-8)
+        want = decomp.gsvd_triangular(a1, a2)
+        phases = np.exp(2j * np.pi * rng.uniform(size=3))
+        jt = decomp.joint_triangularize(a1, a2, want.va @ np.diag(phases))
+        assert np.allclose(jt.diag1, want.diag1, rtol=1e-12, atol=0.0)
+        assert np.allclose(jt.diag2, want.diag2, rtol=1e-12, atol=0.0)
 
     def test_determinant_identity(self, rng):
         a1 = complex_gaussian(rng, 4, 3)

@@ -39,6 +39,17 @@ class TestSelectPrecoder:
         d = plan.diag_b
         assert d.max() / d.min() <= 1.0 + 1e-7
 
+    def test_gmd_bob_is_the_gmd_right_factor(self, rng):
+        # One thin SVD and the GMD schedule on ``v`` alone give ``gmd(g_b).v``.
+        for n_b, n in [(3, 3), (5, 4), (2, 4), (8, 8)]:
+            h_b, h_e = complex_gaussian(rng, n_b, n), complex_gaussian(rng, n, n)
+            b = secrecy.matrix_sqrt(random_psd(rng, n))
+            va = scheme.select_precoder(h_b, h_e, b, "gmd_bob")
+            want = decomp.gmd(secrecy.effective_mmse_matrix(h_b, b)).v
+            assert np.max(np.abs(va - want)) <= 1e-10
+            d = scheme.build_sic_plan(h_b, b, va).diag_b
+            assert d.max() / d.min() - 1.0 <= 1e-12
+
     def test_svd_eve_diagonalizes_eavesdropper(self, rng):
         h_b, h_e, _ = wiretap_instance(rng)
         k = random_psd(rng, 3)
@@ -108,17 +119,58 @@ class TestWideDynamicRange:
     # ``[h b; I] va`` has singular values >= 1, so a gain of 1e13 beside one
     # of 1 or 0 is no rank deficiency, though the small diagonal entry of the
     # QR is below 1e-12 of the norm.
+    H_B, H_E, KBAR = np.diag([1e13, 1.0]), 0.5 * np.eye(2), np.eye(2)
+
+    def capacity(self):
+        capacity = secrecy.secrecy_capacity_cov(self.H_B, self.H_E, self.KBAR).capacity_bits
+        assert np.isclose(capacity, 86.726, atol=1e-3)
+        return capacity
+
     def test_sic_plan_builds(self):
         plan = scheme.build_sic_plan(np.diag([1e13, 0.0]), np.eye(2), np.eye(2))
         assert np.allclose(plan.diag_b, [1e13, 1.0], rtol=1e-15, atol=0.0)
 
-    @pytest.mark.parametrize("mode", ["svd_eve", "svd_bob"])
+    @pytest.mark.parametrize("mode", scheme.PRECODER_MODES)
     def test_wiretap_secret_rates_sum_to_capacity(self, mode):
-        h_b, h_e, kbar = np.diag([1e13, 1.0]), 0.5 * np.eye(2), np.eye(2)
-        plan = scheme.build_wiretap_plan(h_b, h_e, kbar, mode)
-        capacity = secrecy.secrecy_capacity_cov(h_b, h_e, kbar).capacity_bits
-        assert np.isclose(capacity, 86.726, atol=1e-3)
-        assert np.isclose(np.sum(plan.secret_rates_bits), capacity, rtol=1e-12)
+        plan = scheme.build_wiretap_plan(self.H_B, self.H_E, self.KBAR, mode)
+        assert np.isclose(np.sum(plan.secret_rates_bits), self.capacity(), rtol=1e-12)
+
+    @pytest.mark.parametrize("mode", scheme.PRECODER_MODES)
+    def test_dpc_secret_rates_sum_to_capacity(self, mode):
+        # The stream of gain 1e13 has an auxiliary variance of 1e26: its rate
+        # must not cancel to a zero determinant, nor the unit-gain stream
+        # count as dead beside it.
+        plan = scheme.build_dpc_plan(self.H_B, self.H_E, self.KBAR, mode)
+        assert np.isclose(np.sum(plan.rates_bits), self.capacity(), rtol=1e-12)
+
+    def test_broadcast_totals_hit_region_corners(self):
+        plan = scheme.build_broadcast_plan(self.H_B, self.H_E, self.KBAR)
+        region = secrecy.broadcast_region(self.H_B, self.H_E, self.KBAR)
+        assert np.isclose(np.sum(plan.bob_rates_bits), region.rb_max, rtol=1e-12, atol=0.0)
+        assert np.isclose(np.sum(plan.charlie_rates_bits), region.rc_max, rtol=1e-12, atol=0.0)
+        assert np.isclose(region.rb_max, self.capacity(), rtol=1e-12)
+
+
+class TestOneMmsePairPerPlan:
+    def test_plans_form_each_mmse_matrix_once(self, rng, monkeypatch):
+        # Counts the plan's own matrices: the capacity call inside a wiretap
+        # plan forms its pair on the root of kbar through ``secrecy``.
+        calls = []
+        mmse = scheme.effective_mmse_matrix
+
+        def counting(h, b):
+            calls.append(h)
+            return mmse(h, b)
+
+        monkeypatch.setattr(scheme, "effective_mmse_matrix", counting)
+        h_b, h_e, kbar = wiretap_instance(rng)
+        for mode in scheme.PRECODER_MODES:
+            calls.clear()
+            scheme.build_wiretap_plan(h_b, h_e, kbar, mode)
+            assert len(calls) == 2, mode
+        calls.clear()
+        scheme.build_broadcast_plan(h_b, h_e, kbar)
+        assert len(calls) == 2
 
 
 class TestBuildWiretapPlan:
@@ -254,6 +306,61 @@ class TestBuildDpcPlan:
         plan = scheme.build_dpc_plan(h_b, h_e, kbar)
         assert np.all(plan.alpha >= 0.0)
         assert np.all(plan.alpha < 1.0)
+
+
+def _dpc_oracle(plan, h_e):
+    """Fictitious rates and leakage terms of a DPC plan from per-subset
+    ``slogdet`` calls on the covariance of ``(u, y_e)``."""
+    base = plan.base
+    n = base.num_streams
+    m = np.triu(base.t_tilde, 1) * plan.alpha[:, None]
+    m[np.arange(n), np.arange(n)] = np.diag(base.t_tilde)
+    f_e = np.asarray(h_e, dtype=complex) @ base.b_sqrt @ base.va
+    n_e = f_e.shape[0]
+    cov = np.block([[m @ m.conj().T, m @ f_e.conj().T],
+                    [f_e @ m.conj().T, f_e @ f_e.conj().T + np.eye(n_e)]])
+    eav = list(range(n, n + n_e))
+    memo = {}
+    fictitious, leakage = np.empty(n), np.empty(n)
+    for k in range(n):
+        tail = list(range(k + 1, n))
+        fictitious[k] = scheme._conditional_mi_bits(cov, [k], eav, tail, memo)
+        leakage[k] = scheme._conditional_mi_bits(cov, [k], eav + tail, [], memo)
+    return fictitious, leakage
+
+
+def _dpc_oracle_problems():
+    """n = 1..8 with n_e below and above n, plus lb = 0, lb = n and a rank-1 kbar."""
+    rng = np.random.default_rng(5150)
+    problems = []
+    for n in range(1, 9):
+        for n_e in (max(n - 1, 1), n + 2):
+            problems.append((complex_gaussian(rng, n + 1, n), complex_gaussian(rng, n_e, n),
+                             random_psd(rng, n) / n))
+    h = complex_gaussian(rng, 4, 4)
+    problems += [(h, 3.0 * h, np.eye(4)), (h, np.zeros((3, 4)), np.eye(4)),
+                 (h, 0.3 * complex_gaussian(rng, 5, 4), random_psd(rng, 4, 1))]
+    return problems
+
+
+class TestDpcOracle:
+    @pytest.mark.parametrize("mode", scheme.PRECODER_MODES)
+    def test_log_determinants_match_slogdet_oracle(self, mode):
+        lbs = []
+        for h_b, h_e, kbar in _dpc_oracle_problems():
+            plan = scheme.build_dpc_plan(h_b, h_e, kbar, mode)
+            fictitious, leakage = _dpc_oracle(plan, h_e)
+            assert np.max(np.abs(plan.fictitious_rates_bits - fictitious)) <= 1e-12
+            want = np.maximum(plan.rates_u_bits - leakage, 0.0)
+            assert np.max(np.abs(plan.rates_bits - want)) <= 1e-12
+            # The auxiliary rates against their closed form log2(b^2 + q).
+            tt, b = plan.base.t_tilde, plan.base.diag_b
+            q = np.sum(np.abs(np.triu(tt, 1)) ** 2, axis=1)
+            live = plan.alpha > 1e-12
+            assert np.all(np.abs(plan.rates_u_bits - np.log2(b ** 2 + q))[live] <= 1e-12)
+            lbs.append(secrecy.secrecy_capacity_cov(h_b, h_e, kbar).lb)
+        # The lb = 0, lb = n and rank-1 problems.
+        assert lbs[-3:] == [0, 4, 1]
 
 
 class TestBuildBroadcastPlan:
@@ -658,7 +765,10 @@ def _golden_digests(result, prefix=""):
 #: Field digests of :func:`_golden_plans`.  Every wiretap, DPC and broadcast
 #: entry was re-recorded when the plans began to build on the capacity call's
 #: factor of ``k_star`` and on one QR per receiver; the capacity entries and
-#: ``n4_power`` kept their bits.
+#: ``n4_power`` kept their bits.  The ``*_wiretap_gmd_bob`` entries at n >= 4
+#: and the rates of every ``*_dpc`` entry were re-recorded again when the GMD
+#: precoder began to plan its rotations on the singular values alone and the
+#: DPC rates to read conditional variances off QRs instead of ``slogdet``.
 GOLDEN_PLANS = {
     "n2_capacity": {
         "gsv": "1439496734e55dc3", "lb": "7c9fa136d4413fa6",
@@ -701,8 +811,8 @@ GOLDEN_PLANS = {
         "base.u_tilde": "72db252a61fa5769", "base.t_tilde": "9ffffd3e942457d0",
         "base.diag_b": "19062dbd692a1210", "base.sinr": "d3238c8c6d80440c",
         "base.rates_bits": "38cd73c1737536db", "diag_e": "31c1b66e6f96984f",
-        "alpha": "254eb9c80cc21812", "rates_bits": "8981996c13da6b3e",
-        "fictitious_rates_bits": "d2056233ee77e0fc", "rates_u_bits": "a653ede6d52bfa60",
+        "alpha": "254eb9c80cc21812", "rates_bits": "ec6dfd3597be9987",
+        "fictitious_rates_bits": "5bd2895c434af85a", "rates_u_bits": "b7912ca83fec0203",
     },
     "n2_broadcast": {
         "lb": "7c9fa136d4413fa6", "lc": "7c9fa136d4413fa6", "va": "f1e42fa886e6f1c2",
@@ -741,11 +851,11 @@ GOLDEN_PLANS = {
         "mode": "5d59e8d2fd898c63",
     },
     "n4_wiretap_gmd_bob": {
-        "base.va": "a255a7610f27595c", "base.b_sqrt": "b4dc02daebd78ff9",
-        "base.u_tilde": "046f543cfbe1edf8", "base.t_tilde": "c25d881a6fb9562f",
-        "base.diag_b": "07b828cf9562f4d0", "base.sinr": "be439b40d97eec1c",
-        "base.rates_bits": "28db75059c927254", "diag_e": "7de92319c2114f8c",
-        "secret_rates_bits": "4e6c99983f00e465", "fictitious_rates_bits": "8c3b37aecf47347b",
+        "base.va": "8d78832444bfe3cc", "base.b_sqrt": "b4dc02daebd78ff9",
+        "base.u_tilde": "bf2d8bf253394d1b", "base.t_tilde": "8bcbe22c6919e7bd",
+        "base.diag_b": "e5c32196acb0436b", "base.sinr": "2f02afd7ae09af49",
+        "base.rates_bits": "aca0af387057f450", "diag_e": "7de92319c2114f8c",
+        "secret_rates_bits": "0570b28231549e06", "fictitious_rates_bits": "8c3b37aecf47347b",
         "mode": "31a090f4630fe02d",
     },
     "n4_dpc": {
@@ -753,8 +863,8 @@ GOLDEN_PLANS = {
         "base.u_tilde": "fa05ccc089c58a60", "base.t_tilde": "c27ed487d84cb62f",
         "base.diag_b": "9cd71e44f2704071", "base.sinr": "25e15f0a9227aa4e",
         "base.rates_bits": "5da90c7e32fd6c21", "diag_e": "ad9281f1275ba25d",
-        "alpha": "414a11460cb1a166", "rates_bits": "db352c401a386c6f",
-        "fictitious_rates_bits": "6a1de3b634902f83", "rates_u_bits": "c7be6ca9e434dec1",
+        "alpha": "414a11460cb1a166", "rates_bits": "137d4313ad68e461",
+        "fictitious_rates_bits": "5dd67efcec48e2bc", "rates_u_bits": "fa92807c02dce1f0",
     },
     "n4_broadcast": {
         "lb": "d86e8112f3c4c444", "lc": "d86e8112f3c4c444", "va": "e0dd6b07fdf14725",
@@ -793,11 +903,11 @@ GOLDEN_PLANS = {
         "mode": "5d59e8d2fd898c63",
     },
     "n8_wiretap_gmd_bob": {
-        "base.va": "781808f76578c202", "base.b_sqrt": "2cd85208db2f7ec9",
-        "base.u_tilde": "a8d1c8d9e27b156c", "base.t_tilde": "a1a7a96b91db91f8",
-        "base.diag_b": "f5f45a8172ba2a4d", "base.sinr": "53924a967dfe6b34",
-        "base.rates_bits": "cb13b786538199d5", "diag_e": "42ffb30685b708ad",
-        "secret_rates_bits": "58c157550aae747d", "fictitious_rates_bits": "79a7872373f3cadf",
+        "base.va": "6d32d26856fb9345", "base.b_sqrt": "2cd85208db2f7ec9",
+        "base.u_tilde": "88fec77cddb108d3", "base.t_tilde": "191a40211d469cc9",
+        "base.diag_b": "218810c384dbface", "base.sinr": "ff39d5d5763bd88b",
+        "base.rates_bits": "f646e5e045771245", "diag_e": "f686daee74833fd8",
+        "secret_rates_bits": "c00476c8175cecd0", "fictitious_rates_bits": "0135eeeb8cc1b116",
         "mode": "31a090f4630fe02d",
     },
     "n8_dpc": {
@@ -805,8 +915,8 @@ GOLDEN_PLANS = {
         "base.u_tilde": "876d8fea3d630d98", "base.t_tilde": "4d36ff234bff9081",
         "base.diag_b": "b969e404a75c0d79", "base.sinr": "291e8111594f7e98",
         "base.rates_bits": "c50d93a5666029c3", "diag_e": "15373e02a80e2173",
-        "alpha": "2a0f2757ad8a66bc", "rates_bits": "fbcc6de15b272b46",
-        "fictitious_rates_bits": "94d7eb6ef17ef3b1", "rates_u_bits": "681546d51bafd61d",
+        "alpha": "2a0f2757ad8a66bc", "rates_bits": "ea60be6e65793020",
+        "fictitious_rates_bits": "b9c3fde8561082a2", "rates_u_bits": "4185e6acdcf28182",
     },
     "n8_broadcast": {
         "lb": "35be322d094f9d15", "lc": "f13ee6ed54ea2aae", "va": "d6e17055533708be",
@@ -845,11 +955,11 @@ GOLDEN_PLANS = {
         "mode": "5d59e8d2fd898c63",
     },
     "n4_rank1_wiretap_gmd_bob": {
-        "base.va": "ae6230c793f84228", "base.b_sqrt": "a691cde7a32080dd",
-        "base.u_tilde": "15ab447698d2f099", "base.t_tilde": "84174b55ced3c810",
-        "base.diag_b": "b5d25478d17a5d00", "base.sinr": "7bc82621540ee6f8",
-        "base.rates_bits": "a40064fca1e19716", "diag_e": "095abb1386d7ef6e",
-        "secret_rates_bits": "943404eecd7b7b17", "fictitious_rates_bits": "67bad0b8f7ee3b01",
+        "base.va": "897fb0f90d605fe3", "base.b_sqrt": "a691cde7a32080dd",
+        "base.u_tilde": "7a8f51e1786ea160", "base.t_tilde": "4e82df60e0bda9d2",
+        "base.diag_b": "f138ae6a099e8bc7", "base.sinr": "8e01d7268ad35ad5",
+        "base.rates_bits": "5b84355180f4e1af", "diag_e": "7ad8824d7cbcd290",
+        "secret_rates_bits": "ed1456d9a5e66d21", "fictitious_rates_bits": "8c0ab46a506dad7b",
         "mode": "31a090f4630fe02d",
     },
     "n4_rank1_dpc": {
@@ -857,8 +967,8 @@ GOLDEN_PLANS = {
         "base.u_tilde": "c37d910cff2d518b", "base.t_tilde": "151ec0eed38bb052",
         "base.diag_b": "305f8ea3f969a2cb", "base.sinr": "9fa4ef134d6d8e7f",
         "base.rates_bits": "5f60ec2a2e970c8d", "diag_e": "49e63971e0ea58c6",
-        "alpha": "cdb066c2b10aa5ec", "rates_bits": "81642093e8e19785",
-        "fictitious_rates_bits": "65e28dc45d74bc30", "rates_u_bits": "f98251a714d0bf7e",
+        "alpha": "cdb066c2b10aa5ec", "rates_bits": "cb6bfd267993b907",
+        "fictitious_rates_bits": "135dced0c1f1c769", "rates_u_bits": "5f60ec2a2e970c8d",
     },
     "n4_rank1_broadcast": {
         "lb": "7c9fa136d4413fa6", "lc": "35be322d094f9d15", "va": "de7c6ba3b5c54e0d",
