@@ -6,19 +6,21 @@ Usage, from the root of a wtd checkout:
     python3 scripts/report_digests.py . > change.txt
     diff parent.txt change.txt
 
-The script writes four problem files to a temporary directory: the README
+The script writes five problem files to a temporary directory: the README
 problem with a feasible ``gtd`` target ``t``, a 4x3 / 2x3 problem with a
 random ``kbar``, a 4x4 problem whose second receiver is a 5-antenna
-``h_c``, and a 4x4 / 5x4 problem whose ``kbar = 1e8 q q'`` has rank 2
+``h_c``, a 4x4 / 5x4 problem whose ``kbar = 1e8 q q'`` has rank 2
 (``q`` two orthonormal columns), where rounding-level eigenvalues of the
-constraint matter.  On each it runs the 25 invocations below with the
-``wtd`` package of ``CHECKOUT/src``, one process at a time: the six
-``decompose`` kinds, ``capacity`` without and with a power search,
-``region``, and ``simulate`` for every scheme and precoder mode.  It prints one line per invocation
-with its exit code and the sha256 (first 16 hex digits) of its stdout,
+constraint matter, and a diagonal 2x2 problem whose eavesdropper gains are
+1e8 and 1, where the leakage estimate must keep the unit-variance
+coordinates beside the large ones.  On each it runs the 25 invocations
+below with the ``wtd`` package of ``CHECKOUT/src``, one process at a
+time: the six ``decompose`` kinds, ``capacity`` without and with a power
+search, ``region``, and ``simulate`` for every scheme and precoder mode.
+It prints one line per invocation with its exit code and the sha256 (first 16 hex digits) of its stdout,
 its stderr and the CSV it wrote (``-`` for none).  Two checkouts whose
 outputs are identical give byte-identical reports, errors included, on
-all 100 runs.
+all 125 runs.
 """
 
 import argparse
@@ -48,7 +50,7 @@ def complex_gaussian(rng, rows, cols):
 
 
 def problems():
-    """The four problem files, by file name."""
+    """The five problem files, by file name."""
     rng = np.random.default_rng(2015)
     f = complex_gaussian(rng, 3, 3)
     # Two orthonormal columns, from their own generator so the other
@@ -75,6 +77,10 @@ def problems():
             "h_b": matrix(complex_gaussian(rng, 4, 4)),
             "h_e": matrix(complex_gaussian(rng, 5, 4)),
             "kbar": matrix(1e8 * q @ q.conj().T), "samples": 20000, "seed": 5,
+        },
+        "wide_eve_2x2.json": {
+            "h_b": matrix(np.diag([1e9, 2.0])), "h_e": matrix(np.diag([1e8, 1.0])),
+            "kbar": "identity", "samples": 100000, "seed": 1,
         },
     }
 

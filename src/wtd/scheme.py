@@ -13,9 +13,12 @@ check runs two such receivers on the two blocks of one GSVD.
 
 Random codebooks are modeled by fresh i.i.d. CN(0, 1) symbols per channel
 use (real and imaginary parts N(0, 1/2) each); correctness is checked at
-the SINR/mutual-information level.  All randomness is drawn from
-counter-based Philox substreams keyed by (seed, kind, stream, chunk), so
-runs are bit-reproducible and chunks may be evaluated concurrently.
+the SINR/mutual-information level.  Every simulator sums one Gram
+``G = sum v v'`` of its drawn symbols and noises ``v = [x; z]``: each SINR
+sum is a quadratic form of ``G``, and each leakage a QR of factor rows of
+the covariance.  All randomness is drawn from counter-based Philox
+substreams keyed by (seed, kind, stream, chunk), so runs are
+bit-reproducible and chunks may be evaluated concurrently.
 """
 
 import os
@@ -27,8 +30,6 @@ import numpy as np
 from .decomp import _as_matrix, _gmd_right, _gsvd_va, _qr_diagonal, require_unitary
 from .errors import DomainError, InsufficientSamples
 from .secrecy import LB_GSV_TOL, _secrecy, effective_mmse_matrix, matrix_sqrt
-
-LN2 = np.log(2.0)
 
 PRECODER_MODES = ("gsvd", "svd_eve", "svd_bob", "gmd_bob")
 
@@ -234,30 +235,6 @@ def build_wiretap_plan(h_b, h_e, kbar, mode):
                        fictitious_rates_bits=2.0 * np.log2(diag_e), mode=mode)
 
 
-def _conditional_mi_bits(cov, idx_a, idx_b, idx_c, memo=None):
-    """I(a; b | c) in bits for circularly-symmetric Gaussians.
-
-    Zero-variance coordinates are dropped (they carry no information but
-    would make the log-determinants singular).  A ``memo`` dict shared by
-    the calls on one ``cov`` computes each log-determinant once.
-    """
-    variances = np.real(np.diag(cov))
-    scale = max(variances.max(), 1.0)
-    alive = variances > 1e-15 * scale
-    memo = {} if memo is None else memo
-
-    def logdet(indices):
-        # A tuple of a list: one of a generator grows the heap by megabytes.
-        key = tuple([i for i in indices if alive[i]])
-        if key and key not in memo:
-            sub = cov[np.ix_(key, key)]
-            memo[key] = np.linalg.slogdet((sub + sub.conj().T) / 2.0)[1]
-        return memo[key] if key else 0.0
-
-    return (logdet(idx_a + idx_c) + logdet(idx_b + idx_c)
-            - logdet(idx_a + idx_b + idx_c) - logdet(idx_c)) / LN2
-
-
 def _conditional_sd(rows):
     # Per row, the standard deviation of its variable given those of the rows
     # above it: ``|diag R|`` of a QR of ``rows'`` (mode ``raw`` holds it,
@@ -366,39 +343,39 @@ def _thread_count():
 
 
 def _chunks(samples):
-    sizes = []
-    left = samples
-    while left > 0:
-        sizes.append(min(_CHUNK, left))
-        left -= sizes[-1]
-    return sizes
+    return [min(_CHUNK, samples - start) for start in range(0, samples, _CHUNK)]
 
 
-def _gaussian_rows(seed, kind, streams, chunk_index, size, out=None):
-    """CN(0, 1) rows, one Philox substream per (seed, kind, stream, chunk).
+def _check_samples(samples):
+    if samples < 1:
+        raise DomainError("at least one sample is required")
+    return int(samples)
 
-    Each substream gives its row's real parts, then its imaginary parts.
+
+def _accumulate(groups, samples, seed, blocks=1):
+    """Per block, the Gram ``sum v v'``, the sum and the count of ``v`` over all samples.
+
+    ``v`` stacks ``count`` CN(0, 1) rows per ``(kind, count)`` group; row ``s``
+    of a group comes from the Philox substream (seed, kind, s, chunk), its
+    real parts then its imaginary parts.  A chunk draws every row into one
+    real ``(dim, 2, size)`` buffer ``P``, splits it into ``blocks`` pieces,
+    and sums the real Gram ``P P'`` of each piece (one ``syrk``) and its
+    row sums; the complex Gram follows from the real one.  Chunks may run on
+    ``WTD_THREADS`` threads, at most one per chunk and per CPU, but the sums
+    are taken in chunk order, so the result does not depend on the thread
+    count.
     """
-    if out is None:
-        out = np.empty((streams, size), dtype=complex)
-    parts = np.empty((2, size))
-    for s in range(streams):
-        gen = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence((seed, kind, s, chunk_index))))
-        gen.standard_normal(out=parts)
-        out[s].real = parts[0]
-        out[s].imag = parts[1]
-    out *= np.sqrt(0.5)
-    return out
+    keys = [(kind, s) for kind, count in groups for s in range(count)]
 
+    def worker(chunk_index, size):
+        p = np.empty((len(keys), 2, size))
+        for row, key in zip(p, keys):
+            np.random.Generator(np.random.Philox(
+                np.random.SeedSequence((seed, *key, chunk_index)))).standard_normal(out=row)
+        pieces = np.array_split(p.reshape(-1, size), blocks, axis=1)
+        return (np.array([q @ q.T for q in pieces]), np.array([q.sum(axis=1) for q in pieces]),
+                np.array([q.shape[1] for q in pieces]))
 
-def _sum_chunks(worker, samples):
-    """Run ``worker(chunk_index, size)`` on every chunk; sum each field it returns.
-
-    Chunks may run on ``WTD_THREADS`` threads, at most one per chunk and per
-    CPU, but the sums are taken in chunk order, so the result does not
-    depend on the thread count.
-    """
     jobs = list(enumerate(_chunks(samples)))
     threads = min(_thread_count(), len(jobs), os.cpu_count() or 1)
     if threads == 1:
@@ -406,13 +383,11 @@ def _sum_chunks(worker, samples):
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda job: worker(*job), jobs))
-    return [np.sum(fields, axis=0) for fields in zip(*results)]
-
-
-def _check_samples(samples):
-    if samples < 1:
-        raise DomainError("at least one sample is required")
-    return int(samples)
+    real, sums, counts = [np.sum(fields, axis=0) for fields in zip(*results)]
+    # v = (re + i im) / sqrt(2), so v v' = (re re' + im im' + i (im re' - re im')) / 2.
+    re, im = real[:, 0::2], real[:, 1::2]
+    gram = 0.5 * (re[..., 0::2] + im[..., 1::2] + 1j * (im[..., 0::2] - re[..., 1::2]))
+    return gram, np.sqrt(0.5) * (sums[:, 0::2] + 1j * sums[:, 1::2]), counts
 
 
 def _decode(receivers, n, samples, seed, recon=None):
@@ -426,41 +401,32 @@ def _decode(receivers, n, samples, seed, recon=None):
     ``i`` feeds back ``recon[i]`` times its cancelled observation.
 
     Returns the per-stream gain ``|t_ii|^2`` and the sums over all samples
-    of ``|x_i|^2``, ``|w_i|^2`` and ``x_i w_i*``, where ``w_i`` is what is
-    left of the cancelled observation after removing ``t_ii x_i``.
+    of ``|x_i|^2``, ``|w_i|^2`` and ``x_i w_i*``, where ``w_i = a_i v`` is
+    what is left of the cancelled observation after removing ``t_ii x_i``:
+    ``G_ii``, ``a_i G a_i'`` and ``G_i. a_i'`` of the Gram ``G`` of
+    ``v = [x; z_1; z_2; ...]``.  The feedback runs on the rows ``a_i``.
     """
-
-    def worker(chunk_index, size):
-        x = _gaussian_rows(seed, _KIND_SYMBOL, n, chunk_index, size)
-        fed = x if recon is None else np.zeros_like(x)
-        power_x = np.empty(n)
-        power_w = np.empty(n)
-        cross_xw = np.empty(n, dtype=complex)
-        tmp = np.empty(size, dtype=complex)
-        mag = np.empty(size)
-        for combiner, front, feedback, first, noise_kind in receivers:
-            z = _gaussian_rows(seed, noise_kind, front.shape[0], chunk_index, size)
-            z += front @ x
-            yt = combiner.conj().T @ z
-            for j in range(feedback.shape[0] - 1, -1, -1):
-                i = first + j
-                row = feedback[j]
-                # w is the cancelled observation, then its residual, in place.
-                # Scalars stay first and the cross sum multiplies conj(w) by x in
-                # ``tmp`` for every chunk length: both fix the bits.
-                w = yt[j]
-                w -= np.matmul(row[i + 1:], fed[i + 1:], out=tmp)
-                if recon is not None:
-                    np.multiply(recon[i], w, out=fed[i])
-                w -= np.multiply(row[i], x[i], out=tmp)
-                power_x[i] = np.sum(np.square(np.abs(x[i], out=mag), out=mag))
-                power_w[i] = np.sum(np.square(np.abs(w, out=mag), out=mag))
-                cross_xw[i] = np.sum(np.multiply(np.conj(w, out=tmp), x[i], out=tmp))
-        return power_x, power_w, cross_xw
-
+    groups = [(_KIND_SYMBOL, n)] + [(kind, front.shape[0]) for _, front, _, _, kind in receivers]
+    dim = sum(count for _, count in groups)
+    fed = np.eye(n, dim, dtype=complex) if recon is None else np.zeros((n, dim), dtype=complex)
+    rows = np.zeros((n, dim), dtype=complex)
+    col = 0
+    for combiner, front, feedback, first, _ in receivers:
+        # The receiver observes ``[front, its noise rows] v`` through the combiner.
+        observed = combiner.conj().T @ np.hstack([front, np.eye(front.shape[0], dim - n, col)])
+        col += front.shape[0]
+        for j in range(feedback.shape[0] - 1, -1, -1):
+            i = first + j
+            rows[i] = observed[j] - feedback[j, i + 1:] @ fed[i + 1:]
+            if recon is not None:
+                fed[i] = recon[i] * rows[i]
+            rows[i, i] -= feedback[j, i]
+    gram = _accumulate(groups, samples, seed)[0][0]
     gain = np.concatenate([np.abs(np.diag(feedback[:, first:])) ** 2
                            for _, _, feedback, first, _ in receivers])
-    return (gain, *_sum_chunks(worker, samples))
+    return (gain, np.real(np.diagonal(gram)[:n]),
+            np.real(np.sum((rows @ gram) * rows.conj(), axis=1)),
+            np.sum(gram[:n] * rows.conj(), axis=1))
 
 
 def _sic_receiver(plan, h_b):
@@ -499,13 +465,30 @@ def simulate_sic(plan, h_b, samples, seed, genie=True):
     return _sinr_report("sic", samples, seed, genie, gain, sum_x, sum_r, plan.sinr)
 
 
+def _leakage_bits(f, factors):
+    """``I(x_k; y_e | x_{k+1}, ..., x_{n-1})`` in bits per stream, ``y_e = f x + z``.
+
+    ``factors`` is a stack of factors ``L`` of ``(x, z)`` covariances,
+    ``L L' = C``.  The factor rows of ``(x, y_e)`` are ``[I 0; f I] L``, and
+    each leakage is the log ratio of the conditional standard deviations of
+    ``x_k`` in the orders ``(x_{n-1..0}, y_e)`` and ``(y_e, x_{n-1..0})``.
+    """
+    n = f.shape[1]
+    x = factors[..., n - 1::-1, :]
+    y = f @ factors[..., :n, :] + factors[..., n:, :]
+    sd = _conditional_sd(np.stack([np.concatenate([x, y], axis=-2),
+                                   np.concatenate([y, x], axis=-2)]))
+    return 2.0 * (np.log2(sd[0, ..., n - 1::-1]) - np.log2(sd[1, ..., ::-1][..., :n]))
+
+
 def simulate_leakage(plan, h_e, samples, seed):
     """Estimate the per-stream leakage of a wiretap plan at the eavesdropper.
 
     Computes the Gaussian conditional mutual information between each
     stream symbol and the eavesdropper output given the later symbols, from
-    the empirical joint covariance; its analytic value is the fictitious
-    rate ``log2 e_k^2``.  Standard errors come from block-wise estimates.
+    the empirical covariance of symbols and noise (see :func:`_leakage_bits`);
+    its analytic value is the fictitious rate ``log2 e_k^2``.  Standard
+    errors come from block-wise estimates.
     """
     samples = _check_samples(samples)
     h_e = np.asarray(h_e, dtype=complex)
@@ -517,39 +500,19 @@ def simulate_leakage(plan, h_e, samples, seed):
         raise InsufficientSamples(
             f"'samples' must be at least {10 * dim * dim} for a {dim}-dimensional "
             f"covariance, got {samples}")
-    f = h_e @ base.b_sqrt @ base.va
     # Each chunk is split into the block grid, so the batch-means standard
     # error exists even when everything fits in a single chunk.
     blocks = max(2, min(_LEAKAGE_BLOCKS, samples // (10 * dim)))
-
-    def worker(chunk_index, size):
-        v = np.empty((dim, size), dtype=complex)
-        x = _gaussian_rows(seed, _KIND_SYMBOL, n, chunk_index, size, out=v[:n])
-        _gaussian_rows(seed, _KIND_NOISE, n_e, chunk_index, size, out=v[n:])
-        v[n:] += f @ x
-        pieces = np.array_split(v, blocks, axis=1)
-        return (np.array([p @ p.conj().T for p in pieces]),
-                np.array([p.sum(axis=1) for p in pieces]),
-                np.array([p.shape[1] for p in pieces]))
-
-    second, first, counts = _sum_chunks(worker, samples)
-
-    def to_cov(second, first, count):
-        mean = first / count
-        return second / count - np.outer(mean, mean.conj())
-
-    total_cov = to_cov(sum(second), sum(first), samples)
-    # A block stays empty only when there are more blocks than samples in a chunk.
-    block_covs = [to_cov(*block) for block in zip(second, first, counts) if block[2] > 0]
-
-    eav = list(range(n, dim))
-    covs = [(cov, {}) for cov in [total_cov] + block_covs]
-    leak = np.empty(n)
-    stderr = np.empty(n)
-    for k in range(n):
-        tail = list(range(k + 1, n))
-        leak[k], *values = [_conditional_mi_bits(cov, [k], eav, tail, memo) for cov, memo in covs]
-        stderr[k] = np.std(values, ddof=1) / np.sqrt(len(values))
+    gram, sums, counts = _accumulate([(_KIND_SYMBOL, n), (_KIND_NOISE, n_e)],
+                                     samples, seed, blocks)
+    # The (x, z) covariance of the run, then of each block; a block holds
+    # about samples / blocks >= 10 dim samples, so each has a Cholesky factor.
+    counts = np.append(samples, counts)[:, None]
+    mean = np.concatenate([sums.sum(axis=0)[None], sums]) / counts
+    cov = (np.concatenate([gram.sum(axis=0)[None], gram]) / counts[..., None]
+           - mean[:, :, None] * mean[:, None].conj())
+    leak, *values = _leakage_bits(h_e @ base.b_sqrt @ base.va, np.linalg.cholesky(cov))
+    stderr = np.std(values, axis=0, ddof=1) / np.sqrt(len(values))
     return SimulationReport(
         scheme="leakage", samples=samples, seed=seed, genie=True,
         sinr_empirical=base.sinr, sinr_analytic=base.sinr,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import _check_pair, _gsvd_kernel, gsv_values, haar_unitary
+from .decomp import _check_pair, _gsvd_kernel, haar_unitary
 from .errors import DomainError, NotPSD, NumericalFailure
 
 LN2 = np.log(2.0)
@@ -177,8 +177,12 @@ def secrecy_mi_difference(h_b, h_e, k):
 
 
 def _root_and_gsv(h_b, h_e, k):
+    # The root ``b`` of ``k`` (or of a stack) and the GSVD kernel, GSVs first,
+    # of the pair ``[h_b b; I]``, ``[h_e b; I]``: checked for shape and finite
+    # entries but not for rank, as its singular values are all >= 1.
     b = matrix_sqrt(k)
-    return b, gsv_values(effective_mmse_matrix(h_b, b), effective_mmse_matrix(h_e, b))
+    pair = _check_pair(effective_mmse_matrix(h_b, b), effective_mmse_matrix(h_e, b), stacked=True)
+    return b, _gsvd_kernel(*pair, check=False)
 
 
 def channel_gsv(h_b, h_e, k):
@@ -189,7 +193,7 @@ def channel_gsv(h_b, h_e, k):
     on its own covariance bit for bit, and one stacked call costs far less
     than ``B`` single ones.
     """
-    return _root_and_gsv(h_b, h_e, k)[1]
+    return _root_and_gsv(h_b, h_e, k)[1][0]
 
 
 def secrecy_capacity_cov(h_b, h_e, kbar):
@@ -209,9 +213,7 @@ def secrecy_capacity_cov(h_b, h_e, kbar):
 def _secrecy(h_b, h_e, kbar):
     # The result and a factor ``f`` of ``k_star``: ``b`` times the complete
     # basis, with the ``n - lb`` inactive columns exactly 0, so ``f f' = k_star``.
-    b = matrix_sqrt(_as_square(kbar, "constraint"))
-    mu, _, _, wh, r2 = _gsvd_kernel(*_check_pair(effective_mmse_matrix(h_b, b),
-                                                 effective_mmse_matrix(h_e, b)))
+    b, (mu, _, _, wh, r2) = _root_and_gsv(h_b, h_e, _as_square(kbar, "constraint"))
     capacity = float(np.sum(np.maximum(2.0 * np.log2(mu), 0.0)))
     lb = int(np.sum(mu * mu > 1.0 + LB_GSV_TOL))
     basis = np.linalg.qr(_adjoint(wh[lb:] @ r2), mode="complete")[0]
@@ -367,7 +369,7 @@ def power_constrained_capacity(h_b, h_e, power, budget=400, seed=0):
         nonlocal best_c, best_k, best_f, evaluations
         ks = ks.reshape(-1, n, n)
         try:
-            roots, mu = _root_and_gsv(h_b, h_e, ks)
+            roots, (mu, *_) = _root_and_gsv(h_b, h_e, ks)
         except (DomainError, NumericalFailure):
             # A candidate past the first improvement must not fail the
             # stack: take the candidates one at a time instead.

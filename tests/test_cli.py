@@ -323,6 +323,15 @@ class TestCapacity:
         assert np.isfinite(search["capacity_lower_bound"])
         assert search["capacity_lower_bound"] >= GOLDEN_CAPACITY
 
+    def test_strong_eavesdropper_of_wide_range(self, tmp_path, capsys):
+        # ``[h_e b; I]`` has singular values >= 1: a gain of 1e13 is no rank
+        # deficiency, so the capacity is 0, not an error.
+        path = write_problem(tmp_path, h_b=matrix(0.5 * np.eye(2)),
+                             h_e=matrix(np.diag([1e13, 1.0])), kbar="identity")
+        out = str(tmp_path / "report.json")
+        assert run_cli(["capacity", "--input", path, "--out", out]) == 0, capsys.readouterr().err
+        assert read_report(out)["capacity_bits"] == 0.0
+
 
 class TestRegion:
     def test_dead_second_user(self, tmp_path):
@@ -412,6 +421,18 @@ class TestSimulate:
                         "--out", out]) == 3
         report = read_report(out)
         assert report["within_bands"] is False
+
+    def test_wiretap_leakage_of_wide_range(self, tmp_path, capsys):
+        # The unit-variance coordinates beside an eavesdropper gain of 1e8
+        # carry information, so the leakage estimate keeps them.
+        path = write_problem(tmp_path, h_b=matrix(np.diag([1e9, 2.0])),
+                             h_e=matrix(np.diag([1e8, 1.0])), kbar="identity",
+                             samples=100000, seed=1)
+        out = str(tmp_path / "report.json")
+        assert run_cli(["simulate", "--input", path, "--scheme", "wiretap",
+                        "--out", out]) == 0, capsys.readouterr().err
+        leakage = read_report(out)["simulations"]["leakage"]
+        assert np.allclose(leakage["leakage_bits"], [53.15, 1.0], atol=0.05)
 
     def test_one_root_per_path(self, tmp_path, monkeypatch):
         roots = []

@@ -150,6 +150,31 @@ class TestWideDynamicRange:
         assert np.isclose(np.sum(plan.charlie_rates_bits), region.rc_max, rtol=1e-12, atol=0.0)
         assert np.isclose(region.rb_max, self.capacity(), rtol=1e-12)
 
+    def test_swapped_roles(self):
+        # An eavesdropper gain of 1e13: ``[h_e b; I]`` is no more rank
+        # deficient than ``[h_b b; I]`` above, so nothing may raise.
+        h_b, h_e = self.H_E, self.H_B
+        assert secrecy.secrecy_capacity_cov(h_b, h_e, self.KBAR).capacity_bits == 0.0
+        region = secrecy.broadcast_region(h_b, h_e, self.KBAR)
+        assert region.rb_max == 0.0
+        assert np.isclose(region.rc_max, self.capacity(), rtol=1e-12)
+        search = secrecy.power_constrained_capacity(h_b, h_e, 2.0, budget=20, seed=1)
+        assert search.evaluations == 20 and search.capacity_lower_bound >= 0.0
+        for mode in scheme.PRECODER_MODES:
+            assert np.all(scheme.build_wiretap_plan(h_b, h_e, self.KBAR, mode)
+                          .secret_rates_bits == 0.0)
+        assert np.all(scheme.build_dpc_plan(h_b, h_e, self.KBAR).rates_bits == 0.0)
+
+    @pytest.mark.parametrize("gain", [1e8, 1e10, 1e11, 1e13])
+    def test_leakage_within_bands(self, gain):
+        # Unit-variance coordinates beside an eavesdropper gain of 1e8 or more
+        # carry information: the leakage estimate must keep them.
+        h_b, h_e = np.diag([10.0 * gain, 2.0]), np.diag([gain, 1.0])
+        plan = scheme.build_wiretap_plan(h_b, h_e, self.KBAR, "gsvd")
+        rep = scheme.simulate_leakage(plan, h_e, 100000, seed=1)
+        assert np.all(rep.leakage_stderr > 0.0)
+        assert rep.within_bands()
+
 
 class TestOneMmsePairPerPlan:
     def test_plans_form_each_mmse_matrix_once(self, rng, monkeypatch):
@@ -308,6 +333,21 @@ class TestBuildDpcPlan:
         assert np.all(plan.alpha < 1.0)
 
 
+def _conditional_mi_bits(cov, idx_a, idx_b, idx_c):
+    """I(a; b | c) in bits of circularly-symmetric Gaussians, from per-subset
+    ``slogdet`` calls; zero-variance coordinates are dropped."""
+    variances = np.real(np.diag(cov))
+    alive = variances > 1e-15 * max(variances.max(), 1.0)
+
+    def logdet(indices):
+        key = [i for i in indices if alive[i]]
+        sub = cov[np.ix_(key, key)]
+        return np.linalg.slogdet((sub + sub.conj().T) / 2.0)[1] if key else 0.0
+
+    return (logdet(idx_a + idx_c) + logdet(idx_b + idx_c)
+            - logdet(idx_a + idx_b + idx_c) - logdet(idx_c)) / np.log(2.0)
+
+
 def _dpc_oracle(plan, h_e):
     """Fictitious rates and leakage terms of a DPC plan from per-subset
     ``slogdet`` calls on the covariance of ``(u, y_e)``."""
@@ -320,12 +360,11 @@ def _dpc_oracle(plan, h_e):
     cov = np.block([[m @ m.conj().T, m @ f_e.conj().T],
                     [f_e @ m.conj().T, f_e @ f_e.conj().T + np.eye(n_e)]])
     eav = list(range(n, n + n_e))
-    memo = {}
     fictitious, leakage = np.empty(n), np.empty(n)
     for k in range(n):
         tail = list(range(k + 1, n))
-        fictitious[k] = scheme._conditional_mi_bits(cov, [k], eav, tail, memo)
-        leakage[k] = scheme._conditional_mi_bits(cov, [k], eav + tail, [], memo)
+        fictitious[k] = _conditional_mi_bits(cov, [k], eav, tail)
+        leakage[k] = _conditional_mi_bits(cov, [k], eav + tail, [])
     return fictitious, leakage
 
 
@@ -508,12 +547,21 @@ class TestSimulateLeakage:
             [np.eye(n), f.conj().T],
             [f, f @ f.conj().T + np.eye(n_e)],
         ])
-        from wtd.scheme import _conditional_mi_bits
         eav = list(range(n, n + n_e))
         for k in range(n):
             tail = list(range(k + 1, n))
             exact = _conditional_mi_bits(cov, [k], eav, tail)
             assert np.isclose(exact, 2 * np.log2(plan.diag_e[k]), atol=1e-9)
+
+    @pytest.mark.parametrize("mode", scheme.PRECODER_MODES)
+    def test_exact_factor_gives_fictitious_rates(self, mode):
+        # The leakage route on the exact (x, z) covariance, I, returns the
+        # fictitious rates.
+        for h_b, h_e, kbar in _factor_problems():
+            plan = scheme.build_wiretap_plan(h_b, h_e, kbar, mode)
+            f = h_e @ plan.base.b_sqrt @ plan.base.va
+            leak = scheme._leakage_bits(f, np.eye(sum(f.shape)))
+            assert np.max(np.abs(leak - 2.0 * np.log2(plan.diag_e))) <= 1e-12
 
     def test_empirical_matches_expected(self, rng):
         h_b, h_e, kbar = wiretap_instance(rng)
@@ -618,6 +666,71 @@ class TestSimulateBroadcast:
         assert np.array_equal(rep.sinr_empirical, threaded.sinr_empirical)
 
 
+def _gaussian_rows(seed, kind, streams, chunk_index, size):
+    """CN(0, 1) rows, one Philox substream per (seed, kind, stream, chunk);
+    each gives its row's real parts, then its imaginary parts."""
+    out = np.empty((streams, size), dtype=complex)
+    for s in range(streams):
+        gen = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence((seed, kind, s, chunk_index))))
+        parts = gen.standard_normal((2, size))
+        out[s] = parts[0] + 1j * parts[1]
+    return out * np.sqrt(0.5)
+
+
+def _sample_decode(receivers, n, samples, seed, recon=None):
+    """``scheme._decode`` as a per-sample cancellation loop, chunk by chunk."""
+    power_x, power_w = np.zeros(n), np.zeros(n)
+    cross_xw = np.zeros(n, dtype=complex)
+    for chunk_index, size in enumerate(scheme._chunks(samples)):
+        x = _gaussian_rows(seed, scheme._KIND_SYMBOL, n, chunk_index, size)
+        fed = x if recon is None else np.zeros_like(x)
+        for combiner, front, feedback, first, noise_kind in receivers:
+            z = _gaussian_rows(seed, noise_kind, front.shape[0], chunk_index, size)
+            observed = combiner.conj().T @ (front @ x + z)
+            for j in range(feedback.shape[0] - 1, -1, -1):
+                i = first + j
+                w = observed[j] - feedback[j, i + 1:] @ fed[i + 1:]
+                if recon is not None:
+                    fed[i] = recon[i] * w
+                w = w - feedback[j, i] * x[i]
+                power_x[i] += np.sum(np.abs(x[i]) ** 2)
+                power_w[i] += np.sum(np.abs(w) ** 2)
+                cross_xw[i] += np.sum(x[i] * np.conj(w))
+    gain = np.concatenate([np.abs(np.diag(feedback[:, first:])) ** 2
+                           for _, _, feedback, first, _ in receivers])
+    return gain, power_x, power_w, cross_xw
+
+
+class TestSampleDecoderOracle:
+    """The Gram route of ``scheme._decode`` against a per-sample loop."""
+
+    @pytest.mark.parametrize("mode", scheme.PRECODER_MODES)
+    def test_reports_match_per_sample_loop(self, monkeypatch, mode):
+        rng = np.random.default_rng(6006)
+        problems = [(complex_gaussian(rng, n + 1, n), complex_gaussian(rng, n, n),
+                     random_psd(rng, n) / n) for n in range(1, 5)]
+
+        def values():
+            out = []
+            for h_b, h_e, kbar in problems:
+                dpc = scheme.build_dpc_plan(h_b, h_e, kbar, mode)
+                reports = [scheme.simulate_sic(dpc.base, h_b, 40000, 3, genie)
+                           for genie in (True, False)]
+                reports.append(scheme.simulate_dpc(dpc, h_b, 40000, 3))
+                reports.append(scheme.simulate_broadcast(
+                    scheme.build_broadcast_plan(h_b, h_e, kbar), h_b, h_e, 40000, 3))
+                out += [rep.sinr_empirical for rep in reports]
+                out += [reports[2].extras[key] for key in
+                        ("alpha_residual", "alpha_residual_below", "alpha_residual_above")]
+            return out
+
+        gram = values()
+        monkeypatch.setattr(scheme, "_decode", _sample_decode)
+        for got, want in zip(gram, values(), strict=True):
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
 def _golden_reports():
     """Simulator reports pinned bit for bit by :class:`TestGoldenReports`.
 
@@ -630,8 +743,6 @@ def _golden_reports():
     h_b, h_e = complex_gaussian(rng, 4, 3), complex_gaussian(rng, 2, 3)
     plan = scheme.build_wiretap_plan(h_b, h_e, np.eye(3), "gsvd")
     dpc = scheme.build_dpc_plan(h_b, h_e, np.eye(3))
-    # At seed 35, swapping a scalar and an array factor in the decoder moves
-    # the last bits of all three reports.
     reports = {
         "sic_genie": scheme.simulate_sic(plan.base, h_b, 40000, seed=35),
         "sic_decided": scheme.simulate_sic(plan.base, h_b, 40000, seed=35, genie=False),
@@ -659,65 +770,63 @@ def _golden_fields(rep):
     return {k: [float(v).hex() for v in np.atleast_1d(value)] for k, value in fields.items()}
 
 
-#: ``float.hex`` of the fields, recorded before the decoder ran on reused buffers.
-#: All seven were re-recorded when the plans began to build on the capacity
-#: call's factor of ``k_star`` and on one QR per receiver: the wiretap and DPC
-#: draws moved by sampling noise (their ``b_sqrt`` is a different factor of
-#: the same covariance), the broadcast ones in their last bits.
+#: ``float.hex`` of the fields.  All seven were re-recorded when every
+#: simulator began to read its sums off one Gram of its draws: they moved in
+#: their last bits (at most 5.2e-16 relative, and 3e-16 bits on the leakages).
 GOLDEN_REPORTS = {
     "sic_genie": {
-        "sinr_empirical": ["0x1.b7a5e92a72ff9p+1", "0x1.6a2e212d92d04p+1", "0x0.0p+0"],
-        "sinr_stderr": ["0x1.8dec8cf3b7a34p-6", "0x1.47cedf0b99383p-6", "0x0.0p+0"],
-        "mi_bits": ["0x1.05815fd7a9accp+2"],
+        "sinr_empirical": ["0x1.b7a5e92a72ff9p+1", "0x1.6a2e212d92d07p+1", "0x0.0p+0"],
+        "sinr_stderr": ["0x1.8dec8cf3b7a34p-6", "0x1.47cedf0b99386p-6", "0x0.0p+0"],
+        "mi_bits": ["0x1.05815fd7a9acdp+2"],
     },
     "sic_decided": {
-        "sinr_empirical": ["0x1.38ee327e18b27p+1", "0x1.6a2e212d92d04p+1", "0x0.0p+0"],
-        "sinr_stderr": ["0x1.1b3b793a575bfp-6", "0x1.47cedf0b99383p-6", "0x0.0p+0"],
-        "mi_bits": ["0x1.dc5c97c1fd07cp+1"],
+        "sinr_empirical": ["0x1.38ee327e18b28p+1", "0x1.6a2e212d92d07p+1", "0x0.0p+0"],
+        "sinr_stderr": ["0x1.1b3b793a575c0p-6", "0x1.47cedf0b99386p-6", "0x0.0p+0"],
+        "mi_bits": ["0x1.dc5c97c1fd07dp+1"],
     },
     "leakage": {
         "sinr_empirical": ["0x1.b54d661ec09a8p+1", "0x1.6c348a314cb1fp+1", "0x0.0p+0"],
         "sinr_stderr": ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"],
         "mi_bits": ["0x1.03e6f05585dc0p+1"],
-        "leakage_bits": ["0x1.f579200183aa9p-2", "0x1.8a69a1f4af976p+0", "0x1.7dad7ecd82008p-14"],
+        "leakage_bits": ["0x1.f579200183a95p-2", "0x1.8a69a1f4af97ap+0", "0x1.7dad7ecd7ce40p-14"],
         "leakage_stderr": [
-            "0x1.1ab22a028bb7fp-8", "0x1.0af7bafcf07bcp-8", "0x1.450520aa29b63p-13",
+            "0x1.1ab22a028bc39p-8", "0x1.0af7bafcf07cep-8", "0x1.450520aa29c60p-13",
         ],
     },
     "dpc": {
-        "sinr_empirical": ["0x1.b7a5e92a72ff9p+1", "0x1.6a2e212d92d04p+1", "0x0.0p+0"],
-        "sinr_stderr": ["0x1.8dec8cf3b7a34p-6", "0x1.47cedf0b99383p-6", "0x0.0p+0"],
-        "mi_bits": ["0x1.05815fd7a9accp+2"],
+        "sinr_empirical": ["0x1.b7a5e92a72ff9p+1", "0x1.6a2e212d92d07p+1", "0x0.0p+0"],
+        "sinr_stderr": ["0x1.8dec8cf3b7a34p-6", "0x1.47cedf0b99386p-6", "0x0.0p+0"],
+        "mi_bits": ["0x1.05815fd7a9acdp+2"],
         "alpha_residual": ["0x1.3198c7de57cbdp-1", "0x1.18d061e266ae2p-1", "0x0.0p+0"],
-        "alpha_residual_below": ["0x1.3c10babe2d0cbp-1", "0x1.20703844fa283p-1", "0x0.0p+0"],
-        "alpha_residual_above": ["0x1.3c46074d14beap-1", "0x1.213a28fc83ef9p-1", "0x0.0p+0"],
+        "alpha_residual_below": ["0x1.3c10babe2d0cbp-1", "0x1.20703844fa282p-1", "0x0.0p+0"],
+        "alpha_residual_above": ["0x1.3c46074d14beap-1", "0x1.213a28fc83ef7p-1", "0x0.0p+0"],
     },
     "broadcast_lb0": {
         "sinr_empirical": [
-            "0x1.39b0353002570p-102", "0x1.54758a0d6546dp+1", "0x1.1dfa4791fceaap+2",
+            "0x1.39b0353002570p-102", "0x1.54758a0d6546ep+1", "0x1.1dfa4791fceacp+2",
         ],
-        "sinr_stderr": ["0x1.1beb12637c60dp-109", "0x1.3425ffda034ccp-6", "0x1.02d66187a3df7p-5"],
-        "mi_bits": ["0x1.14aa5e0fe1906p+2"],
+        "sinr_stderr": ["0x1.1beb12637c60dp-109", "0x1.3425ffda034cdp-6", "0x1.02d66187a3df9p-5"],
+        "mi_bits": ["0x1.14aa5e0fe1907p+2"],
     },
     "broadcast_mixed": {
         "sinr_empirical": [
-            "0x1.e5f4855ff4f0dp+2", "0x1.17e37d92fb0aep+2", "0x1.07274c34614e0p+2",
+            "0x1.e5f4855ff4f0bp+2", "0x1.17e37d92fb0adp+2", "0x1.07274c34614e0p+2",
         ],
-        "sinr_stderr": ["0x1.b7d61e7188142p-5", "0x1.faa70d680e10dp-6", "0x1.dc5bd5bd5388bp-6"],
-        "mi_bits": ["0x1.f87fa8e8958b3p+2"],
+        "sinr_stderr": ["0x1.b7d61e7188141p-5", "0x1.faa70d680e10bp-6", "0x1.dc5bd5bd5388bp-6"],
+        "mi_bits": ["0x1.f87fa8e8958b2p+2"],
     },
     "broadcast_lbn": {
         "sinr_empirical": [
-            "0x1.9839b4f213074p+3", "0x1.85bbb27605889p+1", "0x1.12d02ff4bf7c0p-3",
+            "0x1.9839b4f213073p+3", "0x1.85bbb2760588ap+1", "0x1.12d02ff4bf7c1p-3",
         ],
-        "sinr_stderr": ["0x1.717bc4ad9ea3ep-4", "0x1.60bf082483c59p-6", "0x1.f1770ff648cc3p-11"],
+        "sinr_stderr": ["0x1.717bc4ad9ea3dp-4", "0x1.60bf082483c5ap-6", "0x1.f1770ff648cc5p-11"],
         "mi_bits": ["0x1.7eb56377c998ep+2"],
     },
 }
 
 
 class TestGoldenReports:
-    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("threads", ["1", "2", "4"])
     def test_reports_are_bit_identical(self, monkeypatch, threads):
         monkeypatch.setenv("WTD_THREADS", threads)
         reports = _golden_reports()
