@@ -17,11 +17,13 @@ the SINR/mutual-information level.  Every simulator sums one Gram
 ``G = sum v v'`` of its drawn symbols and noises ``v = [x; z]``: each SINR
 sum is a quadratic form of ``G``, and each leakage a QR of factor rows of
 the covariance.  All randomness is drawn from counter-based Philox
-substreams keyed by (seed, kind, stream, chunk), so runs are
-bit-reproducible and chunks may be evaluated concurrently.
+substreams keyed by (seed, kind, stream, chunk), and chunks are summed in
+chunk order, so runs are bit-reproducible whatever the number of CPUs that
+evaluate them.
 """
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -34,6 +36,7 @@ from .secrecy import LB_GSV_TOL, _secrecy, effective_mmse_matrix, matrix_sqrt
 PRECODER_MODES = ("gsvd", "svd_eve", "svd_bob", "gmd_bob")
 
 _CHUNK = 1 << 14
+_IN_FLIGHT = 2
 _KIND_SYMBOL = 0
 _KIND_NOISE = 1
 _LEAKAGE_BLOCKS = 10
@@ -334,14 +337,6 @@ def build_broadcast_plan(h_b, h_c, kbar):
     )
 
 
-def _thread_count():
-    raw = os.environ.get("WTD_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _chunks(samples):
     return [min(_CHUNK, samples - start) for start in range(0, samples, _CHUNK)]
 
@@ -360,10 +355,10 @@ def _accumulate(groups, samples, seed, blocks=1):
     real parts then its imaginary parts.  A chunk draws every row into one
     real ``(dim, 2, size)`` buffer ``P``, splits it into ``blocks`` pieces,
     and sums the real Gram ``P P'`` of each piece (one ``syrk``) and its
-    row sums; the complex Gram follows from the real one.  Chunks may run on
-    ``WTD_THREADS`` threads, at most one per chunk and per CPU, but the sums
-    are taken in chunk order, so the result does not depend on the thread
-    count.
+    row sums; the complex Gram follows from the real one.  Chunks run on one
+    thread per usable CPU and chunk, at most ``_IN_FLIGHT`` per thread ahead
+    of the sums, which are taken in chunk order: the result does not depend
+    on the CPU count, and memory does not grow with ``samples``.
     """
     keys = [(kind, s) for kind, count in groups for s in range(count)]
 
@@ -376,14 +371,18 @@ def _accumulate(groups, samples, seed, blocks=1):
         return (np.array([q @ q.T for q in pieces]), np.array([q.sum(axis=1) for q in pieces]),
                 np.array([q.shape[1] for q in pieces]))
 
-    jobs = list(enumerate(_chunks(samples)))
-    threads = min(_thread_count(), len(jobs), os.cpu_count() or 1)
-    if threads == 1:
-        results = [worker(c, size) for c, size in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda job: worker(*job), jobs))
-    real, sums, counts = [np.sum(fields, axis=0) for fields in zip(*results)]
+    sizes = _chunks(samples)
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(len(sizes), len(affinity(0)) if affinity else os.cpu_count() or 1)
+    depth = _IN_FLIGHT * workers
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque(pool.submit(worker, c, sizes[c]) for c in range(min(len(sizes), depth)))
+        for c in range(len(sizes)):
+            result = pending.popleft().result()
+            if c + depth < len(sizes):
+                pending.append(pool.submit(worker, c + depth, sizes[c + depth]))
+            total = result if c == 0 else [t + r for t, r in zip(total, result)]
+    real, sums, counts = total
     # v = (re + i im) / sqrt(2), so v v' = (re re' + im im' + i (im re' - re im')) / 2.
     re, im = real[:, 0::2], real[:, 1::2]
     gram = 0.5 * (re[..., 0::2] + im[..., 1::2] + 1j * (im[..., 0::2] - re[..., 1::2]))

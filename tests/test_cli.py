@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -383,6 +384,19 @@ class TestSimulate:
         leakage = json.loads(outs[0])["simulations"]["leakage"]
         assert {"leakage_bits", "leakage_expected", "leakage_stderr"} <= set(leakage)
         assert "leakage_rel_error" not in leakage
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_report_does_not_depend_on_usable_cpus(self, tmp_path):
+        # 100,000 samples make 7 chunks: one thread takes them all when the
+        # child may run on one CPU, one per usable CPU otherwise.
+        path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E,
+                             samples=100000, seed=4)
+        one_cpu = min(os.sched_getaffinity(0))
+        outs = [subprocess.run([sys.executable, "-m", "wtd", "simulate", "--input", path,
+                                "--scheme", "wiretap"], capture_output=True, check=True,
+                               preexec_fn=pin).stdout
+                for pin in (lambda: os.sched_setaffinity(0, {one_cpu}), None)]
+        assert outs[0] == outs[1] and b"leakage_bits" in outs[0]
 
     def test_dpc_has_alpha_column(self, tmp_path):
         path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E,

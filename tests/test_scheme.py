@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,18 @@ from conftest import complex_gaussian, ql_product_gsvd, random_psd
 
 def wiretap_instance(rng, n=3, n_b=3, n_e=2):
     return complex_gaussian(rng, n_b, n), complex_gaussian(rng, n_e, n), np.eye(n)
+
+
+def use_cpus(monkeypatch, cpus, cpu_count=64):
+    """Make the simulators see ``cpus`` usable CPUs out of ``cpu_count``; with
+    ``cpus=None``, a platform without ``os.sched_getaffinity``, where
+    ``os.cpu_count()`` returns ``cpu_count``."""
+    if cpus is None:
+        monkeypatch.delattr(scheme.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(scheme.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+    monkeypatch.setattr(scheme.os, "cpu_count", lambda: cpu_count)
 
 
 def off_diagonal_mass(t):
@@ -467,21 +480,34 @@ class TestSimulateSic:
     def test_thread_count_does_not_change_results(self, rng, monkeypatch):
         h_b = complex_gaussian(rng, 2, 2)
         plan = scheme.build_sic_plan(h_b, np.eye(2), np.eye(2))
+        use_cpus(monkeypatch, 1)
         baseline = scheme.simulate_sic(plan, h_b, 50000, seed=5)
-        monkeypatch.setenv("WTD_THREADS", "4")
+        use_cpus(monkeypatch, 4)
         threaded = scheme.simulate_sic(plan, h_b, 50000, seed=5)
         assert np.array_equal(baseline.sinr_empirical, threaded.sinr_empirical)
 
-    @pytest.mark.parametrize("threads, cpus, samples, workers", [
-        ("1000000", 2, 5 * 16384, [2]),
-        ("1000000", 8, 3 * 16384, [3]),
-        ("2", 8, 5 * 16384, [2]),
-        ("1000000", 8, 100, []),
-        ("1000000", None, 5 * 16384, []),
+    @pytest.mark.parametrize("cpus, cpu_count, samples, workers", [
+        (2, 8, 5 * 16384, 2),
+        (4, 8, 3 * 16384, 3),
+        (1, 8, 5 * 16384, 1),
+        (4, 8, 100, 1),
+        (None, 4, 5 * 16384, 4),
+        (None, None, 5 * 16384, 1),
     ])
-    def test_thread_pool_is_capped(self, rng, monkeypatch, threads, cpus, samples, workers):
-        # The pool is faked, so no thread starts whatever WTD_THREADS says.
-        seen = []
+    def test_thread_pool_is_capped(self, rng, monkeypatch, cpus, cpu_count, samples, workers):
+        # The pool is faked: a chunk runs when its result is taken, so the
+        # chunks submitted and not yet taken are the ones alive at once.
+        seen, waiting, peak = [], [], [0]
+
+        class Deferred:
+            def __init__(self, fn, args):
+                self.call = lambda: fn(*args)
+                waiting.append(self)
+                peak[0] = max(peak[0], len(waiting))
+
+            def result(self):
+                waiting.remove(self)
+                return self.call()
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -493,17 +519,18 @@ class TestSimulateSic:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def submit(self, fn, *args):
+                return Deferred(fn, args)
 
         h_b = complex_gaussian(rng, 2, 2)
         plan = scheme.build_sic_plan(h_b, np.eye(2), np.eye(2))
         baseline = scheme.simulate_sic(plan, h_b, samples, seed=5)
         monkeypatch.setattr(scheme, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(scheme.os, "cpu_count", lambda: cpus)
-        monkeypatch.setenv("WTD_THREADS", threads)
+        use_cpus(monkeypatch, cpus, cpu_count)
         capped = scheme.simulate_sic(plan, h_b, samples, seed=5)
-        assert seen == workers
+        assert seen == [workers]
+        assert waiting == [] and peak[0] == min(len(scheme._chunks(samples)),
+                                                   scheme._IN_FLIGHT * workers)
         assert np.array_equal(baseline.sinr_empirical, capped.sinr_empirical)
 
     def test_non_genie_runs(self, rng):
@@ -534,6 +561,23 @@ class TestSimulateLeakage:
         plan = scheme.build_wiretap_plan(h_b, h_e, np.eye(2), "gsvd")
         rep = scheme.simulate_leakage(plan, h_e, 20000, seed=0)
         assert np.all(np.abs(rep.leakage_bits) <= 0.01)
+
+    def test_memory_is_flat_in_samples(self, monkeypatch):
+        # Each chunk's block Grams are added to running totals, not kept to
+        # the end: summing 512 chunks must hold no more than summing 64.
+        h = np.ones((1, 1))
+        plan = scheme.build_wiretap_plan(h, h, np.eye(1), "gsvd")
+        use_cpus(monkeypatch, 1)
+        scheme.simulate_leakage(plan, h, scheme._CHUNK, seed=1)  # one-time allocations
+        peaks = []
+        for chunks in (64, 512):
+            tracemalloc.start()
+            try:
+                scheme.simulate_leakage(plan, h, chunks * scheme._CHUNK, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 64 * 1024, peaks
 
     def test_exact_covariance_oracle(self, rng):
         # The conditional-MI formula on the *analytic* covariance must equal
@@ -654,14 +698,14 @@ class TestSimulateBroadcast:
             h_c = np.zeros_like(h_c)
         plan = scheme.build_broadcast_plan(h_b, h_c, np.eye(3))
         assert (plan.lb, plan.lc) == (lb, 3 - lb)
-        monkeypatch.setenv("WTD_THREADS", "1")
+        use_cpus(monkeypatch, 1)
         rep = scheme.simulate_broadcast(plan, h_b, h_c, 100000, seed=12)
         diag = plan.diag_b if lb else plan.diag_c
         assert np.array_equal(rep.sinr_analytic, diag ** 2 - 1.0)
         active = rep.sinr_analytic > 1e-9
         assert np.all(rep.sinr_rel_error[active] <= 0.02)
         assert rep.within_bands()
-        monkeypatch.setenv("WTD_THREADS", "2")
+        use_cpus(monkeypatch, 2)
         threaded = scheme.simulate_broadcast(plan, h_b, h_c, 100000, seed=12)
         assert np.array_equal(rep.sinr_empirical, threaded.sinr_empirical)
 
@@ -826,9 +870,9 @@ GOLDEN_REPORTS = {
 
 
 class TestGoldenReports:
-    @pytest.mark.parametrize("threads", ["1", "2", "4"])
-    def test_reports_are_bit_identical(self, monkeypatch, threads):
-        monkeypatch.setenv("WTD_THREADS", threads)
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_reports_are_bit_identical(self, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
         reports = _golden_reports()
         assert (reports["broadcast_lb0"].extras["lb"], reports["broadcast_mixed"].extras["lb"],
                 reports["broadcast_lbn"].extras["lb"]) == (0, 2, 3)
