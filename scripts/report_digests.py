@@ -6,10 +6,6 @@ Usage, from the root of a wtd checkout:
     python3 scripts/report_digests.py . > change.txt
     diff parent.txt change.txt
 
-With ``--cpus N`` every child process may run only on the first ``N`` of
-this process's usable CPUs (Linux), so the simulators start at most ``N``
-threads; a correct checkout prints the same digests for every ``N``.
-
 The script writes five problem files to a temporary directory: the README
 problem with a feasible ``gtd`` target ``t``, a 4x3 / 2x3 problem with a
 random ``kbar``, a 4x4 problem whose second receiver is a 5-antenna
@@ -28,7 +24,6 @@ all 125 runs.
 """
 
 import argparse
-import functools
 import hashlib
 import json
 import os
@@ -108,20 +103,9 @@ def digest(data):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", help="root of the wtd checkout to run")
-    parser.add_argument("--cpus", type=int, default=None,
-                        help="pin every child process to this many usable CPUs")
-    opts = parser.parse_args(argv)
-    src = Path(opts.checkout).resolve() / "src"
+    src = Path(parser.parse_args(argv).checkout).resolve() / "src"
     if not (src / "wtd").is_dir():
         parser.error(f"no wtd package under {src}")
-    pin = None
-    if opts.cpus is not None:
-        if not hasattr(os, "sched_setaffinity"):
-            parser.error("--cpus needs os.sched_setaffinity")
-        usable = sorted(os.sched_getaffinity(0))
-        if not 1 <= opts.cpus <= len(usable):
-            parser.error(f"--cpus must be between 1 and {len(usable)}")
-        pin = functools.partial(os.sched_setaffinity, 0, set(usable[:opts.cpus]))
     env = {**os.environ, "PYTHONPATH": str(src)}
     with tempfile.TemporaryDirectory() as tmp:
         csv = Path(tmp) / CSV
@@ -130,7 +114,7 @@ def main(argv=None):
             for args in invocations():
                 csv.unlink(missing_ok=True)
                 proc = subprocess.run([sys.executable, "-m", "wtd", *args, "--input", name],
-                                      cwd=tmp, env=env, capture_output=True, preexec_fn=pin)
+                                      cwd=tmp, env=env, capture_output=True)
                 written = digest(csv.read_bytes()) if csv.exists() else "-"
                 print(f"{name} {' '.join(args)}: exit {proc.returncode} "
                       f"stdout {digest(proc.stdout)} stderr {digest(proc.stderr)} "

@@ -37,6 +37,7 @@ PRECODER_MODES = ("gsvd", "svd_eve", "svd_bob", "gmd_bob")
 
 _CHUNK = 1 << 14
 _IN_FLIGHT = 2
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 _KIND_SYMBOL = 0
 _KIND_NOISE = 1
 _LEAKAGE_BLOCKS = 10
@@ -355,10 +356,12 @@ def _accumulate(groups, samples, seed, blocks=1):
     real parts then its imaginary parts.  A chunk draws every row into one
     real ``(dim, 2, size)`` buffer ``P``, splits it into ``blocks`` pieces,
     and sums the real Gram ``P P'`` of each piece (one ``syrk``) and its
-    row sums; the complex Gram follows from the real one.  Chunks run on one
-    thread per usable CPU and chunk, at most ``_IN_FLIGHT`` per thread ahead
-    of the sums, which are taken in chunk order: the result does not depend
-    on the CPU count, and memory does not grow with ``samples``.
+    row sums; the complex Gram follows from the real one.  Chunks run on
+    usable CPUs // BLAS threads threads (BLAS takes the first positive count
+    in ``_BLAS_VARS``, else every CPU), at least one and at most one per
+    chunk, each at most ``_IN_FLIGHT`` chunks ahead of the sums, taken in chunk
+    order: the result does not depend on the thread count, and memory holds
+    one chunk buffer per thread, whatever ``samples``.
     """
     keys = [(kind, s) for kind, count in groups for s in range(count)]
 
@@ -373,7 +376,10 @@ def _accumulate(groups, samples, seed, blocks=1):
 
     sizes = _chunks(samples)
     affinity = getattr(os, "sched_getaffinity", None)
-    workers = min(len(sizes), len(affinity(0)) if affinity else os.cpu_count() or 1)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    blas = next((int(v) for v in map(os.environ.get, _BLAS_VARS) if v and v.isdigit() and int(v)),
+                cpus)
+    workers = min(len(sizes), max(1, cpus // blas))
     depth = _IN_FLIGHT * workers
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque(pool.submit(worker, c, sizes[c]) for c in range(min(len(sizes), depth)))

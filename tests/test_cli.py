@@ -387,14 +387,17 @@ class TestSimulate:
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
     def test_report_does_not_depend_on_usable_cpus(self, tmp_path):
-        # 100,000 samples make 7 chunks: one thread takes them all when the
-        # child may run on one CPU, one per usable CPU otherwise.
+        # 100,000 samples make 7 chunks.  With one BLAS thread, one thread
+        # takes them all when the child may run on one CPU, one per usable
+        # CPU otherwise.
         path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E,
                              samples=100000, seed=4)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1"}
         one_cpu = min(os.sched_getaffinity(0))
         outs = [subprocess.run([sys.executable, "-m", "wtd", "simulate", "--input", path,
                                 "--scheme", "wiretap"], capture_output=True, check=True,
-                               preexec_fn=pin).stdout
+                               env=env, preexec_fn=pin).stdout
                 for pin in (lambda: os.sched_setaffinity(0, {one_cpu}), None)]
         assert outs[0] == outs[1] and b"leakage_bits" in outs[0]
 

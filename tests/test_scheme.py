@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,16 +16,21 @@ def wiretap_instance(rng, n=3, n_b=3, n_e=2):
     return complex_gaussian(rng, n_b, n), complex_gaussian(rng, n_e, n), np.eye(n)
 
 
-def use_cpus(monkeypatch, cpus, cpu_count=64):
+def use_cpus(monkeypatch, cpus, cpu_count=64, blas=None):
     """Make the simulators see ``cpus`` usable CPUs out of ``cpu_count``; with
     ``cpus=None``, a platform without ``os.sched_getaffinity``, where
-    ``os.cpu_count()`` returns ``cpu_count``."""
+    ``os.cpu_count()`` returns ``cpu_count``.  ``blas`` maps the BLAS thread
+    variables to their values; by default BLAS has one thread."""
     if cpus is None:
         monkeypatch.delattr(scheme.os, "sched_getaffinity", raising=False)
     else:
         monkeypatch.setattr(scheme.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
     monkeypatch.setattr(scheme.os, "cpu_count", lambda: cpu_count)
+    for var in scheme._BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in ({"OPENBLAS_NUM_THREADS": "1"} if blas is None else blas).items():
+        monkeypatch.setenv(var, value)
 
 
 def off_diagonal_mass(t):
@@ -532,6 +538,30 @@ class TestSimulateSic:
         assert waiting == [] and peak[0] == min(len(scheme._chunks(samples)),
                                                    scheme._IN_FLIGHT * workers)
         assert np.array_equal(baseline.sinr_empirical, capped.sinr_empirical)
+
+    @pytest.mark.parametrize("blas, workers", [
+        ({}, 1),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "3"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 4),
+        ({"MKL_NUM_THREADS": "two", "OMP_NUM_THREADS": "1"}, 5),
+    ])
+    def test_pool_leaves_blas_its_cpus(self, rng, monkeypatch, blas, workers):
+        # BLAS takes the first positive count of its thread variables, else
+        # every CPU, so of 8 CPUs the pool gets one per BLAS thread count.
+        seen = []
+
+        def recording_pool(max_workers):
+            seen.append(max_workers)
+            return ThreadPoolExecutor(max_workers=1)
+
+        h_b = complex_gaussian(rng, 2, 2)
+        plan = scheme.build_sic_plan(h_b, np.eye(2), np.eye(2))
+        monkeypatch.setattr(scheme, "ThreadPoolExecutor", recording_pool)
+        use_cpus(monkeypatch, 8, blas=blas)
+        scheme.simulate_sic(plan, h_b, 5 * 16384, seed=5)
+        assert seen == [workers]
 
     def test_non_genie_runs(self, rng):
         h_b = 3.0 * complex_gaussian(rng, 3, 3)
