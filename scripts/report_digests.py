@@ -6,21 +6,23 @@ Usage, from the root of a wtd checkout:
     python3 scripts/report_digests.py . > change.txt
     diff parent.txt change.txt
 
-The script writes five problem files to a temporary directory: the README
+The script writes six problem files to a temporary directory: the README
 problem with a feasible ``gtd`` target ``t``, a 4x3 / 2x3 problem with a
 random ``kbar``, a 4x4 problem whose second receiver is a 5-antenna
 ``h_c``, a 4x4 / 5x4 problem whose ``kbar = 1e8 q q'`` has rank 2
 (``q`` two orthonormal columns), where rounding-level eigenvalues of the
 constraint matter, and a diagonal 2x2 problem whose eavesdropper gains are
 1e8 and 1, where the leakage estimate must keep the unit-variance
-coordinates beside the large ones.  On each it runs the 25 invocations
+coordinates beside the large ones, and a finite 3x2 / 2x2 problem with
+entries of 1.7e308, whose factors, GSVs and Gram matrices overflow, so
+every run must be refused with an ``error:`` line.  On each it runs the 25 invocations
 below with the ``wtd`` package of ``CHECKOUT/src``, one process at a
 time: the six ``decompose`` kinds, ``capacity`` without and with a power
 search, ``region``, and ``simulate`` for every scheme and precoder mode.
 It prints one line per invocation with its exit code and the sha256 (first 16 hex digits) of its stdout,
 its stderr and the CSV it wrote (``-`` for none).  Two checkouts whose
 outputs are identical give byte-identical reports, errors included, on
-all 125 runs.
+all 150 runs.
 """
 
 import argparse
@@ -50,12 +52,13 @@ def complex_gaussian(rng, rows, cols):
 
 
 def problems():
-    """The five problem files, by file name."""
+    """The six problem files, by file name."""
     rng = np.random.default_rng(2015)
     f = complex_gaussian(rng, 3, 3)
     # Two orthonormal columns, from their own generator so the other
     # problems keep their values.
     q = np.linalg.qr(complex_gaussian(np.random.default_rng(11), 4, 2))[0]
+    big = 1.7e308
     return {
         "readme.json": {
             "h_b": [[[1.0, 0.5], [-0.25, 1.0]], [[0.5, -0.75], [1.25, 0.0]]],
@@ -81,6 +84,10 @@ def problems():
         "wide_eve_2x2.json": {
             "h_b": matrix(np.diag([1e9, 2.0])), "h_e": matrix(np.diag([1e8, 1.0])),
             "kbar": "identity", "samples": 100000, "seed": 1,
+        },
+        "overflow_3x2.json": {
+            "h_b": matrix([[big, big], [big, -big], [1.0, 2.0]]),
+            "h_e": matrix([[1.0, 0.5], [0.25, 1.0]]), "t": [1.0, 1.0],
         },
     }
 

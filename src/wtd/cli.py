@@ -3,13 +3,16 @@ machine-readable JSON reports.
 
 Problem files are JSON with complex entries written as ``[re, im]`` pairs
 in row-major nested arrays; ``"kbar"`` may be the string ``"identity"``.
-Reports serialize numbers at full double precision and are byte-identical
-for identical (input, seed, version).
+Commands put library values straight into their reports, and ``main``
+writes each with one ``json.dumps``: numbers at full double precision,
+byte-identical for identical (input, seed, version).
 
 Each subcommand takes only the flags it reads; a flag named after a field
 overrides it and passes the same check.  Exit codes: 0 success, 1 input
-error (a malformed field or flag), 2 infeasibility (majorization), 3
-simulation band failure.  ``samples`` (field or ``--samples``) must lie in
+error (a malformed field or flag) or numerical failure (a library routine
+failed, or the report would hold a NaN or an infinity; nothing is
+written), 2 infeasibility (majorization), 3 simulation band failure.  No
+input ends in a traceback.  ``samples`` (field or ``--samples``) must lie in
 ``[1, MAX_SAMPLES]`` and ``--budget`` in ``[1, MAX_BUDGET]``.
 """
 
@@ -18,11 +21,12 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
 from . import __version__, decomp, scheme, secrecy
-from .errors import DomainError, MajorizationError
+from .errors import DomainError, MajorizationError, NumericalFailure
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -129,13 +133,16 @@ def parse_matrix(obj, field):
     return np.array(rows, dtype=complex)
 
 
-def matrix_to_json(arr):
-    arr = np.atleast_2d(np.asarray(arr, dtype=complex))
-    return [[[float(v.real), float(v.imag)] for v in row] for row in arr]
-
-
-def vector_to_json(vec):
-    return [float(v) for v in np.asarray(vec, dtype=float)]
+def _to_json(value):
+    """``json.dumps`` hook: a 2-D array becomes rows of ``[re, im]`` pairs, a
+    1-D array a list of floats, a numpy scalar its Python value."""
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, np.ndarray) and value.ndim == 2:
+        return [[[v.real, v.imag] for v in row] for row in value.astype(complex).tolist()]
+    if isinstance(value, np.ndarray) and value.ndim == 1:
+        return value.astype(float).tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def load_problem(path, flags=None):
@@ -213,8 +220,15 @@ def _report_skeleton(command, problem, args_echo):
 
 
 def _residual(actual, target):
-    denom = np.linalg.norm(target)
-    return float(np.linalg.norm(actual - target) / (denom if denom > 0 else 1.0))
+    # Where the norm of ``target`` overflows, both sides are first scaled by a
+    # power of two from its largest entry, which is exact.
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = actual - target
+        denom = np.linalg.norm(target)
+        if not np.isfinite(denom):
+            scale = np.ldexp(1.0, -np.frexp(np.abs(target).max())[1])
+            diff, denom = diff * scale, np.linalg.norm(target * scale)
+        return float(np.linalg.norm(diff) / (denom if denom > 0 else 1.0))
 
 
 def _require_tall(matrix, field):
@@ -235,8 +249,7 @@ def cmd_decompose(problem, args_echo):
     if kind != "gsvd":
         # qr, ql, svd, gmd and gtd: the dataclass fields are the factors.
         fac = decomp.gtd(h, problem["t"]) if kind == "gtd" else getattr(decomp, kind)(h)
-        report["factors"] = {name: matrix_to_json(m) for name, m in vars(fac).items()}
-        report["diagonal"] = vector_to_json(fac.diagonal)
+        report.update(factors=vars(fac), diagonal=fac.diagonal)
         report["reconstruction_residual"] = _residual(fac.reconstruct(), h)
         return report
     other = _require_tall(_require_other(problem, "kind 'gsvd'"), problem["other_field"])
@@ -244,10 +257,8 @@ def cmd_decompose(problem, args_echo):
     diag_form = decomp.gsvd_diagonal(h, other)
     jt = decomp.joint_triangularize(h, other, decomp.ql(diag_form.x).u)
     normalization = diag_form.l1.conj().T @ diag_form.l1 + diag_form.l2.conj().T @ diag_form.l2
-    report["factors"] = {name: matrix_to_json(getattr(jt, name))
-                         for name in ("u1", "u2", "va", "t1", "t2")}
-    report["diag_ratios"] = vector_to_json(jt.diag_ratios)
-    report["gsv"] = vector_to_json(diag_form.gsv)
+    report["factors"] = {name: getattr(jt, name) for name in ("u1", "u2", "va", "t1", "t2")}
+    report.update(diag_ratios=jt.diag_ratios, gsv=diag_form.gsv)
     report["normalization_residual"] = _residual(
         normalization, np.eye(normalization.shape[0]))
     report["reconstruction_residual"] = max(
@@ -269,52 +280,27 @@ def cmd_capacity(problem, args_echo):
     h_e = _require_other(problem, "capacity")
     result = secrecy.secrecy_capacity_cov(problem["h_b"], h_e, problem["kbar"])
     report = _report_skeleton("capacity", problem, args_echo)
-    report["capacity_bits"] = result.capacity_bits
-    report["lb"] = result.lb
-    report["k_star"] = matrix_to_json(result.k_star)
+    report.update(capacity_bits=result.capacity_bits, lb=result.lb, k_star=result.k_star)
     report["streams"] = _stream_rows(
         {"gsv": result.gsv, "rate_bits": np.maximum(2.0 * np.log2(result.gsv), 0.0)})
     if "power" in problem:
         search = secrecy.power_constrained_capacity(
             problem["h_b"], h_e, problem["power"], budget=budget, seed=problem["seed"])
-        report["power_search"] = {
-            "power": problem["power"],
-            "budget": budget,
-            "capacity_lower_bound": search.capacity_lower_bound,
-            "kbar": matrix_to_json(search.kbar),
-        }
+        report["power_search"] = {"power": problem["power"], "budget": budget, "kbar": search.kbar,
+                                  "capacity_lower_bound": search.capacity_lower_bound}
     return report
 
 
 def cmd_region(problem, args_echo):
     h_c = _require_other(problem, "region")
     region = secrecy.broadcast_region(problem["h_b"], h_c, problem["kbar"])
-    report = _report_skeleton("region", problem, args_echo)
-    report["rb_max"] = region.rb_max
-    report["rc_max"] = region.rc_max
-    report["gsv"] = vector_to_json(region.gsv)
-    return report
+    return {**_report_skeleton("region", problem, args_echo), **vars(region)}
 
 
 def _simulation_json(sim):
-    out = {
-        "samples": sim.samples,
-        "seed": sim.seed,
-        "genie": sim.genie,
-        "sinr_empirical": vector_to_json(sim.sinr_empirical),
-        "sinr_analytic": vector_to_json(sim.sinr_analytic),
-        "sinr_rel_error": vector_to_json(sim.sinr_rel_error),
-        "sinr_stderr": vector_to_json(sim.sinr_stderr),
-        "mi_bits": sim.mi_bits,
-        "within_bands": sim.within_bands(),
-    }
-    if sim.leakage_bits is not None:
-        out["leakage_bits"] = vector_to_json(sim.leakage_bits)
-        out["leakage_expected"] = vector_to_json(sim.leakage_expected)
-        out["leakage_stderr"] = vector_to_json(sim.leakage_stderr)
-    for key, value in sim.extras.items():
-        out[key] = value if np.isscalar(value) else vector_to_json(np.asarray(value, dtype=float))
-    return out
+    # The report fields, less the scheme and any absent leakage, then the extras.
+    fields = {k: v for k, v in vars(sim).items() if v is not None and k not in ("scheme", "extras")}
+    return {**fields, **sim.extras, "within_bands": sim.within_bands()}
 
 
 def cmd_simulate(problem, args_echo):
@@ -339,7 +325,7 @@ def cmd_simulate(problem, args_echo):
         columns = {"mu": plan.base.diag_b / plan.diag_e, "sinr": plan.base.sinr,
                    "secret_rate_bits": plan.secret_rates_bits,
                    "fictitious_rate_bits": plan.fictitious_rates_bits}
-        report["total_secret_rate_bits"] = float(np.sum(plan.secret_rates_bits))
+        report["total_secret_rate_bits"] = np.sum(plan.secret_rates_bits)
     elif which == "dpc":
         plan = scheme.build_dpc_plan(h_b, other, kbar, mode=problem["mode"])
         sims = {"dpc": scheme.simulate_dpc(plan, h_b, samples, seed)}
@@ -351,23 +337,14 @@ def cmd_simulate(problem, args_echo):
         columns = {"user": ["bob"] * plan.lb + ["charlie"] * plan.lc,
                    "b": plan.diag_b, "c": plan.diag_c,
                    "rate_bits": np.concatenate([plan.bob_rates_bits, plan.charlie_rates_bits])}
-        report["bob_total_bits"] = float(np.sum(plan.bob_rates_bits))
-        report["charlie_total_bits"] = float(np.sum(plan.charlie_rates_bits))
+        report["bob_total_bits"] = np.sum(plan.bob_rates_bits)
+        report["charlie_total_bits"] = np.sum(plan.charlie_rates_bits)
     if which in ("wiretap", "dpc"):
         columns.update(b=plan.base.diag_b, e=plan.diag_e)
     report["streams"] = _stream_rows(columns)
     report["simulations"] = {name: _simulation_json(sim) for name, sim in sims.items()}
     report["within_bands"] = all(sim.within_bands() for sim in sims.values())
     return report
-
-
-def write_report(report, out_path):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def write_csv(report, csv_path):
@@ -419,26 +396,40 @@ def build_parser():
 
 
 def main(argv=None):
-    try:
-        args = vars(build_parser().parse_args(argv))
-        problem = load_problem(args["input"], args)
-        if "budget" in args:
-            args["budget"] = _count(_flag_value(args["budget"]), "flag '--budget'", 1, MAX_BUDGET)
-        # Paths are excluded from the echo so reports stay byte-identical
-        # for identical (input content, seed, version).
-        volatile = {"command", "run", "input", "out", "csv"}
-        echo = {k: problem[k] if k in _FIELDS else v for k, v in sorted(args.items())
-                if k not in volatile and v is not None}
-        report = args["run"](problem, echo)
-    except MajorizationError as exc:
-        print(f"infeasible: {exc} (violating prefix length {exc.prefix_index})",
-              file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (InputError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    # Warnings wait for the outcome: a refused run prints only its reason.
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            args = vars(build_parser().parse_args(argv))
+            problem = load_problem(args["input"], args)
+            if "budget" in args:
+                args["budget"] = _count(_flag_value(args["budget"]), "flag '--budget'",
+                                        1, MAX_BUDGET)
+            # Paths are excluded from the echo so reports stay byte-identical
+            # for identical (input content, seed, version).
+            volatile = {"command", "run", "input", "out", "csv"}
+            echo = {k: problem[k] if k in _FIELDS else v for k, v in sorted(args.items())
+                    if k not in volatile and v is not None}
+            report = args["run"](problem, echo)
+            try:
+                text = json.dumps(report, sort_keys=True, indent=2, default=_to_json,
+                                  allow_nan=False) + "\n"
+            except ValueError as exc:
+                raise NumericalFailure("the report would hold a NaN or an infinity") from exc
+        except MajorizationError as exc:
+            print(f"infeasible: {exc} (violating prefix length {exc.prefix_index})",
+                  file=sys.stderr)
+            return EXIT_INFEASIBLE
+        except (InputError, DomainError, NumericalFailure, np.linalg.LinAlgError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
 
-    write_report(report, args["out"])
+    if args["out"]:
+        with open(args["out"], "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     if args.get("csv"):
         write_csv(report, args["csv"])
     if report.get("within_bands") is False:

@@ -139,9 +139,7 @@ def _diagonal_phases(d):
 
 
 def _positive_diagonal(u, t):
-    """Rescale so diag(t) is real positive, absorbing phases into u columns."""
-    u = u.copy()
-    t = t.copy()
+    """Rescale so diag(t) is real positive, absorbing phases into u columns, in place."""
     k = min(t.shape)
     # The stored diagonal is |d conj(d/|d|)|, not |d|: it is read off the
     # diagonal after the phase fix (a view of t), and differs from |d| in the
@@ -228,16 +226,10 @@ def svd(a):
     return GtdFactors(u=u, t=t, v=vh.conj().T)
 
 
-def _sorted_log_prefix_gaps(x, y):
-    """Prefix-sum gaps of sorted log(x) over sorted log(y), both descending."""
-    lx = np.sort(np.log(x))[::-1]
-    ly = np.sort(np.log(y))[::-1]
-    return np.cumsum(lx) - np.cumsum(ly)
-
-
 def _first_majorization_violation(x, y, rel_tol):
     """Return the 1-based first violating prefix length, or None if x >= y."""
-    gaps = _sorted_log_prefix_gaps(x, y)
+    # Prefix-sum gaps of sorted log(x) over sorted log(y), both descending.
+    gaps = np.cumsum(np.sort(np.log(x))[::-1]) - np.cumsum(np.sort(np.log(y))[::-1])
     for ell in range(len(gaps) - 1):
         if gaps[ell] < -rel_tol:
             return ell + 1
@@ -358,8 +350,6 @@ def _geometric_mean_target(sigma):
 
 def gmd(a):
     """Geometric mean decomposition: GTD with a constant diagonal, from one SVD."""
-    a = _as_matrix(a)
-    _require_tall(a)
     f = svd(a)
     sigma = f.diagonal
     _check_full_rank(sigma, sigma[0] if sigma.size else 0.0)

@@ -176,6 +176,13 @@ def secrecy_mi_difference(h_b, h_e, k):
     return gaussian_mi(h_b, k) - gaussian_mi(h_e, k)
 
 
+def _active_count(mu):
+    # Streams whose squared GSV exceeds ``1 + LB_GSV_TOL``; a square past the
+    # float range is inf, which counts, so its overflow is not a warning.
+    with np.errstate(over="ignore"):
+        return int(np.sum(mu * mu > 1.0 + LB_GSV_TOL))
+
+
 def _root_and_gsv(h_b, h_e, k):
     # The root ``b`` of ``k`` (or of a stack) and the GSVD kernel, GSVs first,
     # of the pair ``[h_b b; I]``, ``[h_e b; I]``: checked for shape and finite
@@ -215,7 +222,7 @@ def _secrecy(h_b, h_e, kbar):
     # basis, with the ``n - lb`` inactive columns exactly 0, so ``f f' = k_star``.
     b, (mu, _, _, wh, r2) = _root_and_gsv(h_b, h_e, _as_square(kbar, "constraint"))
     capacity = float(np.sum(np.maximum(2.0 * np.log2(mu), 0.0)))
-    lb = int(np.sum(mu * mu > 1.0 + LB_GSV_TOL))
+    lb = _active_count(mu)
     basis = np.linalg.qr(_adjoint(wh[lb:] @ r2), mode="complete")[0]
     active = b @ basis[:, mu.size - lb:]
     f = np.zeros_like(b)
@@ -273,8 +280,8 @@ def gsv_monotonicity_check(h_b, h_e, kbar, samples, seed):
     """
     if samples < 1:
         raise DomainError("at least one sample is required")
-    reference = np.abs(np.log2(channel_gsv(h_b, h_e, kbar)))
-    b = matrix_sqrt(_as_square(kbar, "constraint"))
+    b, (mu, *_) = _root_and_gsv(h_b, h_e, _as_square(kbar, "constraint"))
+    reference = np.abs(np.log2(mu))
     rng = np.random.default_rng(seed)
     violations = 0
     worst = 0.0
@@ -391,10 +398,12 @@ def power_constrained_capacity(h_b, h_e, power, budget=400, seed=0):
     consider(np.eye(n, dtype=complex) * (power / n))
 
     # Beamforming along the strongest generalized eigendirection of the two
-    # links is the natural single-stream candidate.
+    # links is the natural single-stream candidate.  A Gram that overflows
+    # makes the pencil non-finite, and ``eig`` skips the candidate.
     try:
-        pencil = np.linalg.solve(np.eye(n) + h_e.conj().T @ h_e,
-                                 np.eye(n) + h_b.conj().T @ h_b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pencil = np.linalg.solve(np.eye(n) + h_e.conj().T @ h_e,
+                                     np.eye(n) + h_b.conj().T @ h_b)
         w, vecs = np.linalg.eig(pencil)
         v = vecs[:, np.argmax(np.real(w))]
         if evaluations < budget:

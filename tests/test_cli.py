@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wtd import cli, decomp, scheme, secrecy
+from wtd.errors import NumericalFailure
 
 GOLDEN_H_B = [[[1.0, 0.5], [-0.25, 1.0]], [[0.5, -0.75], [1.25, 0.0]]]
 GOLDEN_H_E = [[[0.5, 0.25], [0.75, -0.5]], [[-0.25, 0.5], [0.25, 0.25]]]
@@ -708,3 +710,77 @@ class TestInputBoundary:
         for command in COMMANDS:
             out = str(tmp_path / "report.json")
             assert run_cli(command + ["--input", path, "--out", out]) in (0, 3), command
+
+
+def overflow_problem(tmp_path, v):
+    # Finite entries whose factors, GSVs and Gram matrices overflow at 1.7e308.
+    return write_problem(tmp_path, h_b=matrix([[v, v], [v, -v], [1.0, 2.0]]),
+                         h_e=matrix([[1.0, 0.5], [0.25, 1.0]]), t=[1.0, 1.0])
+
+
+OVERFLOW_COMMANDS = (
+    [["decompose", "--kind", k] for k in ("qr", "ql", "svd", "gmd", "gtd", "gsvd")]
+    + [["capacity"], ["capacity", "--power", "2", "--budget", "120"], ["region"]]
+    + [["simulate", "--scheme", s, "--mode", m] for s in ("sic", "wiretap", "dpc", "broadcast")
+       for m in scheme.PRECODER_MODES])
+
+
+class TestNumericalRange:
+    @pytest.mark.parametrize("command", OVERFLOW_COMMANDS, ids=" ".join)
+    def test_overflow_refused_with_one_error_line(self, tmp_path, capsys, command):
+        path = overflow_problem(tmp_path, 1.7e308)
+        out, csv = tmp_path / "report.json", tmp_path / "streams.csv"
+        extra = ["--csv", str(csv)] if command[0] in ("capacity", "simulate") else []
+        assert run_cli(command + ["--input", path, "--out", str(out)] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists() and not csv.exists()
+
+    @pytest.mark.parametrize("command, reason", [
+        (["decompose", "--kind", "qr"], "the report would hold a NaN or an infinity"),
+        (["simulate", "--scheme", "sic", "--mode", "svd_bob"],
+         "the report would hold a NaN or an infinity"),
+        (["capacity"], "SVD did not converge"),
+    ])
+    def test_refusal_names_the_reason(self, tmp_path, capsys, command, reason):
+        # A non-finite report, and a LinAlgError of the library, take the error route.
+        assert run_cli(command + ["--input", overflow_problem(tmp_path, 1.7e308)]) == 1
+        assert capsys.readouterr().err == f"error: {reason}\n"
+
+    @pytest.mark.parametrize("kind", ["qr", "ql", "svd", "gmd"])
+    def test_residual_of_huge_entries_does_not_overflow(self, tmp_path, capsys, kind):
+        path = overflow_problem(tmp_path, 1e300)
+        out = str(tmp_path / "report.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["decompose", "--kind", kind, "--input", path, "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        assert read_report(out)["reconstruction_residual"] <= decomp.RECONSTRUCTION_RTOL
+
+    def test_overflowing_gsv_square_prints_nothing_on_stderr(self, tmp_path):
+        # A GSV of 1e200 squares to inf, which is above 1 + LB_GSV_TOL.
+        path = write_problem(tmp_path, h_b=matrix(np.diag([1e200, 1.0])), h_e=matrix(np.eye(2)))
+        proc = subprocess.run([sys.executable, "-m", "wtd", "capacity", "--input", path],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["lb"] == 1
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_warnings_shown_on_success_only(self, tmp_path, capsys, monkeypatch, fail):
+        region = secrecy.broadcast_region
+
+        def warn_then(*args):
+            warnings.warn("probe", RuntimeWarning)
+            if fail:
+                raise NumericalFailure("probe failure")
+            return region(*args)
+
+        monkeypatch.setattr(cli.secrecy, "broadcast_region", warn_then)
+        path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_c=GOLDEN_H_E)
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            assert run_cli(["region", "--input", path]) == (1 if fail else 0)
+        assert [str(w.message) for w in shown] == ([] if fail else ["probe"])
+        if fail:
+            assert capsys.readouterr().err == "error: probe failure\n"

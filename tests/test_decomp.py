@@ -549,3 +549,20 @@ class TestProperties:
             g = decomp.svd(a)
             assert_unitary(g.u)
             assert_unitary(g.v)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: decomp.require_unitary(np.array([[np.nan, 0.0], [0.0, 1.0]]), "precoder"),
+     "precoder entries must be finite"),
+    (lambda: decomp.require_unitary(np.ones(3), "precoder"), "precoder must be a 2-D array"),
+    (lambda: decomp.require_unitary(np.ones((3, 2)), "precoder"), "precoder must be square"),
+    (lambda: decomp.gtd(np.eye(2), [1.0]), "target diagonal must have length 2"),
+    (lambda: decomp.gtd(np.eye(2), [1.0, 0.0]), "target diagonal entries must be positive"),
+    (lambda: decomp.gsv_values(np.eye(2), np.eye(3)), "matrix pair must share the column"),
+    (lambda: decomp.joint_triangularize(np.eye(2), np.eye(2), np.eye(3)),
+     "right factor dimension"),
+])
+def test_domain_error_names_the_argument(call, named):
+    with pytest.raises(DomainError, match=named) as info:
+        call()
+    assert info.type is DomainError

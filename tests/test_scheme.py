@@ -1174,3 +1174,9 @@ class TestGoldenPlans:
         assert [results[f"{n}_capacity"].lb for n in ("n2", "n4", "n8", "n4_rank1")] == [
             1, 2, 3, 1]
         assert {name: _golden_digests(res) for name, res in results.items()} == GOLDEN_PLANS
+
+
+def test_sic_plan_precoder_dimension_named():
+    with pytest.raises(DomainError, match="precoder dimension must match") as info:
+        scheme.build_sic_plan(np.eye(2), np.eye(2), np.eye(3))
+    assert info.type is DomainError

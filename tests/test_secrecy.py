@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -645,3 +647,43 @@ class TestRankDeficientConstraint:
         w, q = np.linalg.eigh((k + k.conj().T) / 2.0)
         assert w.min() > 1e6 * secrecy._PSD_EIG_RTOL * w.max()
         assert np.array_equal(secrecy.matrix_sqrt(k), (q * np.sqrt(w)) @ q.conj().T)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: secrecy.secrecy_capacity_cov(np.eye(2), np.eye(2), np.ones((2, 3))),
+     "constraint must be a square matrix"),
+    (lambda: secrecy.gaussian_mi(np.eye(2), np.array([[np.inf, 0.0], [0.0, 1.0]])),
+     "covariance entries must be finite"),
+    (lambda: secrecy.effective_mmse_matrix(np.eye(2), np.ones((2, 3))),
+     "channel must be 2-D and the sqrt factor square"),
+    (lambda: secrecy.effective_mmse_matrix(np.eye(2), np.eye(3)),
+     "channel columns must match the sqrt factor"),
+    (lambda: secrecy.power_constrained_capacity(np.eye(2), np.eye(2), 1.0, budget=0),
+     "budget must be at least 1"),
+])
+def test_domain_error_names_the_argument(call, named):
+    with pytest.raises(DomainError, match=named) as info:
+        call()
+    assert info.type is DomainError
+
+
+def test_monotonicity_violation_reports_a_witness(monkeypatch):
+    # Every sample's GSVs made far larger than the constraint's: each one
+    # violates by the same amount, so the witness is the first sample.
+    h_b, h_e, kbar = 2.0 * np.eye(2), np.eye(2), np.diag([1.0, 2.0])
+    reference = np.abs(np.log2(secrecy.channel_gsv(h_b, h_e, kbar)))
+    monkeypatch.setattr(secrecy, "channel_gsv", lambda h_b, h_e, ks: np.full(ks.shape[:-1], 1e3))
+    report = secrecy.gsv_monotonicity_check(h_b, h_e, kbar, samples=5, seed=2)
+    assert not report.ok and report.violations == 5
+    assert report.max_violation == pytest.approx(np.log2(1e3) - reference.min(), rel=1e-12)
+    first = secrecy._sample_below(secrecy.matrix_sqrt(kbar), np.random.default_rng(2), 5)[0]
+    assert np.array_equal(report.witness, first)
+    assert np.linalg.eigvalsh(kbar - report.witness).min() >= -1e-12
+
+
+def test_lb_of_an_overflowing_gsv_square():
+    # A GSV of 1e200 squares to inf, which counts as active, and is no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = secrecy.secrecy_capacity_cov(np.diag([1e200, 1.0]), np.eye(2), np.eye(2))
+    assert res.lb == 1
