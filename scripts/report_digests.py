@@ -9,20 +9,20 @@ Usage, from the root of a wtd checkout:
 The script writes six problem files to a temporary directory: the README
 problem with a feasible ``gtd`` target ``t``, a 4x3 / 2x3 problem with a
 random ``kbar``, a 4x4 problem whose second receiver is a 5-antenna
-``h_c``, a 4x4 / 5x4 problem whose ``kbar = 1e8 q q'`` has rank 2
-(``q`` two orthonormal columns), where rounding-level eigenvalues of the
-constraint matter, and a diagonal 2x2 problem whose eavesdropper gains are
-1e8 and 1, where the leakage estimate must keep the unit-variance
-coordinates beside the large ones, and a finite 3x2 / 2x2 problem with
-entries of 1.7e308, whose factors, GSVs and Gram matrices overflow, so
-every run must be refused with an ``error:`` line.  On each it runs the 25 invocations
-below with the ``wtd`` package of ``CHECKOUT/src``, one process at a
-time: the six ``decompose`` kinds, ``capacity`` without and with a power
-search, ``region``, and ``simulate`` for every scheme and precoder mode.
-It prints one line per invocation with its exit code and the sha256 (first 16 hex digits) of its stdout,
-its stderr and the CSV it wrote (``-`` for none).  Two checkouts whose
-outputs are identical give byte-identical reports, errors included, on
-all 150 runs.
+``h_c``, a 4x4 / 5x4 problem whose ``kbar = 1e8 q q'`` has rank 2 (``q``
+two orthonormal columns), where rounding-level eigenvalues of the
+constraint matter, a diagonal 2x2 problem whose eavesdropper gains are 1e8
+and 1, where the leakage estimate must keep the unit-variance coordinates
+beside the large ones, and a finite 3x2 / 2x2 problem with entries of
+1.7e308, whose factors, GSVs and Gram matrices overflow, so every run must
+be refused with an ``error:`` line. On each it runs the 25 invocations
+below with the ``wtd`` package of ``CHECKOUT/src``, one process at a time:
+the six ``decompose`` kinds, ``capacity`` without and with a power search,
+``region``, and ``simulate`` for every scheme and precoder mode. It prints
+one line per invocation with its exit code and the sha256 (first 16 hex
+digits) of its stdout, its stderr and the CSV it wrote (``-`` for none).
+Two checkouts whose outputs are identical give byte-identical reports,
+errors included, on all 150 runs.
 """
 
 import argparse
