@@ -14,9 +14,10 @@ two orthonormal columns), where rounding-level eigenvalues of the
 constraint matter, a diagonal 2x2 problem whose eavesdropper gains are 1e8
 and 1, where the leakage estimate must keep the unit-variance coordinates
 beside the large ones, and a finite 3x2 / 2x2 problem with entries of
-1.7e308, whose factors, GSVs and Gram matrices overflow, so every run must
-be refused with an ``error:`` line. On each it runs the 25 invocations
-below with the ``wtd`` package of ``CHECKOUT/src``, one process at a time:
+1.7e308, whose ``h_b`` has a norm past the float range, so every run must
+be refused with one ``error:`` line that names ``h_b``. On each it runs
+the 25 invocations below with the ``wtd`` package of ``CHECKOUT/src``, one
+process at a time:
 the six ``decompose`` kinds, ``capacity`` without and with a power search,
 ``region``, and ``simulate`` for every scheme and precoder mode. It prints
 one line per invocation with its exit code and the sha256 (first 16 hex

@@ -130,7 +130,15 @@ def parse_matrix(obj, field):
         elif len(row) != width:
             raise InputError(f"field '{field}' row {i} has inconsistent length")
         rows.append([_complex_pair(v, f"field '{field}' row {i}") for v in row])
-    return np.array(rows, dtype=complex)
+    return _in_range(np.array(rows, dtype=complex), f"field '{field}'")
+
+
+def _in_range(matrix, label):
+    # A norm past the float range makes the factors and GSVs infinite or NaN.
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.hypot.reduce(np.abs(matrix), axis=None)):
+            raise InputError(f"{label} is out of range: its norm overflows a double")
+    return matrix
 
 
 def _to_json(value):
@@ -180,9 +188,13 @@ def load_problem(path, flags=None):
         if problem["kbar"].shape != (n_a, n_a):
             raise InputError(f"field 'kbar' must be {n_a}x{n_a}")
     try:
-        secrecy.matrix_sqrt(problem["kbar"])
+        root = secrecy.matrix_sqrt(problem["kbar"])
     except DomainError as exc:
         raise InputError(f"field 'kbar' must be Hermitian PSD: {exc}") from exc
+    for key, name in (("h_b", "h_b"), ("h_other", other)):
+        if key in problem:
+            with np.errstate(over="ignore", invalid="ignore"):
+                _in_range(problem[key] @ root, f"field '{name}' times the root of field 'kbar'")
 
     if "t" in raw:
         target = raw["t"]
@@ -305,10 +317,7 @@ def _simulation_json(sim):
 
 def cmd_simulate(problem, args_echo):
     which = args_echo["scheme"]
-    h_b = problem["h_b"]
-    kbar = problem["kbar"]
-    samples = problem["samples"]
-    seed = problem["seed"]
+    h_b, kbar, samples, seed = (problem[k] for k in ("h_b", "kbar", "samples", "seed"))
     other = (problem.get("h_other", np.zeros_like(h_b)) if which == "sic"
              else _require_other(problem, f"simulate {which}"))
     report = _report_skeleton("simulate", problem, args_echo)
@@ -350,10 +359,9 @@ def cmd_simulate(problem, args_echo):
 def write_csv(report, csv_path):
     rows = report["streams"]
     keys = sorted({key for row in rows for key in row})
-    lines = [",".join(keys)]
-    for row in rows:
-        lines.append(",".join(repr(row[k]) if isinstance(row[k], float) else str(row[k])
-                              for k in keys))
+    lines = [",".join(keys)] + [
+        ",".join(repr(row[k]) if isinstance(row[k], float) else str(row[k]) for k in keys)
+        for row in rows]
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -87,10 +87,9 @@ class DpcPlan:
     """Layered-DPC plan: successive encoding with ideal presubtraction.
 
     ``rates_bits``, ``fictitious_rates_bits`` and ``rates_u_bits`` are the
-    per-stream secret, fictitious, and auxiliary-codebook rates, computed
-    from the Gaussian mutual informations of the auxiliary variables
-    ``u_k = t_kk x_k + alpha_k * (known interference)``.  ``base`` (the SIC
-    plan) and ``diag_e`` are those of the wiretap plan for the same mode.
+    per-stream secret, fictitious, and auxiliary-codebook rates, closed forms
+    (see :func:`build_dpc_plan`) of the wiretap plan of the same mode, whose
+    ``base`` (the SIC plan) and ``diag_e`` they keep.
     """
 
     base: SicPlan
@@ -239,73 +238,31 @@ def build_wiretap_plan(h_b, h_e, kbar, mode):
                        fictitious_rates_bits=2.0 * np.log2(diag_e), mode=mode)
 
 
-def _conditional_sd(rows):
-    # Per row, the standard deviation of its variable given those of the rows
-    # above it: ``|diag R|`` of a QR of ``rows'`` (mode ``raw`` holds it,
-    # transposed, without the copy of R's triangle), on a stack too.
-    h = np.linalg.qr(rows.conj().swapaxes(-1, -2), mode="raw")[0]
-    return np.abs(np.diagonal(h, 0, -2, -1))
-
-
 def build_dpc_plan(h_b, h_e, kbar, mode="gsvd"):
-    """Layered-DPC plan; rates computed from Gaussian mutual informations.
+    """Layered-DPC plan: the wiretap plan of ``mode`` read as dirty-paper coding.
 
-    The auxiliary variable of stream k mixes the desired symbol with the
-    known interference scaled by ``alpha_k = (b_k^2 - 1) / b_k^2``.  The
-    secret rate subtracts both the auxiliary-codebook overhead and the
-    genie-aided leakage, and lands on the SIC-path value stream by stream.
-    Each mutual information is a log ratio of conditional variances, read
-    off the R diagonals of QRs of the factor rows ``[m 0; f_e I]`` of
-    ``(u, y_e)`` (``u = m x``, ``y_e = f_e x + z``), with no Gram matrix.
-    Streams of variance below 1e-15 carry nothing and are left out.
+    Stream k is encoded after the later ones as ``u_k = t_kk x_k + alpha_k s_k``,
+    ``s_k = sum_{j>k} t_kj x_j``, against the SIC plan's noise of SNR
+    ``b_k^2 - 1``: so ``t_kk = b_k - 1/b_k``, Costa's (IEEE Trans. IT 1983)
+    ``alpha_k = (b_k^2 - 1) / b_k^2`` and, with ``q_k = sum_{j>k} |t_kj|^2``,
+    ``I(u_k; y_k) = log2(b_k^2 + q_k) = I(u_k; s_k) + log2 b_k^2``.  Given
+    the later streams ``u_k`` is ``t_kk x_k``, so ``I(u_k; y_e | later) =
+    2 log2 e_k``, the wiretap fictitious rate, and by the chain rule
+    ``I(u_k; y_k) - I(u_k; y_e, later) = 2 log2(b_k / e_k)``, the wiretap
+    secret rate.  Streams whose ``u_k`` has variance at most 1e-15 carry
+    nothing.
     """
     wt = build_wiretap_plan(h_b, h_e, kbar, mode)
-    base = wt.base
-    n = base.num_streams
-    tt = base.t_tilde
-    diag_b = base.diag_b
+    tt, b = wt.base.t_tilde, wt.base.diag_b
     # b_k >= 1 always; rounding on truncated streams can push b slightly
     # below 1, so the MMSE coefficient is clamped at 0.
-    alpha = np.maximum((diag_b ** 2 - 1.0) / diag_b ** 2, 0.0)
-
-    # Mixing matrix of the auxiliary variables: u = m @ x.
-    m = np.triu(tt, 1) * alpha[:, None]
-    m[np.arange(n), np.arange(n)] = np.diag(tt)
-    f_e = np.asarray(h_e, dtype=complex) @ base.b_sqrt @ base.va
-    n_e = f_e.shape[0]
-
-    # I(u_k; y_k), y_k = row k of (t_tilde x + u_tilde' z), from the variance
-    # of y_k - u_k given u_k: its factor row is an exact difference, so a gain
-    # of 1e13 does not cancel.
-    u_rows = np.concatenate([m, np.zeros_like(base.u_tilde.T)], axis=1)
-    y_rows = np.concatenate([tt, base.u_tilde.conj().T], axis=1)
-    var_u = np.sum(np.abs(m) ** 2, axis=1)
-    var_y = np.sum(np.abs(y_rows) ** 2, axis=1)
-    live = np.flatnonzero((var_u > 1e-15) & (var_y > 1e-15))
-    sd_w = _conditional_sd(np.stack([u_rows, y_rows - u_rows], axis=1)[live])[:, 1]
-
-    # Rows over (x_{n-1}, ..., x_0, z), so that the later streams' rows are
-    # triangular and conditioning on them first is exact, and a zero row that
-    # pads the orders: the live streams last to first, then per live stream
-    # its j later ones, the eavesdropper's outputs and itself.
-    rows = np.zeros((n + n_e + 1, n + n_e), dtype=complex)
-    rows[:n, :n] = m[:, ::-1]
-    rows[n:-1] = np.concatenate([f_e[:, ::-1], np.eye(n_e)], axis=1)
-    j = live.size - 1 - np.arange(live.size)
-    orders = np.full((live.size + 1, n + n_e), n + n_e)
-    orders[0, :live.size] = live[::-1]
-    for i, k in enumerate(live):
-        orders[i + 1, :j[i] + n_e + 1] = [*live[:i:-1], *range(n, n + n_e), k]
-    sd = _conditional_sd(rows[orders])
-    sd_eav = sd[1 + np.arange(live.size), j + n_e]
-    # I(u_k; y_e | later) and I(u_k; y_e, later) in conditional variances of u_k.
-    rates_u, fictitious, leakage = np.zeros((3, n))
-    rates_u[live] = np.log2(var_y[live]) - 2.0 * np.log2(sd_w)
-    fictitious[live] = 2.0 * np.log2(sd[0, j] / sd_eav)
-    leakage[live] = np.log2(var_u[live]) - 2.0 * np.log2(sd_eav)
-    return DpcPlan(base=base, diag_e=wt.diag_e, alpha=alpha,
-                   rates_bits=np.maximum(rates_u - leakage, 0.0),
-                   fictitious_rates_bits=fictitious, rates_u_bits=np.maximum(rates_u, 0.0))
+    alpha = np.maximum((b ** 2 - 1.0) / b ** 2, 0.0)
+    q = np.sum(np.abs(np.triu(tt, 1)) ** 2, axis=1)
+    live = np.abs(np.diag(tt)) ** 2 + alpha ** 2 * q > 1e-15
+    return DpcPlan(base=wt.base, diag_e=wt.diag_e, alpha=alpha,
+                   rates_bits=np.where(live, wt.secret_rates_bits, 0.0),
+                   fictitious_rates_bits=np.where(live, wt.fictitious_rates_bits, 0.0),
+                   rates_u_bits=np.where(live, np.log2(b ** 2 + q), 0.0))
 
 
 def build_broadcast_plan(h_b, h_c, kbar):
@@ -485,8 +442,10 @@ def _leakage_bits(f, factors):
     n = f.shape[1]
     x = factors[..., n - 1::-1, :]
     y = f @ factors[..., :n, :] + factors[..., n:, :]
-    sd = _conditional_sd(np.stack([np.concatenate([x, y], axis=-2),
-                                   np.concatenate([y, x], axis=-2)]))
+    rows = np.stack([np.concatenate([x, y], axis=-2), np.concatenate([y, x], axis=-2)])
+    # |diag R| of a QR of rows' (``raw`` holds R transposed) is each row's sd given those above.
+    h = np.linalg.qr(rows.conj().swapaxes(-1, -2), mode="raw")[0]
+    sd = np.abs(np.diagonal(h, 0, -2, -1))
     return 2.0 * (np.log2(sd[0, ..., n - 1::-1]) - np.log2(sd[1, ..., ::-1][..., :n]))
 
 

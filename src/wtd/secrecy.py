@@ -242,13 +242,8 @@ def verify_truncation(h_b, h_e, kbar):
     truncated = channel_gsv(h_b, h_e, res.k_star)
     expected = np.where(np.arange(truncated.size) < res.lb, res.gsv, 1.0)
     deviation = float(np.max(np.abs(truncated - expected)))
-    return TruncationReport(
-        ok=deviation <= _TRUNCATION_TOL,
-        max_deviation=deviation,
-        lb=res.lb,
-        gsv_constraint=res.gsv,
-        gsv_truncated=truncated,
-    )
+    return TruncationReport(ok=deviation <= _TRUNCATION_TOL, max_deviation=deviation,
+                            lb=res.lb, gsv_constraint=res.gsv, gsv_truncated=truncated)
 
 
 def _sample_below(b, rng, count):

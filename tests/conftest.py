@@ -43,6 +43,45 @@ def ql_product_gsvd(a1, a2):
                                          diag1=np.real(np.diag(t1)), diag2=np.real(np.diag(t2)))
 
 
+def conditional_mi_bits(cov, idx_a, idx_b, idx_c):
+    """I(a; b | c) in bits of circularly-symmetric Gaussians, from per-subset
+    ``slogdet`` calls; zero-variance coordinates are dropped."""
+    variances = np.real(np.diag(cov))
+    alive = variances > 1e-15 * max(variances.max(), 1.0)
+
+    def logdet(indices):
+        key = [i for i in indices if alive[i]]
+        sub = cov[np.ix_(key, key)]
+        return np.linalg.slogdet((sub + sub.conj().T) / 2.0)[1] if key else 0.0
+
+    return (logdet(idx_a + idx_c) + logdet(idx_b + idx_c)
+            - logdet(idx_a + idx_b + idx_c) - logdet(idx_c)) / np.log(2.0)
+
+
+def dpc_oracle(plan, h_e):
+    """``I(u_k; y_k)``, ``I(u_k; y_e | later u)`` and ``I(u_k; y_e, later u)``
+    per stream of a DPC plan, from per-subset ``slogdet`` calls on covariances
+    of factor rows over white ``(x, z)``: ``u = m x`` with ``y_k`` the rows
+    ``[t u']`` of Bob's combined output, and ``y_e = f_e x + z_e``."""
+    base = plan.base
+    n = base.num_streams
+    m = np.triu(base.t_tilde, 1) * plan.alpha[:, None]
+    m[np.arange(n), np.arange(n)] = np.diag(base.t_tilde)
+    f_e = np.asarray(h_e, dtype=complex) @ base.b_sqrt @ base.va
+    n_e = f_e.shape[0]
+    eav = list(range(n, n + n_e))
+    rows_b = np.block([[m, np.zeros_like(base.u_tilde.T)], [base.t_tilde, base.u_tilde.conj().T]])
+    rows_e = np.block([[m, np.zeros((n, n_e))], [f_e, np.eye(n_e)]])
+    cov_b, cov_e = rows_b @ rows_b.conj().T, rows_e @ rows_e.conj().T
+    rates_u, fictitious, leakage = np.empty((3, n))
+    for k in range(n):
+        tail = list(range(k + 1, n))
+        rates_u[k] = conditional_mi_bits(cov_b, [k], [n + k], [])
+        fictitious[k] = conditional_mi_bits(cov_e, [k], eav, tail)
+        leakage[k] = conditional_mi_bits(cov_e, [k], eav + tail, [])
+    return rates_u, fictitious, leakage
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

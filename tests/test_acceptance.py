@@ -15,6 +15,8 @@ import pytest
 from wtd import decomp, scheme, secrecy
 from wtd.errors import MajorizationError
 
+from conftest import dpc_oracle
+
 
 def announce(number, text):
     print(f"[{number:2d}] PASS - {text}")
@@ -222,13 +224,19 @@ def test_criterion_07_dpc_equivalence():
         wiretap = scheme.build_wiretap_plan(h_b, h_e, np.eye(n), "gsvd")
         assert np.max(np.abs(plan.rates_bits
                              - wiretap.secret_rates_bits)) <= 1e-9
+        # The plan reads its rates off the wiretap plan, so they are also
+        # checked against I(u_k; y_k) - I(u_k; y_e, later u) from slogdet.
+        rates_u, _, leakage = dpc_oracle(plan, h_e)
+        assert np.max(np.abs(plan.rates_bits
+                             - np.maximum(rates_u - leakage, 0.0))) <= 1e-9
         expected_alpha = np.maximum(
             (plan.base.diag_b ** 2 - 1.0) / plan.base.diag_b ** 2, 0.0)
         assert np.max(np.abs(plan.alpha - expected_alpha)) <= 1e-12
         if i < 2:
             rep = scheme.simulate_dpc(plan, h_b, 50000, seed=700 + i)
             assert rep.extras["alpha_bracket_ok"]
-    announce(7, "per-stream DPC rates equal the SIC-path rates within 1e-9; "
+    announce(7, "per-stream DPC rates equal the SIC-path rates and the slogdet "
+                "mutual informations within 1e-9; "
                 "alpha is the empirical MMSE minimizer (+/-10% bracket)")
 
 

@@ -713,7 +713,7 @@ class TestInputBoundary:
 
 
 def overflow_problem(tmp_path, v):
-    # Finite entries whose factors, GSVs and Gram matrices overflow at 1.7e308.
+    # Finite entries; at 1.7e308 the norm of 'h_b' overflows.
     return write_problem(tmp_path, h_b=matrix([[v, v], [v, -v], [1.0, 2.0]]),
                          h_e=matrix([[1.0, 0.5], [0.25, 1.0]]), t=[1.0, 1.0])
 
@@ -733,19 +733,56 @@ class TestNumericalRange:
         extra = ["--csv", str(csv)] if command[0] in ("capacity", "simulate") else []
         assert run_cli(command + ["--input", path, "--out", str(out)] + extra) == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
-        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert captured.err == "error: field 'h_b' is out of range: its norm overflows a double\n"
         assert not out.exists() and not csv.exists()
 
-    @pytest.mark.parametrize("command, reason", [
-        (["decompose", "--kind", "qr"], "the report would hold a NaN or an infinity"),
-        (["simulate", "--scheme", "sic", "--mode", "svd_bob"],
+    @pytest.mark.parametrize("field", ["h_b", "h_e", "h_c", "kbar"])
+    def test_overflowing_norm_names_the_field(self, tmp_path, capsys, monkeypatch, field):
+        # Each entry is finite, and the refusal comes before any computation.
+        monkeypatch.setattr(cli.secrecy, "broadcast_region", None)
+        fields = {"h_b": GOLDEN_H_B, "h_c" if field == "h_c" else "h_e": GOLDEN_H_E,
+                  field: matrix(np.diag([1.7e308, 1.7e308]))}
+        assert run_cli(["region", "--input", write_problem(tmp_path, **fields)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: field '{field}' is out of range: its norm overflows a double\n")
+
+    @pytest.mark.parametrize("other", ["h_e", "h_c"])
+    def test_overflowing_product_with_kbar_root_names_both(self, tmp_path, capsys, other):
+        # Both norms are finite, but the channel times the root of kbar (1e10) is not.
+        big = matrix(1e300 * np.array([[1.0, 1.0], [1.0, -1.0]]))
+        kbar = matrix(1e20 * np.eye(2))
+        for name in ("h_b", other):
+            fields = {"h_b": GOLDEN_H_B, other: GOLDEN_H_E, "kbar": kbar, name: big}
+            assert run_cli(["region", "--input", write_problem(tmp_path, **fields)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: field '{name}' times the root of field 'kbar' is out of range: "
+                "its norm overflows a double\n")
+
+    def test_largest_finite_norm_accepted(self, tmp_path):
+        # A norm just inside the float range passes, though its squares overflow.
+        path = write_problem(tmp_path, h_b=matrix(np.diag([1.2e308, 1.2e308])), h_e=GOLDEN_H_E)
+        assert cli.load_problem(path)["h_b"][0, 0] == 1.2e308
+
+    @pytest.mark.parametrize("command, fields, reason", [
+        (["decompose", "--kind", "qr"], {"h_b": matrix([[1e308], [1e308]])},
          "the report would hold a NaN or an infinity"),
-        (["capacity"], "SVD did not converge"),
+        (["simulate", "--scheme", "sic", "--mode", "svd_bob"],
+         {"h_b": matrix([[1e300, 1e300], [1e300, -1e300], [1.0, 2.0]]),
+          "h_e": matrix([[1.0, 0.5], [0.25, 1.0]])},
+         "the report would hold a NaN or an infinity"),
+        (["capacity"], {"h_b": GOLDEN_H_B, "h_e": GOLDEN_H_E}, "SVD did not converge"),
     ])
-    def test_refusal_names_the_reason(self, tmp_path, capsys, command, reason):
-        # A non-finite report, and a LinAlgError of the library, take the error route.
-        assert run_cli(command + ["--input", overflow_problem(tmp_path, 1.7e308)]) == 1
+    def test_refusal_names_the_reason(self, tmp_path, capsys, monkeypatch, command, fields,
+                                      reason):
+        # A non-finite report, and a LinAlgError of the library, take the error route:
+        # a column of 1e308 overflows its Householder vector, entries of 1e300 the
+        # svd_bob SINRs, and the kernel's LinAlgError is forced.
+        def no_convergence(*args):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli.secrecy, "secrecy_capacity_cov", no_convergence)
+        assert run_cli(command + ["--input", write_problem(tmp_path, **fields)]) == 1
         assert capsys.readouterr().err == f"error: {reason}\n"
 
     @pytest.mark.parametrize("kind", ["qr", "ql", "svd", "gmd"])
