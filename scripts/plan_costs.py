@@ -3,16 +3,21 @@
 Usage, from the root of a wtd checkout:
 
     python3 scripts/plan_costs.py ../parent-checkout
-    python3 scripts/plan_costs.py ../parent-checkout --problems 90 --rounds 4 --seed 1
+    python3 scripts/plan_costs.py ../parent-checkout --problems 90 --rounds 4 --cold 600 --seed 1
 
 The script loads the ``wtd`` package of ``PARENT/src`` as ``wtd_parent``
 and the one of this checkout as ``wtd``, in one process with one BLAS
 thread.  It draws the problems of the ``capacity_sweep`` workload
 (``bench/workloads.py``) and runs its nine calls on each problem with both
-packages, ``--rounds`` times, alternating which package goes first, so a
-slow spell of the machine hits both alike.  It prints the median time of
-each call per package in microseconds, their ratio (parent over change),
-and the ratio of the total times.
+packages.  Rounds are the outer loop and problems the inner one, so, as in
+the benchmark, no problem comes back before every other one has run; which
+package goes first alternates per problem and round, so a slow spell of the
+machine hits both alike.  It prints the median time of each call per
+package in microseconds, their ratio (parent over change), and the ratio
+of the total times.  The "cold" lines then time ``secrecy_capacity_cov``
+alone as the first call on each of ``--cold`` further problems, which
+neither package has seen, alternating which package goes first, and give
+the medians per transmit dimension n.
 """
 
 import os
@@ -65,6 +70,7 @@ def main(argv=None):
     parser.add_argument("parent", help="root of the checkout to compare against")
     parser.add_argument("--problems", type=int, default=90)
     parser.add_argument("--rounds", type=int, default=4)
+    parser.add_argument("--cold", type=int, default=600)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     src = Path(args.parent).resolve() / "src"
@@ -72,26 +78,41 @@ def main(argv=None):
         parser.error(f"no wtd package under {src}")
     packages = {"parent": load_package(src, "wtd_parent"), "change": wtd}
     sweep = CapacitySweep(args.seed, None, None, None)
+    problems = [sweep.problem(index) for index in range(args.problems)]
     times = {name: {} for name in packages}
-    for index in range(args.problems):
-        _, h_b, h_e, kbar = sweep.problem(index)
-        for round_ in range(args.rounds):
-            names = list(packages)
-            if (index + round_) % 2:
-                names.reverse()
-            for name in names:
+    for round_ in range(args.rounds):
+        for index, (_, h_b, h_e, kbar) in enumerate(problems):
+            for name in ordered(packages, index + round_):
                 for label, call in calls(packages[name], h_b, h_e, kbar):
                     start = time.perf_counter()
                     call()
                     times[name].setdefault(label, []).append(time.perf_counter() - start)
+    cold = {name: {} for name in packages}
+    for index in range(args.problems, args.problems + args.cold):
+        n, h_b, h_e, kbar = sweep.problem(index)
+        for name in ordered(packages, index):
+            start = time.perf_counter()
+            packages[name].secrecy_capacity_cov(h_b, h_e, kbar)
+            cold[name].setdefault(n, []).append(time.perf_counter() - start)
     print(f"{'call':32s} {'parent us':>10s} {'change us':>10s} {'ratio':>7s}")
     for label in times["parent"]:
-        before = statistics.median(times["parent"][label]) * 1e6
-        after = statistics.median(times["change"][label]) * 1e6
-        print(f"{label:32s} {before:10.1f} {after:10.1f} {before / after:7.3f}")
+        row(label, times["parent"][label], times["change"][label])
     total = {name: sum(map(sum, per_call.values())) for name, per_call in times.items()}
     print(f"total ratio (parent / change): {total['parent'] / total['change']:.3f} "
           f"({args.problems} problems x {args.rounds} rounds, seed {args.seed})")
+    for n in sorted(cold["parent"]):
+        row(f"cold secrecy_capacity_cov n={n}", cold["parent"][n], cold["change"][n])
+
+
+def ordered(packages, turn):
+    """The package names, reversed on odd turns."""
+    names = list(packages)
+    return names[::-1] if turn % 2 else names
+
+
+def row(label, before, after):
+    before, after = statistics.median(before) * 1e6, statistics.median(after) * 1e6
+    print(f"{label:32s} {before:10.1f} {after:10.1f} {before / after:7.3f}")
 
 
 if __name__ == "__main__":

@@ -267,6 +267,7 @@ def cmd_decompose(problem, args_echo):
     other = _require_tall(_require_other(problem, "kind 'gsvd'"), problem["other_field"])
     # One GSVD kernel call: the triangular form is the QR pair under the diagonal form's precoder.
     diag_form = decomp.gsvd_diagonal(h, other)
+    _in_range(diag_form.x, "the GSVD right factor of field 'h_b'")
     jt = decomp.joint_triangularize(h, other, decomp.ql(diag_form.x).u)
     normalization = diag_form.l1.conj().T @ diag_form.l1 + diag_form.l2.conj().T @ diag_form.l2
     report["factors"] = {name: getattr(jt, name) for name in ("u1", "u2", "va", "t1", "t2")}
@@ -424,8 +425,7 @@ def main(argv=None):
             except ValueError as exc:
                 raise NumericalFailure("the report would hold a NaN or an infinity") from exc
         except MajorizationError as exc:
-            print(f"infeasible: {exc} (violating prefix length {exc.prefix_index})",
-                  file=sys.stderr)
+            print(f"infeasible: {exc}", file=sys.stderr)
             return EXIT_INFEASIBLE
         except (InputError, DomainError, NumericalFailure, np.linalg.LinAlgError) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -110,7 +110,7 @@ def _as_matrix(a, name="matrix", stacked=False):
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or (a.ndim > 2 and not stacked) or a.shape[-2] < 1 or a.shape[-1] < 1:
         raise DomainError(f"{name} must be a 2-D array with positive dimensions")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DomainError(f"{name} entries must be finite")
     return a
 
@@ -440,9 +440,13 @@ def gsvd_diagonal(a1, a2):
 
 def _gsvd_va(a1, a2, check=True):
     # ``ql(gsvd_diagonal(a1, a2).x).u`` bit for bit, from the thin kernel and
-    # the QR of ``x`` with its columns reversed.  ``check=False`` skips the rank
-    # checks, which on a pair ``[h b; I]`` (singular values >= 1) are spurious.
-    mu, _, _, wh, r2 = _gsvd_kernel(*_check_pair(a1, a2), check=check)
+    # the QR of ``x`` with its columns reversed (``_kernel_va``, from a given
+    # kernel).  ``check=False`` skips the rank checks, which on a pair
+    # ``[h b; I]`` (singular values >= 1) are spurious.
+    return _kernel_va(*_gsvd_kernel(*_check_pair(a1, a2), check=check), check=check)
+
+
+def _kernel_va(mu, u, q2, wh, r2, check=False):
     x = (wh @ r2).conj().T * np.sqrt(1.0 + mu * mu)[None, :]
     q, r = np.linalg.qr(x[:, ::-1], mode="complete")
     phases, diag = _diagonal_phases(np.diag(r)[::-1])

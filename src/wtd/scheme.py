@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomp import _as_matrix, _gmd_right, _gsvd_va, _qr_diagonal, require_unitary
+from .decomp import _as_matrix, _gmd_right, _gsvd_va, _kernel_va, _qr_diagonal, require_unitary
 from .errors import DomainError, InsufficientSamples
-from .secrecy import _active_count, _secrecy, effective_mmse_matrix, matrix_sqrt
+from .secrecy import _active_count, _as_square, _root_and_gsv, _secrecy, effective_mmse_matrix
 
 PRECODER_MODES = ("gsvd", "svd_eve", "svd_bob", "gmd_bob")
 
@@ -273,15 +273,15 @@ def build_broadcast_plan(h_b, h_c, kbar):
     Streams with ratio above 1 carry the first user's messages (the first
     ``lb`` columns of its combiner and rows of its feedback), the rest carry
     the second user's; the per-user rate totals hit both corners of the
-    rectangular region simultaneously.  Like the wiretap plan, it forms each
-    effective MMSE matrix once and runs no rank check on them.
+    rectangular region simultaneously.  It shares the capacity call's root of
+    ``kbar`` and GSVD kernel of the pair, and forms each effective MMSE matrix
+    once, with no rank check.
     """
-    h_b = np.asarray(h_b, dtype=complex)
-    h_c = np.asarray(h_c, dtype=complex)
-    b = matrix_sqrt(kbar)
+    h_b, h_c = np.asarray(h_b, dtype=complex), np.asarray(h_c, dtype=complex)
+    b, kernel, _ = _root_and_gsv(h_b, h_c, _as_square(kbar, "covariance"))
     g_b = effective_mmse_matrix(h_b, b)
     g_c = effective_mmse_matrix(h_c, b)
-    va = _gsvd_va(g_b, g_c, check=False)
+    va = _kernel_va(*kernel)
     diag_b, bob_combiner, bob_feedback = _receiver(h_b, b, g_b, va)
     diag_c, charlie_combiner, charlie_feedback = _receiver(h_c, b, g_c, va)
     mu = diag_b / diag_c

@@ -32,6 +32,9 @@ STACK_CHUNK = 1024
 _REFINE_BATCH = 8
 #: Largest GSV deviation ``verify_truncation`` accepts.
 _TRUNCATION_TOL = 1e-7
+#: The last solved 2-D problem, one ``(key, value)`` tuple replaced whole (no thread
+#: pairs a key with another's value); its arrays are read-only.  Raising calls store nothing.
+_last = (None, None)
 
 
 def _as_square(k, name, stacked=False):
@@ -39,7 +42,7 @@ def _as_square(k, name, stacked=False):
     k = np.asarray(k, dtype=complex)
     if k.ndim < 2 or (k.ndim > 2 and not stacked) or k.shape[-2] != k.shape[-1]:
         raise DomainError(f"{name} must be a square matrix")
-    if not np.all(np.isfinite(k)):
+    if not np.isfinite(k).all():
         raise DomainError(f"{name} entries must be finite")
     return k
 
@@ -183,13 +186,27 @@ def _active_count(mu):
         return int(np.sum(mu * mu > 1.0 + LB_GSV_TOL))
 
 
-def _root_and_gsv(h_b, h_e, k):
-    # The root ``b`` of ``k`` (or of a stack) and the GSVD kernel, GSVs first,
-    # of the pair ``[h_b b; I]``, ``[h_e b; I]``: checked for shape and finite
-    # entries but not for rank, as its singular values are all >= 1.
+def _root_and_gsv(h_b, h_e, k, secrecy=False):
+    # The root ``b`` of ``k`` (or of a stack), the GSVD kernel, GSVs first, of the
+    # pair ``[h_b b; I]``, ``[h_e b; I]`` (not rank checked: its singular values
+    # are >= 1) and, with ``secrecy`` (else maybe None), ``_secrecy``.  A 2-D
+    # ``k`` goes through ``_last``, keyed by the shapes and bytes of the inputs.
+    global _last
+    k = np.asarray(k, dtype=complex)
+    if k.ndim == 2:
+        h_b, h_e = np.asarray(h_b, dtype=complex), np.asarray(h_e, dtype=complex)
+        key = (h_b.shape, h_b.tobytes(), h_e.shape, h_e.tobytes(), k.shape, k.tobytes())
+        if (last := _last)[0] == key and (last[1][2] is not None or not secrecy):
+            return last[1]
     b = matrix_sqrt(k)
     pair = _check_pair(effective_mmse_matrix(h_b, b), effective_mmse_matrix(h_e, b), stacked=True)
-    return b, _gsvd_kernel(*pair, check=False)
+    kernel = _gsvd_kernel(*pair, check=False)
+    solved = _optimal(b, *kernel) if secrecy else None
+    if k.ndim == 2:
+        for a in (b, *kernel[:2], *kernel[3:]) + ((solved[0].k_star, solved[1]) if secrecy else ()):
+            a.setflags(write=False)
+        _last = (key, (b, kernel, solved))
+    return b, kernel, solved
 
 
 def channel_gsv(h_b, h_e, k):
@@ -218,9 +235,13 @@ def secrecy_capacity_cov(h_b, h_e, kbar):
 
 
 def _secrecy(h_b, h_e, kbar):
-    # The result and a factor ``f`` of ``k_star``: ``b`` times the complete
-    # basis, with the ``n - lb`` inactive columns exactly 0, so ``f f' = k_star``.
-    b, (mu, _, _, wh, r2) = _root_and_gsv(h_b, h_e, _as_square(kbar, "constraint"))
+    # The result and a factor ``f`` of ``k_star``, by ``_optimal`` from the root
+    # ``b`` and the kernel: ``b`` times the complete basis, with the ``n - lb``
+    # inactive columns exactly 0, so ``f f' = k_star``.
+    return _root_and_gsv(h_b, h_e, _as_square(kbar, "constraint"), secrecy=True)[2]
+
+
+def _optimal(b, mu, u, q2, wh, r2):
     capacity = float(np.sum(np.maximum(2.0 * np.log2(mu), 0.0)))
     lb = _active_count(mu)
     basis = np.linalg.qr(_adjoint(wh[lb:] @ r2), mode="complete")[0]
@@ -275,7 +296,7 @@ def gsv_monotonicity_check(h_b, h_e, kbar, samples, seed):
     """
     if samples < 1:
         raise DomainError("at least one sample is required")
-    b, (mu, *_) = _root_and_gsv(h_b, h_e, _as_square(kbar, "constraint"))
+    b, (mu, *_), _ = _root_and_gsv(h_b, h_e, _as_square(kbar, "constraint"))
     reference = np.abs(np.log2(mu))
     rng = np.random.default_rng(seed)
     violations = 0
@@ -301,9 +322,9 @@ def gsv_monotonicity_check(h_b, h_e, kbar, samples, seed):
 def broadcast_region(h_b, h_c, kbar):
     """Rectangular capacity region of the two-user confidential broadcast.
 
-    The first corner sums the positive log-squared GSVs, the second the
-    negative ones; swapping the channel roles inverts the GSVs and swaps
-    the corners.
+    The first corner sums the positive log-squared GSVs, read off the capacity
+    call's root and GSVD kernel of the problem, the second the negative ones;
+    swapping the channel roles inverts the GSVs and swaps the corners.
     """
     mu = channel_gsv(h_b, h_c, kbar)
     log_sq = 2.0 * np.log2(mu)
@@ -371,7 +392,7 @@ def power_constrained_capacity(h_b, h_e, power, budget=400, seed=0):
         nonlocal best_c, best_k, best_f, evaluations
         ks = ks.reshape(-1, n, n)
         try:
-            roots, (mu, *_) = _root_and_gsv(h_b, h_e, ks)
+            roots, (mu, *_), _ = _root_and_gsv(h_b, h_e, ks)
         except (DomainError, NumericalFailure):
             # A candidate past the first improvement must not fail the
             # stack: take the candidates one at a time instead.

@@ -219,7 +219,12 @@ class TestDecompose:
                              t=[8.0, 0.5])
         assert run_cli(["decompose", "--input", path, "--kind", "gtd"]) == 2
         err = capsys.readouterr().err
-        assert "prefix length 1" in err
+        assert "prefix length 1" in err and err.count("prefix") == 1
+        path = write_problem(tmp_path, h_b=matrix(np.eye(2)), t=[0.5, 2.0])
+        assert run_cli(["decompose", "--input", path, "--kind", "gtd"]) == 2
+        assert capsys.readouterr().err == (
+            "infeasible: singular values do not majorize the target diagonal "
+            "(first violating prefix length 1)\n")
 
     def test_gtd_requires_target(self, tmp_path, capsys):
         path = write_problem(tmp_path, h_b=matrix(np.diag([4.0, 1.0])))
@@ -462,7 +467,6 @@ class TestSimulate:
             return matrix_sqrt(k)
 
         monkeypatch.setattr(secrecy, "matrix_sqrt", counting)
-        monkeypatch.setattr(scheme, "matrix_sqrt", counting)
         # The sic path roots kbar twice: the input check and the plan.
         path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E, samples=2000)
         out = str(tmp_path / "report.json")
@@ -473,9 +477,15 @@ class TestSimulate:
         # the optimal covariance that the capacity call forms.
         h_b = np.array(GOLDEN_H_B) @ [1.0, 1j]
         h_e = np.array(GOLDEN_H_E) @ [1.0, 1j]
+        secrecy.channel_gsv(h_b, h_e, 2.0 * np.eye(2))
         roots.clear()
         scheme.build_wiretap_plan(h_b, h_e, np.eye(2), "gsvd")
         assert len(roots) == 1 and np.array_equal(roots[0], np.eye(2))
+        # Every later call on the same problem reads the root of the memo.
+        scheme.build_dpc_plan(h_b, h_e, np.eye(2))
+        scheme.build_broadcast_plan(h_b, h_e, np.eye(2))
+        secrecy.broadcast_region(h_b, h_e, np.eye(2))
+        assert len(roots) == 1
 
     def test_cli_flags_override_problem(self, tmp_path):
         path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E,
@@ -794,6 +804,15 @@ class TestNumericalRange:
             assert run_cli(["decompose", "--kind", kind, "--input", path, "--out", out]) == 0
         assert capsys.readouterr().err == ""
         assert read_report(out)["reconstruction_residual"] <= decomp.RECONSTRUCTION_RTOL
+
+    def test_overflowing_gsvd_right_factor_names_h_b(self, tmp_path, capsys):
+        # The file loads, but sqrt(1 + mu^2) of its GSVs of about 1e300 overflows.
+        path = overflow_problem(tmp_path, 1e300)
+        out = tmp_path / "report.json"
+        assert run_cli(["decompose", "--kind", "gsvd", "--input", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: the GSVD right factor of field 'h_b' is out "
+                                           "of range: its norm overflows a double\n")
+        assert not out.exists()
 
     def test_overflowing_gsv_square_prints_nothing_on_stderr(self, tmp_path):
         # A GSV of 1e200 squares to inf, which is above 1 + LB_GSV_TOL.

@@ -417,6 +417,67 @@ class TestBuildBroadcastPlan:
         assert plan.lb + plan.lc == 3
 
 
+def _nine_calls(h_b, h_e, kbar):
+    """The capacity, GSV, region and plan calls of one problem, by label."""
+    calls = {"capacity": lambda: secrecy.secrecy_capacity_cov(h_b, h_e, kbar),
+             "gsv": lambda: secrecy.channel_gsv(h_b, h_e, kbar),
+             "region": lambda: secrecy.broadcast_region(h_b, h_e, kbar),
+             "dpc": lambda: scheme.build_dpc_plan(h_b, h_e, kbar),
+             "broadcast": lambda: scheme.build_broadcast_plan(h_b, h_e, kbar)}
+    for mode in scheme.PRECODER_MODES:
+        calls[mode] = lambda mode=mode: scheme.build_wiretap_plan(h_b, h_e, kbar, mode)
+    return calls
+
+
+def _bits(result):
+    """Field digests of a result dataclass, or of the bytes of an array."""
+    if dataclasses.is_dataclass(result):
+        return _golden_digests(result)
+    return hashlib.sha256(result.tobytes()).hexdigest()
+
+
+class TestSolveMemo:
+    """The calls on one problem share its root, GSVD kernel and capacity solve."""
+
+    def test_cold_and_warm_calls_are_bit_identical(self):
+        for h_b, h_e, kbar in _factor_problems() + [wiretap_instance(np.random.default_rng(7))]:
+            other = (h_b, h_e, 2.0 * kbar + np.eye(kbar.shape[0]))
+            for label, call in _nine_calls(h_b, h_e, kbar).items():
+                secrecy.secrecy_capacity_cov(*other)
+                cold = _bits(call())
+                # Warm: after every call on the same problem.
+                for warm in _nine_calls(h_b, h_e, kbar).values():
+                    warm()
+                assert _bits(call()) == cold, label
+
+    def test_returned_arrays_are_read_only(self, rng):
+        h_b, h_e, kbar = wiretap_instance(rng)
+        arrays = [secrecy.secrecy_capacity_cov(h_b, h_e, kbar).gsv,
+                  secrecy.secrecy_capacity_cov(h_b, h_e, kbar).k_star,
+                  secrecy.channel_gsv(h_b, h_e, kbar),
+                  scheme.build_wiretap_plan(h_b, h_e, kbar, "gsvd").base.b_sqrt,
+                  scheme.build_broadcast_plan(h_b, h_e, kbar).b_sqrt]
+        before = {label: _bits(call()) for label, call in _nine_calls(h_b, h_e, kbar).items()}
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 7.0
+        after = {label: _bits(call()) for label, call in _nine_calls(h_b, h_e, kbar).items()}
+        assert after == before
+
+    def test_broadcast_precoder_is_the_gsvd_precoder_of_the_pair(self, rng):
+        h_b, h_c = complex_gaussian(rng, 4, 3), complex_gaussian(rng, 2, 3)
+        for kbar in [random_psd(rng, 3), random_psd(rng, 3, 1), random_psd(rng, 3, 2),
+                     np.zeros((3, 3))]:
+            b = secrecy.matrix_sqrt(kbar)
+            va = decomp._gsvd_va(secrecy.effective_mmse_matrix(h_b, b),
+                                 secrecy.effective_mmse_matrix(h_c, b), check=False)
+            assert np.array_equal(scheme.build_broadcast_plan(h_b, h_c, kbar).va, va)
+
+    def test_stacked_kbar_is_refused_by_the_broadcast_plan(self, rng):
+        with pytest.raises(DomainError, match="covariance must be a square matrix"):
+            scheme.build_broadcast_plan(np.eye(2), np.eye(2), np.stack([np.eye(2)] * 2))
+
+
 class TestSimulateSic:
     def test_dead_channel(self):
         plan = scheme.build_sic_plan(np.zeros((2, 2)), np.eye(2), np.eye(2))

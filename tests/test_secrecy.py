@@ -1,4 +1,5 @@
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -432,10 +433,10 @@ class TestSpeculativeRefinement:
         # candidate at a time.
         root_and_gsv = secrecy._root_and_gsv
 
-        def fail_refinement_stacks(h_b, h_e, k):
+        def fail_refinement_stacks(h_b, h_e, k, **kwargs):
             if k.ndim == 3 and 1 < k.shape[0] <= self.BATCH:
                 raise NotPSD("injected")
-            return root_and_gsv(h_b, h_e, k)
+            return root_and_gsv(h_b, h_e, k, **kwargs)
 
         h_b = complex_gaussian(rng, 4, 3)
         h_e = complex_gaussian(rng, 3, 3)
@@ -451,9 +452,9 @@ class TestSpeculativeRefinement:
         calls = []
         root_and_gsv = secrecy._root_and_gsv
 
-        def counted(h_b, h_e, k):
+        def counted(h_b, h_e, k, **kwargs):
             calls.append(k.shape)
-            return root_and_gsv(h_b, h_e, k)
+            return root_and_gsv(h_b, h_e, k, **kwargs)
 
         monkeypatch.setattr(secrecy, "_root_and_gsv", counted)
         res = secrecy.power_constrained_capacity(complex_gaussian(rng, 5, 4),
@@ -687,3 +688,53 @@ def test_lb_of_an_overflowing_gsv_square():
         warnings.simplefilter("error")
         res = secrecy.secrecy_capacity_cov(np.diag([1e200, 1.0]), np.eye(2), np.eye(2))
     assert res.lb == 1
+
+
+class TestSolveMemo:
+    """The last solved problem is kept; its key is the bytes of the inputs."""
+
+    def test_in_place_change_of_an_input_is_solved_afresh(self, rng):
+        h_b, h_e, kbar = complex_gaussian(rng, 3, 3), complex_gaussian(rng, 2, 3), random_psd(rng, 3)
+        first = secrecy.secrecy_capacity_cov(h_b, h_e, kbar)
+        for a in (h_b, h_e, kbar):
+            a *= 2.0
+            got = secrecy.secrecy_capacity_cov(h_b, h_e, kbar)
+            assert got.capacity_bits != first.capacity_bits
+            secrecy.channel_gsv(h_b, h_e, np.eye(3))
+            fresh = secrecy.secrecy_capacity_cov(h_b.copy(), h_e.copy(), kbar.copy())
+            assert np.array_equal(got.k_star, fresh.k_star)
+            assert np.array_equal(secrecy.channel_gsv(h_b, h_e, kbar), fresh.gsv)
+            first = got
+
+    @pytest.mark.parametrize("kbar, error", [
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), DomainError),
+        (np.diag([1.0, -1.0]), NotPSD),
+    ])
+    def test_a_raising_input_raises_again(self, kbar, error):
+        h_b, h_e = np.diag([2.0, 1.0]), np.eye(2)
+        secrecy.secrecy_capacity_cov(h_b, h_e, np.eye(2))
+        for call in (secrecy.secrecy_capacity_cov, secrecy.channel_gsv,
+                     secrecy.broadcast_region, secrecy.secrecy_capacity_cov):
+            with pytest.raises(error):
+                call(h_b, h_e, kbar)
+
+    def test_a_stacked_call_leaves_the_memo(self, rng):
+        h_b, h_e = complex_gaussian(rng, 3, 3), complex_gaussian(rng, 3, 3)
+        secrecy.secrecy_capacity_cov(h_b, h_e, np.eye(3))
+        last = secrecy._last
+        ks = np.stack([random_psd(rng, 3) for _ in range(4)])
+        rows = secrecy.channel_gsv(h_b, h_e, ks)
+        assert secrecy._last is last and rows.flags.writeable
+        assert all(np.array_equal(row, secrecy.channel_gsv(h_b, h_e, k)) for row, k in zip(rows, ks))
+
+    def test_threads_read_their_own_problem(self, rng):
+        problems = [(complex_gaussian(rng, 3, 3), complex_gaussian(rng, 2, 3), random_psd(rng, 3))
+                    for _ in range(2)]
+        want = [secrecy.secrecy_capacity_cov(*p).k_star.tobytes() for p in problems]
+
+        def solve(i):
+            return all(secrecy.secrecy_capacity_cov(*problems[i % 2]).k_star.tobytes()
+                       == want[i % 2] for _ in range(200))
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert all(pool.map(solve, range(4)))
