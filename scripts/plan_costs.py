@@ -65,6 +65,17 @@ def calls(pkg, h_b, h_e, kbar):
     return out
 
 
+def ordered(packages, turn):
+    """The package names, reversed on odd turns."""
+    names = list(packages)
+    return names[::-1] if turn % 2 else names
+
+
+def row(label, before, after):
+    before, after = statistics.median(before) * 1e6, statistics.median(after) * 1e6
+    print(f"{label:32s} {before:10.1f} {after:10.1f} {before / after:7.3f}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="root of the checkout to compare against")
@@ -102,17 +113,6 @@ def main(argv=None):
           f"({args.problems} problems x {args.rounds} rounds, seed {args.seed})")
     for n in sorted(cold["parent"]):
         row(f"cold secrecy_capacity_cov n={n}", cold["parent"][n], cold["change"][n])
-
-
-def ordered(packages, turn):
-    """The package names, reversed on odd turns."""
-    names = list(packages)
-    return names[::-1] if turn % 2 else names
-
-
-def row(label, before, after):
-    before, after = statistics.median(before) * 1e6, statistics.median(after) * 1e6
-    print(f"{label:32s} {before:10.1f} {after:10.1f} {before / after:7.3f}")
 
 
 if __name__ == "__main__":

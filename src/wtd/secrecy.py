@@ -189,8 +189,8 @@ def _active_count(mu):
 def _root_and_gsv(h_b, h_e, k, secrecy=False):
     # The root ``b`` of ``k`` (or of a stack), the GSVD kernel, GSVs first, of the
     # pair ``[h_b b; I]``, ``[h_e b; I]`` (not rank checked: its singular values
-    # are >= 1) and, with ``secrecy`` (else maybe None), ``_secrecy``.  A 2-D
-    # ``k`` goes through ``_last``, keyed by the shapes and bytes of the inputs.
+    # are >= 1) and ``_secrecy``'s ``(result, f)``, solved with ``secrecy``, else the
+    # kept one or None.  A 2-D ``k`` goes through ``_last``, keyed by input bytes.
     global _last
     k = np.asarray(k, dtype=complex)
     if k.ndim == 2:

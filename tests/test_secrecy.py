@@ -1,3 +1,4 @@
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -728,13 +729,20 @@ class TestSolveMemo:
         assert all(np.array_equal(row, secrecy.channel_gsv(h_b, h_e, k)) for row, k in zip(rows, ks))
 
     def test_threads_read_their_own_problem(self, rng):
+        # More threads than cores and a short switch interval, so a reader
+        # that paired one problem's key with another's value would show.
         problems = [(complex_gaussian(rng, 3, 3), complex_gaussian(rng, 2, 3), random_psd(rng, 3))
-                    for _ in range(2)]
+                    for _ in range(3)]
         want = [secrecy.secrecy_capacity_cov(*p).k_star.tobytes() for p in problems]
 
         def solve(i):
-            return all(secrecy.secrecy_capacity_cov(*problems[i % 2]).k_star.tobytes()
-                       == want[i % 2] for _ in range(200))
+            return all(secrecy.secrecy_capacity_cov(*problems[i % 3]).k_star.tobytes()
+                       == want[i % 3] for _ in range(150))
 
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            assert all(pool.map(solve, range(4)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                assert all(pool.map(solve, range(6), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
