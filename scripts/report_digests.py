@@ -6,7 +6,7 @@ Usage, from the root of a wtd checkout:
     python3 scripts/report_digests.py . > change.txt
     diff parent.txt change.txt
 
-The script writes six problem files to a temporary directory: the README
+The script writes seven problem files to a temporary directory: the README
 problem with a feasible ``gtd`` target ``t``, a 4x3 / 2x3 problem with a
 random ``kbar``, a 4x4 problem whose second receiver is a 5-antenna
 ``h_c``, a 4x4 / 5x4 problem whose ``kbar = 1e8 q q'`` has rank 2 (``q``
@@ -15,7 +15,9 @@ constraint matter, a diagonal 2x2 problem whose eavesdropper gains are 1e8
 and 1, where the leakage estimate must keep the unit-variance coordinates
 beside the large ones, and a finite 3x2 / 2x2 problem with entries of
 1.7e308, whose ``h_b`` has a norm past the float range, so every run must
-be refused with one ``error:`` line that names ``h_b``. On each it runs
+be refused with one ``error:`` line that names ``h_b``, and a 3x2 / 2x2
+problem with entries near 1e-200 and a feasible ``gtd`` target, whose
+squared singular values underflow a double. On each it runs
 the 25 invocations below with the ``wtd`` package of ``CHECKOUT/src``, one
 process at a time:
 the six ``decompose`` kinds, ``capacity`` without and with a power search,
@@ -23,7 +25,7 @@ the six ``decompose`` kinds, ``capacity`` without and with a power search,
 one line per invocation with its exit code and the sha256 (first 16 hex
 digits) of its stdout, its stderr and the CSV it wrote (``-`` for none).
 Two checkouts whose outputs are identical give byte-identical reports,
-errors included, on all 150 runs.
+errors included, on all 175 runs.
 """
 
 import argparse
@@ -53,7 +55,7 @@ def complex_gaussian(rng, rows, cols):
 
 
 def problems():
-    """The six problem files, by file name."""
+    """The seven problem files, by file name."""
     rng = np.random.default_rng(2015)
     f = complex_gaussian(rng, 3, 3)
     # Two orthonormal columns, from their own generator so the other
@@ -89,6 +91,12 @@ def problems():
         "overflow_3x2.json": {
             "h_b": matrix([[big, big], [big, -big], [1.0, 2.0]]),
             "h_e": matrix([[1.0, 0.5], [0.25, 1.0]]), "t": [1.0, 1.0],
+        },
+        "tiny_3x2.json": {
+            "h_b": matrix(1e-200 * np.array([[1.0 + 0.5j, -0.25 + 1.0j], [0.5 - 0.75j, 1.25],
+                                             [0.25 + 0.25j, -0.5 + 0.5j]])),
+            "h_e": matrix(1e-200 * np.array([[0.5 + 0.25j, 0.75 - 0.5j], [-0.25 + 0.5j, 0.25]])),
+            "t": [1.0142047166243697e-200, 8.381857162184871e-201], "samples": 20000, "seed": 2,
         },
     }
 

@@ -232,14 +232,11 @@ def _report_skeleton(command, problem, args_echo):
 
 
 def _residual(actual, target):
-    # Where the norm of ``target`` overflows, both sides are first scaled by a
-    # power of two from its largest entry, which is exact.
+    # Both sides are first scaled by a power of two from the largest entry of
+    # ``target``, which is exact, so that neither norm overflows or underflows.
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = actual - target
-        denom = np.linalg.norm(target)
-        if not np.isfinite(denom):
-            scale = np.ldexp(1.0, -np.frexp(np.abs(target).max())[1])
-            diff, denom = diff * scale, np.linalg.norm(target * scale)
+        scale = np.ldexp(1.0, -np.frexp(np.abs(target).max())[1])
+        diff, denom = actual * scale - target * scale, np.linalg.norm(target * scale)
         return float(np.linalg.norm(diff) / (denom if denom > 0 else 1.0))
 
 

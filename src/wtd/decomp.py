@@ -284,7 +284,10 @@ def _gtd_schedule(sigma, target):
         swap(k + 1, p if q == k else q)
         if d[k] < d[k + 1]:
             swap(k, k + 1)
-        d1, d2 = d[k], d[k + 1]
+        # Scaled by a power of two from d[k], which is exact, so the squares
+        # neither overflow nor underflow.
+        e = math.frexp(d[k])[1]
+        d1, d2, tk = math.ldexp(d[k], -e), math.ldexp(d[k + 1], -e), math.ldexp(tk, -e)
         if d1 - d2 <= 1e-13 * d1:
             c, s = 1.0, 0.0
         else:
@@ -292,7 +295,7 @@ def _gtd_schedule(sigma, target):
             c = math.sqrt(min(max(c2, 0.0), 1.0))
             s = math.sqrt(max(1.0 - c * c, 0.0))
         teff = math.hypot(d1 * c, d2 * s)
-        d[k], d[k + 1] = teff, d1 * d2 / teff
+        d[k], d[k + 1] = math.ldexp(teff, e), math.ldexp(d1 * d2 / teff, e)
         steps.append((perm[k], perm[k + 1], np.array([[c, -s], [s, c]]),
                       np.array([[d1 * c, -d2 * s], [d2 * s, d1 * c]]) / teff))
     return steps, perm
@@ -438,32 +441,24 @@ def gsvd_diagonal(a1, a2):
     return GsvdDiagonalFactors(u1=u, u2=u2, x=x, l1=l1, l2=l2)
 
 
-def _gsvd_va(a1, a2, check=True):
-    # ``ql(gsvd_diagonal(a1, a2).x).u`` bit for bit, from the thin kernel and
-    # the QR of ``x`` with its columns reversed (``_kernel_va``, from a given
-    # kernel).  ``check=False`` skips the rank checks, which on a pair
-    # ``[h b; I]`` (singular values >= 1) are spurious.
-    return _kernel_va(*_gsvd_kernel(*_check_pair(a1, a2), check=check), check=check)
-
-
-def _kernel_va(mu, u, q2, wh, r2, check=False):
+def _kernel_va(mu, u, q2, wh, r2):
+    # ``ql(gsvd_diagonal(a1, a2).x).u`` bit for bit, from a thin kernel of the pair and the
+    # QR of ``x`` reversed.  ``x = (W' R2)' diag(s)`` is invertible exactly when ``R2`` is:
+    # the checked kernel tests that, and an MMSE pair's ``R2`` always is.
     x = (wh @ r2).conj().T * np.sqrt(1.0 + mu * mu)[None, :]
     q, r = np.linalg.qr(x[:, ::-1], mode="complete")
-    phases, diag = _diagonal_phases(np.diag(r)[::-1])
-    if check:
-        _check_rank(x, diag)
-    return q[:, ::-1] * phases
+    return q[:, ::-1] * _diagonal_phases(np.diag(r)[::-1])[0]
 
 
 def gsvd_triangular(a1, a2):
     """Triangular-form GSVD: the joint triangularization under the GSVD precoder.
 
-    The precoder ``va`` is the unitary factor of a QL decomposition ``x = va
-    @ l`` of the right factor of :func:`gsvd_diagonal`; then ``a_k @ va =
-    u_k @ (l_k @ l')`` with both ``l_k @ l'`` upper triangular, so the QRs
-    of :func:`joint_triangularize` have diagonal ratios equal to the GSVs.
+    The precoder ``va`` is the unitary factor of the QL ``x = va @ l`` of the right factor
+    of :func:`gsvd_diagonal`, read off the pair's rank-checked kernel; then ``a_k @ va =
+    u_k @ (l_k @ l')``, both upper triangular, so the QRs of :func:`joint_triangularize`
+    (which check the first matrix) have diagonal ratios equal to the GSVs.
     """
-    return joint_triangularize(a1, a2, _gsvd_va(a1, a2))
+    return joint_triangularize(a1, a2, _kernel_va(*_gsvd_kernel(*_check_pair(a1, a2))))
 
 
 def joint_triangularize(a1, a2, va):

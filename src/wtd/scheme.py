@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomp import _as_matrix, _gmd_right, _gsvd_va, _kernel_va, _qr_diagonal, require_unitary
+from .decomp import (_as_matrix, _check_pair, _gmd_right, _gsvd_kernel, _kernel_va, _qr_diagonal,
+                     require_unitary)
 from .errors import DomainError, InsufficientSamples
 from .secrecy import _active_count, _as_square, _root_and_gsv, _secrecy, effective_mmse_matrix
 
@@ -167,7 +168,7 @@ def _precoder(g_b, g_e, mode):
     if mode not in PRECODER_MODES:
         raise DomainError(f"unknown precoder mode {mode!r}; expected one of {PRECODER_MODES}")
     if mode == "gsvd":
-        return _gsvd_va(g_b, g_e, check=False)
+        return _kernel_va(*_gsvd_kernel(*_check_pair(g_b, g_e), check=False))
     # ``svd(g).v`` bit for bit, with its finite check, from the thin SVD;
     # ``gmd_bob`` rotates it by the GMD schedule of the singular values.
     g = _as_matrix(g_e if mode == "svd_eve" else g_b)
@@ -278,7 +279,7 @@ def build_broadcast_plan(h_b, h_c, kbar):
     once, with no rank check.
     """
     h_b, h_c = np.asarray(h_b, dtype=complex), np.asarray(h_c, dtype=complex)
-    b, kernel, _ = _root_and_gsv(h_b, h_c, _as_square(kbar, "covariance"))
+    b, kernel = _root_and_gsv(h_b, h_c, _as_square(kbar, "covariance"))
     g_b = effective_mmse_matrix(h_b, b)
     g_c = effective_mmse_matrix(h_c, b)
     va = _kernel_va(*kernel)

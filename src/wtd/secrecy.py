@@ -32,9 +32,9 @@ STACK_CHUNK = 1024
 _REFINE_BATCH = 8
 #: Largest GSV deviation ``verify_truncation`` accepts.
 _TRUNCATION_TOL = 1e-7
-#: The last solved 2-D problem, one ``(key, value)`` tuple replaced whole (no thread
-#: pairs a key with another's value); its arrays are read-only.  Raising calls store nothing.
-_last = (None, None)
+#: The last 2-D problem, one ``(key, (root, kernel, solve or None))`` tuple replaced whole (no
+#: thread pairs a key with another's value); its arrays are read-only.  Raising calls store nothing.
+_last = (None, (None, None, None))
 
 
 def _as_square(k, name, stacked=False):
@@ -186,27 +186,25 @@ def _active_count(mu):
         return int(np.sum(mu * mu > 1.0 + LB_GSV_TOL))
 
 
-def _root_and_gsv(h_b, h_e, k, secrecy=False):
-    # The root ``b`` of ``k`` (or of a stack), the GSVD kernel, GSVs first, of the
-    # pair ``[h_b b; I]``, ``[h_e b; I]`` (not rank checked: its singular values
-    # are >= 1) and ``_secrecy``'s ``(result, f)``, solved with ``secrecy``, else the
-    # kept one or None.  A 2-D ``k`` goes through ``_last``, keyed by input bytes.
+def _root_and_gsv(h_b, h_e, k):
+    # The root ``b`` of ``k`` (or of a stack) and the GSVD kernel, GSVs first, of the pair
+    # ``[h_b b; I]``, ``[h_e b; I]`` (no rank check: its singular values are >= 1).  A 2-D
+    # ``k`` goes through ``_last``, keyed by input bytes; ``_secrecy`` adds its solve there.
     global _last
     k = np.asarray(k, dtype=complex)
     if k.ndim == 2:
         h_b, h_e = np.asarray(h_b, dtype=complex), np.asarray(h_e, dtype=complex)
         key = (h_b.shape, h_b.tobytes(), h_e.shape, h_e.tobytes(), k.shape, k.tobytes())
-        if (last := _last)[0] == key and (last[1][2] is not None or not secrecy):
-            return last[1]
+        if (last := _last)[0] == key:
+            return last[1][:2]
     b = matrix_sqrt(k)
     pair = _check_pair(effective_mmse_matrix(h_b, b), effective_mmse_matrix(h_e, b), stacked=True)
     kernel = _gsvd_kernel(*pair, check=False)
-    solved = _optimal(b, *kernel) if secrecy else None
     if k.ndim == 2:
-        for a in (b, *kernel[:2], *kernel[3:]) + ((solved[0].k_star, solved[1]) if secrecy else ()):
+        for a in (b, *kernel[:2], *kernel[3:]):
             a.setflags(write=False)
-        _last = (key, (b, kernel, solved))
-    return b, kernel, solved
+        _last = (key, (b, kernel, None))
+    return b, kernel
 
 
 def channel_gsv(h_b, h_e, k):
@@ -237,8 +235,16 @@ def secrecy_capacity_cov(h_b, h_e, kbar):
 def _secrecy(h_b, h_e, kbar):
     # The result and a factor ``f`` of ``k_star``, by ``_optimal`` from the root
     # ``b`` and the kernel: ``b`` times the complete basis, with the ``n - lb``
-    # inactive columns exactly 0, so ``f f' = k_star``.
-    return _root_and_gsv(h_b, h_e, _as_square(kbar, "constraint"), secrecy=True)[2]
+    # inactive columns exactly 0, so ``f f' = k_star``.  It joins the kept entry only
+    # while that holds this root: a race can drop a newer entry, but never mix two.
+    global _last
+    b, kernel = _root_and_gsv(h_b, h_e, _as_square(kbar, "constraint"))
+    root, _, solved = _last[1]
+    if root is not b or solved is None:
+        solved = _optimal(b, *kernel)
+        if (last := _last)[1][0] is b:
+            _last = (last[0], (b, kernel, solved))
+    return solved
 
 
 def _optimal(b, mu, u, q2, wh, r2):
@@ -248,8 +254,10 @@ def _optimal(b, mu, u, q2, wh, r2):
     active = b @ basis[:, mu.size - lb:]
     f = np.zeros_like(b)
     f[:, mu.size - lb:] = active
-    return SecrecyResult(gsv=mu, lb=lb, capacity_bits=capacity,
-                         k_star=_hermitize(active @ _adjoint(active))), f
+    k_star = _hermitize(active @ _adjoint(active))
+    k_star.setflags(write=False)
+    f.setflags(write=False)
+    return SecrecyResult(gsv=mu, lb=lb, capacity_bits=capacity, k_star=k_star), f
 
 
 def verify_truncation(h_b, h_e, kbar):
@@ -296,7 +304,7 @@ def gsv_monotonicity_check(h_b, h_e, kbar, samples, seed):
     """
     if samples < 1:
         raise DomainError("at least one sample is required")
-    b, (mu, *_), _ = _root_and_gsv(h_b, h_e, _as_square(kbar, "constraint"))
+    b, (mu, *_) = _root_and_gsv(h_b, h_e, _as_square(kbar, "constraint"))
     reference = np.abs(np.log2(mu))
     rng = np.random.default_rng(seed)
     violations = 0
@@ -392,7 +400,7 @@ def power_constrained_capacity(h_b, h_e, power, budget=400, seed=0):
         nonlocal best_c, best_k, best_f, evaluations
         ks = ks.reshape(-1, n, n)
         try:
-            roots, (mu, *_), _ = _root_and_gsv(h_b, h_e, ks)
+            roots, (mu, *_) = _root_and_gsv(h_b, h_e, ks)
         except (DomainError, NumericalFailure):
             # A candidate past the first improvement must not fail the
             # stack: take the candidates one at a time instead.

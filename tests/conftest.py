@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from wtd import decomp
+
+#: ``--hypothesis-profile=long``: the generated CLI contract test runs this many
+#: examples instead of its few seconds' worth.
+settings.register_profile("long", max_examples=1500)
 
 
 def complex_gaussian(rng, rows, cols):
@@ -41,6 +46,18 @@ def ql_product_gsvd(a1, a2):
     t1, t2 = f.l1 @ q.l.conj().T, f.l2 @ q.l.conj().T
     return decomp.JointTriangularization(u1=f.u1, u2=f.u2, va=q.u, t1=t1, t2=t2,
                                          diag1=np.real(np.diag(t1)), diag2=np.real(np.diag(t2)))
+
+
+def count_calls(monkeypatch, module, names):
+    """Wrap the functions ``names`` of ``module``; the returned list gets the name of
+    each call."""
+    calls = []
+    for name in names:
+        def counted(*args, real=getattr(module, name), name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def conditional_mi_bits(cov, idx_a, idx_b, idx_c):

@@ -805,6 +805,34 @@ class TestNumericalRange:
         assert capsys.readouterr().err == ""
         assert read_report(out)["reconstruction_residual"] <= decomp.RECONSTRUCTION_RTOL
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    @pytest.mark.parametrize("kind", ["gmd", "gtd"])
+    def test_gtd_schedule_far_from_unit_scale(self, tmp_path, capsys, kind, scale):
+        # The squared singular values underflow or overflow a double, yet the GMD
+        # and this GTD exist at every scale.
+        h = np.array([[1.0 + 0.5j, -0.25 + 1.0j], [0.5 - 0.75j, 1.25], [0.25 + 0.25j, -0.5 + 0.5j]])
+        g = np.sqrt(np.prod(np.linalg.svd(h, compute_uv=False)))
+        want = [g, g] if kind == "gmd" else [1.1 * g, g / 1.1]
+        path = write_problem(tmp_path, h_b=matrix(scale * h), t=[scale * v for v in want])
+        out = str(tmp_path / "report.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["decompose", "--kind", kind, "--input", path, "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        report = read_report(out)
+        assert np.allclose(np.asarray(report["diagonal"]) / scale, want, rtol=1e-12)
+        # The residual's norms are taken after an exact rescaling, so none underflows to 0.
+        assert 0.0 < report["reconstruction_residual"] <= decomp.RECONSTRUCTION_RTOL
+
+    def test_residual_is_scale_free(self):
+        rng = np.random.default_rng(4)
+        target = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        actual = target * (1.0 + 1e-15 * rng.standard_normal((3, 2)))
+        want = cli._residual(actual, target)
+        for exponent in (-900, -700, 700, 900):
+            scale = 2.0 ** exponent
+            assert cli._residual(actual * scale, target * scale) == want
+
     def test_overflowing_gsvd_right_factor_names_h_b(self, tmp_path, capsys):
         # The file loads, but sqrt(1 + mu^2) of its GSVs of about 1e300 overflows.
         path = overflow_problem(tmp_path, 1e300)

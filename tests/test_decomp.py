@@ -277,6 +277,27 @@ class TestGmd:
         assert rel_residual(f.reconstruct(), a) <= 1e-9
 
 
+class TestGtdScale:
+    """The GTD schedule scales its 2x2 steps, so singular values whose squares
+    leave the double range give the scaled factors."""
+
+    @pytest.mark.parametrize("exponent", [-700, 700])
+    def test_factors_scale_with_the_input(self, rng, exponent):
+        scale = 2.0 ** exponent
+        for rows, cols in [(3, 2), (5, 4), (6, 6)]:
+            a = complex_gaussian(rng, rows, cols)
+            target = random_feasible_target(rng, np.linalg.svd(a, compute_uv=False))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pairs = [(decomp.gmd(a), decomp.gmd(a * scale)),
+                         (decomp.gtd(a, target), decomp.gtd(a * scale, target * scale))]
+            for want, got in pairs:
+                for name, factor in (("u", 1.0), ("t", scale), ("v", 1.0)):
+                    ref, val = getattr(want, name), getattr(got, name) / factor
+                    assert np.isfinite(getattr(got, name)).all(), name
+                    assert np.linalg.norm(val - ref) <= 1e-12 * np.linalg.norm(ref), name
+
+
 class TestGsvValues:
     def test_identical_pair(self, rng):
         a = complex_gaussian(rng, 4, 3)
@@ -420,6 +441,14 @@ class TestGsvdPrecoder:
         with pytest.raises(RankDeficient, match="first matrix"):
             decomp.gsvd_diagonal(a1, a2)
         with pytest.raises(RankDeficient):
+            decomp.gsvd_triangular(a1, a2)
+
+    def test_rank_deficient_second_matrix_rejected(self, rng):
+        # The rank check of the pair's GSVD kernel, before any precoder is formed.
+        a1 = complex_gaussian(rng, 4, 3)
+        a2 = complex_gaussian(rng, 5, 3)
+        a2[:, 2] = a2[:, 0]
+        with pytest.raises(RankDeficient, match="second matrix of the pair"):
             decomp.gsvd_triangular(a1, a2)
 
 

@@ -9,8 +9,8 @@ import pytest
 from wtd import decomp, scheme, secrecy
 from wtd.errors import DomainError, InsufficientSamples
 
-from conftest import (complex_gaussian, conditional_mi_bits, dpc_oracle, ql_product_gsvd,
-                      random_psd)
+from conftest import (complex_gaussian, conditional_mi_bits, count_calls, dpc_oracle,
+                      ql_product_gsvd, random_psd)
 
 
 def wiretap_instance(rng, n=3, n_b=3, n_e=2):
@@ -464,13 +464,28 @@ class TestSolveMemo:
         after = {label: _bits(call()) for label, call in _nine_calls(h_b, h_e, kbar).items()}
         assert after == before
 
+    def test_a_gsv_call_first_leaves_one_solve_for_every_call(self, rng, monkeypatch):
+        # The capacity-first order gives the reference bits; after a GSV call the
+        # first plan adds the capacity solve to the kept root and kernel.
+        h_b, h_e, kbar = wiretap_instance(rng)
+        want = {label: _bits(call()) for label, call in _nine_calls(h_b, h_e, kbar).items()}
+        secrecy.secrecy_capacity_cov(h_b, h_e, kbar + np.eye(kbar.shape[0]))
+        calls = count_calls(monkeypatch, secrecy, ("matrix_sqrt", "_gsvd_kernel"))
+        order = ["gsv", "gsvd"] + [label for label in want if label not in ("gsv", "gsvd")]
+        calls_on_problem = _nine_calls(h_b, h_e, kbar)
+        assert {label: _bits(calls_on_problem[label]()) for label in order} == want
+        assert sorted(calls) == ["_gsvd_kernel", "matrix_sqrt"]
+        plan = scheme.build_wiretap_plan(h_b, h_e, kbar, "gsvd")
+        for a in (plan.base.b_sqrt, secrecy.secrecy_capacity_cov(h_b, h_e, kbar).k_star):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 7.0
+
     def test_broadcast_precoder_is_the_gsvd_precoder_of_the_pair(self, rng):
         h_b, h_c = complex_gaussian(rng, 4, 3), complex_gaussian(rng, 2, 3)
         for kbar in [random_psd(rng, 3), random_psd(rng, 3, 1), random_psd(rng, 3, 2),
                      np.zeros((3, 3))]:
             b = secrecy.matrix_sqrt(kbar)
-            va = decomp._gsvd_va(secrecy.effective_mmse_matrix(h_b, b),
-                                 secrecy.effective_mmse_matrix(h_c, b), check=False)
+            va = scheme.select_precoder(h_b, h_c, b, "gsvd")
             assert np.array_equal(scheme.build_broadcast_plan(h_b, h_c, kbar).va, va)
 
     def test_stacked_kbar_is_refused_by_the_broadcast_plan(self, rng):

@@ -8,7 +8,7 @@ import pytest
 from wtd import decomp, secrecy
 from wtd.errors import DomainError, NotPSD
 
-from conftest import complex_gaussian, random_psd, rel_residual
+from conftest import complex_gaussian, count_calls, random_psd, rel_residual
 
 
 class TestMatrixSqrt:
@@ -434,10 +434,10 @@ class TestSpeculativeRefinement:
         # candidate at a time.
         root_and_gsv = secrecy._root_and_gsv
 
-        def fail_refinement_stacks(h_b, h_e, k, **kwargs):
+        def fail_refinement_stacks(h_b, h_e, k):
             if k.ndim == 3 and 1 < k.shape[0] <= self.BATCH:
                 raise NotPSD("injected")
-            return root_and_gsv(h_b, h_e, k, **kwargs)
+            return root_and_gsv(h_b, h_e, k)
 
         h_b = complex_gaussian(rng, 4, 3)
         h_e = complex_gaussian(rng, 3, 3)
@@ -453,9 +453,9 @@ class TestSpeculativeRefinement:
         calls = []
         root_and_gsv = secrecy._root_and_gsv
 
-        def counted(h_b, h_e, k, **kwargs):
+        def counted(h_b, h_e, k):
             calls.append(k.shape)
-            return root_and_gsv(h_b, h_e, k, **kwargs)
+            return root_and_gsv(h_b, h_e, k)
 
         monkeypatch.setattr(secrecy, "_root_and_gsv", counted)
         res = secrecy.power_constrained_capacity(complex_gaussian(rng, 5, 4),
@@ -728,16 +728,60 @@ class TestSolveMemo:
         assert secrecy._last is last and rows.flags.writeable
         assert all(np.array_equal(row, secrecy.channel_gsv(h_b, h_e, k)) for row, k in zip(rows, ks))
 
+    @pytest.mark.parametrize("first", [secrecy.channel_gsv, secrecy.broadcast_region])
+    def test_a_gsv_call_then_a_capacity_call_solve_once(self, rng, monkeypatch, first):
+        # The capacity call adds its solve to the kept root and kernel.
+        h_b, h_e, kbar = complex_gaussian(rng, 4, 3), complex_gaussian(rng, 3, 3), random_psd(rng, 3)
+        want = secrecy.secrecy_capacity_cov(h_b, h_e, kbar)
+        secrecy.secrecy_capacity_cov(h_b, h_e, np.eye(3))
+        calls = count_calls(monkeypatch, secrecy, ("matrix_sqrt", "_gsvd_kernel"))
+        first(h_b, h_e, kbar)
+        got = secrecy.secrecy_capacity_cov(h_b, h_e, kbar)
+        assert sorted(calls) == ["_gsvd_kernel", "matrix_sqrt"]
+        assert (got.capacity_bits, got.lb) == (want.capacity_bits, want.lb)
+        assert got.gsv.tobytes() == want.gsv.tobytes()
+        assert got.k_star.tobytes() == want.k_star.tobytes()
+        assert secrecy.secrecy_capacity_cov(h_b, h_e, kbar) is got and len(calls) == 2
+        with pytest.raises(ValueError, match="read-only"):
+            got.k_star[0, 0] = 7.0
+
+    def test_a_solve_never_joins_another_problem(self, rng, monkeypatch):
+        # As if another thread kept its problem while this call solved its own.
+        mine, other, third = [(complex_gaussian(rng, 3, 3), complex_gaussian(rng, 2, 3),
+                               random_psd(rng, 3)) for _ in range(3)]
+        want = secrecy.secrecy_capacity_cov(*mine)
+        other_gsv = secrecy.channel_gsv(*other)
+        other_k_star = secrecy.secrecy_capacity_cov(*other).k_star
+        secrecy.secrecy_capacity_cov(*third)
+        optimal = secrecy._optimal
+
+        def interleaved(*args):
+            monkeypatch.setattr(secrecy, "_optimal", optimal)
+            secrecy.channel_gsv(*other)
+            return optimal(*args)
+
+        monkeypatch.setattr(secrecy, "_optimal", interleaved)
+        assert secrecy.secrecy_capacity_cov(*mine).k_star.tobytes() == want.k_star.tobytes()
+        assert secrecy.channel_gsv(*other).tobytes() == other_gsv.tobytes()
+        assert secrecy.secrecy_capacity_cov(*other).k_star.tobytes() == other_k_star.tobytes()
+
     def test_threads_read_their_own_problem(self, rng):
         # More threads than cores and a short switch interval, so a reader
-        # that paired one problem's key with another's value would show.
+        # that paired one problem's key with another's value, or a solve
+        # added to another thread's problem, would show.  Half the rounds
+        # start with a GSV call, which keeps a problem with no solve.
         problems = [(complex_gaussian(rng, 3, 3), complex_gaussian(rng, 2, 3), random_psd(rng, 3))
                     for _ in range(3)]
         want = [secrecy.secrecy_capacity_cov(*p).k_star.tobytes() for p in problems]
+        gsv = [secrecy.channel_gsv(*p).tobytes() for p in problems]
 
         def solve(i):
-            return all(secrecy.secrecy_capacity_cov(*problems[i % 3]).k_star.tobytes()
-                       == want[i % 3] for _ in range(150))
+            p, ok = i % 3, True
+            for j in range(150):
+                if (i + j) % 2:
+                    ok &= secrecy.channel_gsv(*problems[p]).tobytes() == gsv[p]
+                ok &= secrecy.secrecy_capacity_cov(*problems[p]).k_star.tobytes() == want[p]
+            return ok
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
