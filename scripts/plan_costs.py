@@ -17,7 +17,12 @@ package in microseconds, their ratio (parent over change), and the ratio
 of the total times.  The "cold" lines then time ``secrecy_capacity_cov``
 alone as the first call on each of ``--cold`` further problems, which
 neither package has seen, alternating which package goes first, and give
-the medians per transmit dimension n.
+the medians per transmit dimension n.  The "power search" line times
+``power_constrained_capacity`` on the benchmark's power problems
+(``workloads.power_problem`` of ``--seed``, budget ``POWER_BUDGET``),
+``--rounds`` times each, alternating which package goes first, and gives
+each package's mean time in milliseconds, their ratio and each package's
+mean bound in bits.
 """
 
 import os
@@ -36,7 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import wtd  # noqa: E402
-from workloads import CapacitySweep  # noqa: E402
+from workloads import POWER_BUDGET, POWER_PROBLEMS, CapacitySweep, power_problem  # noqa: E402
 
 MODES = ("gsvd", "svd_eve", "svd_bob", "gmd_bob")
 
@@ -105,6 +110,16 @@ def main(argv=None):
             start = time.perf_counter()
             packages[name].secrecy_capacity_cov(h_b, h_e, kbar)
             cold[name].setdefault(n, []).append(time.perf_counter() - start)
+    power = {name: ([], []) for name in packages}
+    for round_ in range(args.rounds):
+        for index in range(POWER_PROBLEMS):
+            h_b, h_e, total, search_seed = power_problem(args.seed, index)
+            for name in ordered(packages, index + round_):
+                start = time.perf_counter()
+                res = packages[name].power_constrained_capacity(
+                    h_b, h_e, total, budget=POWER_BUDGET, seed=search_seed)
+                power[name][0].append(time.perf_counter() - start)
+                power[name][1].append(res.capacity_lower_bound)
     print(f"{'call':32s} {'parent us':>10s} {'change us':>10s} {'ratio':>7s}")
     for label in times["parent"]:
         row(label, times["parent"][label], times["change"][label])
@@ -113,6 +128,12 @@ def main(argv=None):
           f"({args.problems} problems x {args.rounds} rounds, seed {args.seed})")
     for n in sorted(cold["parent"]):
         row(f"cold secrecy_capacity_cov n={n}", cold["parent"][n], cold["change"][n])
+    (before, bound_before), (after, bound_after) = power["parent"], power["change"]
+    before, after = statistics.fmean(before) * 1e3, statistics.fmean(after) * 1e3
+    print(f"power search (mean ms): parent {before:.2f}, change {after:.2f}, ratio "
+          f"{before / after:.3f}; mean bound: parent {statistics.fmean(bound_before):.5f}, "
+          f"change {statistics.fmean(bound_after):.5f} bits ({POWER_PROBLEMS} problems x "
+          f"{args.rounds} rounds, budget {POWER_BUDGET})")
 
 
 if __name__ == "__main__":

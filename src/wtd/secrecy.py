@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import _check_pair, _gsvd_kernel, haar_unitary
+from .decomp import _as_matrix, _check_pair, _gsvd_kernel, haar_unitary
 from .errors import DomainError, NotPSD, NumericalFailure
 
 LN2 = np.log(2.0)
@@ -186,10 +186,16 @@ def _active_count(mu):
         return int(np.sum(mu * mu > 1.0 + LB_GSV_TOL))
 
 
+def _factor_kernel(h_b, h_e, f):
+    # The GSVD kernel, GSVs first, of ``[h_b f; I]``, ``[h_e f; I]`` for a square factor (or a
+    # stack) ``f`` of the covariance; its GSVs are those of ``f f'``.  No rank check: all >= 1.
+    pair = _check_pair(effective_mmse_matrix(h_b, f), effective_mmse_matrix(h_e, f), stacked=True)
+    return _gsvd_kernel(*pair, check=False)
+
+
 def _root_and_gsv(h_b, h_e, k):
-    # The root ``b`` of ``k`` (or of a stack) and the GSVD kernel, GSVs first, of the pair
-    # ``[h_b b; I]``, ``[h_e b; I]`` (no rank check: its singular values are >= 1).  A 2-D
-    # ``k`` goes through ``_last``, keyed by input bytes; ``_secrecy`` adds its solve there.
+    # The root ``b`` of ``k`` (or of a stack) and its :func:`_factor_kernel`.  A 2-D ``k``
+    # goes through ``_last``, keyed by input bytes; ``_secrecy`` adds its solve there.
     global _last
     k = np.asarray(k, dtype=complex)
     if k.ndim == 2:
@@ -198,8 +204,7 @@ def _root_and_gsv(h_b, h_e, k):
         if (last := _last)[0] == key:
             return last[1][:2]
     b = matrix_sqrt(k)
-    pair = _check_pair(effective_mmse_matrix(h_b, b), effective_mmse_matrix(h_e, b), stacked=True)
-    kernel = _gsvd_kernel(*pair, check=False)
+    kernel = _factor_kernel(h_b, h_e, b)
     if k.ndim == 2:
         for a in (b, *kernel[:2], *kernel[3:]):
             a.setflags(write=False)
@@ -353,73 +358,67 @@ def power_constrained_capacity(h_b, h_e, power, budget=400, seed=0):
     """Best-effort secrecy capacity under a total power constraint.
 
     Maximizes the covariance-constrained capacity over trace-``power``
-    constraints by random restarts plus a local (1+1) evolution search on a
-    factor parameterization.  Candidates are ranked by
-    ``sum max(2 log2 gsv, 0)`` over their :func:`channel_gsv` values; the
-    ``budget // 4`` random restarts are drawn in order and evaluated as
-    stacks, then scanned in order.  The refinement is evaluated
-    speculatively: the next steps are built as if each failed and ranked as
-    one stack, and only the steps up to the first improvement count, so
-    ``kbar``, the bound and ``evaluations`` equal those of a one-step-at-a-
-    time search for every input, budget and seed.  The returned bound is
-    ``secrecy_capacity_cov(h_b, h_e, kbar).capacity_bits`` of the best
-    candidate, so it re-evaluates bit for bit; this final evaluation is not
-    counted in ``evaluations``, which equals ``budget``.  The bound is
-    certified, but not monotone in ``budget`` for a fixed seed: the number
-    of restarts grows with ``budget`` and shifts the random stream of the
-    refinement, so a larger budget can end lower.
+    constraints by random restarts plus a local (1+1) evolution search.
+    Each candidate is a factor ``f`` with ``|f|_F^2 = power``, ranked by
+    ``sum max(2 log2 gsv, 0)`` over the GSVs of ``[h_b f; I]``, ``[h_e f;
+    I]``, which are those of ``f f'``, so no candidate is rooted.  From the
+    start ``sqrt(power / n) I``, ``budget // 4`` random restarts are ranked
+    in stacks, then steps around the incumbent factor, ranked speculatively
+    in stacks as if each failed; the result equals a one-at-a-time search's.
+    ``kbar`` is the best ``f f'`` at trace ``power``, made Hermitian, or
+    exactly ``I power / n`` if nothing beats the start or rounding would put
+    the bound below it.  The bound is the capacity of ``kbar`` by
+    :func:`secrecy_capacity_cov`, the search's only root, so it re-evaluates
+    bit for bit.  ``evaluations`` equals ``budget``; a larger budget can end
+    lower, as it shifts the random stream of the steps.
     """
-    h_b = np.asarray(h_b, dtype=complex)
-    h_e = np.asarray(h_e, dtype=complex)
-    if not np.isfinite(power) or power <= 0:
+    if isinstance(power, bool) or not isinstance(power, (int, float, np.integer, np.floating)) \
+            or not 0 < power < np.inf:
         raise DomainError("total power must be a positive finite number")
-    if h_b.ndim != 2 or h_e.ndim != 2 or h_b.shape[1] != h_e.shape[1]:
+    h_b, h_e = _as_matrix(h_b, "h_b"), _as_matrix(h_e, "h_e")
+    if h_b.shape[1] != h_e.shape[1]:
         raise DomainError("h_b and h_e must be 2-D with the same number of columns")
-    if budget < 1:
-        raise DomainError("budget must be at least 1")
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 1:
+        raise DomainError("budget must be at least 1 and an integer")
     n = h_b.shape[1]
     rng = np.random.default_rng(seed)
+    # The start and its factor, which is ``matrix_sqrt`` of the start bit for bit.
+    isotropic = np.eye(n, dtype=complex) * (power / n)
+    iso_f = np.eye(n, dtype=complex) * np.sqrt(power / n)
 
     def normalized(f):
-        # Trace-``power`` covariance of a factor or a stack of factors; an
-        # all-zero factor maps to the scaled identity.
-        k = f @ _adjoint(f)
-        trace = np.real(np.trace(k, axis1=-2, axis2=-1))[..., None, None]
-        dead = trace <= 0.0
-        k = _hermitize(k * (power / np.where(dead, 1.0, trace)))
-        return np.where(dead, np.eye(n) * (power / n), k)
+        # Factors scaled to squared Frobenius norm ``power``; an all-zero one maps to ``iso_f``.
+        norm2 = np.sum(np.abs(f) ** 2, axis=(-2, -1))[..., None, None]
+        dead = norm2 <= 0.0
+        return np.where(dead, iso_f, f * np.sqrt(power / np.where(dead, 1.0, norm2)))
 
-    best_c, best_k, best_f = -np.inf, None, None
+    best_c, best_f = -np.inf, None
     evaluations = 0
 
-    def consider(ks, first=False):
-        # Rank a candidate, or a stack of them taken in order; keep the
-        # square root of the incumbent for the refinement.  With ``first``
-        # the candidates after the first improvement are not taken.  Returns
-        # the index of the last improvement, or -1.
-        nonlocal best_c, best_k, best_f, evaluations
-        ks = ks.reshape(-1, n, n)
+    def consider(fs, first=False):
+        # Rank a factor, or a stack of them in order (with ``first``, only up to the first
+        # improvement).  Returns the index of the last improvement, or -1.
+        nonlocal best_c, best_f, evaluations
+        fs = fs.reshape(-1, n, n)
         try:
-            roots, (mu, *_) = _root_and_gsv(h_b, h_e, ks)
+            mu = _factor_kernel(h_b, h_e, fs)[0]
         except (DomainError, NumericalFailure):
             # A candidate past the first improvement must not fail the
             # stack: take the candidates one at a time instead.
-            if not first or len(ks) == 1:
+            if not first or len(fs) == 1:
                 raise
-            for i, k in enumerate(ks):
-                if consider(k) >= 0:
-                    return i
-            return -1
+            return next((i for i, f in enumerate(fs) if consider(f) >= 0), -1)
         last = -1
         for i, c in enumerate(np.sum(np.maximum(2.0 * np.log2(mu), 0.0), axis=-1)):
             evaluations += 1
             if c > best_c:
-                best_c, best_k, best_f, last = c, ks[i], roots[i], i
+                best_c, best_f, last = c, fs[i], i
                 if first:
                     break
         return last
 
-    consider(np.eye(n, dtype=complex) * (power / n))
+    consider(iso_f)
+    start_c = best_c
 
     # Beamforming along the strongest generalized eigendirection of the two
     # links is the natural single-stream candidate.  A Gram that overflows
@@ -429,26 +428,20 @@ def power_constrained_capacity(h_b, h_e, power, budget=400, seed=0):
             pencil = np.linalg.solve(np.eye(n) + h_e.conj().T @ h_e,
                                      np.eye(n) + h_b.conj().T @ h_b)
         w, vecs = np.linalg.eig(pencil)
-        v = vecs[:, np.argmax(np.real(w))]
         if evaluations < budget:
-            consider(normalized(np.sqrt(power) * np.outer(v / np.linalg.norm(v),
-                                                          np.eye(1, n)[0])))
+            consider(normalized(np.outer(vecs[:, np.argmax(np.real(w))], np.eye(1, n)[0])))
     except np.linalg.LinAlgError:
         pass
 
-    # Exploration: fresh random factors, each drawn as its real then its
-    # imaginary part, evaluated in stacks.
+    # Exploration: random factors, each drawn as its real then its imaginary part.
     explore = max(0, min(budget - evaluations, budget // 4))
     for start in range(0, explore, STACK_CHUNK):
         z = rng.standard_normal((min(STACK_CHUNK, explore - start), 2, n, n))
         consider(normalized(z[:, 0] + 1j * z[:, 1]))
 
-    # Refinement: (1+1) evolution search around the incumbent with a
-    # multiplicatively adapted step, never restarted.  A step's noise and,
-    # while no step succeeds, its size do not depend on the incumbent, so
-    # the next ``_REFINE_BATCH`` steps are built as if each failed and
-    # ranked as one stack; the first improvement is accepted, and the noise
-    # drawn after it is kept for the next batch.
+    # Refinement: (1+1) evolution steps around the incumbent factor with a multiplicatively
+    # adapted step.  The next ``_REFINE_BATCH`` are built as if each failed and ranked as one
+    # stack; the noise drawn after the first improvement is kept for the next batch.
     step = 0.5
     scale = np.sqrt(power / (2.0 * n))
     noise = np.empty((0, n, n), dtype=complex)
@@ -464,6 +457,12 @@ def power_constrained_capacity(h_b, h_e, power, budget=400, seed=0):
         if hit >= 0:
             step = min(max(steps[hit] * 1.8, 1e-9), 2.0)
         noise = noise[hit + 1 if hit >= 0 else width:]
-    return PowerSearchResult(
-        capacity_lower_bound=secrecy_capacity_cov(h_b, h_e, best_k).capacity_bits,
-        kbar=best_k, evaluations=evaluations)
+
+    # Improvements are strict, so ``best_c > start_c`` exactly when one was found.  A marginal
+    # one can re-evaluate below the start by rounding; the start is kept then.
+    k = best_f @ _adjoint(best_f)
+    kbar = _hermitize(k * (power / np.real(np.trace(k)))) if best_c > start_c else isotropic
+    bound = secrecy_capacity_cov(h_b, h_e, kbar).capacity_bits
+    if bound < start_c:
+        kbar, bound = isotropic, start_c
+    return PowerSearchResult(capacity_lower_bound=bound, kbar=kbar, evaluations=evaluations)

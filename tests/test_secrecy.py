@@ -309,6 +309,70 @@ class TestPowerConstrainedCapacity:
         with pytest.raises(DomainError, match="h_b and h_e"):
             secrecy.power_constrained_capacity(np.eye(2), np.eye(3), power=1.0)
 
+    @pytest.mark.parametrize("budget", [2.5, 10.0, True, np.float64(8.0), "8"])
+    def test_rejects_a_budget_that_is_not_an_integer(self, budget):
+        with pytest.raises(DomainError, match="budget must be at least 1 and an integer") as info:
+            secrecy.power_constrained_capacity(np.eye(2), np.eye(2), 1.0, budget=budget)
+        assert info.type is DomainError
+
+    @pytest.mark.parametrize("budget", [9, np.int64(9), np.int32(9)])
+    def test_accepts_python_and_numpy_integer_budgets(self, budget):
+        res = secrecy.power_constrained_capacity(np.eye(2), 0.5 * np.eye(2), 1.0, budget=budget)
+        assert res.evaluations == 9
+
+    @pytest.mark.parametrize("power", ["1.0", 1.0 + 0j, True, [1.0], None])
+    def test_rejects_a_power_that_is_not_a_real_number(self, power):
+        with pytest.raises(DomainError, match="total power must be a positive finite number"):
+            secrecy.power_constrained_capacity(np.eye(2), np.eye(2), power=power)
+
+    @pytest.mark.parametrize("name", ["h_b", "h_e"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_channel_is_named(self, name, bad):
+        channels = {"h_b": np.eye(2), "h_e": np.eye(2)}
+        channels[name] = np.array([[1.0, bad], [0.0, 1.0]])
+        with pytest.raises(DomainError, match=f"^{name} entries must be finite$"):
+            secrecy.power_constrained_capacity(channels["h_b"], channels["h_e"], 1.0)
+
+    def test_isotropic_optimum_keeps_the_exact_start(self):
+        # Every rotation-equal pair has the isotropic constraint as its optimum,
+        # so no candidate beats the start by more than rounding: kbar is the
+        # start itself, not the round trip of its factor.
+        h_b, h_e = 2.0 * np.eye(3), np.eye(3)
+        res = secrecy.power_constrained_capacity(h_b, h_e, 2.0)
+        start = np.eye(3, dtype=complex) * (2.0 / 3)
+        assert res.kbar.tobytes() == start.tobytes()
+        assert res.capacity_lower_bound == secrecy.secrecy_capacity_cov(h_b, h_e, start).capacity_bits
+
+    def test_isotropic_factor_is_the_root_of_the_start(self, rng):
+        # The search ranks the start on the factor sqrt(power / n) I and keeps
+        # that value as the start's capacity: it must be the start's root.
+        for n in range(1, 9):
+            for power in [*10.0 ** rng.uniform(-3.0, 3.0, 20), 1.0, 2.0, 3.0, float(n)]:
+                root = secrecy.matrix_sqrt(np.eye(n, dtype=complex) * (power / n))
+                assert root.tobytes() == (np.eye(n, dtype=complex) * np.sqrt(power / n)).tobytes()
+
+    @pytest.mark.parametrize("n, power", [(3, 1.5), (5, 1.0)])
+    def test_nothing_beats_the_start_under_a_stronger_eavesdropper(self, n, power):
+        # Every candidate has capacity 0.  At these (n, power) the start's
+        # factor, squared and scaled to trace power, is not the start itself.
+        res = secrecy.power_constrained_capacity(np.eye(n), 2.0 * np.eye(n), power, budget=50)
+        assert res.kbar.tobytes() == (np.eye(n, dtype=complex) * (power / n)).tobytes()
+        assert res.capacity_lower_bound == 0.0
+
+    def test_bound_is_never_below_the_start(self):
+        # Pairs whose optimum is the isotropic start: a rounding-level improvement
+        # must not leave a bound below the start's capacity.
+        rng = np.random.default_rng(5)
+        for seed in range(40):
+            n = 2 + seed % 4
+            u = decomp.haar_unitary(n, rng)
+            h_b, h_e, power = 3.0 * u, u, float(10.0 ** rng.uniform(-2.0, 2.0))
+            res = secrecy.power_constrained_capacity(h_b, h_e, power, budget=200, seed=seed)
+            start = secrecy.secrecy_capacity_cov(h_b, h_e, np.eye(n) * (power / n)).capacity_bits
+            assert res.capacity_lower_bound >= start
+            assert res.capacity_lower_bound == secrecy.secrecy_capacity_cov(
+                h_b, h_e, res.kbar).capacity_bits
+
     def test_bound_is_exact_capacity_of_kbar(self, rng):
         h_b = complex_gaussian(rng, 3, 3)
         h_e = complex_gaussian(rng, 2, 3)
@@ -318,21 +382,22 @@ class TestPowerConstrainedCapacity:
             exact = secrecy.secrecy_capacity_cov(h_b, h_e, res.kbar).capacity_bits
             assert res.capacity_lower_bound == exact
 
-    # Bounds and constraints recorded from the per-candidate search, which
-    # ranked every candidate by its full triangular GSVD.  The 4x3 search
-    # refines around its rank-1 beamforming candidate, so it was re-recorded
-    # when matrix_sqrt began zeroing rounding-level eigenvalues.
+    # Bounds and constraints of the search that ranks every candidate on its
+    # own factor, recorded when it replaced the search that ranked the root of
+    # each candidate covariance.  Its trajectory differs, so both moved: 2x2
+    # from 2.9706129686137133 to 2.9706273532878518 bits, 4x3 from
+    # 2.3025424260145555 to 2.3032731591958138.
     GOLDEN = [
-        ("2x2", 2.0, 200, 5, 2.9706129686137133, [
-            [1.1334333339272258, -0.2170508606449517 + 0.9669835755015718j],
-            [-0.2170508606449517 - 0.9669835755015718j, 0.8665666660727741]]),
-        ("4x3", 3.0, 300, 7, 2.3025424260145555, [
-            [0.1655321428516006, 0.2910957299641389 - 0.2943052489741409j,
-             0.5177212179533082 - 0.1484330719094171j],
-            [0.2910957299641389 + 0.2943052489741409j, 1.0636706668666966,
-             1.1967274021538266 + 0.6623224920558658j],
-            [0.5177212179533082 + 0.1484330719094171j,
-             1.1967274021538266 - 0.6623224920558658j, 1.7707971902817028]]),
+        ("2x2", 2.0, 200, 5, 2.9706273532878518, [
+            [1.1302002181134287, -0.21919094918698456 + 0.9669531999942276j],
+            [-0.21919094918698456 - 0.9669531999942276j, 0.8697997818865714]]),
+        ("4x3", 3.0, 300, 7, 2.3032731591958138, [
+            [0.16602235245616825, 0.29656238630322135 - 0.29115311101241054j,
+             0.5198527073277698 - 0.14519407716426797j],
+            [0.29656238630322135 + 0.29115311101241054j, 1.0541054921166166,
+             1.198465811411483 + 0.6603306964946114j],
+            [0.5198527073277698 + 0.14519407716426797j,
+             1.198465811411483 - 0.6603306964946114j, 1.779872155427215]]),
     ]
 
     @pytest.mark.parametrize("name, power, budget, seed, bound, kbar", GOLDEN,
@@ -352,37 +417,37 @@ class TestPowerConstrainedCapacity:
 
 
 def sequential_power_search(h_b, h_e, power, budget, seed):
-    """Reference for the power search: every candidate ranked on its own and
-    the (1+1) refinement taken one step at a time.  Returns ``kbar``, the
-    bound, the evaluation count and the largest refinement step."""
+    """Reference for the power search: every factor ranked on its own, by the
+    GSVs of its own pair, and the (1+1) refinement taken one step at a time.
+    Returns ``kbar``, the bound, the evaluation count and the largest
+    refinement step."""
     n = h_b.shape[1]
     rng = np.random.default_rng(seed)
-    best = [-np.inf, None, None]
+    start = np.eye(n, dtype=complex) * np.sqrt(power / n)
+    best = [-np.inf, None]
     evaluations = 0
 
     def normalized(f):
-        k = f @ f.conj().T
-        trace = np.real(np.trace(k))
-        if trace <= 0.0:
-            return np.eye(n, dtype=complex) * (power / n)
-        k = k * (power / trace)
-        return (k + k.conj().T) / 2.0
+        norm2 = np.sum(np.abs(f) ** 2, axis=(-2, -1))
+        return start if norm2 <= 0.0 else f * np.sqrt(power / norm2)
 
-    def consider(k):
+    def consider(f):
         nonlocal evaluations
         evaluations += 1
-        c = np.sum(np.maximum(2.0 * np.log2(secrecy.channel_gsv(h_b, h_e, k)), 0.0))
+        mu = decomp.gsv_values(secrecy.effective_mmse_matrix(h_b, f),
+                               secrecy.effective_mmse_matrix(h_e, f))
+        c = np.sum(np.maximum(2.0 * np.log2(mu), 0.0))
         if c > best[0]:
-            best[:] = [c, k, secrecy.matrix_sqrt(k)]
+            best[:] = [c, f]
             return True
         return False
 
-    consider(np.eye(n, dtype=complex) * (power / n))
+    consider(start)
+    start_c = best[0]
     pencil = np.linalg.solve(np.eye(n) + h_e.conj().T @ h_e, np.eye(n) + h_b.conj().T @ h_b)
     w, vecs = np.linalg.eig(pencil)
-    v = vecs[:, np.argmax(np.real(w))]
     if evaluations < budget:
-        consider(normalized(np.sqrt(power) * np.outer(v / np.linalg.norm(v), np.eye(1, n)[0])))
+        consider(normalized(np.outer(vecs[:, np.argmax(np.real(w))], np.eye(1, n)[0])))
     for _ in range(max(0, min(budget - evaluations, budget // 4))):
         z = rng.standard_normal((2, n, n))
         consider(normalized(z[0] + 1j * z[1]))
@@ -390,13 +455,21 @@ def sequential_power_search(h_b, h_e, power, budget, seed):
     while evaluations < budget:
         noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         largest = max(largest, step)
-        if consider(normalized(best[2] + step * np.sqrt(power / (2.0 * n)) * noise)):
+        if consider(normalized(best[1] + step * np.sqrt(power / (2.0 * n)) * noise)):
             step *= 1.8
         else:
             step *= 0.87
         step = min(max(step, 1e-9), 2.0)
-    bound = secrecy.secrecy_capacity_cov(h_b, h_e, best[1]).capacity_bits
-    return best[1], bound, evaluations, largest
+    isotropic = np.eye(n, dtype=complex) * (power / n)
+    kbar = isotropic
+    if best[0] > start_c:
+        k = best[1] @ best[1].conj().T
+        k = k * (power / np.real(np.trace(k)))
+        kbar = (k + k.conj().T) / 2.0
+    bound = secrecy.secrecy_capacity_cov(h_b, h_e, kbar).capacity_bits
+    if bound < start_c:
+        kbar, bound = isotropic, start_c
+    return kbar, bound, evaluations, largest
 
 
 def assert_same_search(h_b, h_e, power, budget, seed):
@@ -418,31 +491,32 @@ class TestSpeculativeRefinement:
         for budget in (1, 2, 3, self.BATCH - 1, self.BATCH, self.BATCH + 1, 137, 500):
             assert_same_search(h_b, h_e, 0.5 * n, budget, seed=n + budget)
 
-    @pytest.mark.parametrize("budget, seed", [(12, 2), (40, 14)])
-    def test_matches_when_step_reaches_cap(self, budget, seed):
+    @pytest.mark.parametrize("budget, seed, capped", [(12, 2, False), (12, 7, True),
+                                                      (40, 14, True)])
+    def test_matches_when_step_reaches_cap(self, budget, seed, capped):
         # At low power the beamforming direction (largest gain ratio) is not
         # the best one (largest gain difference), so the refinement keeps
         # succeeding: three successes in a row take the step from 0.5 to
-        # the 2.0 cap.
+        # the 2.0 cap.  At budget 12, seed 7 gets there and seed 2 does not.
         h_b = np.diag([10.0, 1.0]).astype(complex)
         h_e = np.diag([9.5, 0.0]).astype(complex)
-        assert assert_same_search(h_b, h_e, 0.01, budget, seed) == 2.0
+        assert (assert_same_search(h_b, h_e, 0.01, budget, seed) == 2.0) == capped
 
     def test_failing_stack_is_ranked_one_by_one(self, rng, monkeypatch):
         # A failure of a candidate the sequential search never ranks must
         # not end the search: a refinement stack that fails is retaken one
         # candidate at a time.
-        root_and_gsv = secrecy._root_and_gsv
+        factor_kernel = secrecy._factor_kernel
 
-        def fail_refinement_stacks(h_b, h_e, k):
-            if k.ndim == 3 and 1 < k.shape[0] <= self.BATCH:
-                raise NotPSD("injected")
-            return root_and_gsv(h_b, h_e, k)
+        def fail_refinement_stacks(h_b, h_e, f):
+            if f.ndim == 3 and 1 < f.shape[0] <= self.BATCH:
+                raise DomainError("injected")
+            return factor_kernel(h_b, h_e, f)
 
         h_b = complex_gaussian(rng, 4, 3)
         h_e = complex_gaussian(rng, 3, 3)
         expected = sequential_power_search(h_b, h_e, 2.0, 137, 5)
-        monkeypatch.setattr(secrecy, "_root_and_gsv", fail_refinement_stacks)
+        monkeypatch.setattr(secrecy, "_factor_kernel", fail_refinement_stacks)
         res = secrecy.power_constrained_capacity(h_b, h_e, 2.0, budget=137, seed=5)
         assert res.kbar.tobytes() == expected[0].tobytes()
         assert (res.capacity_lower_bound, res.evaluations) == expected[1:3]
@@ -450,19 +524,23 @@ class TestSpeculativeRefinement:
     def test_ranks_refinement_in_stacks(self, rng, monkeypatch):
         # Call count, not time: one call per refinement step is about 376
         # calls at budget 500, one stack per batch fewer than 150.
-        calls = []
-        root_and_gsv = secrecy._root_and_gsv
-
-        def counted(h_b, h_e, k):
-            calls.append(k.shape)
-            return root_and_gsv(h_b, h_e, k)
-
-        monkeypatch.setattr(secrecy, "_root_and_gsv", counted)
+        calls = count_calls(monkeypatch, secrecy, ("_factor_kernel",))
         res = secrecy.power_constrained_capacity(complex_gaussian(rng, 5, 4),
                                                  complex_gaussian(rng, 6, 4), 4.0,
                                                  budget=500, seed=11)
         assert res.evaluations == 500
-        assert len(calls) < 150
+        assert 1 < len(calls) < 150
+
+    def test_roots_only_the_result(self, rng, monkeypatch):
+        # Candidates are ranked on their own factors: the final capacity call
+        # roots kbar, and nothing else does.
+        monkeypatch.setattr(secrecy, "_last", (None, (None, None, None)))
+        calls = count_calls(monkeypatch, secrecy, ("matrix_sqrt",))
+        res = secrecy.power_constrained_capacity(complex_gaussian(rng, 5, 4),
+                                                 complex_gaussian(rng, 6, 4), 4.0,
+                                                 budget=500, seed=11)
+        assert res.evaluations == 500
+        assert calls == ["matrix_sqrt"]
 
 
 class TestStackedEvaluation:
