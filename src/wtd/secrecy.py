@@ -418,7 +418,7 @@ def power_constrained_capacity(h_b, h_e, power, budget=400, seed=0):
         return last
 
     consider(iso_f)
-    start_c = best_c
+    start_c = float(best_c)
 
     # Beamforming along the strongest generalized eigendirection of the two
     # links is the natural single-stream candidate.  A Gram that overflows
@@ -439,9 +439,9 @@ def power_constrained_capacity(h_b, h_e, power, budget=400, seed=0):
         z = rng.standard_normal((min(STACK_CHUNK, explore - start), 2, n, n))
         consider(normalized(z[:, 0] + 1j * z[:, 1]))
 
-    # Refinement: (1+1) evolution steps around the incumbent factor with a multiplicatively
-    # adapted step.  The next ``_REFINE_BATCH`` are built as if each failed and ranked as one
-    # stack; the noise drawn after the first improvement is kept for the next batch.
+    # Refinement: (1+1) evolution steps around the incumbent factor with an adapted size.  A
+    # step's noise, and its size while none succeeds, do not depend on the incumbent, so the next
+    # ``_REFINE_BATCH`` are ranked as one stack; noise drawn past the first improvement is kept.
     step = 0.5
     scale = np.sqrt(power / (2.0 * n))
     noise = np.empty((0, n, n), dtype=complex)
