@@ -13,8 +13,9 @@ packages.  Rounds are the outer loop and problems the inner one, so, as in
 the benchmark, no problem comes back before every other one has run; which
 package goes first alternates per problem and round, so a slow spell of the
 machine hits both alike.  It prints the median time of each call per
-package in microseconds, their ratio (parent over change), and the ratio
-of the total times.  The "cold" lines then time ``secrecy_capacity_cov``
+package in microseconds, their ratio (parent over change), pooled over
+every problem and then per transmit dimension n (2, 4 and 8 in the
+benchmark), and the ratio of the total times.  The "cold" lines then time ``secrecy_capacity_cov``
 alone as the first call on each of ``--cold`` further problems, which
 neither package has seen, alternating which package goes first, and give
 the medians per transmit dimension n.  The "power search" line times
@@ -97,12 +98,13 @@ def main(argv=None):
     problems = [sweep.problem(index) for index in range(args.problems)]
     times = {name: {} for name in packages}
     for round_ in range(args.rounds):
-        for index, (_, h_b, h_e, kbar) in enumerate(problems):
+        for index, (n, h_b, h_e, kbar) in enumerate(problems):
             for name in ordered(packages, index + round_):
                 for label, call in calls(packages[name], h_b, h_e, kbar):
                     start = time.perf_counter()
                     call()
-                    times[name].setdefault(label, []).append(time.perf_counter() - start)
+                    times[name].setdefault(label, {}).setdefault(n, []).append(
+                        time.perf_counter() - start)
     cold = {name: {} for name in packages}
     for index in range(args.problems, args.problems + args.cold):
         n, h_b, h_e, kbar = sweep.problem(index)
@@ -121,9 +123,13 @@ def main(argv=None):
                 power[name][0].append(time.perf_counter() - start)
                 power[name][1].append(res.capacity_lower_bound)
     print(f"{'call':32s} {'parent us':>10s} {'change us':>10s} {'ratio':>7s}")
-    for label in times["parent"]:
-        row(label, times["parent"][label], times["change"][label])
-    total = {name: sum(map(sum, per_call.values())) for name, per_call in times.items()}
+    for label, per_n in times["parent"].items():
+        pooled = {name: [t for ts in times[name][label].values() for t in ts] for name in times}
+        row(label, pooled["parent"], pooled["change"])
+        for n in sorted(per_n):
+            row(f"  n={n}", per_n[n], times["change"][label][n])
+    total = {name: sum(sum(map(sum, per_n.values())) for per_n in per_call.values())
+             for name, per_call in times.items()}
     print(f"total ratio (parent / change): {total['parent'] / total['change']:.3f} "
           f"({args.problems} problems x {args.rounds} rounds, seed {args.seed})")
     for n in sorted(cold["parent"]):

@@ -260,8 +260,9 @@ def _gtd_schedule(sigma, target):
     ``target[k]`` (the smallest entry >= it and the largest below it, larger
     first), then a 2x2 rotation, ``g2`` on the columns and ``g1`` on the rows,
     puts ``target[k]`` at ``k`` and ``d1 d2 / teff`` at ``k + 1``.  Returns
-    the steps ``(a, b, g2, g1)``, with ``a, b`` the original indices of the
-    streams at ``k, k + 1``, and the final order of the streams.
+    the steps ``(a, b, c, s, p, q)`` (``a, b`` the streams at ``k, k + 1``,
+    ``g2 = [[c, -s], [s, c]]``, ``g1 = [[p, -q], [q, p]]``), the final order
+    of the streams and the final diagonal, by position.
     """
     d = [float(x) for x in sigma]
     n = len(d)
@@ -296,17 +297,16 @@ def _gtd_schedule(sigma, target):
             s = math.sqrt(max(1.0 - c * c, 0.0))
         teff = math.hypot(d1 * c, d2 * s)
         d[k], d[k + 1] = math.ldexp(teff, e), math.ldexp(d1 * d2 / teff, e)
-        steps.append((perm[k], perm[k + 1], np.array([[c, -s], [s, c]]),
-                      np.array([[d1 * c, -d2 * s], [d2 * s, d1 * c]]) / teff))
-    return steps, perm
+        steps.append((perm[k], perm[k + 1], c, s, d1 * c / teff, d2 * s / teff))
+    return steps, perm, d
 
 
 def _gtd_factors(f, target):
     """The GTD of the SVD ``f`` toward ``target``: its schedule applied to ``u``, ``t``, ``v``."""
     u, tmat, v = f.u, f.t, f.v
-    steps, perm = _gtd_schedule(f.diagonal, target)
-    for a, b, g2, g1 in steps:
-        cols = [a, b]
+    steps, perm, _ = _gtd_schedule(f.diagonal, target)
+    for a, b, c, s, p, q in steps:
+        cols, g2, g1 = [a, b], np.array([[c, -s], [s, c]]), np.array([[p, -q], [q, p]])
         tmat[:, cols] = tmat[:, cols] @ g2
         v[:, cols] = v[:, cols] @ g2
         tmat[cols, :] = g1.T @ tmat[cols, :]
@@ -359,12 +359,17 @@ def gmd(a):
     return _gtd_factors(f, _geometric_mean_target(sigma))
 
 
-def _gmd_right(sigma, v):
-    """``gmd(a).v`` from the singular values and right vectors of ``a``; no ``u`` or ``t``."""
-    steps, perm = _gtd_schedule(sigma, _geometric_mean_target(sigma))
-    for a, b, g2, _ in steps:
-        v[:, [a, b]] = v[:, [a, b]] @ g2
-    return v[:, perm]
+def _gmd_thin(sigma, u, v):
+    """``gmd(a)``'s ``v``, ``u[:, :n]`` and diagonal from the thin SVD ``a = u diag(sigma) v'``;
+    each real rotation factor is accumulated as a list of columns, then applied once."""
+    steps, perm, d = _gtd_schedule(sigma, _geometric_mean_target(sigma))
+    r2 = [[float(i == j) for i in range(sigma.size)] for j in range(sigma.size)]
+    r1 = [col[:] for col in r2]
+    for a, b, c, s, p, q in steps:
+        for r, x, y in ((r2, c, s), (r1, p, q)):
+            r[a], r[b] = ([ca * x + cb * y for ca, cb in zip(r[a], r[b])],
+                          [cb * x - ca * y for ca, cb in zip(r[a], r[b])])
+    return v @ np.array([r2[i] for i in perm]).T, u @ np.array([r1[i] for i in perm]).T, np.array(d)
 
 
 def _check_pair(a1, a2, stacked=False):
@@ -441,24 +446,26 @@ def gsvd_diagonal(a1, a2):
     return GsvdDiagonalFactors(u1=u, u2=u2, x=x, l1=l1, l2=l2)
 
 
-def _kernel_va(mu, u, q2, wh, r2):
-    # ``ql(gsvd_diagonal(a1, a2).x).u`` bit for bit, from a thin kernel of the pair and the
-    # QR of ``x`` reversed.  ``x = (W' R2)' diag(s)`` is invertible exactly when ``R2`` is:
-    # the checked kernel tests that, and an MMSE pair's ``R2`` always is.
+def _kernel_ql(mu, u, q2, wh, r2):
+    """``va`` and the positive ``diag(l)`` of the QL ``x = va @ l`` of a kernel's ``x = (W' R2)'
+    diag(s)``, ``s = sqrt(1 + mu^2)`` (invertible with ``R2``), by one QR of ``x`` reversed; ``va``
+    is ``ql(gsvd_diagonal(a1, a2).x).u`` bit for bit, and ``a1 va = U diag(mu / s) l'``, ``a2 va =
+    (a2 R2^-1 W) diag(1 / s) l'`` are QR pairs."""
     x = (wh @ r2).conj().T * np.sqrt(1.0 + mu * mu)[None, :]
     q, r = np.linalg.qr(x[:, ::-1], mode="complete")
-    return q[:, ::-1] * _diagonal_phases(np.diag(r)[::-1])[0]
+    phases, diag = _diagonal_phases(np.diag(r)[::-1])
+    return q[:, ::-1] * phases, diag
 
 
 def gsvd_triangular(a1, a2):
     """Triangular-form GSVD: the joint triangularization under the GSVD precoder.
 
-    The precoder ``va`` is the unitary factor of the QL ``x = va @ l`` of the right factor
-    of :func:`gsvd_diagonal`, read off the pair's rank-checked kernel; then ``a_k @ va =
-    u_k @ (l_k @ l')``, both upper triangular, so the QRs of :func:`joint_triangularize`
-    (which check the first matrix) have diagonal ratios equal to the GSVs.
+    ``va`` is :func:`_kernel_ql` of the pair's rank-checked kernel; the QRs of ``a_k @ va`` by
+    :func:`joint_triangularize` (which check the first matrix) have the GSVs as diagonal ratios.
+    The plans read these factors off the kernel (``u1 = U``, ``t1 = [diag(mu / s) l'; 0]``), which
+    reconstructs ``a1`` to about ``eps max(mu) ||R2||`` (8.5e-13 at GSVs of 1e+-3), not rounding.
     """
-    return joint_triangularize(a1, a2, _kernel_va(*_gsvd_kernel(*_check_pair(a1, a2))))
+    return joint_triangularize(a1, a2, _kernel_ql(*_gsvd_kernel(*_check_pair(a1, a2)))[0])
 
 
 def joint_triangularize(a1, a2, va):

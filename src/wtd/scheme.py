@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomp import (_as_matrix, _check_pair, _gmd_right, _gsvd_kernel, _kernel_va, _qr_diagonal,
-                     require_unitary)
+from .decomp import _as_matrix, _gmd_thin, _kernel_ql, _qr_diagonal, require_unitary
 from .errors import DomainError, InsufficientSamples
-from .secrecy import _active_count, _as_square, _root_and_gsv, _secrecy, effective_mmse_matrix
+from .secrecy import (_active_count, _as_square, _factor_kernel, _optimal_kernel, _root_and_gsv,
+                      _secrecy, effective_mmse_matrix)
 
 PRECODER_MODES = ("gsvd", "svd_eve", "svd_bob", "gmd_bob")
 
@@ -43,6 +43,8 @@ _KIND_SYMBOL = 0
 _KIND_NOISE = 1
 _LEAKAGE_BLOCKS = 10
 _ALPHA_OFFSET = 0.1
+#: A DPC stream with ``b_k^2 - 1`` at most this, 64 ulps of 1 (``b_k >= 1``), is dead.
+_DEAD_SNR = 64.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -160,29 +162,25 @@ def select_precoder(h_b, h_e, b, mode):
     eavesdropper's factor, ``svd_bob`` the legitimate one (no SIC needed),
     and ``gmd_bob`` equalizes the legitimate diagonal (no bit loading).
     """
-    return _precoder(effective_mmse_matrix(h_b, b), effective_mmse_matrix(h_e, b), mode)
+    if mode == "gsvd":
+        return _kernel_ql(*_factor_kernel(h_b, h_e, b))[0]
+    return _svd_precoder(effective_mmse_matrix(h_b, b), effective_mmse_matrix(h_e, b), mode)[0]
 
 
-def _precoder(g_b, g_e, mode):
-    """The precoder of ``mode`` for the effective MMSE pair ``g_b``, ``g_e``."""
+def _svd_precoder(g_b, g_e, mode):
+    """``V``, ``P``, ``sigma`` of a QR ``g V = P diag(sigma)``; ``g`` is ``g_e`` in ``svd_eve``."""
     if mode not in PRECODER_MODES:
         raise DomainError(f"unknown precoder mode {mode!r}; expected one of {PRECODER_MODES}")
-    if mode == "gsvd":
-        return _kernel_va(*_gsvd_kernel(*_check_pair(g_b, g_e), check=False))
-    # ``svd(g).v`` bit for bit, with its finite check, from the thin SVD;
-    # ``gmd_bob`` rotates it by the GMD schedule of the singular values.
-    g = _as_matrix(g_e if mode == "svd_eve" else g_b)
-    _, sigma, vh = np.linalg.svd(g, full_matrices=False)
-    v = vh.conj().T
-    return _gmd_right(sigma, v) if mode == "gmd_bob" else v
+    # ``svd(g).v`` bit for bit (finite check included); ``gmd_bob`` rotates by its GMD schedule.
+    p, sigma, vh = np.linalg.svd(_as_matrix(g_e if mode == "svd_eve" else g_b), full_matrices=False)
+    return _gmd_thin(sigma, p, vh.conj().T) if mode == "gmd_bob" else (vh.conj().T, p, sigma)
 
 
-def _receiver(h, b, g, va):
-    """Diagonal, combiner ``u`` and feedback ``u' h b va`` of the QR of ``g va = [h b; I] va``."""
+def _receiver(g, va, m):
+    """Diagonal and combiner ``u`` (the top ``m`` rows) of the QR of ``g va = [h b; I] va``."""
     # Only the diagonal and the top of ``qr(g @ va).u``; a thin Q flips signed zeros.
     diag, phases, q = _qr_diagonal(g @ va, complete=True)
-    u = q[:h.shape[0], :g.shape[1]] * phases
-    return diag, u, u.conj().T @ h @ b @ va
+    return diag, q[:m, :g.shape[1]] * phases
 
 
 def build_sic_plan(h_b, b, va):
@@ -197,17 +195,14 @@ def build_sic_plan(h_b, b, va):
     g_b = effective_mmse_matrix(h_b, b)
     if va.shape[0] != g_b.shape[1]:
         raise DomainError("precoder dimension must match the transmit dimension")
-    return _sic_plan(h_b, b, g_b, va)
+    return _sic_plan(h_b, b, va, *_receiver(g_b, va, h_b.shape[0]))
 
 
-def _sic_plan(h_b, b, g_b, va):
-    # The plan of ``build_sic_plan`` on its checked inputs and ``g_b = [h_b b; I]``.
-    diag_b, u_tilde, t_tilde = _receiver(h_b, b, g_b, va)
-    n = diag_b.size
-    noise_cov = u_tilde.conj().T @ u_tilde
+def _sic_plan(h_b, b, va, diag_b, u_tilde):
+    # The plan of ``build_sic_plan`` from the diagonal and combiner of the QR of ``[h_b b; I] va``.
+    t_tilde = u_tilde.conj().T @ h_b @ b @ va
     diag_tt = np.abs(np.diag(t_tilde))
-    lower_power = np.array([np.sum(np.abs(t_tilde[i, :i]) ** 2) for i in range(n)])
-    denom = np.real(np.diag(noise_cov)) + lower_power
+    denom = np.sum(np.abs(u_tilde) ** 2, axis=0) + np.sum(np.abs(np.tril(t_tilde, -1)) ** 2, axis=1)
     sinr = np.where(denom > 0.0, diag_tt ** 2 / np.where(denom > 0.0, denom, 1.0), 0.0)
     rates = 2.0 * np.log2(diag_b)
     return SicPlan(va=va, b_sqrt=b, u_tilde=u_tilde, t_tilde=t_tilde,
@@ -223,17 +218,27 @@ def build_wiretap_plan(h_b, h_e, kbar, mode):
     the factor ``b_sqrt`` of ``k_star`` that the capacity call forms: the
     root of ``kbar`` times a unitary, with its first ``n - lb`` (inactive)
     columns exactly 0.  It is not Hermitian, and only ``kbar`` is rooted.
-    The pair ``[h_b b; I]``, ``[h_e b; I]`` is formed once for the precoder,
-    the receiver and ``diag_e``, and is not rank checked (its singular values
-    are >= 1), nor is the precoder checked again.
+    Sides are read off the precoder's factorization: ``gsvd`` both, off the
+    GSVD kernel of ``[h_b b; I]``, ``[h_e b; I]`` and its QL, kept by the
+    first ``gsvd`` plan on a problem; ``svd_bob`` and ``gmd_bob`` Bob's, off
+    the (GMD-rotated) thin SVD of ``[h_b b; I]``; ``svd_eve`` Eve's diagonal.
+    The other side of an SVD mode takes one QR; nothing is rank checked.
     """
     h_b = np.asarray(h_b, dtype=complex)
-    b = _secrecy(h_b, h_e, kbar)[1]
-    g_b = effective_mmse_matrix(h_b, b)
-    g_e = effective_mmse_matrix(h_e, b)
-    va = _precoder(g_b, g_e, mode)
-    base = _sic_plan(h_b, b, g_b, va)
-    diag_e = _qr_diagonal(g_e @ va)[0]
+    m = h_b.shape[0]
+    if mode == "gsvd":
+        b, (mu, u, va, diag_l) = _optimal_kernel(h_b, h_e, kbar)
+        diag_e = diag_l / np.sqrt(1.0 + mu * mu)
+        bob = mu * diag_e, u[:m]
+    else:
+        b = _secrecy(h_b, h_e, kbar)[1]
+        g_b, g_e = effective_mmse_matrix(h_b, b), effective_mmse_matrix(h_e, b)
+        va, p, sigma = _svd_precoder(g_b, g_e, mode)
+        if mode == "svd_eve":
+            bob, diag_e = _receiver(g_b, va, m), sigma
+        else:
+            bob, diag_e = (sigma, p[:m]), _qr_diagonal(g_e @ va)[0]
+    base = _sic_plan(h_b, b, va, *bob)
     secret = np.maximum(2.0 * (np.log2(base.diag_b) - np.log2(diag_e)), 0.0)
     return WiretapPlan(base=base, diag_e=diag_e, secret_rates_bits=secret,
                        fictitious_rates_bits=2.0 * np.log2(diag_e), mode=mode)
@@ -250,8 +255,8 @@ def build_dpc_plan(h_b, h_e, kbar, mode="gsvd"):
     the later streams ``u_k`` is ``t_kk x_k``, so ``I(u_k; y_e | later) =
     2 log2 e_k``, the wiretap fictitious rate, and by the chain rule
     ``I(u_k; y_k) - I(u_k; y_e, later) = 2 log2(b_k / e_k)``, the wiretap
-    secret rate.  Streams whose ``u_k`` has variance at most 1e-15 carry
-    nothing.
+    secret rate.  ``u_k`` is 0 exactly when ``b_k = 1``, so a stream with
+    ``b_k^2 - 1`` within rounding (``_DEAD_SNR``) of 0 carries nothing.
     """
     wt = build_wiretap_plan(h_b, h_e, kbar, mode)
     tt, b = wt.base.t_tilde, wt.base.diag_b
@@ -259,7 +264,7 @@ def build_dpc_plan(h_b, h_e, kbar, mode="gsvd"):
     # below 1, so the MMSE coefficient is clamped at 0.
     alpha = np.maximum((b ** 2 - 1.0) / b ** 2, 0.0)
     q = np.sum(np.abs(np.triu(tt, 1)) ** 2, axis=1)
-    live = np.abs(np.diag(tt)) ** 2 + alpha ** 2 * q > 1e-15
+    live = b ** 2 - 1.0 > _DEAD_SNR
     return DpcPlan(base=wt.base, diag_e=wt.diag_e, alpha=alpha,
                    rates_bits=np.where(live, wt.secret_rates_bits, 0.0),
                    fictitious_rates_bits=np.where(live, wt.fictitious_rates_bits, 0.0),
@@ -269,28 +274,29 @@ def build_dpc_plan(h_b, h_e, kbar, mode="gsvd"):
 def build_broadcast_plan(h_b, h_c, kbar):
     """Confidential broadcast plan splitting the GSVD streams by ratio.
 
-    Both users triangularize their effective MMSE matrix by a QR under the
-    shared GSVD precoder, so the diagonal ratios are the channel-pair GSVs.
-    Streams with ratio above 1 carry the first user's messages (the first
-    ``lb`` columns of its combiner and rows of its feedback), the rest carry
-    the second user's; the per-user rate totals hit both corners of the
-    rectangular region simultaneously.  It shares the capacity call's root of
-    ``kbar`` and GSVD kernel of the pair, and forms each effective MMSE matrix
-    once, with no rank check.
+    Both users' triangular factors under the shared GSVD precoder are read
+    off the capacity call's GSVD kernel ``g_b R2^-1 = U diag(mu) W'`` of the
+    pair and the QL ``x = va @ l``, with no QR: the diagonals are ``mu / s *
+    diag(l)`` and ``diag(l) / s``, ``s = sqrt(1 + mu^2)``, so the ratios are
+    the GSVs ``mu``.  The ``lb`` streams with ``mu`` above 1 carry the first
+    user's messages, combined by the top rows of ``U``, the rest the
+    second's, by the top rows of ``g_c R2^-1 W`` (one triangular solve);
+    each feedback is the combiner's adjoint times ``h b va``.  The rate
+    totals hit both corners of the rectangular region simultaneously.
     """
     h_b, h_c = np.asarray(h_b, dtype=complex), np.asarray(h_c, dtype=complex)
     b, kernel = _root_and_gsv(h_b, h_c, _as_square(kbar, "covariance"))
-    g_b = effective_mmse_matrix(h_b, b)
-    g_c = effective_mmse_matrix(h_c, b)
-    va = _kernel_va(*kernel)
-    diag_b, bob_combiner, bob_feedback = _receiver(h_b, b, g_b, va)
-    diag_c, charlie_combiner, charlie_feedback = _receiver(h_c, b, g_c, va)
-    mu = diag_b / diag_c
+    mu, u, _, wh, r2 = kernel
+    va, diag_l = _kernel_ql(*kernel)
+    diag_c = diag_l / np.sqrt(1.0 + mu * mu)
     lb = _active_count(mu)
+    bob = u[:h_b.shape[0], :lb]
+    # ``(h_c b) R2^-1``: the top rows of ``g_c R2^-1``, solved as the kernel solves ``g_b R2^-1``.
+    charlie = np.linalg.solve(r2.T, (h_c @ b).T).T @ wh[lb:].conj().T
     return BroadcastPlan(
-        lb=lb, lc=mu.size - lb, va=va, b_sqrt=b, diag_b=diag_b, diag_c=diag_c,
-        bob_combiner=bob_combiner[:, :lb], charlie_combiner=charlie_combiner[:, lb:],
-        bob_feedback=bob_feedback[:lb], charlie_feedback=charlie_feedback[lb:],
+        lb=lb, lc=mu.size - lb, va=va, b_sqrt=b, diag_b=mu * diag_c, diag_c=diag_c,
+        bob_combiner=bob, charlie_combiner=charlie,
+        bob_feedback=bob.conj().T @ h_b @ b @ va, charlie_feedback=charlie.conj().T @ h_c @ b @ va,
         bob_rates_bits=np.maximum(2.0 * np.log2(mu[:lb]), 0.0),
         charlie_rates_bits=np.maximum(-2.0 * np.log2(mu[lb:]), 0.0),
     )

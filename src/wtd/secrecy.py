@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import _as_matrix, _check_pair, _gsvd_kernel, haar_unitary
+from .decomp import _as_matrix, _check_pair, _gsvd_kernel, _kernel_ql, haar_unitary
 from .errors import DomainError, NotPSD, NumericalFailure
 
 LN2 = np.log(2.0)
@@ -32,9 +32,9 @@ STACK_CHUNK = 1024
 _REFINE_BATCH = 8
 #: Largest GSV deviation ``verify_truncation`` accepts.
 _TRUNCATION_TOL = 1e-7
-#: The last 2-D problem, one ``(key, (root, kernel, solve or None))`` tuple replaced whole (no
-#: thread pairs a key with another's value); its arrays are read-only.  Raising calls store nothing.
-_last = (None, (None, None, None))
+#: The last 2-D problem, one ``(key, (root, kernel, solve or None, optimal kernel or None))`` tuple
+#: replaced whole (no thread pairs a key with another's value); its arrays are read-only.
+_last = (None, (None, None, None, None))
 
 
 def _as_square(k, name, stacked=False):
@@ -208,7 +208,7 @@ def _root_and_gsv(h_b, h_e, k):
     if k.ndim == 2:
         for a in (b, *kernel[:2], *kernel[3:]):
             a.setflags(write=False)
-        _last = (key, (b, kernel, None))
+        _last = (key, (b, kernel, None, None))
     return b, kernel
 
 
@@ -244,12 +244,28 @@ def _secrecy(h_b, h_e, kbar):
     # while that holds this root: a race can drop a newer entry, but never mix two.
     global _last
     b, kernel = _root_and_gsv(h_b, h_e, _as_square(kbar, "constraint"))
-    root, _, solved = _last[1]
+    root, _, solved, _ = _last[1]
     if root is not b or solved is None:
         solved = _optimal(b, *kernel)
         if (last := _last)[1][0] is b:
-            _last = (last[0], (b, kernel, solved))
+            _last = (last[0], (b, kernel, solved, None))
     return solved
+
+
+def _optimal_kernel(h_b, h_e, kbar):
+    # The factor ``f`` of ``k_star`` and ``(mu, U, va, diag L)`` of the kernel of ``[h_b f; I]``,
+    # ``[h_e f; I]`` and its QL, kept by the first call only while ``_last`` holds their solve.
+    global _last
+    solved = _secrecy(h_b, h_e, kbar)
+    if (kept := _last[1])[2] is solved and kept[3] is not None:
+        return solved[1], kept[3]
+    mu, u, *rest = _factor_kernel(h_b, h_e, solved[1])
+    factors = (mu, u, *_kernel_ql(mu, u, *rest))
+    for a in factors:
+        a.setflags(write=False)
+    if (last := _last)[1][2] is solved:
+        _last = (last[0], (*last[1][:3], factors))
+    return solved[1], factors
 
 
 def _optimal(b, mu, u, q2, wh, r2):
@@ -354,6 +370,10 @@ def scalar_secrecy_capacity(h_b, h_e):
     return max(0.0, float(np.log2(gain)))
 
 
+def _overflow(kind, flag):
+    raise DomainError("total power is out of range: the power search's factors overflow a double")
+
+
 def power_constrained_capacity(h_b, h_e, power, budget=400, seed=0):
     """Best-effort secrecy capacity under a total power constraint.
 
@@ -370,7 +390,8 @@ def power_constrained_capacity(h_b, h_e, power, budget=400, seed=0):
     the bound below it.  The bound is the capacity of ``kbar`` by
     :func:`secrecy_capacity_cov`, the search's only root, so it re-evaluates
     bit for bit.  ``evaluations`` equals ``budget``; a larger budget can end
-    lower, as it shifts the random stream of the steps.
+    lower, as it shifts the random stream of the steps.  A power at which the
+    search's arithmetic overflows raises :class:`DomainError` naming it.
     """
     if isinstance(power, bool) or not isinstance(power, (int, float, np.integer, np.floating)) \
             or not 0 < power < np.inf:
@@ -380,6 +401,12 @@ def power_constrained_capacity(h_b, h_e, power, budget=400, seed=0):
         raise DomainError("h_b and h_e must be 2-D with the same number of columns")
     if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 1:
         raise DomainError("budget must be at least 1 and an integer")
+    with np.errstate(over="call", invalid="call", call=_overflow):
+        return _power_search(h_b, h_e, power, budget, seed)
+
+
+def _power_search(h_b, h_e, power, budget, seed):
+    # The search of :func:`power_constrained_capacity` on its checked arguments.
     n = h_b.shape[1]
     rng = np.random.default_rng(seed)
     # The start and its factor, which is ``matrix_sqrt`` of the start bit for bit.

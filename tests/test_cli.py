@@ -331,6 +331,18 @@ class TestCapacity:
         assert np.isfinite(search["capacity_lower_bound"])
         assert search["capacity_lower_bound"] >= GOLDEN_CAPACITY
 
+    @pytest.mark.parametrize("power", ["1.5e308", "1.7e308"])
+    def test_power_past_the_search_range_is_named(self, tmp_path, capsys, power):
+        # The search's factors overflow a double: one error line that names the
+        # power, and no warning.
+        path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E, kbar="identity")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["capacity", "--input", path, "--power", power]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: total power is out of range")
+
     def test_strong_eavesdropper_of_wide_range(self, tmp_path, capsys):
         # ``[h_e b; I]`` has singular values >= 1: a gain of 1e13 is no rank
         # deficiency, so the capacity is 0, not an error.

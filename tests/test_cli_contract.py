@@ -97,7 +97,7 @@ def problems(draw):
     elif command == "capacity":
         argv = ["capacity"]
         if draw(st.booleans()):
-            argv += ["--power", repr(10.0 ** draw(st.floats(-2.0, 2.0))),
+            argv += ["--power", repr(10.0 ** draw(st.floats(-300.0, 308.0))),
                      "--budget", str(draw(st.integers(1, 60)))]
         if draw(st.booleans()):
             argv += ["--seed", str(draw(st.integers(0, 1000)))]

@@ -198,24 +198,139 @@ class TestWideDynamicRange:
 
 class TestOneMmsePairPerPlan:
     def test_plans_form_each_mmse_matrix_once(self, rng, monkeypatch):
-        # Counts the plan's own matrices: the capacity call inside a wiretap
-        # plan forms its pair on the root of kbar through ``secrecy``.
+        # Counts every effective MMSE matrix, the library's own included, after a
+        # capacity call that kept the root, kernel and solve of the problem: the first
+        # ``gsvd`` plan forms the pair of ``k_star``'s factor for the kept optimal
+        # kernel, which the second one and the DPC plan read; each SVD mode forms the
+        # pair once, and the broadcast plan reads the kept kernel of ``kbar``.
         calls = []
-        mmse = scheme.effective_mmse_matrix
-
-        def counting(h, b):
-            calls.append(h)
-            return mmse(h, b)
-
-        monkeypatch.setattr(scheme, "effective_mmse_matrix", counting)
+        for module in (scheme, secrecy):
+            def counting(h, b, real=module.effective_mmse_matrix):
+                calls.append(h)
+                return real(h, b)
+            monkeypatch.setattr(module, "effective_mmse_matrix", counting)
         h_b, h_e, kbar = wiretap_instance(rng)
-        for mode in scheme.PRECODER_MODES:
+        secrecy.secrecy_capacity_cov(h_b, h_e, 2.0 * kbar)
+        secrecy.secrecy_capacity_cov(h_b, h_e, kbar)
+        counts = {}
+        for label, call in [
+                ("gsvd", lambda: scheme.build_wiretap_plan(h_b, h_e, kbar, "gsvd")),
+                ("gsvd again", lambda: scheme.build_wiretap_plan(h_b, h_e, kbar, "gsvd")),
+                ("dpc", lambda: scheme.build_dpc_plan(h_b, h_e, kbar)),
+                ("broadcast", lambda: scheme.build_broadcast_plan(h_b, h_e, kbar))] + [
+                (mode, lambda mode=mode: scheme.build_wiretap_plan(h_b, h_e, kbar, mode))
+                for mode in scheme.PRECODER_MODES[1:]]:
             calls.clear()
-            scheme.build_wiretap_plan(h_b, h_e, kbar, mode)
-            assert len(calls) == 2, mode
-        calls.clear()
-        scheme.build_broadcast_plan(h_b, h_e, kbar)
-        assert len(calls) == 2
+            call()
+            counts[label] = len(calls)
+        assert counts == {"gsvd": 2, "gsvd again": 0, "dpc": 0, "broadcast": 0,
+                          "svd_eve": 2, "svd_bob": 2, "gmd_bob": 2}
+
+    def test_no_kernel_or_qr_after_the_first_gsvd_plan(self, rng, monkeypatch):
+        # The first ``gsvd`` plan on a solved problem runs one kernel (one QR of the
+        # second matrix) and the QR of its QL; no QR after them.  A second ``gsvd``
+        # plan and the DPC plan run neither.
+        h_b, h_e, kbar = wiretap_instance(rng)
+        secrecy.secrecy_capacity_cov(h_b, h_e, 2.0 * kbar)
+        secrecy.secrecy_capacity_cov(h_b, h_e, kbar)
+        kernels = count_calls(monkeypatch, decomp, ("_gsvd_kernel",))
+        monkeypatch.setattr(secrecy, "_gsvd_kernel", decomp._gsvd_kernel)
+        qrs = count_calls(monkeypatch, np.linalg, ("qr",))
+        scheme.build_wiretap_plan(h_b, h_e, kbar, "gsvd")
+        assert (len(kernels), len(qrs)) == (1, 2)
+        scheme.build_wiretap_plan(h_b, h_e, kbar, "gsvd")
+        scheme.build_dpc_plan(h_b, h_e, kbar)
+        scheme.build_dpc_plan(h_b, h_e, kbar, mode="gsvd")
+        assert (len(kernels), len(qrs)) == (1, 2)
+
+
+def _qr_route_problems():
+    """200 problems at n = 1..8: generic, ``lb = 0`` (a stronger eavesdropper), ``lb = n``
+    (a dead one), a rank-deficient ``kbar`` and tied singular values of ``h_b`` (a
+    scaled isometry), each at one of the scales ``c = 1, 1e100, 1e-100`` as ``(h c,
+    K / c^2)``."""
+    rng = np.random.default_rng(2424)
+    problems = []
+    for i in range(200):
+        n, kind, c = 1 + i % 8, i % 5, (1.0, 1e100, 1e-100)[i % 3]
+        h_b = complex_gaussian(rng, n + int(rng.integers(0, 3)), n)
+        h_e = complex_gaussian(rng, max(1, n - 1 + int(rng.integers(0, 3))), n)
+        kbar = random_psd(rng, n) / n
+        if kind == 1:
+            h_b = 0.1 * h_b
+        elif kind == 2:
+            h_e = np.zeros_like(h_e)
+        elif kind == 3:
+            kbar = random_psd(rng, n, max(1, n // 2))
+        elif kind == 4:
+            h_b = 2.0 * decomp.haar_unitary(n + 1, rng)[:, :n]
+            kbar = np.eye(n)
+        problems.append((h_b * c, h_e * c, kbar / c ** 2))
+    return problems
+
+
+def _close(got, want, scale=1.0):
+    """``got`` equals ``want`` within 1e-12 of ``max(|want|, scale)``, in the 2-norm."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    return np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), scale)
+
+
+def _qr_receiver(h, b, va):
+    """Diagonal, combiner and feedback ``u' h b va`` of ``decomp.qr`` of ``[h b; I] va``."""
+    h = np.asarray(h, dtype=complex)
+    f = decomp.qr(secrecy.effective_mmse_matrix(h, b) @ va)
+    u = f.u[:h.shape[0], :va.shape[0]]
+    return f.diagonal, u, u.conj().T @ h @ b @ va
+
+
+class TestPlansMatchTheQrRoute:
+    """Each plan's factors, read off its precoder's own factorization, are the QRs of
+    ``[h b; I] va`` under that precoder."""
+
+    @pytest.mark.parametrize("mode", scheme.PRECODER_MODES)
+    def test_wiretap_and_dpc_plans(self, mode):
+        lbs = set()
+        for h_b, h_e, kbar in _qr_route_problems():
+            plan = scheme.build_wiretap_plan(h_b, h_e, kbar, mode)
+            dpc = scheme.build_dpc_plan(h_b, h_e, kbar, mode)
+            base, b, va = plan.base, plan.base.b_sqrt, plan.base.va
+            diag_b, u, t = _qr_receiver(h_b, b, va)
+            diag_e = _qr_receiver(h_e, b, va)[0]
+            feedback_scale = np.linalg.norm(np.asarray(h_b) @ b)
+            assert _close(base.diag_b, diag_b) and _close(plan.diag_e, diag_e)
+            assert _close(base.u_tilde, u) and _close(base.t_tilde, t, feedback_scale)
+            assert _close(base.rates_bits, 2.0 * np.log2(diag_b))
+            assert _close(plan.fictitious_rates_bits, 2.0 * np.log2(diag_e))
+            assert _close(plan.secret_rates_bits,
+                          np.maximum(2.0 * np.log2(diag_b / diag_e), 0.0))
+            sic = scheme.build_sic_plan(h_b, b, va)
+            assert _close(base.sinr, sic.sinr)
+            for name in ("rates_bits", "fictitious_rates_bits", "alpha"):
+                assert np.array_equal(getattr(dpc, name), getattr(
+                    scheme.build_dpc_plan(h_b, h_e, kbar, mode), name))
+            assert dpc.base is not None and _close(dpc.base.t_tilde, t, feedback_scale)
+            lbs.add((secrecy.secrecy_capacity_cov(h_b, h_e, kbar).lb == 0,
+                     secrecy.secrecy_capacity_cov(h_b, h_e, kbar).lb == kbar.shape[0]))
+        assert {(True, False), (False, True), (False, False)} <= lbs
+
+    def test_broadcast_plan(self):
+        lbs = set()
+        for h_b, h_c, kbar in _qr_route_problems():
+            plan = scheme.build_broadcast_plan(h_b, h_c, kbar)
+            b, va, lb = plan.b_sqrt, plan.va, plan.lb
+            diag_b, u_b, t_b = _qr_receiver(h_b, b, va)
+            diag_c, u_c, t_c = _qr_receiver(h_c, b, va)
+            assert _close(plan.diag_b, diag_b) and _close(plan.diag_c, diag_c)
+            assert _close(plan.bob_combiner, u_b[:, :lb])
+            assert _close(plan.charlie_combiner, u_c[:, lb:])
+            assert _close(plan.bob_feedback, t_b[:lb], np.linalg.norm(np.asarray(h_b) @ b))
+            assert _close(plan.charlie_feedback, t_c[lb:], np.linalg.norm(np.asarray(h_c) @ b))
+            ratio = 2.0 * np.log2(diag_b / diag_c)
+            assert _close(plan.bob_rates_bits, np.maximum(ratio[:lb], 0.0))
+            assert _close(plan.charlie_rates_bits, np.maximum(-ratio[lb:], 0.0))
+            lbs.add(min(lb, 1) + (lb == kbar.shape[0]))
+        assert lbs == {0, 1, 2}
 
 
 class TestBuildWiretapPlan:
@@ -346,6 +461,24 @@ class TestBuildDpcPlan:
         q = np.array([np.sum(np.abs(tt[k, k + 1:]) ** 2) for k in range(b.size)])
         assert np.allclose(plan.rates_u_bits, np.log2(b ** 2 + q), atol=1e-9)
 
+    @pytest.mark.parametrize("mode", scheme.PRECODER_MODES)
+    def test_small_gains_keep_their_streams(self, mode):
+        # A stream's u_k has variance 1e-16 here, a real one: the dead-stream cut is
+        # relative to the rounding of b_k, not absolute.
+        h_b, h_e, kbar = 1e-4 * np.eye(2), 0.5e-4 * np.eye(2), np.eye(2)
+        capacity = secrecy.secrecy_capacity_cov(h_b, h_e, kbar).capacity_bits
+        assert np.isclose(capacity, 2.164e-8, rtol=1e-3)
+        plan = scheme.build_dpc_plan(h_b, h_e, kbar, mode)
+        assert abs(np.sum(plan.rates_bits) - capacity) <= 1e-6 * capacity
+
+    @pytest.mark.parametrize("mode", ["gsvd", "svd_eve", "svd_bob"])
+    def test_inactive_streams_carry_exactly_zero(self, mode):
+        for h_b, h_e, kbar in _factor_problems():
+            plan = scheme.build_dpc_plan(h_b, h_e, kbar, mode)
+            lb = secrecy.secrecy_capacity_cov(h_b, h_e, kbar).lb
+            for name in ("rates_bits", "fictitious_rates_bits", "rates_u_bits"):
+                assert np.all(getattr(plan, name)[lb:] == 0.0), name
+
     def test_alpha_range(self, rng):
         h_b, h_e, kbar = wiretap_instance(rng)
         plan = scheme.build_dpc_plan(h_b, h_e, kbar)
@@ -466,19 +599,25 @@ class TestSolveMemo:
 
     def test_a_gsv_call_first_leaves_one_solve_for_every_call(self, rng, monkeypatch):
         # The capacity-first order gives the reference bits; after a GSV call the
-        # first plan adds the capacity solve to the kept root and kernel.
+        # first plan adds the capacity solve to the kept root and kernel, and the
+        # ``gsvd`` plan the kernel and QL of ``k_star``'s factor; the broadcast plan
+        # takes the QL of the kept kernel of ``kbar``.
         h_b, h_e, kbar = wiretap_instance(rng)
         want = {label: _bits(call()) for label, call in _nine_calls(h_b, h_e, kbar).items()}
         secrecy.secrecy_capacity_cov(h_b, h_e, kbar + np.eye(kbar.shape[0]))
-        calls = count_calls(monkeypatch, secrecy, ("matrix_sqrt", "_gsvd_kernel"))
+        calls = count_calls(monkeypatch, secrecy, ("matrix_sqrt", "_gsvd_kernel", "_kernel_ql"))
+        plan_calls = count_calls(monkeypatch, scheme, ("_kernel_ql",))
         order = ["gsv", "gsvd"] + [label for label in want if label not in ("gsv", "gsvd")]
         calls_on_problem = _nine_calls(h_b, h_e, kbar)
         assert {label: _bits(calls_on_problem[label]()) for label in order} == want
-        assert sorted(calls) == ["_gsvd_kernel", "matrix_sqrt"]
+        assert sorted(calls + plan_calls) == ["_gsvd_kernel", "_gsvd_kernel", "_kernel_ql",
+                                              "_kernel_ql", "matrix_sqrt"]
         plan = scheme.build_wiretap_plan(h_b, h_e, kbar, "gsvd")
-        for a in (plan.base.b_sqrt, secrecy.secrecy_capacity_cov(h_b, h_e, kbar).k_star):
+        assert len(calls + plan_calls) == 5
+        for a in (plan.base.b_sqrt, plan.base.va, plan.base.u_tilde,
+                  secrecy.secrecy_capacity_cov(h_b, h_e, kbar).k_star, *secrecy._last[1][3]):
             with pytest.raises(ValueError, match="read-only"):
-                a[0, 0] = 7.0
+                a[0] = 7.0
 
     def test_broadcast_precoder_is_the_gsvd_precoder_of_the_pair(self, rng):
         h_b, h_c = complex_gaussian(rng, 4, 3), complex_gaussian(rng, 2, 3)
@@ -887,17 +1026,17 @@ def _golden_fields(rep):
 #: their last bits (at most 5.2e-16 relative, and 3e-16 bits on the leakages).
 GOLDEN_REPORTS = {
     "sic_genie": {
-        "sinr_empirical": ["0x1.b7a5e92a72ff9p+1", "0x1.6a2e212d92d07p+1", "0x0.0p+0"],
-        "sinr_stderr": ["0x1.8dec8cf3b7a34p-6", "0x1.47cedf0b99386p-6", "0x0.0p+0"],
-        "mi_bits": ["0x1.05815fd7a9acdp+2"],
+        "sinr_empirical": ["0x1.b7a5e92a72ffdp+1", "0x1.6a2e212d92d08p+1", "0x0.0p+0"],
+        "sinr_stderr": ["0x1.8dec8cf3b7a38p-6", "0x1.47cedf0b99387p-6", "0x0.0p+0"],
+        "mi_bits": ["0x1.05815fd7a9acep+2"],
     },
     "sic_decided": {
-        "sinr_empirical": ["0x1.38ee327e18b28p+1", "0x1.6a2e212d92d07p+1", "0x0.0p+0"],
-        "sinr_stderr": ["0x1.1b3b793a575c0p-6", "0x1.47cedf0b99386p-6", "0x0.0p+0"],
-        "mi_bits": ["0x1.dc5c97c1fd07dp+1"],
+        "sinr_empirical": ["0x1.38ee327e18b2bp+1", "0x1.6a2e212d92d08p+1", "0x0.0p+0"],
+        "sinr_stderr": ["0x1.1b3b793a575c3p-6", "0x1.47cedf0b99387p-6", "0x0.0p+0"],
+        "mi_bits": ["0x1.dc5c97c1fd07fp+1"],
     },
     "leakage": {
-        "sinr_empirical": ["0x1.b54d661ec09a8p+1", "0x1.6c348a314cb1fp+1", "0x0.0p+0"],
+        "sinr_empirical": ["0x1.b54d661ec09abp+1", "0x1.6c348a314cb1fp+1", "0x0.0p+0"],
         "sinr_stderr": ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"],
         "mi_bits": ["0x1.03e6f05585dc0p+1"],
         "leakage_bits": ["0x1.f579200183a95p-2", "0x1.8a69a1f4af97ap+0", "0x1.7dad7ecd7ce40p-14"],
@@ -906,33 +1045,29 @@ GOLDEN_REPORTS = {
         ],
     },
     "dpc": {
-        "sinr_empirical": ["0x1.b7a5e92a72ff9p+1", "0x1.6a2e212d92d07p+1", "0x0.0p+0"],
-        "sinr_stderr": ["0x1.8dec8cf3b7a34p-6", "0x1.47cedf0b99386p-6", "0x0.0p+0"],
-        "mi_bits": ["0x1.05815fd7a9acdp+2"],
-        "alpha_residual": ["0x1.3198c7de57cbdp-1", "0x1.18d061e266ae2p-1", "0x0.0p+0"],
-        "alpha_residual_below": ["0x1.3c10babe2d0cbp-1", "0x1.20703844fa282p-1", "0x0.0p+0"],
-        "alpha_residual_above": ["0x1.3c46074d14beap-1", "0x1.213a28fc83ef7p-1", "0x0.0p+0"],
+        "sinr_empirical": ["0x1.b7a5e92a72ffdp+1", "0x1.6a2e212d92d08p+1", "0x0.0p+0"],
+        "sinr_stderr": ["0x1.8dec8cf3b7a38p-6", "0x1.47cedf0b99387p-6", "0x0.0p+0"],
+        "mi_bits": ["0x1.05815fd7a9acep+2"],
+        "alpha_residual": ["0x1.3198c7de57cbdp-1", "0x1.18d061e266ae7p-1", "0x0.0p+0"],
+        "alpha_residual_below": ["0x1.3c10babe2d0ccp-1", "0x1.20703844fa287p-1", "0x0.0p+0"],
+        "alpha_residual_above": ["0x1.3c46074d14beap-1", "0x1.213a28fc83efcp-1", "0x0.0p+0"],
     },
     "broadcast_lb0": {
         "sinr_empirical": [
-            "0x1.39b0353002570p-102", "0x1.54758a0d6546ep+1", "0x1.1dfa4791fceacp+2",
+            "0x1.146810c48ebc2p-103", "0x1.54758a0d6546dp+1", "0x1.1dfa4791fceadp+2",
         ],
-        "sinr_stderr": ["0x1.1beb12637c60dp-109", "0x1.3425ffda034cdp-6", "0x1.02d66187a3df9p-5"],
+        "sinr_stderr": ["0x1.f4596694d3014p-111", "0x1.3425ffda034ccp-6", "0x1.02d66187a3df9p-5"],
         "mi_bits": ["0x1.14aa5e0fe1907p+2"],
     },
     "broadcast_mixed": {
-        "sinr_empirical": [
-            "0x1.e5f4855ff4f0bp+2", "0x1.17e37d92fb0adp+2", "0x1.07274c34614e0p+2",
-        ],
-        "sinr_stderr": ["0x1.b7d61e7188141p-5", "0x1.faa70d680e10bp-6", "0x1.dc5bd5bd5388bp-6"],
+        "sinr_empirical": ["0x1.e5f4855ff4f09p+2", "0x1.17e37d92fb0acp+2", "0x1.07274c34614e1p+2"],
+        "sinr_stderr": ["0x1.b7d61e718813fp-5", "0x1.faa70d680e109p-6", "0x1.dc5bd5bd5388dp-6"],
         "mi_bits": ["0x1.f87fa8e8958b2p+2"],
     },
     "broadcast_lbn": {
-        "sinr_empirical": [
-            "0x1.9839b4f213073p+3", "0x1.85bbb2760588ap+1", "0x1.12d02ff4bf7c1p-3",
-        ],
-        "sinr_stderr": ["0x1.717bc4ad9ea3dp-4", "0x1.60bf082483c5ap-6", "0x1.f1770ff648cc5p-11"],
-        "mi_bits": ["0x1.7eb56377c998ep+2"],
+        "sinr_empirical": ["0x1.9839b4f213075p+3", "0x1.85bbb2760588ap+1", "0x1.12d02ff4bf7c1p-3"],
+        "sinr_stderr": ["0x1.717bc4ad9ea3fp-4", "0x1.60bf082483c5ap-6", "0x1.f1770ff648cc5p-11"],
+        "mi_bits": ["0x1.7eb56377c998fp+2"],
     },
 }
 
@@ -1001,51 +1136,51 @@ GOLDEN_PLANS = {
     },
     "n2_wiretap_gsvd": {
         "base.va": "282194ea47e31527", "base.b_sqrt": "6eb9836c41efe84a",
-        "base.u_tilde": "72db252a61fa5769", "base.t_tilde": "9ffffd3e942457d0",
-        "base.diag_b": "19062dbd692a1210", "base.sinr": "d3238c8c6d80440c",
-        "base.rates_bits": "38cd73c1737536db", "diag_e": "31c1b66e6f96984f",
-        "secret_rates_bits": "ca8a43efa1942080", "fictitious_rates_bits": "5bd2895c434af85a",
+        "base.u_tilde": "8ba532a95c9ac59d", "base.t_tilde": "addc55c7891d9b46",
+        "base.diag_b": "19062dbd692a1210", "base.sinr": "a604c3aad156e209",
+        "base.rates_bits": "38cd73c1737536db", "diag_e": "0fc071baecf1a712",
+        "secret_rates_bits": "7d5ab64ccc339c71", "fictitious_rates_bits": "b111478e3abfc667",
         "mode": "ce714a5f246ce96c",
     },
     "n2_wiretap_svd_eve": {
         "base.va": "f063aa5b7fadf303", "base.b_sqrt": "6eb9836c41efe84a",
         "base.u_tilde": "c6a9dd3e061b675b", "base.t_tilde": "06516b35e103ca37",
-        "base.diag_b": "19062dbd692a1210", "base.sinr": "d3238c8c6d80440c",
-        "base.rates_bits": "38cd73c1737536db", "diag_e": "31c1b66e6f96984f",
-        "secret_rates_bits": "ca8a43efa1942080", "fictitious_rates_bits": "5bd2895c434af85a",
+        "base.diag_b": "19062dbd692a1210", "base.sinr": "a604c3aad156e209",
+        "base.rates_bits": "38cd73c1737536db", "diag_e": "0fc071baecf1a712",
+        "secret_rates_bits": "7d5ab64ccc339c71", "fictitious_rates_bits": "b111478e3abfc667",
         "mode": "c73ddb487405eaa4",
     },
     "n2_wiretap_svd_bob": {
         "base.va": "c24935314c7a024a", "base.b_sqrt": "6eb9836c41efe84a",
-        "base.u_tilde": "72db252a61fa5769", "base.t_tilde": "06516b35e103ca37",
-        "base.diag_b": "19062dbd692a1210", "base.sinr": "d3238c8c6d80440c",
-        "base.rates_bits": "38cd73c1737536db", "diag_e": "31c1b66e6f96984f",
-        "secret_rates_bits": "ca8a43efa1942080", "fictitious_rates_bits": "5bd2895c434af85a",
+        "base.u_tilde": "411fd834bd48dd82", "base.t_tilde": "68fb6dbd6f42b8d0",
+        "base.diag_b": "607b3dd82a0278f2", "base.sinr": "d3238c8c6d80440c",
+        "base.rates_bits": "b7912ca83fec0203", "diag_e": "31c1b66e6f96984f",
+        "secret_rates_bits": "ec6dfd3597be9987", "fictitious_rates_bits": "5bd2895c434af85a",
         "mode": "5d59e8d2fd898c63",
     },
     "n2_wiretap_gmd_bob": {
         "base.va": "e83e07180e4abed7", "base.b_sqrt": "6eb9836c41efe84a",
-        "base.u_tilde": "37182e2ccd390c08", "base.t_tilde": "4ad979a0cc8f81ee",
-        "base.diag_b": "0990c54676dd251f", "base.sinr": "d452c8bc51e12a10",
-        "base.rates_bits": "9f3c694ce8622807", "diag_e": "0f48841ab6c71aeb",
-        "secret_rates_bits": "7575b6eb8687bef3", "fictitious_rates_bits": "9bea642871a112f7",
+        "base.u_tilde": "e85c65cdfde17195", "base.t_tilde": "161842e1f93e55f4",
+        "base.diag_b": "305111620c3daac2", "base.sinr": "64b1ce8c7571dca4",
+        "base.rates_bits": "37e5eeb326e19bef", "diag_e": "0f48841ab6c71aeb",
+        "secret_rates_bits": "ad158ac245072659", "fictitious_rates_bits": "9bea642871a112f7",
         "mode": "31a090f4630fe02d",
     },
     "n2_dpc": {
         "base.va": "282194ea47e31527", "base.b_sqrt": "6eb9836c41efe84a",
-        "base.u_tilde": "72db252a61fa5769", "base.t_tilde": "9ffffd3e942457d0",
-        "base.diag_b": "19062dbd692a1210", "base.sinr": "d3238c8c6d80440c",
-        "base.rates_bits": "38cd73c1737536db", "diag_e": "31c1b66e6f96984f",
-        "alpha": "254eb9c80cc21812", "rates_bits": "ca8a43efa1942080",
-        "fictitious_rates_bits": "5bd2895c434af85a", "rates_u_bits": "a653ede6d52bfa60",
+        "base.u_tilde": "8ba532a95c9ac59d", "base.t_tilde": "addc55c7891d9b46",
+        "base.diag_b": "19062dbd692a1210", "base.sinr": "a604c3aad156e209",
+        "base.rates_bits": "38cd73c1737536db", "diag_e": "0fc071baecf1a712",
+        "alpha": "254eb9c80cc21812", "rates_bits": "7d5ab64ccc339c71",
+        "fictitious_rates_bits": "b111478e3abfc667", "rates_u_bits": "a653ede6d52bfa60",
     },
     "n2_broadcast": {
         "lb": "7c9fa136d4413fa6", "lc": "7c9fa136d4413fa6", "va": "f1e42fa886e6f1c2",
-        "b_sqrt": "8068cd47ce6fa401", "diag_b": "97431e1f81adf299",
-        "diag_c": "5b2ea182e71693c6", "bob_combiner": "5f06b3a7de54106b",
-        "charlie_combiner": "73b864f06da63bc1", "bob_feedback": "ca0cc8e9162b37e8",
-        "charlie_feedback": "14827bbe746c3869", "bob_rates_bits": "29ea400357ba78e8",
-        "charlie_rates_bits": "1b01b85898107291",
+        "b_sqrt": "8068cd47ce6fa401", "diag_b": "a9efc4cad0c29008",
+        "diag_c": "356b5390abf786e3", "bob_combiner": "9511d3510637a235",
+        "charlie_combiner": "4532e42ed49964ba", "bob_feedback": "3123af147b1d334d",
+        "charlie_feedback": "05570a773da8fef9", "bob_rates_bits": "4dfaec4a6066d3c7",
+        "charlie_rates_bits": "275a072fd3d50afb",
     },
     "n4_capacity": {
         "gsv": "25a5eaa32f14075d", "lb": "d86e8112f3c4c444",
@@ -1053,51 +1188,51 @@ GOLDEN_PLANS = {
     },
     "n4_wiretap_gsvd": {
         "base.va": "8e01612501560e80", "base.b_sqrt": "b4dc02daebd78ff9",
-        "base.u_tilde": "fa05ccc089c58a60", "base.t_tilde": "c27ed487d84cb62f",
-        "base.diag_b": "9cd71e44f2704071", "base.sinr": "25e15f0a9227aa4e",
-        "base.rates_bits": "5da90c7e32fd6c21", "diag_e": "ad9281f1275ba25d",
-        "secret_rates_bits": "60c4273151d1938c", "fictitious_rates_bits": "5e554270867e1bf3",
+        "base.u_tilde": "92b21f399e155260", "base.t_tilde": "9819382ff589aaec",
+        "base.diag_b": "209c52142dda93ce", "base.sinr": "41741df79f2c39f8",
+        "base.rates_bits": "e07a0149930c2765", "diag_e": "bf9753a216fffdf6",
+        "secret_rates_bits": "3b8a92f1a9c475f9", "fictitious_rates_bits": "b74316430da9e217",
         "mode": "ce714a5f246ce96c",
     },
     "n4_wiretap_svd_eve": {
         "base.va": "813c7d92676eb5f3", "base.b_sqrt": "b4dc02daebd78ff9",
         "base.u_tilde": "d09a80e711b3e3cd", "base.t_tilde": "b47539bdd21605cf",
-        "base.diag_b": "17812008a2ec4fad", "base.sinr": "819c9c24588523f1",
-        "base.rates_bits": "c8053d7fa3915db0", "diag_e": "b0e5d2d4d206c8a8",
-        "secret_rates_bits": "08811696949845b4", "fictitious_rates_bits": "5785b4220272bb63",
+        "base.diag_b": "17812008a2ec4fad", "base.sinr": "b55ab65bf0e97ad4",
+        "base.rates_bits": "c8053d7fa3915db0", "diag_e": "faf9730362b86b32",
+        "secret_rates_bits": "3dbe8a782d22a3d6", "fictitious_rates_bits": "c23376d123a90bf8",
         "mode": "c73ddb487405eaa4",
     },
     "n4_wiretap_svd_bob": {
         "base.va": "81e43edfaf5f3790", "base.b_sqrt": "b4dc02daebd78ff9",
-        "base.u_tilde": "db7e54260e79fa7a", "base.t_tilde": "c8562a72f0363e75",
-        "base.diag_b": "ebf349ced9d7b3cd", "base.sinr": "ceaa68329e396375",
-        "base.rates_bits": "d45b2e875275f461", "diag_e": "3bc56fc9c7f6f4be",
-        "secret_rates_bits": "1067db05899c1c34", "fictitious_rates_bits": "0c6ddb78373728a2",
+        "base.u_tilde": "951c31288ef4cebb", "base.t_tilde": "4bef82a65e12b13a",
+        "base.diag_b": "004c7c9a741a5ca3", "base.sinr": "07653657d3453725",
+        "base.rates_bits": "83418b985b651867", "diag_e": "3bc56fc9c7f6f4be",
+        "secret_rates_bits": "5bbee256aaf98a83", "fictitious_rates_bits": "0c6ddb78373728a2",
         "mode": "5d59e8d2fd898c63",
     },
     "n4_wiretap_gmd_bob": {
-        "base.va": "8d78832444bfe3cc", "base.b_sqrt": "b4dc02daebd78ff9",
-        "base.u_tilde": "bf2d8bf253394d1b", "base.t_tilde": "8bcbe22c6919e7bd",
-        "base.diag_b": "e5c32196acb0436b", "base.sinr": "2f02afd7ae09af49",
-        "base.rates_bits": "aca0af387057f450", "diag_e": "7de92319c2114f8c",
-        "secret_rates_bits": "0570b28231549e06", "fictitious_rates_bits": "8c3b37aecf47347b",
+        "base.va": "d90575bd7676e6c9", "base.b_sqrt": "b4dc02daebd78ff9",
+        "base.u_tilde": "90af6c6686177b43", "base.t_tilde": "662bee95b2c60fe6",
+        "base.diag_b": "79b6f2c1b4e9808c", "base.sinr": "d6ee68081370b4d6",
+        "base.rates_bits": "a3011f66e9a83fd4", "diag_e": "7de92319c2114f8c",
+        "secret_rates_bits": "9a4ab4ad80717dd7", "fictitious_rates_bits": "8c3b37aecf47347b",
         "mode": "31a090f4630fe02d",
     },
     "n4_dpc": {
         "base.va": "8e01612501560e80", "base.b_sqrt": "b4dc02daebd78ff9",
-        "base.u_tilde": "fa05ccc089c58a60", "base.t_tilde": "c27ed487d84cb62f",
-        "base.diag_b": "9cd71e44f2704071", "base.sinr": "25e15f0a9227aa4e",
-        "base.rates_bits": "5da90c7e32fd6c21", "diag_e": "ad9281f1275ba25d",
-        "alpha": "414a11460cb1a166", "rates_bits": "60c4273151d1938c",
-        "fictitious_rates_bits": "5e554270867e1bf3", "rates_u_bits": "b3ebbbb4f95c125a",
+        "base.u_tilde": "92b21f399e155260", "base.t_tilde": "9819382ff589aaec",
+        "base.diag_b": "209c52142dda93ce", "base.sinr": "41741df79f2c39f8",
+        "base.rates_bits": "e07a0149930c2765", "diag_e": "bf9753a216fffdf6",
+        "alpha": "af2c654cd8bd265d", "rates_bits": "3b8a92f1a9c475f9",
+        "fictitious_rates_bits": "b74316430da9e217", "rates_u_bits": "69d21a6e62b5dfca",
     },
     "n4_broadcast": {
         "lb": "d86e8112f3c4c444", "lc": "d86e8112f3c4c444", "va": "e0dd6b07fdf14725",
-        "b_sqrt": "955d50ca6953993e", "diag_b": "a5f0547e042a2ac3",
-        "diag_c": "84d5bc8906f9e08c", "bob_combiner": "174c4b433eea5786",
-        "charlie_combiner": "09530ab1e287aa9f", "bob_feedback": "4a1b6df0cd2e5372",
-        "charlie_feedback": "3f3e2ac14af84353", "bob_rates_bits": "4fea472ef9cd35d1",
-        "charlie_rates_bits": "7f54e300c9d45e46",
+        "b_sqrt": "955d50ca6953993e", "diag_b": "6beb0dbcce79e617",
+        "diag_c": "591359a73e705884", "bob_combiner": "9868d321ea80ba18",
+        "charlie_combiner": "b76a687d65b02bec", "bob_feedback": "e6c0dbc38738de06",
+        "charlie_feedback": "fdf885ca19aa47a1", "bob_rates_bits": "1ad2eac3aa198458",
+        "charlie_rates_bits": "5fadf12e888c741c",
     },
     "n8_capacity": {
         "gsv": "d9261c775f89c8a2", "lb": "35be322d094f9d15",
@@ -1105,51 +1240,51 @@ GOLDEN_PLANS = {
     },
     "n8_wiretap_gsvd": {
         "base.va": "bd0e125db4fdad94", "base.b_sqrt": "2cd85208db2f7ec9",
-        "base.u_tilde": "876d8fea3d630d98", "base.t_tilde": "4d36ff234bff9081",
-        "base.diag_b": "b969e404a75c0d79", "base.sinr": "291e8111594f7e98",
-        "base.rates_bits": "c50d93a5666029c3", "diag_e": "15373e02a80e2173",
-        "secret_rates_bits": "943389ae5b306811", "fictitious_rates_bits": "e38069131881e81f",
+        "base.u_tilde": "000286aa426542ec", "base.t_tilde": "e23c787e24faf9ec",
+        "base.diag_b": "147378f82508aa0a", "base.sinr": "ea0abfa72d8b4fce",
+        "base.rates_bits": "9d4aba4d5716c3ac", "diag_e": "6f69ffd5d8647dd6",
+        "secret_rates_bits": "5ce98714c41c91c9", "fictitious_rates_bits": "539faaca67e389d2",
         "mode": "ce714a5f246ce96c",
     },
     "n8_wiretap_svd_eve": {
         "base.va": "8fa350c779480090", "base.b_sqrt": "2cd85208db2f7ec9",
         "base.u_tilde": "8647b57965daec27", "base.t_tilde": "28ec106b27df4791",
-        "base.diag_b": "9420c7eaaac6e874", "base.sinr": "4f1f84df7fc86eb1",
-        "base.rates_bits": "43185ad4bd7192d0", "diag_e": "f6b0fc365f905800",
-        "secret_rates_bits": "d566797b9c7437b8", "fictitious_rates_bits": "3ad85dbe2aa7e13f",
+        "base.diag_b": "9420c7eaaac6e874", "base.sinr": "eb58239029f8f91b",
+        "base.rates_bits": "43185ad4bd7192d0", "diag_e": "b1ecb71797991054",
+        "secret_rates_bits": "7bbfe9be9531fc21", "fictitious_rates_bits": "311050784a5ded5d",
         "mode": "c73ddb487405eaa4",
     },
     "n8_wiretap_svd_bob": {
         "base.va": "aedaa36b61434619", "base.b_sqrt": "2cd85208db2f7ec9",
-        "base.u_tilde": "b8e8868985736e54", "base.t_tilde": "ac1fb768bdb99432",
-        "base.diag_b": "3178895cdf748561", "base.sinr": "d132cd4dda3a6be4",
-        "base.rates_bits": "0b455af63ff3fde6", "diag_e": "21e63c9cc523b66d",
-        "secret_rates_bits": "f36585e39c6d8e84", "fictitious_rates_bits": "700544de038a942e",
+        "base.u_tilde": "924c18276ff2dda9", "base.t_tilde": "941ee1deacee4308",
+        "base.diag_b": "a0d50f122bf568c9", "base.sinr": "1d4136e342b41529",
+        "base.rates_bits": "0bffc6233688643e", "diag_e": "21e63c9cc523b66d",
+        "secret_rates_bits": "1630b5da9ea3b755", "fictitious_rates_bits": "700544de038a942e",
         "mode": "5d59e8d2fd898c63",
     },
     "n8_wiretap_gmd_bob": {
-        "base.va": "6d32d26856fb9345", "base.b_sqrt": "2cd85208db2f7ec9",
-        "base.u_tilde": "88fec77cddb108d3", "base.t_tilde": "191a40211d469cc9",
-        "base.diag_b": "218810c384dbface", "base.sinr": "ff39d5d5763bd88b",
-        "base.rates_bits": "f646e5e045771245", "diag_e": "f686daee74833fd8",
-        "secret_rates_bits": "c00476c8175cecd0", "fictitious_rates_bits": "0135eeeb8cc1b116",
+        "base.va": "57cfd27ab2979df6", "base.b_sqrt": "2cd85208db2f7ec9",
+        "base.u_tilde": "5e742930244ba785", "base.t_tilde": "61befc60ca25ea7f",
+        "base.diag_b": "2cf5204bcd00a123", "base.sinr": "9769ce45e9b8fb61",
+        "base.rates_bits": "f5a4b5726dd1fa61", "diag_e": "f686daee74833fd8",
+        "secret_rates_bits": "feb17ac274493d99", "fictitious_rates_bits": "0135eeeb8cc1b116",
         "mode": "31a090f4630fe02d",
     },
     "n8_dpc": {
         "base.va": "bd0e125db4fdad94", "base.b_sqrt": "2cd85208db2f7ec9",
-        "base.u_tilde": "876d8fea3d630d98", "base.t_tilde": "4d36ff234bff9081",
-        "base.diag_b": "b969e404a75c0d79", "base.sinr": "291e8111594f7e98",
-        "base.rates_bits": "c50d93a5666029c3", "diag_e": "15373e02a80e2173",
-        "alpha": "2a0f2757ad8a66bc", "rates_bits": "943389ae5b306811",
-        "fictitious_rates_bits": "e38069131881e81f", "rates_u_bits": "067778f5e056e908",
+        "base.u_tilde": "000286aa426542ec", "base.t_tilde": "e23c787e24faf9ec",
+        "base.diag_b": "147378f82508aa0a", "base.sinr": "ea0abfa72d8b4fce",
+        "base.rates_bits": "9d4aba4d5716c3ac", "diag_e": "6f69ffd5d8647dd6",
+        "alpha": "3fffbb8fd736563b", "rates_bits": "5ce98714c41c91c9",
+        "fictitious_rates_bits": "539faaca67e389d2", "rates_u_bits": "ac4d510c020a5b08",
     },
     "n8_broadcast": {
         "lb": "35be322d094f9d15", "lc": "f13ee6ed54ea2aae", "va": "d6e17055533708be",
-        "b_sqrt": "787e32d6c3258428", "diag_b": "e90be9baa26b611a",
-        "diag_c": "61eab1c07b4a8562", "bob_combiner": "ce11178a50c88bca",
-        "charlie_combiner": "68401f8897f0face", "bob_feedback": "3dbf664a56ccd908",
-        "charlie_feedback": "5783b9d5555edf46", "bob_rates_bits": "c2e724021f96e6c0",
-        "charlie_rates_bits": "0a2e36ee05d93635",
+        "b_sqrt": "787e32d6c3258428", "diag_b": "7f07ab530ca8c320",
+        "diag_c": "ff8dae65224432dc", "bob_combiner": "9f5f393a2e7e7039",
+        "charlie_combiner": "4d9eadaec9ae0d08", "bob_feedback": "6a0279cf93f234c5",
+        "charlie_feedback": "ba318d8e95d9ff11", "bob_rates_bits": "11679b65f3e3cc90",
+        "charlie_rates_bits": "eab18e3b12a9dfad",
     },
     "n4_rank1_capacity": {
         "gsv": "b9164819e91b5e5d", "lb": "7c9fa136d4413fa6",
@@ -1157,51 +1292,51 @@ GOLDEN_PLANS = {
     },
     "n4_rank1_wiretap_gsvd": {
         "base.va": "c64dc64c03146b64", "base.b_sqrt": "a691cde7a32080dd",
-        "base.u_tilde": "c37d910cff2d518b", "base.t_tilde": "151ec0eed38bb052",
-        "base.diag_b": "305f8ea3f969a2cb", "base.sinr": "9fa4ef134d6d8e7f",
-        "base.rates_bits": "5f60ec2a2e970c8d", "diag_e": "49e63971e0ea58c6",
-        "secret_rates_bits": "d7002b00a18fdf86", "fictitious_rates_bits": "3b6dfc90cb07a32d",
+        "base.u_tilde": "a9b031077f9f2a55", "base.t_tilde": "18bc92d26237314a",
+        "base.diag_b": "ae777f1dad825081", "base.sinr": "fe39c675daaf7bba",
+        "base.rates_bits": "3c177bdd5c86b099", "diag_e": "49e63971e0ea58c6",
+        "secret_rates_bits": "57c854a4b6bc9788", "fictitious_rates_bits": "3b6dfc90cb07a32d",
         "mode": "ce714a5f246ce96c",
     },
     "n4_rank1_wiretap_svd_eve": {
         "base.va": "008ea5de5ce191b4", "base.b_sqrt": "a691cde7a32080dd",
         "base.u_tilde": "26df75eccf25a7a3", "base.t_tilde": "151ec0eed38bb052",
-        "base.diag_b": "305f8ea3f969a2cb", "base.sinr": "9fa4ef134d6d8e7f",
+        "base.diag_b": "305f8ea3f969a2cb", "base.sinr": "6b2acb0961ead67d",
         "base.rates_bits": "5f60ec2a2e970c8d", "diag_e": "49e63971e0ea58c6",
         "secret_rates_bits": "d7002b00a18fdf86", "fictitious_rates_bits": "3b6dfc90cb07a32d",
         "mode": "c73ddb487405eaa4",
     },
     "n4_rank1_wiretap_svd_bob": {
         "base.va": "7b339108d5b8b439", "base.b_sqrt": "a691cde7a32080dd",
-        "base.u_tilde": "c37d910cff2d518b", "base.t_tilde": "151ec0eed38bb052",
-        "base.diag_b": "305f8ea3f969a2cb", "base.sinr": "9fa4ef134d6d8e7f",
+        "base.u_tilde": "c9c0f3461b58f384", "base.t_tilde": "76ae6c46c6f59feb",
+        "base.diag_b": "305f8ea3f969a2cb", "base.sinr": "f88df3daa2f2da40",
         "base.rates_bits": "5f60ec2a2e970c8d", "diag_e": "49e63971e0ea58c6",
         "secret_rates_bits": "d7002b00a18fdf86", "fictitious_rates_bits": "3b6dfc90cb07a32d",
         "mode": "5d59e8d2fd898c63",
     },
     "n4_rank1_wiretap_gmd_bob": {
         "base.va": "897fb0f90d605fe3", "base.b_sqrt": "a691cde7a32080dd",
-        "base.u_tilde": "7a8f51e1786ea160", "base.t_tilde": "4e82df60e0bda9d2",
-        "base.diag_b": "f138ae6a099e8bc7", "base.sinr": "8e01d7268ad35ad5",
-        "base.rates_bits": "5b84355180f4e1af", "diag_e": "7ad8824d7cbcd290",
-        "secret_rates_bits": "ed1456d9a5e66d21", "fictitious_rates_bits": "8c0ab46a506dad7b",
+        "base.u_tilde": "877f7c9845d80052", "base.t_tilde": "6b8ecceab6d7d127",
+        "base.diag_b": "5de185477dc1a4f4", "base.sinr": "948bbed94a58af4f",
+        "base.rates_bits": "28b496119d42c213", "diag_e": "7ad8824d7cbcd290",
+        "secret_rates_bits": "206d6855f3a218f2", "fictitious_rates_bits": "8c0ab46a506dad7b",
         "mode": "31a090f4630fe02d",
     },
     "n4_rank1_dpc": {
         "base.va": "c64dc64c03146b64", "base.b_sqrt": "a691cde7a32080dd",
-        "base.u_tilde": "c37d910cff2d518b", "base.t_tilde": "151ec0eed38bb052",
-        "base.diag_b": "305f8ea3f969a2cb", "base.sinr": "9fa4ef134d6d8e7f",
-        "base.rates_bits": "5f60ec2a2e970c8d", "diag_e": "49e63971e0ea58c6",
-        "alpha": "cdb066c2b10aa5ec", "rates_bits": "d7002b00a18fdf86",
-        "fictitious_rates_bits": "3b6dfc90cb07a32d", "rates_u_bits": "5f60ec2a2e970c8d",
+        "base.u_tilde": "a9b031077f9f2a55", "base.t_tilde": "18bc92d26237314a",
+        "base.diag_b": "ae777f1dad825081", "base.sinr": "fe39c675daaf7bba",
+        "base.rates_bits": "3c177bdd5c86b099", "diag_e": "49e63971e0ea58c6",
+        "alpha": "06091edb304b57d4", "rates_bits": "57c854a4b6bc9788",
+        "fictitious_rates_bits": "3b6dfc90cb07a32d", "rates_u_bits": "3c177bdd5c86b099",
     },
     "n4_rank1_broadcast": {
         "lb": "7c9fa136d4413fa6", "lc": "35be322d094f9d15", "va": "de7c6ba3b5c54e0d",
-        "b_sqrt": "82266aa35e18d857", "diag_b": "1b169b49c785f40a",
-        "diag_c": "63fb15f564e66709", "bob_combiner": "cee8602dd4177085",
-        "charlie_combiner": "9fa13dfe41fc4732", "bob_feedback": "c516d3f29ef99c1a",
-        "charlie_feedback": "979bb77c30a5a4fa", "bob_rates_bits": "8f4cf19ecfea4b41",
-        "charlie_rates_bits": "9d908ecfb6b256de",
+        "b_sqrt": "82266aa35e18d857", "diag_b": "9f01a637f71a8a8b",
+        "diag_c": "fa8df4d5359f07ef", "bob_combiner": "9f7c5c3c7e4f65a0",
+        "charlie_combiner": "3147f96a892a5bd9", "bob_feedback": "6176ea4837ebd56e",
+        "charlie_feedback": "dff14f9a9451c496", "bob_rates_bits": "02f53c0f98940728",
+        "charlie_rates_bits": "25ef4d723daf9acc",
     },
     "n4_power": {
         "capacity_lower_bound": "d8fc6b77781afab7", "kbar": "4e7ed278b8c468be",

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from wtd import decomp, secrecy
+from wtd import decomp, scheme, secrecy
 from wtd.errors import DomainError, NotPSD
 
 from conftest import complex_gaussian, count_calls, random_psd, rel_residual
@@ -534,7 +534,7 @@ class TestSpeculativeRefinement:
     def test_roots_only_the_result(self, rng, monkeypatch):
         # Candidates are ranked on their own factors: the final capacity call
         # roots kbar, and nothing else does.
-        monkeypatch.setattr(secrecy, "_last", (None, (None, None, None)))
+        monkeypatch.setattr(secrecy, "_last", (None, (None, None, None, None)))
         calls = count_calls(monkeypatch, secrecy, ("matrix_sqrt",))
         res = secrecy.power_constrained_capacity(complex_gaussian(rng, 5, 4),
                                                  complex_gaussian(rng, 6, 4), 4.0,
@@ -761,6 +761,18 @@ def test_monotonicity_violation_reports_a_witness(monkeypatch):
     assert np.linalg.eigvalsh(kbar - report.witness).min() >= -1e-12
 
 
+@pytest.mark.parametrize("power", [1.5e308, 1.7e308])
+def test_power_past_the_search_range_is_named(power):
+    # The factors' squared norms overflow: a DomainError naming the power, no warning.
+    h_b, h_e = complex_gaussian(np.random.default_rng(3), 2, 2), 0.5 * np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="total power is out of range") as info:
+            secrecy.power_constrained_capacity(h_b, h_e, power, budget=50, seed=1)
+    assert info.type is DomainError
+    assert secrecy.power_constrained_capacity(h_b, h_e, 1e300, budget=50, seed=1).evaluations == 50
+
+
 def test_lb_of_an_overflowing_gsv_square():
     # A GSV of 1e200 squares to inf, which counts as active, and is no warning.
     with warnings.catch_warnings():
@@ -845,13 +857,24 @@ class TestSolveMemo:
 
     def test_threads_read_their_own_problem(self, rng):
         # More threads than cores and a short switch interval, so a reader
-        # that paired one problem's key with another's value, or a solve
-        # added to another thread's problem, would show.  Half the rounds
-        # start with a GSV call, which keeps a problem with no solve.
+        # that paired one problem's key with another's value, or a solve or
+        # optimal kernel added to another thread's problem, would show.  Half
+        # the rounds start with a GSV call, which keeps a problem with no
+        # solve; every third adds the optimal kernel by a ``gsvd`` plan.
         problems = [(complex_gaussian(rng, 3, 3), complex_gaussian(rng, 2, 3), random_psd(rng, 3))
                     for _ in range(3)]
         want = [secrecy.secrecy_capacity_cov(*p).k_star.tobytes() for p in problems]
         gsv = [secrecy.channel_gsv(*p).tobytes() for p in problems]
+
+        def plan_bytes(p):
+            plan = scheme.build_wiretap_plan(*p, "gsvd")
+            return b"".join(a.tobytes() for a in (plan.base.va, plan.base.u_tilde,
+                                                  plan.base.diag_b, plan.diag_e))
+
+        plans = [plan_bytes(p) for p in problems]
+        for a in secrecy._last[1][3]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 7.0
 
         def solve(i):
             p, ok = i % 3, True
@@ -859,6 +882,8 @@ class TestSolveMemo:
                 if (i + j) % 2:
                     ok &= secrecy.channel_gsv(*problems[p]).tobytes() == gsv[p]
                 ok &= secrecy.secrecy_capacity_cov(*problems[p]).k_star.tobytes() == want[p]
+                if (i + j) % 3 == 0:
+                    ok &= plan_bytes(problems[p]) == plans[p]
             return ok
 
         interval = sys.getswitchinterval()
