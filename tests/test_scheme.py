@@ -302,16 +302,15 @@ class TestPlansMatchTheQrRoute:
             assert _close(base.u_tilde, u) and _close(base.t_tilde, t, feedback_scale)
             assert _close(base.rates_bits, 2.0 * np.log2(diag_b))
             assert _close(plan.fictitious_rates_bits, 2.0 * np.log2(diag_e))
-            assert _close(plan.secret_rates_bits,
-                          np.maximum(2.0 * np.log2(diag_b / diag_e), 0.0))
-            sic = scheme.build_sic_plan(h_b, b, va)
-            assert _close(base.sinr, sic.sinr)
-            for name in ("rates_bits", "fictitious_rates_bits", "alpha"):
-                assert np.array_equal(getattr(dpc, name), getattr(
-                    scheme.build_dpc_plan(h_b, h_e, kbar, mode), name))
-            assert dpc.base is not None and _close(dpc.base.t_tilde, t, feedback_scale)
-            lbs.add((secrecy.secrecy_capacity_cov(h_b, h_e, kbar).lb == 0,
-                     secrecy.secrecy_capacity_cov(h_b, h_e, kbar).lb == kbar.shape[0]))
+            secret = np.maximum(2.0 * np.log2(diag_b / diag_e), 0.0)
+            assert _close(plan.secret_rates_bits, secret)
+            assert _close(base.sinr, scheme.build_sic_plan(h_b, b, va).sinr)
+            live = diag_b ** 2 - 1.0 > scheme._DEAD_SNR
+            assert _close(dpc.base.t_tilde, t, feedback_scale)
+            assert _close(dpc.rates_bits, np.where(live, secret, 0.0))
+            assert _close(dpc.fictitious_rates_bits, np.where(live, 2.0 * np.log2(diag_e), 0.0))
+            lb = secrecy.secrecy_capacity_cov(h_b, h_e, kbar).lb
+            lbs.add((lb == 0, lb == kbar.shape[0]))
         assert {(True, False), (False, True), (False, False)} <= lbs
 
     def test_broadcast_plan(self):
@@ -1024,6 +1023,9 @@ def _golden_fields(rep):
 #: ``float.hex`` of the fields.  All seven were re-recorded when every
 #: simulator began to read its sums off one Gram of its draws: they moved in
 #: their last bits (at most 5.2e-16 relative, and 3e-16 bits on the leakages).
+#: The SINR fields (and the DPC alpha residuals) moved again, by at most 1.0e-15
+#: relative, when the plans began to read their factors off the precoder's own
+#: factorization.
 GOLDEN_REPORTS = {
     "sic_genie": {
         "sinr_empirical": ["0x1.b7a5e92a72ffdp+1", "0x1.6a2e212d92d08p+1", "0x0.0p+0"],
@@ -1129,6 +1131,9 @@ def _golden_digests(result, prefix=""):
 #: take them in closed form from the wiretap plan it builds on.  ``n4_power``
 #: was re-recorded when the power search began to rank candidates on their own
 #: factors: its bound went from 4.413693557123825 to 4.465190869281963 bits.
+#: Every wiretap, DPC and broadcast entry moved by rounding (at most 1.4e-14
+#: relative) when each plan began to read its factors off its precoder's own
+#: factorization instead of a QR.
 GOLDEN_PLANS = {
     "n2_capacity": {
         "gsv": "1439496734e55dc3", "lb": "7c9fa136d4413fa6",
