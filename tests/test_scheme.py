@@ -618,6 +618,23 @@ class TestSolveMemo:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 7.0
 
+    def test_an_optimal_kernel_never_joins_another_problem(self, rng, monkeypatch):
+        # As if another thread kept its problem while this plan formed its optimal kernel.
+        mine, other, third = [wiretap_instance(rng) for _ in range(3)]
+        want = [_bits(scheme.build_wiretap_plan(*p, "gsvd")) for p in (mine, other)]
+        secrecy.secrecy_capacity_cov(*third)
+        secrecy.secrecy_capacity_cov(*mine)
+        kernel_ql = secrecy._kernel_ql
+
+        def interleaved(*args):
+            monkeypatch.setattr(secrecy, "_kernel_ql", kernel_ql)
+            secrecy.secrecy_capacity_cov(*other)
+            return kernel_ql(*args)
+
+        monkeypatch.setattr(secrecy, "_kernel_ql", interleaved)
+        assert _bits(scheme.build_wiretap_plan(*mine, "gsvd")) == want[0]
+        assert _bits(scheme.build_wiretap_plan(*other, "gsvd")) == want[1]
+
     def test_broadcast_precoder_is_the_gsvd_precoder_of_the_pair(self, rng):
         h_b, h_c = complex_gaussian(rng, 4, 3), complex_gaussian(rng, 2, 3)
         for kbar in [random_psd(rng, 3), random_psd(rng, 3, 1), random_psd(rng, 3, 2),
