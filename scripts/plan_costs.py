@@ -22,8 +22,9 @@ the medians per transmit dimension n.  The "power search" line times
 ``power_constrained_capacity`` on the benchmark's power problems
 (``workloads.power_problem`` of ``--seed``, budget ``POWER_BUDGET``),
 ``--rounds`` times each, alternating which package goes first, and gives
-each package's mean time in milliseconds, their ratio and each package's
-mean bound in bits.
+each package's mean time in milliseconds, their ratio, each package's
+mean bound in bits, and how many searches returned a ``kbar`` or a bound
+whose bits differ between the two packages.
 """
 
 import os
@@ -113,15 +114,19 @@ def main(argv=None):
             packages[name].secrecy_capacity_cov(h_b, h_e, kbar)
             cold[name].setdefault(n, []).append(time.perf_counter() - start)
     power = {name: ([], []) for name in packages}
+    differ = 0
     for round_ in range(args.rounds):
         for index in range(POWER_PROBLEMS):
             h_b, h_e, total, search_seed = power_problem(args.seed, index)
+            found = {}
             for name in ordered(packages, index + round_):
                 start = time.perf_counter()
                 res = packages[name].power_constrained_capacity(
                     h_b, h_e, total, budget=POWER_BUDGET, seed=search_seed)
                 power[name][0].append(time.perf_counter() - start)
                 power[name][1].append(res.capacity_lower_bound)
+                found[name] = (res.kbar.tobytes(), res.capacity_lower_bound)
+            differ += found["parent"] != found["change"]
     print(f"{'call':32s} {'parent us':>10s} {'change us':>10s} {'ratio':>7s}")
     for label, per_n in times["parent"].items():
         pooled = {name: [t for ts in times[name][label].values() for t in ts] for name in times}
@@ -138,7 +143,8 @@ def main(argv=None):
     before, after = statistics.fmean(before) * 1e3, statistics.fmean(after) * 1e3
     print(f"power search (mean ms): parent {before:.2f}, change {after:.2f}, ratio "
           f"{before / after:.3f}; mean bound: parent {statistics.fmean(bound_before):.5f}, "
-          f"change {statistics.fmean(bound_after):.5f} bits ({POWER_PROBLEMS} problems x "
+          f"change {statistics.fmean(bound_after):.5f} bits; {differ} of {len(bound_before)} "
+          f"searches differ in the bits of kbar or the bound ({POWER_PROBLEMS} problems x "
           f"{args.rounds} rounds, budget {POWER_BUDGET})")
 
 

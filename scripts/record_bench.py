@@ -1,17 +1,21 @@
-"""Record the benchmark trajectory file ``BENCH_<pr>.json``.
+"""Record the benchmark trajectory file ``BENCH_<label>.json``.
 
 Usage, from the root of a wtd checkout:
 
     python3 scripts/record_bench.py N
-    python3 scripts/record_bench.py M=../parent-checkout N
+    python3 scripts/record_bench.py N_parent=../parent-checkout N
 
-Each target is ``PR`` or ``PR=CHECKOUT``: the number of the change the
-file belongs to, and its checkout, which defaults to this repository.  For
+Each target is ``LABEL`` or ``LABEL=CHECKOUT``: the label of the file, the
+number of the change it belongs to with an optional ``_suffix`` (such as
+``N_parent`` for the parent of change ``N``, re-recorded beside it), and its
+checkout, which defaults to this repository.  A file that git tracks is
+never overwritten: a target whose ``BENCH_<label>.json`` is tracked is
+refused before anything runs.  For
 each of the seeds 1 to 5 and every workload named in ``BENCHMARK.json``,
 the script runs ``bench/run.py --trace 0`` of each target's own checkout,
 one process at a time.  With several targets, the order rotates from one
 run to the next, so a slow spell of the machine does not always hit the
-same target.  It then writes ``BENCH_<pr>.json`` at the root of this
+same target.  It then writes ``BENCH_<label>.json`` at the root of this
 repository for each target: the git revision of the checkout, the
 machine, the settings, and per workload each end-to-end metric's median,
 quartiles and IQR over the seeds, with the value of every run.  The same
@@ -24,6 +28,7 @@ check stops the recording.
 import argparse
 import json
 import platform
+import re
 import resource
 import statistics
 import subprocess
@@ -37,13 +42,19 @@ SEEDS = (1, 2, 3, 4, 5)
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("targets", nargs="+", metavar="PR[=CHECKOUT]")
+    parser.add_argument("targets", nargs="+", metavar="LABEL[=CHECKOUT]")
     targets = []
     for text in parser.parse_args(argv).targets:
-        pr, _, checkout = text.partition("=")
-        if not pr.isdigit():
-            parser.error(f"target {text!r} must be PR or PR=CHECKOUT")
-        targets.append((int(pr), Path(checkout or ROOT).resolve()))
+        label, _, checkout = text.partition("=")
+        if not re.fullmatch(r"\d+(_\w+)?", label, re.ASCII):
+            parser.error(f"target {text!r} must be LABEL or LABEL=CHECKOUT, "
+                         "LABEL a change number with an optional _suffix")
+        if git(ROOT, "ls-files", "--error-unmatch", f"BENCH_{label}.json") is not None:
+            parser.error(f"BENCH_{label}.json is tracked by git and is never overwritten; "
+                         f"record under a new label such as {label}_parent")
+        targets.append((label, Path(checkout or ROOT).resolve()))
+    if len({label for label, _ in targets}) < len(targets):
+        parser.error("every target needs its own label")
     return targets
 
 
@@ -95,40 +106,42 @@ def main(argv=None):
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
-    runs = {pr: {w: [] for w in workloads} for pr, _ in targets}
+    runs = {label: {w: [] for w in workloads} for label, _ in targets}
     # The source state is read before the runs, so edits made while they go
     # on do not mark it.
-    revisions = {pr: (git(checkout, "rev-parse", "HEAD"),
-                      bool(git(checkout, "status", "--porcelain")))
-                 for pr, checkout in targets}
+    revisions = {label: (git(checkout, "rev-parse", "HEAD"),
+                         bool(git(checkout, "status", "--porcelain")))
+                 for label, checkout in targets}
     machine = {}
     turn = 0
     for seed in SEEDS:
         for workload in workloads:
-            for pr, checkout in targets[turn:] + targets[:turn]:
+            for label, checkout in targets[turn:] + targets[:turn]:
                 result, details, faults = run_once(checkout, workload, seed, seconds)
-                machine.setdefault(pr, details["machine"])
-                runs[pr][workload].append((result, details, faults))
-                print(f"BENCH_{pr} {workload} seed {seed}: "
+                machine.setdefault(label, details["machine"])
+                runs[label][workload].append((result, details, faults))
+                print(f"BENCH_{label} {workload} seed {seed}: "
                       f"calls_per_s {result['metrics']['calls_per_s']['value']:.4g}, "
                       f"minor faults {faults}",
                       file=sys.stderr, flush=True)
             turn = (turn + 1) % len(targets)
 
-    for pr, _ in targets:
-        info = {k: v for k, v in machine[pr].items() if k not in ("seed", "workload")}
+    for label, _ in targets:
+        info = {k: v for k, v in machine[label].items() if k not in ("seed", "workload")}
         info.update(platform=platform.platform(), cpu=cpu_model())
+        number, _, suffix = label.partition("_")
         record = {
-            "pr": pr,
-            "git_revision": revisions[pr][0],
-            "git_dirty": revisions[pr][1],
+            "pr": int(number),
+            **({"label": label} if suffix else {}),
+            "git_revision": revisions[label][0],
+            "git_dirty": revisions[label][1],
             "machine": info,
             "command": "python3 bench/run.py --workload W --seed S "
                        f"--seconds {seconds:g} --trace 0",
             "seeds": list(SEEDS),
             "workloads": {},
         }
-        for workload, done in runs[pr].items():
+        for workload, done in runs[label].items():
             metrics = {name: dict(unit=unit, **summary(
                 [r["metrics"][name]["value"] for r, _, _ in done]))
                 for name, unit in units.items()}
@@ -138,7 +151,7 @@ def main(argv=None):
                 "fail_ratio": max(d["fail_ratio"] for _, d, _ in done),
                 "attempted": sum(r["attempted"] for r, _, _ in done),
             }
-        path = ROOT / f"BENCH_{pr}.json"
+        path = ROOT / f"BENCH_{label}.json"
         path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {path}", file=sys.stderr)
     return 0

@@ -193,6 +193,21 @@ def _factor_kernel(h_b, h_e, f):
     return _gsvd_kernel(*pair, check=False)
 
 
+def _square_pair(h_b, h_e):
+    # ``[R; 0]``, 2n x n, for the ``n x n`` R factors of both channels (zero rows below a wide one):
+    # ``[h F; I]`` is a left isometry times ``[R F; I] = [R; 0] F + [0; I]``, with the same GSVs.
+    return np.stack([np.pad(np.linalg.qr(h, mode="r"), ((0, 2 * h.shape[1] - min(h.shape)), (0, 0)))
+                     for h in (h_b, h_e)])
+
+
+def _candidate_gsv(rs, fs):
+    # GSVs of ``[R_b F; I]``, ``[R_e F; I]`` for a ``(B, n, n)`` stack of factors ``F``: one
+    # stacked triangular QR of both, one solve for ``(R_1 R_2^-1)'``, its singular values alone.
+    n = fs.shape[-1]
+    r1, r2 = np.linalg.qr(rs[:, None] @ fs + np.eye(2 * n, n, -n), mode="r").swapaxes(-1, -2)
+    return np.linalg.svd(np.linalg.solve(r2, r1), compute_uv=False)
+
+
 def _root_and_gsv(h_b, h_e, k):
     # The root ``b`` of ``k`` (or of a stack) and its :func:`_factor_kernel`.  A 2-D ``k``
     # goes through ``_last``, keyed by input bytes; ``_secrecy`` adds its solve there.
@@ -269,7 +284,7 @@ def _optimal_kernel(h_b, h_e, kbar):
 
 
 def _optimal(b, mu, u, q2, wh, r2):
-    capacity = float(np.sum(np.maximum(2.0 * np.log2(mu), 0.0)))
+    capacity = float(np.sum(2.0 * np.log2(np.maximum(mu, 1.0))))  # = sum max(2 log2 mu, 0)
     lb = _active_count(mu)
     basis = np.linalg.qr(_adjoint(wh[lb:] @ r2), mode="complete")[0]
     active = b @ basis[:, mu.size - lb:]
@@ -381,7 +396,9 @@ def power_constrained_capacity(h_b, h_e, power, budget=400, seed=0):
     constraints by random restarts plus a local (1+1) evolution search.
     Each candidate is a factor ``f`` with ``|f|_F^2 = power``, ranked by
     ``sum max(2 log2 gsv, 0)`` over the GSVs of ``[h_b f; I]``, ``[h_e f;
-    I]``, which are those of ``f f'``, so no candidate is rooted.  From the
+    I]``, which are those of ``f f'``, so no candidate is rooted: they are read
+    off the channels' ``n x n`` R factors, by one stacked triangular QR of both
+    ``[R f; I]``, one solve and singular values alone per stack.  From the
     start ``sqrt(power / n) I``, ``budget // 4`` random restarts are ranked
     in stacks, then steps around the incumbent factor, ranked speculatively
     in stacks as if each failed; the result equals a one-at-a-time search's.
@@ -390,8 +407,8 @@ def power_constrained_capacity(h_b, h_e, power, budget=400, seed=0):
     the bound below it.  The bound is the capacity of ``kbar`` by
     :func:`secrecy_capacity_cov`, the search's only root, so it re-evaluates
     bit for bit.  ``evaluations`` equals ``budget``; a larger budget can end
-    lower, as it shifts the random stream of the steps.  A power at which the
-    search's arithmetic overflows raises :class:`DomainError` naming it.
+    lower, as it shifts the random stream of the steps.  A power past half
+    the double range, or overflowing the search, raises :class:`DomainError`.
     """
     if isinstance(power, bool) or not isinstance(power, (int, float, np.integer, np.floating)) \
             or not 0 < power < np.inf:
@@ -401,6 +418,8 @@ def power_constrained_capacity(h_b, h_e, power, budget=400, seed=0):
         raise DomainError("h_b and h_e must be 2-D with the same number of columns")
     if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 1:
         raise DomainError("budget must be at least 1 and an integer")
+    if power > np.finfo(float).max / 2.0:  # ``kbar + kbar'`` doubles entries up to ``power``
+        _overflow("overflow", None)
     with np.errstate(over="call", invalid="call", call=_overflow):
         return _power_search(h_b, h_e, power, budget, seed)
 
@@ -413,14 +432,21 @@ def _power_search(h_b, h_e, power, budget, seed):
     isotropic = np.eye(n, dtype=complex) * (power / n)
     iso_f = np.eye(n, dtype=complex) * np.sqrt(power / n)
 
+    # The start is ranked by the certifying call's kernel, so a bound that falls back to it
+    # re-evaluates bit for bit; ``2 log2 max(mu, 1)`` is ``max(2 log2 mu, 0)`` with no log of 0.
+    mu = _factor_kernel(h_b, h_e, iso_f)[0]
+    start_c = best_c = float(np.sum(2.0 * np.log2(np.maximum(mu, 1.0))))
+    best_f, evaluations, rs = iso_f, 1, _square_pair(h_b, h_e)
+
     def normalized(f):
         # Factors scaled to squared Frobenius norm ``power``; an all-zero one maps to ``iso_f``.
-        norm2 = np.sum(np.abs(f) ** 2, axis=(-2, -1))[..., None, None]
-        dead = norm2 <= 0.0
-        return np.where(dead, iso_f, f * np.sqrt(power / np.where(dead, 1.0, norm2)))
-
-    best_c, best_f = -np.inf, None
-    evaluations = 0
+        # The norm is taken of ``|f| s``, ``s`` the power of two putting the top entry in [1, 2):
+        # exact, so the bits are the plain norm's, yet no square overflows (and ``norm2 >= 1``).
+        a = np.abs(f)
+        s = np.ldexp(1.0, 1 - np.frexp(a.max(axis=(-2, -1), keepdims=True))[1])
+        norm2 = np.square(a * s).sum(axis=(-2, -1), keepdims=True)
+        scaled = f * (s * np.sqrt(power / np.maximum(norm2, 1.0)))
+        return scaled if norm2.all() else np.where(norm2 > 0.0, scaled, iso_f)
 
     def consider(fs, first=False):
         # Rank a factor, or a stack of them in order (with ``first``, only up to the first
@@ -428,7 +454,7 @@ def _power_search(h_b, h_e, power, budget, seed):
         nonlocal best_c, best_f, evaluations
         fs = fs.reshape(-1, n, n)
         try:
-            mu = _factor_kernel(h_b, h_e, fs)[0]
+            mu = _candidate_gsv(rs, fs)
         except (DomainError, NumericalFailure):
             # A candidate past the first improvement must not fail the
             # stack: take the candidates one at a time instead.
@@ -436,16 +462,13 @@ def _power_search(h_b, h_e, power, budget, seed):
                 raise
             return next((i for i, f in enumerate(fs) if consider(f) >= 0), -1)
         last = -1
-        for i, c in enumerate(np.sum(np.maximum(2.0 * np.log2(mu), 0.0), axis=-1)):
+        for i, c in enumerate(np.sum(2.0 * np.log2(np.maximum(mu, 1.0)), axis=-1)):
             evaluations += 1
             if c > best_c:
                 best_c, best_f, last = c, fs[i], i
                 if first:
                     break
         return last
-
-    consider(iso_f)
-    start_c = float(best_c)
 
     # Beamforming along the strongest generalized eigendirection of the two
     # links is the natural single-stream candidate.  A Gram that overflows
@@ -468,22 +491,24 @@ def _power_search(h_b, h_e, power, budget, seed):
 
     # Refinement: (1+1) evolution steps around the incumbent factor with an adapted size.  A
     # step's noise, and its size while none succeeds, do not depend on the incumbent, so the next
-    # ``_REFINE_BATCH`` are ranked as one stack; noise drawn past the first improvement is kept.
-    step = 0.5
-    scale = np.sqrt(power / (2.0 * n))
-    noise = np.empty((0, n, n), dtype=complex)
+    # ``_REFINE_BATCH`` are ranked as one stack.  Noise is drawn in stream order, ``STACK_CHUNK``
+    # steps at most at a time, and ``noise[used:]``, drawn past the first improvement, is kept.
+    step, scale = 0.5, np.sqrt(power / (2.0 * n))
+    noise, used = np.empty((0, n, n), dtype=complex), 0
     while evaluations < budget:
         width = min(_REFINE_BATCH, budget - evaluations)
-        z = rng.standard_normal((width - len(noise), 2, n, n))
-        noise = np.concatenate([noise, z[:, 0] + 1j * z[:, 1]])
+        if len(noise) - used < width:
+            z = rng.standard_normal((min(STACK_CHUNK, budget - evaluations), 2, n, n))
+            noise, used = np.concatenate([noise[used:], z[:, 0] + 1j * z[:, 1]]), 0
         steps = np.empty(width)
         for j in range(width):
             steps[j] = step
             step = min(max(step * 0.87, 1e-9), 2.0)
-        hit = consider(normalized(best_f + (steps * scale)[:, None, None] * noise), first=True)
+        moves = (steps * scale)[:, None, None] * noise[used:used + width]
+        hit = consider(normalized(best_f + moves), first=True)
         if hit >= 0:
             step = min(max(steps[hit] * 1.8, 1e-9), 2.0)
-        noise = noise[hit + 1 if hit >= 0 else width:]
+        used += hit + 1 if hit >= 0 else width
 
     # Improvements are strict, so ``best_c > start_c`` exactly when one was found.  A marginal
     # one can re-evaluate below the start by rounding; the start is kept then.

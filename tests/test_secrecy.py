@@ -417,15 +417,17 @@ class TestPowerConstrainedCapacity:
 
 
 def sequential_power_search(h_b, h_e, power, budget, seed):
-    """Reference for the power search: every factor ranked on its own, by the
-    GSVs of its own pair, and the (1+1) refinement taken one step at a time.
-    Returns ``kbar``, the bound, the evaluation count and the largest
-    refinement step."""
+    """Reference for the power search: the start ranked by its certified
+    capacity, every other factor on its own by the ranking kernel, and the
+    (1+1) refinement taken one step at a time.  Returns ``kbar``, the bound,
+    the evaluation count and the largest refinement step."""
     n = h_b.shape[1]
     rng = np.random.default_rng(seed)
     start = np.eye(n, dtype=complex) * np.sqrt(power / n)
-    best = [-np.inf, None]
-    evaluations = 0
+    rs = secrecy._square_pair(h_b, h_e)
+    isotropic = np.eye(n, dtype=complex) * (power / n)
+    best = [secrecy.secrecy_capacity_cov(h_b, h_e, isotropic).capacity_bits, start]
+    evaluations = 1
 
     def normalized(f):
         norm2 = np.sum(np.abs(f) ** 2, axis=(-2, -1))
@@ -434,15 +436,13 @@ def sequential_power_search(h_b, h_e, power, budget, seed):
     def consider(f):
         nonlocal evaluations
         evaluations += 1
-        mu = decomp.gsv_values(secrecy.effective_mmse_matrix(h_b, f),
-                               secrecy.effective_mmse_matrix(h_e, f))
+        mu = secrecy._candidate_gsv(rs, f[None])[0]
         c = np.sum(np.maximum(2.0 * np.log2(mu), 0.0))
         if c > best[0]:
             best[:] = [c, f]
             return True
         return False
 
-    consider(start)
     start_c = best[0]
     pencil = np.linalg.solve(np.eye(n) + h_e.conj().T @ h_e, np.eye(n) + h_b.conj().T @ h_b)
     w, vecs = np.linalg.eig(pencil)
@@ -460,7 +460,6 @@ def sequential_power_search(h_b, h_e, power, budget, seed):
         else:
             step *= 0.87
         step = min(max(step, 1e-9), 2.0)
-    isotropic = np.eye(n, dtype=complex) * (power / n)
     kbar = isotropic
     if best[0] > start_c:
         k = best[1] @ best[1].conj().T
@@ -491,6 +490,14 @@ class TestSpeculativeRefinement:
         for budget in (1, 2, 3, self.BATCH - 1, self.BATCH, self.BATCH + 1, 137, 500):
             assert_same_search(h_b, h_e, 0.5 * n, budget, seed=n + budget)
 
+    def test_matches_across_noise_chunks(self, rng):
+        # 1,948 refinement steps: their noise comes in two draws of at most
+        # STACK_CHUNK steps, and a stack can straddle the two.
+        budget = 2600
+        assert budget - 2 - budget // 4 > secrecy.STACK_CHUNK
+        assert_same_search(complex_gaussian(rng, 4, 3), complex_gaussian(rng, 3, 3), 1.5,
+                           budget, seed=9)
+
     @pytest.mark.parametrize("budget, seed, capped", [(12, 2, False), (12, 7, True),
                                                       (40, 14, True)])
     def test_matches_when_step_reaches_cap(self, budget, seed, capped):
@@ -506,17 +513,17 @@ class TestSpeculativeRefinement:
         # A failure of a candidate the sequential search never ranks must
         # not end the search: a refinement stack that fails is retaken one
         # candidate at a time.
-        factor_kernel = secrecy._factor_kernel
+        candidate_gsv = secrecy._candidate_gsv
 
-        def fail_refinement_stacks(h_b, h_e, f):
-            if f.ndim == 3 and 1 < f.shape[0] <= self.BATCH:
+        def fail_refinement_stacks(rs, fs):
+            if 1 < fs.shape[0] <= self.BATCH:
                 raise DomainError("injected")
-            return factor_kernel(h_b, h_e, f)
+            return candidate_gsv(rs, fs)
 
         h_b = complex_gaussian(rng, 4, 3)
         h_e = complex_gaussian(rng, 3, 3)
         expected = sequential_power_search(h_b, h_e, 2.0, 137, 5)
-        monkeypatch.setattr(secrecy, "_factor_kernel", fail_refinement_stacks)
+        monkeypatch.setattr(secrecy, "_candidate_gsv", fail_refinement_stacks)
         res = secrecy.power_constrained_capacity(h_b, h_e, 2.0, budget=137, seed=5)
         assert res.kbar.tobytes() == expected[0].tobytes()
         assert (res.capacity_lower_bound, res.evaluations) == expected[1:3]
@@ -524,7 +531,7 @@ class TestSpeculativeRefinement:
     def test_ranks_refinement_in_stacks(self, rng, monkeypatch):
         # Call count, not time: one call per refinement step is about 376
         # calls at budget 500, one stack per batch fewer than 150.
-        calls = count_calls(monkeypatch, secrecy, ("_factor_kernel",))
+        calls = count_calls(monkeypatch, secrecy, ("_candidate_gsv",))
         res = secrecy.power_constrained_capacity(complex_gaussian(rng, 5, 4),
                                                  complex_gaussian(rng, 6, 4), 4.0,
                                                  budget=500, seed=11)
@@ -761,9 +768,106 @@ def test_monotonicity_violation_reports_a_witness(monkeypatch):
     assert np.linalg.eigvalsh(kbar - report.witness).min() >= -1e-12
 
 
+class TestCandidateKernel:
+    """The power search's ranking kernel against the GSVs of the full pairs."""
+
+    # (scale of h_b, scale of h_e, scale of the factors).  ``gsv_values`` refuses a second
+    # matrix ``[h_e F; I]`` of condition past 1e12, so h_e is never scaled up.
+    SCALES = [(1.0, 1.0, 1.0), (1e150, 1.0, 1.0), (1e-150, 1.0, 1.0), (1.0, 1e-150, 1.0),
+              (1e150, 1e-150, 1.0), (1e-150, 1e-150, 1.0), (1.0, 1.0, 1e-150), (1e150, 1.0, 1e-150)]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_gsv_values_of_the_full_pairs(self, rng, n):
+        rows = sorted({max(1, n - 1), n, n + 2})
+        for m_b in rows:
+            for m_e in rows:
+                for scale_b, scale_e, scale_f in self.SCALES:
+                    h_b = scale_b * complex_gaussian(rng, m_b, n)
+                    h_e = scale_e * complex_gaussian(rng, m_e, n)
+                    fs = scale_f * complex_gaussian(rng, 4 * n, n).reshape(4, n, n)
+                    mu = secrecy._candidate_gsv(secrecy._square_pair(h_b, h_e), fs)
+                    assert mu.shape == (4, n)
+                    for f, got in zip(fs, mu):
+                        ref = decomp.gsv_values(secrecy.effective_mmse_matrix(h_b, f),
+                                                secrecy.effective_mmse_matrix(h_e, f))
+                        assert np.max(np.abs(got - ref) / ref) <= 1e-12
+                        capacity = np.sum(np.maximum(2.0 * np.log2(got), 0.0))
+                        expected = np.sum(np.maximum(2.0 * np.log2(ref), 0.0))
+                        assert abs(capacity - expected) <= 1e-12 * max(1.0, expected)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_stacked_rows_equal_single_calls(self, rng, n):
+        for m_b, m_e in [(n + 1, n), (max(1, n - 1), n + 2), (n, max(1, n - 2))]:
+            rs = secrecy._square_pair(complex_gaussian(rng, m_b, n), complex_gaussian(rng, m_e, n))
+            fs = complex_gaussian(rng, 20 * n, n).reshape(20, n, n)
+            mu = secrecy._candidate_gsv(rs, fs)
+            for i in range(len(fs)):
+                assert mu[i].tobytes() == secrecy._candidate_gsv(rs, fs[i:i + 1])[0].tobytes()
+            assert mu[3:11].tobytes() == secrecy._candidate_gsv(rs, fs[3:11]).tobytes()
+
+
+class TestSearchRange:
+    H_B = np.array([[1.0 + 0.5j, -0.25 + 1.0j], [0.5 - 0.75j, 1.25]])
+    H_E = np.array([[0.5 + 0.25j, 0.75 - 0.5j], [-0.25 + 0.5j, 0.25 + 0.25j]])
+
+    # Bounds of version 0.11.0, which ranked on the full pairs, at budget 300 and seed 3 on the
+    # 4x3 problem of ``TestPowerConstrainedCapacity.GOLDEN``.
+    GOLDEN = [("h_b x 1e160", 1e160, 1.0, 4, 3, 3.0, 3186.561526852328),
+              ("h_e x 1e160", 1.0, 1e160, 4, 3, 3.0, 0.0),
+              ("2-row h_e", 1.0, 1.0, 4, 2, 1e20, 68.17258593897589),
+              ("2-row h_b", 1.0, 1.0, 2, 3, 1e12, 1.955046571996878),
+              ("power 1e200", 1.0, 1.0, 4, 3, 1e200, 3.3119483587467706)]
+
+    @pytest.mark.parametrize("name, scale_b, scale_e, m_b, m_e, power, bound", GOLDEN,
+                             ids=[g[0] for g in GOLDEN])
+    def test_bound_of_the_full_pair_route(self, name, scale_b, scale_e, m_b, m_e, power, bound):
+        problem_rng = np.random.default_rng(31337)
+        h_b = scale_b * complex_gaussian(problem_rng, 4, 3)[:m_b]
+        h_e = scale_e * complex_gaussian(problem_rng, 3, 3)[:m_e]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = secrecy.power_constrained_capacity(h_b, h_e, power, budget=300, seed=3)
+        assert abs(res.capacity_lower_bound - bound) <= 1e-12 * max(1.0, bound)
+        assert res.capacity_lower_bound == secrecy.secrecy_capacity_cov(h_b, h_e,
+                                                                        res.kbar).capacity_bits
+
+    @pytest.mark.parametrize("power, accepted", [
+        (1e307, True), (5e307, True), (np.finfo(float).max / 2.0, True),
+        (np.nextafter(np.finfo(float).max / 2.0, np.inf), False), (1e308, False)])
+    def test_edge_does_not_depend_on_the_seed(self, power, accepted):
+        # Each candidate's norm is taken after a power-of-two scaling, so only
+        # ``kbar + kbar'`` limits the power: up to half the double range every
+        # seed is searched, past it every seed is refused.
+        for budget in (400, 500):
+            for seed in range(8):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    if not accepted:
+                        with pytest.raises(DomainError, match="total power is out of range"):
+                            secrecy.power_constrained_capacity(self.H_B, self.H_E, power,
+                                                               budget=budget, seed=seed)
+                        continue
+                    res = secrecy.power_constrained_capacity(self.H_B, self.H_E, power,
+                                                             budget=budget, seed=seed)
+                assert res.evaluations == budget and np.isfinite(res.capacity_lower_bound)
+                assert np.isclose(np.real(np.trace(res.kbar)), power, rtol=1e-9)
+
+
+    @pytest.mark.parametrize("problem, seed", [(5, 0), (7, 2)])
+    def test_lost_gsv_warns_nowhere(self, problem, seed):
+        # At this power ``[h_e F; I]`` of a wide h_e has a condition near 1e153, and the ranking
+        # (problem 5) or the certifying kernel (problem 7) returns a GSV as exactly 0.
+        problem_rng = np.random.default_rng(problem)
+        h_b, h_e = complex_gaussian(problem_rng, 5, 4), complex_gaussian(problem_rng, 3, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = secrecy.power_constrained_capacity(h_b, h_e, 1e307, budget=400, seed=seed)
+        assert res.evaluations == 400 and np.isfinite(res.capacity_lower_bound)
+
+
 @pytest.mark.parametrize("power", [1.5e308, 1.7e308])
 def test_power_past_the_search_range_is_named(power):
-    # The factors' squared norms overflow: a DomainError naming the power, no warning.
+    # ``kbar + kbar'`` could overflow: a DomainError naming the power, no warning.
     h_b, h_e = complex_gaussian(np.random.default_rng(3), 2, 2), 0.5 * np.eye(2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
