@@ -292,7 +292,7 @@ def cmd_capacity(problem, args_echo):
     report = _report_skeleton("capacity", problem, args_echo)
     report.update(capacity_bits=result.capacity_bits, lb=result.lb, k_star=result.k_star)
     report["streams"] = _stream_rows(
-        {"gsv": result.gsv, "rate_bits": np.maximum(2.0 * np.log2(result.gsv), 0.0)})
+        {"gsv": result.gsv, "rate_bits": 2.0 * np.log2(np.maximum(result.gsv, 1.0))})
     if "power" in problem:
         search = secrecy.power_constrained_capacity(
             problem["h_b"], h_e, problem["power"], budget=budget, seed=problem["seed"])

@@ -31,8 +31,7 @@ import numpy as np
 
 from .decomp import _as_matrix, _gmd_thin, _kernel_ql, _qr_diagonal, require_unitary
 from .errors import DomainError, InsufficientSamples
-from .secrecy import (_active_count, _as_square, _factor_kernel, _optimal_kernel, _root_and_gsv,
-                      _secrecy, effective_mmse_matrix)
+from .secrecy import _active_count, _factor_kernel, _problem, effective_mmse_matrix
 
 PRECODER_MODES = ("gsvd", "svd_eve", "svd_bob", "gmd_bob")
 
@@ -226,12 +225,13 @@ def build_wiretap_plan(h_b, h_e, kbar, mode):
     """
     h_b = np.asarray(h_b, dtype=complex)
     m = h_b.shape[0]
+    problem = _problem(h_b, h_e, kbar, "constraint")
+    b = problem.solved[1]
     if mode == "gsvd":
-        b, (mu, u, va, diag_l) = _optimal_kernel(h_b, h_e, kbar)
+        mu, u, va, diag_l = problem.k_star_kernel
         diag_e = diag_l / np.sqrt(1.0 + mu * mu)
         bob = mu * diag_e, u[:m]
     else:
-        b = _secrecy(h_b, h_e, kbar)[1]
         g_b, g_e = effective_mmse_matrix(h_b, b), effective_mmse_matrix(h_e, b)
         va, p, sigma = _svd_precoder(g_b, g_e, mode)
         if mode == "svd_eve":
@@ -285,7 +285,8 @@ def build_broadcast_plan(h_b, h_c, kbar):
     totals hit both corners of the rectangular region simultaneously.
     """
     h_b, h_c = np.asarray(h_b, dtype=complex), np.asarray(h_c, dtype=complex)
-    b, kernel = _root_and_gsv(h_b, h_c, _as_square(kbar, "covariance"))
+    problem = _problem(h_b, h_c, kbar, "covariance")
+    b, kernel = problem.root, problem.kernel
     mu, u, _, wh, r2 = kernel
     va, diag_l = _kernel_ql(*kernel)
     diag_c = diag_l / np.sqrt(1.0 + mu * mu)

@@ -10,6 +10,7 @@ bits per channel use (base-2 logarithms).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,9 +33,8 @@ STACK_CHUNK = 1024
 _REFINE_BATCH = 8
 #: Largest GSV deviation ``verify_truncation`` accepts.
 _TRUNCATION_TOL = 1e-7
-#: The last 2-D problem, one ``(key, (root, kernel, solve or None, optimal kernel or None))`` tuple
-#: replaced whole (no thread pairs a key with another's value); its arrays are read-only.
-_last = (None, (None, None, None, None))
+#: The last 2-D problem solved, a :class:`_Problem`; only :func:`_problem` assigns it.
+_last = None
 
 
 def _as_square(k, name, stacked=False):
@@ -208,23 +208,45 @@ def _candidate_gsv(rs, fs):
     return np.linalg.svd(np.linalg.solve(r2, r1), compute_uv=False)
 
 
-def _root_and_gsv(h_b, h_e, k):
-    # The root ``b`` of ``k`` (or of a stack) and its :func:`_factor_kernel`.  A 2-D ``k``
-    # goes through ``_last``, keyed by input bytes; ``_secrecy`` adds its solve there.
-    global _last
-    k = np.asarray(k, dtype=complex)
-    if k.ndim == 2:
-        h_b, h_e = np.asarray(h_b, dtype=complex), np.asarray(h_e, dtype=complex)
-        key = (h_b.shape, h_b.tobytes(), h_e.shape, h_e.tobytes(), k.shape, k.tobytes())
-        if (last := _last)[0] == key:
-            return last[1][:2]
-    b = matrix_sqrt(k)
-    kernel = _factor_kernel(h_b, h_e, b)
-    if k.ndim == 2:
-        for a in (b, *kernel[:2], *kernel[3:]):
+class _Problem:
+    """One 2-D ``(h_b, h_e, k)``, keyed by their shapes and bytes as complex: the root of ``k``
+    and its :func:`_factor_kernel` from the start, the rest filled on first use (a race at worst
+    fills a field twice, with equal bits).  It hands out read-only arrays, and holds no caller's."""
+
+    def __init__(self, key, h_b, h_e, k):
+        self.key, self._pair = key, (h_b.copy("K"), h_e.copy("K"))
+        self.root = matrix_sqrt(k)
+        self.kernel = _factor_kernel(h_b, h_e, self.root)
+        for a in (self.root, *self.kernel[:2], *self.kernel[3:]):
             a.setflags(write=False)
-        _last = (key, (b, kernel, None, None))
-    return b, kernel
+
+    @cached_property
+    def solved(self):
+        # The result and a factor ``f`` of ``k_star``, by ``_optimal``: the root times the
+        # complete basis, with the ``n - lb`` inactive columns exactly 0, so ``f f' = k_star``.
+        return _optimal(self.root, *self.kernel)
+
+    @cached_property
+    def k_star_kernel(self):
+        # ``(mu, U, va, diag L)`` of the kernel of ``[h_b f; I]``, ``[h_e f; I]`` and its QL.
+        mu, u, *rest = _factor_kernel(*self._pair, self.solved[1])
+        factors = (mu, u, *_kernel_ql(mu, u, *rest))
+        for a in factors:
+            a.setflags(write=False)
+        return factors
+
+
+def _problem(h_b, h_e, kbar, name):
+    # The kept problem if its key matches, else a new one, kept once built: never one that
+    # raises.  A kept ``kbar`` passed its check, so only a new one is checked, as ``name``.
+    global _last
+    k = np.asarray(kbar, dtype=complex)
+    h_b, h_e = np.asarray(h_b, dtype=complex), np.asarray(h_e, dtype=complex)
+    key = (h_b.shape, h_b.tobytes(), h_e.shape, h_e.tobytes(), k.shape, k.tobytes())
+    if (last := _last) and last.key == key:
+        return last
+    _last = problem = _Problem(key, h_b, h_e, _as_square(k, name))
+    return problem
 
 
 def channel_gsv(h_b, h_e, k):
@@ -235,7 +257,10 @@ def channel_gsv(h_b, h_e, k):
     on its own covariance bit for bit, and one stacked call costs far less
     than ``B`` single ones.
     """
-    return _root_and_gsv(h_b, h_e, k)[1][0]
+    k = np.asarray(k, dtype=complex)
+    if k.ndim == 2:
+        return _problem(h_b, h_e, k, "covariance").kernel[0]
+    return _factor_kernel(h_b, h_e, matrix_sqrt(k))[0]
 
 
 def secrecy_capacity_cov(h_b, h_e, kbar):
@@ -249,38 +274,7 @@ def secrecy_capacity_cov(h_b, h_e, kbar):
     the others, a complete QR of their adjoint ends in a basis ``P`` of the
     active ones, and ``k_star = (b P)(b P)'`` with ``b`` the root of ``kbar``.
     """
-    return _secrecy(h_b, h_e, kbar)[0]
-
-
-def _secrecy(h_b, h_e, kbar):
-    # The result and a factor ``f`` of ``k_star``, by ``_optimal`` from the root
-    # ``b`` and the kernel: ``b`` times the complete basis, with the ``n - lb``
-    # inactive columns exactly 0, so ``f f' = k_star``.  It joins the kept entry only
-    # while that holds this root: a race can drop a newer entry, but never mix two.
-    global _last
-    b, kernel = _root_and_gsv(h_b, h_e, _as_square(kbar, "constraint"))
-    root, _, solved, _ = _last[1]
-    if root is not b or solved is None:
-        solved = _optimal(b, *kernel)
-        if (last := _last)[1][0] is b:
-            _last = (last[0], (b, kernel, solved, None))
-    return solved
-
-
-def _optimal_kernel(h_b, h_e, kbar):
-    # The factor ``f`` of ``k_star`` and ``(mu, U, va, diag L)`` of the kernel of ``[h_b f; I]``,
-    # ``[h_e f; I]`` and its QL, kept by the first call only while ``_last`` holds their solve.
-    global _last
-    solved = _secrecy(h_b, h_e, kbar)
-    if (kept := _last[1])[2] is solved and kept[3] is not None:
-        return solved[1], kept[3]
-    mu, u, *rest = _factor_kernel(h_b, h_e, solved[1])
-    factors = (mu, u, *_kernel_ql(mu, u, *rest))
-    for a in factors:
-        a.setflags(write=False)
-    if (last := _last)[1][2] is solved:
-        _last = (last[0], (*last[1][:3], factors))
-    return solved[1], factors
+    return _problem(h_b, h_e, kbar, "constraint").solved[0]
 
 
 def _optimal(b, mu, u, q2, wh, r2):
@@ -340,14 +334,14 @@ def gsv_monotonicity_check(h_b, h_e, kbar, samples, seed):
     """
     if samples < 1:
         raise DomainError("at least one sample is required")
-    b, (mu, *_) = _root_and_gsv(h_b, h_e, _as_square(kbar, "constraint"))
-    reference = np.abs(np.log2(mu))
+    problem = _problem(h_b, h_e, kbar, "constraint")
+    reference = np.abs(np.log2(problem.kernel[0]))
     rng = np.random.default_rng(seed)
     violations = 0
     worst = 0.0
     witness = None
     for start in range(0, samples, STACK_CHUNK):
-        ks = _sample_below(b, rng, min(STACK_CHUNK, samples - start))
+        ks = _sample_below(problem.root, rng, min(STACK_CHUNK, samples - start))
         slack = np.min(reference - np.abs(np.log2(channel_gsv(h_b, h_e, ks))), axis=-1)
         violations += int(np.sum(slack < -1e-8))
         i = np.argmin(slack)
@@ -368,9 +362,12 @@ def broadcast_region(h_b, h_c, kbar):
 
     The first corner sums the positive log-squared GSVs, read off the capacity
     call's root and GSVD kernel of the problem, the second the negative ones;
-    swapping the channel roles inverts the GSVs and swaps the corners.
+    swapping the channel roles inverts the GSVs and swaps the corners.  A GSV
+    lost to 0 (``[h b; I]`` has full rank, so all are positive) raises :class:`DomainError`.
     """
-    mu = channel_gsv(h_b, h_c, kbar)
+    mu = _problem(h_b, h_c, kbar, "covariance").kernel[0]
+    if not mu[-1] > 0.0:  # the smallest
+        raise DomainError("a channel-pair GSV is out of range: the kernel lost it to 0")
     log_sq = 2.0 * np.log2(mu)
     return BroadcastRegion(
         rb_max=float(np.sum(np.maximum(log_sq, 0.0))),

@@ -794,12 +794,16 @@ class TestNumericalRange:
           "h_e": matrix([[1.0, 0.5], [0.25, 1.0]])},
          "the report would hold a NaN or an infinity"),
         (["capacity"], {"h_b": GOLDEN_H_B, "h_e": GOLDEN_H_E}, "SVD did not converge"),
+        (["region"], {"h_b": matrix([[3.73783907e169, 3.88947911e168, -3.07600693e169]]),
+                      "h_c": matrix([[-3.12195599e295, 1.50185864e295, -6.88618242e295]])},
+         "a channel-pair GSV is out of range: the kernel lost it to 0"),
     ])
     def test_refusal_names_the_reason(self, tmp_path, capsys, monkeypatch, command, fields,
                                       reason):
-        # A non-finite report, and a LinAlgError of the library, take the error route:
-        # a column of 1e308 overflows its Householder vector, entries of 1e300 the
-        # svd_bob SINRs, and the kernel's LinAlgError is forced.
+        # A non-finite report, and a LinAlgError or DomainError of the library, take the
+        # error route: a column of 1e308 overflows its Householder vector, entries of 1e300
+        # the svd_bob SINRs, the kernel's LinAlgError is forced, and the region refuses a
+        # GSV the kernel lost to 0.
         def no_convergence(*args):
             raise np.linalg.LinAlgError("SVD did not converge")
 

@@ -6,7 +6,10 @@ Every in-process ``cli.main`` run on a random problem file and flags must:
 * on exit 1, print one ``error:`` line that names a field or a flag, or
   states a numerical reason;
 * on exit 0 (and 3, which still writes its report), print finite JSON;
-* print the same bytes, and write the same CSV, when run again.
+* print the same bytes, and write the same CSV, when run again;
+* on ``capacity`` and ``region``, raise no ``RuntimeWarning``: ``run``
+  turns one into an exception that escapes ``main``.  ``decompose`` and
+  ``simulate`` still overflow on some problems at extreme scales.
 
 Problems have shapes 1-5 x 1-4, entries at scale 1, 10^U(-30, 30) or
 10^U(-300, 300), rare junk entries, every subcommand, kind, scheme and flag,
@@ -21,6 +24,7 @@ import io
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -120,7 +124,9 @@ def problems(draw):
 
 def run(problem, argv):
     """Exit code, stdout, stderr and CSV bytes (or None) of one in-process run."""
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        if argv[0] in ("capacity", "region"):
+            warnings.simplefilter("error", RuntimeWarning)
         path = Path(tmp) / "problem.json"
         path.write_text(json.dumps(problem))
         argv = [str(Path(tmp) / a) if a == "streams.csv" else a for a in argv]

@@ -614,7 +614,8 @@ class TestSolveMemo:
         plan = scheme.build_wiretap_plan(h_b, h_e, kbar, "gsvd")
         assert len(calls + plan_calls) == 5
         for a in (plan.base.b_sqrt, plan.base.va, plan.base.u_tilde,
-                  secrecy.secrecy_capacity_cov(h_b, h_e, kbar).k_star, *secrecy._last[1][3]):
+                  secrecy.secrecy_capacity_cov(h_b, h_e, kbar).k_star,
+                  *secrecy._last.k_star_kernel):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 7.0
 

@@ -541,7 +541,7 @@ class TestSpeculativeRefinement:
     def test_roots_only_the_result(self, rng, monkeypatch):
         # Candidates are ranked on their own factors: the final capacity call
         # roots kbar, and nothing else does.
-        monkeypatch.setattr(secrecy, "_last", (None, (None, None, None, None)))
+        monkeypatch.setattr(secrecy, "_last", None)
         calls = count_calls(monkeypatch, secrecy, ("matrix_sqrt",))
         res = secrecy.power_constrained_capacity(complex_gaussian(rng, 5, 4),
                                                  complex_gaussian(rng, 6, 4), 4.0,
@@ -885,6 +885,25 @@ def test_lb_of_an_overflowing_gsv_square():
     assert res.lb == 1
 
 
+def test_a_gsv_lost_to_zero_is_out_of_range_for_the_region():
+    # The kernel returns the GSVs [4.7e169, 1, -0.0]; every GSV is positive, so the region
+    # refuses the 0 rather than return rc_max = inf, and the capacity clips it at 1.
+    h_b = np.array([[3.73783907e169, 3.88947911e168, -3.07600693e169]])
+    h_e = np.array([[-3.12195599e295, 1.50185864e295, -6.88618242e295]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert secrecy.channel_gsv(h_b, h_e, np.eye(3))[2] == 0.0
+        with pytest.raises(DomainError, match="out of range"):
+            secrecy.broadcast_region(h_b, h_e, np.eye(3))
+        res = secrecy.secrecy_capacity_cov(h_b, h_e, np.eye(3))
+    assert res.capacity_bits == pytest.approx(1127.26, abs=0.01)
+
+
+def test_stacked_kbar_is_refused_by_the_region():
+    with pytest.raises(DomainError, match="covariance must be a square matrix"):
+        secrecy.broadcast_region(np.eye(2), np.eye(2), np.stack([np.eye(2)] * 2))
+
+
 class TestSolveMemo:
     """The last solved problem is kept; its key is the bytes of the inputs."""
 
@@ -912,6 +931,23 @@ class TestSolveMemo:
                      secrecy.broadcast_region, secrecy.secrecy_capacity_cov):
             with pytest.raises(error):
                 call(h_b, h_e, kbar)
+
+    def test_a_kept_problem_holds_no_view_of_an_input(self, rng):
+        # ``h_b`` is complex, so its conversion is the caller's array itself; the kept
+        # problem's optimal kernel must still be formed from the bytes it was keyed by.
+        h_b, h_e, kbar = complex_gaussian(rng, 3, 3), complex_gaussian(rng, 2, 3), random_psd(rng, 3)
+        original = h_b.copy()
+
+        def plan_bytes():
+            plan = scheme.build_wiretap_plan(original, h_e, kbar, "gsvd")
+            return [a.tobytes() for a in (plan.base.va, plan.base.u_tilde, plan.base.t_tilde,
+                                          plan.base.diag_b, plan.diag_e, plan.secret_rates_bits)]
+
+        secrecy.secrecy_capacity_cov(h_b, h_e, kbar)
+        h_b *= 2.0
+        got = plan_bytes()
+        secrecy.secrecy_capacity_cov(h_b, h_e, kbar)
+        assert got == plan_bytes()
 
     def test_a_stacked_call_leaves_the_memo(self, rng):
         h_b, h_e = complex_gaussian(rng, 3, 3), complex_gaussian(rng, 3, 3)
@@ -976,7 +1012,7 @@ class TestSolveMemo:
                                                   plan.base.diag_b, plan.diag_e))
 
         plans = [plan_bytes(p) for p in problems]
-        for a in secrecy._last[1][3]:
+        for a in secrecy._last.k_star_kernel:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 7.0
 
