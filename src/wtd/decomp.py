@@ -221,9 +221,7 @@ def svd(a):
         u, s, vh = np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
-    t = np.zeros(a.shape, dtype=complex)
-    t[np.arange(len(s)), np.arange(len(s))] = s
-    return GtdFactors(u=u, t=t, v=vh.conj().T)
+    return GtdFactors(u=u, t=np.eye(*a.shape, dtype=complex) * s, v=vh.conj().T)
 
 
 def _first_majorization_violation(x, y, rel_tol):
@@ -258,20 +256,21 @@ def _gtd_schedule(sigma, target):
 
     Step ``k`` swaps streams so that positions ``k, k + 1`` bracket
     ``target[k]`` (the smallest entry >= it and the largest below it, larger
-    first), then a 2x2 rotation, ``g2`` on the columns and ``g1`` on the rows,
-    puts ``target[k]`` at ``k`` and ``d1 d2 / teff`` at ``k + 1``.  Returns
-    the steps ``(a, b, c, s, p, q)`` (``a, b`` the streams at ``k, k + 1``,
-    ``g2 = [[c, -s], [s, c]]``, ``g1 = [[p, -q], [q, p]]``), the final order
-    of the streams and the final diagonal, by position.
+    first), then a 2x2 rotation, ``g2 = [[c, -s], [s, c]]`` on the columns and
+    ``g1 = [[p, -q], [q, p]]`` on the rows, puts ``target[k]`` at ``k`` and
+    ``d1 d2 / teff`` at ``k + 1``.  Both rotations are applied to the columns
+    ``k, k + 1`` of two real identities, ``r2`` and ``r1``, kept as lists of
+    columns that swap with the streams.  Returns ``r1``, ``r2`` and ``d``, by
+    position: ``r1' diag(sigma) r2`` is upper triangular with diagonal ``d``.
     """
     d = [float(x) for x in sigma]
     n = len(d)
-    perm = list(range(n))
-    steps = []
+    r2 = [[float(i == j) for i in range(n)] for j in range(n)]
+    r1 = [col[:] for col in r2]
 
     def swap(i, j):
         d[i], d[j] = d[j], d[i]
-        perm[i], perm[j] = perm[j], perm[i]
+        r1[i], r1[j], r2[i], r2[j] = r1[j], r1[i], r2[j], r2[i]
 
     for k in range(n - 1):
         tk = float(target[k])
@@ -297,25 +296,21 @@ def _gtd_schedule(sigma, target):
             s = math.sqrt(max(1.0 - c * c, 0.0))
         teff = math.hypot(d1 * c, d2 * s)
         d[k], d[k + 1] = math.ldexp(teff, e), math.ldexp(d1 * d2 / teff, e)
-        steps.append((perm[k], perm[k + 1], c, s, d1 * c / teff, d2 * s / teff))
-    return steps, perm, d
+        for r, x, y in ((r2, c, s), (r1, d1 * c / teff, d2 * s / teff)):
+            r[k], r[k + 1] = ([ca * x + cb * y for ca, cb in zip(r[k], r[k + 1])],
+                              [cb * x - ca * y for ca, cb in zip(r[k], r[k + 1])])
+    return np.array(r1).T, np.array(r2).T, np.array(d)
 
 
 def _gtd_factors(f, target):
-    """The GTD of the SVD ``f`` toward ``target``: its schedule applied to ``u``, ``t``, ``v``."""
-    u, tmat, v = f.u, f.t, f.v
-    steps, perm, _ = _gtd_schedule(f.diagonal, target)
-    for a, b, c, s, p, q in steps:
-        cols, g2, g1 = [a, b], np.array([[c, -s], [s, c]]), np.array([[p, -q], [q, p]])
-        tmat[:, cols] = tmat[:, cols] @ g2
-        v[:, cols] = v[:, cols] @ g2
-        tmat[cols, :] = g1.T @ tmat[cols, :]
-        u[:, cols] = u[:, cols] @ g1
-        tmat[b, a] = 0.0
-        tmat[a, a] = np.real(tmat[a, a])
-    tmat[perm[-1], perm[-1]] = np.real(tmat[perm[-1], perm[-1]])
-    rows = perm + list(range(len(perm), tmat.shape[0]))
-    return GtdFactors(u=u[:, rows], t=tmat[rows][:, perm], v=v[:, perm])
+    """The GTD of the SVD ``f``: ``u[:, :n] r1``, ``v r2`` and ``t``, the upper triangle of ``[r1'
+    diag(sigma) r2; 0]`` with the schedule's diagonal ``d`` on it."""
+    sigma = f.diagonal
+    n = sigma.size
+    r1, r2, d = _gtd_schedule(sigma, target)
+    t = np.eye(*f.t.shape, dtype=complex) * d
+    t[:n] += np.triu((r1.T * sigma) @ r2, 1)
+    return GtdFactors(u=np.concatenate([f.u[:, :n] @ r1, f.u[:, n:]], axis=1), t=t, v=f.v @ r2)
 
 
 def gtd(a, t):
@@ -323,8 +318,8 @@ def gtd(a, t):
 
     Exists iff the singular values of ``a`` multiplicatively majorize ``t``;
     otherwise :class:`MajorizationError` reports the first violating prefix.
-    The construction permutes the SVD and applies a chain of paired 2x2
-    rotations, one per diagonal entry, planned on the singular values alone.
+    The construction rotates the SVD's ``u`` and ``v`` by two real factors,
+    accumulated from 2x2 rotations planned on the singular values alone.
     """
     a = _as_matrix(a)
     _require_tall(a)
@@ -357,19 +352,6 @@ def gmd(a):
     sigma = f.diagonal
     _check_full_rank(sigma, sigma[0] if sigma.size else 0.0)
     return _gtd_factors(f, _geometric_mean_target(sigma))
-
-
-def _gmd_thin(sigma, u, v):
-    """``gmd(a)``'s ``v``, ``u[:, :n]`` and diagonal from the thin SVD ``a = u diag(sigma) v'``;
-    each real rotation factor is accumulated as a list of columns, then applied once."""
-    steps, perm, d = _gtd_schedule(sigma, _geometric_mean_target(sigma))
-    r2 = [[float(i == j) for i in range(sigma.size)] for j in range(sigma.size)]
-    r1 = [col[:] for col in r2]
-    for a, b, c, s, p, q in steps:
-        for r, x, y in ((r2, c, s), (r1, p, q)):
-            r[a], r[b] = ([ca * x + cb * y for ca, cb in zip(r[a], r[b])],
-                          [cb * x - ca * y for ca, cb in zip(r[a], r[b])])
-    return v @ np.array([r2[i] for i in perm]).T, u @ np.array([r1[i] for i in perm]).T, np.array(d)
 
 
 def _check_pair(a1, a2, stacked=False):
@@ -424,37 +406,43 @@ def gsv_values(a1, a2):
     return _gsvd_kernel(a1, a2)[0]
 
 
+def _gsv_scale(mu):
+    """``sqrt(1 + mu^2)`` of GSVs ``mu >= 0`` with no overflow: it is ``mu`` from ``2^511`` up."""
+    m = np.minimum(mu, 2.0 ** 511)
+    return np.maximum(np.sqrt(1.0 + m * m), mu)
+
+
 def gsvd_diagonal(a1, a2):
     """Diagonal-form GSVD of a full-column-rank pair, from one kernel call.
 
-    With the kernel of :func:`gsv_values` and ``s = sqrt(1 + mu^2)``: ``u1 =
-    U``, ``u2 = Q2 diag(W, I)``, ``l1 = diag(mu / s)``, ``l2 = diag(1 / s)``
-    and ``x = (W' R2)' diag(s)``.  A rank-deficient first matrix (a zero
-    GSV) raises :class:`RankDeficient`.
+    With the kernel of :func:`gsv_values` and ``s = sqrt(1 + mu^2)`` (by
+    :func:`_gsv_scale`): ``u1 = U``, ``u2 = Q2 diag(W, I)``, ``l1 = diag(mu /
+    s)``, ``l2 = diag(1 / s)`` and ``x = (W' R2)' diag(s)``.  A rank-deficient
+    first matrix (a zero GSV) raises :class:`RankDeficient`.
     """
     a1, a2 = _check_pair(a1, a2)
     _check_rank(a1, np.abs(np.diag(np.linalg.qr(a1, mode="r"))), "first matrix of the pair")
     mu, u, q2, wh, r2 = _gsvd_kernel(a1, a2, left=True)
-    scale = np.sqrt(1.0 + mu * mu)
+    scale = _gsv_scale(mu)
     x = (wh @ r2).conj().T * scale[None, :]
     n = mu.size
     u2 = np.concatenate([q2[:, :n] @ wh.conj().T, q2[:, n:]], axis=1)
-    l1 = np.zeros((u.shape[0], n), dtype=complex)
-    l2 = np.zeros((q2.shape[0], n), dtype=complex)
-    l1[np.arange(n), np.arange(n)] = mu / scale
-    l2[np.arange(n), np.arange(n)] = 1.0 / scale
+    l1 = np.eye(u.shape[0], n, dtype=complex) * (mu / scale)
+    l2 = np.eye(q2.shape[0], n, dtype=complex) * (1.0 / scale)
     return GsvdDiagonalFactors(u1=u, u2=u2, x=x, l1=l1, l2=l2)
 
 
 def _kernel_ql(mu, u, q2, wh, r2):
-    """``va`` and the positive ``diag(l)`` of the QL ``x = va @ l`` of a kernel's ``x = (W' R2)'
-    diag(s)``, ``s = sqrt(1 + mu^2)`` (invertible with ``R2``), by one QR of ``x`` reversed; ``va``
-    is ``ql(gsvd_diagonal(a1, a2).x).u`` bit for bit, and ``a1 va = U diag(mu / s) l'``, ``a2 va =
-    (a2 R2^-1 W) diag(1 / s) l'`` are QR pairs."""
-    x = (wh @ r2).conj().T * np.sqrt(1.0 + mu * mu)[None, :]
+    """``va`` and the QR diagonals ``mu d``, ``d = diag(l) / s`` of ``a1 va = U diag(mu / s) l'``,
+    ``a2 va = (a2 R2^-1 W) diag(1 / s) l'``, from the QL ``x = va @ l`` of a kernel's ``x = (W'
+    R2)' diag(s)`` (``s`` by :func:`_gsv_scale`; invertible with ``R2``), by one QR of ``x``
+    reversed; ``va`` is ``ql(gsvd_diagonal(a1, a2).x).u`` bit for bit."""
+    s = _gsv_scale(mu)
+    x = (wh @ r2).conj().T * s[None, :]
     q, r = np.linalg.qr(x[:, ::-1], mode="complete")
     phases, diag = _diagonal_phases(np.diag(r)[::-1])
-    return q[:, ::-1] * phases, diag
+    d = diag / s
+    return q[:, ::-1] * phases, mu * d, d
 
 
 def gsvd_triangular(a1, a2):

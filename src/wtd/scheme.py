@@ -29,9 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomp import _as_matrix, _gmd_thin, _kernel_ql, _qr_diagonal, require_unitary
+from .decomp import (_as_matrix, _geometric_mean_target, _gtd_schedule, _kernel_ql, _qr_diagonal,
+                     require_unitary)
 from .errors import DomainError, InsufficientSamples
-from .secrecy import _active_count, _factor_kernel, _problem, effective_mmse_matrix
+from .secrecy import (_active_count, _broadcast_problem, _factor_kernel, _problem,
+                      effective_mmse_matrix)
 
 PRECODER_MODES = ("gsvd", "svd_eve", "svd_bob", "gmd_bob")
 
@@ -170,9 +172,12 @@ def _svd_precoder(g_b, g_e, mode):
     """``V``, ``P``, ``sigma`` of a QR ``g V = P diag(sigma)``; ``g`` is ``g_e`` in ``svd_eve``."""
     if mode not in PRECODER_MODES:
         raise DomainError(f"unknown precoder mode {mode!r}; expected one of {PRECODER_MODES}")
-    # ``svd(g).v`` bit for bit (finite check included); ``gmd_bob`` rotates by its GMD schedule.
+    # ``svd(g).v`` bit for bit (finite check included); ``gmd_bob``'s is ``gmd(g).v`` bit for bit.
     p, sigma, vh = np.linalg.svd(_as_matrix(g_e if mode == "svd_eve" else g_b), full_matrices=False)
-    return _gmd_thin(sigma, p, vh.conj().T) if mode == "gmd_bob" else (vh.conj().T, p, sigma)
+    if mode != "gmd_bob":
+        return vh.conj().T, p, sigma
+    r1, r2, d = _gtd_schedule(sigma, _geometric_mean_target(sigma))
+    return vh.conj().T @ r2, p @ r1, d
 
 
 def _receiver(g, va, m):
@@ -217,9 +222,10 @@ def build_wiretap_plan(h_b, h_e, kbar, mode):
     the factor ``b_sqrt`` of ``k_star`` that the capacity call forms: the
     root of ``kbar`` times a unitary, with its first ``n - lb`` (inactive)
     columns exactly 0.  It is not Hermitian, and only ``kbar`` is rooted.
-    Sides are read off the precoder's factorization: ``gsvd`` both, off the
-    GSVD kernel of ``[h_b b; I]``, ``[h_e b; I]`` and its QL, kept by the
-    first ``gsvd`` plan on a problem; ``svd_bob`` and ``gmd_bob`` Bob's, off
+    Sides are read off the precoder's factorization: ``gsvd`` both, the
+    diagonals :func:`decomp._kernel_ql` gives from the GSVD kernel of ``[h_b
+    b; I]``, ``[h_e b; I]``, kept by the first ``gsvd`` plan on a problem, in
+    range up to the double limit; ``svd_bob`` and ``gmd_bob`` Bob's, off
     the (GMD-rotated) thin SVD of ``[h_b b; I]``; ``svd_eve`` Eve's diagonal.
     The other side of an SVD mode takes one QR; nothing is rank checked.
     """
@@ -228,9 +234,8 @@ def build_wiretap_plan(h_b, h_e, kbar, mode):
     problem = _problem(h_b, h_e, kbar, "constraint")
     b = problem.solved[1]
     if mode == "gsvd":
-        mu, u, va, diag_l = problem.k_star_kernel
-        diag_e = diag_l / np.sqrt(1.0 + mu * mu)
-        bob = mu * diag_e, u[:m]
+        u, va, diag_b, diag_e = problem.k_star_kernel
+        bob = diag_b, u[:m]
     else:
         g_b, g_e = effective_mmse_matrix(h_b, b), effective_mmse_matrix(h_e, b)
         va, p, sigma = _svd_precoder(g_b, g_e, mode)
@@ -276,26 +281,26 @@ def build_broadcast_plan(h_b, h_c, kbar):
 
     Both users' triangular factors under the shared GSVD precoder are read
     off the capacity call's GSVD kernel ``g_b R2^-1 = U diag(mu) W'`` of the
-    pair and the QL ``x = va @ l``, with no QR: the diagonals are ``mu / s *
-    diag(l)`` and ``diag(l) / s``, ``s = sqrt(1 + mu^2)``, so the ratios are
-    the GSVs ``mu``.  The ``lb`` streams with ``mu`` above 1 carry the first
-    user's messages, combined by the top rows of ``U``, the rest the
-    second's, by the top rows of ``g_c R2^-1 W`` (one triangular solve);
-    each feedback is the combiner's adjoint times ``h b va``.  The rate
-    totals hit both corners of the rectangular region simultaneously.
+    pair: the diagonals ``mu d`` and ``d`` of :func:`decomp._kernel_ql`, whose
+    ratios are the GSVs ``mu``; one the kernel lost to 0 raises
+    :class:`DomainError`, as the region does.  The ``lb`` streams with ``mu``
+    above 1 carry the first user's messages, combined by the top rows of
+    ``U``, the rest the second's, by the top rows of ``g_c R2^-1 W`` (one
+    triangular solve); each feedback is the combiner's adjoint times ``h b
+    va``.  The rate totals hit both corners of the rectangular region
+    simultaneously.
     """
     h_b, h_c = np.asarray(h_b, dtype=complex), np.asarray(h_c, dtype=complex)
-    problem = _problem(h_b, h_c, kbar, "covariance")
+    problem = _broadcast_problem(h_b, h_c, kbar)
     b, kernel = problem.root, problem.kernel
     mu, u, _, wh, r2 = kernel
-    va, diag_l = _kernel_ql(*kernel)
-    diag_c = diag_l / np.sqrt(1.0 + mu * mu)
+    va, diag_b, diag_c = _kernel_ql(*kernel)
     lb = _active_count(mu)
     bob = u[:h_b.shape[0], :lb]
     # ``(h_c b) R2^-1``: the top rows of ``g_c R2^-1``, solved as the kernel solves ``g_b R2^-1``.
     charlie = np.linalg.solve(r2.T, (h_c @ b).T).T @ wh[lb:].conj().T
     return BroadcastPlan(
-        lb=lb, lc=mu.size - lb, va=va, b_sqrt=b, diag_b=mu * diag_c, diag_c=diag_c,
+        lb=lb, lc=mu.size - lb, va=va, b_sqrt=b, diag_b=diag_b, diag_c=diag_c,
         bob_combiner=bob, charlie_combiner=charlie,
         bob_feedback=bob.conj().T @ h_b @ b @ va, charlie_feedback=charlie.conj().T @ h_c @ b @ va,
         bob_rates_bits=np.maximum(2.0 * np.log2(mu[:lb]), 0.0),

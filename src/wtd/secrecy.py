@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .decomp import _as_matrix, _check_pair, _gsvd_kernel, _kernel_ql, haar_unitary
-from .errors import DomainError, NotPSD, NumericalFailure
+from .errors import DomainError, NotPSD
 
 LN2 = np.log(2.0)
 
@@ -228,9 +228,9 @@ class _Problem:
 
     @cached_property
     def k_star_kernel(self):
-        # ``(mu, U, va, diag L)`` of the kernel of ``[h_b f; I]``, ``[h_e f; I]`` and its QL.
-        mu, u, *rest = _factor_kernel(*self._pair, self.solved[1])
-        factors = (mu, u, *_kernel_ql(mu, u, *rest))
+        # ``U`` of the kernel of ``[h_b f; I]``, ``[h_e f; I]``, then ``va`` and both diagonals.
+        kernel = _factor_kernel(*self._pair, self.solved[1])
+        factors = (kernel[1], *_kernel_ql(*kernel))
         for a in factors:
             a.setflags(write=False)
         return factors
@@ -357,6 +357,14 @@ def gsv_monotonicity_check(h_b, h_e, kbar, samples, seed):
     )
 
 
+def _broadcast_problem(h_b, h_c, kbar):
+    # A broadcast pair's problem, refused (see :func:`broadcast_region`) if a GSV was lost to 0.
+    problem = _problem(h_b, h_c, kbar, "covariance")
+    if not problem.kernel[0][-1] > 0.0:  # the smallest
+        raise DomainError("a channel-pair GSV is out of range: the kernel lost it to 0")
+    return problem
+
+
 def broadcast_region(h_b, h_c, kbar):
     """Rectangular capacity region of the two-user confidential broadcast.
 
@@ -365,9 +373,7 @@ def broadcast_region(h_b, h_c, kbar):
     swapping the channel roles inverts the GSVs and swaps the corners.  A GSV
     lost to 0 (``[h b; I]`` has full rank, so all are positive) raises :class:`DomainError`.
     """
-    mu = _problem(h_b, h_c, kbar, "covariance").kernel[0]
-    if not mu[-1] > 0.0:  # the smallest
-        raise DomainError("a channel-pair GSV is out of range: the kernel lost it to 0")
+    mu = _broadcast_problem(h_b, h_c, kbar).kernel[0]
     log_sq = 2.0 * np.log2(mu)
     return BroadcastRegion(
         rb_max=float(np.sum(np.maximum(log_sq, 0.0))),
@@ -452,7 +458,7 @@ def _power_search(h_b, h_e, power, budget, seed):
         fs = fs.reshape(-1, n, n)
         try:
             mu = _candidate_gsv(rs, fs)
-        except (DomainError, NumericalFailure):
+        except DomainError:
             # A candidate past the first improvement must not fail the
             # stack: take the candidates one at a time instead.
             if not first or len(fs) == 1:

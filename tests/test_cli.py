@@ -740,6 +740,10 @@ def overflow_problem(tmp_path, v):
                          h_e=matrix([[1.0, 0.5], [0.25, 1.0]]), t=[1.0, 1.0])
 
 
+#: A pair whose GSVD kernel returns its smallest GSV as exactly 0.
+LOST_GSV_PAIR = {"h_b": matrix([[3.73783907e169, 3.88947911e168, -3.07600693e169]]),
+                 "h_c": matrix([[-3.12195599e295, 1.50185864e295, -6.88618242e295]])}
+
 OVERFLOW_COMMANDS = (
     [["decompose", "--kind", k] for k in ("qr", "ql", "svd", "gmd", "gtd", "gsvd")]
     + [["capacity"], ["capacity", "--power", "2", "--budget", "120"], ["region"]]
@@ -794,8 +798,8 @@ class TestNumericalRange:
           "h_e": matrix([[1.0, 0.5], [0.25, 1.0]])},
          "the report would hold a NaN or an infinity"),
         (["capacity"], {"h_b": GOLDEN_H_B, "h_e": GOLDEN_H_E}, "SVD did not converge"),
-        (["region"], {"h_b": matrix([[3.73783907e169, 3.88947911e168, -3.07600693e169]]),
-                      "h_c": matrix([[-3.12195599e295, 1.50185864e295, -6.88618242e295]])},
+        (["region"], LOST_GSV_PAIR, "a channel-pair GSV is out of range: the kernel lost it to 0"),
+        (["simulate", "--scheme", "broadcast"], LOST_GSV_PAIR,
          "a channel-pair GSV is out of range: the kernel lost it to 0"),
     ])
     def test_refusal_names_the_reason(self, tmp_path, capsys, monkeypatch, command, fields,
@@ -850,13 +854,30 @@ class TestNumericalRange:
             assert cli._residual(actual * scale, target * scale) == want
 
     def test_overflowing_gsvd_right_factor_names_h_b(self, tmp_path, capsys):
-        # The file loads, but sqrt(1 + mu^2) of its GSVs of about 1e300 overflows.
-        path = overflow_problem(tmp_path, 1e300)
+        # The file loads, but the right factor ``x``, with ``x x' = h_b' h_b + h_e' h_e``, has
+        # a norm of about 2e308 when both fields have entries of 1e308.
+        big = matrix([[1e308, 0.0], [0.0, 1e308], [1.0, 2.0]])
+        path = write_problem(tmp_path, h_b=big, h_e=matrix([[1e308, 0.0], [0.0, -1e308],
+                                                             [0.5, 1.0]]))
         out = tmp_path / "report.json"
         assert run_cli(["decompose", "--kind", "gsvd", "--input", path, "--out", str(out)]) == 1
         assert capsys.readouterr().err == ("error: the GSVD right factor of field 'h_b' is out "
                                            "of range: its norm overflows a double\n")
         assert not out.exists()
+
+    def test_gsvs_near_the_double_limit_decompose(self, tmp_path, capsys):
+        # GSVs of about 1e300: ``sqrt(1 + mu^2)`` is taken with no overflow, and the right
+        # factor's norm is about that of 'h_b'.
+        path = overflow_problem(tmp_path, 1e300)
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["decompose", "--kind", "gsvd", "--input", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        report = read_report(out)
+        assert report["gsv"][0] > 1e299
+        for name, factor in report["factors"].items():
+            assert np.isfinite(np.asarray(factor, dtype=float)).all(), name
 
     def test_overflowing_gsv_square_prints_nothing_on_stderr(self, tmp_path):
         # A GSV of 1e200 squares to inf, which is above 1 + LB_GSV_TOL.

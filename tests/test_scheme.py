@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -69,6 +70,15 @@ class TestSelectPrecoder:
             assert np.max(np.abs(va - want)) <= 1e-10
             d = scheme.build_sic_plan(h_b, b, va).diag_b
             assert d.max() / d.min() - 1.0 <= 1e-12
+
+    def test_gmd_bob_is_gmd_v_bit_for_bit(self, rng):
+        # ``gmd`` and the ``gmd_bob`` precoder apply the same rotation factors to the same ``v``.
+        for _ in range(40):
+            n, n_b = (int(k) for k in rng.integers(1, 9, 2))
+            h_b, h_e = complex_gaussian(rng, n_b, n), complex_gaussian(rng, n, n)
+            b = secrecy.matrix_sqrt(random_psd(rng, n))
+            va = scheme.select_precoder(h_b, h_e, b, "gmd_bob")
+            assert np.array_equal(va, decomp.gmd(secrecy.effective_mmse_matrix(h_b, b)).v)
 
     def test_svd_eve_diagonalizes_eavesdropper(self, rng):
         h_b, h_e, _ = wiretap_instance(rng)
@@ -643,6 +653,15 @@ class TestSolveMemo:
             b = secrecy.matrix_sqrt(kbar)
             va = scheme.select_precoder(h_b, h_c, b, "gsvd")
             assert np.array_equal(scheme.build_broadcast_plan(h_b, h_c, kbar).va, va)
+
+    def test_a_gsv_lost_to_zero_is_refused_by_the_broadcast_plan(self):
+        # The region's check, before any overflow of the diagonals or log of the 0.
+        h_b = np.array([[3.73783907e169, 3.88947911e168, -3.07600693e169]])
+        h_c = np.array([[-3.12195599e295, 1.50185864e295, -6.88618242e295]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="out of range: the kernel lost it to 0"):
+                scheme.build_broadcast_plan(h_b, h_c, np.eye(3))
 
     def test_stacked_kbar_is_refused_by_the_broadcast_plan(self, rng):
         with pytest.raises(DomainError, match="covariance must be a square matrix"):
