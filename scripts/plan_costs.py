@@ -15,7 +15,13 @@ package goes first alternates per problem and round, so a slow spell of the
 machine hits both alike.  It prints the median time of each call per
 package in microseconds, their ratio (parent over change), pooled over
 every problem and then per transmit dimension n (2, 4 and 8 in the
-benchmark), and the ratio of the total times.  The "cold" lines then time ``secrecy_capacity_cov``
+benchmark), and the ratio of the total times.  The "bits" lines compare
+the plans of the first round: per plan call, how many of the problems'
+plans differ in the bits of any array between the packages, and the
+largest relative difference ``|a - b| / max(|a|, |b|)`` of their
+``secret_rates_bits``, ``rates_bits`` (the base plan's too) and ``sinr``,
+so a change that moves plan bits by rounding shows by how much.  The
+"cold" lines then time ``secrecy_capacity_cov``
 alone as the first call on each of ``--cold`` further problems, which
 neither package has seen, alternating which package goes first, and give
 the medians per transmit dimension n.  The "power search" line times
@@ -33,11 +39,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import dataclasses  # noqa: E402
 import importlib.util  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
@@ -46,6 +55,8 @@ import wtd  # noqa: E402
 from workloads import POWER_BUDGET, POWER_PROBLEMS, CapacitySweep, power_problem  # noqa: E402
 
 MODES = ("gsvd", "svd_eve", "svd_bob", "gmd_bob")
+#: Plan fields, by the last part of their name, whose relative differences are printed.
+COMPARED = ("secret_rates_bits", "rates_bits", "sinr")
 
 
 def load_package(src, name):
@@ -70,6 +81,33 @@ def calls(pkg, h_b, h_e, kbar):
     out.append(("build_dpc_plan", lambda: pkg.build_dpc_plan(h_b, h_e, kbar)))
     out.append(("build_broadcast_plan", lambda: pkg.build_broadcast_plan(h_b, h_e, kbar)))
     return out
+
+
+def plan_arrays(plan, prefix=""):
+    """Every array of a plan by field name, nested plans flattened (``base.sinr``)."""
+    out = {}
+    for name, value in vars(plan).items():
+        if dataclasses.is_dataclass(value):
+            out.update(plan_arrays(value, f"{prefix}{name}."))
+        elif isinstance(value, np.ndarray):
+            out[prefix + name] = value
+    return out
+
+
+def compare(bits, label, before, after):
+    """Add one plan pair to ``bits[label]``: a count of differing plans, then the largest
+    relative difference of each field of ``COMPARED``."""
+    entry = bits.setdefault(label, [0, 0, dict.fromkeys(COMPARED, 0.0)])
+    before, after = plan_arrays(before), plan_arrays(after)
+    entry[0] += 1
+    entry[1] += any(before[k].tobytes() != after[k].tobytes() for k in before)
+    for key, a in before.items():
+        name = key.rsplit(".", 1)[-1]
+        if name in COMPARED:
+            b = after[key]
+            scale = np.maximum(np.abs(a), np.abs(b))
+            rel = np.abs(a - b) / np.where(scale > 0.0, scale, 1.0)
+            entry[2][name] = max(entry[2][name], float(np.max(rel, initial=0.0)))
 
 
 def ordered(packages, turn):
@@ -98,14 +136,20 @@ def main(argv=None):
     sweep = CapacitySweep(args.seed, None, None, None)
     problems = [sweep.problem(index) for index in range(args.problems)]
     times = {name: {} for name in packages}
+    bits = {}
     for round_ in range(args.rounds):
         for index, (n, h_b, h_e, kbar) in enumerate(problems):
+            plans = {}
             for name in ordered(packages, index + round_):
                 for label, call in calls(packages[name], h_b, h_e, kbar):
                     start = time.perf_counter()
-                    call()
+                    result = call()
                     times[name].setdefault(label, {}).setdefault(n, []).append(
                         time.perf_counter() - start)
+                    if round_ == 0 and label.startswith("build_"):
+                        plans.setdefault(label, {})[name] = result
+            for label, pair in plans.items():
+                compare(bits, label, pair["parent"], pair["change"])
     cold = {name: {} for name in packages}
     for index in range(args.problems, args.problems + args.cold):
         n, h_b, h_e, kbar = sweep.problem(index)
@@ -137,6 +181,10 @@ def main(argv=None):
              for name, per_call in times.items()}
     print(f"total ratio (parent / change): {total['parent'] / total['change']:.3f} "
           f"({args.problems} problems x {args.rounds} rounds, seed {args.seed})")
+    for label, (count, differ_plans, worst) in bits.items():
+        fields = ", ".join(f"{name} {value:.1e}" for name, value in worst.items())
+        print(f"bits {label}: {differ_plans} of {count} plans differ; "
+              f"largest relative difference: {fields}")
     for n in sorted(cold["parent"]):
         row(f"cold secrecy_capacity_cov n={n}", cold["parent"][n], cold["change"][n])
     (before, bound_before), (after, bound_after) = power["parent"], power["change"]

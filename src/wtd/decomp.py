@@ -134,12 +134,17 @@ def require_unitary(q, name="matrix"):
 def _diagonal_phases(d):
     """Unit phases of ``d`` (1 where zero) and the diagonal ``|d conj(phases)|``."""
     mag = np.abs(d)
-    phases = np.where(mag > 0.0, d / np.where(mag > 0.0, mag, 1.0), 1.0)
+    phases = np.divide(d, mag, out=np.ones_like(d), where=mag > 0.0)
     return phases, np.abs(d * phases.conj())
 
 
 def _positive_diagonal(u, t):
-    """Rescale so diag(t) is real positive, absorbing phases into u columns, in place."""
+    """Rescale so diag(t) is real positive, absorbing phases into u columns, in place.  A factor
+    that is not finite is refused: LAPACK returns one, with no error, when a Householder vector
+    overflows a double (a column of 1e308 entries)."""
+    if not (np.isfinite(u).all() and np.isfinite(t).all()):
+        raise DomainError("matrix is out of range: "
+                          "a Householder vector of its QR overflows a double")
     k = min(t.shape)
     # The stored diagonal is |d conj(d/|d|)|, not |d|: it is read off the
     # diagonal after the phase fix (a view of t), and differs from |d| in the
@@ -185,7 +190,8 @@ def qr(a):
     """QR decomposition, returned as :class:`GtdFactors` with ``v = I``.
 
     The triangular factor has a strictly positive real diagonal; a diagonal
-    entry below ``1e-12 * ||a||_2`` raises :class:`RankDeficient`.
+    entry below ``1e-12 * ||a||_2`` raises :class:`RankDeficient`, and a
+    factor past the double range :class:`DomainError`.
     """
     a = _as_matrix(a)
     _require_tall(a)
@@ -199,7 +205,8 @@ def ql(a):
     """QL decomposition ``a = u @ l`` with lower-triangular ``l``.
 
     Equivalent to Gram-Schmidt over the columns from last to first.  For a
-    tall input the nonzero block of ``l`` sits in the top ``n`` rows.
+    tall input the nonzero block of ``l`` sits in the top ``n`` rows.  The
+    checks are those of :func:`qr`.
     """
     a = _as_matrix(a)
     _require_tall(a)
@@ -343,7 +350,7 @@ def gtd(a, t):
 
 
 def _geometric_mean_target(sigma):
-    return np.full(sigma.size, np.exp(np.mean(np.log(sigma))))
+    return np.full(sigma.size, np.exp(np.log(sigma).sum() / sigma.size))  # np.mean's bits
 
 
 def gmd(a):
@@ -432,13 +439,14 @@ def gsvd_diagonal(a1, a2):
     return GsvdDiagonalFactors(u1=u, u2=u2, x=x, l1=l1, l2=l2)
 
 
-def _kernel_ql(mu, u, q2, wh, r2):
+def _kernel_ql(mu, wr):
     """``va`` and the QR diagonals ``mu d``, ``d = diag(l) / s`` of ``a1 va = U diag(mu / s) l'``,
     ``a2 va = (a2 R2^-1 W) diag(1 / s) l'``, from the QL ``x = va @ l`` of a kernel's ``x = (W'
-    R2)' diag(s)`` (``s`` by :func:`_gsv_scale`; invertible with ``R2``), by one QR of ``x``
-    reversed; ``va`` is ``ql(gsvd_diagonal(a1, a2).x).u`` bit for bit."""
+    R2)' diag(s)`` (``wr = W' R2``, ``s`` by :func:`_gsv_scale`; invertible with ``R2``), by one
+    QR of ``x`` reversed; ``va`` is ``ql(gsvd_diagonal(a1, a2).x).u`` bit for bit.  Any pair
+    ``a1 = U diag(mu) wr``, ``a2 = Q wr`` (``U``, ``Q`` with orthonormal columns) has these."""
     s = _gsv_scale(mu)
-    x = (wh @ r2).conj().T * s[None, :]
+    x = wr.conj().T * s[None, :]
     q, r = np.linalg.qr(x[:, ::-1], mode="complete")
     phases, diag = _diagonal_phases(np.diag(r)[::-1])
     d = diag / s
@@ -453,7 +461,8 @@ def gsvd_triangular(a1, a2):
     The plans read these factors off the kernel (``u1 = U``, ``t1 = [diag(mu / s) l'; 0]``), which
     reconstructs ``a1`` to about ``eps max(mu) ||R2||`` (8.5e-13 at GSVs of 1e+-3), not rounding.
     """
-    return joint_triangularize(a1, a2, _kernel_ql(*_gsvd_kernel(*_check_pair(a1, a2)))[0])
+    mu, _, _, wh, r2 = _gsvd_kernel(*_check_pair(a1, a2))
+    return joint_triangularize(a1, a2, _kernel_ql(mu, wh @ r2)[0])
 
 
 def joint_triangularize(a1, a2, va):

@@ -32,8 +32,7 @@ import numpy as np
 from .decomp import (_as_matrix, _geometric_mean_target, _gtd_schedule, _kernel_ql, _qr_diagonal,
                      require_unitary)
 from .errors import DomainError, InsufficientSamples
-from .secrecy import (_active_count, _broadcast_problem, _factor_kernel, _problem,
-                      effective_mmse_matrix)
+from .secrecy import _broadcast_problem, _factor_kernel, _freeze, _problem, effective_mmse_matrix
 
 PRECODER_MODES = ("gsvd", "svd_eve", "svd_bob", "gmd_bob")
 
@@ -163,28 +162,35 @@ def select_precoder(h_b, h_e, b, mode):
     eavesdropper's factor, ``svd_bob`` the legitimate one (no SIC needed),
     and ``gmd_bob`` equalizes the legitimate diagonal (no bit loading).
     """
+    _check_mode(mode)
     if mode == "gsvd":
-        return _kernel_ql(*_factor_kernel(h_b, h_e, b))[0]
-    return _svd_precoder(effective_mmse_matrix(h_b, b), effective_mmse_matrix(h_e, b), mode)[0]
+        mu, _, _, wh, r2 = _factor_kernel(h_b, h_e, b)
+        return _kernel_ql(mu, wh @ r2)[0]
+    g = effective_mmse_matrix(h_e if mode == "svd_eve" else h_b, b)
+    # ``svd(g).v`` bit for bit (finite check included); ``gmd_bob``'s is ``gmd(g).v`` bit for bit.
+    return _svd_precoder(np.linalg.svd(_as_matrix(g), full_matrices=False), mode)[0]
 
 
-def _svd_precoder(g_b, g_e, mode):
-    """``V``, ``P``, ``sigma`` of a QR ``g V = P diag(sigma)``; ``g`` is ``g_e`` in ``svd_eve``."""
+def _check_mode(mode):
     if mode not in PRECODER_MODES:
         raise DomainError(f"unknown precoder mode {mode!r}; expected one of {PRECODER_MODES}")
-    # ``svd(g).v`` bit for bit (finite check included); ``gmd_bob``'s is ``gmd(g).v`` bit for bit.
-    p, sigma, vh = np.linalg.svd(_as_matrix(g_e if mode == "svd_eve" else g_b), full_matrices=False)
+
+
+def _svd_precoder(svd, mode):
+    """``V``, ``P``, ``sigma`` of a QR ``g V = P diag(sigma)`` from the thin SVD ``(P, sigma, V')``
+    of ``g``, rotated by the GMD schedule in ``gmd_bob``."""
+    p, sigma, vh = svd
     if mode != "gmd_bob":
         return vh.conj().T, p, sigma
     r1, r2, d = _gtd_schedule(sigma, _geometric_mean_target(sigma))
     return vh.conj().T @ r2, p @ r1, d
 
 
-def _receiver(g, va, m):
-    """Diagonal and combiner ``u`` (the top ``m`` rows) of the QR of ``g va = [h b; I] va``."""
-    # Only the diagonal and the top of ``qr(g @ va).u``; a thin Q flips signed zeros.
-    diag, phases, q = _qr_diagonal(g @ va, complete=True)
-    return diag, q[:m, :g.shape[1]] * phases
+def _receiver(gv, m):
+    """Diagonal and combiner ``u`` (the top ``m`` rows) of the QR of ``gv = [h b; I] va``."""
+    # Only the diagonal and the top of ``qr(gv).u``; a thin Q flips signed zeros.
+    diag, phases, q = _qr_diagonal(gv, complete=True)
+    return diag, q[:m, :gv.shape[1]] * phases
 
 
 def build_sic_plan(h_b, b, va):
@@ -194,23 +200,20 @@ def build_sic_plan(h_b, b, va):
     per-stream SINRs satisfy ``1 + sinr_i = diag_b_i**2`` and the rates sum
     to the Gaussian mutual information of the link.
     """
-    h_b = np.asarray(h_b, dtype=complex)
     va = require_unitary(va, "precoder")
     g_b = effective_mmse_matrix(h_b, b)
     if va.shape[0] != g_b.shape[1]:
         raise DomainError("precoder dimension must match the transmit dimension")
-    return _sic_plan(h_b, b, va, *_receiver(g_b, va, h_b.shape[0]))
+    m, gv = g_b.shape[0] - va.shape[0], g_b @ va
+    return _sic_plan(b, va, *_receiver(gv, m), gv[:m])
 
 
-def _sic_plan(h_b, b, va, diag_b, u_tilde):
-    # The plan of ``build_sic_plan`` from the diagonal and combiner of the QR of ``[h_b b; I] va``.
-    t_tilde = u_tilde.conj().T @ h_b @ b @ va
-    diag_tt = np.abs(np.diag(t_tilde))
-    denom = np.sum(np.abs(u_tilde) ** 2, axis=0) + np.sum(np.abs(np.tril(t_tilde, -1)) ** 2, axis=1)
-    sinr = np.where(denom > 0.0, diag_tt ** 2 / np.where(denom > 0.0, denom, 1.0), 0.0)
-    rates = 2.0 * np.log2(diag_b)
-    return SicPlan(va=va, b_sqrt=b, u_tilde=u_tilde, t_tilde=t_tilde,
-                   diag_b=diag_b, sinr=sinr, rates_bits=rates)
+def _sic_plan(b, va, diag_b, u_tilde, hbv):
+    # The plan of ``build_sic_plan`` from the diagonal and combiner of the QR of ``[h_b b; I] va``
+    # and the product ``hbv = h_b b va``; ``1 + sinr = diag_b^2`` gives the SINRs.
+    return SicPlan(va=va, b_sqrt=b, u_tilde=u_tilde, t_tilde=u_tilde.conj().T @ hbv,
+                   diag_b=diag_b, sinr=(diag_b - 1.0) * (diag_b + 1.0),
+                   rates_bits=2.0 * np.log2(diag_b))
 
 
 def build_wiretap_plan(h_b, h_e, kbar, mode):
@@ -219,34 +222,42 @@ def build_wiretap_plan(h_b, h_e, kbar, mode):
     Uses the optimal covariance for the constraint, so the per-stream
     diagonal ratios never fall below 1 and the secret rates sum to the
     secrecy capacity for every mode.  The precoder and the SIC plan share
-    the factor ``b_sqrt`` of ``k_star`` that the capacity call forms: the
-    root of ``kbar`` times a unitary, with its first ``n - lb`` (inactive)
-    columns exactly 0.  It is not Hermitian, and only ``kbar`` is rooted.
-    Sides are read off the precoder's factorization: ``gsvd`` both, the
-    diagonals :func:`decomp._kernel_ql` gives from the GSVD kernel of ``[h_b
-    b; I]``, ``[h_e b; I]``, kept by the first ``gsvd`` plan on a problem, in
-    range up to the double limit; ``svd_bob`` and ``gmd_bob`` Bob's, off
-    the (GMD-rotated) thin SVD of ``[h_b b; I]``; ``svd_eve`` Eve's diagonal.
-    The other side of an SVD mode takes one QR; nothing is rank checked.
+    the factor ``b_sqrt = b [0, P]`` of ``k_star`` that the capacity call
+    forms, ``b`` the root of ``kbar`` and ``P`` a basis of the ``lb`` active
+    directions.  It is not Hermitian, and only ``kbar`` is rooted.  Sides
+    are read off the precoder's factorization, with no rank check: ``gsvd``
+    both, off the capacity call's own GSVD kernel restricted to ``P`` (see
+    ``secrecy._Problem``), in range up to the double limit; ``svd_bob`` and
+    ``gmd_bob`` Bob's, off the (GMD-rotated) thin SVD of ``[h_b b_sqrt;
+    I]``, which they share; ``svd_eve`` Eve's diagonal.  The other side of
+    an SVD mode takes one QR.  A plan is built once per problem and mode
+    and handed out again, its arrays read-only.
     """
-    h_b = np.asarray(h_b, dtype=complex)
-    m = h_b.shape[0]
     problem = _problem(h_b, h_e, kbar, "constraint")
+    _check_mode(mode)
+    if mode in problem.plans:
+        return problem.plans[mode]
     b = problem.solved[1]
+    g_b, g_e = problem.k_star_pair
+    m = problem.channels[0].shape[0]
     if mode == "gsvd":
         u, va, diag_b, diag_e = problem.k_star_kernel
-        bob = diag_b, u[:m]
+        bob, hbv = (diag_b, u), g_b[:m] @ va
+    elif mode == "svd_eve":
+        va, _, diag_e = _svd_precoder(np.linalg.svd(g_e, full_matrices=False), mode)
+        gv = g_b @ va
+        bob, hbv = _receiver(gv, m), gv[:m]
     else:
-        g_b, g_e = effective_mmse_matrix(h_b, b), effective_mmse_matrix(h_e, b)
-        va, p, sigma = _svd_precoder(g_b, g_e, mode)
-        if mode == "svd_eve":
-            bob, diag_e = _receiver(g_b, va, m), sigma
-        else:
-            bob, diag_e = (sigma, p[:m]), _qr_diagonal(g_e @ va)[0]
-    base = _sic_plan(h_b, b, va, *bob)
-    secret = np.maximum(2.0 * (np.log2(base.diag_b) - np.log2(diag_e)), 0.0)
-    return WiretapPlan(base=base, diag_e=diag_e, secret_rates_bits=secret,
-                       fictitious_rates_bits=2.0 * np.log2(diag_e), mode=mode)
+        va, p, sigma = _svd_precoder(problem.k_star_svd, mode)
+        bob, hbv, diag_e = (sigma, p[:m]), g_b[:m] @ va, _qr_diagonal(g_e @ va)[0]
+    base = _sic_plan(b, va, *bob, hbv)
+    fictitious = 2.0 * np.log2(diag_e)
+    secret = np.maximum(base.rates_bits - fictitious, 0.0)  # the bits of 2 (log2 b - log2 e)
+    plan = WiretapPlan(base=base, diag_e=diag_e, secret_rates_bits=secret,
+                       fictitious_rates_bits=fictitious, mode=mode)
+    _freeze(*vars(base).values(), diag_e, secret, fictitious)
+    problem.plans[mode] = plan
+    return plan
 
 
 def build_dpc_plan(h_b, h_e, kbar, mode="gsvd"):
@@ -255,25 +266,26 @@ def build_dpc_plan(h_b, h_e, kbar, mode="gsvd"):
     Stream k is encoded after the later ones as ``u_k = t_kk x_k + alpha_k s_k``,
     ``s_k = sum_{j>k} t_kj x_j``, against the SIC plan's noise of SNR
     ``b_k^2 - 1``: so ``t_kk = b_k - 1/b_k``, Costa's (IEEE Trans. IT 1983)
-    ``alpha_k = (b_k^2 - 1) / b_k^2`` and, with ``q_k = sum_{j>k} |t_kj|^2``,
-    ``I(u_k; y_k) = log2(b_k^2 + q_k) = I(u_k; s_k) + log2 b_k^2``.  Given
+    ``alpha_k = 1 - (1/b_k)^2`` and, with ``q_k = sum_{j>k} |t_kj / b_k|^2``,
+    ``I(u_k; y_k) = 2 log2 b_k + log2(1 + q_k) = I(u_k; s_k) + log2 b_k^2``.  Given
     the later streams ``u_k`` is ``t_kk x_k``, so ``I(u_k; y_e | later) =
     2 log2 e_k``, the wiretap fictitious rate, and by the chain rule
     ``I(u_k; y_k) - I(u_k; y_e, later) = 2 log2(b_k / e_k)``, the wiretap
-    secret rate.  ``u_k`` is 0 exactly when ``b_k = 1``, so a stream with
-    ``b_k^2 - 1`` within rounding (``_DEAD_SNR``) of 0 carries nothing.
+    secret rate.  ``u_k`` is 0 exactly when ``b_k = 1``, so a stream whose
+    SINR ``(b_k - 1)(b_k + 1)`` is within rounding (``_DEAD_SNR``) of 0
+    carries nothing.  No square of ``b`` is formed.
     """
     wt = build_wiretap_plan(h_b, h_e, kbar, mode)
-    tt, b = wt.base.t_tilde, wt.base.diag_b
+    base, b = wt.base, wt.base.diag_b
     # b_k >= 1 always; rounding on truncated streams can push b slightly
     # below 1, so the MMSE coefficient is clamped at 0.
-    alpha = np.maximum((b ** 2 - 1.0) / b ** 2, 0.0)
-    q = np.sum(np.abs(np.triu(tt, 1)) ** 2, axis=1)
-    live = b ** 2 - 1.0 > _DEAD_SNR
-    return DpcPlan(base=wt.base, diag_e=wt.diag_e, alpha=alpha,
+    alpha = np.maximum(1.0 - (1.0 / b) ** 2, 0.0)
+    q = np.sum(np.abs(np.triu(base.t_tilde, 1) / b[:, None]) ** 2, axis=1)
+    live = base.sinr > _DEAD_SNR
+    return DpcPlan(base=base, diag_e=wt.diag_e, alpha=alpha,
                    rates_bits=np.where(live, wt.secret_rates_bits, 0.0),
                    fictitious_rates_bits=np.where(live, wt.fictitious_rates_bits, 0.0),
-                   rates_u_bits=np.where(live, np.log2(b ** 2 + q), 0.0))
+                   rates_u_bits=np.where(live, base.rates_bits + np.log2(1.0 + q), 0.0))
 
 
 def build_broadcast_plan(h_b, h_c, kbar):
@@ -287,22 +299,21 @@ def build_broadcast_plan(h_b, h_c, kbar):
     above 1 carry the first user's messages, combined by the top rows of
     ``U``, the rest the second's, by the top rows of ``g_c R2^-1 W`` (one
     triangular solve); each feedback is the combiner's adjoint times ``h b
-    va``.  The rate totals hit both corners of the rectangular region
-    simultaneously.
+    va``, from the products ``h b`` the problem formed with its kernel.  The
+    rate totals hit both corners of the rectangular region simultaneously.
     """
-    h_b, h_c = np.asarray(h_b, dtype=complex), np.asarray(h_c, dtype=complex)
     problem = _broadcast_problem(h_b, h_c, kbar)
-    b, kernel = problem.root, problem.kernel
-    mu, u, _, wh, r2 = kernel
-    va, diag_b, diag_c = _kernel_ql(*kernel)
-    lb = _active_count(mu)
-    bob = u[:h_b.shape[0], :lb]
+    mu, u, _, wh, r2 = problem.kernel
+    va, diag_b, diag_c = _kernel_ql(mu, wh @ r2)
+    lb = problem.capacity[1]
+    hb, hc = (g[:h.shape[0]] for g, h in zip(problem.mmse_pair, problem.channels))
+    bob = u[:hb.shape[0], :lb]
     # ``(h_c b) R2^-1``: the top rows of ``g_c R2^-1``, solved as the kernel solves ``g_b R2^-1``.
-    charlie = np.linalg.solve(r2.T, (h_c @ b).T).T @ wh[lb:].conj().T
+    charlie = np.linalg.solve(r2.T, hc.T).T @ wh[lb:].conj().T
     return BroadcastPlan(
-        lb=lb, lc=mu.size - lb, va=va, b_sqrt=b, diag_b=diag_b, diag_c=diag_c,
+        lb=lb, lc=mu.size - lb, va=va, b_sqrt=problem.root, diag_b=diag_b, diag_c=diag_c,
         bob_combiner=bob, charlie_combiner=charlie,
-        bob_feedback=bob.conj().T @ h_b @ b @ va, charlie_feedback=charlie.conj().T @ h_c @ b @ va,
+        bob_feedback=bob.conj().T @ (hb @ va), charlie_feedback=charlie.conj().T @ (hc @ va),
         bob_rates_bits=np.maximum(2.0 * np.log2(mu[:lb]), 0.0),
         charlie_rates_bits=np.maximum(-2.0 * np.log2(mu[lb:]), 0.0),
     )

@@ -60,8 +60,8 @@ class SecrecyResult:
     """Secrecy capacity under a covariance constraint.
 
     ``gsv`` holds the channel-pair GSVs of the constraint, ``lb`` counts the
-    ones above 1, ``capacity_bits`` is the clipped log-sum, and ``k_star``
-    is the optimal input covariance.
+    active ones (squares above ``1 + LB_GSV_TOL``), ``capacity_bits`` is their
+    log-sum, and ``k_star`` is the optimal input covariance.
     """
 
     gsv: np.ndarray
@@ -179,18 +179,32 @@ def secrecy_mi_difference(h_b, h_e, k):
     return gaussian_mi(h_b, k) - gaussian_mi(h_e, k)
 
 
-def _active_count(mu):
-    # Streams whose squared GSV exceeds ``1 + LB_GSV_TOL``; a square past the
-    # float range is inf, which counts, so its overflow is not a warning.
-    with np.errstate(over="ignore"):
-        return int(np.sum(mu * mu > 1.0 + LB_GSV_TOL))
+def _capacity(mu):
+    # ``sum 2 log2 mu`` over the ``lb`` active streams, whose squared GSVs (of ``min(mu, 2)``, so
+    # none overflows) exceed ``1 + LB_GSV_TOL``, and ``lb``.  The others add 0 in place: the bits
+    # are those of ``sum max(2 log2 mu, 0)`` unless a GSV is in ``(1, sqrt(1 + LB_GSV_TOL)]``.
+    m = np.minimum(mu, 2.0)
+    lb = int(np.count_nonzero(m * m > 1.0 + LB_GSV_TOL))
+    logs = 2.0 * np.log2(np.maximum(mu, 1.0))
+    logs[lb:] = 0.0
+    return float(logs.sum()), lb
+
+
+def _freeze(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _mmse_pair(h_b, h_e, f):
+    # ``[h_b f; I]``, ``[h_e f; I]`` for a square factor (or a stack) ``f``, finite-checked.
+    return _check_pair(effective_mmse_matrix(h_b, f), effective_mmse_matrix(h_e, f), stacked=True)
 
 
 def _factor_kernel(h_b, h_e, f):
-    # The GSVD kernel, GSVs first, of ``[h_b f; I]``, ``[h_e f; I]`` for a square factor (or a
-    # stack) ``f`` of the covariance; its GSVs are those of ``f f'``.  No rank check: all >= 1.
-    pair = _check_pair(effective_mmse_matrix(h_b, f), effective_mmse_matrix(h_e, f), stacked=True)
-    return _gsvd_kernel(*pair, check=False)
+    # The GSVD kernel, GSVs first, of :func:`_mmse_pair`; its GSVs are those of ``f f'``.  No
+    # rank check: all >= 1.
+    return _gsvd_kernel(*_mmse_pair(h_b, h_e, f), check=False)
 
 
 def _square_pair(h_b, h_e):
@@ -209,31 +223,57 @@ def _candidate_gsv(rs, fs):
 
 
 class _Problem:
-    """One 2-D ``(h_b, h_e, k)``, keyed by their shapes and bytes as complex: the root of ``k``
-    and its :func:`_factor_kernel` from the start, the rest filled on first use (a race at worst
-    fills a field twice, with equal bits).  It hands out read-only arrays, and holds no caller's."""
+    """One 2-D ``(h_b, h_e, k)``, keyed by their shapes and bytes as complex: the root ``b`` of
+    ``k``, its MMSE pair ``[h b; I]`` and the pair's GSVD kernel ``[h_b b; I] = U diag(mu) W'R2``,
+    ``[h_e b; I] = Q2 R2`` from the start, the rest filled on first use (a race at worst fills a
+    field twice, with equal bits).  It hands out read-only arrays, and holds no caller's.
+
+    That kernel is the problem's only one.  With the active basis ``P`` of ``solved`` (``(W'R2)
+    [lb:] P = 0``) and ``X = (W'R2)[:lb] P``, ``[h_b b P; P] = U[:, :lb] diag(mu[:lb]) X`` and
+    ``[h_e b P; P] = Q2 W[:, :lb] X``: the ``gsvd`` sides of ``k_star``'s factor ``f = b [0, P]``
+    are :func:`decomp._kernel_ql` of ``mu[:lb]`` and ``X``, and GSV 1 under the identity on the
+    zero columns of ``f``.  ``plans`` holds the wiretap plans :mod:`scheme` built, by mode."""
 
     def __init__(self, key, h_b, h_e, k):
-        self.key, self._pair = key, (h_b.copy("K"), h_e.copy("K"))
+        self.key, self.channels = key, (h_b.copy("K"), h_e.copy("K"))
         self.root = matrix_sqrt(k)
-        self.kernel = _factor_kernel(h_b, h_e, self.root)
-        for a in (self.root, *self.kernel[:2], *self.kernel[3:]):
-            a.setflags(write=False)
+        self.mmse_pair = _mmse_pair(h_b, h_e, self.root)
+        self.kernel = _gsvd_kernel(*self.mmse_pair, check=False)
+        self.plans = {}
+        _freeze(self.root, *self.mmse_pair, *self.kernel[:2], *self.kernel[3:])
+
+    @cached_property
+    def capacity(self):
+        # ``capacity_bits`` and ``lb``, for the capacity call, the region and the broadcast plan.
+        return _capacity(self.kernel[0])
 
     @cached_property
     def solved(self):
-        # The result and a factor ``f`` of ``k_star``, by ``_optimal``: the root times the
-        # complete basis, with the ``n - lb`` inactive columns exactly 0, so ``f f' = k_star``.
-        return _optimal(self.root, *self.kernel)
+        # The result, a factor ``f`` of ``k_star`` and the active basis ``P``, by ``_optimal``:
+        # ``f = b [0, P]``, with the ``n - lb`` inactive columns exactly 0, so ``f f' = k_star``.
+        return _optimal(self.root, *self.capacity, *self.kernel)
 
     @cached_property
     def k_star_kernel(self):
-        # ``U`` of the kernel of ``[h_b f; I]``, ``[h_e f; I]``, then ``va`` and both diagonals.
-        kernel = _factor_kernel(*self._pair, self.solved[1])
-        factors = (kernel[1], *_kernel_ql(*kernel))
-        for a in factors:
-            a.setflags(write=False)
-        return factors
+        # Bob's combiner ``[U[:m, :lb], 0]``, ``va`` and both diagonals of the ``gsvd`` plan.
+        mu, u, _, wh, r2 = self.kernel
+        result, _, basis = self.solved
+        lb, n, m = result.lb, mu.size, self.channels[0].shape[0]
+        va_a, diag_b_a, diag_e_a = _kernel_ql(mu[:lb], wh[:lb] @ r2 @ basis)
+        va = np.eye(n, k=lb, dtype=complex)
+        va[n - lb:, :lb] = va_a
+        combiner = np.zeros((m, n), dtype=complex)
+        combiner[:, :lb] = u[:m, :lb]
+        return _freeze(combiner, va, *(np.append(d, np.ones(n - lb)) for d in (diag_b_a, diag_e_a)))
+
+    @cached_property
+    def k_star_pair(self):
+        return _freeze(*_mmse_pair(*self.channels, self.solved[1]))
+
+    @cached_property
+    def k_star_svd(self):
+        # Bob's thin SVD of ``[h_b f; I]``, which ``svd_bob`` and ``gmd_bob`` share.
+        return _freeze(*np.linalg.svd(self.k_star_pair[0], full_matrices=False))
 
 
 def _problem(h_b, h_e, kbar, name):
@@ -266,28 +306,27 @@ def channel_gsv(h_b, h_e, k):
 def secrecy_capacity_cov(h_b, h_e, kbar):
     """Secrecy capacity under the covariance constraint ``kbar``.
 
-    The capacity is the positive part of the log of the squared channel-pair
-    GSVs of the constraint itself, read off the GSVD kernel
-    ``g_b = U diag(mu) W' R2`` of the effective MMSE matrices (so ``gsv``
-    equals :func:`channel_gsv` bit for bit).  The optimal covariance keeps
-    the ``lb`` directions with GSVs above 1: rows ``lb:`` of ``W' R2`` span
-    the others, a complete QR of their adjoint ends in a basis ``P`` of the
-    active ones, and ``k_star = (b P)(b P)'`` with ``b`` the root of ``kbar``.
+    The capacity sums the log of the squared channel-pair GSVs of the
+    constraint itself over the ``lb`` active streams, those with ``mu^2 > 1 +
+    LB_GSV_TOL``, read off the GSVD kernel ``g_b = U diag(mu) W' R2`` of the
+    effective MMSE matrices (so ``gsv`` equals :func:`channel_gsv` bit for
+    bit).  The optimal covariance and every plan keep those ``lb`` directions
+    and no other, so the plans' secret rates sum to it: rows ``lb:`` of ``W'
+    R2`` span the others, a complete QR of their adjoint ends in a basis
+    ``P`` of the active ones, and ``k_star = (b P)(b P)'`` with ``b`` the
+    root of ``kbar``.
     """
     return _problem(h_b, h_e, kbar, "constraint").solved[0]
 
 
-def _optimal(b, mu, u, q2, wh, r2):
-    capacity = float(np.sum(2.0 * np.log2(np.maximum(mu, 1.0))))  # = sum max(2 log2 mu, 0)
-    lb = _active_count(mu)
-    basis = np.linalg.qr(_adjoint(wh[lb:] @ r2), mode="complete")[0]
-    active = b @ basis[:, mu.size - lb:]
+def _optimal(b, capacity, lb, mu, u, q2, wh, r2):
+    basis = np.linalg.qr(_adjoint(wh[lb:] @ r2), mode="complete")[0][:, mu.size - lb:]
+    active = b @ basis
     f = np.zeros_like(b)
     f[:, mu.size - lb:] = active
     k_star = _hermitize(active @ _adjoint(active))
-    k_star.setflags(write=False)
-    f.setflags(write=False)
-    return SecrecyResult(gsv=mu, lb=lb, capacity_bits=capacity, k_star=k_star), f
+    _freeze(k_star, f, basis)
+    return SecrecyResult(gsv=mu, lb=lb, capacity_bits=capacity, k_star=k_star), f, basis
 
 
 def verify_truncation(h_b, h_e, kbar):
@@ -368,16 +407,17 @@ def _broadcast_problem(h_b, h_c, kbar):
 def broadcast_region(h_b, h_c, kbar):
     """Rectangular capacity region of the two-user confidential broadcast.
 
-    The first corner sums the positive log-squared GSVs, read off the capacity
-    call's root and GSVD kernel of the problem, the second the negative ones;
-    swapping the channel roles inverts the GSVs and swaps the corners.  A GSV
+    The first corner sums the log-squared GSVs of the active streams, as the
+    secrecy capacity does, the second the negative ones, read off the capacity
+    call's root and GSVD kernel of the problem; swapping the channel roles
+    inverts the GSVs and swaps the corners.  A GSV
     lost to 0 (``[h b; I]`` has full rank, so all are positive) raises :class:`DomainError`.
     """
-    mu = _broadcast_problem(h_b, h_c, kbar).kernel[0]
-    log_sq = 2.0 * np.log2(mu)
+    problem = _broadcast_problem(h_b, h_c, kbar)
+    mu = problem.kernel[0]
     return BroadcastRegion(
-        rb_max=float(np.sum(np.maximum(log_sq, 0.0))),
-        rc_max=float(np.sum(np.maximum(-log_sq, 0.0))),
+        rb_max=problem.capacity[0],
+        rc_max=float(np.sum(np.maximum(-2.0 * np.log2(mu), 0.0))),
         gsv=mu,
     )
 
@@ -435,10 +475,10 @@ def _power_search(h_b, h_e, power, budget, seed):
     isotropic = np.eye(n, dtype=complex) * (power / n)
     iso_f = np.eye(n, dtype=complex) * np.sqrt(power / n)
 
-    # The start is ranked by the certifying call's kernel, so a bound that falls back to it
-    # re-evaluates bit for bit; ``2 log2 max(mu, 1)`` is ``max(2 log2 mu, 0)`` with no log of 0.
-    mu = _factor_kernel(h_b, h_e, iso_f)[0]
-    start_c = best_c = float(np.sum(2.0 * np.log2(np.maximum(mu, 1.0))))
+    # The start is ranked by the certifying call's kernel and sum, so a bound that falls back to
+    # it re-evaluates bit for bit.  Candidates are ranked by ``sum 2 log2 max(mu, 1)``, which is
+    # ``sum max(2 log2 mu, 0)`` with no log of 0.
+    start_c = best_c = _capacity(_factor_kernel(h_b, h_e, iso_f)[0])[0]
     best_f, evaluations, rs = iso_f, 1, _square_pair(h_b, h_e)
 
     def normalized(f):

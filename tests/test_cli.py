@@ -744,6 +744,10 @@ def overflow_problem(tmp_path, v):
 LOST_GSV_PAIR = {"h_b": matrix([[3.73783907e169, 3.88947911e168, -3.07600693e169]]),
                  "h_c": matrix([[-3.12195599e295, 1.50185864e295, -6.88618242e295]])}
 
+#: A column whose Householder vector overflows a double, and the refusal that names it.
+HOUSEHOLDER_OVERFLOW = {"h_b": matrix([[1e308], [1e308]])}
+HOUSEHOLDER_RANGE = "matrix is out of range: a Householder vector of its QR overflows a double"
+
 OVERFLOW_COMMANDS = (
     [["decompose", "--kind", k] for k in ("qr", "ql", "svd", "gmd", "gtd", "gsvd")]
     + [["capacity"], ["capacity", "--power", "2", "--budget", "120"], ["region"]]
@@ -791,8 +795,7 @@ class TestNumericalRange:
         assert cli.load_problem(path)["h_b"][0, 0] == 1.2e308
 
     @pytest.mark.parametrize("command, fields, reason", [
-        (["decompose", "--kind", "qr"], {"h_b": matrix([[1e308], [1e308]])},
-         "the report would hold a NaN or an infinity"),
+        (["decompose", "--kind", "qr"], HOUSEHOLDER_OVERFLOW, HOUSEHOLDER_RANGE),
         (["simulate", "--scheme", "sic", "--mode", "svd_bob"],
          {"h_b": matrix([[1e300, 1e300], [1e300, -1e300], [1.0, 2.0]]),
           "h_e": matrix([[1.0, 0.5], [0.25, 1.0]])},
@@ -814,6 +817,19 @@ class TestNumericalRange:
         monkeypatch.setattr(cli.secrecy, "secrecy_capacity_cov", no_convergence)
         assert run_cli(command + ["--input", write_problem(tmp_path, **fields)]) == 1
         assert capsys.readouterr().err == f"error: {reason}\n"
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("ql", HOUSEHOLDER_OVERFLOW),
+        # The triangular GSVD's ``qr`` of ``h_e va`` overflows, not the diagonal form.
+        ("gsvd", {"h_b": matrix(np.eye(3, 2)),
+                  "h_e": matrix([[1.2e308, 0.0], [0.0, 1.2e308], [0.0, 0.0]])}),
+    ])
+    def test_householder_overflow_names_the_range(self, tmp_path, capsys, kind, fields):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["decompose", "--kind", kind,
+                            "--input", write_problem(tmp_path, **fields)]) == 1
+        assert capsys.readouterr().err == f"error: {HOUSEHOLDER_RANGE}\n"
 
     @pytest.mark.parametrize("kind", ["qr", "ql", "svd", "gmd"])
     def test_residual_of_huge_entries_does_not_overflow(self, tmp_path, capsys, kind):

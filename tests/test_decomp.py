@@ -162,6 +162,15 @@ class TestRankCheck:
                 decomp.qr(_diag_tall(d, 1e200))
         assert calls == [(3, 2)]
 
+    @pytest.mark.parametrize("fn", [decomp.qr, decomp.ql])
+    def test_overflowing_householder_vector_names_the_range(self, fn):
+        # LAPACK returns a NaN unitary factor, with no error, when a Householder vector
+        # overflows; it is refused before any phase fix warns on it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^matrix is out of range: a Householder vector"):
+                fn([[1e308], [1e308]])
+
 
 class TestSvd:
     def test_diagonal(self):

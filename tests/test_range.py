@@ -21,9 +21,10 @@ SCALES = [1.0, 1e150, 1e154, 1e160, 1e300]
 @pytest.mark.filterwarnings("error::RuntimeWarning:wtd.decomp",
                             "error::RuntimeWarning:wtd.secrecy")
 def test_plan_rates_sum_to_the_capacity(scale):
-    # 20 problems with 'h_b' at ``scale``, 'h_e' at unit scale and ``kbar = I``.  The SINR
-    # squares of the SIC and DPC plans still overflow past 1e154, so only the factor path is
-    # held to no warning, and only the rates are checked.
+    # 20 problems with 'h_b' at ``scale``, 'h_e' at unit scale and ``kbar = I``.  The SINRs
+    # ``b^2 - 1`` of the SIC and DPC plans still overflow past 1e154, so only the factor path
+    # is held to no warning, and only the rates and the DPC ``alpha``, which forms no square
+    # of ``b``, are checked.
     rng = np.random.default_rng(19)
     for _ in range(20):
         n = int(rng.integers(1, 5))
@@ -34,10 +35,12 @@ def test_plan_rates_sum_to_the_capacity(scale):
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", category=RuntimeWarning, module="wtd.scheme")
             warnings.filterwarnings("ignore", category=RuntimeWarning, module="numpy")
-            wiretap = scheme.build_wiretap_plan(h_b, h_e, kbar, "gsvd").secret_rates_bits
-            dpc = scheme.build_dpc_plan(h_b, h_e, kbar).rates_bits
-        for rates in (wiretap, dpc):
-            assert abs(np.sum(rates) - capacity) <= 1e-9 * capacity, (scale, n)
+            rates = [scheme.build_wiretap_plan(h_b, h_e, kbar, mode).secret_rates_bits
+                     for mode in scheme.PRECODER_MODES]
+            dpc = scheme.build_dpc_plan(h_b, h_e, kbar)
+        for plan_rates in rates + [dpc.rates_bits]:
+            assert abs(np.sum(plan_rates) - capacity) <= 1e-9 * capacity, (scale, n)
+        assert np.all(np.isfinite(dpc.alpha) & (dpc.alpha >= 0.0) & (dpc.alpha <= 1.0)), scale
 
 
 def test_gsv_scale_keeps_its_bits_in_range():

@@ -210,9 +210,9 @@ class TestOneMmsePairPerPlan:
     def test_plans_form_each_mmse_matrix_once(self, rng, monkeypatch):
         # Counts every effective MMSE matrix, the library's own included, after a
         # capacity call that kept the root, kernel and solve of the problem: the first
-        # ``gsvd`` plan forms the pair of ``k_star``'s factor for the kept optimal
-        # kernel, which the second one and the DPC plan read; each SVD mode forms the
-        # pair once, and the broadcast plan reads the kept kernel of ``kbar``.
+        # wiretap plan forms the pair of ``k_star``'s factor, which every other mode
+        # reads; a second plan of a mode and the DPC plan reuse the kept plan, and the
+        # broadcast plan reads the products ``h b`` of the kept pair of ``kbar``.
         calls = []
         for module in (scheme, secrecy):
             def counting(h, b, real=module.effective_mmse_matrix):
@@ -234,24 +234,72 @@ class TestOneMmsePairPerPlan:
             call()
             counts[label] = len(calls)
         assert counts == {"gsvd": 2, "gsvd again": 0, "dpc": 0, "broadcast": 0,
-                          "svd_eve": 2, "svd_bob": 2, "gmd_bob": 2}
+                          "svd_eve": 0, "svd_bob": 0, "gmd_bob": 0}
+
+    @pytest.mark.parametrize("first", scheme.PRECODER_MODES)
+    def test_the_four_modes_share_one_pair_and_one_bob_svd(self, rng, monkeypatch, first):
+        # Whichever mode comes first, the four form the MMSE pair of ``k_star``'s factor
+        # once, take Bob's thin SVD of it once (``svd_bob`` and ``gmd_bob`` share it) and
+        # Eve's once (``svd_eve``), and run no GSVD kernel; a DPC plan of each mode after
+        # them runs nothing.
+        h_b, h_e, kbar = wiretap_instance(rng)
+        secrecy.secrecy_capacity_cov(h_b, h_e, 2.0 * kbar)
+        secrecy.secrecy_capacity_cov(h_b, h_e, kbar)
+        pairs = count_calls(monkeypatch, secrecy, ("_mmse_pair", "_gsvd_kernel", "_factor_kernel"))
+        svds = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            svds.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        modes = list(scheme.PRECODER_MODES)
+        for mode in modes[modes.index(first):] + modes[:modes.index(first)]:
+            scheme.build_wiretap_plan(h_b, h_e, kbar, mode)
+        assert pairs == ["_mmse_pair"]
+        assert sorted(svds) == [(5, 3), (6, 3)]
+        for mode in modes:
+            scheme.build_dpc_plan(h_b, h_e, kbar, mode)
+        assert (len(pairs), len(svds)) == (1, 2)
 
     def test_no_kernel_or_qr_after_the_first_gsvd_plan(self, rng, monkeypatch):
-        # The first ``gsvd`` plan on a solved problem runs one kernel (one QR of the
-        # second matrix) and the QR of its QL; no QR after them.  A second ``gsvd``
-        # plan and the DPC plan run neither.
+        # After a capacity call the ``gsvd`` plan runs no GSVD kernel, by either name, and
+        # no ``_factor_kernel``: one QR, that of the QL of its active block, and no SVD.  A
+        # second ``gsvd`` plan and the DPC plan run nothing.
         h_b, h_e, kbar = wiretap_instance(rng)
         secrecy.secrecy_capacity_cov(h_b, h_e, 2.0 * kbar)
         secrecy.secrecy_capacity_cov(h_b, h_e, kbar)
         kernels = count_calls(monkeypatch, decomp, ("_gsvd_kernel",))
-        monkeypatch.setattr(secrecy, "_gsvd_kernel", decomp._gsvd_kernel)
-        qrs = count_calls(monkeypatch, np.linalg, ("qr",))
+        solves = count_calls(monkeypatch, secrecy, ("_gsvd_kernel", "_factor_kernel"))
+        factorizations = count_calls(monkeypatch, np.linalg, ("qr", "svd"))
         scheme.build_wiretap_plan(h_b, h_e, kbar, "gsvd")
-        assert (len(kernels), len(qrs)) == (1, 2)
+        assert (kernels, solves, factorizations) == ([], [], ["qr"])
         scheme.build_wiretap_plan(h_b, h_e, kbar, "gsvd")
         scheme.build_dpc_plan(h_b, h_e, kbar)
         scheme.build_dpc_plan(h_b, h_e, kbar, mode="gsvd")
-        assert (len(kernels), len(qrs)) == (1, 2)
+        assert (kernels, solves, factorizations) == ([], [], ["qr"])
+
+    def test_arrays_shared_with_the_kept_problem_are_read_only(self, rng):
+        # A kept wiretap plan is handed out again, so none of its arrays may change; the
+        # DPC plan shares its base, and the broadcast plan the root and kernel.
+        h_b, h_e, kbar = wiretap_instance(rng)
+        plans = [scheme.build_wiretap_plan(h_b, h_e, kbar, mode) for mode in scheme.PRECODER_MODES]
+        dpc = scheme.build_dpc_plan(h_b, h_e, kbar)
+        broadcast = scheme.build_broadcast_plan(h_b, h_e, kbar)
+        problem = secrecy._last
+        shared = [a for plan in plans for a in (*vars(plan.base).values(), plan.diag_e,
+                                                 plan.secret_rates_bits,
+                                                 plan.fictitious_rates_bits)]
+        shared += [*vars(dpc.base).values(), dpc.diag_e, broadcast.b_sqrt,
+                   broadcast.bob_combiner]
+        shared += [*problem.k_star_kernel, *problem.k_star_pair, *problem.k_star_svd,
+                   *problem.mmse_pair, *problem.solved[1:]]
+        for a in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 7.0
+        assert dpc.base is plans[0].base
+        assert scheme.build_wiretap_plan(h_b, h_e, kbar, "svd_bob") is plans[2]
 
 
 def _qr_route_problems():
@@ -607,22 +655,27 @@ class TestSolveMemo:
         assert after == before
 
     def test_a_gsv_call_first_leaves_one_solve_for_every_call(self, rng, monkeypatch):
-        # The capacity-first order gives the reference bits; after a GSV call the
-        # first plan adds the capacity solve to the kept root and kernel, and the
-        # ``gsvd`` plan the kernel and QL of ``k_star``'s factor; the broadcast plan
-        # takes the QL of the kept kernel of ``kbar``.
+        # The capacity-first order gives the reference bits; after a GSV call, which
+        # roots ``kbar`` and runs the problem's only GSVD kernel, the first plan adds the
+        # capacity solve, and the ``gsvd`` plan the QL of its active block of that kernel;
+        # the broadcast plan takes the QL of the whole kernel.  No call runs a second
+        # kernel or ``_factor_kernel``, and the nine take three SVDs: the kernel's, Eve's
+        # of ``svd_eve`` and Bob's, which ``svd_bob`` and ``gmd_bob`` share.
         h_b, h_e, kbar = wiretap_instance(rng)
         want = {label: _bits(call()) for label, call in _nine_calls(h_b, h_e, kbar).items()}
         secrecy.secrecy_capacity_cov(h_b, h_e, kbar + np.eye(kbar.shape[0]))
-        calls = count_calls(monkeypatch, secrecy, ("matrix_sqrt", "_gsvd_kernel", "_kernel_ql"))
-        plan_calls = count_calls(monkeypatch, scheme, ("_kernel_ql",))
+        calls = count_calls(monkeypatch, secrecy, ("matrix_sqrt", "_gsvd_kernel", "_kernel_ql",
+                                                   "_factor_kernel"))
+        plan_calls = count_calls(monkeypatch, scheme, ("_kernel_ql", "_factor_kernel"))
+        svds = count_calls(monkeypatch, np.linalg, ("svd",))
         order = ["gsv", "gsvd"] + [label for label in want if label not in ("gsv", "gsvd")]
         calls_on_problem = _nine_calls(h_b, h_e, kbar)
         assert {label: _bits(calls_on_problem[label]()) for label in order} == want
-        assert sorted(calls + plan_calls) == ["_gsvd_kernel", "_gsvd_kernel", "_kernel_ql",
-                                              "_kernel_ql", "matrix_sqrt"]
+        assert sorted(calls + plan_calls) == ["_gsvd_kernel", "_kernel_ql", "_kernel_ql",
+                                              "matrix_sqrt"]
+        assert len(svds) == 3
         plan = scheme.build_wiretap_plan(h_b, h_e, kbar, "gsvd")
-        assert len(calls + plan_calls) == 5
+        assert (len(calls + plan_calls), len(svds)) == (4, 3)
         for a in (plan.base.b_sqrt, plan.base.va, plan.base.u_tilde,
                   secrecy.secrecy_capacity_cov(h_b, h_e, kbar).k_star,
                   *secrecy._last.k_star_kernel):
@@ -1062,51 +1115,57 @@ def _golden_fields(rep):
 #: their last bits (at most 5.2e-16 relative, and 3e-16 bits on the leakages).
 #: The SINR fields (and the DPC alpha residuals) moved again, by at most 1.0e-15
 #: relative, when the plans began to read their factors off the precoder's own
-#: factorization.
+#: factorization.  All but the broadcast reports moved by sampling noise when the
+#: ``gsvd`` plan began to read ``k_star``'s factors off the constraint's kernel:
+#: its ``va`` is a second kernel's up to a phase per column, which turns each
+#: stream's symbols, so the ``sic``, ``leakage`` and ``dpc`` estimates are those
+#: of another draw of the same law (SINRs at most 0.3 % apart, leakages 0.4 %).
+#: The broadcast reports moved by rounding (at most 4.7e-16 relative, and 1e-31
+#: absolute on the dead first stream of ``broadcast_lb0``).
 GOLDEN_REPORTS = {
     "sic_genie": {
-        "sinr_empirical": ["0x1.b7a5e92a72ffdp+1", "0x1.6a2e212d92d08p+1", "0x0.0p+0"],
-        "sinr_stderr": ["0x1.8dec8cf3b7a38p-6", "0x1.47cedf0b99387p-6", "0x0.0p+0"],
-        "mi_bits": ["0x1.05815fd7a9acep+2"],
+        "sinr_empirical": ["0x1.b7a5e92a72ff5p+1", "0x1.6b1e964263254p+1", "0x0.0p+0"],
+        "sinr_stderr": ["0x1.8dec8cf3b7a30p-6", "0x1.48a88227bc853p-6", "0x0.0p+0"],
+        "mi_bits": ["0x1.05ae9fe871b73p+2"],
     },
     "sic_decided": {
-        "sinr_empirical": ["0x1.38ee327e18b2bp+1", "0x1.6a2e212d92d08p+1", "0x0.0p+0"],
-        "sinr_stderr": ["0x1.1b3b793a575c3p-6", "0x1.47cedf0b99387p-6", "0x0.0p+0"],
-        "mi_bits": ["0x1.dc5c97c1fd07fp+1"],
+        "sinr_empirical": ["0x1.38a9af4f7254ep+1", "0x1.6b1e964263254p+1", "0x0.0p+0"],
+        "sinr_stderr": ["0x1.1afd769281dfcp-6", "0x1.48a88227bc853p-6", "0x0.0p+0"],
+        "mi_bits": ["0x1.dc9a641e4e8fap+1"],
     },
     "leakage": {
-        "sinr_empirical": ["0x1.b54d661ec09abp+1", "0x1.6c348a314cb1fp+1", "0x0.0p+0"],
+        "sinr_empirical": ["0x1.b54d661ec09a9p+1", "0x1.6c348a314cb27p+1", "0x0.0p+0"],
         "sinr_stderr": ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"],
-        "mi_bits": ["0x1.03e6f05585dc0p+1"],
-        "leakage_bits": ["0x1.f579200183a95p-2", "0x1.8a69a1f4af97ap+0", "0x1.7dad7ecd7ce40p-14"],
+        "mi_bits": ["0x1.0434b4b17b1c8p+1"],
+        "leakage_bits": ["0x1.f23a7f3ed1323p-2", "0x1.8bd698f1f066bp+0", "0x1.0c28546173c40p-14"],
         "leakage_stderr": [
-            "0x1.1ab22a028bc39p-8", "0x1.0af7bafcf07cep-8", "0x1.450520aa29c60p-13",
+            "0x1.5e5565010bdcfp-8", "0x1.934dff390bdd9p-8", "0x1.c1ef6a3bae4a1p-13",
         ],
     },
     "dpc": {
-        "sinr_empirical": ["0x1.b7a5e92a72ffdp+1", "0x1.6a2e212d92d08p+1", "0x0.0p+0"],
-        "sinr_stderr": ["0x1.8dec8cf3b7a38p-6", "0x1.47cedf0b99387p-6", "0x0.0p+0"],
-        "mi_bits": ["0x1.05815fd7a9acep+2"],
-        "alpha_residual": ["0x1.3198c7de57cbdp-1", "0x1.18d061e266ae7p-1", "0x0.0p+0"],
-        "alpha_residual_below": ["0x1.3c10babe2d0ccp-1", "0x1.20703844fa287p-1", "0x0.0p+0"],
-        "alpha_residual_above": ["0x1.3c46074d14beap-1", "0x1.213a28fc83efcp-1", "0x0.0p+0"],
+        "sinr_empirical": ["0x1.b7a5e92a72ff5p+1", "0x1.6b1e964263254p+1", "0x0.0p+0"],
+        "sinr_stderr": ["0x1.8dec8cf3b7a30p-6", "0x1.48a88227bc853p-6", "0x0.0p+0"],
+        "mi_bits": ["0x1.05ae9fe871b73p+2"],
+        "alpha_residual": ["0x1.32893723b7000p-1", "0x1.181dfcc6f3047p-1", "0x0.0p+0"],
+        "alpha_residual_below": ["0x1.3d330c8facae6p-1", "0x1.1fd1d18e46613p-1", "0x0.0p+0"],
+        "alpha_residual_above": ["0x1.3cf42651bbfa3p-1", "0x1.20734aef118fcp-1", "0x0.0p+0"],
     },
     "broadcast_lb0": {
         "sinr_empirical": [
-            "0x1.146810c48ebc2p-103", "0x1.54758a0d6546dp+1", "0x1.1dfa4791fceadp+2",
+            "0x1.8e081529ec2a4p-103", "0x1.54758a0d6546dp+1", "0x1.1dfa4791fceadp+2",
         ],
-        "sinr_stderr": ["0x1.f4596694d3014p-111", "0x1.3425ffda034ccp-6", "0x1.02d66187a3df9p-5"],
+        "sinr_stderr": ["0x1.6841ce5e062e6p-110", "0x1.3425ffda034ccp-6", "0x1.02d66187a3df9p-5"],
         "mi_bits": ["0x1.14aa5e0fe1907p+2"],
     },
     "broadcast_mixed": {
-        "sinr_empirical": ["0x1.e5f4855ff4f09p+2", "0x1.17e37d92fb0acp+2", "0x1.07274c34614e1p+2"],
-        "sinr_stderr": ["0x1.b7d61e718813fp-5", "0x1.faa70d680e109p-6", "0x1.dc5bd5bd5388dp-6"],
-        "mi_bits": ["0x1.f87fa8e8958b2p+2"],
+        "sinr_empirical": ["0x1.e5f4855ff4f0dp+2", "0x1.17e37d92fb0aep+2", "0x1.07274c34614e1p+2"],
+        "sinr_stderr": ["0x1.b7d61e7188142p-5", "0x1.faa70d680e10dp-6", "0x1.dc5bd5bd5388dp-6"],
+        "mi_bits": ["0x1.f87fa8e8958b4p+2"],
     },
     "broadcast_lbn": {
-        "sinr_empirical": ["0x1.9839b4f213075p+3", "0x1.85bbb2760588ap+1", "0x1.12d02ff4bf7c1p-3"],
-        "sinr_stderr": ["0x1.717bc4ad9ea3fp-4", "0x1.60bf082483c5ap-6", "0x1.f1770ff648cc5p-11"],
-        "mi_bits": ["0x1.7eb56377c998fp+2"],
+        "sinr_empirical": ["0x1.9839b4f213077p+3", "0x1.85bbb2760588ap+1", "0x1.12d02ff4bf7c3p-3"],
+        "sinr_stderr": ["0x1.717bc4ad9ea41p-4", "0x1.60bf082483c5ap-6", "0x1.f1770ff648cc9p-11"],
+        "mi_bits": ["0x1.7eb56377c9990p+2"],
     },
 }
 
@@ -1170,58 +1229,63 @@ def _golden_digests(result, prefix=""):
 #: factors: its bound went from 4.413693557123825 to 4.465190869281963 bits.
 #: Every wiretap, DPC and broadcast entry moved by rounding (at most 1.4e-14
 #: relative) when each plan began to read its factors off its precoder's own
-#: factorization instead of a QR.
+#: factorization instead of a QR.  They moved again when the SINRs began to be read
+#: off the diagonal as ``(d - 1)(d + 1)``, the feedbacks off the products ``h b
+#: va`` the plans already hold, and the ``gsvd`` plan's factors of ``k_star`` off
+#: the constraint's kernel: every field by rounding (at most 2.0e-15 relative),
+#: except the ``gsvd`` wiretap and DPC entries' ``va``, ``u_tilde`` and
+#: ``t_tilde``, which a second kernel gives up to a phase per column of ``va``.
 GOLDEN_PLANS = {
     "n2_capacity": {
         "gsv": "1439496734e55dc3", "lb": "7c9fa136d4413fa6",
         "capacity_bits": "4dfaec4a6066d3c7", "k_star": "e00381e5e7bf6859",
     },
     "n2_wiretap_gsvd": {
-        "base.va": "282194ea47e31527", "base.b_sqrt": "6eb9836c41efe84a",
-        "base.u_tilde": "8ba532a95c9ac59d", "base.t_tilde": "addc55c7891d9b46",
-        "base.diag_b": "19062dbd692a1210", "base.sinr": "a604c3aad156e209",
-        "base.rates_bits": "38cd73c1737536db", "diag_e": "0fc071baecf1a712",
-        "secret_rates_bits": "7d5ab64ccc339c71", "fictitious_rates_bits": "b111478e3abfc667",
+        "base.va": "5eb61e5be41da8d2", "base.b_sqrt": "6eb9836c41efe84a",
+        "base.u_tilde": "38b0b8f237f5859a", "base.t_tilde": "39962ac0c39ffc9e",
+        "base.diag_b": "19062dbd692a1210", "base.sinr": "7c5137df234fa2a4",
+        "base.rates_bits": "38cd73c1737536db", "diag_e": "31c1b66e6f96984f",
+        "secret_rates_bits": "ca8a43efa1942080", "fictitious_rates_bits": "5bd2895c434af85a",
         "mode": "ce714a5f246ce96c",
     },
     "n2_wiretap_svd_eve": {
         "base.va": "f063aa5b7fadf303", "base.b_sqrt": "6eb9836c41efe84a",
-        "base.u_tilde": "c6a9dd3e061b675b", "base.t_tilde": "06516b35e103ca37",
-        "base.diag_b": "19062dbd692a1210", "base.sinr": "a604c3aad156e209",
+        "base.u_tilde": "c6a9dd3e061b675b", "base.t_tilde": "8f6607672d7f7ae9",
+        "base.diag_b": "19062dbd692a1210", "base.sinr": "7c5137df234fa2a4",
         "base.rates_bits": "38cd73c1737536db", "diag_e": "0fc071baecf1a712",
         "secret_rates_bits": "7d5ab64ccc339c71", "fictitious_rates_bits": "b111478e3abfc667",
         "mode": "c73ddb487405eaa4",
     },
     "n2_wiretap_svd_bob": {
         "base.va": "c24935314c7a024a", "base.b_sqrt": "6eb9836c41efe84a",
-        "base.u_tilde": "411fd834bd48dd82", "base.t_tilde": "68fb6dbd6f42b8d0",
-        "base.diag_b": "607b3dd82a0278f2", "base.sinr": "d3238c8c6d80440c",
+        "base.u_tilde": "411fd834bd48dd82", "base.t_tilde": "106cd9dc8deaeb4d",
+        "base.diag_b": "607b3dd82a0278f2", "base.sinr": "527644a1960d1ea1",
         "base.rates_bits": "b7912ca83fec0203", "diag_e": "31c1b66e6f96984f",
         "secret_rates_bits": "ec6dfd3597be9987", "fictitious_rates_bits": "5bd2895c434af85a",
         "mode": "5d59e8d2fd898c63",
     },
     "n2_wiretap_gmd_bob": {
         "base.va": "e83e07180e4abed7", "base.b_sqrt": "6eb9836c41efe84a",
-        "base.u_tilde": "e85c65cdfde17195", "base.t_tilde": "161842e1f93e55f4",
-        "base.diag_b": "305111620c3daac2", "base.sinr": "64b1ce8c7571dca4",
+        "base.u_tilde": "e85c65cdfde17195", "base.t_tilde": "0f2681e5e0ca61d9",
+        "base.diag_b": "305111620c3daac2", "base.sinr": "fa155ac7c174f203",
         "base.rates_bits": "37e5eeb326e19bef", "diag_e": "0f48841ab6c71aeb",
         "secret_rates_bits": "ad158ac245072659", "fictitious_rates_bits": "9bea642871a112f7",
         "mode": "31a090f4630fe02d",
     },
     "n2_dpc": {
-        "base.va": "282194ea47e31527", "base.b_sqrt": "6eb9836c41efe84a",
-        "base.u_tilde": "8ba532a95c9ac59d", "base.t_tilde": "addc55c7891d9b46",
-        "base.diag_b": "19062dbd692a1210", "base.sinr": "a604c3aad156e209",
-        "base.rates_bits": "38cd73c1737536db", "diag_e": "0fc071baecf1a712",
-        "alpha": "254eb9c80cc21812", "rates_bits": "7d5ab64ccc339c71",
-        "fictitious_rates_bits": "b111478e3abfc667", "rates_u_bits": "a653ede6d52bfa60",
+        "base.va": "5eb61e5be41da8d2", "base.b_sqrt": "6eb9836c41efe84a",
+        "base.u_tilde": "38b0b8f237f5859a", "base.t_tilde": "39962ac0c39ffc9e",
+        "base.diag_b": "19062dbd692a1210", "base.sinr": "7c5137df234fa2a4",
+        "base.rates_bits": "38cd73c1737536db", "diag_e": "31c1b66e6f96984f",
+        "alpha": "254eb9c80cc21812", "rates_bits": "ca8a43efa1942080",
+        "fictitious_rates_bits": "5bd2895c434af85a", "rates_u_bits": "38cd73c1737536db",
     },
     "n2_broadcast": {
         "lb": "7c9fa136d4413fa6", "lc": "7c9fa136d4413fa6", "va": "f1e42fa886e6f1c2",
         "b_sqrt": "8068cd47ce6fa401", "diag_b": "a9efc4cad0c29008",
         "diag_c": "356b5390abf786e3", "bob_combiner": "9511d3510637a235",
-        "charlie_combiner": "4532e42ed49964ba", "bob_feedback": "3123af147b1d334d",
-        "charlie_feedback": "05570a773da8fef9", "bob_rates_bits": "4dfaec4a6066d3c7",
+        "charlie_combiner": "4532e42ed49964ba", "bob_feedback": "971e0170fe16bf41",
+        "charlie_feedback": "2402dc753df6a319", "bob_rates_bits": "4dfaec4a6066d3c7",
         "charlie_rates_bits": "275a072fd3d50afb",
     },
     "n4_capacity": {
@@ -1229,51 +1293,51 @@ GOLDEN_PLANS = {
         "capacity_bits": "6c2a5a61e9def542", "k_star": "49fbf045f49ca349",
     },
     "n4_wiretap_gsvd": {
-        "base.va": "8e01612501560e80", "base.b_sqrt": "b4dc02daebd78ff9",
-        "base.u_tilde": "92b21f399e155260", "base.t_tilde": "9819382ff589aaec",
-        "base.diag_b": "209c52142dda93ce", "base.sinr": "41741df79f2c39f8",
-        "base.rates_bits": "e07a0149930c2765", "diag_e": "bf9753a216fffdf6",
-        "secret_rates_bits": "3b8a92f1a9c475f9", "fictitious_rates_bits": "b74316430da9e217",
+        "base.va": "fa5a9d17fd490928", "base.b_sqrt": "b4dc02daebd78ff9",
+        "base.u_tilde": "2a9e6f0d94cd7812", "base.t_tilde": "b7a2b78bcc7cc7e7",
+        "base.diag_b": "afaf7eae19bc083c", "base.sinr": "f4081a57113ddfaf",
+        "base.rates_bits": "b6db3d642afe3991", "diag_e": "bf9753a216fffdf6",
+        "secret_rates_bits": "df646c467e847f5c", "fictitious_rates_bits": "b74316430da9e217",
         "mode": "ce714a5f246ce96c",
     },
     "n4_wiretap_svd_eve": {
         "base.va": "813c7d92676eb5f3", "base.b_sqrt": "b4dc02daebd78ff9",
-        "base.u_tilde": "d09a80e711b3e3cd", "base.t_tilde": "b47539bdd21605cf",
-        "base.diag_b": "17812008a2ec4fad", "base.sinr": "b55ab65bf0e97ad4",
+        "base.u_tilde": "d09a80e711b3e3cd", "base.t_tilde": "18e93193185c8ff7",
+        "base.diag_b": "17812008a2ec4fad", "base.sinr": "d7e579327172de94",
         "base.rates_bits": "c8053d7fa3915db0", "diag_e": "faf9730362b86b32",
         "secret_rates_bits": "3dbe8a782d22a3d6", "fictitious_rates_bits": "c23376d123a90bf8",
         "mode": "c73ddb487405eaa4",
     },
     "n4_wiretap_svd_bob": {
         "base.va": "81e43edfaf5f3790", "base.b_sqrt": "b4dc02daebd78ff9",
-        "base.u_tilde": "951c31288ef4cebb", "base.t_tilde": "4bef82a65e12b13a",
-        "base.diag_b": "004c7c9a741a5ca3", "base.sinr": "07653657d3453725",
+        "base.u_tilde": "951c31288ef4cebb", "base.t_tilde": "c354e939d3631865",
+        "base.diag_b": "004c7c9a741a5ca3", "base.sinr": "118a41f246213dfc",
         "base.rates_bits": "83418b985b651867", "diag_e": "3bc56fc9c7f6f4be",
         "secret_rates_bits": "5bbee256aaf98a83", "fictitious_rates_bits": "0c6ddb78373728a2",
         "mode": "5d59e8d2fd898c63",
     },
     "n4_wiretap_gmd_bob": {
         "base.va": "d90575bd7676e6c9", "base.b_sqrt": "b4dc02daebd78ff9",
-        "base.u_tilde": "90af6c6686177b43", "base.t_tilde": "662bee95b2c60fe6",
-        "base.diag_b": "79b6f2c1b4e9808c", "base.sinr": "d6ee68081370b4d6",
+        "base.u_tilde": "90af6c6686177b43", "base.t_tilde": "5d79bdf8cc0a9a91",
+        "base.diag_b": "79b6f2c1b4e9808c", "base.sinr": "8cc5f0577f535b5f",
         "base.rates_bits": "a3011f66e9a83fd4", "diag_e": "7de92319c2114f8c",
         "secret_rates_bits": "9a4ab4ad80717dd7", "fictitious_rates_bits": "8c3b37aecf47347b",
         "mode": "31a090f4630fe02d",
     },
     "n4_dpc": {
-        "base.va": "8e01612501560e80", "base.b_sqrt": "b4dc02daebd78ff9",
-        "base.u_tilde": "92b21f399e155260", "base.t_tilde": "9819382ff589aaec",
-        "base.diag_b": "209c52142dda93ce", "base.sinr": "41741df79f2c39f8",
-        "base.rates_bits": "e07a0149930c2765", "diag_e": "bf9753a216fffdf6",
-        "alpha": "af2c654cd8bd265d", "rates_bits": "3b8a92f1a9c475f9",
-        "fictitious_rates_bits": "b74316430da9e217", "rates_u_bits": "69d21a6e62b5dfca",
+        "base.va": "fa5a9d17fd490928", "base.b_sqrt": "b4dc02daebd78ff9",
+        "base.u_tilde": "2a9e6f0d94cd7812", "base.t_tilde": "b7a2b78bcc7cc7e7",
+        "base.diag_b": "afaf7eae19bc083c", "base.sinr": "f4081a57113ddfaf",
+        "base.rates_bits": "b6db3d642afe3991", "diag_e": "bf9753a216fffdf6",
+        "alpha": "8362f72d86ad67e0", "rates_bits": "df646c467e847f5c",
+        "fictitious_rates_bits": "b74316430da9e217", "rates_u_bits": "f6dd965b094b35b0",
     },
     "n4_broadcast": {
         "lb": "d86e8112f3c4c444", "lc": "d86e8112f3c4c444", "va": "e0dd6b07fdf14725",
         "b_sqrt": "955d50ca6953993e", "diag_b": "6beb0dbcce79e617",
         "diag_c": "591359a73e705884", "bob_combiner": "9868d321ea80ba18",
-        "charlie_combiner": "b76a687d65b02bec", "bob_feedback": "e6c0dbc38738de06",
-        "charlie_feedback": "fdf885ca19aa47a1", "bob_rates_bits": "1ad2eac3aa198458",
+        "charlie_combiner": "b76a687d65b02bec", "bob_feedback": "04c40bfad2c4b88b",
+        "charlie_feedback": "fb507e6008837634", "bob_rates_bits": "1ad2eac3aa198458",
         "charlie_rates_bits": "5fadf12e888c741c",
     },
     "n8_capacity": {
@@ -1281,51 +1345,51 @@ GOLDEN_PLANS = {
         "capacity_bits": "d5ec263322feb780", "k_star": "2a9b73dacc0c6137",
     },
     "n8_wiretap_gsvd": {
-        "base.va": "bd0e125db4fdad94", "base.b_sqrt": "2cd85208db2f7ec9",
-        "base.u_tilde": "000286aa426542ec", "base.t_tilde": "e23c787e24faf9ec",
-        "base.diag_b": "147378f82508aa0a", "base.sinr": "ea0abfa72d8b4fce",
-        "base.rates_bits": "9d4aba4d5716c3ac", "diag_e": "6f69ffd5d8647dd6",
-        "secret_rates_bits": "5ce98714c41c91c9", "fictitious_rates_bits": "539faaca67e389d2",
+        "base.va": "c2fd4bac0ba57679", "base.b_sqrt": "2cd85208db2f7ec9",
+        "base.u_tilde": "d8e1f43e75b19547", "base.t_tilde": "d2b40bdbce631506",
+        "base.diag_b": "dec80f84df273671", "base.sinr": "28045f83113698f2",
+        "base.rates_bits": "3217eda247a9f30b", "diag_e": "2342aac4eb10d674",
+        "secret_rates_bits": "038406faf1ef4917", "fictitious_rates_bits": "fa51c7dc96f973b6",
         "mode": "ce714a5f246ce96c",
     },
     "n8_wiretap_svd_eve": {
         "base.va": "8fa350c779480090", "base.b_sqrt": "2cd85208db2f7ec9",
-        "base.u_tilde": "8647b57965daec27", "base.t_tilde": "28ec106b27df4791",
-        "base.diag_b": "9420c7eaaac6e874", "base.sinr": "eb58239029f8f91b",
+        "base.u_tilde": "8647b57965daec27", "base.t_tilde": "23c19a997d5a0a08",
+        "base.diag_b": "9420c7eaaac6e874", "base.sinr": "82b543b6e65370c3",
         "base.rates_bits": "43185ad4bd7192d0", "diag_e": "b1ecb71797991054",
         "secret_rates_bits": "7bbfe9be9531fc21", "fictitious_rates_bits": "311050784a5ded5d",
         "mode": "c73ddb487405eaa4",
     },
     "n8_wiretap_svd_bob": {
         "base.va": "aedaa36b61434619", "base.b_sqrt": "2cd85208db2f7ec9",
-        "base.u_tilde": "924c18276ff2dda9", "base.t_tilde": "941ee1deacee4308",
-        "base.diag_b": "a0d50f122bf568c9", "base.sinr": "1d4136e342b41529",
+        "base.u_tilde": "924c18276ff2dda9", "base.t_tilde": "15deeac3bbb06db2",
+        "base.diag_b": "a0d50f122bf568c9", "base.sinr": "4913cb90518189cd",
         "base.rates_bits": "0bffc6233688643e", "diag_e": "21e63c9cc523b66d",
         "secret_rates_bits": "1630b5da9ea3b755", "fictitious_rates_bits": "700544de038a942e",
         "mode": "5d59e8d2fd898c63",
     },
     "n8_wiretap_gmd_bob": {
         "base.va": "57cfd27ab2979df6", "base.b_sqrt": "2cd85208db2f7ec9",
-        "base.u_tilde": "5e742930244ba785", "base.t_tilde": "61befc60ca25ea7f",
-        "base.diag_b": "2cf5204bcd00a123", "base.sinr": "9769ce45e9b8fb61",
+        "base.u_tilde": "5e742930244ba785", "base.t_tilde": "350f165509526ffc",
+        "base.diag_b": "2cf5204bcd00a123", "base.sinr": "b4f94537555d0867",
         "base.rates_bits": "f5a4b5726dd1fa61", "diag_e": "f686daee74833fd8",
         "secret_rates_bits": "feb17ac274493d99", "fictitious_rates_bits": "0135eeeb8cc1b116",
         "mode": "31a090f4630fe02d",
     },
     "n8_dpc": {
-        "base.va": "bd0e125db4fdad94", "base.b_sqrt": "2cd85208db2f7ec9",
-        "base.u_tilde": "000286aa426542ec", "base.t_tilde": "e23c787e24faf9ec",
-        "base.diag_b": "147378f82508aa0a", "base.sinr": "ea0abfa72d8b4fce",
-        "base.rates_bits": "9d4aba4d5716c3ac", "diag_e": "6f69ffd5d8647dd6",
-        "alpha": "3fffbb8fd736563b", "rates_bits": "5ce98714c41c91c9",
-        "fictitious_rates_bits": "539faaca67e389d2", "rates_u_bits": "ac4d510c020a5b08",
+        "base.va": "c2fd4bac0ba57679", "base.b_sqrt": "2cd85208db2f7ec9",
+        "base.u_tilde": "d8e1f43e75b19547", "base.t_tilde": "d2b40bdbce631506",
+        "base.diag_b": "dec80f84df273671", "base.sinr": "28045f83113698f2",
+        "base.rates_bits": "3217eda247a9f30b", "diag_e": "2342aac4eb10d674",
+        "alpha": "1e5207dcad2cf2f6", "rates_bits": "038406faf1ef4917",
+        "fictitious_rates_bits": "fa51c7dc96f973b6", "rates_u_bits": "0d409102ddeade07",
     },
     "n8_broadcast": {
         "lb": "35be322d094f9d15", "lc": "f13ee6ed54ea2aae", "va": "d6e17055533708be",
         "b_sqrt": "787e32d6c3258428", "diag_b": "7f07ab530ca8c320",
         "diag_c": "ff8dae65224432dc", "bob_combiner": "9f5f393a2e7e7039",
-        "charlie_combiner": "4d9eadaec9ae0d08", "bob_feedback": "6a0279cf93f234c5",
-        "charlie_feedback": "ba318d8e95d9ff11", "bob_rates_bits": "11679b65f3e3cc90",
+        "charlie_combiner": "4d9eadaec9ae0d08", "bob_feedback": "e1332228e2b36a59",
+        "charlie_feedback": "7410cdd4930a7706", "bob_rates_bits": "11679b65f3e3cc90",
         "charlie_rates_bits": "eab18e3b12a9dfad",
     },
     "n4_rank1_capacity": {
@@ -1333,41 +1397,41 @@ GOLDEN_PLANS = {
         "capacity_bits": "02f53c0f98940728", "k_star": "73248eb556cccd27",
     },
     "n4_rank1_wiretap_gsvd": {
-        "base.va": "c64dc64c03146b64", "base.b_sqrt": "a691cde7a32080dd",
-        "base.u_tilde": "a9b031077f9f2a55", "base.t_tilde": "18bc92d26237314a",
-        "base.diag_b": "ae777f1dad825081", "base.sinr": "fe39c675daaf7bba",
+        "base.va": "2b5664ca77f9b47e", "base.b_sqrt": "a691cde7a32080dd",
+        "base.u_tilde": "bdb36a92247b5ba3", "base.t_tilde": "850ed689135819ad",
+        "base.diag_b": "ae777f1dad825081", "base.sinr": "6b2acb0961ead67d",
         "base.rates_bits": "3c177bdd5c86b099", "diag_e": "49e63971e0ea58c6",
         "secret_rates_bits": "57c854a4b6bc9788", "fictitious_rates_bits": "3b6dfc90cb07a32d",
         "mode": "ce714a5f246ce96c",
     },
     "n4_rank1_wiretap_svd_eve": {
         "base.va": "008ea5de5ce191b4", "base.b_sqrt": "a691cde7a32080dd",
-        "base.u_tilde": "26df75eccf25a7a3", "base.t_tilde": "151ec0eed38bb052",
-        "base.diag_b": "305f8ea3f969a2cb", "base.sinr": "6b2acb0961ead67d",
+        "base.u_tilde": "26df75eccf25a7a3", "base.t_tilde": "639bc3a6338e27df",
+        "base.diag_b": "305f8ea3f969a2cb", "base.sinr": "f240c1257724db23",
         "base.rates_bits": "5f60ec2a2e970c8d", "diag_e": "49e63971e0ea58c6",
         "secret_rates_bits": "d7002b00a18fdf86", "fictitious_rates_bits": "3b6dfc90cb07a32d",
         "mode": "c73ddb487405eaa4",
     },
     "n4_rank1_wiretap_svd_bob": {
         "base.va": "7b339108d5b8b439", "base.b_sqrt": "a691cde7a32080dd",
-        "base.u_tilde": "c9c0f3461b58f384", "base.t_tilde": "76ae6c46c6f59feb",
-        "base.diag_b": "305f8ea3f969a2cb", "base.sinr": "f88df3daa2f2da40",
+        "base.u_tilde": "c9c0f3461b58f384", "base.t_tilde": "6bbec7c599a91cde",
+        "base.diag_b": "305f8ea3f969a2cb", "base.sinr": "f240c1257724db23",
         "base.rates_bits": "5f60ec2a2e970c8d", "diag_e": "49e63971e0ea58c6",
         "secret_rates_bits": "d7002b00a18fdf86", "fictitious_rates_bits": "3b6dfc90cb07a32d",
         "mode": "5d59e8d2fd898c63",
     },
     "n4_rank1_wiretap_gmd_bob": {
         "base.va": "897fb0f90d605fe3", "base.b_sqrt": "a691cde7a32080dd",
-        "base.u_tilde": "877f7c9845d80052", "base.t_tilde": "6b8ecceab6d7d127",
-        "base.diag_b": "5de185477dc1a4f4", "base.sinr": "948bbed94a58af4f",
+        "base.u_tilde": "877f7c9845d80052", "base.t_tilde": "0a77b4c85a8a6f7a",
+        "base.diag_b": "5de185477dc1a4f4", "base.sinr": "599ff83c6e5df269",
         "base.rates_bits": "28b496119d42c213", "diag_e": "7ad8824d7cbcd290",
         "secret_rates_bits": "206d6855f3a218f2", "fictitious_rates_bits": "8c0ab46a506dad7b",
         "mode": "31a090f4630fe02d",
     },
     "n4_rank1_dpc": {
-        "base.va": "c64dc64c03146b64", "base.b_sqrt": "a691cde7a32080dd",
-        "base.u_tilde": "a9b031077f9f2a55", "base.t_tilde": "18bc92d26237314a",
-        "base.diag_b": "ae777f1dad825081", "base.sinr": "fe39c675daaf7bba",
+        "base.va": "2b5664ca77f9b47e", "base.b_sqrt": "a691cde7a32080dd",
+        "base.u_tilde": "bdb36a92247b5ba3", "base.t_tilde": "850ed689135819ad",
+        "base.diag_b": "ae777f1dad825081", "base.sinr": "6b2acb0961ead67d",
         "base.rates_bits": "3c177bdd5c86b099", "diag_e": "49e63971e0ea58c6",
         "alpha": "06091edb304b57d4", "rates_bits": "57c854a4b6bc9788",
         "fictitious_rates_bits": "3b6dfc90cb07a32d", "rates_u_bits": "3c177bdd5c86b099",
@@ -1376,8 +1440,8 @@ GOLDEN_PLANS = {
         "lb": "7c9fa136d4413fa6", "lc": "35be322d094f9d15", "va": "de7c6ba3b5c54e0d",
         "b_sqrt": "82266aa35e18d857", "diag_b": "9f01a637f71a8a8b",
         "diag_c": "fa8df4d5359f07ef", "bob_combiner": "9f7c5c3c7e4f65a0",
-        "charlie_combiner": "3147f96a892a5bd9", "bob_feedback": "6176ea4837ebd56e",
-        "charlie_feedback": "dff14f9a9451c496", "bob_rates_bits": "02f53c0f98940728",
+        "charlie_combiner": "3147f96a892a5bd9", "bob_feedback": "38180f21b85f096b",
+        "charlie_feedback": "f5d91dce786de64d", "bob_rates_bits": "02f53c0f98940728",
         "charlie_rates_bits": "25ef4d723daf9acc",
     },
     "n4_power": {

@@ -9,6 +9,7 @@ from wtd import decomp, scheme, secrecy
 from wtd.errors import DomainError, NotPSD
 
 from conftest import complex_gaussian, count_calls, random_psd, rel_residual
+from test_range import SCALES
 
 
 class TestMatrixSqrt:
@@ -675,6 +676,61 @@ class TestKernelCapacityRoute:
             assert region.rb_max == res.capacity_bits
 
 
+def _derived_kernel_problems():
+    """150 problems at n = 1..5: generic, ``lb = 0`` (a dead legitimate channel), ``lb = n``
+    (a dead eavesdropper), a rank-deficient ``kbar`` and a wide ``h_e``, each with ``h_b`` at
+    one of the scales of ``test_range.py``.  A rank-deficient ``kbar`` stays at unit scale:
+    past 1e150 the root's rounding in its null directions (about ``eps`` times the scale)
+    makes streams of GSV near ``1e-16`` times the largest, which no two routes resolve alike."""
+    rng = np.random.default_rng(2929)
+    problems = []
+    for i in range(150):
+        n, kind, scale = 1 + i % 5, i % 5, SCALES[(i // 5) % len(SCALES)]
+        h_b = complex_gaussian(rng, int(rng.integers(1, 7)), n)
+        h_e = complex_gaussian(rng, n + int(rng.integers(0, 3)), n)
+        kbar = random_psd(rng, n)
+        if kind == 1:
+            h_b = np.zeros_like(h_b)
+        elif kind == 2:
+            h_e = np.zeros_like(h_e)
+        elif kind == 3:
+            kbar = random_psd(rng, n, max(1, n // 2))
+        elif kind == 4:
+            h_e = complex_gaussian(rng, max(1, n - 1), n)
+        problems.append((h_b if kind == 3 else scale * h_b, h_e, kbar))
+    return problems
+
+
+class TestDerivedKStarKernel:
+    """The ``gsvd`` plan's factors of ``k_star``, read off the constraint's kernel, are those
+    of a second kernel of ``[h_b f; I]``, ``[h_e f; I]``: ``va``'s active columns and the
+    combiner up to one phase per column, the span of the inactive columns, and both
+    diagonals."""
+
+    def test_matches_a_second_kernel(self):
+        lbs = set()
+        for h_b, h_e, kbar in _derived_kernel_problems():
+            problem = secrecy._problem(h_b, h_e, kbar, "constraint")
+            res, f, _ = problem.solved
+            combiner, va, diag_b, diag_e = problem.k_star_kernel
+            mu, u, _, wh, r2 = secrecy._factor_kernel(h_b, h_e, f)
+            want_va, want_b, want_e = decomp._kernel_ql(mu, wh @ r2)
+            want_u = u[:h_b.shape[0]]
+            lb, n = res.lb, kbar.shape[0]
+            lbs.add("none" if lb == 0 else "all" if lb == n else "some")
+            inner = np.sum(want_va[:, :lb].conj() * va[:, :lb], axis=0)
+            phases = inner / np.abs(inner)
+            inactive = [v[:, lb:] @ v[:, lb:].conj().T for v in (va, want_va)]
+            for got, want in [(va[:, :lb], want_va[:, :lb] * phases),
+                              (combiner[:, :lb], want_u[:, :lb] * phases),
+                              (combiner[:, lb:], want_u[:, lb:]), tuple(inactive),
+                              (diag_b, want_b), (diag_e, want_e)]:
+                top = np.max(np.abs(want), initial=0.0)
+                assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(top, 1.0)
+            assert not combiner[:, lb:].any() and np.array_equal(diag_e[lb:], np.ones(n - lb))
+        assert lbs == {"none", "some", "all"}
+
+
 class TestLargePower:
     H_B = np.array([[1.0 + 0.5j, -0.25 + 1.0j], [0.5 - 0.75j, 1.25]])
     H_E = np.array([[0.5 + 0.25j, 0.75 - 0.5j], [-0.25 + 0.5j, 0.25 + 0.25j]])
@@ -883,6 +939,22 @@ def test_lb_of_an_overflowing_gsv_square():
         warnings.simplefilter("error")
         res = secrecy.secrecy_capacity_cov(np.diag([1e200, 1.0]), np.eye(2), np.eye(2))
     assert res.lb == 1
+
+
+def test_capacity_sums_the_active_streams_only():
+    # Both GSVs are sqrt(1 + 7.5e-11): above 1, but their squares are not above
+    # ``1 + LB_GSV_TOL``, so no stream is active.  The capacity, ``lb``, ``k_star``, the
+    # region's first corner and every plan agree that they carry 0 bits (the capacity
+    # summed every GSV above 1 and read 2.16e-10 while ``lb`` was 0).
+    h_b, h_e, kbar = 1e-5 * np.eye(2), 0.5e-5 * np.eye(2), np.eye(2)
+    res = secrecy.secrecy_capacity_cov(h_b, h_e, kbar)
+    assert np.all(res.gsv > 1.0)
+    assert (res.capacity_bits, res.lb) == (0.0, 0)
+    assert not res.k_star.any()
+    assert secrecy.broadcast_region(h_b, h_e, kbar).rb_max == 0.0
+    for mode in scheme.PRECODER_MODES:
+        assert not scheme.build_wiretap_plan(h_b, h_e, kbar, mode).secret_rates_bits.any()
+        assert not scheme.build_dpc_plan(h_b, h_e, kbar, mode).rates_bits.any()
 
 
 def test_a_gsv_lost_to_zero_is_out_of_range_for_the_region():
