@@ -15,7 +15,10 @@ package goes first alternates per problem and round, so a slow spell of the
 machine hits both alike.  It prints the median time of each call per
 package in microseconds, their ratio (parent over change), pooled over
 every problem and then per transmit dimension n (2, 4 and 8 in the
-benchmark), and the ratio of the total times.  The "bits" lines compare
+benchmark), and the ratio of the total times.  The "all nine calls" line
+pools every timed call of a package, as the benchmark pools its calls, and
+gives its median and 99th percentile (nearest rank), the in-process
+counterparts of ``call_p50_s`` and ``call_tail_s``.  The "bits" lines compare
 the plans of the first round: per plan call, how many of the problems'
 plans differ in the bits of any array between the packages, and the
 largest relative difference ``|a - b| / max(|a|, |b|)`` of their
@@ -116,6 +119,12 @@ def ordered(packages, turn):
     return names[::-1] if turn % 2 else names
 
 
+def nearest_rank(times, percent):
+    """The ``percent`` percentile of ``times`` by nearest rank."""
+    ordered = sorted(times)
+    return ordered[max(1, -(-len(ordered) * percent // 100)) - 1]
+
+
 def row(label, before, after):
     before, after = statistics.median(before) * 1e6, statistics.median(after) * 1e6
     print(f"{label:32s} {before:10.1f} {after:10.1f} {before / after:7.3f}")
@@ -181,6 +190,13 @@ def main(argv=None):
              for name, per_call in times.items()}
     print(f"total ratio (parent / change): {total['parent'] / total['change']:.3f} "
           f"({args.problems} problems x {args.rounds} rounds, seed {args.seed})")
+    pooled = {name: [t for per_n in per_call.values() for ts in per_n.values() for t in ts]
+              for name, per_call in times.items()}
+    p50, p99 = ({name: pick(ts) * 1e6 for name, ts in pooled.items()}
+                for pick in (statistics.median, lambda ts: nearest_rank(ts, 99)))
+    print(f"all nine calls (us): parent median {p50['parent']:.1f}, p99 {p99['parent']:.1f}; "
+          f"change median {p50['change']:.1f}, p99 {p99['change']:.1f}; ratios "
+          f"{p50['parent'] / p50['change']:.3f}, {p99['parent'] / p99['change']:.3f}")
     for label, (count, differ_plans, worst) in bits.items():
         fields = ", ".join(f"{name} {value:.1e}" for name, value in worst.items())
         print(f"bits {label}: {differ_plans} of {count} plans differ; "

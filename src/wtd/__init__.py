@@ -2,7 +2,7 @@
 for the MIMO wiretap and confidential broadcast channels, with a seeded
 Monte Carlo harness that checks the analytic SINR/rate identities."""
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .decomp import (
     GsvdDiagonalFactors,

@@ -15,6 +15,7 @@ Conventions used throughout:
   zeros, not left as rounding noise.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,8 @@ MAJORIZATION_RTOL = 1e-9
 RANK_RTOL = 1e-12
 
 _UNITARY_ATOL = 1e-8
+#: The ``n x n`` boolean masks below the diagonal, by ``n``.
+_STRICTLY_LOWER = functools.cache(lambda n: np.tri(n, n, -1, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -133,8 +136,8 @@ def require_unitary(q, name="matrix"):
 
 def _diagonal_phases(d):
     """Unit phases of ``d`` (1 where zero) and the diagonal ``|d conj(phases)|``."""
-    mag = np.abs(d)
-    phases = np.divide(d, mag, out=np.ones_like(d), where=mag > 0.0)
+    mag = np.abs(d)  # a plain divide, the masked one's bits, when no entry is 0
+    phases = d / mag if mag.all() else np.divide(d, mag, out=np.ones_like(d), where=mag > 0.0)
     return phases, np.abs(d * phases.conj())
 
 
@@ -381,17 +384,17 @@ def _gsvd_kernel(a1, a2, left=False, check=True):
     is formed, so the error grows with cond(R2), not its square.  Returns
     ``(mu, U, Q2, W', R2)`` with ``mu`` non-increasing.  Only ``left`` (the
     diagonal form) computes the complete ``Q2`` and square ``U``; otherwise
-    ``Q2`` is None and ``U`` the thin one, from the triangular-only QR and the
-    thin SVD, which give the same ``R2``, ``mu`` and ``W'``.
-
-    Both inputs may be ``(..., m, n)`` stacks of the same shape; every
-    factor then gains the leading axes, and the rank check, which
-    ``check=False`` skips, runs per pair.
-    The SVD computes ``U`` even when only ``mu`` is used: on a stack, the
-    values-only SVD differs from the per-pair call in the last bits.
+    ``Q2`` is None and ``U`` the thin one, from the ``raw`` QR (R transposed,
+    with reflectors below its diagonal that a cached mask zeroes) and the thin
+    SVD, which give the same ``R2``, ``mu`` and ``W'``.  Both inputs may be
+    ``(..., m, n)`` stacks of the same shape; every factor then gains the
+    leading axes, and the rank check, which ``check=False`` skips, runs per
+    pair.  The SVD computes ``U`` even when only ``mu`` is used: on a stack,
+    the values-only SVD differs from the per-pair call in the last bits.
     """
     n = a2.shape[-1]
-    q2, r2 = np.linalg.qr(a2, mode="complete") if left else (None, np.linalg.qr(a2, mode="r"))
+    q2, r2 = np.linalg.qr(a2, mode="complete") if left else (None, np.where(
+        _STRICTLY_LOWER(n), 0.0, np.linalg.qr(a2, mode="raw")[0][..., :n].swapaxes(-1, -2)))
     r2 = r2[..., :n, :]
     if check:
         _check_rank(a2, np.abs(r2.diagonal(0, -2, -1)), "second matrix of the pair")
@@ -448,7 +451,7 @@ def _kernel_ql(mu, wr):
     s = _gsv_scale(mu)
     x = wr.conj().T * s[None, :]
     q, r = np.linalg.qr(x[:, ::-1], mode="complete")
-    phases, diag = _diagonal_phases(np.diag(r)[::-1])
+    phases, diag = _diagonal_phases(r.diagonal()[::-1])
     d = diag / s
     return q[:, ::-1] * phases, mu * d, d
 
@@ -458,8 +461,9 @@ def gsvd_triangular(a1, a2):
 
     ``va`` is :func:`_kernel_ql` of the pair's rank-checked kernel; the QRs of ``a_k @ va`` by
     :func:`joint_triangularize` (which check the first matrix) have the GSVs as diagonal ratios.
-    The plans read these factors off the kernel (``u1 = U``, ``t1 = [diag(mu / s) l'; 0]``), which
-    reconstructs ``a1`` to about ``eps max(mu) ||R2||`` (8.5e-13 at GSVs of 1e+-3), not rounding.
+    The capacity solve's QL of ``[h b; I]``'s kernel gives the plans these factors (``u1 = U``,
+    ``t1 = [diag(mu / s) l'; 0]``), which reconstructs ``a1`` to about ``eps max(mu) ||R2||``
+    (8.5e-13 at GSVs of 1e+-3), not rounding, and ``va[:, :lb]`` spans the optimal covariance.
     """
     mu, _, _, wh, r2 = _gsvd_kernel(*_check_pair(a1, a2))
     return joint_triangularize(a1, a2, _kernel_ql(mu, wh @ r2)[0])

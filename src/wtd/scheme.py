@@ -219,36 +219,40 @@ def _sic_plan(b, va, diag_b, u_tilde, hbv):
 def build_wiretap_plan(h_b, h_e, kbar, mode):
     """Wiretap plan under constraint ``kbar`` with the chosen precoder mode.
 
-    Uses the optimal covariance for the constraint, so the per-stream
-    diagonal ratios never fall below 1 and the secret rates sum to the
-    secrecy capacity for every mode.  The precoder and the SIC plan share
-    the factor ``b_sqrt = b [0, P]`` of ``k_star`` that the capacity call
-    forms, ``b`` the root of ``kbar`` and ``P`` a basis of the ``lb`` active
-    directions.  It is not Hermitian, and only ``kbar`` is rooted.  Sides
-    are read off the precoder's factorization, with no rank check: ``gsvd``
-    both, off the capacity call's own GSVD kernel restricted to ``P`` (see
-    ``secrecy._Problem``), in range up to the double limit; ``svd_bob`` and
-    ``gmd_bob`` Bob's, off the (GMD-rotated) thin SVD of ``[h_b b_sqrt;
-    I]``, which they share; ``svd_eve`` Eve's diagonal.  The other side of
-    an SVD mode takes one QR.  A plan is built once per problem and mode
-    and handed out again, its arrays read-only.
+    Uses the optimal covariance for the constraint, so the per-stream diagonal
+    ratios never fall below 1 and the secret rates sum to the secrecy capacity
+    for every mode.  The precoder and the SIC plan share the factor ``b_sqrt = b
+    [0, P]`` of ``k_star`` that the capacity call forms, ``b`` the root of
+    ``kbar`` and ``P`` a basis of the ``lb`` active directions, the first ``lb``
+    of the capacity call's QL precoder; it is not Hermitian, and only ``kbar``
+    is rooted.  Sides are read off the precoder's factorization, with no rank
+    check: ``gsvd`` both, off that QL with no factorization of its own (``b_sqrt
+    va = [b P, 0]``, see ``secrecy._Problem``), up to the double limit;
+    ``svd_bob`` and ``gmd_bob`` Bob's, off the (GMD-rotated) thin SVD of ``[h_b
+    b_sqrt; I]``, which they share; ``svd_eve`` Eve's diagonal.  The other side
+    of an SVD mode takes one QR.  A plan is built once per problem and mode and
+    handed out again, its arrays read-only.
     """
     problem = _problem(h_b, h_e, kbar, "constraint")
     _check_mode(mode)
     if mode in problem.plans:
         return problem.plans[mode]
-    b = problem.solved[1]
-    g_b, g_e = problem.k_star_pair
-    m = problem.channels[0].shape[0]
+    (res, b, ql), (m, n) = problem.solved, problem.channels[0].shape
     if mode == "gsvd":
-        u, va, diag_b, diag_e = problem.k_star_kernel
-        bob, hbv = (diag_b, u), g_b[:m] @ va
+        # ``u = [U[:m, :lb], 0]``, ``h_b f va = [(h_b b) P, 0]``, the QL's first ``lb`` diagonals.
+        lb, (u, hbv) = res.lb, np.zeros((2, m, n), dtype=complex)
+        u[:, :lb] = problem.kernel[1][:m, :lb]
+        hbv[:, :lb] = problem.mmse_pair[0][:m] @ ql[0][:, :lb]
+        va = np.eye(n, k=lb, dtype=complex) + np.eye(n, k=lb - n)
+        diag_b, diag_e = (np.append(x[:lb], np.ones(n - lb)) for x in ql[1:])
+        bob = diag_b, u
     elif mode == "svd_eve":
+        g_b, g_e = problem.k_star_pair
         va, _, diag_e = _svd_precoder(np.linalg.svd(g_e, full_matrices=False), mode)
         gv = g_b @ va
         bob, hbv = _receiver(gv, m), gv[:m]
     else:
-        va, p, sigma = _svd_precoder(problem.k_star_svd, mode)
+        (g_b, g_e), (va, p, sigma) = problem.k_star_pair, _svd_precoder(problem.k_star_svd, mode)
         bob, hbv, diag_e = (sigma, p[:m]), g_b[:m] @ va, _qr_diagonal(g_e @ va)[0]
     base = _sic_plan(b, va, *bob, hbv)
     fictitious = 2.0 * np.log2(diag_e)
@@ -293,8 +297,9 @@ def build_broadcast_plan(h_b, h_c, kbar):
 
     Both users' triangular factors under the shared GSVD precoder are read
     off the capacity call's GSVD kernel ``g_b R2^-1 = U diag(mu) W'`` of the
-    pair: the diagonals ``mu d`` and ``d`` of :func:`decomp._kernel_ql`, whose
-    ratios are the GSVs ``mu``; one the kernel lost to 0 raises
+    pair and the capacity solve's QL of it: the diagonals ``mu d`` and ``d``,
+    whose ratios are the GSVs ``mu`` and whose first ``lb`` are the ``gsvd``
+    wiretap plan's (the paper's corollary); a GSV the kernel lost to 0 raises
     :class:`DomainError`, as the region does.  The ``lb`` streams with ``mu``
     above 1 carry the first user's messages, combined by the top rows of
     ``U``, the rest the second's, by the top rows of ``g_c R2^-1 W`` (one
@@ -303,9 +308,8 @@ def build_broadcast_plan(h_b, h_c, kbar):
     rate totals hit both corners of the rectangular region simultaneously.
     """
     problem = _broadcast_problem(h_b, h_c, kbar)
-    mu, u, _, wh, r2 = problem.kernel
-    va, diag_b, diag_c = _kernel_ql(mu, wh @ r2)
-    lb = problem.capacity[1]
+    (mu, u, _, wh, r2), (res, _, (va, diag_b, diag_c)) = problem.kernel, problem.solved
+    lb = res.lb
     hb, hc = (g[:h.shape[0]] for g, h in zip(problem.mmse_pair, problem.channels))
     bob = u[:hb.shape[0], :lb]
     # ``(h_c b) R2^-1``: the top rows of ``g_c R2^-1``, solved as the kernel solves ``g_b R2^-1``.

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .decomp import _as_matrix, _check_pair, _gsvd_kernel, _kernel_ql, haar_unitary
+from .decomp import _as_matrix, _gsvd_kernel, _kernel_ql, haar_unitary
 from .errors import DomainError, NotPSD
 
 LN2 = np.log(2.0)
@@ -127,12 +127,17 @@ def matrix_sqrt(k):
     first one is named), and each root equals the one of its own call bit
     for bit.
     """
-    k = _as_square(k, "covariance", stacked=True)
-    asymmetry = np.abs(k - _adjoint(k)).max(axis=(-2, -1))
-    inf_norm = np.abs(k).sum(axis=-1).max(axis=-1)
-    if (asymmetry > 1e-10 * np.maximum(1.0, inf_norm)).any():
+    return _root(_as_square(k, "covariance", stacked=True))
+
+
+def _root(k):
+    # :func:`matrix_sqrt` of a square ``k`` (or a stack) with finite entries.
+    adjoint = _adjoint(k)
+    asymmetry = np.abs(k - adjoint).max(axis=(-2, -1))  # the window is never below 1e-10
+    if asymmetry.max() > 1e-10 and (
+            asymmetry > 1e-10 * np.maximum(1.0, np.abs(k).sum(axis=-1).max(axis=-1))).any():
         raise DomainError("covariance must be Hermitian")
-    w, q = np.linalg.eigh(_hermitize(k))
+    w, q = np.linalg.eigh((k + adjoint) / 2.0)
     # ``tol`` is never below the absolute floor, so only an eigenvalue under
     # the floor needs the per-matrix window.
     if w.min() < -PSD_EIG_TOL:
@@ -160,8 +165,8 @@ def effective_mmse_matrix(h, b):
         raise DomainError("channel columns must match the sqrt factor dimension")
     m, n = h.shape
     g = np.zeros(b.shape[:-2] + (m + n, n), dtype=complex)
-    g[..., :m, :] = h @ b
-    g[..., m:, :] = np.eye(n)
+    np.matmul(h, b, out=g[..., :m, :])
+    g.reshape(b.shape[:-2] + (-1,))[..., m * n::n + 1] = 1.0  # the identity block's diagonal
     return g
 
 
@@ -183,8 +188,7 @@ def _capacity(mu):
     # ``sum 2 log2 mu`` over the ``lb`` active streams, whose squared GSVs (of ``min(mu, 2)``, so
     # none overflows) exceed ``1 + LB_GSV_TOL``, and ``lb``.  The others add 0 in place: the bits
     # are those of ``sum max(2 log2 mu, 0)`` unless a GSV is in ``(1, sqrt(1 + LB_GSV_TOL)]``.
-    m = np.minimum(mu, 2.0)
-    lb = int(np.count_nonzero(m * m > 1.0 + LB_GSV_TOL))
+    lb = sum(m * m > 1.0 + LB_GSV_TOL for m in np.minimum(mu, 2.0).tolist())
     logs = 2.0 * np.log2(np.maximum(mu, 1.0))
     logs[lb:] = 0.0
     return float(logs.sum()), lb
@@ -198,7 +202,8 @@ def _freeze(*arrays):
 
 def _mmse_pair(h_b, h_e, f):
     # ``[h_b f; I]``, ``[h_e f; I]`` for a square factor (or a stack) ``f``, finite-checked.
-    return _check_pair(effective_mmse_matrix(h_b, f), effective_mmse_matrix(h_e, f), stacked=True)
+    pair = effective_mmse_matrix(h_b, f), effective_mmse_matrix(h_e, f)  # tall by construction
+    return _as_matrix(pair[0], "first matrix", True), _as_matrix(pair[1], "second matrix", True)
 
 
 def _factor_kernel(h_b, h_e, f):
@@ -228,15 +233,15 @@ class _Problem:
     ``[h_e b; I] = Q2 R2`` from the start, the rest filled on first use (a race at worst fills a
     field twice, with equal bits).  It hands out read-only arrays, and holds no caller's.
 
-    That kernel is the problem's only one.  With the active basis ``P`` of ``solved`` (``(W'R2)
-    [lb:] P = 0``) and ``X = (W'R2)[:lb] P``, ``[h_b b P; P] = U[:, :lb] diag(mu[:lb]) X`` and
-    ``[h_e b P; P] = Q2 W[:, :lb] X``: the ``gsvd`` sides of ``k_star``'s factor ``f = b [0, P]``
-    are :func:`decomp._kernel_ql` of ``mu[:lb]`` and ``X``, and GSV 1 under the identity on the
-    zero columns of ``f``.  ``plans`` holds the wiretap plans :mod:`scheme` built, by mode."""
+    That kernel is the problem's only one, and the solve's QL of it (:func:`decomp._kernel_ql`)
+    the only triangularization: ``(W'R2) va`` is upper triangular, so ``P = va[:, :lb]`` has
+    ``(W'R2)[lb:] P = 0``, and ``[h_b b P; P] = U[:, :lb] diag(mu[:lb]) X``, ``[h_e b P; P] = Q2
+    W[:, :lb] X`` are QRs with ``X = (W'R2)[:lb] P``.  ``plans`` holds the wiretap plans
+    :mod:`scheme` built, by mode."""
 
     def __init__(self, key, h_b, h_e, k):
         self.key, self.channels = key, (h_b.copy("K"), h_e.copy("K"))
-        self.root = matrix_sqrt(k)
+        self.root = _root(k)
         self.mmse_pair = _mmse_pair(h_b, h_e, self.root)
         self.kernel = _gsvd_kernel(*self.mmse_pair, check=False)
         self.plans = {}
@@ -249,22 +254,9 @@ class _Problem:
 
     @cached_property
     def solved(self):
-        # The result, a factor ``f`` of ``k_star`` and the active basis ``P``, by ``_optimal``:
-        # ``f = b [0, P]``, with the ``n - lb`` inactive columns exactly 0, so ``f f' = k_star``.
+        # The result, ``f = b [0, va[:, :lb]]`` (``f f' = k_star``, inactive columns exactly 0)
+        # and the kernel's QL ``(va, mu d, d)``, by ``_optimal``.
         return _optimal(self.root, *self.capacity, *self.kernel)
-
-    @cached_property
-    def k_star_kernel(self):
-        # Bob's combiner ``[U[:m, :lb], 0]``, ``va`` and both diagonals of the ``gsvd`` plan.
-        mu, u, _, wh, r2 = self.kernel
-        result, _, basis = self.solved
-        lb, n, m = result.lb, mu.size, self.channels[0].shape[0]
-        va_a, diag_b_a, diag_e_a = _kernel_ql(mu[:lb], wh[:lb] @ r2 @ basis)
-        va = np.eye(n, k=lb, dtype=complex)
-        va[n - lb:, :lb] = va_a
-        combiner = np.zeros((m, n), dtype=complex)
-        combiner[:, :lb] = u[:m, :lb]
-        return _freeze(combiner, va, *(np.append(d, np.ones(n - lb)) for d in (diag_b_a, diag_e_a)))
 
     @cached_property
     def k_star_pair(self):
@@ -311,22 +303,22 @@ def secrecy_capacity_cov(h_b, h_e, kbar):
     LB_GSV_TOL``, read off the GSVD kernel ``g_b = U diag(mu) W' R2`` of the
     effective MMSE matrices (so ``gsv`` equals :func:`channel_gsv` bit for
     bit).  The optimal covariance and every plan keep those ``lb`` directions
-    and no other, so the plans' secret rates sum to it: rows ``lb:`` of ``W'
-    R2`` span the others, a complete QR of their adjoint ends in a basis
-    ``P`` of the active ones, and ``k_star = (b P)(b P)'`` with ``b`` the
-    root of ``kbar``.
+    and no other, so the plans' secret rates sum to it: the kernel's one QL,
+    which the ``gsvd`` and broadcast plans read, makes ``(W' R2) va`` upper
+    triangular, so ``P = va[:, :lb]`` spans the null space of rows ``lb:``
+    of ``W' R2``, and ``k_star = (b P)(b P)'`` with ``b`` the root of ``kbar``.
     """
     return _problem(h_b, h_e, kbar, "constraint").solved[0]
 
 
 def _optimal(b, capacity, lb, mu, u, q2, wh, r2):
-    basis = np.linalg.qr(_adjoint(wh[lb:] @ r2), mode="complete")[0][:, mu.size - lb:]
-    active = b @ basis
-    f = np.zeros_like(b)
+    ql = _freeze(*_kernel_ql(mu, wh @ r2))
+    active = b @ ql[0][:, :lb]
+    f = np.zeros(b.shape, dtype=complex)
     f[:, mu.size - lb:] = active
     k_star = _hermitize(active @ _adjoint(active))
-    _freeze(k_star, f, basis)
-    return SecrecyResult(gsv=mu, lb=lb, capacity_bits=capacity, k_star=k_star), f, basis
+    _freeze(k_star, f)
+    return SecrecyResult(gsv=mu, lb=lb, capacity_bits=capacity, k_star=k_star), f, ql
 
 
 def verify_truncation(h_b, h_e, kbar):

@@ -471,14 +471,15 @@ class TestSimulate:
         assert np.allclose(leakage["leakage_bits"], [53.15, 1.0], atol=0.05)
 
     def test_one_root_per_path(self, tmp_path, monkeypatch):
+        # Every root, ``matrix_sqrt``'s and the kept problem's, goes through ``_root``.
         roots = []
-        matrix_sqrt = secrecy.matrix_sqrt
+        root = secrecy._root
 
         def counting(k):
             roots.append(np.array(k))
-            return matrix_sqrt(k)
+            return root(k)
 
-        monkeypatch.setattr(secrecy, "matrix_sqrt", counting)
+        monkeypatch.setattr(secrecy, "_root", counting)
         # The sic path roots kbar twice: the input check and the plan.
         path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E, samples=2000)
         out = str(tmp_path / "report.json")

@@ -209,10 +209,11 @@ class TestWideDynamicRange:
 class TestOneMmsePairPerPlan:
     def test_plans_form_each_mmse_matrix_once(self, rng, monkeypatch):
         # Counts every effective MMSE matrix, the library's own included, after a
-        # capacity call that kept the root, kernel and solve of the problem: the first
-        # wiretap plan forms the pair of ``k_star``'s factor, which every other mode
-        # reads; a second plan of a mode and the DPC plan reuse the kept plan, and the
-        # broadcast plan reads the products ``h b`` of the kept pair of ``kbar``.
+        # capacity call that kept the root, kernel, QL and solve of the problem: the
+        # ``gsvd`` plan forms none, as it reads ``h_b f va = [(h_b b) P, 0]`` off the kept
+        # pair of ``kbar``; the first SVD mode forms the pair of ``k_star``'s factor, which
+        # the other two read; a second plan of a mode and the DPC plan reuse the kept
+        # plan, and the broadcast plan reads the products ``h b`` of the kept pair.
         calls = []
         for module in (scheme, secrecy):
             def counting(h, b, real=module.effective_mmse_matrix):
@@ -233,8 +234,8 @@ class TestOneMmsePairPerPlan:
             calls.clear()
             call()
             counts[label] = len(calls)
-        assert counts == {"gsvd": 2, "gsvd again": 0, "dpc": 0, "broadcast": 0,
-                          "svd_eve": 0, "svd_bob": 0, "gmd_bob": 0}
+        assert counts == {"gsvd": 0, "gsvd again": 0, "dpc": 0, "broadcast": 0,
+                          "svd_eve": 2, "svd_bob": 0, "gmd_bob": 0}
 
     @pytest.mark.parametrize("first", scheme.PRECODER_MODES)
     def test_the_four_modes_share_one_pair_and_one_bob_svd(self, rng, monkeypatch, first):
@@ -264,21 +265,24 @@ class TestOneMmsePairPerPlan:
         assert (len(pairs), len(svds)) == (1, 2)
 
     def test_no_kernel_or_qr_after_the_first_gsvd_plan(self, rng, monkeypatch):
-        # After a capacity call the ``gsvd`` plan runs no GSVD kernel, by either name, and
-        # no ``_factor_kernel``: one QR, that of the QL of its active block, and no SVD.  A
-        # second ``gsvd`` plan and the DPC plan run nothing.
+        # After a capacity call the ``gsvd`` plan runs no GSVD kernel, by either name, no
+        # ``_factor_kernel``, no QL and no ``np.linalg`` factorization at all: the capacity
+        # call's QL of the kernel already made ``(W'R2)[:lb] P`` triangular.  A second
+        # ``gsvd`` plan and the DPC plan run nothing either.
         h_b, h_e, kbar = wiretap_instance(rng)
         secrecy.secrecy_capacity_cov(h_b, h_e, 2.0 * kbar)
         secrecy.secrecy_capacity_cov(h_b, h_e, kbar)
-        kernels = count_calls(monkeypatch, decomp, ("_gsvd_kernel",))
-        solves = count_calls(monkeypatch, secrecy, ("_gsvd_kernel", "_factor_kernel"))
-        factorizations = count_calls(monkeypatch, np.linalg, ("qr", "svd"))
-        scheme.build_wiretap_plan(h_b, h_e, kbar, "gsvd")
-        assert (kernels, solves, factorizations) == ([], [], ["qr"])
-        scheme.build_wiretap_plan(h_b, h_e, kbar, "gsvd")
-        scheme.build_dpc_plan(h_b, h_e, kbar)
-        scheme.build_dpc_plan(h_b, h_e, kbar, mode="gsvd")
-        assert (kernels, solves, factorizations) == ([], [], ["qr"])
+        kernels = count_calls(monkeypatch, decomp, ("_gsvd_kernel", "_kernel_ql"))
+        solves = count_calls(monkeypatch, secrecy,
+                             ("_gsvd_kernel", "_factor_kernel", "_kernel_ql"))
+        factorizations = count_calls(monkeypatch, np.linalg,
+                                     ("qr", "svd", "solve", "eigh", "cholesky", "inv"))
+        for call in [lambda: scheme.build_wiretap_plan(h_b, h_e, kbar, "gsvd"),
+                     lambda: scheme.build_wiretap_plan(h_b, h_e, kbar, "gsvd"),
+                     lambda: scheme.build_dpc_plan(h_b, h_e, kbar),
+                     lambda: scheme.build_dpc_plan(h_b, h_e, kbar, mode="gsvd")]:
+            call()
+            assert (kernels, solves, factorizations) == ([], [], [])
 
     def test_arrays_shared_with_the_kept_problem_are_read_only(self, rng):
         # A kept wiretap plan is handed out again, so none of its arrays may change; the
@@ -293,8 +297,8 @@ class TestOneMmsePairPerPlan:
                                                  plan.fictitious_rates_bits)]
         shared += [*vars(dpc.base).values(), dpc.diag_e, broadcast.b_sqrt,
                    broadcast.bob_combiner]
-        shared += [*problem.k_star_kernel, *problem.k_star_pair, *problem.k_star_svd,
-                   *problem.mmse_pair, *problem.solved[1:]]
+        shared += [*problem.k_star_pair, *problem.k_star_svd, *problem.mmse_pair,
+                   problem.solved[1], *problem.solved[2]]
         for a in shared:
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = 7.0
@@ -657,28 +661,27 @@ class TestSolveMemo:
     def test_a_gsv_call_first_leaves_one_solve_for_every_call(self, rng, monkeypatch):
         # The capacity-first order gives the reference bits; after a GSV call, which
         # roots ``kbar`` and runs the problem's only GSVD kernel, the first plan adds the
-        # capacity solve, and the ``gsvd`` plan the QL of its active block of that kernel;
-        # the broadcast plan takes the QL of the whole kernel.  No call runs a second
-        # kernel or ``_factor_kernel``, and the nine take three SVDs: the kernel's, Eve's
-        # of ``svd_eve`` and Bob's, which ``svd_bob`` and ``gmd_bob`` share.
+        # capacity solve, whose QL of that kernel the ``gsvd`` and broadcast plans read.
+        # No call runs a second kernel, a second QL or ``_factor_kernel``, and the nine
+        # take three SVDs: the kernel's, Eve's of ``svd_eve`` and Bob's, which ``svd_bob``
+        # and ``gmd_bob`` share.
         h_b, h_e, kbar = wiretap_instance(rng)
         want = {label: _bits(call()) for label, call in _nine_calls(h_b, h_e, kbar).items()}
         secrecy.secrecy_capacity_cov(h_b, h_e, kbar + np.eye(kbar.shape[0]))
-        calls = count_calls(monkeypatch, secrecy, ("matrix_sqrt", "_gsvd_kernel", "_kernel_ql",
+        calls = count_calls(monkeypatch, secrecy, ("_root", "_gsvd_kernel", "_kernel_ql",
                                                    "_factor_kernel"))
         plan_calls = count_calls(monkeypatch, scheme, ("_kernel_ql", "_factor_kernel"))
         svds = count_calls(monkeypatch, np.linalg, ("svd",))
         order = ["gsv", "gsvd"] + [label for label in want if label not in ("gsv", "gsvd")]
         calls_on_problem = _nine_calls(h_b, h_e, kbar)
         assert {label: _bits(calls_on_problem[label]()) for label in order} == want
-        assert sorted(calls + plan_calls) == ["_gsvd_kernel", "_kernel_ql", "_kernel_ql",
-                                              "matrix_sqrt"]
+        assert sorted(calls + plan_calls) == ["_gsvd_kernel", "_kernel_ql", "_root"]
         assert len(svds) == 3
         plan = scheme.build_wiretap_plan(h_b, h_e, kbar, "gsvd")
-        assert (len(calls + plan_calls), len(svds)) == (4, 3)
-        for a in (plan.base.b_sqrt, plan.base.va, plan.base.u_tilde,
-                  secrecy.secrecy_capacity_cov(h_b, h_e, kbar).k_star,
-                  *secrecy._last.k_star_kernel):
+        assert (len(calls + plan_calls), len(svds)) == (3, 3)
+        for a in (plan.base.b_sqrt, plan.base.va, plan.base.u_tilde, plan.base.diag_b,
+                  plan.diag_e, secrecy.secrecy_capacity_cov(h_b, h_e, kbar).k_star,
+                  *secrecy._last.solved[2]):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 7.0
 
@@ -687,16 +690,19 @@ class TestSolveMemo:
         mine, other, third = [wiretap_instance(rng) for _ in range(3)]
         want = [_bits(scheme.build_wiretap_plan(*p, "gsvd")) for p in (mine, other)]
         secrecy.secrecy_capacity_cov(*third)
-        secrecy.secrecy_capacity_cov(*mine)
-        kernel_ql = secrecy._kernel_ql
+        # A GSV call keeps the problem with no solve, so the plan's solve runs the QL.
+        secrecy.channel_gsv(*mine)
+        kernel_ql, interleavings = secrecy._kernel_ql, []
 
         def interleaved(*args):
             monkeypatch.setattr(secrecy, "_kernel_ql", kernel_ql)
             secrecy.secrecy_capacity_cov(*other)
+            interleavings.append(secrecy._last)
             return kernel_ql(*args)
 
         monkeypatch.setattr(secrecy, "_kernel_ql", interleaved)
         assert _bits(scheme.build_wiretap_plan(*mine, "gsvd")) == want[0]
+        assert len(interleavings) == 1
         assert _bits(scheme.build_wiretap_plan(*other, "gsvd")) == want[1]
 
     def test_broadcast_precoder_is_the_gsvd_precoder_of_the_pair(self, rng):
@@ -1121,34 +1127,38 @@ def _golden_fields(rep):
 #: stream's symbols, so the ``sic``, ``leakage`` and ``dpc`` estimates are those
 #: of another draw of the same law (SINRs at most 0.3 % apart, leakages 0.4 %).
 #: The broadcast reports moved by rounding (at most 4.7e-16 relative, and 1e-31
-#: absolute on the dead first stream of ``broadcast_lb0``).
+#: absolute on the dead first stream of ``broadcast_lb0``).  The ``sic_genie``,
+#: ``sic_decided``, ``leakage`` and ``dpc`` reports moved by rounding (at most
+#: 1.1e-15 relative, and 2.2e-14 on the leakage standard errors) when the active
+#: basis began to be read off the QL of the constraint's kernel, whose triangular
+#: block the ``gsvd`` plan keeps as it is; the broadcast reports kept their bits.
 GOLDEN_REPORTS = {
     "sic_genie": {
-        "sinr_empirical": ["0x1.b7a5e92a72ff5p+1", "0x1.6b1e964263254p+1", "0x0.0p+0"],
-        "sinr_stderr": ["0x1.8dec8cf3b7a30p-6", "0x1.48a88227bc853p-6", "0x0.0p+0"],
-        "mi_bits": ["0x1.05ae9fe871b73p+2"],
+        "sinr_empirical": ["0x1.b7a5e92a72ffdp+1", "0x1.6b1e964263252p+1", "0x0.0p+0"],
+        "sinr_stderr": ["0x1.8dec8cf3b7a38p-6", "0x1.48a88227bc851p-6", "0x0.0p+0"],
+        "mi_bits": ["0x1.05ae9fe871b74p+2"],
     },
     "sic_decided": {
-        "sinr_empirical": ["0x1.38a9af4f7254ep+1", "0x1.6b1e964263254p+1", "0x0.0p+0"],
-        "sinr_stderr": ["0x1.1afd769281dfcp-6", "0x1.48a88227bc853p-6", "0x0.0p+0"],
-        "mi_bits": ["0x1.dc9a641e4e8fap+1"],
+        "sinr_empirical": ["0x1.38a9af4f72553p+1", "0x1.6b1e964263252p+1", "0x0.0p+0"],
+        "sinr_stderr": ["0x1.1afd769281e00p-6", "0x1.48a88227bc851p-6", "0x0.0p+0"],
+        "mi_bits": ["0x1.dc9a641e4e8fcp+1"],
     },
     "leakage": {
         "sinr_empirical": ["0x1.b54d661ec09a9p+1", "0x1.6c348a314cb27p+1", "0x0.0p+0"],
         "sinr_stderr": ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"],
-        "mi_bits": ["0x1.0434b4b17b1c8p+1"],
-        "leakage_bits": ["0x1.f23a7f3ed1323p-2", "0x1.8bd698f1f066bp+0", "0x1.0c28546173c40p-14"],
+        "mi_bits": ["0x1.0434b4b17b1c7p+1"],
+        "leakage_bits": ["0x1.f23a7f3ed132ap-2", "0x1.8bd698f1f0668p+0", "0x1.0c28546173c40p-14"],
         "leakage_stderr": [
-            "0x1.5e5565010bdcfp-8", "0x1.934dff390bdd9p-8", "0x1.c1ef6a3bae4a1p-13",
+            "0x1.5e5565010be54p-8", "0x1.934dff390bdf4p-8", "0x1.c1ef6a3bae4a1p-13",
         ],
     },
     "dpc": {
-        "sinr_empirical": ["0x1.b7a5e92a72ff5p+1", "0x1.6b1e964263254p+1", "0x0.0p+0"],
-        "sinr_stderr": ["0x1.8dec8cf3b7a30p-6", "0x1.48a88227bc853p-6", "0x0.0p+0"],
-        "mi_bits": ["0x1.05ae9fe871b73p+2"],
-        "alpha_residual": ["0x1.32893723b7000p-1", "0x1.181dfcc6f3047p-1", "0x0.0p+0"],
-        "alpha_residual_below": ["0x1.3d330c8facae6p-1", "0x1.1fd1d18e46613p-1", "0x0.0p+0"],
-        "alpha_residual_above": ["0x1.3cf42651bbfa3p-1", "0x1.20734aef118fcp-1", "0x0.0p+0"],
+        "sinr_empirical": ["0x1.b7a5e92a72ffdp+1", "0x1.6b1e964263252p+1", "0x0.0p+0"],
+        "sinr_stderr": ["0x1.8dec8cf3b7a38p-6", "0x1.48a88227bc851p-6", "0x0.0p+0"],
+        "mi_bits": ["0x1.05ae9fe871b74p+2"],
+        "alpha_residual": ["0x1.32893723b7002p-1", "0x1.181dfcc6f3047p-1", "0x0.0p+0"],
+        "alpha_residual_below": ["0x1.3d330c8facae8p-1", "0x1.1fd1d18e46611p-1", "0x0.0p+0"],
+        "alpha_residual_above": ["0x1.3cf42651bbfa4p-1", "0x1.20734aef118fcp-1", "0x0.0p+0"],
     },
     "broadcast_lb0": {
         "sinr_empirical": [
@@ -1235,46 +1245,54 @@ def _golden_digests(result, prefix=""):
 #: the constraint's kernel: every field by rounding (at most 2.0e-15 relative),
 #: except the ``gsvd`` wiretap and DPC entries' ``va``, ``u_tilde`` and
 #: ``t_tilde``, which a second kernel gives up to a phase per column of ``va``.
+#: Every capacity (``k_star``, by rounding), wiretap and DPC entry moved when the
+#: active basis ``P`` began to be the QL precoder's first ``lb`` columns instead of
+#: a complete QR's last ones: ``b_sqrt = b [0, P]`` spans the same directions in
+#: another basis, the ``gsvd`` plan's ``va`` is the fixed embedding of the identity,
+#: and the diagonals and rates moved by rounding (at most 2.9e-14 relative), except
+#: the SVD modes' factors inside tied singular values (the ``n - lb`` unit ones of
+#: ``[h f; I]``) and the ``n4`` and ``n8`` ``gmd_bob`` per-stream rates (up to 18 %),
+#: whose sums hold.  The broadcast entries and ``n4_power`` kept their bits.
 GOLDEN_PLANS = {
     "n2_capacity": {
         "gsv": "1439496734e55dc3", "lb": "7c9fa136d4413fa6",
-        "capacity_bits": "4dfaec4a6066d3c7", "k_star": "e00381e5e7bf6859",
+        "capacity_bits": "4dfaec4a6066d3c7", "k_star": "f85ede0987dc1811",
     },
     "n2_wiretap_gsvd": {
-        "base.va": "5eb61e5be41da8d2", "base.b_sqrt": "6eb9836c41efe84a",
-        "base.u_tilde": "38b0b8f237f5859a", "base.t_tilde": "39962ac0c39ffc9e",
+        "base.va": "33c11b461fe67e71", "base.b_sqrt": "6abb44e5d5164307",
+        "base.u_tilde": "38b0b8f237f5859a", "base.t_tilde": "46547a9790c3cbaa",
         "base.diag_b": "19062dbd692a1210", "base.sinr": "7c5137df234fa2a4",
         "base.rates_bits": "38cd73c1737536db", "diag_e": "31c1b66e6f96984f",
         "secret_rates_bits": "ca8a43efa1942080", "fictitious_rates_bits": "5bd2895c434af85a",
         "mode": "ce714a5f246ce96c",
     },
     "n2_wiretap_svd_eve": {
-        "base.va": "f063aa5b7fadf303", "base.b_sqrt": "6eb9836c41efe84a",
-        "base.u_tilde": "c6a9dd3e061b675b", "base.t_tilde": "8f6607672d7f7ae9",
-        "base.diag_b": "19062dbd692a1210", "base.sinr": "7c5137df234fa2a4",
-        "base.rates_bits": "38cd73c1737536db", "diag_e": "0fc071baecf1a712",
-        "secret_rates_bits": "7d5ab64ccc339c71", "fictitious_rates_bits": "b111478e3abfc667",
+        "base.va": "f063aa5b7fadf303", "base.b_sqrt": "6abb44e5d5164307",
+        "base.u_tilde": "c689cbda17aaa85c", "base.t_tilde": "d810c5cc0af1275a",
+        "base.diag_b": "c387dc0b6e17e281", "base.sinr": "10d76251749baa3a",
+        "base.rates_bits": "d2979ce72ebd55d6", "diag_e": "2afd1d7e2fa9bc9d",
+        "secret_rates_bits": "ca8a43efa1942080", "fictitious_rates_bits": "18a0052a63ddca65",
         "mode": "c73ddb487405eaa4",
     },
     "n2_wiretap_svd_bob": {
-        "base.va": "c24935314c7a024a", "base.b_sqrt": "6eb9836c41efe84a",
-        "base.u_tilde": "411fd834bd48dd82", "base.t_tilde": "106cd9dc8deaeb4d",
-        "base.diag_b": "607b3dd82a0278f2", "base.sinr": "527644a1960d1ea1",
-        "base.rates_bits": "b7912ca83fec0203", "diag_e": "31c1b66e6f96984f",
-        "secret_rates_bits": "ec6dfd3597be9987", "fictitious_rates_bits": "5bd2895c434af85a",
+        "base.va": "8369d1917584b1b6", "base.b_sqrt": "6abb44e5d5164307",
+        "base.u_tilde": "4ea171c56cca6b4a", "base.t_tilde": "e6434d82ebd26c58",
+        "base.diag_b": "19062dbd692a1210", "base.sinr": "7c5137df234fa2a4",
+        "base.rates_bits": "38cd73c1737536db", "diag_e": "fcc9da6869ae047f",
+        "secret_rates_bits": "ec6dfd3597be9987", "fictitious_rates_bits": "9598a7cac933eef7",
         "mode": "5d59e8d2fd898c63",
     },
     "n2_wiretap_gmd_bob": {
-        "base.va": "e83e07180e4abed7", "base.b_sqrt": "6eb9836c41efe84a",
-        "base.u_tilde": "e85c65cdfde17195", "base.t_tilde": "0f2681e5e0ca61d9",
-        "base.diag_b": "305111620c3daac2", "base.sinr": "fa155ac7c174f203",
-        "base.rates_bits": "37e5eeb326e19bef", "diag_e": "0f48841ab6c71aeb",
-        "secret_rates_bits": "ad158ac245072659", "fictitious_rates_bits": "9bea642871a112f7",
+        "base.va": "8b1f584b78aefb88", "base.b_sqrt": "6abb44e5d5164307",
+        "base.u_tilde": "0dfd2fe62d289bcd", "base.t_tilde": "8499d56e9326f910",
+        "base.diag_b": "1493925c818d92c0", "base.sinr": "b6fa4c4f110fa565",
+        "base.rates_bits": "d8a6e561989321b8", "diag_e": "d53962514c931f88",
+        "secret_rates_bits": "8b8e2f531f86ebd1", "fictitious_rates_bits": "a0fd031058c06681",
         "mode": "31a090f4630fe02d",
     },
     "n2_dpc": {
-        "base.va": "5eb61e5be41da8d2", "base.b_sqrt": "6eb9836c41efe84a",
-        "base.u_tilde": "38b0b8f237f5859a", "base.t_tilde": "39962ac0c39ffc9e",
+        "base.va": "33c11b461fe67e71", "base.b_sqrt": "6abb44e5d5164307",
+        "base.u_tilde": "38b0b8f237f5859a", "base.t_tilde": "46547a9790c3cbaa",
         "base.diag_b": "19062dbd692a1210", "base.sinr": "7c5137df234fa2a4",
         "base.rates_bits": "38cd73c1737536db", "diag_e": "31c1b66e6f96984f",
         "alpha": "254eb9c80cc21812", "rates_bits": "ca8a43efa1942080",
@@ -1290,47 +1308,47 @@ GOLDEN_PLANS = {
     },
     "n4_capacity": {
         "gsv": "25a5eaa32f14075d", "lb": "d86e8112f3c4c444",
-        "capacity_bits": "6c2a5a61e9def542", "k_star": "49fbf045f49ca349",
+        "capacity_bits": "6c2a5a61e9def542", "k_star": "ae5b64a16f3ab45d",
     },
     "n4_wiretap_gsvd": {
-        "base.va": "fa5a9d17fd490928", "base.b_sqrt": "b4dc02daebd78ff9",
-        "base.u_tilde": "2a9e6f0d94cd7812", "base.t_tilde": "b7a2b78bcc7cc7e7",
-        "base.diag_b": "afaf7eae19bc083c", "base.sinr": "f4081a57113ddfaf",
-        "base.rates_bits": "b6db3d642afe3991", "diag_e": "bf9753a216fffdf6",
-        "secret_rates_bits": "df646c467e847f5c", "fictitious_rates_bits": "b74316430da9e217",
+        "base.va": "bf707c5d517f9c9d", "base.b_sqrt": "e98dcadbe2c6e661",
+        "base.u_tilde": "2a9e6f0d94cd7812", "base.t_tilde": "9006b19fb698d357",
+        "base.diag_b": "9bc30be4ee278c0c", "base.sinr": "a71b39b8998208cc",
+        "base.rates_bits": "8ed58388daefcacb", "diag_e": "963b1d5e8c14c3c0",
+        "secret_rates_bits": "df646c467e847f5c", "fictitious_rates_bits": "b99f3c1155c2cee9",
         "mode": "ce714a5f246ce96c",
     },
     "n4_wiretap_svd_eve": {
-        "base.va": "813c7d92676eb5f3", "base.b_sqrt": "b4dc02daebd78ff9",
-        "base.u_tilde": "d09a80e711b3e3cd", "base.t_tilde": "18e93193185c8ff7",
+        "base.va": "ba122eb7e0feb11a", "base.b_sqrt": "e98dcadbe2c6e661",
+        "base.u_tilde": "140ec698e05cac9b", "base.t_tilde": "128a08be587b03f6",
         "base.diag_b": "17812008a2ec4fad", "base.sinr": "d7e579327172de94",
-        "base.rates_bits": "c8053d7fa3915db0", "diag_e": "faf9730362b86b32",
-        "secret_rates_bits": "3dbe8a782d22a3d6", "fictitious_rates_bits": "c23376d123a90bf8",
+        "base.rates_bits": "c8053d7fa3915db0", "diag_e": "b54524fb5b7d2af8",
+        "secret_rates_bits": "ced7f7f4618c5dbb", "fictitious_rates_bits": "83c7590481357ee5",
         "mode": "c73ddb487405eaa4",
     },
     "n4_wiretap_svd_bob": {
-        "base.va": "81e43edfaf5f3790", "base.b_sqrt": "b4dc02daebd78ff9",
-        "base.u_tilde": "951c31288ef4cebb", "base.t_tilde": "c354e939d3631865",
-        "base.diag_b": "004c7c9a741a5ca3", "base.sinr": "118a41f246213dfc",
-        "base.rates_bits": "83418b985b651867", "diag_e": "3bc56fc9c7f6f4be",
-        "secret_rates_bits": "5bbee256aaf98a83", "fictitious_rates_bits": "0c6ddb78373728a2",
+        "base.va": "d9b0c864e019c60a", "base.b_sqrt": "e98dcadbe2c6e661",
+        "base.u_tilde": "9155d449c67a474d", "base.t_tilde": "b6fc74d7d69780d5",
+        "base.diag_b": "9dd719cfb4e0d3f0", "base.sinr": "81eb5f56f77096d2",
+        "base.rates_bits": "f657a84769c10a79", "diag_e": "3bc56fc9c7f6f4be",
+        "secret_rates_bits": "e567140aca918797", "fictitious_rates_bits": "0c6ddb78373728a2",
         "mode": "5d59e8d2fd898c63",
     },
     "n4_wiretap_gmd_bob": {
-        "base.va": "d90575bd7676e6c9", "base.b_sqrt": "b4dc02daebd78ff9",
-        "base.u_tilde": "90af6c6686177b43", "base.t_tilde": "5d79bdf8cc0a9a91",
-        "base.diag_b": "79b6f2c1b4e9808c", "base.sinr": "8cc5f0577f535b5f",
-        "base.rates_bits": "a3011f66e9a83fd4", "diag_e": "7de92319c2114f8c",
-        "secret_rates_bits": "9a4ab4ad80717dd7", "fictitious_rates_bits": "8c3b37aecf47347b",
+        "base.va": "56c35c2da8d806f9", "base.b_sqrt": "e98dcadbe2c6e661",
+        "base.u_tilde": "19642d45cadc7d74", "base.t_tilde": "f2aa7d4642d92af9",
+        "base.diag_b": "ddca97deb543b92c", "base.sinr": "1de819a93989b7cf",
+        "base.rates_bits": "a01468db15e1913e", "diag_e": "4e3cace8f0088188",
+        "secret_rates_bits": "02e47123033221e2", "fictitious_rates_bits": "20b28ae2f06c6ad5",
         "mode": "31a090f4630fe02d",
     },
     "n4_dpc": {
-        "base.va": "fa5a9d17fd490928", "base.b_sqrt": "b4dc02daebd78ff9",
-        "base.u_tilde": "2a9e6f0d94cd7812", "base.t_tilde": "b7a2b78bcc7cc7e7",
-        "base.diag_b": "afaf7eae19bc083c", "base.sinr": "f4081a57113ddfaf",
-        "base.rates_bits": "b6db3d642afe3991", "diag_e": "bf9753a216fffdf6",
-        "alpha": "8362f72d86ad67e0", "rates_bits": "df646c467e847f5c",
-        "fictitious_rates_bits": "b74316430da9e217", "rates_u_bits": "f6dd965b094b35b0",
+        "base.va": "bf707c5d517f9c9d", "base.b_sqrt": "e98dcadbe2c6e661",
+        "base.u_tilde": "2a9e6f0d94cd7812", "base.t_tilde": "9006b19fb698d357",
+        "base.diag_b": "9bc30be4ee278c0c", "base.sinr": "a71b39b8998208cc",
+        "base.rates_bits": "8ed58388daefcacb", "diag_e": "963b1d5e8c14c3c0",
+        "alpha": "4bae110a36283976", "rates_bits": "df646c467e847f5c",
+        "fictitious_rates_bits": "b99f3c1155c2cee9", "rates_u_bits": "addc49165d0e1602",
     },
     "n4_broadcast": {
         "lb": "d86e8112f3c4c444", "lc": "d86e8112f3c4c444", "va": "e0dd6b07fdf14725",
@@ -1342,47 +1360,47 @@ GOLDEN_PLANS = {
     },
     "n8_capacity": {
         "gsv": "d9261c775f89c8a2", "lb": "35be322d094f9d15",
-        "capacity_bits": "d5ec263322feb780", "k_star": "2a9b73dacc0c6137",
+        "capacity_bits": "d5ec263322feb780", "k_star": "ff9c7b0e2c259926",
     },
     "n8_wiretap_gsvd": {
-        "base.va": "c2fd4bac0ba57679", "base.b_sqrt": "2cd85208db2f7ec9",
-        "base.u_tilde": "d8e1f43e75b19547", "base.t_tilde": "d2b40bdbce631506",
-        "base.diag_b": "dec80f84df273671", "base.sinr": "28045f83113698f2",
-        "base.rates_bits": "3217eda247a9f30b", "diag_e": "2342aac4eb10d674",
-        "secret_rates_bits": "038406faf1ef4917", "fictitious_rates_bits": "fa51c7dc96f973b6",
+        "base.va": "f67443e6c454c481", "base.b_sqrt": "c061d81a66e8db38",
+        "base.u_tilde": "d8e1f43e75b19547", "base.t_tilde": "369e418ff7d42ed5",
+        "base.diag_b": "b7ee020134be7a43", "base.sinr": "ab5683f8e02e85d7",
+        "base.rates_bits": "7debe547057cc91c", "diag_e": "d0b0844f4f92ae21",
+        "secret_rates_bits": "ce460e7991725953", "fictitious_rates_bits": "cefb0fdb6c49f5dd",
         "mode": "ce714a5f246ce96c",
     },
     "n8_wiretap_svd_eve": {
-        "base.va": "8fa350c779480090", "base.b_sqrt": "2cd85208db2f7ec9",
-        "base.u_tilde": "8647b57965daec27", "base.t_tilde": "23c19a997d5a0a08",
-        "base.diag_b": "9420c7eaaac6e874", "base.sinr": "82b543b6e65370c3",
-        "base.rates_bits": "43185ad4bd7192d0", "diag_e": "b1ecb71797991054",
-        "secret_rates_bits": "7bbfe9be9531fc21", "fictitious_rates_bits": "311050784a5ded5d",
+        "base.va": "ec22d40d91cacc33", "base.b_sqrt": "c061d81a66e8db38",
+        "base.u_tilde": "efb850a1b4301c6a", "base.t_tilde": "76b643394ea1a4fe",
+        "base.diag_b": "fecd5e5f86e665f7", "base.sinr": "24b37210aa3c0b26",
+        "base.rates_bits": "ae64f12b13a55d32", "diag_e": "4dfcba7c174ab80e",
+        "secret_rates_bits": "9895ce07729ef345", "fictitious_rates_bits": "5d59f5dd0f618d68",
         "mode": "c73ddb487405eaa4",
     },
     "n8_wiretap_svd_bob": {
-        "base.va": "aedaa36b61434619", "base.b_sqrt": "2cd85208db2f7ec9",
-        "base.u_tilde": "924c18276ff2dda9", "base.t_tilde": "15deeac3bbb06db2",
-        "base.diag_b": "a0d50f122bf568c9", "base.sinr": "4913cb90518189cd",
-        "base.rates_bits": "0bffc6233688643e", "diag_e": "21e63c9cc523b66d",
-        "secret_rates_bits": "1630b5da9ea3b755", "fictitious_rates_bits": "700544de038a942e",
+        "base.va": "6593a64e09dc07e5", "base.b_sqrt": "c061d81a66e8db38",
+        "base.u_tilde": "79230733729e88f7", "base.t_tilde": "df772f9a1eed2946",
+        "base.diag_b": "56ddd487fe93facd", "base.sinr": "80651884d5f5cfdc",
+        "base.rates_bits": "f1717728ddc29046", "diag_e": "5089b0a25f6ab18b",
+        "secret_rates_bits": "a9bc5256afde9664", "fictitious_rates_bits": "b221a9b24e3c6800",
         "mode": "5d59e8d2fd898c63",
     },
     "n8_wiretap_gmd_bob": {
-        "base.va": "57cfd27ab2979df6", "base.b_sqrt": "2cd85208db2f7ec9",
-        "base.u_tilde": "5e742930244ba785", "base.t_tilde": "350f165509526ffc",
-        "base.diag_b": "2cf5204bcd00a123", "base.sinr": "b4f94537555d0867",
-        "base.rates_bits": "f5a4b5726dd1fa61", "diag_e": "f686daee74833fd8",
-        "secret_rates_bits": "feb17ac274493d99", "fictitious_rates_bits": "0135eeeb8cc1b116",
+        "base.va": "20b295e3184a9161", "base.b_sqrt": "c061d81a66e8db38",
+        "base.u_tilde": "fb4908af128ce3eb", "base.t_tilde": "9ff7217c70310923",
+        "base.diag_b": "fe2acf5d2118bd24", "base.sinr": "30f386d9d213a9d6",
+        "base.rates_bits": "9099a9101c4de3ab", "diag_e": "39e03695f8c71add",
+        "secret_rates_bits": "100e728b40b7bcd9", "fictitious_rates_bits": "0628b53c1fe0c757",
         "mode": "31a090f4630fe02d",
     },
     "n8_dpc": {
-        "base.va": "c2fd4bac0ba57679", "base.b_sqrt": "2cd85208db2f7ec9",
-        "base.u_tilde": "d8e1f43e75b19547", "base.t_tilde": "d2b40bdbce631506",
-        "base.diag_b": "dec80f84df273671", "base.sinr": "28045f83113698f2",
-        "base.rates_bits": "3217eda247a9f30b", "diag_e": "2342aac4eb10d674",
-        "alpha": "1e5207dcad2cf2f6", "rates_bits": "038406faf1ef4917",
-        "fictitious_rates_bits": "fa51c7dc96f973b6", "rates_u_bits": "0d409102ddeade07",
+        "base.va": "f67443e6c454c481", "base.b_sqrt": "c061d81a66e8db38",
+        "base.u_tilde": "d8e1f43e75b19547", "base.t_tilde": "369e418ff7d42ed5",
+        "base.diag_b": "b7ee020134be7a43", "base.sinr": "ab5683f8e02e85d7",
+        "base.rates_bits": "7debe547057cc91c", "diag_e": "d0b0844f4f92ae21",
+        "alpha": "e51d3ec841924b96", "rates_bits": "ce460e7991725953",
+        "fictitious_rates_bits": "cefb0fdb6c49f5dd", "rates_u_bits": "2bab74a84353fa4b",
     },
     "n8_broadcast": {
         "lb": "35be322d094f9d15", "lc": "f13ee6ed54ea2aae", "va": "d6e17055533708be",
@@ -1394,43 +1412,43 @@ GOLDEN_PLANS = {
     },
     "n4_rank1_capacity": {
         "gsv": "b9164819e91b5e5d", "lb": "7c9fa136d4413fa6",
-        "capacity_bits": "02f53c0f98940728", "k_star": "73248eb556cccd27",
+        "capacity_bits": "02f53c0f98940728", "k_star": "4cc16cd4530c2a4b",
     },
     "n4_rank1_wiretap_gsvd": {
-        "base.va": "2b5664ca77f9b47e", "base.b_sqrt": "a691cde7a32080dd",
-        "base.u_tilde": "bdb36a92247b5ba3", "base.t_tilde": "850ed689135819ad",
+        "base.va": "bd683db03864dc1b", "base.b_sqrt": "069fb6ac150c8227",
+        "base.u_tilde": "bdb36a92247b5ba3", "base.t_tilde": "75ceebe4e8a1c991",
         "base.diag_b": "ae777f1dad825081", "base.sinr": "6b2acb0961ead67d",
         "base.rates_bits": "3c177bdd5c86b099", "diag_e": "49e63971e0ea58c6",
         "secret_rates_bits": "57c854a4b6bc9788", "fictitious_rates_bits": "3b6dfc90cb07a32d",
         "mode": "ce714a5f246ce96c",
     },
     "n4_rank1_wiretap_svd_eve": {
-        "base.va": "008ea5de5ce191b4", "base.b_sqrt": "a691cde7a32080dd",
-        "base.u_tilde": "26df75eccf25a7a3", "base.t_tilde": "639bc3a6338e27df",
+        "base.va": "008ea5de5ce191b4", "base.b_sqrt": "069fb6ac150c8227",
+        "base.u_tilde": "4fea3acf0ac37c78", "base.t_tilde": "c25915c78a16dff8",
         "base.diag_b": "305f8ea3f969a2cb", "base.sinr": "f240c1257724db23",
         "base.rates_bits": "5f60ec2a2e970c8d", "diag_e": "49e63971e0ea58c6",
         "secret_rates_bits": "d7002b00a18fdf86", "fictitious_rates_bits": "3b6dfc90cb07a32d",
         "mode": "c73ddb487405eaa4",
     },
     "n4_rank1_wiretap_svd_bob": {
-        "base.va": "7b339108d5b8b439", "base.b_sqrt": "a691cde7a32080dd",
-        "base.u_tilde": "c9c0f3461b58f384", "base.t_tilde": "6bbec7c599a91cde",
-        "base.diag_b": "305f8ea3f969a2cb", "base.sinr": "f240c1257724db23",
-        "base.rates_bits": "5f60ec2a2e970c8d", "diag_e": "49e63971e0ea58c6",
-        "secret_rates_bits": "d7002b00a18fdf86", "fictitious_rates_bits": "3b6dfc90cb07a32d",
+        "base.va": "7b339108d5b8b439", "base.b_sqrt": "069fb6ac150c8227",
+        "base.u_tilde": "8879eff625504ce7", "base.t_tilde": "dc87cafdf77f2b60",
+        "base.diag_b": "ae777f1dad825081", "base.sinr": "6b2acb0961ead67d",
+        "base.rates_bits": "3c177bdd5c86b099", "diag_e": "49e63971e0ea58c6",
+        "secret_rates_bits": "57c854a4b6bc9788", "fictitious_rates_bits": "3b6dfc90cb07a32d",
         "mode": "5d59e8d2fd898c63",
     },
     "n4_rank1_wiretap_gmd_bob": {
-        "base.va": "897fb0f90d605fe3", "base.b_sqrt": "a691cde7a32080dd",
-        "base.u_tilde": "877f7c9845d80052", "base.t_tilde": "0a77b4c85a8a6f7a",
-        "base.diag_b": "5de185477dc1a4f4", "base.sinr": "599ff83c6e5df269",
-        "base.rates_bits": "28b496119d42c213", "diag_e": "7ad8824d7cbcd290",
-        "secret_rates_bits": "206d6855f3a218f2", "fictitious_rates_bits": "8c0ab46a506dad7b",
+        "base.va": "e822b3099b4e1eff", "base.b_sqrt": "069fb6ac150c8227",
+        "base.u_tilde": "c2acd45e2030f2c6", "base.t_tilde": "c6291f2ec5a0b12a",
+        "base.diag_b": "644be4b6501f1326", "base.sinr": "3b63ebacf8736b1e",
+        "base.rates_bits": "3f5066f8df168ff4", "diag_e": "ff799da04d093b0a",
+        "secret_rates_bits": "92eba3a2dac2c45a", "fictitious_rates_bits": "596470872f02ddc2",
         "mode": "31a090f4630fe02d",
     },
     "n4_rank1_dpc": {
-        "base.va": "2b5664ca77f9b47e", "base.b_sqrt": "a691cde7a32080dd",
-        "base.u_tilde": "bdb36a92247b5ba3", "base.t_tilde": "850ed689135819ad",
+        "base.va": "bd683db03864dc1b", "base.b_sqrt": "069fb6ac150c8227",
+        "base.u_tilde": "bdb36a92247b5ba3", "base.t_tilde": "75ceebe4e8a1c991",
         "base.diag_b": "ae777f1dad825081", "base.sinr": "6b2acb0961ead67d",
         "base.rates_bits": "3c177bdd5c86b099", "diag_e": "49e63971e0ea58c6",
         "alpha": "06091edb304b57d4", "rates_bits": "57c854a4b6bc9788",
