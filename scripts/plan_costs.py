@@ -24,7 +24,12 @@ plans differ in the bits of any array between the packages, and the
 largest relative difference ``|a - b| / max(|a|, |b|)`` of their
 ``secret_rates_bits``, ``rates_bits`` (the base plan's too) and ``sinr``,
 so a change that moves plan bits by rounding shows by how much.  The
-"cold" lines then time ``secrecy_capacity_cov``
+"invariance" lines give, per package and mode, how many of the problems'
+wiretap plans move their per-stream secret or fictitious rates by more than
+1e-9 of the capacity under a random unitary change of coordinates
+``(U_b h_b V, U_e h_e V, V' K V)``, the same for both packages: a plan that
+is a function of its problem moves by rounding only.  The "cold" lines then
+time ``secrecy_capacity_cov``
 alone as the first call on each of ``--cold`` further problems, which
 neither package has seen, alternating which package goes first, and give
 the medians per transmit dimension n.  The "power search" line times
@@ -111,6 +116,21 @@ def compare(bits, label, before, after):
             scale = np.maximum(np.abs(a), np.abs(b))
             rel = np.abs(a - b) / np.where(scale > 0.0, scale, 1.0)
             entry[2][name] = max(entry[2][name], float(np.max(rel, initial=0.0)))
+
+
+def moved_plans(pkg, problems, rotations):
+    """Per mode, how many plans of ``problems`` move their per-stream secret or fictitious
+    rates by more than 1e-9 of the capacity when each problem is rotated by its
+    ``(U_b, U_e, V)`` of ``rotations``."""
+    moved = dict.fromkeys(MODES, 0)
+    for (_, h_b, h_e, kbar), (u_b, u_e, v) in zip(problems, rotations):
+        rotated = (u_b @ h_b @ v, u_e @ h_e @ v, v.conj().T @ kbar @ v)
+        tol = 1e-9 * pkg.secrecy_capacity_cov(h_b, h_e, kbar).capacity_bits
+        for mode in MODES:
+            plan, other = (pkg.build_wiretap_plan(*p, mode) for p in ((h_b, h_e, kbar), rotated))
+            moved[mode] += any(np.max(np.abs(getattr(plan, f) - getattr(other, f))) > tol
+                               for f in ("secret_rates_bits", "fictitious_rates_bits"))
+    return moved
 
 
 def ordered(packages, turn):
@@ -201,6 +221,14 @@ def main(argv=None):
         fields = ", ".join(f"{name} {value:.1e}" for name, value in worst.items())
         print(f"bits {label}: {differ_plans} of {count} plans differ; "
               f"largest relative difference: {fields}")
+    rng = np.random.default_rng(args.seed)
+    rotations = [[wtd.decomp.haar_unitary(h.shape[0], rng) for h in (h_b, h_e, kbar)]
+                 for _, h_b, h_e, kbar in problems]
+    for name, pkg in packages.items():
+        moved = moved_plans(pkg, problems, rotations)
+        print(f"invariance {name}: " + ", ".join(f"{mode} {moved[mode]}" for mode in MODES)
+              + f" of {len(problems)} plans move their per-stream rates by more than 1e-9 of "
+              f"the capacity under a unitary change of coordinates")
     for n in sorted(cold["parent"]):
         row(f"cold secrecy_capacity_cov n={n}", cold["parent"][n], cold["change"][n])
     (before, bound_before), (after, bound_after) = power["parent"], power["change"]

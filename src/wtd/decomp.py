@@ -167,14 +167,11 @@ def _check_rank(a, diag, name="matrix"):
         _check_full_rank(diag, np.linalg.norm(a, 2, axis=(-2, -1)), name)
 
 
-def _qr_diagonal(a, complete=False):
-    """``qr(a).diagonal``, the phases ``qr(a).u`` puts on Q's columns, and Q if ``complete``."""
-    # Finite check only: callers pass ``[h b; I] va``, whose singular values are all >= 1.
-    a = _as_matrix(a)
-    # Mode ``raw`` holds R's diagonal, transposed, without the copy of its triangle.
-    q, r = np.linalg.qr(a, mode="complete") if complete else (None, np.linalg.qr(a, mode="raw")[0])
+def _qr_diagonal(a):
+    """``qr(a).diagonal`` and ``qr(a).u[:, :n]``, bit for bit (a thin Q flips signed zeros)."""
+    q, r = np.linalg.qr(a, mode="complete")
     phases, diag = _diagonal_phases(np.diag(r))
-    return diag, phases, q
+    return diag, q[:, :diag.size] * phases
 
 
 def _check_full_rank(diag, scale, name="matrix"):

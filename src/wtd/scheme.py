@@ -168,29 +168,15 @@ def select_precoder(h_b, h_e, b, mode):
         return _kernel_ql(mu, wh @ r2)[0]
     g = effective_mmse_matrix(h_e if mode == "svd_eve" else h_b, b)
     # ``svd(g).v`` bit for bit (finite check included); ``gmd_bob``'s is ``gmd(g).v`` bit for bit.
-    return _svd_precoder(np.linalg.svd(_as_matrix(g), full_matrices=False), mode)[0]
+    _, sigma, vh = np.linalg.svd(_as_matrix(g), full_matrices=False)
+    if mode == "gmd_bob":
+        return vh.conj().T @ _gtd_schedule(sigma, _geometric_mean_target(sigma))[1]
+    return vh.conj().T
 
 
 def _check_mode(mode):
     if mode not in PRECODER_MODES:
         raise DomainError(f"unknown precoder mode {mode!r}; expected one of {PRECODER_MODES}")
-
-
-def _svd_precoder(svd, mode):
-    """``V``, ``P``, ``sigma`` of a QR ``g V = P diag(sigma)`` from the thin SVD ``(P, sigma, V')``
-    of ``g``, rotated by the GMD schedule in ``gmd_bob``."""
-    p, sigma, vh = svd
-    if mode != "gmd_bob":
-        return vh.conj().T, p, sigma
-    r1, r2, d = _gtd_schedule(sigma, _geometric_mean_target(sigma))
-    return vh.conj().T @ r2, p @ r1, d
-
-
-def _receiver(gv, m):
-    """Diagonal and combiner ``u`` (the top ``m`` rows) of the QR of ``gv = [h b; I] va``."""
-    # Only the diagonal and the top of ``qr(gv).u``; a thin Q flips signed zeros.
-    diag, phases, q = _qr_diagonal(gv, complete=True)
-    return diag, q[:m, :gv.shape[1]] * phases
 
 
 def build_sic_plan(h_b, b, va):
@@ -204,13 +190,13 @@ def build_sic_plan(h_b, b, va):
     g_b = effective_mmse_matrix(h_b, b)
     if va.shape[0] != g_b.shape[1]:
         raise DomainError("precoder dimension must match the transmit dimension")
-    m, gv = g_b.shape[0] - va.shape[0], g_b @ va
-    return _sic_plan(b, va, *_receiver(gv, m), gv[:m])
+    m, gv = g_b.shape[0] - va.shape[0], _as_matrix(g_b @ va)
+    diag_b, q = _qr_diagonal(gv)
+    return _sic_plan(b, va, q[:m], gv[:m], diag_b)
 
 
-def _sic_plan(b, va, diag_b, u_tilde, hbv):
-    # The plan of ``build_sic_plan`` from the diagonal and combiner of the QR of ``[h_b b; I] va``
-    # and the product ``hbv = h_b b va``; ``1 + sinr = diag_b^2`` gives the SINRs.
+def _sic_plan(b, va, u_tilde, hbv, diag_b):
+    # The plan from the QR ``[h_b b; I] va``'s combiner and diagonal, and ``hbv = h_b b va``.
     return SicPlan(va=va, b_sqrt=b, u_tilde=u_tilde, t_tilde=u_tilde.conj().T @ hbv,
                    diag_b=diag_b, sinr=(diag_b - 1.0) * (diag_b + 1.0),
                    rates_bits=2.0 * np.log2(diag_b))
@@ -221,40 +207,38 @@ def build_wiretap_plan(h_b, h_e, kbar, mode):
 
     Uses the optimal covariance for the constraint, so the per-stream diagonal
     ratios never fall below 1 and the secret rates sum to the secrecy capacity
-    for every mode.  The precoder and the SIC plan share the factor ``b_sqrt = b
-    [0, P]`` of ``k_star`` that the capacity call forms, ``b`` the root of
-    ``kbar`` and ``P`` a basis of the ``lb`` active directions, the first ``lb``
-    of the capacity call's QL precoder; it is not Hermitian, and only ``kbar``
-    is rooted.  Sides are read off the precoder's factorization, with no rank
-    check: ``gsvd`` both, off that QL with no factorization of its own (``b_sqrt
-    va = [b P, 0]``, see ``secrecy._Problem``), up to the double limit;
-    ``svd_bob`` and ``gmd_bob`` Bob's, off the (GMD-rotated) thin SVD of ``[h_b
-    b_sqrt; I]``, which they share; ``svd_eve`` Eve's diagonal.  The other side
-    of an SVD mode takes one QR.  A plan is built once per problem and mode and
+    for every mode.  The precoder and the SIC plan share the capacity call's
+    factor ``b_sqrt = b [0, P]`` of ``k_star`` (``b`` the root of ``kbar``),
+    and every mode is built from the ``lb x lb`` active block ``X`` of its QL
+    (see ``secrecy._Problem``), the ``n - lb`` inactive streams exactly 1:
+    ``gsvd`` reads both diagonals off the QL, up to the double limit;
+    ``svd_bob`` and ``gmd_bob`` share Bob's SVD of ``diag(mu[:lb]) X``, phased
+    by a rule of the problem (``gmd_bob`` then equalizes all ``n`` streams),
+    and ``svd_eve`` takes the SVD of ``X``.  The side a mode does not
+    diagonalize takes one QR.  A plan is built once per problem and mode and
     handed out again, its arrays read-only.
     """
     problem = _problem(h_b, h_e, kbar, "constraint")
     _check_mode(mode)
     if mode in problem.plans:
         return problem.plans[mode]
-    (res, b, ql), (m, n) = problem.solved, problem.channels[0].shape
+    (_, f, ql), lb = problem.solved, problem.solved[0].lb
     if mode == "gsvd":
-        # ``u = [U[:m, :lb], 0]``, ``h_b f va = [(h_b b) P, 0]``, the QL's first ``lb`` diagonals.
-        lb, (u, hbv) = res.lb, np.zeros((2, m, n), dtype=complex)
-        u[:, :lb] = problem.kernel[1][:m, :lb]
-        hbv[:, :lb] = problem.mmse_pair[0][:m] @ ql[0][:, :lb]
-        va = np.eye(n, k=lb, dtype=complex) + np.eye(n, k=lb - n)
-        diag_b, diag_e = (np.append(x[:lb], np.ones(n - lb)) for x in ql[1:])
-        bob = diag_b, u
+        factors, (diag_b, diag_e) = problem.block[1:], np.ones((2, f.shape[0]))
+        diag_b[:lb], diag_e[:lb] = ql[1][:lb], ql[2][:lb]
     elif mode == "svd_eve":
-        g_b, g_e = problem.k_star_pair
-        va, _, diag_e = _svd_precoder(np.linalg.svd(g_e, full_matrices=False), mode)
-        gv = g_b @ va
-        bob, hbv = _receiver(gv, m), gv[:m]
+        x, (diag_b, diag_e) = problem.block[0], np.ones((2, f.shape[0]))
+        _, diag_e[:lb], vh = np.linalg.svd(x)
+        diag_b[:lb], q = _qr_diagonal(problem.kernel[0][:lb, None] * (x @ vh.conj().T))
+        factors = problem.assemble(vh.conj().T, q)
     else:
-        (g_b, g_e), (va, p, sigma) = problem.k_star_pair, _svd_precoder(problem.k_star_svd, mode)
-        bob, hbv, diag_e = (sigma, p[:m]), g_b[:m] @ va, _qr_diagonal(g_e @ va)[0]
-    base = _sic_plan(b, va, *bob, hbv)
+        (diag_b, *factors, xv), diag_e = problem.bob_svd, np.ones(f.shape[0])
+        if mode == "gmd_bob":
+            r1, r2, diag_b = _gtd_schedule(diag_b, _geometric_mean_target(diag_b))
+            factors = [a @ r for a, r in zip(factors, (r2, r1, r2))]
+            xv = np.concatenate([xv @ r2[:lb], r2[lb:]])  # ``[X v, 0; 0, I] r2``
+        diag_e[:xv.shape[1]] = np.abs(np.linalg.qr(xv, mode="raw")[0].diagonal())  # R's diagonal
+    base = _sic_plan(f, *factors, diag_b)
     fictitious = 2.0 * np.log2(diag_e)
     secret = np.maximum(base.rates_bits - fictitious, 0.0)  # the bits of 2 (log2 b - log2 e)
     plan = WiretapPlan(base=base, diag_e=diag_e, secret_rates_bits=secret,

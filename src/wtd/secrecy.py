@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .decomp import _as_matrix, _gsvd_kernel, _kernel_ql, haar_unitary
+from .decomp import _as_matrix, _diagonal_phases, _gsvd_kernel, _kernel_ql, haar_unitary
 from .errors import DomainError, NotPSD
 
 LN2 = np.log(2.0)
@@ -236,8 +236,9 @@ class _Problem:
     That kernel is the problem's only one, and the solve's QL of it (:func:`decomp._kernel_ql`)
     the only triangularization: ``(W'R2) va`` is upper triangular, so ``P = va[:, :lb]`` has
     ``(W'R2)[lb:] P = 0``, and ``[h_b b P; P] = U[:, :lb] diag(mu[:lb]) X``, ``[h_e b P; P] = Q2
-    W[:, :lb] X`` are QRs with ``X = (W'R2)[:lb] P``.  ``plans`` holds the wiretap plans
-    :mod:`scheme` built, by mode."""
+    W[:, :lb] X`` with ``X = (W'R2)[:lb] P``.  Every wiretap plan is built from that active block
+    (:meth:`assemble`), with exact unit streams on the ``n - lb`` zero columns of ``f``.  ``plans``
+    holds the wiretap plans :mod:`scheme` built, by mode."""
 
     def __init__(self, key, h_b, h_e, k):
         self.key, self.channels = key, (h_b.copy("K"), h_e.copy("K"))
@@ -259,13 +260,31 @@ class _Problem:
         return _optimal(self.root, *self.capacity, *self.kernel)
 
     @cached_property
-    def k_star_pair(self):
-        return _freeze(*_mmse_pair(*self.channels, self.solved[1]))
+    def block(self):
+        # ``X`` and ``gsvd``'s assembly ``v = q = I``: ``f va = [b P, 0]``, combiner, ``h_b f va``.
+        (m, n), lb, (_, _, _, wh, r2) = self.channels[0].shape, self.solved[0].lb, self.kernel
+        p = self.solved[2][0][:, :lb]
+        combiner, hbv = np.zeros((2, m, n), dtype=complex)
+        combiner[:, :lb], hbv[:, :lb] = self.kernel[1][:m, :lb], self.mmse_pair[0][:m] @ p
+        return _freeze(wh[:lb] @ (r2 @ p), np.eye(n, k=lb, dtype=complex) + np.eye(n, k=lb - n),
+                       combiner, hbv)
+
+    def assemble(self, v, q):
+        # :attr:`block`'s assembly, its active columns times the block's factors ``v`` and ``q``.
+        (va, u, hbv), lb = (a.copy() for a in self.block[1:]), v.shape[0]
+        va[va.shape[0] - lb:, :lb], u[:, :lb], hbv[:, :lb] = v, u[:, :lb] @ q, hbv[:, :lb] @ v
+        return va, u, hbv
 
     @cached_property
-    def k_star_svd(self):
-        # Bob's thin SVD of ``[h_b f; I]``, which ``svd_bob`` and ``gmd_bob`` share.
-        return _freeze(*np.linalg.svd(self.k_star_pair[0], full_matrices=False))
+    def bob_svd(self):
+        # Bob's SVD ``diag(mu[:lb]) X = p diag(s) v'``, for ``svd_bob`` and ``gmd_bob``: ``s`` (1 on
+        # the inactive streams), :meth:`assemble` and ``X v``.  Each column of ``v`` (and ``p``) is
+        # phased so that Eve's Gram ``(X v)'(X v)`` has a real non-negative first row.
+        x, sigma = self.block[0], np.ones(self.root.shape[0])
+        p, sigma[:x.shape[0]], vh = np.linalg.svd(self.kernel[0][:x.shape[0], None] * x)
+        xv = x @ vh.conj().T
+        phases = _diagonal_phases(xv[:, :1].conj().T @ xv)[0].conj()  # conj(G[0, j]) / |G[0, j]|
+        return _freeze(sigma, *self.assemble(vh.conj().T * phases, p * phases), xv * phases)
 
 
 def _problem(h_b, h_e, kbar, name):

@@ -209,11 +209,11 @@ class TestWideDynamicRange:
 class TestOneMmsePairPerPlan:
     def test_plans_form_each_mmse_matrix_once(self, rng, monkeypatch):
         # Counts every effective MMSE matrix, the library's own included, after a
-        # capacity call that kept the root, kernel, QL and solve of the problem: the
-        # ``gsvd`` plan forms none, as it reads ``h_b f va = [(h_b b) P, 0]`` off the kept
-        # pair of ``kbar``; the first SVD mode forms the pair of ``k_star``'s factor, which
-        # the other two read; a second plan of a mode and the DPC plan reuse the kept
-        # plan, and the broadcast plan reads the products ``h b`` of the kept pair.
+        # capacity call that kept the root, kernel, QL and solve of the problem: no plan
+        # forms one, as every mode reads ``h_b f va = [(h_b b) P v, 0]`` off the kept pair
+        # of ``kbar`` and its own factor ``v`` of the QL's active block; a second plan of a
+        # mode and the DPC plan reuse the kept plan, and the broadcast plan reads the
+        # products ``h b`` of the kept pair.
         calls = []
         for module in (scheme, secrecy):
             def counting(h, b, real=module.effective_mmse_matrix):
@@ -235,17 +235,17 @@ class TestOneMmsePairPerPlan:
             call()
             counts[label] = len(calls)
         assert counts == {"gsvd": 0, "gsvd again": 0, "dpc": 0, "broadcast": 0,
-                          "svd_eve": 2, "svd_bob": 0, "gmd_bob": 0}
+                          "svd_eve": 0, "svd_bob": 0, "gmd_bob": 0}
 
     @pytest.mark.parametrize("first", scheme.PRECODER_MODES)
-    def test_the_four_modes_share_one_pair_and_one_bob_svd(self, rng, monkeypatch, first):
-        # Whichever mode comes first, the four form the MMSE pair of ``k_star``'s factor
-        # once, take Bob's thin SVD of it once (``svd_bob`` and ``gmd_bob`` share it) and
-        # Eve's once (``svd_eve``), and run no GSVD kernel; a DPC plan of each mode after
-        # them runs nothing.
+    def test_the_four_modes_share_one_block_and_one_bob_svd(self, rng, monkeypatch, first):
+        # Whichever mode comes first, the four form no MMSE pair, run no GSVD kernel and take
+        # two ``lb x lb`` SVDs of the kept QL's active block: Bob's of ``diag(mu[:lb]) X``
+        # once (``svd_bob`` and ``gmd_bob`` share it) and Eve's of ``X`` (``svd_eve``); a DPC
+        # plan of each mode after them runs nothing.
         h_b, h_e, kbar = wiretap_instance(rng)
         secrecy.secrecy_capacity_cov(h_b, h_e, 2.0 * kbar)
-        secrecy.secrecy_capacity_cov(h_b, h_e, kbar)
+        lb = secrecy.secrecy_capacity_cov(h_b, h_e, kbar).lb
         pairs = count_calls(monkeypatch, secrecy, ("_mmse_pair", "_gsvd_kernel", "_factor_kernel"))
         svds = []
         svd = np.linalg.svd
@@ -258,11 +258,11 @@ class TestOneMmsePairPerPlan:
         modes = list(scheme.PRECODER_MODES)
         for mode in modes[modes.index(first):] + modes[:modes.index(first)]:
             scheme.build_wiretap_plan(h_b, h_e, kbar, mode)
-        assert pairs == ["_mmse_pair"]
-        assert sorted(svds) == [(5, 3), (6, 3)]
+        assert pairs == [] and lb == 2
+        assert svds == [(lb, lb)] * 2
         for mode in modes:
             scheme.build_dpc_plan(h_b, h_e, kbar, mode)
-        assert (len(pairs), len(svds)) == (1, 2)
+        assert (len(pairs), len(svds)) == (0, 2)
 
     def test_no_kernel_or_qr_after_the_first_gsvd_plan(self, rng, monkeypatch):
         # After a capacity call the ``gsvd`` plan runs no GSVD kernel, by either name, no
@@ -297,8 +297,8 @@ class TestOneMmsePairPerPlan:
                                                  plan.fictitious_rates_bits)]
         shared += [*vars(dpc.base).values(), dpc.diag_e, broadcast.b_sqrt,
                    broadcast.bob_combiner]
-        shared += [*problem.k_star_pair, *problem.k_star_svd, *problem.mmse_pair,
-                   problem.solved[1], *problem.solved[2]]
+        shared += [*problem.block, *problem.bob_svd, *problem.mmse_pair, problem.solved[1],
+                   *problem.solved[2]]
         for a in shared:
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = 7.0
@@ -338,6 +338,12 @@ def _close(got, want, scale=1.0):
     return np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), scale)
 
 
+def _mmse_singular_values(h, b):
+    """Singular values of ``[h b; I]`` (``effective_mmse_matrix``), non-increasing: the
+    diagonal an SVD mode reads off the whole pair."""
+    return np.linalg.svd(secrecy.effective_mmse_matrix(h, b), compute_uv=False)
+
+
 def _qr_receiver(h, b, va):
     """Diagonal, combiner and feedback ``u' h b va`` of ``decomp.qr`` of ``[h b; I] va``."""
     h = np.asarray(h, dtype=complex)
@@ -371,6 +377,11 @@ class TestPlansMatchTheQrRoute:
             assert _close(dpc.base.t_tilde, t, feedback_scale)
             assert _close(dpc.rates_bits, np.where(live, secret, 0.0))
             assert _close(dpc.fictitious_rates_bits, np.where(live, 2.0 * np.log2(diag_e), 0.0))
+            # The whole-pair route: the active block's SVD and unit inactive streams are the
+            # SVD of ``[h f; I]``.
+            if mode in ("svd_bob", "svd_eve"):
+                h, diag = (h_b, base.diag_b) if mode == "svd_bob" else (h_e, plan.diag_e)
+                assert _close(diag, _mmse_singular_values(h, b))
             lb = secrecy.secrecy_capacity_cov(h_b, h_e, kbar).lb
             lbs.add((lb == 0, lb == kbar.shape[0]))
         assert {(True, False), (False, True), (False, False)} <= lbs
@@ -392,6 +403,55 @@ class TestPlansMatchTheQrRoute:
             assert _close(plan.charlie_rates_bits, np.maximum(-ratio[lb:], 0.0))
             lbs.add(min(lb, 1) + (lb == kbar.shape[0]))
         assert lbs == {0, 1, 2}
+
+
+def _rotated_problems():
+    """120 problems at n = 2..6, each with a change of coordinates ``(U_b h_b V, U_e h_e V, V' K
+    V)`` of it: a weak legitimate channel on every fifth (``lb`` down to 0), a rank-deficient
+    ``kbar`` on every third and a wide eavesdropper (``m_e < n``, often ``< lb``) on every
+    fourth."""
+    rng = np.random.default_rng(3131)
+    for i in range(120):
+        n = 2 + i % 5
+        m_b = int(rng.integers(n - 1, n + 2)) if i % 7 else n
+        m_e = int(rng.integers(1, n)) if i % 4 == 0 else int(rng.integers(n - 1, n + 2))
+        rank = int(rng.integers(1, n)) if i % 3 == 0 else n
+        h_b = (0.7 if i % 5 == 1 else 2.0) * complex_gaussian(rng, m_b, n)
+        h_e = complex_gaussian(rng, m_e, n)
+        kbar = random_psd(rng, n, rank) / n
+        u_b, u_e, v = (decomp.haar_unitary(k, rng) for k in (m_b, m_e, n))
+        yield i, (h_b, h_e, kbar), (u_b @ h_b @ v, u_e @ h_e @ v, v.conj().T @ kbar @ v)
+
+
+#: The problems of :func:`_rotated_problems` whose ``X`` has tied singular values, all of them
+#: exactly 1: the wide eavesdroppers with ``lb - m_e >= 2``.  No rule fixes ``svd_eve``'s basis
+#: inside the tie, so Bob's QR diagonal under it is any of a continuum.
+TIED_SVD_EVE = [4, 8, 28, 32, 52, 64, 68, 92, 112]
+
+
+def test_plans_are_functions_of_the_problem():
+    # Per-stream secret and fictitious rates do not move, beyond rounding, under a unitary
+    # change of coordinates of the problem, in every mode: ``gmd_bob``'s Eve diagonal depends
+    # on the relative phases of Bob's singular vectors, which the phase rule fixes.  A mode's
+    # problem whose diagonalized side has tied values is counted apart, and must be named.
+    ties, lbs = {mode: [] for mode in scheme.PRECODER_MODES}, set()
+    for i, problem, rotated in _rotated_problems():
+        res = secrecy.secrecy_capacity_cov(*problem)
+        lb = res.lb
+        plans = {mode: [scheme.build_wiretap_plan(*p, mode) for p in (problem, rotated)]
+                 for mode in scheme.PRECODER_MODES}
+        bob = plans["svd_bob"][0].base.diag_b[:lb]
+        for mode, (plan, moved) in plans.items():
+            side = np.sort({"gsvd": res.gsv[:lb], "svd_eve": plan.diag_e[:lb]}.get(mode, bob))
+            if np.any(np.diff(side) <= 1e-8 * side[-1:]):
+                ties[mode].append(i)
+                continue
+            for name in ("secret_rates_bits", "fictitious_rates_bits"):
+                diff = np.abs(getattr(plan, name) - getattr(moved, name))
+                assert np.all(diff <= 1e-9 * res.capacity_bits), (i, mode, name, diff.max())
+        lbs.add((lb == 0, lb == problem[2].shape[0], lb > problem[1].shape[0]))
+    assert ties == {"gsvd": [], "svd_eve": TIED_SVD_EVE, "svd_bob": [], "gmd_bob": []}
+    assert {(True, False, False), (False, True, False), (False, False, True)} <= lbs
 
 
 class TestBuildWiretapPlan:
@@ -661,22 +721,26 @@ class TestSolveMemo:
     def test_a_gsv_call_first_leaves_one_solve_for_every_call(self, rng, monkeypatch):
         # The capacity-first order gives the reference bits; after a GSV call, which
         # roots ``kbar`` and runs the problem's only GSVD kernel, the first plan adds the
-        # capacity solve, whose QL of that kernel the ``gsvd`` and broadcast plans read.
-        # No call runs a second kernel, a second QL or ``_factor_kernel``, and the nine
-        # take three SVDs: the kernel's, Eve's of ``svd_eve`` and Bob's, which ``svd_bob``
-        # and ``gmd_bob`` share.
+        # capacity solve, whose QL of that kernel every plan reads.  No call runs a second
+        # kernel, a second QL or ``_factor_kernel``, and the nine take three SVDs: the
+        # kernel's of the ``(m + n) x n`` pair and two of the QL's ``lb x lb`` active block,
+        # Eve's of ``svd_eve`` and Bob's, which ``svd_bob`` and ``gmd_bob`` share.
         h_b, h_e, kbar = wiretap_instance(rng)
         want = {label: _bits(call()) for label, call in _nine_calls(h_b, h_e, kbar).items()}
+        lb = secrecy.secrecy_capacity_cov(h_b, h_e, kbar).lb
         secrecy.secrecy_capacity_cov(h_b, h_e, kbar + np.eye(kbar.shape[0]))
         calls = count_calls(monkeypatch, secrecy, ("_root", "_gsvd_kernel", "_kernel_ql",
                                                    "_factor_kernel"))
         plan_calls = count_calls(monkeypatch, scheme, ("_kernel_ql", "_factor_kernel"))
-        svds = count_calls(monkeypatch, np.linalg, ("svd",))
+        svds = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
+            svds.append(a.shape), svd(a, *args, **kwargs))[1])
         order = ["gsv", "gsvd"] + [label for label in want if label not in ("gsv", "gsvd")]
         calls_on_problem = _nine_calls(h_b, h_e, kbar)
         assert {label: _bits(calls_on_problem[label]()) for label in order} == want
         assert sorted(calls + plan_calls) == ["_gsvd_kernel", "_kernel_ql", "_root"]
-        assert len(svds) == 3
+        assert svds == [(h_b.shape[0] + h_b.shape[1], h_b.shape[1]), (lb, lb), (lb, lb)]
         plan = scheme.build_wiretap_plan(h_b, h_e, kbar, "gsvd")
         assert (len(calls + plan_calls), len(svds)) == (3, 3)
         for a in (plan.base.b_sqrt, plan.base.va, plan.base.u_tilde, plan.base.diag_b,
@@ -1253,6 +1317,14 @@ def _golden_digests(result, prefix=""):
 #: the SVD modes' factors inside tied singular values (the ``n - lb`` unit ones of
 #: ``[h f; I]``) and the ``n4`` and ``n8`` ``gmd_bob`` per-stream rates (up to 18 %),
 #: whose sums hold.  The broadcast entries and ``n4_power`` kept their bits.
+#: Only ``{n2, n4, n8, n4_rank1}_wiretap_{svd_eve, svd_bob, gmd_bob}`` moved when the
+#: SVD modes began to be built from the kept QL's ``lb x lb`` active block, with Bob's
+#: singular vectors phased by Eve's Gram: ``va``, ``u_tilde`` and ``t_tilde`` (another
+#: basis of the same streams) and the diagonals and rates by rounding (at most 7e-15
+#: relative), except ``n8_wiretap_gmd_bob``'s per-stream rates (secret up to 15 %,
+#: fictitious up to 42 %), which rounding had chosen and the phase rule now fixes; its
+#: sums hold.  The capacity, ``gsvd``, DPC and broadcast entries and ``n4_power`` kept
+#: their bits.
 GOLDEN_PLANS = {
     "n2_capacity": {
         "gsv": "1439496734e55dc3", "lb": "7c9fa136d4413fa6",
@@ -1267,27 +1339,27 @@ GOLDEN_PLANS = {
         "mode": "ce714a5f246ce96c",
     },
     "n2_wiretap_svd_eve": {
-        "base.va": "f063aa5b7fadf303", "base.b_sqrt": "6abb44e5d5164307",
-        "base.u_tilde": "c689cbda17aaa85c", "base.t_tilde": "d810c5cc0af1275a",
+        "base.va": "6e8ebc74d47c1896", "base.b_sqrt": "6abb44e5d5164307",
+        "base.u_tilde": "38b0b8f237f5859a", "base.t_tilde": "46547a9790c3cbaa",
         "base.diag_b": "c387dc0b6e17e281", "base.sinr": "10d76251749baa3a",
         "base.rates_bits": "d2979ce72ebd55d6", "diag_e": "2afd1d7e2fa9bc9d",
         "secret_rates_bits": "ca8a43efa1942080", "fictitious_rates_bits": "18a0052a63ddca65",
         "mode": "c73ddb487405eaa4",
     },
     "n2_wiretap_svd_bob": {
-        "base.va": "8369d1917584b1b6", "base.b_sqrt": "6abb44e5d5164307",
-        "base.u_tilde": "4ea171c56cca6b4a", "base.t_tilde": "e6434d82ebd26c58",
-        "base.diag_b": "19062dbd692a1210", "base.sinr": "7c5137df234fa2a4",
-        "base.rates_bits": "38cd73c1737536db", "diag_e": "fcc9da6869ae047f",
-        "secret_rates_bits": "ec6dfd3597be9987", "fictitious_rates_bits": "9598a7cac933eef7",
+        "base.va": "6e8ebc74d47c1896", "base.b_sqrt": "6abb44e5d5164307",
+        "base.u_tilde": "38b0b8f237f5859a", "base.t_tilde": "46547a9790c3cbaa",
+        "base.diag_b": "c387dc0b6e17e281", "base.sinr": "10d76251749baa3a",
+        "base.rates_bits": "d2979ce72ebd55d6", "diag_e": "2afd1d7e2fa9bc9d",
+        "secret_rates_bits": "ca8a43efa1942080", "fictitious_rates_bits": "18a0052a63ddca65",
         "mode": "5d59e8d2fd898c63",
     },
     "n2_wiretap_gmd_bob": {
-        "base.va": "8b1f584b78aefb88", "base.b_sqrt": "6abb44e5d5164307",
-        "base.u_tilde": "0dfd2fe62d289bcd", "base.t_tilde": "8499d56e9326f910",
-        "base.diag_b": "1493925c818d92c0", "base.sinr": "b6fa4c4f110fa565",
-        "base.rates_bits": "d8a6e561989321b8", "diag_e": "d53962514c931f88",
-        "secret_rates_bits": "8b8e2f531f86ebd1", "fictitious_rates_bits": "a0fd031058c06681",
+        "base.va": "fd564e68443c15a1", "base.b_sqrt": "6abb44e5d5164307",
+        "base.u_tilde": "9ce0e9fafcef65c3", "base.t_tilde": "d0f9076a9638c231",
+        "base.diag_b": "5e847fc8fe8ec6f1", "base.sinr": "0b00411430d5bbae",
+        "base.rates_bits": "67fe991f12259f65", "diag_e": "d53962514c931f88",
+        "secret_rates_bits": "b2209a1d83fa9236", "fictitious_rates_bits": "a0fd031058c06681",
         "mode": "31a090f4630fe02d",
     },
     "n2_dpc": {
@@ -1319,27 +1391,27 @@ GOLDEN_PLANS = {
         "mode": "ce714a5f246ce96c",
     },
     "n4_wiretap_svd_eve": {
-        "base.va": "ba122eb7e0feb11a", "base.b_sqrt": "e98dcadbe2c6e661",
-        "base.u_tilde": "140ec698e05cac9b", "base.t_tilde": "128a08be587b03f6",
-        "base.diag_b": "17812008a2ec4fad", "base.sinr": "d7e579327172de94",
-        "base.rates_bits": "c8053d7fa3915db0", "diag_e": "b54524fb5b7d2af8",
-        "secret_rates_bits": "ced7f7f4618c5dbb", "fictitious_rates_bits": "83c7590481357ee5",
+        "base.va": "37f104e3f73f2bcf", "base.b_sqrt": "e98dcadbe2c6e661",
+        "base.u_tilde": "bc8ad5a14eea347c", "base.t_tilde": "bedec78d2eedb203",
+        "base.diag_b": "6110306a2f078fe5", "base.sinr": "70687df510d26baf",
+        "base.rates_bits": "d209a25e622981c1", "diag_e": "a483dc562a0e4338",
+        "secret_rates_bits": "053043f0d2e813e1", "fictitious_rates_bits": "b51904df6e7ecbef",
         "mode": "c73ddb487405eaa4",
     },
     "n4_wiretap_svd_bob": {
-        "base.va": "d9b0c864e019c60a", "base.b_sqrt": "e98dcadbe2c6e661",
-        "base.u_tilde": "9155d449c67a474d", "base.t_tilde": "b6fc74d7d69780d5",
-        "base.diag_b": "9dd719cfb4e0d3f0", "base.sinr": "81eb5f56f77096d2",
-        "base.rates_bits": "f657a84769c10a79", "diag_e": "3bc56fc9c7f6f4be",
-        "secret_rates_bits": "e567140aca918797", "fictitious_rates_bits": "0c6ddb78373728a2",
+        "base.va": "b2102061d68608b8", "base.b_sqrt": "e98dcadbe2c6e661",
+        "base.u_tilde": "42e0c8ddef2bf99e", "base.t_tilde": "66958dc5ba9fbc4c",
+        "base.diag_b": "353768bc0e65a4d6", "base.sinr": "dc18b28c3c0f3f00",
+        "base.rates_bits": "8ddf49858e88a91c", "diag_e": "a757f9a9c745e9a5",
+        "secret_rates_bits": "f686fc64304fb99d", "fictitious_rates_bits": "ecfeb26171e0733b",
         "mode": "5d59e8d2fd898c63",
     },
     "n4_wiretap_gmd_bob": {
-        "base.va": "56c35c2da8d806f9", "base.b_sqrt": "e98dcadbe2c6e661",
-        "base.u_tilde": "19642d45cadc7d74", "base.t_tilde": "f2aa7d4642d92af9",
-        "base.diag_b": "ddca97deb543b92c", "base.sinr": "1de819a93989b7cf",
-        "base.rates_bits": "a01468db15e1913e", "diag_e": "4e3cace8f0088188",
-        "secret_rates_bits": "02e47123033221e2", "fictitious_rates_bits": "20b28ae2f06c6ad5",
+        "base.va": "f1f9dc9349d36373", "base.b_sqrt": "e98dcadbe2c6e661",
+        "base.u_tilde": "890749c301c07cbc", "base.t_tilde": "1e163929e13df3ab",
+        "base.diag_b": "f38749fccdfc5240", "base.sinr": "1939e85323e3ec40",
+        "base.rates_bits": "4fe0dc3d84e33768", "diag_e": "4a9161f0fc039b6d",
+        "secret_rates_bits": "5c37e6615836fe90", "fictitious_rates_bits": "0d4a8f455b2dfe06",
         "mode": "31a090f4630fe02d",
     },
     "n4_dpc": {
@@ -1371,27 +1443,27 @@ GOLDEN_PLANS = {
         "mode": "ce714a5f246ce96c",
     },
     "n8_wiretap_svd_eve": {
-        "base.va": "ec22d40d91cacc33", "base.b_sqrt": "c061d81a66e8db38",
-        "base.u_tilde": "efb850a1b4301c6a", "base.t_tilde": "76b643394ea1a4fe",
-        "base.diag_b": "fecd5e5f86e665f7", "base.sinr": "24b37210aa3c0b26",
-        "base.rates_bits": "ae64f12b13a55d32", "diag_e": "4dfcba7c174ab80e",
-        "secret_rates_bits": "9895ce07729ef345", "fictitious_rates_bits": "5d59f5dd0f618d68",
+        "base.va": "c557c3171450c018", "base.b_sqrt": "c061d81a66e8db38",
+        "base.u_tilde": "a63615ced802721a", "base.t_tilde": "464650386573141b",
+        "base.diag_b": "cf0b9b60acf9d43d", "base.sinr": "924f15c31765feb4",
+        "base.rates_bits": "9a91c256a7692607", "diag_e": "a4497e0714f982ec",
+        "secret_rates_bits": "8bcba47794ee1fbf", "fictitious_rates_bits": "3575b359258e1927",
         "mode": "c73ddb487405eaa4",
     },
     "n8_wiretap_svd_bob": {
-        "base.va": "6593a64e09dc07e5", "base.b_sqrt": "c061d81a66e8db38",
-        "base.u_tilde": "79230733729e88f7", "base.t_tilde": "df772f9a1eed2946",
-        "base.diag_b": "56ddd487fe93facd", "base.sinr": "80651884d5f5cfdc",
-        "base.rates_bits": "f1717728ddc29046", "diag_e": "5089b0a25f6ab18b",
-        "secret_rates_bits": "a9bc5256afde9664", "fictitious_rates_bits": "b221a9b24e3c6800",
+        "base.va": "d6cba0bd47c420c0", "base.b_sqrt": "c061d81a66e8db38",
+        "base.u_tilde": "3b9dd3fb5110b66d", "base.t_tilde": "c8bbbd822e60830e",
+        "base.diag_b": "c440e441374734b4", "base.sinr": "292f66b726cae73d",
+        "base.rates_bits": "7d658d8f768b4076", "diag_e": "8f74b93fcfad466f",
+        "secret_rates_bits": "6b7c7eb1b485433f", "fictitious_rates_bits": "49adf92ab1a2d619",
         "mode": "5d59e8d2fd898c63",
     },
     "n8_wiretap_gmd_bob": {
-        "base.va": "20b295e3184a9161", "base.b_sqrt": "c061d81a66e8db38",
-        "base.u_tilde": "fb4908af128ce3eb", "base.t_tilde": "9ff7217c70310923",
-        "base.diag_b": "fe2acf5d2118bd24", "base.sinr": "30f386d9d213a9d6",
-        "base.rates_bits": "9099a9101c4de3ab", "diag_e": "39e03695f8c71add",
-        "secret_rates_bits": "100e728b40b7bcd9", "fictitious_rates_bits": "0628b53c1fe0c757",
+        "base.va": "b319ababd86a39f0", "base.b_sqrt": "c061d81a66e8db38",
+        "base.u_tilde": "6ec98ce5c08e9168", "base.t_tilde": "f2d782ce032d3c81",
+        "base.diag_b": "cccbed083539465b", "base.sinr": "06d7000c8d759f8b",
+        "base.rates_bits": "9631d972b45c454e", "diag_e": "50cb47dac26f8ca8",
+        "secret_rates_bits": "ac65f26631a7bd6f", "fictitious_rates_bits": "4517b7d91d6b75ba",
         "mode": "31a090f4630fe02d",
     },
     "n8_dpc": {
@@ -1423,27 +1495,27 @@ GOLDEN_PLANS = {
         "mode": "ce714a5f246ce96c",
     },
     "n4_rank1_wiretap_svd_eve": {
-        "base.va": "008ea5de5ce191b4", "base.b_sqrt": "069fb6ac150c8227",
-        "base.u_tilde": "4fea3acf0ac37c78", "base.t_tilde": "c25915c78a16dff8",
+        "base.va": "e64e9e5a9175c380", "base.b_sqrt": "069fb6ac150c8227",
+        "base.u_tilde": "ee3a2d4de4e699ed", "base.t_tilde": "72c73c0827e2c1b8",
         "base.diag_b": "305f8ea3f969a2cb", "base.sinr": "f240c1257724db23",
         "base.rates_bits": "5f60ec2a2e970c8d", "diag_e": "49e63971e0ea58c6",
         "secret_rates_bits": "d7002b00a18fdf86", "fictitious_rates_bits": "3b6dfc90cb07a32d",
         "mode": "c73ddb487405eaa4",
     },
     "n4_rank1_wiretap_svd_bob": {
-        "base.va": "7b339108d5b8b439", "base.b_sqrt": "069fb6ac150c8227",
-        "base.u_tilde": "8879eff625504ce7", "base.t_tilde": "dc87cafdf77f2b60",
+        "base.va": "ad3c55aeff662733", "base.b_sqrt": "069fb6ac150c8227",
+        "base.u_tilde": "ee3a2d4de4e699ed", "base.t_tilde": "f25b95bbfb59315d",
         "base.diag_b": "ae777f1dad825081", "base.sinr": "6b2acb0961ead67d",
-        "base.rates_bits": "3c177bdd5c86b099", "diag_e": "49e63971e0ea58c6",
-        "secret_rates_bits": "57c854a4b6bc9788", "fictitious_rates_bits": "3b6dfc90cb07a32d",
+        "base.rates_bits": "3c177bdd5c86b099", "diag_e": "f36623339902b34c",
+        "secret_rates_bits": "81642093e8e19785", "fictitious_rates_bits": "135dced0c1f1c769",
         "mode": "5d59e8d2fd898c63",
     },
     "n4_rank1_wiretap_gmd_bob": {
-        "base.va": "e822b3099b4e1eff", "base.b_sqrt": "069fb6ac150c8227",
-        "base.u_tilde": "c2acd45e2030f2c6", "base.t_tilde": "c6291f2ec5a0b12a",
+        "base.va": "7fcfb1df1b8c914a", "base.b_sqrt": "069fb6ac150c8227",
+        "base.u_tilde": "366f7b0a288de1af", "base.t_tilde": "3396819f7d8a5764",
         "base.diag_b": "644be4b6501f1326", "base.sinr": "3b63ebacf8736b1e",
-        "base.rates_bits": "3f5066f8df168ff4", "diag_e": "ff799da04d093b0a",
-        "secret_rates_bits": "92eba3a2dac2c45a", "fictitious_rates_bits": "596470872f02ddc2",
+        "base.rates_bits": "3f5066f8df168ff4", "diag_e": "ed756d44d7c8d128",
+        "secret_rates_bits": "8b055d7649b783ce", "fictitious_rates_bits": "a044e3fb2d0702d1",
         "mode": "31a090f4630fe02d",
     },
     "n4_rank1_dpc": {

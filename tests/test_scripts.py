@@ -23,3 +23,8 @@ def test_plan_costs_of_the_checkout_against_itself():
         assert re.search(r": 0 of 3 plans differ;", line), line
     assert re.search(r"; 0 of \d+ searches differ", searches[0]), searches[0]
     assert sum(line.startswith("all nine calls (us): parent median") for line in lines) == 1
+    # Every plan is a function of its problem: no mode's rates move under a change of coordinates.
+    invariance = [line for line in lines if line.startswith("invariance ")]
+    assert [line.split(":")[0] for line in invariance] == ["invariance parent", "invariance change"]
+    for line in invariance:
+        assert ": gsvd 0, svd_eve 0, svd_bob 0, gmd_bob 0 of 3 plans move" in line, line
