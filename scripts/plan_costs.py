@@ -29,11 +29,11 @@ wiretap plans move their per-stream secret or fictitious rates by more than
 1e-9 of the capacity under a random unitary change of coordinates
 ``(U_b h_b V, U_e h_e V, V' K V)``, the same for both packages: a plan that
 is a function of its problem moves by rounding only.  The "cold" lines then
-time ``secrecy_capacity_cov``
-alone as the first call on each of ``--cold`` further problems, which
-neither package has seen, alternating which package goes first, and give
-the medians per transmit dimension n.  The "power search" line times
-``power_constrained_capacity`` on the benchmark's power problems
+time ``secrecy_capacity_cov``, ``channel_gsv`` and ``broadcast_region``,
+each alone as the first call on ``--cold`` further problems of its own,
+which neither package has seen, alternating which package goes first, and
+give the medians per call and transmit dimension n.  The "power search"
+line times ``power_constrained_capacity`` on the benchmark's power problems
 (``workloads.power_problem`` of ``--seed``, budget ``POWER_BUDGET``),
 ``--rounds`` times each, alternating which package goes first, and gives
 each package's mean time in milliseconds, their ratio, each package's
@@ -63,6 +63,8 @@ import wtd  # noqa: E402
 from workloads import POWER_BUDGET, POWER_PROBLEMS, CapacitySweep, power_problem  # noqa: E402
 
 MODES = ("gsvd", "svd_eve", "svd_bob", "gmd_bob")
+#: The calls timed cold, each as the first call on its own ``--cold`` problems.
+COLD = ("secrecy_capacity_cov", "channel_gsv", "broadcast_region")
 #: Plan fields, by the last part of their name, whose relative differences are printed.
 COMPARED = ("secret_rates_bits", "rates_bits", "sinr")
 
@@ -180,12 +182,16 @@ def main(argv=None):
             for label, pair in plans.items():
                 compare(bits, label, pair["parent"], pair["change"])
     cold = {name: {} for name in packages}
-    for index in range(args.problems, args.problems + args.cold):
-        n, h_b, h_e, kbar = sweep.problem(index)
-        for name in ordered(packages, index):
-            start = time.perf_counter()
-            packages[name].secrecy_capacity_cov(h_b, h_e, kbar)
-            cold[name].setdefault(n, []).append(time.perf_counter() - start)
+    for k, label in enumerate(COLD):
+        first = args.problems + k * args.cold
+        for index in range(first, first + args.cold):
+            n, h_b, h_e, kbar = sweep.problem(index)
+            for name in ordered(packages, index):
+                call = getattr(packages[name], label)
+                start = time.perf_counter()
+                call(h_b, h_e, kbar)
+                cold[name].setdefault(label, {}).setdefault(n, []).append(
+                    time.perf_counter() - start)
     power = {name: ([], []) for name in packages}
     differ = 0
     for round_ in range(args.rounds):
@@ -229,8 +235,9 @@ def main(argv=None):
         print(f"invariance {name}: " + ", ".join(f"{mode} {moved[mode]}" for mode in MODES)
               + f" of {len(problems)} plans move their per-stream rates by more than 1e-9 of "
               f"the capacity under a unitary change of coordinates")
-    for n in sorted(cold["parent"]):
-        row(f"cold secrecy_capacity_cov n={n}", cold["parent"][n], cold["change"][n])
+    for label, per_n in cold["parent"].items():
+        for n in sorted(per_n):
+            row(f"cold {label} n={n}", per_n[n], cold["change"][label][n])
     (before, bound_before), (after, bound_after) = power["parent"], power["change"]
     before, after = statistics.fmean(before) * 1e3, statistics.fmean(after) * 1e3
     print(f"power search (mean ms): parent {before:.2f}, change {after:.2f}, ratio "

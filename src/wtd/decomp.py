@@ -442,15 +442,14 @@ def gsvd_diagonal(a1, a2):
 def _kernel_ql(mu, wr):
     """``va`` and the QR diagonals ``mu d``, ``d = diag(l) / s`` of ``a1 va = U diag(mu / s) l'``,
     ``a2 va = (a2 R2^-1 W) diag(1 / s) l'``, from the QL ``x = va @ l`` of a kernel's ``x = (W'
-    R2)' diag(s)`` (``wr = W' R2``, ``s`` by :func:`_gsv_scale`; invertible with ``R2``), by one
-    QR of ``x`` reversed; ``va`` is ``ql(gsvd_diagonal(a1, a2).x).u`` bit for bit.  Any pair
-    ``a1 = U diag(mu) wr``, ``a2 = Q wr`` (``U``, ``Q`` with orthonormal columns) has these."""
+    R2)' diag(s)`` (``wr = W' R2``, ``s`` by :func:`_gsv_scale`; invertible with ``R2``), by
+    :func:`_qr_diagonal` of ``x`` reversed; ``va`` is ``ql(gsvd_diagonal(a1, a2).x).u`` bit for
+    bit.  Any pair ``a1 = U diag(mu) wr``, ``a2 = Q wr`` (``U``, ``Q`` with orthonormal columns)
+    has these."""
     s = _gsv_scale(mu)
-    x = wr.conj().T * s[None, :]
-    q, r = np.linalg.qr(x[:, ::-1], mode="complete")
-    phases, diag = _diagonal_phases(r.diagonal()[::-1])
-    d = diag / s
-    return q[:, ::-1] * phases, mu * d, d
+    diag, q = _qr_diagonal((wr.conj().T * s[None, :])[:, ::-1])
+    d = diag[::-1] / s
+    return q[:, ::-1], mu * d, d
 
 
 def gsvd_triangular(a1, a2):

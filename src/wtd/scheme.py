@@ -222,7 +222,7 @@ def build_wiretap_plan(h_b, h_e, kbar, mode):
     _check_mode(mode)
     if mode in problem.plans:
         return problem.plans[mode]
-    (_, f, ql), lb = problem.solved, problem.solved[0].lb
+    f, ql, lb = problem.f, problem.ql, problem.result.lb
     if mode == "gsvd":
         factors, (diag_b, diag_e) = problem.block[1:], np.ones((2, f.shape[0]))
         diag_b[:lb], diag_e[:lb] = ql[1][:lb], ql[2][:lb]
@@ -292,8 +292,7 @@ def build_broadcast_plan(h_b, h_c, kbar):
     rate totals hit both corners of the rectangular region simultaneously.
     """
     problem = _broadcast_problem(h_b, h_c, kbar)
-    (mu, u, _, wh, r2), (res, _, (va, diag_b, diag_c)) = problem.kernel, problem.solved
-    lb = res.lb
+    (mu, u, _, wh, r2), (va, diag_b, diag_c), lb = problem.kernel, problem.ql, problem.result.lb
     hb, hc = (g[:h.shape[0]] for g, h in zip(problem.mmse_pair, problem.channels))
     bob = u[:hb.shape[0], :lb]
     # ``(h_c b) R2^-1``: the top rows of ``g_c R2^-1``, solved as the kernel solves ``g_b R2^-1``.

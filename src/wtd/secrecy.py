@@ -227,43 +227,48 @@ def _candidate_gsv(rs, fs):
     return np.linalg.svd(np.linalg.solve(r2, r1), compute_uv=False)
 
 
-class _Problem:
-    """One 2-D ``(h_b, h_e, k)``, keyed by their shapes and bytes as complex: the root ``b`` of
-    ``k``, its MMSE pair ``[h b; I]`` and the pair's GSVD kernel ``[h_b b; I] = U diag(mu) W'R2``,
-    ``[h_e b; I] = Q2 R2`` from the start, the rest filled on first use (a race at worst fills a
-    field twice, with equal bits).  It hands out read-only arrays, and holds no caller's.
+def _out_of_range(kind, flag):
+    raise DomainError("problem is out of range: its capacity solve overflows a double")
 
-    That kernel is the problem's only one, and the solve's QL of it (:func:`decomp._kernel_ql`)
-    the only triangularization: ``(W'R2) va`` is upper triangular, so ``P = va[:, :lb]`` has
-    ``(W'R2)[lb:] P = 0``, and ``[h_b b P; P] = U[:, :lb] diag(mu[:lb]) X``, ``[h_e b P; P] = Q2
-    W[:, :lb] X`` with ``X = (W'R2)[:lb] P``.  Every wiretap plan is built from that active block
-    (:meth:`assemble`), with exact unit streams on the ``n - lb`` zero columns of ``f``.  ``plans``
-    holds the wiretap plans :mod:`scheme` built, by mode."""
+
+class _Problem:
+    """One 2-D ``(h_b, h_e, k)``, keyed by their shapes and bytes as complex, solved whole when it
+    is built: the root ``b`` of ``k``, its MMSE pair ``[h b; I]``, the pair's GSVD kernel ``[h_b
+    b; I] = U diag(mu) W'R2``, ``[h_e b; I] = Q2 R2``, the capacity ``result``, the kernel's QL
+    ``ql = (va, mu d, d)`` (:func:`decomp._kernel_ql`) and ``f = b [0, va[:, :lb]]`` (``f f' =
+    k_star``, inactive columns exactly 0).  A solve that overflows a double raises
+    :class:`DomainError` (out of range), so no such problem is kept.  Only the plan fields
+    ``block``, ``bob_svd`` and ``plans`` are filled on first use (a race at worst fills one
+    twice, with equal bits).  It hands out read-only arrays, and holds no caller's.
+
+    That kernel is the problem's only one, and its QL the only triangularization: ``(W'R2) va`` is
+    upper triangular, so ``P = va[:, :lb]`` has ``(W'R2)[lb:] P = 0``, and ``[h_b b P; P] = U[:,
+    :lb] diag(mu[:lb]) X``, ``[h_e b P; P] = Q2 W[:, :lb] X`` with ``X = (W'R2)[:lb] P``.  Every
+    wiretap plan is built from that active block (:meth:`assemble`), with exact unit streams on
+    the ``n - lb`` zero columns of ``f``.  ``plans`` holds the wiretap plans :mod:`scheme` built,
+    by mode."""
 
     def __init__(self, key, h_b, h_e, k):
         self.key, self.channels = key, (h_b.copy("K"), h_e.copy("K"))
-        self.root = _root(k)
-        self.mmse_pair = _mmse_pair(h_b, h_e, self.root)
-        self.kernel = _gsvd_kernel(*self.mmse_pair, check=False)
+        with np.errstate(over="call", invalid="call", call=_out_of_range):
+            self.root = _root(k)
+            self.mmse_pair = _mmse_pair(h_b, h_e, self.root)
+            self.kernel = mu, _, _, wh, r2 = _gsvd_kernel(*self.mmse_pair, check=False)
+            capacity, lb = _capacity(mu)
+            self.ql = _kernel_ql(mu, wh @ r2)
+            active = self.root @ self.ql[0][:, :lb]
+            self.f = np.zeros(self.root.shape, dtype=complex)
+            self.f[:, mu.size - lb:] = active
+            k_star = _hermitize(active @ _adjoint(active))
+        self.result = SecrecyResult(gsv=mu, lb=lb, capacity_bits=capacity, k_star=k_star)
         self.plans = {}
-        _freeze(self.root, *self.mmse_pair, *self.kernel[:2], *self.kernel[3:])
-
-    @cached_property
-    def capacity(self):
-        # ``capacity_bits`` and ``lb``, for the capacity call, the region and the broadcast plan.
-        return _capacity(self.kernel[0])
-
-    @cached_property
-    def solved(self):
-        # The result, ``f = b [0, va[:, :lb]]`` (``f f' = k_star``, inactive columns exactly 0)
-        # and the kernel's QL ``(va, mu d, d)``, by ``_optimal``.
-        return _optimal(self.root, *self.capacity, *self.kernel)
+        _freeze(self.root, *self.mmse_pair, *self.kernel[:2], wh, r2, *self.ql, self.f, k_star)
 
     @cached_property
     def block(self):
         # ``X`` and ``gsvd``'s assembly ``v = q = I``: ``f va = [b P, 0]``, combiner, ``h_b f va``.
-        (m, n), lb, (_, _, _, wh, r2) = self.channels[0].shape, self.solved[0].lb, self.kernel
-        p = self.solved[2][0][:, :lb]
+        (m, n), lb, (_, _, _, wh, r2) = self.channels[0].shape, self.result.lb, self.kernel
+        p = self.ql[0][:, :lb]
         combiner, hbv = np.zeros((2, m, n), dtype=complex)
         combiner[:, :lb], hbv[:, :lb] = self.kernel[1][:m, :lb], self.mmse_pair[0][:m] @ p
         return _freeze(wh[:lb] @ (r2 @ p), np.eye(n, k=lb, dtype=complex) + np.eye(n, k=lb - n),
@@ -327,17 +332,7 @@ def secrecy_capacity_cov(h_b, h_e, kbar):
     triangular, so ``P = va[:, :lb]`` spans the null space of rows ``lb:``
     of ``W' R2``, and ``k_star = (b P)(b P)'`` with ``b`` the root of ``kbar``.
     """
-    return _problem(h_b, h_e, kbar, "constraint").solved[0]
-
-
-def _optimal(b, capacity, lb, mu, u, q2, wh, r2):
-    ql = _freeze(*_kernel_ql(mu, wh @ r2))
-    active = b @ ql[0][:, :lb]
-    f = np.zeros(b.shape, dtype=complex)
-    f[:, mu.size - lb:] = active
-    k_star = _hermitize(active @ _adjoint(active))
-    _freeze(k_star, f)
-    return SecrecyResult(gsv=mu, lb=lb, capacity_bits=capacity, k_star=k_star), f, ql
+    return _problem(h_b, h_e, kbar, "constraint").result
 
 
 def verify_truncation(h_b, h_e, kbar):
@@ -427,7 +422,7 @@ def broadcast_region(h_b, h_c, kbar):
     problem = _broadcast_problem(h_b, h_c, kbar)
     mu = problem.kernel[0]
     return BroadcastRegion(
-        rb_max=problem.capacity[0],
+        rb_max=problem.result.capacity_bits,
         rc_max=float(np.sum(np.maximum(-2.0 * np.log2(mu), 0.0))),
         gsv=mu,
     )

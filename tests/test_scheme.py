@@ -297,8 +297,7 @@ class TestOneMmsePairPerPlan:
                                                  plan.fictitious_rates_bits)]
         shared += [*vars(dpc.base).values(), dpc.diag_e, broadcast.b_sqrt,
                    broadcast.bob_combiner]
-        shared += [*problem.block, *problem.bob_svd, *problem.mmse_pair, problem.solved[1],
-                   *problem.solved[2]]
+        shared += [*problem.block, *problem.bob_svd, *problem.mmse_pair, problem.f, *problem.ql]
         for a in shared:
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = 7.0
@@ -719,9 +718,9 @@ class TestSolveMemo:
         assert after == before
 
     def test_a_gsv_call_first_leaves_one_solve_for_every_call(self, rng, monkeypatch):
-        # The capacity-first order gives the reference bits; after a GSV call, which
-        # roots ``kbar`` and runs the problem's only GSVD kernel, the first plan adds the
-        # capacity solve, whose QL of that kernel every plan reads.  No call runs a second
+        # The capacity-first order gives the reference bits; a GSV call first builds the
+        # whole problem: it roots ``kbar`` and runs the problem's only GSVD kernel and the
+        # capacity solve's QL of it, which every plan reads.  No call runs a second
         # kernel, a second QL or ``_factor_kernel``, and the nine take three SVDs: the
         # kernel's of the ``(m + n) x n`` pair and two of the QL's ``lb x lb`` active block,
         # Eve's of ``svd_eve`` and Bob's, which ``svd_bob`` and ``gmd_bob`` share.
@@ -745,17 +744,16 @@ class TestSolveMemo:
         assert (len(calls + plan_calls), len(svds)) == (3, 3)
         for a in (plan.base.b_sqrt, plan.base.va, plan.base.u_tilde, plan.base.diag_b,
                   plan.diag_e, secrecy.secrecy_capacity_cov(h_b, h_e, kbar).k_star,
-                  *secrecy._last.solved[2]):
+                  *secrecy._last.ql):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 7.0
 
     def test_an_optimal_kernel_never_joins_another_problem(self, rng, monkeypatch):
-        # As if another thread kept its problem while this plan formed its optimal kernel.
+        # As if another thread kept its problem while this plan's problem was built: the other
+        # problem is kept in the middle of this one's solve, between its kernel and its QL.
         mine, other, third = [wiretap_instance(rng) for _ in range(3)]
         want = [_bits(scheme.build_wiretap_plan(*p, "gsvd")) for p in (mine, other)]
         secrecy.secrecy_capacity_cov(*third)
-        # A GSV call keeps the problem with no solve, so the plan's solve runs the QL.
-        secrecy.channel_gsv(*mine)
         kernel_ql, interleavings = secrecy._kernel_ql, []
 
         def interleaved(*args):
@@ -766,7 +764,7 @@ class TestSolveMemo:
 
         monkeypatch.setattr(secrecy, "_kernel_ql", interleaved)
         assert _bits(scheme.build_wiretap_plan(*mine, "gsvd")) == want[0]
-        assert len(interleavings) == 1
+        assert len(interleavings) == 1 and secrecy._last is not interleavings[0]
         assert _bits(scheme.build_wiretap_plan(*other, "gsvd")) == want[1]
 
     def test_broadcast_precoder_is_the_gsvd_precoder_of_the_pair(self, rng):

@@ -23,6 +23,10 @@ def test_plan_costs_of_the_checkout_against_itself():
         assert re.search(r": 0 of 3 plans differ;", line), line
     assert re.search(r"; 0 of \d+ searches differ", searches[0]), searches[0]
     assert sum(line.startswith("all nine calls (us): parent median") for line in lines) == 1
+    # Each of the three cold calls, as the first call on its own problems, per n.
+    cold = [line.split()[1:3] for line in lines if line.startswith("cold ")]
+    assert cold == [[call, f"n={n}"] for call in ("secrecy_capacity_cov", "channel_gsv",
+                                                 "broadcast_region") for n in (2, 4, 8)]
     # Every plan is a function of its problem: no mode's rates move under a change of coordinates.
     invariance = [line for line in lines if line.startswith("invariance ")]
     assert [line.split(":")[0] for line in invariance] == ["invariance parent", "invariance change"]

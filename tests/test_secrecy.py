@@ -1065,7 +1065,7 @@ class TestSolveMemo:
 
     @pytest.mark.parametrize("first", [secrecy.channel_gsv, secrecy.broadcast_region])
     def test_a_gsv_call_then_a_capacity_call_solve_once(self, rng, monkeypatch, first):
-        # The capacity call adds its solve to the kept root and kernel.
+        # The first call builds the whole problem; the capacity call reads it.
         h_b, h_e, kbar = complex_gaussian(rng, 4, 3), complex_gaussian(rng, 3, 3), random_psd(rng, 3)
         want = secrecy.secrecy_capacity_cov(h_b, h_e, kbar)
         secrecy.secrecy_capacity_cov(h_b, h_e, np.eye(3))
@@ -1081,31 +1081,37 @@ class TestSolveMemo:
             got.k_star[0, 0] = 7.0
 
     def test_a_solve_never_joins_another_problem(self, rng, monkeypatch):
-        # As if another thread kept its problem while this call solved its own.
+        # As if another thread kept its problem while this call solved its own: the other
+        # problem is kept in the middle of this one's solve, between its kernel and its QL.
         mine, other, third = [(complex_gaussian(rng, 3, 3), complex_gaussian(rng, 2, 3),
                                random_psd(rng, 3)) for _ in range(3)]
         want = secrecy.secrecy_capacity_cov(*mine)
         other_gsv = secrecy.channel_gsv(*other)
         other_k_star = secrecy.secrecy_capacity_cov(*other).k_star
         secrecy.secrecy_capacity_cov(*third)
-        optimal = secrecy._optimal
+        kernel_ql, interleavings = secrecy._kernel_ql, []
 
         def interleaved(*args):
-            monkeypatch.setattr(secrecy, "_optimal", optimal)
-            secrecy.channel_gsv(*other)
-            return optimal(*args)
+            monkeypatch.setattr(secrecy, "_kernel_ql", kernel_ql)
+            secrecy.secrecy_capacity_cov(*other)
+            interleavings.append(secrecy._last)
+            return kernel_ql(*args)
 
-        monkeypatch.setattr(secrecy, "_optimal", interleaved)
-        assert secrecy.secrecy_capacity_cov(*mine).k_star.tobytes() == want.k_star.tobytes()
+        monkeypatch.setattr(secrecy, "_kernel_ql", interleaved)
+        got = secrecy.secrecy_capacity_cov(*mine)
+        assert len(interleavings) == 1 and secrecy._last is not interleavings[0]
+        assert (got.capacity_bits, got.lb) == (want.capacity_bits, want.lb)
+        assert got.gsv.tobytes() == want.gsv.tobytes()
+        assert got.k_star.tobytes() == want.k_star.tobytes()
         assert secrecy.channel_gsv(*other).tobytes() == other_gsv.tobytes()
         assert secrecy.secrecy_capacity_cov(*other).k_star.tobytes() == other_k_star.tobytes()
 
     def test_threads_read_their_own_problem(self, rng):
         # More threads than cores and a short switch interval, so a reader
-        # that paired one problem's key with another's value, or a solve or
-        # optimal kernel added to another thread's problem, would show.  Half
-        # the rounds start with a GSV call, which keeps a problem with no
-        # solve; every third adds the optimal kernel by a ``gsvd`` plan.
+        # that paired one problem's key with another's value, or a plan field
+        # added to another thread's problem, would show.  Half the rounds
+        # start with a GSV call, which builds the whole problem; every third
+        # adds the plan fields by a ``gsvd`` plan.
         problems = [(complex_gaussian(rng, 3, 3), complex_gaussian(rng, 2, 3), random_psd(rng, 3))
                     for _ in range(3)]
         want = [secrecy.secrecy_capacity_cov(*p).k_star.tobytes() for p in problems]
@@ -1117,7 +1123,7 @@ class TestSolveMemo:
                                                   plan.base.diag_b, plan.diag_e))
 
         plans = [plan_bytes(p) for p in problems]
-        for a in secrecy._last.solved[2]:
+        for a in secrecy._last.ql:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 7.0
 
