@@ -3,7 +3,8 @@
 Usage, from the root of a wtd checkout:
 
     python3 scripts/plan_costs.py ../parent-checkout
-    python3 scripts/plan_costs.py ../parent-checkout --problems 90 --rounds 4 --cold 600 --seed 1
+    python3 scripts/plan_costs.py ../parent-checkout --problems 90 --rounds 4 --cold 600 --seed 1 \
+        --mc-seeds 3
 
 The script loads the ``wtd`` package of ``PARENT/src`` as ``wtd_parent``
 and the one of this checkout as ``wtd``, in one process with one BLAS
@@ -38,6 +39,12 @@ line times ``power_constrained_capacity`` on the benchmark's power problems
 ``--rounds`` times each, alternating which package goes first, and gives
 each package's mean time in milliseconds, their ratio, each package's
 mean bound in bits, and how many searches returned a ``kbar`` or a bound
+whose bits differ between the two packages.  The "mc" lines run the
+simulators of the ``mc_verify`` workload (``sic``, ``sic_nogenie``,
+``leakage``, ``dpc``, ``broadcast``) on its two plans at ``MC_SAMPLES``
+samples, on ``--mc-seeds`` seeds from ``--seed``: per kind, the median time
+of a cold call (a seed no call of that package has drawn) and of a repeat
+(the same call again), and one line counting the reports, cold and repeat,
 whose bits differ between the two packages.
 """
 
@@ -60,13 +67,17 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import wtd  # noqa: E402
-from workloads import POWER_BUDGET, POWER_PROBLEMS, CapacitySweep, power_problem  # noqa: E402
+from workloads import (  # noqa: E402
+    MC_KINDS, POWER_BUDGET, POWER_PROBLEMS, CapacitySweep, McVerify, _rng, complex_gaussian,
+    power_problem, random_psd)
 
 MODES = ("gsvd", "svd_eve", "svd_bob", "gmd_bob")
 #: The calls timed cold, each as the first call on its own ``--cold`` problems.
 COLD = ("secrecy_capacity_cov", "channel_gsv", "broadcast_region")
 #: Plan fields, by the last part of their name, whose relative differences are printed.
 COMPARED = ("secret_rates_bits", "rates_bits", "sinr")
+#: Samples of each simulator call of the "mc" lines.
+MC_SAMPLES = 1 << 16
 
 
 def load_package(src, name):
@@ -135,6 +146,38 @@ def moved_plans(pkg, problems, rotations):
     return moved
 
 
+def mc_plans(pkg, seed):
+    """The ``mc_verify`` workload's two problems of ``seed`` and their ``gsvd`` wiretap, DPC and
+    broadcast plans, built by ``pkg``."""
+    plans = []
+    for i, (n, rows) in enumerate(McVerify.shapes):
+        rng = _rng(seed, "mc_verify", i)
+        h_b, h_e = complex_gaussian(rng, rows, n), complex_gaussian(rng, rows, n)
+        kbar = random_psd(rng, n)
+        plans.append((h_b, h_e, pkg.build_wiretap_plan(h_b, h_e, kbar, "gsvd"),
+                      pkg.build_dpc_plan(h_b, h_e, kbar), pkg.build_broadcast_plan(h_b, h_e, kbar)))
+    return plans
+
+
+def mc_call(pkg, kind, plan, seed):
+    """One ``pkg`` simulator call of ``kind`` on ``plan``, the second receiver as Eve/Charlie."""
+    h_b, h_e, wiretap, dpc, broadcast = plan
+    sim = pkg.scheme
+    if kind == "leakage":
+        return sim.simulate_leakage(wiretap, h_e, MC_SAMPLES, seed)
+    if kind == "dpc":
+        return sim.simulate_dpc(dpc, h_b, MC_SAMPLES, seed)
+    if kind == "broadcast":
+        return sim.simulate_broadcast(broadcast, h_b, h_e, MC_SAMPLES, seed)
+    return sim.simulate_sic(wiretap.base, h_b, MC_SAMPLES, seed, genie=kind == "sic")
+
+
+def report_bytes(report):
+    """Every field of a simulation report, its extras flattened in, as bytes."""
+    values = {**vars(report), **report.extras}
+    return [np.asarray(value).tobytes() for name, value in values.items() if name != "extras"]
+
+
 def ordered(packages, turn):
     """The package names, reversed on odd turns."""
     names = list(packages)
@@ -159,6 +202,7 @@ def main(argv=None):
     parser.add_argument("--rounds", type=int, default=4)
     parser.add_argument("--cold", type=int, default=600)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--mc-seeds", type=int, default=3)
     args = parser.parse_args(argv)
     src = Path(args.parent).resolve() / "src"
     if not (src / "wtd").is_dir():
@@ -206,6 +250,25 @@ def main(argv=None):
                 power[name][1].append(res.capacity_lower_bound)
                 found[name] = (res.kbar.tobytes(), res.capacity_lower_bound)
             differ += found["parent"] != found["change"]
+    mc = {name: {} for name in packages}
+    reports, mc_differ = 0, 0
+    sim_plans = {name: mc_plans(pkg, args.seed) for name, pkg in packages.items()}
+    for s in range(args.mc_seeds):
+        for k, kind in enumerate(MC_KINDS):
+            # A seed of its own per kind, so no cold call reads another kind's draw.
+            seed = args.seed + s * len(MC_KINDS) + k
+            for index in range(len(McVerify.shapes)):
+                got = {}
+                for name in ordered(packages, s + k + index):
+                    for phase in ("cold", "repeat"):
+                        start = time.perf_counter()
+                        report = mc_call(packages[name], kind, sim_plans[name][index], seed)
+                        mc[name].setdefault((phase, kind), []).append(
+                            time.perf_counter() - start)
+                        got[name, phase] = report_bytes(report)
+                for phase in ("cold", "repeat"):
+                    reports += 1
+                    mc_differ += got["parent", phase] != got["change", phase]
     print(f"{'call':32s} {'parent us':>10s} {'change us':>10s} {'ratio':>7s}")
     for label, per_n in times["parent"].items():
         pooled = {name: [t for ts in times[name][label].values() for t in ts] for name in times}
@@ -238,6 +301,11 @@ def main(argv=None):
     for label, per_n in cold["parent"].items():
         for n in sorted(per_n):
             row(f"cold {label} n={n}", per_n[n], cold["change"][label][n])
+    for (phase, kind), before in mc["parent"].items():
+        row(f"mc {phase} {kind}", before, mc["change"][phase, kind])
+    print(f"mc bits: {mc_differ} of {reports} reports differ between the packages "
+          f"({len(McVerify.shapes)} plans x {len(MC_KINDS)} kinds x {args.mc_seeds} seeds, cold "
+          f"and repeat, {MC_SAMPLES} samples)")
     (before, bound_before), (after, bound_after) = power["parent"], power["change"]
     before, after = statistics.fmean(before) * 1e3, statistics.fmean(after) * 1e3
     print(f"power search (mean ms): parent {before:.2f}, change {after:.2f}, ratio "

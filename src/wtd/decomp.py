@@ -33,6 +33,8 @@ RANK_RTOL = 1e-12
 _UNITARY_ATOL = 1e-8
 #: The ``n x n`` boolean masks below the diagonal, by ``n``.
 _STRICTLY_LOWER = functools.cache(lambda n: np.tri(n, n, -1, dtype=bool))
+#: The refusal of a GSVD precoder whose kernel or QL overflows a double (see :func:`_range_rule`).
+_GSVD_RANGE = "problem is out of range: its GSVD precoder overflows a double"
 
 
 @dataclass(frozen=True)
@@ -132,6 +134,15 @@ def require_unitary(q, name="matrix"):
     if np.max(np.abs(gram - np.eye(q.shape[0]))) > _UNITARY_ATOL:
         raise DomainError(f"{name} is not unitary within {_UNITARY_ATOL:g}")
     return q
+
+
+def _range_rule(message):
+    """The range rule of a solve: inside it, a step that overflows a double or makes an invalid
+    value raises :class:`DomainError` with ``message``, where numpy would warn and answer with an
+    inf or a NaN."""
+    def refuse(kind, flag):
+        raise DomainError(message)
+    return np.errstate(over="call", invalid="call", call=refuse)
 
 
 def _diagonal_phases(d):
@@ -460,9 +471,12 @@ def gsvd_triangular(a1, a2):
     The capacity solve's QL of ``[h b; I]``'s kernel gives the plans these factors (``u1 = U``,
     ``t1 = [diag(mu / s) l'; 0]``), which reconstructs ``a1`` to about ``eps max(mu) ||R2||``
     (8.5e-13 at GSVs of 1e+-3), not rounding, and ``va[:, :lb]`` spans the optimal covariance.
+    A kernel or QL that overflows a double raises :class:`DomainError` (out of range).
     """
-    mu, _, _, wh, r2 = _gsvd_kernel(*_check_pair(a1, a2))
-    return joint_triangularize(a1, a2, _kernel_ql(mu, wh @ r2)[0])
+    with _range_rule(_GSVD_RANGE):
+        mu, _, _, wh, r2 = _gsvd_kernel(*_check_pair(a1, a2))
+        va = _kernel_ql(mu, wh @ r2)[0]
+    return joint_triangularize(a1, a2, va)
 
 
 def joint_triangularize(a1, a2, va):

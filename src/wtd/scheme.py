@@ -19,9 +19,14 @@ sum is a quadratic form of ``G``, and each leakage a QR of factor rows of
 the covariance.  All randomness is drawn from counter-based Philox
 substreams keyed by (seed, kind, stream, chunk), and chunks are summed in
 chunk order, so runs are bit-reproducible whatever the number of CPUs that
-evaluate them.
+evaluate them.  The last realization's Gram is kept, read-only, so a call
+that would draw it again reads it: SIC (genie or decided) and DPC on one
+receiver's rows share one; leakage, on its own block grid, shares only with
+itself.  ``WTD_THREADS`` is ignored, as is every thread count: a repeat under
+another one reads the kept Gram.
 """
 
+import operator
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -29,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomp import (_as_matrix, _geometric_mean_target, _gtd_schedule, _kernel_ql, _qr_diagonal,
-                     require_unitary)
+from .decomp import (_GSVD_RANGE, _as_matrix, _geometric_mean_target, _gtd_schedule, _kernel_ql,
+                     _qr_diagonal, _range_rule, require_unitary)
 from .errors import DomainError, InsufficientSamples
 from .secrecy import _broadcast_problem, _factor_kernel, _freeze, _problem, effective_mmse_matrix
 
@@ -45,6 +50,9 @@ _LEAKAGE_BLOCKS = 10
 _ALPHA_OFFSET = 0.1
 #: A DPC stream with ``b_k^2 - 1`` at most this, 64 ulps of 1 (``b_k >= 1``), is dead.
 _DEAD_SNR = 64.0 * np.finfo(float).eps
+#: The last :func:`_accumulate` result, ``(key, (gram, sums, counts))`` with read-only arrays;
+#: only :func:`_accumulate` assigns it.
+_last_draw = None
 
 
 @dataclass(frozen=True)
@@ -161,11 +169,14 @@ def select_precoder(h_b, h_e, b, mode):
     ``gsvd`` maximizes the diagonal ratios, ``svd_eve`` diagonalizes the
     eavesdropper's factor, ``svd_bob`` the legitimate one (no SIC needed),
     and ``gmd_bob`` equalizes the legitimate diagonal (no bit loading).
+    A ``gsvd`` kernel or QL that overflows a double raises :class:`DomainError`
+    (out of range).
     """
     _check_mode(mode)
     if mode == "gsvd":
-        mu, _, _, wh, r2 = _factor_kernel(h_b, h_e, b)
-        return _kernel_ql(mu, wh @ r2)[0]
+        with _range_rule(_GSVD_RANGE):
+            mu, _, _, wh, r2 = _factor_kernel(h_b, h_e, b)
+            return _kernel_ql(mu, wh @ r2)[0]
     g = effective_mmse_matrix(h_e if mode == "svd_eve" else h_b, b)
     # ``svd(g).v`` bit for bit (finite check included); ``gmd_bob``'s is ``gmd(g).v`` bit for bit.
     _, sigma, vh = np.linalg.svd(_as_matrix(g), full_matrices=False)
@@ -329,9 +340,18 @@ def _accumulate(groups, samples, seed, blocks=1):
     in ``_BLAS_VARS``, else every CPU), at least one and at most one per
     chunk, each at most ``_IN_FLIGHT`` chunks ahead of the sums, taken in chunk
     order: the result does not depend on the thread count, and memory holds
-    one chunk buffer per thread, whatever ``samples``.
+    one chunk buffer per thread, whatever ``samples``.  The last result is
+    kept, read-only, by its row keys, ``samples``, ``seed`` and ``blocks``,
+    which fix it: a call with the same ones returns it and draws nothing.  It
+    is kept only once every chunk is summed, so a call that raises keeps
+    nothing.
     """
-    keys = [(kind, s) for kind, count in groups for s in range(count)]
+    global _last_draw
+    keys = tuple((kind, s) for kind, count in groups for s in range(count))
+    # A seed that is not an integer is refused, as a draw refuses it, even one equal to a kept seed.
+    draw = (keys, samples, operator.index(seed), blocks)
+    if (last := _last_draw) and last[0] == draw:
+        return last[1]
 
     def worker(chunk_index, size):
         p = np.empty((len(keys), 2, size))
@@ -360,7 +380,9 @@ def _accumulate(groups, samples, seed, blocks=1):
     # v = (re + i im) / sqrt(2), so v v' = (re re' + im im' + i (im re' - re im')) / 2.
     re, im = real[:, 0::2], real[:, 1::2]
     gram = 0.5 * (re[..., 0::2] + im[..., 1::2] + 1j * (im[..., 0::2] - re[..., 1::2]))
-    return gram, np.sqrt(0.5) * (sums[:, 0::2] + 1j * sums[:, 1::2]), counts
+    result = _freeze(gram, np.sqrt(0.5) * (sums[:, 0::2] + 1j * sums[:, 1::2]), counts)
+    _last_draw = draw, result
+    return result
 
 
 def _decode(receivers, n, samples, seed, recon=None):

@@ -14,7 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .decomp import _as_matrix, _diagonal_phases, _gsvd_kernel, _kernel_ql, haar_unitary
+from .decomp import (_as_matrix, _diagonal_phases, _gsvd_kernel, _kernel_ql, _range_rule,
+                     haar_unitary)
 from .errors import DomainError, NotPSD
 
 LN2 = np.log(2.0)
@@ -227,10 +228,6 @@ def _candidate_gsv(rs, fs):
     return np.linalg.svd(np.linalg.solve(r2, r1), compute_uv=False)
 
 
-def _out_of_range(kind, flag):
-    raise DomainError("problem is out of range: its capacity solve overflows a double")
-
-
 class _Problem:
     """One 2-D ``(h_b, h_e, k)``, keyed by their shapes and bytes as complex, solved whole when it
     is built: the root ``b`` of ``k``, its MMSE pair ``[h b; I]``, the pair's GSVD kernel ``[h_b
@@ -250,7 +247,7 @@ class _Problem:
 
     def __init__(self, key, h_b, h_e, k):
         self.key, self.channels = key, (h_b.copy("K"), h_e.copy("K"))
-        with np.errstate(over="call", invalid="call", call=_out_of_range):
+        with _range_rule("problem is out of range: its capacity solve overflows a double"):
             self.root = _root(k)
             self.mmse_pair = _mmse_pair(h_b, h_e, self.root)
             self.kernel = mu, _, _, wh, r2 = _gsvd_kernel(*self.mmse_pair, check=False)
@@ -434,8 +431,8 @@ def scalar_secrecy_capacity(h_b, h_e):
     return max(0.0, float(np.log2(gain)))
 
 
-def _overflow(kind, flag):
-    raise DomainError("total power is out of range: the power search's factors overflow a double")
+#: The refusal of a total power past the power search's range.
+_POWER_RANGE = "total power is out of range: the power search's factors overflow a double"
 
 
 def power_constrained_capacity(h_b, h_e, power, budget=400, seed=0):
@@ -468,8 +465,8 @@ def power_constrained_capacity(h_b, h_e, power, budget=400, seed=0):
     if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 1:
         raise DomainError("budget must be at least 1 and an integer")
     if power > np.finfo(float).max / 2.0:  # ``kbar + kbar'`` doubles entries up to ``power``
-        _overflow("overflow", None)
-    with np.errstate(over="call", invalid="call", call=_overflow):
+        raise DomainError(_POWER_RANGE)
+    with _range_rule(_POWER_RANGE):
         return _power_search(h_b, h_e, power, budget, seed)
 
 

@@ -4,7 +4,8 @@ The capacity path works on ``[h b; I]`` up to the double limit.  The plans
 read their triangular diagonals off the same GSVD kernel, through
 ``sqrt(1 + mu^2)``, which must not overflow for GSVs past 1e154.  Every
 problem runs that QL of the kernel when it is built, and the broadcast plan
-reads it; a solve that overflows a double is refused by name.
+reads it; a solve that overflows a double is refused by name, as is a GSVD
+precoder formed outside a problem.
 """
 
 import json
@@ -39,6 +40,7 @@ OVERFLOWING_SOLVE = {
              [-1.2853466294403427e+161, -7.434992493538084e+161]]],
     "samples": 2000}
 OUT_OF_RANGE = "problem is out of range: its capacity solve overflows a double"
+GSVD_OUT_OF_RANGE = "problem is out of range: its GSVD precoder overflows a double"
 
 
 def _overflowing_pair():
@@ -133,3 +135,26 @@ def test_a_solve_that_raises_keeps_nothing():
         with pytest.raises(DomainError, match=f"^{OUT_OF_RANGE}$"):
             secrecy.secrecy_capacity_cov(h_b, h_e, np.eye(3))
         assert secrecy._last is kept
+
+
+def test_an_overflowing_gsvd_precoder_is_refused_by_name():
+    # Both used to warn "invalid value encountered in divide": the precoder came back NaN, and the
+    # triangularization refused its own NaN right factor as "entries must be finite".
+    a1 = 1.5e308 * np.array([[1.0, 0.5], [0.3, 1.0], [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^{GSVD_OUT_OF_RANGE}$"):
+            scheme.select_precoder(*_overflowing_pair(), np.eye(3), "gsvd")
+        with pytest.raises(DomainError, match=f"^{GSVD_OUT_OF_RANGE}$"):
+            decomp.gsvd_triangular(a1, np.eye(3, 2))
+
+
+def test_an_overflowing_gsvd_precoder_is_refused_by_the_cli(tmp_path, capsys):
+    # ``simulate --scheme sic`` forms its precoder with ``b = I``; it used to exit 1 with the
+    # unnamed "precoder entries must be finite".
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(OVERFLOWING_SOLVE))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["simulate", "--scheme", "sic", "--input", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {GSVD_OUT_OF_RANGE}\n")

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +23,9 @@ def use_cpus(monkeypatch, cpus, cpu_count=64, blas=None):
     """Make the simulators see ``cpus`` usable CPUs out of ``cpu_count``; with
     ``cpus=None``, a platform without ``os.sched_getaffinity``, where
     ``os.cpu_count()`` returns ``cpu_count``.  ``blas`` maps the BLAS thread
-    variables to their values; by default BLAS has one thread."""
+    variables to their values; by default BLAS has one thread.  The kept draw
+    is cleared, so the next simulator call draws on those CPUs."""
+    monkeypatch.setattr(scheme, "_last_draw", None)
     if cpus is None:
         monkeypatch.delattr(scheme.os, "sched_getaffinity", raising=False)
     else:
@@ -810,10 +813,11 @@ class TestSimulateSic:
         assert np.all(rep.sinr_rel_error[active] <= 0.02)
         assert rep.within_bands()
 
-    def test_reproducible(self, rng):
+    def test_reproducible(self, rng, monkeypatch):
         h_b = complex_gaussian(rng, 2, 2)
         plan = scheme.build_sic_plan(h_b, np.eye(2), np.eye(2))
         a = scheme.simulate_sic(plan, h_b, 30000, seed=5)
+        monkeypatch.setattr(scheme, "_last_draw", None)  # so the second call draws too
         b = scheme.simulate_sic(plan, h_b, 30000, seed=5)
         assert np.array_equal(a.sinr_empirical, b.sinr_empirical)
 
@@ -1072,6 +1076,136 @@ class TestSimulateBroadcast:
         use_cpus(monkeypatch, 2)
         threaded = scheme.simulate_broadcast(plan, h_b, h_c, 100000, seed=12)
         assert np.array_equal(rep.sinr_empirical, threaded.sinr_empirical)
+
+
+def _simulation_plans(rng):
+    """A 3-stream problem's channels and its ``gsvd`` wiretap, DPC and broadcast plans."""
+    h_b, h_e, kbar = wiretap_instance(rng)
+    return (h_b, h_e, scheme.build_wiretap_plan(h_b, h_e, kbar, "gsvd"),
+            scheme.build_dpc_plan(h_b, h_e, kbar), scheme.build_broadcast_plan(h_b, h_e, kbar))
+
+
+#: One simulator call per kind on :func:`_simulation_plans`, the second receiver as Eve/Charlie.
+SIMULATORS = {
+    "sic": lambda p, samples, seed: scheme.simulate_sic(p[2].base, p[0], samples, seed),
+    "sic_decided": lambda p, samples, seed: scheme.simulate_sic(p[2].base, p[0], samples, seed,
+                                                                genie=False),
+    "dpc": lambda p, samples, seed: scheme.simulate_dpc(p[3], p[0], samples, seed),
+    "leakage": lambda p, samples, seed: scheme.simulate_leakage(p[2], p[1], samples, seed),
+    "broadcast": lambda p, samples, seed: scheme.simulate_broadcast(p[4], p[0], p[1], samples,
+                                                                    seed),
+}
+
+
+def _report_values(rep):
+    """Every field of a report by name, its extras flattened in."""
+    values = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep) if f.name != "extras"}
+    return {**values, **rep.extras}
+
+
+def _report_bytes(rep):
+    return {name: np.asarray(value).tobytes() for name, value in _report_values(rep).items()}
+
+
+def _no_pool(max_workers):
+    raise AssertionError("the call drew again")
+
+
+class TestKeptDraw:
+    @pytest.mark.parametrize("kind", SIMULATORS)
+    def test_a_repeat_draws_nothing_and_keeps_the_bits(self, rng, monkeypatch, kind):
+        plans = _simulation_plans(rng)
+        use_cpus(monkeypatch, 2)
+        fresh = SIMULATORS[kind](plans, 20000, 7)
+        monkeypatch.setattr(scheme, "ThreadPoolExecutor", _no_pool)
+        assert _report_bytes(SIMULATORS[kind](plans, 20000, 7)) == _report_bytes(fresh)
+
+    def test_sic_decided_sic_and_dpc_share_one_draw(self, rng, monkeypatch):
+        # The three read one receiver's rows; leakage's block grid differs, so it draws again.
+        plans = _simulation_plans(rng)
+        fresh = {}
+        for kind in ("sic_decided", "dpc"):
+            use_cpus(monkeypatch, 1)
+            fresh[kind] = _report_bytes(SIMULATORS[kind](plans, 20000, 7))
+        SIMULATORS["sic"](plans, 20000, 7)
+        with monkeypatch.context() as patched:
+            patched.setattr(scheme, "ThreadPoolExecutor", _no_pool)
+            for kind in ("sic_decided", "dpc"):
+                assert _report_bytes(SIMULATORS[kind](plans, 20000, 7)) == fresh[kind]
+            with pytest.raises(AssertionError, match="drew again"):
+                SIMULATORS["leakage"](plans, 20000, 7)
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 8}, {"samples": 20001}, {"blocks": 2},
+        {"groups": [(0, 3), (1, 3)]}, {"groups": [(0, 3), (2, 2)]},
+    ], ids=["seed", "samples", "blocks", "row count", "row kind"])
+    def test_a_change_of_any_key_draws_again(self, monkeypatch, change):
+        use_cpus(monkeypatch, 1)
+        pools = []
+
+        def counting_pool(max_workers):
+            pools.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(scheme, "ThreadPoolExecutor", counting_pool)
+        call = {"groups": [(0, 3), (1, 2)], "samples": 20000, "seed": 7, "blocks": 1}
+        kept = scheme._accumulate(**call)
+        assert scheme._accumulate(**call) is kept and pools == [1]
+        changed = scheme._accumulate(**{**call, **change})
+        assert pools == [1, 1]
+        assert scheme._last_draw[1] is changed and changed is not kept
+
+    @pytest.mark.parametrize("kind", SIMULATORS)
+    def test_the_kept_arrays_are_read_only_and_no_report_holds_them(self, rng, monkeypatch,
+                                                                    kind):
+        plans = _simulation_plans(rng)
+        use_cpus(monkeypatch, 1)
+        reports = [SIMULATORS[kind](plans, 20000, 7) for _ in range(2)]
+        kept = scheme._last_draw[1]
+        for array in kept:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        for rep in reports:
+            for name, value in _report_values(rep).items():
+                assert not any(np.shares_memory(value, array) for array in kept), name
+
+    def test_a_call_that_raises_mid_pool_keeps_the_earlier_draw(self, monkeypatch):
+        use_cpus(monkeypatch, 1)
+        groups, samples = [(0, 2), (1, 2)], 3 * scheme._CHUNK
+        scheme._accumulate(groups, samples, 7)
+        kept = scheme._last_draw
+
+        def failing(chunk, size):
+            raise RuntimeError("chunk 1 failed")
+
+        class FailingPool(ThreadPoolExecutor):
+            def submit(self, fn, chunk, size):
+                return super().submit(failing if chunk == 1 else fn, chunk, size)
+
+        monkeypatch.setattr(scheme, "ThreadPoolExecutor", FailingPool)
+        with pytest.raises(RuntimeError, match="chunk 1 failed"):
+            scheme._accumulate(groups, samples, 8)
+        assert scheme._last_draw is kept
+        assert scheme._accumulate(groups, samples, 7) is kept[1]
+
+    def test_threads_drawing_different_seeds_get_their_own_bits(self, rng, monkeypatch):
+        # More threads than CPUs, switching often, so each reads the entry another just kept.
+        plans = _simulation_plans(rng)
+        samples, seeds = 2 * scheme._CHUNK, (1, 2, 3, 4)
+        want = {}
+        for seed in seeds:
+            use_cpus(monkeypatch, 1)
+            want[seed] = _report_bytes(SIMULATORS["sic"](plans, samples, seed))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(SIMULATORS["sic"], plans, samples, seed)
+                           for seed in seeds * 3]
+                got = [_report_bytes(future.result(timeout=60)) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want[seed] for seed in seeds * 3]
 
 
 def _gaussian_rows(seed, kind, streams, chunk_index, size):

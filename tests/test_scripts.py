@@ -9,10 +9,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_plan_costs_of_the_checkout_against_itself():
-    # Both packages are this checkout's, so every plan and every power search agrees in bits.
+    # Both packages are this checkout's, so every plan, simulation report and power search agrees
+    # in bits.
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "plan_costs.py"), str(ROOT),
-         "--problems", "3", "--rounds", "1", "--cold", "3"],
+         "--problems", "3", "--rounds", "1", "--cold", "3", "--mc-seeds", "1"],
         capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -32,3 +33,9 @@ def test_plan_costs_of_the_checkout_against_itself():
     assert [line.split(":")[0] for line in invariance] == ["invariance parent", "invariance change"]
     for line in invariance:
         assert ": gsvd 0, svd_eve 0, svd_bob 0, gmd_bob 0 of 3 plans move" in line, line
+    # Per simulator kind, a cold call and a repeat of it, then one bits line over both.
+    mc = [line.split()[1:3] for line in lines if line.startswith("mc ") and "bits" not in line]
+    assert mc == [[phase, kind] for kind in ("sic", "sic_nogenie", "leakage", "dpc", "broadcast")
+                  for phase in ("cold", "repeat")]
+    mc_bits = [line for line in lines if line.startswith("mc bits: ")]
+    assert len(mc_bits) == 1 and mc_bits[0].startswith("mc bits: 0 of 20 reports differ"), mc_bits
