@@ -3,8 +3,7 @@
 Usage, from the root of a wtd checkout:
 
     python3 scripts/plan_costs.py ../parent-checkout
-    python3 scripts/plan_costs.py ../parent-checkout --problems 90 --rounds 4 --cold 600 --seed 1 \
-        --mc-seeds 3
+    python3 scripts/plan_costs.py ../parent-checkout --problems 90 --rounds 4 --cold 600 --seed 1
 
 The script loads the ``wtd`` package of ``PARENT/src`` as ``wtd_parent``
 and the one of this checkout as ``wtd``, in one process with one BLAS
@@ -42,7 +41,7 @@ mean bound in bits, and how many searches returned a ``kbar`` or a bound
 whose bits differ between the two packages.  The "mc" lines run the
 simulators of the ``mc_verify`` workload (``sic``, ``sic_nogenie``,
 ``leakage``, ``dpc``, ``broadcast``) on its two plans at ``MC_SAMPLES``
-samples, on ``--mc-seeds`` seeds from ``--seed``: per kind, the median time
+samples, on ``--rounds`` seeds from ``--seed``: per kind, the median time
 of a cold call (a seed no call of that package has drawn) and of a repeat
 (the same call again), and one line counting the reports, cold and repeat,
 whose bits differ between the two packages.
@@ -202,7 +201,6 @@ def main(argv=None):
     parser.add_argument("--rounds", type=int, default=4)
     parser.add_argument("--cold", type=int, default=600)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--mc-seeds", type=int, default=3)
     args = parser.parse_args(argv)
     src = Path(args.parent).resolve() / "src"
     if not (src / "wtd").is_dir():
@@ -253,7 +251,7 @@ def main(argv=None):
     mc = {name: {} for name in packages}
     reports, mc_differ = 0, 0
     sim_plans = {name: mc_plans(pkg, args.seed) for name, pkg in packages.items()}
-    for s in range(args.mc_seeds):
+    for s in range(args.rounds):
         for k, kind in enumerate(MC_KINDS):
             # A seed of its own per kind, so no cold call reads another kind's draw.
             seed = args.seed + s * len(MC_KINDS) + k
@@ -304,7 +302,7 @@ def main(argv=None):
     for (phase, kind), before in mc["parent"].items():
         row(f"mc {phase} {kind}", before, mc["change"][phase, kind])
     print(f"mc bits: {mc_differ} of {reports} reports differ between the packages "
-          f"({len(McVerify.shapes)} plans x {len(MC_KINDS)} kinds x {args.mc_seeds} seeds, cold "
+          f"({len(McVerify.shapes)} plans x {len(MC_KINDS)} kinds x {args.rounds} seeds, cold "
           f"and repeat, {MC_SAMPLES} samples)")
     (before, bound_before), (after, bound_after) = power["parent"], power["change"]
     before, after = statistics.fmean(before) * 1e3, statistics.fmean(after) * 1e3

@@ -13,7 +13,7 @@ def test_plan_costs_of_the_checkout_against_itself():
     # in bits.
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "plan_costs.py"), str(ROOT),
-         "--problems", "3", "--rounds", "1", "--cold", "3", "--mc-seeds", "1"],
+         "--problems", "3", "--rounds", "1", "--cold", "3"],
         capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
