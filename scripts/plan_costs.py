@@ -44,7 +44,12 @@ simulators of the ``mc_verify`` workload (``sic``, ``sic_nogenie``,
 samples, on ``--rounds`` seeds from ``--seed``: per kind, the median time
 of a cold call (a seed no call of that package has drawn) and of a repeat
 (the same call again), and one line counting the reports, cold and repeat,
-whose bits differ between the two packages.
+whose bits differ between the two packages.  The "mc check" line times a
+whole ``mc_verify`` pass with no repeated call: per package, the five kinds
+in ``MC_KINDS`` order on each of the two plans, each plan on a seed no
+other call has drawn, ``--rounds`` times, alternating which package goes
+first.  It gives the median time of a pass, the cost of verifying the plans
+once, with each package's kept draw shared as that package shares it.
 """
 
 import os
@@ -267,6 +272,16 @@ def main(argv=None):
                 for phase in ("cold", "repeat"):
                     reports += 1
                     mc_differ += got["parent", phase] != got["change", phase]
+    check = {name: [] for name in packages}
+    for s in range(args.rounds):
+        for name in ordered(packages, s):
+            start = time.perf_counter()
+            for index in range(len(McVerify.shapes)):
+                # Past every seed of the cold and repeat calls, so no kind reads their draws.
+                seed = args.seed + (args.rounds + s) * len(MC_KINDS) + index
+                for kind in MC_KINDS:
+                    mc_call(packages[name], kind, sim_plans[name][index], seed)
+            check[name].append(time.perf_counter() - start)
     print(f"{'call':32s} {'parent us':>10s} {'change us':>10s} {'ratio':>7s}")
     for label, per_n in times["parent"].items():
         pooled = {name: [t for ts in times[name][label].values() for t in ts] for name in times}
@@ -301,6 +316,7 @@ def main(argv=None):
             row(f"cold {label} n={n}", per_n[n], cold["change"][label][n])
     for (phase, kind), before in mc["parent"].items():
         row(f"mc {phase} {kind}", before, mc["change"][phase, kind])
+    row("mc check", check["parent"], check["change"])
     print(f"mc bits: {mc_differ} of {reports} reports differ between the packages "
           f"({len(McVerify.shapes)} plans x {len(MC_KINDS)} kinds x {args.rounds} seeds, cold "
           f"and repeat, {MC_SAMPLES} samples)")

@@ -19,11 +19,11 @@ sum is a quadratic form of ``G``, and each leakage a QR of factor rows of
 the covariance.  All randomness is drawn from counter-based Philox
 substreams keyed by (seed, kind, stream, chunk), and chunks are summed in
 chunk order, so runs are bit-reproducible whatever the number of CPUs that
-evaluate them.  The last realization's Gram is kept, read-only, so a call
-that would draw it again reads it: SIC (genie or decided) and DPC on one
-receiver's rows share one; leakage, on its own block grid, shares only with
-itself.  ``WTD_THREADS`` is ignored, as is every thread count: a repeat under
-another one reads the kept Gram.
+evaluate them.  Every draw sums per-block Grams on one grid, and the last
+realization's is kept, read-only, so a call that would draw it again reads
+it: SIC (genie or decided), DPC and, when Eve has as many antennas as Bob,
+leakage share one.  ``WTD_THREADS`` is ignored, as is every thread count: a
+repeat under another one reads the kept Gram.
 """
 
 import operator
@@ -46,12 +46,12 @@ _IN_FLIGHT = 2
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 _KIND_SYMBOL = 0
 _KIND_NOISE = 1
-_LEAKAGE_BLOCKS = 10
+_BLOCKS = 10
 _ALPHA_OFFSET = 0.1
 #: A DPC stream with ``b_k^2 - 1`` at most this, 64 ulps of 1 (``b_k >= 1``), is dead.
 _DEAD_SNR = 64.0 * np.finfo(float).eps
-#: The last :func:`_accumulate` result, ``(key, (gram, sums, counts))`` with read-only arrays;
-#: only :func:`_accumulate` assigns it.
+#: The last :func:`_accumulate` result, ``((keys, samples, seed), (gram, sums, counts))`` with
+#: read-only arrays; only :func:`_accumulate` assigns it.
 _last_draw = None
 
 
@@ -327,31 +327,34 @@ def _check_samples(samples):
     return int(samples)
 
 
-def _accumulate(groups, samples, seed, blocks=1):
+def _accumulate(groups, samples, seed):
     """Per block, the Gram ``sum v v'``, the sum and the count of ``v`` over all samples.
 
     ``v`` stacks ``count`` CN(0, 1) rows per ``(kind, count)`` group; row ``s``
     of a group comes from the Philox substream (seed, kind, s, chunk), its
     real parts then its imaginary parts.  A chunk draws every row into one
-    real ``(dim, 2, size)`` buffer ``P``, splits it into ``blocks`` pieces,
-    and sums the real Gram ``P P'`` of each piece (one ``syrk``) and its
-    row sums; the complex Gram follows from the real one.  Chunks run on
+    real ``(dim, 2, size)`` buffer ``P`` and splits it into the draw's block
+    grid: ``max(2, min(_BLOCKS, samples // (10 dim)))`` pieces, so the
+    leakage check's batch means exist even when everything fits in a single
+    chunk.  It sums the real Gram ``P P'`` of each piece and its row sums;
+    the complex Gram follows from the real one.  Chunks run on
     usable CPUs // BLAS threads threads (BLAS takes the first positive count
     in ``_BLAS_VARS``, else every CPU), at least one and at most one per
     chunk, each at most ``_IN_FLIGHT`` chunks ahead of the sums, taken in chunk
     order: the result does not depend on the thread count, and memory holds
     one chunk buffer per thread, whatever ``samples``.  The last result is
-    kept, read-only, by its row keys, ``samples``, ``seed`` and ``blocks``,
-    which fix it: a call with the same ones returns it and draws nothing.  It
+    kept, read-only, by its row keys, ``samples`` and ``seed``, which fix it
+    and its grid: a call with the same ones returns it and draws nothing.  It
     is kept only once every chunk is summed, so a call that raises keeps
     nothing.
     """
     global _last_draw
     keys = tuple((kind, s) for kind, count in groups for s in range(count))
     # A seed that is not an integer is refused, as a draw refuses it, even one equal to a kept seed.
-    draw = (keys, samples, operator.index(seed), blocks)
+    draw = (keys, samples, operator.index(seed))
     if (last := _last_draw) and last[0] == draw:
         return last[1]
+    blocks = max(2, min(_BLOCKS, samples // (10 * len(keys))))
 
     def worker(chunk_index, size):
         p = np.empty((len(keys), 2, size))
@@ -416,7 +419,7 @@ def _decode(receivers, n, samples, seed, recon=None):
             if recon is not None:
                 fed[i] = recon[i] * rows[i]
             rows[i, i] -= feedback[j, i]
-    gram = _accumulate(groups, samples, seed)[0][0]
+    gram = _accumulate(groups, samples, seed)[0].sum(axis=0)
     gain = np.concatenate([np.abs(np.diag(feedback[:, first:])) ** 2
                            for _, _, feedback, first, _ in receivers])
     return (gain, np.real(np.diagonal(gram)[:n]),
@@ -501,11 +504,7 @@ def simulate_leakage(plan, h_e, samples, seed):
         raise InsufficientSamples(
             f"'samples' must be at least {10 * dim * dim} for a {dim}-dimensional "
             f"covariance, got {samples}")
-    # Each chunk is split into the block grid, so the batch-means standard
-    # error exists even when everything fits in a single chunk.
-    blocks = max(2, min(_LEAKAGE_BLOCKS, samples // (10 * dim)))
-    gram, sums, counts = _accumulate([(_KIND_SYMBOL, n), (_KIND_NOISE, n_e)],
-                                     samples, seed, blocks)
+    gram, sums, counts = _accumulate([(_KIND_SYMBOL, n), (_KIND_NOISE, n_e)], samples, seed)
     # The (x, z) covariance of the run, then of each block; a block holds
     # about samples / blocks >= 10 dim samples, so each has a Cholesky factor.
     counts = np.append(samples, counts)[:, None]

@@ -500,6 +500,38 @@ class TestSimulate:
         secrecy.broadcast_region(h_b, h_e, np.eye(2))
         assert len(roots) == 1
 
+    @pytest.mark.parametrize("bob, eve, draws", [((2, 2), (2, 2), 1), ((4, 3), (2, 3), 2)],
+                             ids=["square", "4x3 / 2x3"])
+    def test_wiretap_draws_once_when_eve_has_bobs_antenna_count(self, tmp_path, capsys,
+                                                                monkeypatch, bob, eve, draws):
+        # SIC and leakage draw the same substreams when Eve's noise has as many rows as Bob's.
+        rng = np.random.default_rng(35)
+        h_b, h_e = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                    for shape in (bob, eve))
+        path = write_problem(tmp_path, h_b=matrix(h_b), h_e=matrix(h_e), samples=20000, seed=3)
+        pools, pool = [], scheme.ThreadPoolExecutor
+
+        def counting_pool(max_workers):
+            pools.append(max_workers)
+            return pool(max_workers)
+
+        monkeypatch.setattr(scheme, "ThreadPoolExecutor", counting_pool)
+        monkeypatch.setattr(scheme, "_last_draw", None)
+        args = ["simulate", "--input", path, "--scheme", "wiretap"]
+        code = run_cli(args)
+        shared = capsys.readouterr().out
+        assert len(pools) == draws and "leakage_bits" in shared
+        leakage = scheme.simulate_leakage
+
+        def fresh_leakage(*call):
+            monkeypatch.setattr(scheme, "_last_draw", None)
+            return leakage(*call)
+
+        monkeypatch.setattr(scheme, "simulate_leakage", fresh_leakage)
+        monkeypatch.setattr(scheme, "_last_draw", None)
+        assert run_cli(args) == code and capsys.readouterr().out == shared
+        assert len(pools) == draws + 2
+
     def test_cli_flags_override_problem(self, tmp_path):
         path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E,
                              samples=100, seed=0)

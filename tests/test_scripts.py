@@ -33,9 +33,13 @@ def test_plan_costs_of_the_checkout_against_itself():
     assert [line.split(":")[0] for line in invariance] == ["invariance parent", "invariance change"]
     for line in invariance:
         assert ": gsvd 0, svd_eve 0, svd_bob 0, gmd_bob 0 of 3 plans move" in line, line
-    # Per simulator kind, a cold call and a repeat of it, then one bits line over both.
-    mc = [line.split()[1:3] for line in lines if line.startswith("mc ") and "bits" not in line]
+    # Per simulator kind, a cold call and a repeat of it, then a whole pass with no repeat, then
+    # one bits line over the cold and repeat calls.
+    mc = [line.split()[1:3] for line in lines
+          if line.startswith("mc ") and not line.startswith(("mc bits", "mc check"))]
     assert mc == [[phase, kind] for kind in ("sic", "sic_nogenie", "leakage", "dpc", "broadcast")
                   for phase in ("cold", "repeat")]
+    check = [line.split() for line in lines if line.startswith("mc check ")]
+    assert len(check) == 1 and len(check[0]) == 5 and all(float(v) > 0 for v in check[0][2:])
     mc_bits = [line for line in lines if line.startswith("mc bits: ")]
     assert len(mc_bits) == 1 and mc_bits[0].startswith("mc bits: 0 of 20 reports differ"), mc_bits
