@@ -22,7 +22,7 @@ quartiles and IQR over the seeds, with the value of every run.  The same
 summary is kept of each run's minor page faults (``ru_minflt`` of the run
 and every process it waited for), which move the simulator timings with no
 change in the arithmetic.  A run that exits non-zero or reports a failed
-check stops the recording.
+check stops the recording; the message names each failed check the run wrote.
 """
 
 import argparse
@@ -80,8 +80,9 @@ def run_once(checkout, workload, seed, seconds):
     result = json.loads(lines[-1])
     details = json.loads(lines[-2])["details"]
     if not result["correct"]:
-        raise SystemExit(f"{checkout} {workload} seed {seed}: {result['failed']} of "
-                         f"{result['attempted']} checks failed")
+        failures = [line for line in proc.stderr.splitlines() if line.startswith("check failed: ")]
+        raise SystemExit("\n".join([f"{checkout} {workload} seed {seed}: {result['failed']} of "
+                                    f"{result['attempted']} checks failed", *failures]))
     return result, details, faults
 
 

@@ -16,8 +16,8 @@ use (real and imaginary parts N(0, 1/2) each); correctness is checked at
 the SINR/mutual-information level.  Every simulator sums one Gram
 ``G = sum v v'`` of its drawn symbols and noises ``v = [x; z]``: each SINR
 sum is a quadratic form of ``G``, and each leakage a QR of factor rows of
-the covariance.  All randomness is drawn from counter-based Philox
-substreams keyed by (seed, kind, stream, chunk), and chunks are summed in
+the covariance.  All randomness is drawn from SFC64 substreams, each
+seeded from its key (seed, kind, stream, chunk), and chunks are summed in
 chunk order, so runs are bit-reproducible whatever the number of CPUs that
 evaluate them.  Every draw sums per-block Grams on one grid, and the last
 realization's is kept, read-only, so a call that would draw it again reads
@@ -331,22 +331,21 @@ def _accumulate(groups, samples, seed):
     """Per block, the Gram ``sum v v'``, the sum and the count of ``v`` over all samples.
 
     ``v`` stacks ``count`` CN(0, 1) rows per ``(kind, count)`` group; row ``s``
-    of a group comes from the Philox substream (seed, kind, s, chunk), its
-    real parts then its imaginary parts.  A chunk draws every row into one
-    real ``(dim, 2, size)`` buffer ``P`` and splits it into the draw's block
-    grid: ``max(2, min(_BLOCKS, samples // (10 dim)))`` pieces, so the
-    leakage check's batch means exist even when everything fits in a single
-    chunk.  It sums the real Gram ``P P'`` of each piece and its row sums;
-    the complex Gram follows from the real one.  Chunks run on
-    usable CPUs // BLAS threads threads (BLAS takes the first positive count
-    in ``_BLAS_VARS``, else every CPU), at least one and at most one per
-    chunk, each at most ``_IN_FLIGHT`` chunks ahead of the sums, taken in chunk
-    order: the result does not depend on the thread count, and memory holds
-    one chunk buffer per thread, whatever ``samples``.  The last result is
-    kept, read-only, by its row keys, ``samples`` and ``seed``, which fix it
-    and its grid: a call with the same ones returns it and draws nothing.  It
-    is kept only once every chunk is summed, so a call that raises keeps
-    nothing.
+    of a group comes from the SFC64 substream seeded by ``SeedSequence((seed,
+    kind, s, chunk))``, its real parts then its imaginary parts.  A chunk draws
+    every row into one real ``(dim, 2, size)`` buffer ``P`` and splits it into
+    the draw's block grid: ``max(2, min(_BLOCKS, samples // (10 dim)))``
+    pieces, so the leakage check's batch means exist even when everything fits
+    in a single chunk.  It sums the real Gram ``P P'`` of each piece and its
+    row sums; the complex Gram follows from the real one.  Chunks run on usable
+    CPUs // BLAS threads threads (BLAS takes the first positive count in
+    ``_BLAS_VARS``, else every CPU), at least one and at most one per chunk,
+    each at most ``_IN_FLIGHT`` chunks ahead of the sums, taken in chunk order:
+    the result does not depend on the thread count, and memory holds one chunk
+    buffer per thread, whatever ``samples``.  The last result is kept,
+    read-only, by its row keys, ``samples`` and ``seed``, which fix it and its
+    grid: a call with the same ones returns it and draws nothing.  It is kept
+    only once every chunk is summed, so a call that raises keeps nothing.
     """
     global _last_draw
     keys = tuple((kind, s) for kind, count in groups for s in range(count))
@@ -359,7 +358,7 @@ def _accumulate(groups, samples, seed):
     def worker(chunk_index, size):
         p = np.empty((len(keys), 2, size))
         for row, key in zip(p, keys):
-            np.random.Generator(np.random.Philox(
+            np.random.Generator(np.random.SFC64(
                 np.random.SeedSequence((seed, *key, chunk_index)))).standard_normal(out=row)
         pieces = np.array_split(p.reshape(-1, size), blocks, axis=1)
         return (np.array([q @ q.T for q in pieces]), np.array([q.sum(axis=1) for q in pieces]),

@@ -1,11 +1,36 @@
 """Smoke tests of the developer scripts under ``scripts/``."""
 
+import importlib.util
+import json
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_a_refused_recording_names_its_failed_checks(monkeypatch):
+    spec = importlib.util.spec_from_file_location("record_bench",
+                                                  ROOT / "scripts" / "record_bench.py")
+    record_bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record_bench)
+    stdout = "\n".join(json.dumps(line) for line in [
+        {"details": {}}, {"correct": False, "attempted": 600, "failed": 2, "metrics": {}}])
+    stderr = ("warming up\n"
+              "check failed: sic n=8: stream 3 SINR z = 5.4 outside |z| <= 5\n"
+              "check failed: leakage n=4: stream 1 leakage z = -5.2 outside |z| <= 5\n")
+    monkeypatch.setattr(record_bench.subprocess, "run", lambda *args, **kwargs:
+                        subprocess.CompletedProcess(args, 0, stdout, stderr))
+    with pytest.raises(SystemExit) as refused:
+        record_bench.run_once(ROOT, "mc_verify", 1, 25)
+    assert str(refused.value).splitlines() == [
+        f"{ROOT} mc_verify seed 1: 2 of 600 checks failed",
+        "check failed: sic n=8: stream 3 SINR z = 5.4 outside |z| <= 5",
+        "check failed: leakage n=4: stream 1 leakage z = -5.2 outside |z| <= 5",
+    ]
 
 
 def test_plan_costs_of_the_checkout_against_itself():
