@@ -1,4 +1,4 @@
-"""Layered transceiver planning and symbol-level verification.
+"""Layered transceiver planning and Gram-level Monte Carlo verification.
 
 Builds successive-interference-cancellation (SIC), dirty-paper (DPC), and
 confidential-broadcast stream plans from joint triangularizations of the
@@ -12,25 +12,21 @@ presubtraction mirror with the same SINRs ``b_k^2 - 1``, and the broadcast
 check runs two such receivers on the two blocks of one GSVD.
 
 Random codebooks are modeled by fresh i.i.d. CN(0, 1) symbols per channel
-use (real and imaginary parts N(0, 1/2) each); correctness is checked at
-the SINR/mutual-information level.  Every simulator sums one Gram
-``G = sum v v'`` of its drawn symbols and noises ``v = [x; z]``: each SINR
-sum is a quadratic form of ``G``, and each leakage a QR of factor rows of
-the covariance.  All randomness is drawn from SFC64 substreams, each
-seeded from its key (seed, kind, stream, chunk), and chunks are summed in
-chunk order, so runs are bit-reproducible whatever the number of CPUs that
-evaluate them.  Every draw sums per-block Grams on one grid, and the last
-realization's is kept, read-only, so a call that would draw it again reads
+use; correctness is checked at the SINR/mutual-information level.  Every
+simulator reads only the Gram ``G = sum v v'`` and the sum of its symbols
+and noises ``v = [x; z]`` over the samples: each SINR sum is a quadratic
+form of ``G``, and each leakage a QR of factor rows of the covariance.  So
+no sample is drawn: each block of samples has its Gram and sum drawn from
+their joint law (see :func:`_accumulate`), from one SFC64 substream keyed
+by (seed, drawn rows, block), and the runs are bit-reproducible.  The last
+realization is kept, read-only, so a call that would draw it again reads
 it: SIC (genie or decided), DPC and, when Eve has as many antennas as Bob,
-leakage share one.  ``WTD_THREADS`` is ignored, as is every thread count: a
-repeat under another one reads the kept Gram.
+leakage share one.  ``WTD_THREADS`` is ignored, as is every thread count.
 """
 
 import operator
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -41,9 +37,6 @@ from .secrecy import _broadcast_problem, _factor_kernel, _freeze, _problem, effe
 
 PRECODER_MODES = ("gsvd", "svd_eve", "svd_bob", "gmd_bob")
 
-_CHUNK = 1 << 14
-_IN_FLIGHT = 2
-_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 _KIND_SYMBOL = 0
 _KIND_NOISE = 1
 _BLOCKS = 10
@@ -317,10 +310,6 @@ def build_broadcast_plan(h_b, h_c, kbar):
     )
 
 
-def _chunks(samples):
-    return [min(_CHUNK, samples - start) for start in range(0, samples, _CHUNK)]
-
-
 def _check_samples(samples):
     if samples < 1:
         raise DomainError("at least one sample is required")
@@ -330,22 +319,16 @@ def _check_samples(samples):
 def _accumulate(groups, samples, seed):
     """Per block, the Gram ``sum v v'``, the sum and the count of ``v`` over all samples.
 
-    ``v`` stacks ``count`` CN(0, 1) rows per ``(kind, count)`` group; row ``s``
-    of a group comes from the SFC64 substream seeded by ``SeedSequence((seed,
-    kind, s, chunk))``, its real parts then its imaginary parts.  A chunk draws
-    every row into one real ``(dim, 2, size)`` buffer ``P`` and splits it into
-    the draw's block grid: ``max(2, min(_BLOCKS, samples // (10 dim)))``
-    pieces, so the leakage check's batch means exist even when everything fits
-    in a single chunk.  It sums the real Gram ``P P'`` of each piece and its
-    row sums; the complex Gram follows from the real one.  Chunks run on usable
-    CPUs // BLAS threads threads (BLAS takes the first positive count in
-    ``_BLAS_VARS``, else every CPU), at least one and at most one per chunk,
-    each at most ``_IN_FLIGHT`` chunks ahead of the sums, taken in chunk order:
-    the result does not depend on the thread count, and memory holds one chunk
-    buffer per thread, whatever ``samples``.  The last result is kept,
-    read-only, by its row keys, ``samples`` and ``seed``, which fix it and its
-    grid: a call with the same ones returns it and draws nothing.  It is kept
-    only once every chunk is summed, so a call that raises keeps nothing.
+    ``v`` stacks ``count`` CN(0, 1) rows per ``(kind, count)`` group, i.i.d.
+    over the samples.  The samples are split into ``max(2, min(_BLOCKS,
+    samples // (10 dim)))`` blocks of nearly equal counts, so the leakage
+    check's batch means exist at every size, and each block is drawn by
+    :func:`_draw_block` from its own SFC64 substream, keyed by ``seed``, the
+    block and the row keys ``(kind, stream)``.  Cost and memory do not depend
+    on ``samples``.  The last result is kept, read-only, by its row keys,
+    ``samples`` and ``seed``, which fix it: a call with the same ones returns
+    it and draws nothing.  It is kept only once every block is drawn, so a
+    call that raises keeps nothing.
     """
     global _last_draw
     keys = tuple((kind, s) for kind, count in groups for s in range(count))
@@ -354,37 +337,42 @@ def _accumulate(groups, samples, seed):
     if (last := _last_draw) and last[0] == draw:
         return last[1]
     blocks = max(2, min(_BLOCKS, samples // (10 * len(keys))))
-
-    def worker(chunk_index, size):
-        p = np.empty((len(keys), 2, size))
-        for row, key in zip(p, keys):
-            np.random.Generator(np.random.SFC64(
-                np.random.SeedSequence((seed, *key, chunk_index)))).standard_normal(out=row)
-        pieces = np.array_split(p.reshape(-1, size), blocks, axis=1)
-        return (np.array([q @ q.T for q in pieces]), np.array([q.sum(axis=1) for q in pieces]),
-                np.array([q.shape[1] for q in pieces]))
-
-    sizes = _chunks(samples)
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    blas = next((int(v) for v in map(os.environ.get, _BLAS_VARS) if v and v.isdigit() and int(v)),
-                cpus)
-    workers = min(len(sizes), max(1, cpus // blas))
-    depth = _IN_FLIGHT * workers
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque(pool.submit(worker, c, sizes[c]) for c in range(min(len(sizes), depth)))
-        for c in range(len(sizes)):
-            result = pending.popleft().result()
-            if c + depth < len(sizes):
-                pending.append(pool.submit(worker, c + depth, sizes[c + depth]))
-            total = result if c == 0 else [t + r for t, r in zip(total, result)]
-    real, sums, counts = total
-    # v = (re + i im) / sqrt(2), so v v' = (re re' + im im' + i (im re' - re im')) / 2.
-    re, im = real[:, 0::2], real[:, 1::2]
-    gram = 0.5 * (re[..., 0::2] + im[..., 1::2] + 1j * (im[..., 0::2] - re[..., 1::2]))
-    result = _freeze(gram, np.sqrt(0.5) * (sums[:, 0::2] + 1j * sums[:, 1::2]), counts)
+    size, extra = divmod(samples, blocks)
+    counts = np.array([size + 1] * extra + [size] * (blocks - extra))
+    # The seed is padded to four words before the spawn key, so keys of seeds below 2**128 differ.
+    grams, sums = zip(*(_draw_block(np.random.SeedSequence(seed, spawn_key=(block, *chain(*keys))),
+                                    len(keys), count) for block, count in enumerate(counts)))
+    result = _freeze(np.array(grams), np.array(sums), counts)
     _last_draw = draw, result
     return result
+
+
+def _draw_block(seed_sequence, dim, count):
+    """The Gram ``sum v v'`` and the sum ``s = sum v`` of ``count`` i.i.d. CN(0, I_dim) ``v``.
+
+    Both are drawn from their joint law, from about ``dim^2`` variates of the
+    SFC64 substream ``seed_sequence``: ``s ~ CN(0, count I)`` and, independent
+    of it, the centered scatter ``S ~ CW_dim(count - 1, I)``, so the Gram is
+    ``S + s s' / count``.  ``S = A A'`` by Bartlett's decomposition (Proc.
+    Roy. Soc. Edinburgh 1933; Odell & Feiveson, JASA 1966): ``A`` is ``dim x
+    m`` lower trapezoidal, ``m = min(dim, count - 1)``, with ``|A_ii|^2 ~
+    Gamma(count - 1 - i, 1)`` on its diagonal and CN(0, 1) below it, which is
+    also the law of the L of an LQ of ``count - 1`` samples when ``count - 1 <
+    dim``.  The substream gives the real parts of the sum and of the entries
+    below the diagonal (row by row), then their imaginary parts, then
+    the gammas.  An empty block is all zeros.
+    """
+    if not count:
+        return np.zeros((dim, dim), dtype=complex), np.zeros(dim, dtype=complex)
+    gen = np.random.Generator(np.random.SFC64(seed_sequence))
+    m = min(dim, count - 1)
+    below = np.tri(dim, m, -1, dtype=bool)
+    z = gen.standard_normal((2, dim + np.count_nonzero(below)))
+    s = np.sqrt(0.5 * count) * (z[0, :dim] + 1j * z[1, :dim])
+    a = np.zeros((dim, m), dtype=complex)
+    a[below] = np.sqrt(0.5) * (z[0, dim:] + 1j * z[1, dim:])
+    a[range(m), range(m)] = np.sqrt(gen.standard_gamma(count - 1.0 - np.arange(m)))
+    return a @ a.conj().T + np.outer(s, s.conj()) / count, s
 
 
 def _decode(receivers, n, samples, seed, recon=None):
@@ -444,7 +432,7 @@ def _sinr_report(scheme, samples, seed, genie, gain, sum_x, sum_w, analytic,
 
 
 def simulate_sic(plan, h_b, samples, seed, genie=True):
-    """Symbol-level check of a SIC plan against its analytic SINRs.
+    """Monte Carlo check of a SIC plan against its analytic SINRs.
 
     Streams are decoded last to first; with ``genie=True`` the feedback uses
     the true symbols (correct past decisions), otherwise each symbol is

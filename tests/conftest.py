@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from wtd import decomp
+from wtd import decomp, scheme
 
 #: ``--hypothesis-profile=long``: the generated CLI contract test runs this many
 #: examples instead of its few seconds' worth.
@@ -58,6 +58,19 @@ def count_calls(monkeypatch, module, names):
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def record_block_draws(monkeypatch):
+    """Wrap ``scheme._draw_block``; the returned list gets the seed sequence of each
+    block drawn, whose ``spawn_key[0]`` is the block index."""
+    seen, draw = [], scheme._draw_block
+
+    def recording(seed_sequence, dim, count):
+        seen.append(seed_sequence)
+        return draw(seed_sequence, dim, count)
+
+    monkeypatch.setattr(scheme, "_draw_block", recording)
+    return seen
 
 
 def conditional_mi_bits(cov, idx_a, idx_b, idx_c):

@@ -13,6 +13,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from wtd import cli, decomp, scheme, secrecy
 from wtd.errors import NumericalFailure
 
+from conftest import record_block_draws
+
 GOLDEN_H_B = [[[1.0, 0.5], [-0.25, 1.0]], [[0.5, -0.75], [1.25, 0.0]]]
 GOLDEN_H_E = [[[0.5, 0.25], [0.75, -0.5]], [[-0.25, 0.5], [0.25, 0.25]]]
 # Library value cross-checked against a 2e5-sample dominance oracle over the
@@ -406,9 +408,8 @@ class TestSimulate:
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
     def test_report_does_not_depend_on_usable_cpus(self, tmp_path):
-        # 100,000 samples make 7 chunks.  With one BLAS thread, one thread
-        # takes them all when the child may run on one CPU, one per usable
-        # CPU otherwise.
+        # No draw reads the CPU set, so a child pinned to one CPU and one
+        # free to use all of them print the same report.
         path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E,
                              samples=100000, seed=4)
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
@@ -448,11 +449,11 @@ class TestSimulate:
         assert np.isclose(report["charlie_total_bits"], region.rc_max, atol=1e-8)
 
     def test_band_failure_exit_code(self, tmp_path, capsys):
-        # At 150 samples, seed 12 is the first seed from 0 up whose genie-SIC
-        # report on this fixture fails its band: a genuine outlier on the first
-        # stream (z = -3.13), so the band check must fail.
+        # At 150 samples, seed 4 is the first seed from 0 up whose genie-SIC
+        # report on this fixture fails its band: a genuine outlier on the second
+        # stream (z = -3.83), so the band check must fail.
         path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E,
-                             samples=150, seed=12)
+                             samples=150, seed=4)
         out = str(tmp_path / "report.json")
         assert run_cli(["simulate", "--input", path, "--scheme", "sic",
                         "--out", out]) == 3
@@ -510,18 +511,12 @@ class TestSimulate:
         h_b, h_e = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                     for shape in (bob, eve))
         path = write_problem(tmp_path, h_b=matrix(h_b), h_e=matrix(h_e), samples=20000, seed=3)
-        pools, pool = [], scheme.ThreadPoolExecutor
-
-        def counting_pool(max_workers):
-            pools.append(max_workers)
-            return pool(max_workers)
-
-        monkeypatch.setattr(scheme, "ThreadPoolExecutor", counting_pool)
+        drawn = record_block_draws(monkeypatch)
         monkeypatch.setattr(scheme, "_last_draw", None)
         args = ["simulate", "--input", path, "--scheme", "wiretap"]
         code = run_cli(args)
         shared = capsys.readouterr().out
-        assert len(pools) == draws and "leakage_bits" in shared
+        assert [s.spawn_key[0] for s in drawn].count(0) == draws and "leakage_bits" in shared
         leakage = scheme.simulate_leakage
 
         def fresh_leakage(*call):
@@ -531,7 +526,18 @@ class TestSimulate:
         monkeypatch.setattr(scheme, "simulate_leakage", fresh_leakage)
         monkeypatch.setattr(scheme, "_last_draw", None)
         assert run_cli(args) == code and capsys.readouterr().out == shared
-        assert len(pools) == draws + 2
+        assert [s.spawn_key[0] for s in drawn].count(0) == draws + 2
+
+    @pytest.mark.parametrize("scheme_name", ["sic", "wiretap", "dpc", "broadcast"])
+    def test_simulate_at_max_samples(self, tmp_path, scheme_name):
+        # Each block's Gram is drawn from its law, so 10^9 samples cost what 10^4 do.
+        path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E,
+                             samples=cli.MAX_SAMPLES, seed=1)
+        out = str(tmp_path / "report.json")
+        code = run_cli(["simulate", "--input", path, "--scheme", scheme_name, "--out", out])
+        report = read_report(out)
+        assert {sim["samples"] for sim in report["simulations"].values()} == {10 ** 9}
+        assert code == (0 if report["within_bands"] else 3)
 
     def test_cli_flags_override_problem(self, tmp_path):
         path = write_problem(tmp_path, h_b=GOLDEN_H_B, h_e=GOLDEN_H_E,
