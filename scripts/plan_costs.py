@@ -49,7 +49,12 @@ whole ``mc_verify`` pass with no repeated call: per package, the five kinds
 in ``MC_KINDS`` order on each of the two plans, each plan on a seed no
 other call has drawn, ``--rounds`` times, alternating which package goes
 first.  It gives the median time of a pass, the cost of verifying the plans
-once, with each package's kept draw shared as that package shares it.
+once, with each package's kept draw shared as that package shares it.  The
+"mc paired" line divides the parent's pass by the change's pass of the same
+round and gives the smallest, median and largest of these ratios and the
+number of rounds the change was faster in: the two passes of a round run
+back to back, so a slow spell of the machine that moves both cancels in
+their ratio, where it would move a ratio of medians at few rounds.
 """
 
 import os
@@ -317,6 +322,10 @@ def main(argv=None):
     for (phase, kind), before in mc["parent"].items():
         row(f"mc {phase} {kind}", before, mc["change"][phase, kind])
     row("mc check", check["parent"], check["change"])
+    paired = sorted(p / c for p, c in zip(check["parent"], check["change"]))
+    print(f"mc paired ratio (parent / change) of each round's passes: min {paired[0]:.3f}, "
+          f"median {statistics.median(paired):.3f}, max {paired[-1]:.3f}; the change was "
+          f"faster in {sum(r > 1.0 for r in paired)} of {len(paired)} rounds")
     print(f"mc bits: {mc_differ} of {reports} reports differ between the packages "
           f"({len(McVerify.shapes)} plans x {len(MC_KINDS)} kinds x {args.rounds} seeds, cold "
           f"and repeat, {MC_SAMPLES} samples)")

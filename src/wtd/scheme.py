@@ -18,7 +18,8 @@ and noises ``v = [x; z]`` over the samples: each SINR sum is a quadratic
 form of ``G``, and each leakage a QR of factor rows of the covariance.  So
 no sample is drawn: each block of samples has its Gram and sum drawn from
 their joint law (see :func:`_accumulate`), from one SFC64 substream keyed
-by (seed, drawn rows, block), and the runs are bit-reproducible.  The last
+by (seed, block, drawn rows), and the blocks are assembled in one stacked
+step; the runs are bit-reproducible.  The last
 realization is kept, read-only, so a call that would draw it again reads
 it: SIC (genie or decided), DPC and, when Eve has as many antennas as Bob,
 leakage share one.  ``WTD_THREADS`` is ignored, as is every thread count.
@@ -322,57 +323,83 @@ def _accumulate(groups, samples, seed):
     ``v`` stacks ``count`` CN(0, 1) rows per ``(kind, count)`` group, i.i.d.
     over the samples.  The samples are split into ``max(2, min(_BLOCKS,
     samples // (10 dim)))`` blocks of nearly equal counts, so the leakage
-    check's batch means exist at every size, and each block is drawn by
-    :func:`_draw_block` from its own SFC64 substream, keyed by ``seed``, the
-    block and the row keys ``(kind, stream)``.  Cost and memory do not depend
-    on ``samples``.  The last result is kept, read-only, by its row keys,
-    ``samples`` and ``seed``, which fix it: a call with the same ones returns
-    it and draws nothing.  It is kept only once every block is drawn, so a
-    call that raises keeps nothing.
+    check's batch means exist at every size, and each block is drawn from its
+    own SFC64 substream, keyed by ``seed``, the block and the row keys
+    ``(kind, stream)``.  :func:`_draw_blocks` draws every block in one
+    stacked step, or, when a block holds at most ``dim`` samples, the blocks
+    of each count in one.  Cost and memory do not depend on ``samples``.
+    The last result is kept, read-only, by its row keys, ``samples`` and
+    ``seed``, which fix it: a call with the same ones returns it and draws
+    nothing.  It is kept only once every block is drawn, so a call that
+    raises keeps nothing.
     """
     global _last_draw
     keys = tuple((kind, s) for kind, count in groups for s in range(count))
     # A seed that is not an integer is refused, as a draw refuses it, even one equal to a kept seed.
-    draw = (keys, samples, operator.index(seed))
+    draw = (keys, samples, seed := operator.index(seed))
     if (last := _last_draw) and last[0] == draw:
         return last[1]
-    blocks = max(2, min(_BLOCKS, samples // (10 * len(keys))))
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    dim = len(keys)
+    blocks = max(2, min(_BLOCKS, samples // (10 * dim)))
     size, extra = divmod(samples, blocks)
     counts = np.array([size + 1] * extra + [size] * (blocks - extra))
-    # The seed is padded to four words before the spawn key, so keys of seeds below 2**128 differ.
-    grams, sums = zip(*(_draw_block(np.random.SeedSequence(seed, spawn_key=(block, *chain(*keys))),
-                                    len(keys), count) for block, count in enumerate(counts)))
-    result = _freeze(np.array(grams), np.array(sums), counts)
+    # Per block, ``SeedSequence(seed, spawn_key=(block, *keys))``'s entropy as one uint32 row: the
+    # seed's little-endian 32-bit words, padded to four (so keys of seeds below 2**128 differ),
+    # then the block word and one word per key.  Numpy would coerce a tuple key word by word.
+    words = max(4, -(-seed.bit_length() // 32))
+    entropy = np.empty((blocks, words + 1 + 2 * dim), dtype=np.uint32)
+    entropy[:, :words] = np.frombuffer(seed.to_bytes(4 * words, "little"), dtype="<u4")
+    entropy[:, words] = range(blocks)
+    entropy[:, words + 1:] = list(chain(*keys))
+    gram = np.empty((blocks, dim, dim), dtype=complex)
+    sums = np.empty((blocks, dim), dtype=complex)
+    # Blocks of ``size`` and ``size + 1`` samples share ``A``'s width unless ``size <= dim``.
+    runs = [(0, extra), (extra, blocks)] if 0 < extra and size <= dim else [(0, blocks)]
+    for first, stop in runs:
+        gram[first:stop], sums[first:stop] = _draw_blocks(
+            [np.random.SeedSequence(row) for row in entropy[first:stop]], dim, counts[first:stop])
+    result = _freeze(gram, sums, counts)
     _last_draw = draw, result
     return result
 
 
-def _draw_block(seed_sequence, dim, count):
-    """The Gram ``sum v v'`` and the sum ``s = sum v`` of ``count`` i.i.d. CN(0, I_dim) ``v``.
+def _draw_blocks(seed_sequences, dim, counts):
+    """Per seed sequence, the Gram ``sum v v'`` and the sum ``s = sum v`` of ``count`` i.i.d.
+    CN(0, I_dim) ``v``, ``count`` the block's entry of ``counts``, stacked.
 
     Both are drawn from their joint law, from about ``dim^2`` variates of the
-    SFC64 substream ``seed_sequence``: ``s ~ CN(0, count I)`` and, independent
-    of it, the centered scatter ``S ~ CW_dim(count - 1, I)``, so the Gram is
-    ``S + s s' / count``.  ``S = A A'`` by Bartlett's decomposition (Proc.
-    Roy. Soc. Edinburgh 1933; Odell & Feiveson, JASA 1966): ``A`` is ``dim x
-    m`` lower trapezoidal, ``m = min(dim, count - 1)``, with ``|A_ii|^2 ~
-    Gamma(count - 1 - i, 1)`` on its diagonal and CN(0, 1) below it, which is
-    also the law of the L of an LQ of ``count - 1`` samples when ``count - 1 <
-    dim``.  The substream gives the real parts of the sum and of the entries
-    below the diagonal (row by row), then their imaginary parts, then
-    the gammas.  An empty block is all zeros.
+    block's SFC64 substream: ``s ~ CN(0, count I)`` and, independent of it,
+    the centered scatter ``S ~ CW_dim(count - 1, I)``, so the Gram is ``S +
+    s s' / count``.  ``S = A A'`` by Bartlett's decomposition (Proc. Roy. Soc.
+    Edinburgh 1933; Odell & Feiveson, JASA 1966): ``A`` is ``dim x m`` lower
+    trapezoidal, ``m = min(dim, count - 1)``, with ``|A_ii|^2 ~ Gamma(count - 1
+    - i, 1)`` on its diagonal and CN(0, 1) below it, which is also the law of
+    the L of an LQ of ``count - 1`` samples when ``count - 1 < dim``.  Each
+    substream gives the real parts of the sum and of the entries below the
+    diagonal (row by row), then their imaginary parts, then the gammas; the
+    blocks, which must share ``m``, are then assembled in one stacked step.
+    Empty blocks are all zeros.
     """
-    if not count:
-        return np.zeros((dim, dim), dtype=complex), np.zeros(dim, dtype=complex)
-    gen = np.random.Generator(np.random.SFC64(seed_sequence))
-    m = min(dim, count - 1)
+    blocks = len(seed_sequences)
+    if not counts[0]:
+        return np.zeros((blocks, dim, dim), dtype=complex), np.zeros((blocks, dim), dtype=complex)
+    m = min(dim, counts[0] - 1)
     below = np.tri(dim, m, -1, dtype=bool)
-    z = gen.standard_normal((2, dim + np.count_nonzero(below)))
-    s = np.sqrt(0.5 * count) * (z[0, :dim] + 1j * z[1, :dim])
-    a = np.zeros((dim, m), dtype=complex)
-    a[below] = np.sqrt(0.5) * (z[0, dim:] + 1j * z[1, dim:])
-    a[range(m), range(m)] = np.sqrt(gen.standard_gamma(count - 1.0 - np.arange(m)))
-    return a @ a.conj().T + np.outer(s, s.conj()) / count, s
+    z = np.empty((blocks, 2, dim + np.count_nonzero(below)))
+    gamma, shapes = np.empty((blocks, m)), counts[:, None] - 1.0 - np.arange(m)
+    for block, seed_sequence in enumerate(seed_sequences):
+        gen = np.random.Generator(np.random.SFC64(seed_sequence))
+        gen.standard_normal(out=z[block])
+        gamma[block] = gen.standard_gamma(shapes[block])
+    s = np.sqrt(0.5 * counts)[:, None] * (z[:, 0, :dim] + 1j * z[:, 1, :dim])
+    # ``A`` is not padded to ``dim x dim``: a zero column would move the product's bits.
+    a = np.zeros((blocks, dim, m), dtype=complex)
+    a[:, below] = np.sqrt(0.5) * (z[:, 0, dim:] + 1j * z[:, 1, dim:])
+    a[:, range(m), range(m)] = np.sqrt(gamma)
+    outer = s[:, :, None] * s[:, None].conj() / counts[:, None, None]
+    return a @ a.conj().swapaxes(1, 2) + outer, s
 
 
 def _decode(receivers, n, samples, seed, recon=None):

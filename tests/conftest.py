@@ -61,16 +61,22 @@ def count_calls(monkeypatch, module, names):
 
 
 def record_block_draws(monkeypatch):
-    """Wrap ``scheme._draw_block``; the returned list gets the seed sequence of each
-    block drawn, whose ``spawn_key[0]`` is the block index."""
-    seen, draw = [], scheme._draw_block
+    """Wrap ``scheme._draw_blocks``; the returned list gets the seed sequence of each
+    block drawn, whose entropy holds the block index (see :func:`block_word`)."""
+    seen, draw = [], scheme._draw_blocks
 
-    def recording(seed_sequence, dim, count):
-        seen.append(seed_sequence)
-        return draw(seed_sequence, dim, count)
+    def recording(seed_sequences, dim, counts):
+        seen.extend(seed_sequences)
+        return draw(seed_sequences, dim, counts)
 
-    monkeypatch.setattr(scheme, "_draw_block", recording)
+    monkeypatch.setattr(scheme, "_draw_blocks", recording)
     return seen
+
+
+def block_word(seed_sequence):
+    """The block index of a drawn block's seed sequence: the entropy word after the seed's
+    four, for seeds below 2**128."""
+    return int(seed_sequence.entropy[4])
 
 
 def conditional_mi_bits(cov, idx_a, idx_b, idx_c):

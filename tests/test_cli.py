@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from wtd import cli, decomp, scheme, secrecy
 from wtd.errors import NumericalFailure
 
-from conftest import record_block_draws
+from conftest import block_word, record_block_draws
 
 GOLDEN_H_B = [[[1.0, 0.5], [-0.25, 1.0]], [[0.5, -0.75], [1.25, 0.0]]]
 GOLDEN_H_E = [[[0.5, 0.25], [0.75, -0.5]], [[-0.25, 0.5], [0.25, 0.25]]]
@@ -516,7 +516,7 @@ class TestSimulate:
         args = ["simulate", "--input", path, "--scheme", "wiretap"]
         code = run_cli(args)
         shared = capsys.readouterr().out
-        assert [s.spawn_key[0] for s in drawn].count(0) == draws and "leakage_bits" in shared
+        assert [block_word(s) for s in drawn].count(0) == draws and "leakage_bits" in shared
         leakage = scheme.simulate_leakage
 
         def fresh_leakage(*call):
@@ -526,7 +526,7 @@ class TestSimulate:
         monkeypatch.setattr(scheme, "simulate_leakage", fresh_leakage)
         monkeypatch.setattr(scheme, "_last_draw", None)
         assert run_cli(args) == code and capsys.readouterr().out == shared
-        assert [s.spawn_key[0] for s in drawn].count(0) == draws + 2
+        assert [block_word(s) for s in drawn].count(0) == draws + 2
 
     @pytest.mark.parametrize("scheme_name", ["sic", "wiretap", "dpc", "broadcast"])
     def test_simulate_at_max_samples(self, tmp_path, scheme_name):

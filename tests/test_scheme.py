@@ -12,7 +12,7 @@ import pytest
 from wtd import decomp, scheme, secrecy
 from wtd.errors import DomainError, InsufficientSamples
 
-from conftest import (complex_gaussian, conditional_mi_bits, count_calls, dpc_oracle,
+from conftest import (block_word, complex_gaussian, conditional_mi_bits, count_calls, dpc_oracle,
                       ql_product_gsvd, random_psd, record_block_draws)
 
 
@@ -1037,7 +1037,7 @@ class TestKeptDraw:
         plans = _simulation_plans(rng)
         use_cpus(monkeypatch, 2)
         fresh = SIMULATORS[kind](plans, 20000, 7)
-        monkeypatch.setattr(scheme, "_draw_block", _no_draw)
+        monkeypatch.setattr(scheme, "_draw_blocks", _no_draw)
         assert _report_bytes(SIMULATORS[kind](plans, 20000, 7)) == _report_bytes(fresh)
 
     def test_sic_decided_sic_and_dpc_share_one_draw(self, rng, monkeypatch):
@@ -1050,7 +1050,7 @@ class TestKeptDraw:
             fresh[kind] = _report_bytes(SIMULATORS[kind](plans, 20000, 7))
         SIMULATORS["sic"](plans, 20000, 7)
         with monkeypatch.context() as patched:
-            patched.setattr(scheme, "_draw_block", _no_draw)
+            patched.setattr(scheme, "_draw_blocks", _no_draw)
             for kind in ("sic_decided", "dpc"):
                 assert _report_bytes(SIMULATORS[kind](plans, 20000, 7)) == fresh[kind]
             with pytest.raises(AssertionError, match="drew again"):
@@ -1064,7 +1064,7 @@ class TestKeptDraw:
             use_cpus(monkeypatch, 1)
             fresh[kind] = _report_bytes(SIMULATORS[kind](plans, 20000, 7))
         SIMULATORS["sic"](plans, 20000, 7)
-        monkeypatch.setattr(scheme, "_draw_block", _no_draw)
+        monkeypatch.setattr(scheme, "_draw_blocks", _no_draw)
         assert {kind: _report_bytes(SIMULATORS[kind](plans, 20000, 7)) for kind in fresh} == fresh
 
     @pytest.mark.parametrize("n_e", [2, 3])
@@ -1092,7 +1092,7 @@ class TestKeptDraw:
         kept = scheme._accumulate(**call)
         assert scheme._accumulate(**call) is kept and len(drawn) == len(kept[2])
         changed = scheme._accumulate(**{**call, **change})
-        assert [s.spawn_key[0] for s in drawn] == [*range(len(kept[2])), *range(len(changed[2]))]
+        assert [block_word(s) for s in drawn] == [*range(len(kept[2])), *range(len(changed[2]))]
         assert scheme._last_draw[1] is changed and changed is not kept
 
     @pytest.mark.parametrize("kind", SIMULATORS)
@@ -1114,14 +1114,14 @@ class TestKeptDraw:
         groups, samples = [(0, 2), (1, 2)], 3 << 14
         scheme._accumulate(groups, samples, 7)
         kept = scheme._last_draw
-        draw = scheme._draw_block
+        draw = scheme._draw_blocks
 
-        def failing(seed_sequence, dim, count):
-            if seed_sequence.spawn_key[0] == 1:
+        def failing(seed_sequences, dim, counts):
+            if 1 in map(block_word, seed_sequences):
                 raise RuntimeError("block 1 failed")
-            return draw(seed_sequence, dim, count)
+            return draw(seed_sequences, dim, counts)
 
-        monkeypatch.setattr(scheme, "_draw_block", failing)
+        monkeypatch.setattr(scheme, "_draw_blocks", failing)
         with pytest.raises(RuntimeError, match="block 1 failed"):
             scheme._accumulate(groups, samples, 8)
         assert scheme._last_draw is kept
@@ -1169,6 +1169,7 @@ class TestSubstreams:
                 scheme._accumulate(groups, self.SAMPLES, seed)
         states = {tuple(s.generate_state(4)) for s in drawn}
         assert len(drawn) == 2 * len(variants) * 10 == len(states)
+        assert [block_word(s) for s in drawn] == [*range(10)] * 2 * len(variants)
 
 
 class TestBlockLaw:
@@ -1177,9 +1178,8 @@ class TestBlockLaw:
     @pytest.mark.parametrize("count", [12, 5, 3, 2], ids=["c-1>d", "c-1=d", "c-1<d", "c=2"])
     def test_moments_within_five_standard_errors(self, count):
         dim, draws = 4, 4000
-        grams, sums = zip(*(scheme._draw_block(np.random.SeedSequence(seed), dim, count)
-                            for seed in range(draws)))
-        grams, sums = np.array(grams), np.array(sums)
+        grams, sums = scheme._draw_blocks([np.random.SeedSequence(seed) for seed in range(draws)],
+                                          dim, np.full(draws, count))
         outer = sums[:, :, None] * sums[:, None].conj()
         scatter_sum = np.einsum("rij,rj->ri", grams - outer / count, sums)
         off = ~np.eye(dim, dtype=bool)
@@ -1212,8 +1212,94 @@ class TestBlockLaw:
         assert rep.samples == 1 and np.all(np.isfinite(rep.sinr_empirical))
 
     def test_a_one_sample_block_is_the_outer_product_of_its_sum(self):
-        gram, s = scheme._draw_block(np.random.SeedSequence(5), 3, 1)
+        (gram,), (s,) = scheme._draw_blocks([np.random.SeedSequence(5)], 3, np.array([1]))
         assert np.array_equal(gram, np.outer(s, s.conj()))
+
+
+#: The row sets of the ``mc_verify`` benchmark's draws (n = 4 with four antennas at each
+#: receiver, n = 8 with ten), at its 2**18 samples, and of the CLI's on the problem shapes of
+#: ``scripts/report_digests.py``: Bob's rows, Eve's, and both receivers' for broadcast.
+DRAW_ROW_SETS = [
+    *(([(0, n), (1, rows)], 1 << 18) for n, rows in ((4, 4), (8, 10))),
+    *(([(0, n), (1, rows), (2, rows)], 1 << 18) for n, rows in ((4, 4), (8, 10))),
+    *((groups, samples) for n, m_b, m_e, samples in
+      ((2, 2, 2, 100000), (3, 4, 2, 20000), (4, 4, 5, 20000), (4, 4, 5, 1))
+      for groups in ([(0, n), (1, m_b)], [(0, n), (1, m_e)], [(0, n), (1, m_b), (2, m_e)])),
+]
+
+
+def _spawn_key_sequence(seed, block, groups):
+    """A block's seed sequence in numpy's spawn-key form: ``(block, *row keys)``."""
+    keys = [word for kind, count in groups for s in range(count) for word in (kind, s)]
+    return np.random.SeedSequence(seed, spawn_key=(block, *keys))
+
+
+class TestBlockKeys:
+    """Each block's uint32 entropy array seeds the substream of its spawn-key form."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128, 2**200],
+                             ids=["0", "1", "2^32-1", "2^32", "2^64", "2^128-1", "2^128", "2^200"])
+    def test_every_block_has_the_spawn_key_state(self, monkeypatch, seed):
+        drawn = record_block_draws(monkeypatch)
+        want = []
+        for groups, samples in DRAW_ROW_SETS:
+            monkeypatch.setattr(scheme, "_last_draw", None)
+            blocks = len(scheme._accumulate(groups, samples, seed)[2])
+            want += [_spawn_key_sequence(seed, block, groups) for block in range(blocks)]
+        assert len(drawn) == len(want)
+        for got, expected in zip(drawn, want):
+            assert got.generate_state(4).tolist() == expected.generate_state(4).tolist()
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (-(2**70), ValueError),
+                                             (7.0, TypeError), (1.5, TypeError),
+                                             ("7", TypeError), (None, TypeError)])
+    def test_a_bad_seed_is_refused_before_any_block_is_drawn(self, monkeypatch, seed, error):
+        scheme._accumulate([(0, 2), (1, 2)], 20000, 7)
+        kept = scheme._last_draw
+        drawn = record_block_draws(monkeypatch)
+        with pytest.raises(error):
+            scheme._accumulate([(0, 2), (1, 2)], 20000, seed)
+        assert drawn == [] and scheme._last_draw is kept
+
+
+def _oracle_block(seed_sequence, dim, count):
+    """One block's Gram and sum drawn alone, as the simulators drew each block before the
+    blocks of one count were drawn together."""
+    if not count:
+        return np.zeros((dim, dim), dtype=complex), np.zeros(dim, dtype=complex)
+    gen = np.random.Generator(np.random.SFC64(seed_sequence))
+    m = min(dim, count - 1)
+    below = np.tri(dim, m, -1, dtype=bool)
+    z = gen.standard_normal((2, dim + np.count_nonzero(below)))
+    s = np.sqrt(0.5 * count) * (z[0, :dim] + 1j * z[1, :dim])
+    a = np.zeros((dim, m), dtype=complex)
+    a[below] = np.sqrt(0.5) * (z[0, dim:] + 1j * z[1, dim:])
+    a[range(m), range(m)] = np.sqrt(gen.standard_gamma(count - 1.0 - np.arange(m)))
+    return a @ a.conj().T + np.outer(s, s.conj()) / count, s
+
+
+class TestBatchedDraw:
+    """``_accumulate`` against a block-by-block loop over spawn-key substreams, bit for bit."""
+
+    @pytest.mark.parametrize("groups, samples, counts", [
+        ([(0, 2), (1, 2)], 400, [40] * 10),
+        ([(0, 4), (1, 4), (2, 4)], 20003, [2001] * 3 + [2000] * 7),
+        ([(0, 8), (1, 10), (2, 10)], 1 << 18, [26215] * 4 + [26214] * 6),
+        ([(0, 2), (1, 2)], 9, [5, 4]),
+        ([(0, 2), (1, 2)], 3, [2, 1]),
+        ([(0, 2), (1, 2)], 1, [1, 0]),
+    ], ids=["one count", "two counts", "28 rows", "c-1 straddles d", "m = 1 and 0", "one sample"])
+    @pytest.mark.parametrize("seed", [0, 7, 2**128])
+    def test_the_blocks_match_one_by_one_draws(self, monkeypatch, groups, samples, counts,
+                                                seed):
+        monkeypatch.setattr(scheme, "_last_draw", None)
+        gram, sums, got_counts = scheme._accumulate(groups, samples, seed)
+        dim = sum(count for _, count in groups)
+        grams, want_sums = zip(*(_oracle_block(_spawn_key_sequence(seed, block, groups), dim, c)
+                                 for block, c in enumerate(counts)))
+        assert got_counts.tolist() == counts
+        assert gram.tobytes() == np.array(grams).tobytes()
+        assert sums.tobytes() == np.array(want_sums).tobytes()
 
 
 #: Samples per substream chunk of the per-sample oracle's own draws.

@@ -61,10 +61,16 @@ def test_plan_costs_of_the_checkout_against_itself():
     # Per simulator kind, a cold call and a repeat of it, then a whole pass with no repeat, then
     # one bits line over the cold and repeat calls.
     mc = [line.split()[1:3] for line in lines
-          if line.startswith("mc ") and not line.startswith(("mc bits", "mc check"))]
+          if line.startswith("mc ") and not line.startswith(("mc bits", "mc check", "mc paired"))]
     assert mc == [[phase, kind] for kind in ("sic", "sic_nogenie", "leakage", "dpc", "broadcast")
                   for phase in ("cold", "repeat")]
     check = [line.split() for line in lines if line.startswith("mc check ")]
     assert len(check) == 1 and len(check[0]) == 5 and all(float(v) > 0 for v in check[0][2:])
+    # The parent / change ratio of each round's two passes: one round here, so min = median = max.
+    paired = [re.fullmatch(r"mc paired ratio \(parent / change\) of each round's passes: min "
+                           r"(\S+), median (\S+), max (\S+); the change was faster in [01] of 1 "
+                           r"rounds", line) for line in lines if line.startswith("mc paired")]
+    assert len(paired) == 1 and paired[0], paired
+    assert len(set(paired[0].groups())) == 1 and float(paired[0][1]) > 0
     mc_bits = [line for line in lines if line.startswith("mc bits: ")]
     assert len(mc_bits) == 1 and mc_bits[0].startswith("mc bits: 0 of 20 reports differ"), mc_bits
